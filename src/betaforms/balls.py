@@ -108,16 +108,6 @@ class BallReal:
     def __repr__(self):
         return f"BallReal({iv.nstr(self._v, 12)})"
 
-    def to_report(self, digits: int = 30) -> dict:
-        from mpmath import nstr
-
-        lo, hi = self._v._mpi_
-        return {
-            "mid": nstr(self.mid, digits),
-            "rad": nstr(self.rad, 8),
-            "prec": max(lo[3], hi[3]),
-        }
-
     # -- arithmetic ----------------------------------------------------------
 
     def _wrap(self, v) -> "BallReal":

@@ -5,6 +5,11 @@ Exit codes: 0 all enabled checks pass, 1 a mathematical verification
 failed (inclusion violation, consistency mismatch, or an inconclusive
 criterion enclosure), 2 usage / profile / I-O errors.
 
+Every profile command reads ``--profile`` (a ``profiles.PRESETS`` name or
+a JSON object) through ``_config``, which type-checks each field, rejects
+unknown keys, applies the overrides and lists every violation.  Every
+command, ``beta`` included, rejects precision below ``MIN_PRECISION``.
+
 Reports are deterministic for fixed inputs and seed: exact rationals
 serialize as decimal-free "p/q" strings, balls as {mid, rad, prec}
 decimal strings.
@@ -15,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from mpmath import nstr
@@ -29,15 +33,9 @@ from .decomposition import (ArithmeticFactors, beta_coefficients,
 from .numerics import (beta_value, build_profile_rep, consistency_check,
                        mc_integral, r_n_series)
 from .numtheory import carry_min_table
-from .profiles import (Profile, ProfileError, THEOREM1_ETA, general,
+from .profiles import (PRESETS, Profile, ProfileError, general,
                        profile_violations, section2)
 from .rationalfn import partial_fractions
-
-PRESETS = {
-    "section2-s17": {"family": "section2", "s": 17, "n": [2]},
-    "theorem1": {"family": "general", "s": 13,
-                 "eta": list(THEOREM1_ETA), "n": [2, 4]},
-}
 
 _DEFAULTS = {
     "precision": 256,
@@ -48,6 +46,39 @@ _DEFAULTS = {
     "seed": 20180418,
 }
 
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_int_list(value) -> bool:
+    # tuples come from the preset table, never from JSON
+    return (isinstance(value, (list, tuple))
+            and all(_is_int(v) for v in value))
+
+
+def _is_bool(value) -> bool:
+    return isinstance(value, bool)
+
+
+# Every profile field: the JSON type it must have, and its test.
+_FIELDS = {
+    "family": ("a string", lambda v: isinstance(v, str)),
+    "s": ("an integer", _is_int),
+    "n": ("an integer or a list of integers",
+          lambda v: _is_int(v) or _is_int_list(v)),
+    "eta": ("a list of integers or null",
+            lambda v: v is None or _is_int_list(v)),
+    "precision": ("an integer", _is_int),
+    "verify_inclusions": ("a boolean", _is_bool),
+    "consistency": ("a boolean", _is_bool),
+    "asymptotics": ("a boolean", _is_bool),
+    "mc_samples": ("an integer", _is_int),
+    "seed": ("an integer", _is_int),
+}
+
+MIN_PRECISION = 32
+PRECISION_RULE = f"precision must be >= {MIN_PRECISION} bits"
 LARGE_GENERAL_N = 6
 
 
@@ -57,48 +88,68 @@ class CliError(Exception):
         self.code = code
 
 
-def _load_config(spec: str) -> dict:
+def _config(args) -> tuple[dict, list[str]]:
+    """Load ``--profile``, apply the command-line overrides, and check it.
+
+    Returns the configuration and every violated condition: the field
+    types first, then the construction conditions for each n.
+    """
+    spec = args.profile
     if spec in PRESETS:
-        cfg = dict(PRESETS[spec])
+        raw = PRESETS[spec]
     else:
         try:
-            cfg = json.loads(Path(spec).read_text())
+            raw = json.loads(Path(spec).read_text())
         except OSError as exc:
             raise CliError(f"cannot read profile {spec!r}: {exc}")
         except json.JSONDecodeError as exc:
             raise CliError(f"profile {spec!r} is not valid JSON: {exc}")
-    out = dict(_DEFAULTS)
-    out.update(cfg)
-    n = out.get("n", [])
-    out["n"] = [int(n)] if isinstance(n, int) else [int(v) for v in n]
-    if "eta" in out and out["eta"] is not None:
-        out["eta"] = tuple(int(e) for e in out["eta"])
-        out.setdefault("s", len(out["eta"]) - 1)
-    return out
-
-
-def _config_violations(cfg: dict) -> list[str]:
-    bad = []
+        if not isinstance(raw, dict):
+            return {}, [f"profile must be a JSON object, "
+                        f"got {type(raw).__name__}"]
+    cfg = {**_DEFAULTS, **raw}
+    for key in ("n", "precision", "seed"):
+        value = getattr(args, key, None)
+        if value is not None:
+            cfg[key] = value
+    bad = [f"unknown key {key!r}" for key in cfg if key not in _FIELDS]
+    bad += [f"{key} must be {kind}, got {json.dumps(cfg[key])}"
+            for key, (kind, test) in _FIELDS.items()
+            if key in cfg and not test(cfg[key])]
+    if bad:
+        return cfg, bad
+    n = cfg.get("n", [])
+    cfg["n"] = [n] if _is_int(n) else n
+    if cfg.get("eta") is not None:
+        cfg.setdefault("s", len(cfg["eta"]) - 1)
     if not cfg["n"]:
         bad.append("no n values given")
     for n in cfg["n"]:
         bad += [f"n={n}: {v}" for v in profile_violations(
             cfg.get("family", "?"), cfg.get("s", 0), n, cfg.get("eta"))]
-    if cfg["precision"] < 32:
-        bad.append("precision must be >= 32 bits")
+    if cfg["precision"] < MIN_PRECISION:
+        bad.append(PRECISION_RULE)
     if cfg["mc_samples"] < 0:
         bad.append("mc_samples must be >= 0")
-    return bad
+    big = [n for n in cfg["n"] if n >= LARGE_GENERAL_N]
+    if (big and cfg.get("family") == "general"
+            and not getattr(args, "allow_large", True)):
+        bad.append(f"general-family n >= {LARGE_GENERAL_N} (got {big}) is "
+                   "slow and memory-hungry; pass --allow-large to proceed")
+    return cfg, bad
+
+
+def _valid_config(args) -> dict:
+    cfg, bad = _config(args)
+    if bad:
+        raise CliError("invalid profile: " + "; ".join(bad))
+    return cfg
 
 
 def _profile_at(cfg: dict, n: int) -> Profile:
     if cfg["family"] == "section2":
         return section2(cfg["s"], n)
     return general(cfg["eta"], n)
-
-
-def _frac(q: Fraction) -> str:
-    return str(Fraction(q))
 
 
 def _ball(b: BallReal, precision: int, digits: int = 40) -> dict:
@@ -127,7 +178,7 @@ def _run_one_n(cfg: dict, n: int, failures: list[str]) -> dict:
     factors = ArithmeticFactors.for_profile(profile)
     entry: dict = {
         "n": n,
-        "a": {str(i): _frac(ai) for i, ai in enumerate(dec.a) if ai},
+        "a": {str(i): str(ai) for i, ai in enumerate(dec.a) if ai},
         "d": {"index": profile.d_index, "factorization": str(factors.d)},
         "phi": str(factors.phi),
     }
@@ -160,7 +211,7 @@ def _run_one_n(cfg: dict, n: int, failures: list[str]) -> dict:
         entry["r"] = _ball(r_n_series(profile, precision, rep=rep,
                                       table=table), precision)
     if cfg["mc_samples"] and not profile.is_section2:
-        est = mc_integral(profile, n, cfg["mc_samples"], cfg["seed"])
+        est = mc_integral(profile, cfg["mc_samples"], cfg["seed"])
         entry["mc_integral"] = {
             **_ball(est, 53),
             "samples": cfg["mc_samples"],
@@ -179,7 +230,7 @@ def _asymptotics_json(cfg: dict, failures: list[str]) -> dict:
     return {
         "r_exponent": _ball(ledger.r_exponent, precision),
         "phi_exponent": _ball(ledger.phi_exponent, precision),
-        "d_exponent": _frac(ledger.d_exponent),
+        "d_exponent": str(ledger.d_exponent),
         "total": _ball(ledger.total, precision),
         "verdict": ledger.verdict,
     }
@@ -197,41 +248,18 @@ def _write_report(report: dict, out: str | None):
 
 
 def _cmd_validate(args) -> int:
-    cfg = _load_config(args.profile)
-    if args.n:
-        cfg["n"] = [int(v) for v in args.n]
-    bad = _config_violations(cfg)
-    out = {"profile": args.profile, "valid": not bad, "violations": bad}
-    sys.stdout.write(json.dumps(out, indent=2, sort_keys=True) + "\n")
+    _, bad = _config(args)
+    _write_report({"profile": args.profile, "valid": not bad,
+                   "violations": bad}, None)
     return 0 if not bad else 2
 
 
-def _check_gate(cfg: dict, args) -> None:
-    if cfg["family"] == "general" and not args.allow_large:
-        big = [n for n in cfg["n"] if n >= LARGE_GENERAL_N]
-        if big:
-            raise CliError(
-                f"general-family n >= {LARGE_GENERAL_N} (got {big}) is slow and "
-                "memory-hungry; pass --allow-large to proceed")
-
-
 def _cmd_run(args) -> int:
-    cfg = _load_config(args.profile)
-    if args.n:
-        cfg["n"] = [int(v) for v in args.n]
-    if args.precision:
-        cfg["precision"] = args.precision
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    bad = _config_violations(cfg)
-    if bad:
-        raise CliError("invalid profile: " + "; ".join(bad))
-    _check_gate(cfg, args)
+    cfg = _valid_config(args)
     failures: list[str] = []
     report = {
         "tool": {"name": "betaforms", "version": __version__},
-        "profile": {k: (list(v) if isinstance(v, tuple) else v)
-                    for k, v in cfg.items()},
+        "profile": cfg,
         "per_n": [_run_one_n(cfg, n, failures) for n in cfg["n"]],
     }
     if cfg["asymptotics"]:
@@ -243,14 +271,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_asymptotics(args) -> int:
-    cfg = _load_config(args.profile)
-    if args.n:
-        cfg["n"] = [int(v) for v in args.n]
-    if args.precision:
-        cfg["precision"] = args.precision
-    bad = _config_violations(cfg)
-    if bad:
-        raise CliError("invalid profile: " + "; ".join(bad))
+    cfg = _valid_config(args)
     failures: list[str] = []
     report = {"profile": args.profile,
               "asymptotics": _asymptotics_json(cfg, failures),
@@ -260,18 +281,13 @@ def _cmd_asymptotics(args) -> int:
 
 
 def _cmd_phi_table(args) -> int:
-    cfg = _load_config(args.profile)
-    if args.n:
-        cfg["n"] = [int(v) for v in args.n]
-    bad = _config_violations(cfg)
-    if bad:
-        raise CliError("invalid profile: " + "; ".join(bad))
+    cfg = _valid_config(args)
     profile = _profile_at(cfg, cfg["n"][0])
     table = carry_min_table(profile.carry_spec)
     report = {
         "profile": args.profile,
         "carry_minimum": [
-            {"from": _frac(lo), "to": _frac(hi), "value": v}
+            {"from": str(lo), "to": str(hi), "value": v}
             for lo, hi, v in table.intervals()
         ],
         "per_n": [
@@ -287,7 +303,10 @@ def _cmd_phi_table(args) -> int:
 def _cmd_beta(args) -> int:
     if args.index < 1:
         raise CliError("beta index must be >= 1")
-    precision = args.precision or 256
+    precision = (_DEFAULTS["precision"] if args.precision is None
+                 else args.precision)
+    if precision < MIN_PRECISION:
+        raise CliError(PRECISION_RULE)
     value = beta_value(args.index, precision)
     report = {"index": args.index, "beta": _ball(value, precision,
                                                  digits=precision // 3)}

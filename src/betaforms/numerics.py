@@ -64,7 +64,7 @@ def beta_value(i: int, precision: int = 256) -> BallReal:
 def build_profile_rep(profile: Profile) -> LinearProductRep:
     if profile.is_section2:
         return build_section2(profile.s, profile.n)
-    return build_general(profile, profile.n)
+    return build_general(profile)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +275,7 @@ def _log2_mpf(x) -> int:
 # Monte Carlo integral
 # ---------------------------------------------------------------------------
 
-def mc_integral(eta, n: int, samples: int, seed: int) -> BallReal:
+def mc_integral(profile: Profile, samples: int, seed: int) -> BallReal:
     """Monte Carlo estimate of the s-dimensional integral form (general family).
 
     Radius is three standard errors: statistical, not rigorous; never used
@@ -283,12 +283,9 @@ def mc_integral(eta, n: int, samples: int, seed: int) -> BallReal:
     """
     import numpy as np
 
-    from .profiles import general
-
     if samples <= 0:
         raise ValueError("samples must be positive")
-    profile = eta if isinstance(eta, Profile) else general(eta, n)
-    e0, e1 = profile.eta[0], profile.eta[1]
+    e0, e1, n = profile.eta[0], profile.eta[1], profile.n
     h0 = profile.h0
     pref = Fraction(4 ** (e0 * n) * math.factorial(h0),
                     math.factorial(e1 * n) ** 2

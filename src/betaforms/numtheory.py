@@ -102,6 +102,21 @@ def lcm_up_to(m: int) -> FactoredInteger:
 # Carry functions
 # ---------------------------------------------------------------------------
 
+def eta_violations(eta) -> list[str]:
+    """Violated shape conditions on eta = (eta_0, ..., eta_s): the one copy
+    of the rules that ``CarrySpec`` and ``profiles.profile_violations`` apply."""
+    bad = []
+    e0, rest = eta[0], eta[1:]
+    for j, ej in enumerate(rest, start=1):
+        if ej <= 0:
+            bad.append(f"eta_{j} must be positive, got {ej}")
+        elif not 2 * ej < e0:
+            bad.append(f"need eta_{j} < eta_0/2, got {ej} vs {e0}/2")
+    if 2 * sum(rest) > (len(rest) - 1) * e0:
+        bad.append("need sum(eta_j) <= (s-1) eta_0 / 2")
+    return bad
+
+
 @dataclass(frozen=True)
 class CarrySpec:
     """Which floor-sum carry function to use.
@@ -120,13 +135,9 @@ class CarrySpec:
         elif self.family == "general":
             if self.eta is None or len(self.eta) < 3:
                 raise ValueError("general carry needs eta = (eta_0, ..., eta_s)")
-            e0, rest = self.eta[0], self.eta[1:]
-            s = len(rest)
-            for ej in rest:
-                if not 0 < 2 * ej < e0:
-                    raise ValueError(f"need 0 < eta_j < eta_0/2, got {ej} vs {e0}")
-            if 2 * sum(rest) > (s - 1) * e0:
-                raise ValueError("need sum(eta_j) <= (s-1) eta_0 / 2")
+            bad = eta_violations(self.eta)
+            if bad:
+                raise ValueError("; ".join(bad))
         else:
             raise ValueError(f"unknown carry family {self.family!r}")
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .numtheory import CarrySpec
+from .numtheory import CarrySpec, eta_violations
 
 
 class ProfileError(ValueError):
@@ -43,19 +43,12 @@ def profile_violations(family: str, s: int, n: int,
             bad.append(f"s must be odd and >= 5, got {s}")
         if n < 1:
             bad.append(f"n must be positive, got {n}")
-        if eta is None or len(eta) != s + 1:
+        if not eta or len(eta) != s + 1:
             bad.append(f"eta must have s+1 = {s + 1} entries")
         else:
-            e0 = eta[0]
-            for j, ej in enumerate(eta[1:], start=1):
-                if ej <= 0:
-                    bad.append(f"eta_{j} must be positive, got {ej}")
-                elif not 2 * ej < e0:
-                    bad.append(f"need eta_{j} < eta_0/2, got {ej} vs {e0}/2")
-            if 2 * sum(eta[1:]) > (s - 1) * e0:
-                bad.append("need sum(eta_j) <= (s-1) eta_0 / 2")
-            if (e0 * n) % 2 == 1:
-                bad.append(f"eta_0 * n must be even, got {e0}*{n}")
+            bad += eta_violations(eta)
+            if (eta[0] * n) % 2 == 1:
+                bad.append(f"eta_0 * n must be even, got {eta[0]}*{n}")
     else:
         bad.append(f"unknown family {family!r}")
     return bad
@@ -217,9 +210,17 @@ def general(eta, n: int) -> Profile:
     return Profile("general", len(eta) - 1, n, eta)
 
 
+# The shipped presets, in the shape of a profile JSON object (less the
+# run options); ``n`` lists the orders a full run covers.
+PRESETS = {
+    "section2-s17": {"family": "section2", "s": 17, "n": (2,)},
+    "theorem1": {"family": "general", "s": 13, "eta": THEOREM1_ETA,
+                 "n": (2, 4)},
+}
+
+
 def preset(name: str, n: int = 2) -> Profile:
-    if name == "section2-s17":
-        return section2(17, n)
-    if name == "theorem1":
-        return general(THEOREM1_ETA, n)
-    raise KeyError(f"unknown preset {name!r}")
+    if name not in PRESETS:
+        raise KeyError(f"unknown preset {name!r}")
+    spec = PRESETS[name]
+    return Profile(spec["family"], spec["s"], n, spec.get("eta"))

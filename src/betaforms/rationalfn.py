@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .profiles import Profile, general, section2
+from .profiles import Profile, section2
 from .series import divide_trunc, mul_linear
 
 _HALF = Fraction(1, 2)
@@ -177,9 +177,8 @@ def build_section2(s: int, n: int) -> LinearProductRep:
     return LinearProductRep.build(scalar, num, den)
 
 
-def build_general(eta, n: int) -> LinearProductRep:
+def build_general(profile: Profile) -> LinearProductRep:
     """The general family: shifted factorial quotient with half-integer poles."""
-    profile = eta if isinstance(eta, Profile) else general(eta, n)
     h0 = profile.h0
     scalar = 2 * profile.gamma
     num = [(Fraction(-h0, 2), 1)]
@@ -276,9 +275,8 @@ def section2_top_coefficient(s: int, n: int, k: int) -> Fraction:
     return Fraction(num, den) * (n - 2 * k) * Fraction(math.comb(n, k)) ** (s - 3)
 
 
-def hypergeometric_parameters(eta, n: int):
+def hypergeometric_parameters(profile: Profile):
     """Upper/lower parameter lists and argument of the series form."""
-    profile = eta if isinstance(eta, Profile) else general(eta, n)
     h = profile.h
     h0 = h[0]
     upper = (h0, 1 + h0 / 2) + tuple(h[1:])

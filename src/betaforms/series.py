@@ -24,19 +24,6 @@ def mul_linear(coeffs: list, c, order: int) -> list:
     return out
 
 
-def mul_trunc(a: list, b: list, order: int) -> list:
-    zero = a[0] * 0
-    out = [zero] * min(len(a) + len(b) - 1, order)
-    for i, ai in enumerate(a):
-        if i >= order:
-            break
-        for j, bj in enumerate(b):
-            if i + j >= order:
-                break
-            out[i + j] = out[i + j] + ai * bj
-    return out
-
-
 def divide_trunc(num: list, den: list, order: int) -> list:
     """Series quotient ``num/den`` to the given order; ``den[0]`` must be nonzero."""
     inv0 = 1 / den[0]
@@ -46,18 +33,6 @@ def divide_trunc(num: list, den: list, order: int) -> list:
         for k in range(1, min(j, len(den) - 1) + 1):
             acc = acc - den[k] * out[j - k]
         out.append(acc * inv0)
-    return out
-
-
-def linear_product_series(one, factors, order: int) -> list:
-    """Expansion of ``prod (c + u)**m`` to the given order.
-
-    ``factors`` yields ``(c, multiplicity)`` pairs; ``one`` is the ring unit.
-    """
-    out = [one]
-    for c, mult in factors:
-        for _ in range(mult):
-            out = mul_linear(out, c, order)
     return out
 
 

@@ -11,6 +11,41 @@ def run_cli(*args) -> int:
     return main(list(args))
 
 
+S3 = {"family": "section2", "s": 3, "n": [2]}
+
+# (profile JSON, a phrase its violation list must contain); every value
+# here is outside input that must end in exit code 2, never a traceback.
+MALFORMED = [
+    pytest.param({"family": "section2", "s": 2, "n": [2]}, "s must be odd",
+                 id="even-s"),
+    pytest.param([S3], "must be a JSON object", id="top-level-list"),
+    pytest.param({**S3, "precison": 256}, "unknown key 'precison'",
+                 id="unknown-key"),
+    pytest.param({**S3, "n": "24"}, "n must be an integer", id="string-n"),
+    pytest.param({**S3, "n": [2.0]}, "n must be an integer", id="float-n"),
+    pytest.param({**S3, "n": [True]}, "n must be an integer", id="bool-n"),
+    pytest.param({"family": "general", "eta": [9.9, 1, 1, 1, 1, 1],
+                  "n": [2]}, "eta must be a list", id="float-eta"),
+    pytest.param({"family": "general", "eta": ["5", 1, 1, 1, 1, 1],
+                  "n": [2]}, "eta must be a list", id="string-eta"),
+    pytest.param({**S3, "precision": "256"}, "precision must be an integer",
+                 id="string-precision"),
+    pytest.param({**S3, "precision": True}, "precision must be an integer",
+                 id="bool-precision"),
+    pytest.param({**S3, "mc_samples": 1.5}, "mc_samples must be an integer",
+                 id="float-mc_samples"),
+    pytest.param({**S3, "seed": "7"}, "seed must be an integer",
+                 id="string-seed"),
+    pytest.param({**S3, "verify_inclusions": 1},
+                 "verify_inclusions must be a bool",
+                 id="int-verify_inclusions"),
+    pytest.param({**S3, "consistency": "yes"}, "consistency must be a bool",
+                 id="string-consistency"),
+    pytest.param({**S3, "asymptotics": None}, "asymptotics must be a bool",
+                 id="null-asymptotics"),
+]
+
+
 class TestValidate:
     def test_presets_pass(self, capsys):
         assert run_cli("validate", "--profile", "theorem1") == 0
@@ -39,10 +74,16 @@ class TestValidate:
     def test_unreadable_file(self, capsys):
         assert run_cli("validate", "--profile", "/nonexistent/prof.json") == 2
 
-    def test_bad_json(self, tmp_path):
+    @pytest.mark.parametrize("cfg, phrase", [
+        pytest.param(None, None, id="not-json"), *MALFORMED])
+    def test_bad_json(self, tmp_path, capsys, cfg, phrase):
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
+        path.write_text("{not json" if cfg is None else json.dumps(cfg))
         assert run_cli("validate", "--profile", str(path)) == 2
+        if phrase is not None:
+            out = json.loads(capsys.readouterr().out)
+            assert not out["valid"]
+            assert any(phrase in v for v in out["violations"])
 
 
 class TestRun:
@@ -95,11 +136,25 @@ class TestRun:
                        "--out", str(tmp_path / "r.json"))
         assert code == 2
 
-    def test_invalid_profile_is_usage_error(self, tmp_path):
-        cfg = {"family": "section2", "s": 2, "n": [2]}
+    @pytest.mark.parametrize("command", ["run", "asymptotics", "phi-table"])
+    @pytest.mark.parametrize("cfg, phrase", MALFORMED)
+    def test_invalid_profile_is_usage_error(self, tmp_path, capsys, cfg,
+                                            phrase, command):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(cfg))
-        assert run_cli("run", "--profile", str(path)) == 2
+        assert run_cli(command, "--profile", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid profile: ") and phrase in err
+
+    @pytest.mark.parametrize("command, bits", [
+        ("run", 0), ("asymptotics", 0), ("phi-table", 31), ("beta", 0),
+        ("beta", 31)])
+    def test_precision_below_floor_is_usage_error(self, capsys, command,
+                                                  bits):
+        where = ["--index", "2"] if command == "beta" else [
+            "--profile", "theorem1"]
+        assert run_cli(command, *where, "--precision", str(bits)) == 2
+        assert "precision must be >= 32 bits" in capsys.readouterr().err
 
 
 class TestOtherCommands:

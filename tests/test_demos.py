@@ -1,0 +1,29 @@
+"""Every demo in ``demos/`` runs to completion in a fresh interpreter.
+
+The demos call library entry points directly (``build_section2``,
+``build_profile_rep``, ``CarrySpec``, ``consistency_check``), so a
+signature change there must show up here.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import betaforms
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+# the directory holding the package under test, so the child imports it too
+PACKAGE_ROOT = str(Path(betaforms.__file__).resolve().parent.parent)
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(demo):
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": PACKAGE_ROOT + (
+        os.pathsep + path if path else "")}
+    done = subprocess.run([sys.executable, str(demo)], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from betaforms.balls import BallReal, working_precision
 from betaforms.numtheory import (CarrySpec, FactoredInteger, StepFunction,
@@ -10,7 +10,8 @@ from betaforms.numtheory import (CarrySpec, FactoredInteger, StepFunction,
                                  carry_value, digamma_rational, lcm_up_to,
                                  phi_exponent, phi_exponent_from_table,
                                  phi_exponent_sieved, sieve_primes)
-from betaforms.profiles import THEOREM1_ETA, general, section2
+from betaforms.profiles import (THEOREM1_ETA, Profile, general,
+                                profile_violations, section2)
 
 THEOREM1_SPEC = CarrySpec("general", THEOREM1_ETA)
 SECTION2_SPEC = CarrySpec("section2")
@@ -130,6 +131,56 @@ class TestCarryValue:
             CarrySpec("general", (4, 2, 2, 2, 2, 2))  # eta_j = eta_0/2
         with pytest.raises(ValueError):
             CarrySpec("nope")
+
+
+# profile_violations messages that are not about the shape of eta itself
+NOT_ETA_SHAPE = ("s must be", "n must be", "eta_0 * n must be")
+
+
+@st.composite
+def near_admissible_eta(draw):
+    """eta of length 6-8 with every eta_j near eta_0/2, where each rule,
+    the sum rule included, can fail on its own."""
+    e0 = draw(st.integers(0, 20))
+    size = draw(st.integers(5, 7))
+    near = st.integers(max(0, e0 // 2 - 2), e0 // 2 + 1)
+    return (e0, *draw(st.lists(near, min_size=size, max_size=size)))
+
+
+@st.composite
+def admissible_general(draw):
+    """(s, n, eta) meeting every general-family condition."""
+    s = draw(st.sampled_from([5, 7, 9]))
+    e0 = draw(st.integers(3, 20))
+    rest = draw(st.lists(st.integers(1, (e0 - 1) // 2), min_size=s,
+                         max_size=s).filter(
+        lambda r: 2 * sum(r) <= (s - 1) * e0))
+    n = draw(st.integers(1, 4)) * (2 if e0 % 2 else 1)
+    return s, n, (e0, *rest)
+
+
+class TestEtaShapeRule:
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(
+        st.lists(st.integers(0, 20), min_size=6, max_size=8).map(tuple),
+        near_admissible_eta()))
+    @example((5, 1, 1, 1, 1, 1))
+    @example(THEOREM1_ETA[:8])
+    def test_carry_spec_raises_iff_profile_reports(self, eta):
+        shape = [v for v in profile_violations("general", len(eta) - 1, 2, eta)
+                 if not v.startswith(NOT_ETA_SHAPE)]
+        if shape:
+            with pytest.raises(ValueError):
+                CarrySpec("general", eta)
+        else:
+            assert CarrySpec("general", eta).eta == eta
+
+    @settings(max_examples=200, deadline=None)
+    @given(admissible_general())
+    def test_admissible_profiles_build(self, case):
+        s, n, eta = case
+        profile = Profile("general", s, n, eta)
+        assert profile.carry_spec == CarrySpec("general", eta)
 
 
 class TestCarryMinTable:

@@ -68,14 +68,14 @@ class TestBuildGeneral:
 
     def test_symmetry(self):
         profile = general((5, 1, 1, 1, 1, 1), 2)
-        rep = build_general(profile, 2)
+        rep = build_general(profile)
         t = Fraction(1, 5)
         assert rep.evaluate(-t - profile.h0) == rep.evaluate(t)
 
     def test_pole_multiplicity_at_edge(self):
         # multiplicity at the lowest pole = number of minimal eta entries
         profile = general(THEOREM1_ETA, 2)
-        table = partial_fractions(build_general(profile, 2))
+        table = partial_fractions(build_general(profile))
         k_min = min(table.pole_ks)
         assert k_min == profile.N
         idx = table.pole_ks.index(k_min)
@@ -84,7 +84,7 @@ class TestBuildGeneral:
 
     def test_degree_gap_positive(self):
         for eta, n in [((5, 1, 1, 1, 1, 1), 2), (THEOREM1_ETA, 2)]:
-            assert build_general(general(eta, n), n).degree_gap >= 2
+            assert build_general(general(eta, n)).degree_gap >= 2
 
 
 class TestPartialFractions:
@@ -198,16 +198,17 @@ class TestRemark1:
 
 class TestHypergeometricParameters:
     def test_counts(self):
-        up, low, arg = hypergeometric_parameters((5, 1, 1, 1, 1, 1), 2)
+        up, low, arg = hypergeometric_parameters(
+            general((5, 1, 1, 1, 1, 1), 2))
         assert len(up) == 7 and len(low) == 6 and arg == -1
 
     def test_well_poised_pairing(self):
-        up, low, _ = hypergeometric_parameters(THEOREM1_ETA, 2)
+        up, low, _ = hypergeometric_parameters(general(THEOREM1_ETA, 2))
         for j in range(2, len(up)):
             assert up[0] + 1 == up[j] + low[j - 1]
         # the convergence-accelerating pair
         assert up[1] == 1 + up[0] / 2 and low[0] == up[0] / 2
 
     def test_direct_substitution(self):
-        up, _, _ = hypergeometric_parameters((5, 1, 1, 1, 1, 1), 2)
+        up, _, _ = hypergeometric_parameters(general((5, 1, 1, 1, 1, 1), 2))
         assert up[1] == 1 + Fraction(11, 2)
