@@ -8,7 +8,9 @@ criterion enclosure), 2 usage / profile / I-O errors.
 Every profile command reads ``--profile`` (a ``profiles.PRESETS`` name or
 a JSON object) through ``_config``, which type-checks each field, rejects
 unknown keys, applies the overrides and lists every violation.  Every
-command, ``beta`` included, rejects precision below ``MIN_PRECISION``.
+command that takes ``--precision`` (all but ``validate`` and the exact
+``phi-table``), ``beta`` included, rejects precision below
+``MIN_PRECISION``.
 
 Reports are deterministic for fixed inputs and seed: exact rationals
 serialize as decimal-free "p/q" strings, balls as {mid, rad, prec}
@@ -120,13 +122,17 @@ def _config(args) -> tuple[dict, list[str]]:
         return cfg, bad
     n = cfg.get("n", [])
     cfg["n"] = [n] if _is_int(n) else n
-    if cfg.get("eta") is not None:
+    if cfg.get("eta"):
         cfg.setdefault("s", len(cfg["eta"]) - 1)
     if not cfg["n"]:
         bad.append("no n values given")
-    for n in cfg["n"]:
+    # the construction conditions need both; never check a made-up value
+    missing = [f"missing key {key!r}" for key in ("family", "s")
+               if key not in cfg]
+    bad += missing
+    for n in [] if missing else cfg["n"]:
         bad += [f"n={n}: {v}" for v in profile_violations(
-            cfg.get("family", "?"), cfg.get("s", 0), n, cfg.get("eta"))]
+            cfg["family"], cfg["s"], n, cfg.get("eta"))]
     if cfg["precision"] < MIN_PRECISION:
         bad.append(PRECISION_RULE)
     if cfg["mc_samples"] < 0:
@@ -322,14 +328,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, profile=True):
+    def add_common(p, profile=True, precision=True):
         if profile:
             p.add_argument("--profile", required=True,
                            help="profile JSON path or preset name "
                                 f"({', '.join(sorted(PRESETS))})")
             p.add_argument("--n", nargs="+", type=int,
                            help="override the profile's n list")
-        p.add_argument("--precision", type=int, help="working precision, bits")
+        if precision:
+            p.add_argument("--precision", type=int,
+                           help="working precision, bits")
         p.add_argument("--out", help="write the JSON report here")
 
     p = sub.add_parser("validate", help="check profile conditions")
@@ -348,8 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=_cmd_asymptotics)
 
+    # the table and the factors are exact: no precision to set
     p = sub.add_parser("phi-table", help="carry-minimum table and factors")
-    add_common(p)
+    add_common(p, precision=False)
     p.set_defaults(func=_cmd_phi_table)
 
     p = sub.add_parser("beta", help="one beta value as a ball")

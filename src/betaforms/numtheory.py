@@ -7,6 +7,17 @@ The carry functions are integer-valued sums of floors of linear forms in
 is piecewise constant in x with rational breakpoints; the table of that
 minimum drives both the exact prime-power factor and its asymptotic
 exponent.
+
+Where the breakpoints can lie follows from the line arrangement.  A term
+floor(a x + e y) with e != 0 jumps on the lines a x + e y in Z; two such
+lines from terms (a1, e1), (a2, e2) cross only at x in (1/D)Z with
+D = |a1 e2 - a2 e1| (parallel lines, D = 0, never cross or coincide for
+all x), and a y-free term floor(a x) jumps only at x in (1/|a|)Z.  On an
+open x-interval that avoids all of these, the jump points in y move
+without passing one another, so the cyclic order of the cells in y and
+the value on each cell stay fixed; min over y is then constant.  The
+candidate set is therefore complete, and ``carry_min_table`` evaluates
+each candidate and each gap between them exactly once.
 """
 
 from __future__ import annotations
@@ -162,14 +173,6 @@ class CarrySpec:
             terms.append((-1, e0 - ej, -1))
         return tuple(terms)
 
-    @property
-    def farey_order(self) -> int:
-        # Conservative bound on the denominators of all x-breakpoints of the
-        # minimum-over-y table.
-        if self.family == "section2":
-            return 12
-        return 2 * self.eta[0] + 2 * max(self.eta[1:])
-
 
 def carry_value(spec: CarrySpec, x, y) -> int:
     """Exact value of the carry function at (x, y); both arguments mod 1."""
@@ -181,45 +184,38 @@ def carry_value(spec: CarrySpec, x, y) -> int:
 
 
 def _min_over_y(terms, x: Fraction) -> tuple[int, Fraction]:
-    """Minimum of the carry sum over y in [0, 1), and a witness y.
+    """Minimum of the carry sum over y in [0, 1) at x = p/q in [0, 1), and
+    the first y attaining it.
 
-    The sum is piecewise constant in y with jumps only where some floor
-    argument crosses an integer; those candidate positions, plus the open
-    intervals between them (sampled at midpoints), cover all values.
+    With L = lcm |e| and y = Y/(L q), a term (a, e) with e != 0 jumps at
+    the integers Y = -(L/e) a p mod (L/|e|) q, |e| of them per period.  The
+    sum is taken once at Y = 0; then, in increasing Y, a term with e > 0
+    adds its sign at the jump point itself (floor is right-continuous) and
+    one with e < 0 subtracts its sign just after it.  On the doubled grid
+    K = 2Y (the point) and 2Y + 1 (the open interval after it) the running
+    sum takes every value of the function, so its least value is the
+    minimum, with witness y = K / (2 L q).
     """
-    a, b = x.numerator, x.denominator
-    cands = {Fraction(0)}
-    for _, ax, ey in terms:
-        if ey == 0:
+    p, q = x.numerator, x.denominator
+    period = math.lcm(*(abs(e) for _, _, e in terms if e)) * q
+    total = 0
+    steps: dict[int, int] = {}
+    for sign, a, e in terms:
+        total += sign * (a * p // q)
+        if e == 0:
             continue
-        base = Fraction(-ax, ey) * x
-        step = Fraction(1, abs(ey))
-        for j in range(abs(ey)):
-            v = base + j * step
-            cands.add(v - math.floor(v))
-    cs = sorted(cands)
-    points = []
-    for i, y in enumerate(cs):
-        nxt = cs[i + 1] if i + 1 < len(cs) else cs[0] + 1
-        points.append(y)
-        points.append((y + nxt) / 2)
-
-    sig = [t[0] for t in terms]
-    axa = [t[1] * a for t in terms]
-    eyb = [t[2] * b for t in terms]
-    nterms = len(terms)
-
-    best = None
-    witness = None
-    for y in points:
-        c, e = y.numerator, y.denominator
-        be = b * e
-        tot = 0
-        for t in range(nterms):
-            tot += sig[t] * ((axa[t] * e + eyb[t] * c) // be)
-        if best is None or tot < best:
-            best, witness = tot, y
-    return best, witness
+        spacing = period // abs(e)
+        first = -(period // q // e) * a * p % spacing
+        key, delta = (2 * first, sign) if e > 0 else (2 * first + 1, -sign)
+        # a jump at the point Y = 0 is already in the sum at Y = 0
+        for k in range(key or 2 * spacing, 2 * period, 2 * spacing):
+            steps[k] = steps.get(k, 0) + delta
+    best, best_key = total, 0
+    for k in sorted(steps):
+        total += steps[k]
+        if total < best:
+            best, best_key = total, k
+    return best, Fraction(best_key, 2 * period)
 
 
 @dataclass(frozen=True)
@@ -275,38 +271,45 @@ class StepFunction:
         return max(self.values)
 
 
-def _farey(order: int) -> list[Fraction]:
-    fracs = {Fraction(0)}
-    for b in range(1, order + 1):
-        for a in range(1, b):
-            fracs.add(Fraction(a, b))
-    return sorted(fracs)
+def _breakpoint_candidates(terms) -> list[Fraction]:
+    """Every x in [0, 1) where min over y of the floor sum can change:
+    (1/D)Z for D = |a1 e2 - a2 e1| > 0 over pairs of terms with e != 0,
+    where two jump lines cross, and (1/|a|)Z for the y-free terms."""
+    sloped = {(a, e) for _, a, e in terms if e}
+    dens = {abs(a) for _, a, e in terms if not e and a}
+    dens |= {abs(a1 * e2 - a2 * e1) for a1, e1 in sloped for a2, e2 in sloped}
+    dens.discard(0)
+    return sorted({Fraction(0)} | {Fraction(j, d) for d in dens
+                                   for j in range(1, d)})
 
 
 @lru_cache(maxsize=None)
 def carry_min_table(spec: CarrySpec) -> StepFunction:
     """Exact table of min_y carry(x, y) as a step function of x.
 
-    x-breakpoints are searched among Farey fractions of the spec's order;
-    each interval is sampled at its left endpoint and midpoint, which must
-    agree (the minimum is right-continuous), otherwise the order bound is
-    wrong and we refuse to guess.
+    Completeness: every breakpoint lies in ``_breakpoint_candidates``.  On
+    an open gap between consecutive candidates no two jump lines in the
+    (x, y) torus cross and no y-free term jumps, so the jump points in y
+    keep their cyclic order, every cell keeps its value, and min over y is
+    constant; the gap midpoint gives that constant.  Each candidate is
+    evaluated once as well.  The table is stored as right-continuous
+    pieces [lo, hi), so the value at each candidate must equal the value
+    on the gap to its right; this is checked, and a sum for which it fails
+    raises instead of being tabulated wrongly.
     """
     terms = spec.terms()
-    grid = _farey(spec.farey_order)
-    breakpoints, values = [], []
-    for i, lo in enumerate(grid):
-        hi = grid[i + 1] if i + 1 < len(grid) else Fraction(1)
+    grid = _breakpoint_candidates(terms)
+    values = []
+    for lo, hi in zip(grid, grid[1:] + [Fraction(1)]):
         v_left, _ = _min_over_y(terms, lo)
-        v_mid, _ = _min_over_y(terms, (lo + hi) / 2)
-        if v_left != v_mid:
+        v_gap, _ = _min_over_y(terms, (lo + hi) / 2)
+        if v_left != v_gap:
             raise ValueError(
-                f"carry minimum not constant on [{lo}, {hi}); "
-                "Farey order bound violated"
+                f"carry minimum {v_left} at {lo} differs from its value "
+                f"{v_gap} on ({lo}, {hi})"
             )
-        breakpoints.append(lo)
         values.append(v_left)
-    return StepFunction.build(breakpoints, values)
+    return StepFunction.build(grid, values)
 
 
 def carry_min_value(spec: CarrySpec, x) -> tuple[int, Fraction]:
@@ -410,16 +413,22 @@ def phi_exponent_from_table(table: StepFunction, mu: Fraction,
     """
     mu = Fraction(mu)
     clipped = Fraction(0)
+    psi_cache: dict[Fraction, BallReal] = {}
+
+    def psi1(x: Fraction) -> BallReal:
+        # psi(1 + x); adjacent pieces share an endpoint
+        if x not in psi_cache:
+            psi_cache[x] = digamma_rational((1 + x).numerator,
+                                            (1 + x).denominator,
+                                            precision + 16)
+        return psi_cache[x]
+
     with working_precision(precision + 32):
         acc = BallReal(0)
         for lo, hi, c in table.intervals():
             if c == 0:
                 continue
-            psi_hi = digamma_rational((1 + hi).numerator, (1 + hi).denominator,
-                                      precision + 16)
-            psi_lo = digamma_rational((1 + lo).numerator, (1 + lo).denominator,
-                                      precision + 16)
-            acc = acc + c * (psi_hi - psi_lo)
+            acc = acc + c * (psi1(hi) - psi1(lo))
             top = mu if lo == 0 else min(1 / lo, mu)
             part = top - 1 / hi
             if part > 0:

@@ -43,6 +43,12 @@ MALFORMED = [
                  id="string-consistency"),
     pytest.param({**S3, "asymptotics": None}, "asymptotics must be a bool",
                  id="null-asymptotics"),
+    pytest.param({"family": "general", "eta": [], "n": [2]},
+                 "missing key 's'", id="empty-eta"),
+    pytest.param({"family": "section2", "n": [2]}, "missing key 's'",
+                 id="section2-no-s"),
+    pytest.param({"s": 5, "eta": [9, 1, 1, 1, 1, 1], "n": [2]},
+                 "missing key 'family'", id="no-family"),
 ]
 
 
@@ -147,14 +153,20 @@ class TestRun:
         assert err.startswith("error: invalid profile: ") and phrase in err
 
     @pytest.mark.parametrize("command, bits", [
-        ("run", 0), ("asymptotics", 0), ("phi-table", 31), ("beta", 0),
-        ("beta", 31)])
+        ("run", 0), ("asymptotics", 0), ("beta", 0), ("beta", 31)])
     def test_precision_below_floor_is_usage_error(self, capsys, command,
                                                   bits):
         where = ["--index", "2"] if command == "beta" else [
             "--profile", "theorem1"]
         assert run_cli(command, *where, "--precision", str(bits)) == 2
         assert "precision must be >= 32 bits" in capsys.readouterr().err
+
+    def test_phi_table_rejects_precision_flag(self, capsys):
+        # the table and the factors are exact, so there is nothing to set
+        with pytest.raises(SystemExit) as exc:
+            run_cli("phi-table", "--profile", "theorem1", "--precision", "64")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --precision" in capsys.readouterr().err
 
 
 class TestOtherCommands:

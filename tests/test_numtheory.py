@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from betaforms.balls import BallReal, working_precision
 from betaforms.numtheory import (CarrySpec, FactoredInteger, StepFunction,
+                                 _breakpoint_candidates, _min_over_y,
                                  capital_phi, carry_min_table, carry_min_value,
                                  carry_value, digamma_rational, lcm_up_to,
                                  phi_exponent, phi_exponent_from_table,
@@ -148,10 +150,10 @@ def near_admissible_eta(draw):
 
 
 @st.composite
-def admissible_general(draw):
+def admissible_general(draw, sizes=(5, 7, 9), max_eta0=20):
     """(s, n, eta) meeting every general-family condition."""
-    s = draw(st.sampled_from([5, 7, 9]))
-    e0 = draw(st.integers(3, 20))
+    s = draw(st.sampled_from(sizes))
+    e0 = draw(st.integers(3, max_eta0))
     rest = draw(st.lists(st.integers(1, (e0 - 1) // 2), min_size=s,
                          max_size=s).filter(
         lambda r: 2 * sum(r) <= (s - 1) * e0))
@@ -183,6 +185,56 @@ class TestEtaShapeRule:
         assert profile.carry_spec == CarrySpec("general", eta)
 
 
+def enumerated_min_over_y(terms, x):
+    """min over y in [0, 1) of the floor sum at x, by evaluating every jump
+    point in y and the midpoint of every gap between them."""
+    cands = {Fraction(0)}
+    for _, a, e in terms:
+        for j in range(abs(e)):
+            v = (j - a * x) / e
+            cands.add(v - math.floor(v))
+    cs = sorted(cands) + [Fraction(1)]
+    points = cs[:-1] + [(lo + hi) / 2 for lo, hi in zip(cs, cs[1:])]
+    p, q = x.numerator, x.denominator
+    best = None
+    for y in points:
+        c, d = y.numerator, y.denominator
+        value = sum(sign * ((a * p * d + e * c * q) // (q * d))
+                    for sign, a, e in terms)
+        best = value if best is None else min(best, value)
+    return best
+
+
+def farey_scan_table(terms, order):
+    """The carry-minimum table from a scan of all Farey fractions of the
+    given order, each interval sampled at its left end and midpoint."""
+    grid = sorted({Fraction(0)} | {Fraction(a, b) for b in range(2, order + 1)
+                                   for a in range(1, b)})
+    values = []
+    for lo, hi in zip(grid, grid[1:] + [Fraction(1)]):
+        value = enumerated_min_over_y(terms, lo)
+        assert enumerated_min_over_y(terms, (lo + hi) / 2) == value
+        values.append(value)
+    return StepFunction.build(grid, values)
+
+
+@st.composite
+def periodic_floor_sums(draw):
+    """Random floor sums sum sign*floor(a x + e y), made periodic in both
+    arguments by one balancing term; y-free terms are frequent."""
+    terms = draw(st.lists(st.tuples(st.sampled_from([-2, -1, 1, 2]),
+                                    st.integers(-7, 7),
+                                    st.sampled_from([-2, -1, 0, 0, 1, 2])),
+                          min_size=2, max_size=5))
+    sum_a = sum(sign * a for sign, a, _ in terms)
+    sum_e = sum(sign * e for sign, _, e in terms)
+    return (*terms, (1, -sum_a, -sum_e))
+
+
+unit_fractions = st.fractions(min_value=0, max_value=1,
+                              max_denominator=500).filter(lambda f: 0 < f < 1)
+
+
 class TestCarryMinTable:
     def test_section2_table(self):
         table = carry_min_table(SECTION2_SPEC)
@@ -205,6 +257,34 @@ class TestCarryMinTable:
             exact, witness = carry_min_value(spec, x)
             assert exact == table_val
             assert carry_value(spec, x, witness) == table_val
+
+    @settings(max_examples=25, deadline=None)
+    @given(admissible_general((5, 7), 14).map(lambda case: case[2]),
+           st.lists(unit_fractions, min_size=1, max_size=5),
+           st.randoms(use_true_random=False))
+    @example((5, 1, 1, 1, 1, 1), [Fraction(1, 2)], random.Random(0))
+    def test_matches_farey_scan(self, eta, xs, rnd):
+        spec = CarrySpec("general", eta)
+        table = carry_min_table(spec)
+        order = 2 * eta[0] + 2 * max(eta[1:])
+        assert table == farey_scan_table(spec.terms(), order)
+        for x in xs:
+            value, witness = carry_min_value(spec, x)
+            assert value == table.value_at(x)
+            assert carry_value(spec, x, witness) == value
+            assert all(carry_value(spec, x, Fraction(rnd.randrange(997), 997))
+                       >= value for _ in range(30))
+
+    @settings(max_examples=150, deadline=None)
+    @given(periodic_floor_sums(), unit_fractions)
+    def test_candidates_complete_for_any_periodic_sum(self, terms, r):
+        # the sweep equals enumeration at every candidate, and min over y
+        # does not change inside any gap between consecutive candidates
+        grid = _breakpoint_candidates(terms)
+        for lo, hi in zip(grid, grid[1:] + [Fraction(1)]):
+            assert _min_over_y(terms, lo)[0] == enumerated_min_over_y(terms, lo)
+            inside = enumerated_min_over_y(terms, lo + r * (hi - lo))
+            assert _min_over_y(terms, (lo + hi) / 2)[0] == inside
 
     def test_step_function_validation(self):
         with pytest.raises(ValueError):
