@@ -3,7 +3,8 @@ machine-readable reports.
 
 Exit codes: 0 all enabled checks pass, 1 a mathematical verification
 failed (inclusion violation, consistency mismatch, or an inconclusive
-criterion enclosure), 2 usage / profile / I-O errors.
+criterion enclosure), 2 usage / profile / I-O errors, and any
+``ArithmeticError`` or ``ValueError`` that escapes a command.
 
 Every profile command reads ``--profile`` (a ``profiles.PRESETS`` name or
 a JSON object) through ``_config``, which type-checks each field, rejects
@@ -378,6 +379,11 @@ def main(argv=None) -> int:
         return exc.code
     except ProfileError as exc:
         print(f"error: invalid profile: {exc}", file=sys.stderr)
+        return 2
+    except (ArithmeticError, ValueError) as exc:
+        # a numerical routine gave up (e.g. the tail order limit): not a
+        # mathematical failure of the certificate, so not exit 1
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -80,27 +80,38 @@ def _tail_remainder_bound(table: PartialFractionTable, shift: Fraction,
     (Fourier bound with margin).  Everything is exact rational arithmetic
     with a rational lower bound for pi.
     """
+    base = a + shift + table.pole_offset
+    # i(i+1)...(i+m-1) / (i+m-1), one integer per order i
+    rising = [math.prod(range(i, i + m - 1)) for i in range(1, table.s + 1)]
     total = Fraction(0)
-    for i, k, c in table.entries():
-        if not c:
+    for row, k in zip(table.rows, table.pole_ks):
+        if not any(row):
             continue
-        dist = a + shift + k + table.pole_offset
+        dist = base + k
         if dist <= 0:
             raise ValueError("tail cutoff does not clear the poles")
-        rising = Fraction(1)
-        for j in range(m):
-            rising *= i + j
-        total += abs(c) * rising / ((i + m - 1) * dist ** (i + m - 1))
+        # the pole's terms |c| rising / dist**(i+m-1) over one denominator
+        p, q = dist.numerator, dist.denominator
+        den = math.lcm(*(c.denominator for c in row))
+        num = 0
+        for i, c in enumerate(row, 1):
+            if c:
+                num += (abs(c.numerator) * (den // c.denominator) * rising[i - 1]
+                        * q ** (i + m - 1) * p ** (table.s - i))
+        total += Fraction(num, den * p ** (table.s + m - 1))
     return 3 * total / _PI_LOWER ** m
 
 
-def _choose_tail_parameters(table, shift, start, target: Fraction) -> tuple[int, int]:
-    """Smallest workable (cutoff a, order m) with remainder bound <= target."""
+def _choose_tail_parameters(table, shift, start,
+                            target: Fraction) -> tuple[int, int, Fraction]:
+    """Smallest workable (cutoff a, order m) with remainder bound <= target,
+    and that bound."""
     m = 32
     while m <= 4096:
         a = max(start, 1) + 2 * m
-        if _tail_remainder_bound(table, shift, a, m) <= target:
-            return a, m
+        bound = _tail_remainder_bound(table, shift, a, m)
+        if bound <= target:
+            return a, m, bound
         m = m * 3 // 2
     raise ArithmeticError("tail order limit exceeded; raise the target radius")
 
@@ -125,10 +136,19 @@ def _taylor_interval(rep: LinearProductRep, x0: Fraction, order: int) -> list:
 
 @dataclass(frozen=True)
 class SeriesEvaluation:
+    """One tail evaluation and the parameters it settled on.
+
+    ``guard_bits`` is the guard the interval pass ended with, and
+    ``cap_met`` says whether the radius met its cap there; the guard loop
+    gives up, with ``cap_met`` false, once the guard reaches 1024 bits.
+    """
+
     value: BallReal
     direct_terms: int
     tail_order: int
     tail_bound: Fraction
+    guard_bits: int
+    cap_met: bool
 
 
 def alternating_series_tail(rep: LinearProductRep, table: PartialFractionTable,
@@ -141,8 +161,7 @@ def alternating_series_tail(rep: LinearProductRep, table: PartialFractionTable,
     bounded by ``_tail_remainder_bound``; s_k are the Taylor coefficients
     of f at the cutoff.
     """
-    a, m = _choose_tail_parameters(table, shift, start, target)
-    bound = _tail_remainder_bound(table, shift, a, m)
+    a, m, bound = _choose_tail_parameters(table, shift, start, target)
 
     direct = Fraction(0)
     for nu in range(start, a):
@@ -166,8 +185,9 @@ def alternating_series_tail(rep: LinearProductRep, table: PartialFractionTable,
             total = tail + BallReal(direct)
         # retry only if interval rounding dominated the rigorous tail bound
         cap = Fraction(2) ** (-(precision + 8)) * max(1, abs(direct)) + 4 * bound
-        if guard >= 1024 or total.rad <= _frac_to_mpf(cap):
-            return SeriesEvaluation(total, a - start, m, bound)
+        cap_met = total.rad <= _frac_to_mpf(cap)
+        if cap_met or guard >= 1024:
+            return SeriesEvaluation(total, a - start, m, bound, guard, cap_met)
         guard *= 2
 
 

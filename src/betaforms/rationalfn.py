@@ -4,8 +4,11 @@ partial-fraction tables.
 Both construction families produce a proper rational function
 ``scalar * prod (t - r)**m / prod (t - r')**m'`` whose roots are integers
 or half-integers.  Partial-fraction coefficients are extracted per pole by
-truncated power-series division of the co-factor, entirely in rational
-arithmetic; no floating point enters this module.
+truncated power-series division of the co-factor.  Because every root is
+a half-integer, the co-factor's linear factors are halves of integer
+linear factors, so the series work is done in integers, divided
+fraction-free, and each coefficient costs one exact division at the end;
+no floating point enters this module.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .profiles import Profile, section2
-from .series import divide_trunc, mul_linear
+from .series import divide_fraction_free, mul_linear
 
 _HALF = Fraction(1, 2)
 
@@ -129,11 +132,21 @@ def partial_fractions(rep: LinearProductRep) -> PartialFractionTable:
     At each pole the co-factor (the function times the pole's power) is a
     ratio of products of linear factors with nonzero constant terms; its
     truncated series expansion yields all coefficient orders at once.
+
+    Each factor ``pole - r + u`` equals ``(A + v)/2`` with the integer
+    ``A = 2(pole - r)`` and ``v = 2u``, so both products are integer series
+    in ``v``.  Their quotient comes scaled by powers of its constant term
+    ``b0`` from ``divide_fraction_free``, and the order-j coefficient in
+    ``u`` is ``scalar * 2**(gap + j) * O_j / b0**(j+1)``, where ``gap`` is
+    the co-factor's degree gap.
     """
     if rep.degree_gap < 1:
         raise ValueError("representation must be proper (gap >= 1)")
     offset = _HALF if any(r.denominator == 2 for r, _ in rep.den_roots) else Fraction(0)
     poles = sorted(rep.den_roots, key=lambda rm: -rm[0] - offset)
+    num_roots = [(int(2 * r), m) for r, m in rep.num_roots]
+    den_roots = [(int(2 * r), m) for r, m in rep.den_roots]
+    scale_num, scale_den = rep.scalar.numerator, rep.scalar.denominator
     pole_ks = []
     mults = []
     rows = []
@@ -142,20 +155,25 @@ def partial_fractions(rep: LinearProductRep) -> PartialFractionTable:
         k = -pole_root - offset
         if k.denominator != 1:
             raise ValueError("pole grid mixes integer and half-integer roots")
-        num = [rep.scalar]
-        for r, m in rep.num_roots:
+        pole2 = int(2 * pole_root)
+        num = [1]
+        for r2, m in num_roots:
             for _ in range(m):
-                num = mul_linear(num, pole_root - r, mult)
-        den = [Fraction(1)]
-        for r, m in rep.den_roots:
-            if r == pole_root:
+                num = mul_linear(num, pole2 - r2, mult)
+        den = [1]
+        for r2, m in den_roots:
+            if r2 == pole2:
                 continue
             for _ in range(m):
-                den = mul_linear(den, pole_root - r, mult)
-        g = divide_trunc(num, den, mult)
+                den = mul_linear(den, pole2 - r2, mult)
+        gap = rep.den_degree - mult - rep.num_degree
         coeffs = [Fraction(0)] * s
-        for i in range(1, mult + 1):
-            coeffs[i - 1] = g[mult - i]
+        b0_power = 1
+        for j, scaled in enumerate(divide_fraction_free(num, den, mult)):
+            b0_power *= den[0]
+            e = gap + j  # the power of 2; a negative one divides
+            coeffs[mult - 1 - j] = Fraction(scaled * scale_num << max(e, 0),
+                                            b0_power * scale_den << max(-e, 0))
         pole_ks.append(int(k))
         mults.append(mult)
         rows.append(tuple(coeffs))

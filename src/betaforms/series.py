@@ -1,10 +1,11 @@
 """Truncated power-series helpers.
 
 Series are plain lists of coefficients, ``c[j]`` multiplying ``u**j``.
-The routines are generic over the coefficient ring: exact ``Fraction``
-values for the partial-fraction tables, mpmath intervals for the
-high-order Taylor tails.  Every routine truncates to a fixed order and
-never allocates beyond it.
+Every routine truncates to a fixed order and never allocates beyond it.
+``mul_linear`` is generic over the coefficient ring: plain integers for
+the partial-fraction tables, mpmath intervals for the high-order Taylor
+tails.  Division has one routine per ring: ``divide_fraction_free`` keeps
+integer series integral, ``divide_trunc`` serves the interval pass.
 """
 
 from __future__ import annotations
@@ -25,7 +26,12 @@ def mul_linear(coeffs: list, c, order: int) -> list:
 
 
 def divide_trunc(num: list, den: list, order: int) -> list:
-    """Series quotient ``num/den`` to the given order; ``den[0]`` must be nonzero."""
+    """Series quotient ``num/den`` to the given order; ``den[0]`` must be nonzero.
+
+    Meant for a field such as mpmath intervals: it multiplies by
+    ``1 / den[0]``, which turns integer input into floats, so integer
+    series go through ``divide_fraction_free`` instead.
+    """
     inv0 = 1 / den[0]
     out = []
     for j in range(order):
@@ -36,22 +42,63 @@ def divide_trunc(num: list, den: list, order: int) -> list:
     return out
 
 
+def divide_fraction_free(num: list[int], den: list[int], order: int) -> list[int]:
+    """Scaled quotient of integer series: ``O_j = out_j * b0**(j+1)``.
+
+    ``out = num/den`` truncated to the given order, ``b0 = den[0] != 0``.
+    The scaled coefficients are integers and obey
+    ``O_j = num_j b0**j - sum_{k>=1} den_k O_{j-k} b0**(k-1)``, so no
+    division happens here; the caller makes one exact division per
+    coefficient.
+    """
+    powers = [1]
+    for _ in range(order):
+        powers.append(powers[-1] * den[0])
+    # den_k b0**(k-1), formed once per k
+    scaled = [0] + [d * p for d, p in zip(den[1:order], powers)]
+    out = []
+    for j in range(order):
+        acc = num[j] * powers[j] if j < len(num) else 0
+        for k in range(1, min(j, len(scaled) - 1) + 1):
+            acc -= scaled[k] * out[j - k]
+        out.append(acc)
+    return out
+
+
+# E_k(0) for k < len(_EULER), extended on demand by euler_numbers_at_zero.
+_EULER: list[Fraction] = []
+
+
+def _tangent_numbers(h: int) -> list[int]:
+    """T_1..T_h with tan x = sum T_k x**(2k-1)/(2k-1)!.
+
+    The in-place integer recurrence of Brent & Zimmermann, *Modern
+    Computer Arithmetic* (CUP 2010), section 4.7.2.
+    """
+    t = [0, 1] + [0] * (h - 1)
+    for k in range(2, h + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, h + 1):
+        for j in range(k, h + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t[1:h + 1]
+
+
 def euler_numbers_at_zero(count: int) -> list[Fraction]:
     """Euler polynomial values E_k(0) for k = 0..count-1, exact.
 
-    Taylor coefficients of 2/(e^t + 1): E_k(0) = k! [t^k] 2/(e^t+1).
+    E_k(0) = k! [t^k] 2/(e^t+1): E_0(0) = 1, E_{2j}(0) = 0 for j >= 1 and
+    E_{2h-1}(0) = (-1)**h T_h / 2**(2h-1) with T_h the tangent numbers.
+    The values are computed once, up to the largest count asked for.
     """
-    den = [Fraction(1)]
-    fact = 1
-    for j in range(1, count):
-        fact *= j
-        den.append(Fraction(1, 2 * fact))
-    # constant term of (e^t+1)/2 is 1
-    coeffs = divide_trunc([Fraction(1)], den, count)
-    out = []
-    fact = 1
-    for k, c in enumerate(coeffs):
-        if k >= 1:
-            fact *= k
-        out.append(c * fact)
-    return out
+    if count > len(_EULER):
+        tangents = _tangent_numbers(count // 2)
+        values = [Fraction(1)]
+        for k in range(1, count):
+            if k % 2 == 0:
+                values.append(Fraction(0))
+            else:
+                h = (k + 1) // 2
+                values.append(Fraction((-1) ** h * tangents[h - 1], 2 ** k))
+        _EULER[:] = values
+    return _EULER[:count]

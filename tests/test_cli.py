@@ -4,6 +4,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from betaforms import cli
 from betaforms.cli import main
 
 
@@ -136,6 +137,21 @@ class TestRun:
         assert run_cli(*argv, "--out", str(a)) == 0
         assert run_cli(*argv, "--out", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("error", [
+        ArithmeticError("tail order limit exceeded; raise the target radius"),
+        ValueError("tail cutoff does not clear the poles")])
+    def test_escaping_numerical_error_is_exit_2(self, tmp_path, capsys,
+                                                monkeypatch, error):
+        # exit 1 means a certificate failed; a routine giving up is not that
+        def give_up(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "consistency_check", give_up)
+        path = tmp_path / "s3.json"
+        path.write_text(json.dumps({**S3, "asymptotics": False}))
+        assert run_cli("run", "--profile", str(path)) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
 
     def test_large_n_gate(self, tmp_path):
         code = run_cli("run", "--profile", "theorem1", "--n", "6",

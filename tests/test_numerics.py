@@ -4,10 +4,12 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from betaforms import numerics
 from betaforms.balls import BallReal, ball_pi, working_precision
-from betaforms.numerics import (alternating_series_tail, beta_value,
-                                consistency_check, decomposition_value,
-                                mc_integral, r_n_series)
+from betaforms.numerics import (_PI_LOWER, _choose_tail_parameters,
+                                _tail_remainder_bound, alternating_series_tail,
+                                beta_value, consistency_check,
+                                decomposition_value, mc_integral, r_n_series)
 from betaforms.profiles import THEOREM1_ETA, general, section2
 from betaforms.rationalfn import LinearProductRep, partial_fractions
 
@@ -68,7 +70,70 @@ class TestBooleTail:
         assert ev.tail_bound <= Fraction(2) ** -180
 
 
+def per_entry_remainder_bound(table, shift, a, m):
+    """The Boole remainder bound summed entry by entry in Fractions."""
+    total = Fraction(0)
+    for i, k, c in table.entries():
+        if not c:
+            continue
+        dist = a + shift + k + table.pole_offset
+        if dist <= 0:
+            raise ValueError("tail cutoff does not clear the poles")
+        rising = Fraction(1)
+        for j in range(m):
+            rising *= i + j
+        total += abs(c) * rising / ((i + m - 1) * dist ** (i + m - 1))
+    return 3 * total / _PI_LOWER ** m
+
+
+class TestRemainderBound:
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([section2(5, 2), section2(17, 2),
+                            general(THEOREM1_ETA, 2)]),
+           st.integers(1, 400), st.integers(1, 260))
+    def test_matches_per_entry_sum(self, bundle, profile, a, m):
+        b = bundle(profile)
+        shift = profile.series_argument_shift
+        a = max(profile.series_start, 1) + a
+        assert (_tail_remainder_bound(b.table, shift, a, m)
+                == per_entry_remainder_bound(b.table, shift, a, m))
+
+    def test_cutoff_inside_poles_raises(self, bundle):
+        b = bundle(general(THEOREM1_ETA, 2))
+        with pytest.raises(ValueError):
+            _tail_remainder_bound(b.table, Fraction(0),
+                                  -max(b.table.pole_ks) - 1, 32)
+
+    def test_search_returns_the_bound_it_accepted(self, bundle):
+        b = bundle(section2(5, 2))
+        shift = b.profile.series_argument_shift
+        target = Fraction(2) ** -200
+        a, m, bound = _choose_tail_parameters(
+            b.table, shift, b.profile.series_start, target)
+        assert bound == per_entry_remainder_bound(b.table, shift, a, m)
+        assert bound <= target
+
+
 class TestRnSeries:
+    @pytest.mark.parametrize("profile, precisions", [
+        (general(THEOREM1_ETA, 2), [320, 592]),
+        (section2(17, 2), [320])], ids=["theorem1-2", "section2-s17"])
+    def test_every_tail_call_meets_its_cap_at_guard_64(
+            self, bundle, monkeypatch, profile, precisions):
+        calls = []
+        original = numerics.alternating_series_tail
+
+        def recording(*args):
+            ev = original(*args)
+            calls.append((args[-1] + ev.guard_bits, ev))
+            return ev
+
+        monkeypatch.setattr(numerics, "alternating_series_tail", recording)
+        b = bundle(profile)
+        r_n_series(profile, 256, rep=b.rep, table=b.table)
+        assert [working for working, _ in calls] == precisions
+        assert all(ev.cap_met and ev.guard_bits == 64 for _, ev in calls)
+
     def test_positive_for_all_suite_profiles(self, bundle):
         for profile in suite_profiles():
             b = bundle(profile)

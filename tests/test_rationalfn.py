@@ -3,17 +3,65 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from betaforms.profiles import ProfileError, THEOREM1_ETA, general
-from betaforms.rationalfn import (LinearProductRep, binomial_block_coefficients,
+from betaforms.rationalfn import (LinearProductRep, PartialFractionTable,
+                                  binomial_block_coefficients,
                                   binomial_block_product, build_general,
                                   build_remark1, build_section2,
                                   hypergeometric_parameters, partial_fractions,
                                   remark1_identity_check,
                                   section2_top_coefficient, symmetry_check)
+from betaforms.series import divide_trunc, mul_linear
+
+from tests.test_numtheory import admissible_general
 
 TOP_COEFF_CASES = [(3, 2), (5, 2), (5, 4), (17, 2)]
+
+
+def fraction_partial_fractions(rep):
+    """The table by series division in Fraction arithmetic throughout: the
+    reference the integer kernel must reproduce entry for entry."""
+    half = Fraction(1, 2)
+    offset = half if any(r.denominator == 2 for r, _ in rep.den_roots) else Fraction(0)
+    poles = sorted(rep.den_roots, key=lambda rm: -rm[0] - offset)
+    s = max(m for _, m in rep.den_roots)
+    pole_ks, mults, rows = [], [], []
+    for pole_root, mult in poles:
+        num = [rep.scalar]
+        for r, m in rep.num_roots:
+            for _ in range(m):
+                num = mul_linear(num, pole_root - r, mult)
+        den = [Fraction(1)]
+        for r, m in rep.den_roots:
+            if r == pole_root:
+                continue
+            for _ in range(m):
+                den = mul_linear(den, pole_root - r, mult)
+        g = divide_trunc(num, den, mult)
+        coeffs = [Fraction(0)] * s
+        for i in range(1, mult + 1):
+            coeffs[i - 1] = g[mult - i]
+        pole_ks.append(int(-pole_root - offset))
+        mults.append(mult)
+        rows.append(tuple(coeffs))
+    return PartialFractionTable(s, tuple(pole_ks), offset, tuple(mults),
+                                tuple(rows))
+
+
+# Every kind of representation the package builds, kept small enough for
+# the Fraction reference: general profiles (s in {5, 7}, eta_0 <= 14,
+# n <= 2), the basic family, the binomial blocks and the remark-1 variant.
+any_rep = st.one_of(
+    admissible_general((5, 7), 14).filter(lambda case: case[1] <= 2).map(
+        lambda case: build_general(general(case[2], case[1]))),
+    st.builds(build_section2, st.sampled_from([3, 5, 7]),
+              st.sampled_from([2, 4])),
+    st.builds(binomial_block_product, st.integers(1, 4), st.integers(1, 5)),
+    st.builds(build_remark1, st.sampled_from([3, 5, 7]),
+              st.sampled_from([2, 4, 6])),
+)
 
 
 def product_eval_oracle(s, n, t):
@@ -99,6 +147,15 @@ class TestPartialFractions:
             for _ in range(points):
                 t = Fraction(rng.randrange(1, 400), rng.choice([7, 9, 11, 13]))
                 assert b.table.reconstruct(t) == b.rep.evaluate(t)
+
+    @settings(max_examples=60, deadline=None)
+    @given(any_rep)
+    @example(build_general(general(THEOREM1_ETA, 2)))
+    @example(build_section2(17, 2))
+    def test_matches_fraction_reference(self, rep):
+        table = partial_fractions(rep)
+        assert table == fraction_partial_fractions(rep)
+        assert all(type(c) is Fraction for _, _, c in table.entries())
 
     def test_improper_rejected(self):
         rep = LinearProductRep.build(1, [(Fraction(5), 1)], [(Fraction(0), 1)])
