@@ -138,6 +138,8 @@ def _config(args) -> tuple[dict, list[str]]:
         bad.append(PRECISION_RULE)
     if cfg["mc_samples"] < 0:
         bad.append("mc_samples must be >= 0")
+    if cfg["mc_samples"] and cfg.get("family") == "section2":
+        bad.append("mc_samples needs the general family")
     big = [n for n in cfg["n"] if n >= LARGE_GENERAL_N]
     if (big and cfg.get("family") == "general"
             and not getattr(args, "allow_large", True)):
@@ -217,7 +219,7 @@ def _run_one_n(cfg: dict, n: int, failures: list[str]) -> dict:
     else:
         entry["r"] = _ball(r_n_series(profile, precision, rep=rep,
                                       table=table), precision)
-    if cfg["mc_samples"] and not profile.is_section2:
+    if cfg["mc_samples"]:
         est = mc_integral(profile, cfg["mc_samples"], cfg["seed"])
         entry["mc_integral"] = {
             **_ball(est, 53),

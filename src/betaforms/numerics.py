@@ -11,7 +11,8 @@ honest bounds:
 * the linear-form series is summed exactly (rational arithmetic) up to a
   cutoff, and the tail is evaluated by Boole summation: a short sum of
   Taylor coefficients at the cutoff weighted by Euler-polynomial constants,
-  with the remainder bounded through the partial-fraction coefficients.
+  summed in fixed-point integers with a rounding bound derived before the
+  pass, and the remainder bounded through the partial-fraction coefficients.
 """
 
 from __future__ import annotations
@@ -21,13 +22,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from mpmath import iv
-
 from .balls import BallReal, working_precision
 from .decomposition import DecompositionResult, beta_coefficients
 from .profiles import Profile
 from .rationalfn import (LinearProductRep, PartialFractionTable,
                          build_general, build_section2, partial_fractions)
+# divide_trunc is unused here; perfbench traces numerics.divide_trunc by name
 from .series import divide_trunc, euler_numbers_at_zero, mul_linear
 
 _LOG2_ACCEL = 2.5431  # log2(3 + sqrt 8), the per-term gain of the scheme
@@ -116,39 +116,60 @@ def _choose_tail_parameters(table, shift, start,
     raise ArithmeticError("tail order limit exceeded; raise the target radius")
 
 
-def _taylor_interval(rep: LinearProductRep, x0: Fraction, order: int) -> list:
-    """Interval Taylor coefficients of the function at rational x0."""
-    def conv(q: Fraction):
-        return iv.mpf(q.numerator) / q.denominator
+def _ceil_log2(q: Fraction) -> int:
+    """The least integer P with 2**P >= q, for q >= 0."""
+    p = q.numerator.bit_length() - q.denominator.bit_length()
+    return p if Fraction(2) ** p >= q else p + 1
 
-    num = [conv(rep.scalar)]
-    for r, mult in rep.num_roots:
-        c = conv(x0 - r)
-        for _ in range(mult):
-            num = mul_linear(num, c, order)
-    den = [iv.mpf(1)]
+
+def _boole_sum(rep: LinearProductRep, x0: Fraction, m: int,
+               tolerance: Fraction) -> tuple[Fraction, Fraction]:
+    """sum_{k<m} E_k(0) s_k for the Taylor coefficients s_k at the
+    half-integer x0, and a bound on its error that is at most ``tolerance``.
+
+    Each factor x0 - r + u is (A + v)/2 with the integer A = 2(x0 - r) and
+    v = 2u, so s_k = scalar 2**(gap+k) g_k, where g = N/D and N, D are the
+    integer products of (A + v); E_k(0) 2**k is an integer too.  N is
+    exact, and D is divided out one factor at a time in units of 2**-P:
+    with A >= 2 a step halves the error it is given and rounds by less
+    than a unit, so each factor adds at most 2 units to every g_k (the
+    fixed-point style of Brent & Zimmermann, *Modern Computer Arithmetic*).
+    """
+    if (2 * x0).denominator != 1:
+        raise ValueError("the cutoff must be a half-integer")
+    x2 = int(2 * x0)
+    den = []
     for r, mult in rep.den_roots:
-        c = conv(x0 - r)
+        a = x2 - int(2 * r)
+        if a < 2:
+            raise ValueError("tail cutoff does not clear the poles")
+        den += [a] * mult
+    euler = [int(e * 2 ** k) for k, e in enumerate(euler_numbers_at_zero(m))]
+    scale = (abs(rep.scalar) * Fraction(2) ** rep.degree_gap
+             * 2 * len(den) * sum(map(abs, euler)))
+    p = max(0, _ceil_log2(scale / tolerance))
+    num = [1]
+    for r, mult in rep.num_roots:
         for _ in range(mult):
-            den = mul_linear(den, c, order)
-    return divide_trunc(num, den, order)
+            num = mul_linear(num, x2 - int(2 * r), m)
+    q = [c << p for c in num] + [0] * (m - len(num))
+    for a in den:
+        prev = 0
+        for j in range(m):
+            q[j] = prev = (q[j] - prev) // a
+    total = sum(e * c for e, c in zip(euler, q) if e)
+    unit = Fraction(2) ** (rep.degree_gap - p)
+    return rep.scalar * total * unit, scale / 2 ** p
 
 
 @dataclass(frozen=True)
 class SeriesEvaluation:
-    """One tail evaluation and the parameters it settled on.
-
-    ``guard_bits`` is the guard the interval pass ended with, and
-    ``cap_met`` says whether the radius met its cap there; the guard loop
-    gives up, with ``cap_met`` false, once the guard reaches 1024 bits.
-    """
+    """One tail evaluation and the parameters it settled on."""
 
     value: BallReal
     direct_terms: int
     tail_order: int
     tail_bound: Fraction
-    guard_bits: int
-    cap_met: bool
 
 
 def alternating_series_tail(rep: LinearProductRep, table: PartialFractionTable,
@@ -159,7 +180,9 @@ def alternating_series_tail(rep: LinearProductRep, table: PartialFractionTable,
     Exact partial sum to a cutoff, then Boole summation for the tail: the
     alternating tail equals (-1)**a/2 * sum_k E_k(0) s_k up to a remainder
     bounded by ``_tail_remainder_bound``; s_k are the Taylor coefficients
-    of f at the cutoff.
+    of f at the cutoff.  The Boole sum's rounding is at most half that
+    bound and the ball is formed with enough bits to keep its own rounding
+    far below it, so the radius is at most twice the remainder bound.
     """
     a, m, bound = _choose_tail_parameters(table, shift, start, target)
 
@@ -168,27 +191,11 @@ def alternating_series_tail(rep: LinearProductRep, table: PartialFractionTable,
         v = rep.evaluate(nu + shift)
         direct += v if nu % 2 == 0 else -v
 
-    euler = euler_numbers_at_zero(m)
-    guard = 64
-    while True:
-        with working_precision(precision + guard):
-            coeffs = _taylor_interval(rep, a + shift, m)
-            acc = iv.mpf(0)
-            for k in range(m):
-                e = euler[k]
-                if not e:
-                    continue
-                acc += (iv.mpf(e.numerator) / e.denominator) * coeffs[k]
-            if a % 2 == 1:
-                acc = -acc
-            tail = BallReal(acc / 2, radius=bound)
-            total = tail + BallReal(direct)
-        # retry only if interval rounding dominated the rigorous tail bound
-        cap = Fraction(2) ** (-(precision + 8)) * max(1, abs(direct)) + 4 * bound
-        cap_met = total.rad <= _frac_to_mpf(cap)
-        if cap_met or guard >= 1024:
-            return SeriesEvaluation(total, a - start, m, bound, guard, cap_met)
-        guard *= 2
+    boole, error = _boole_sum(rep, a + shift, m, bound)
+    total = direct + (boole if a % 2 == 0 else -boole) / 2
+    with working_precision(max(precision, _ceil_log2(abs(total) / bound))):
+        value = BallReal(total, radius=bound + error / 2)
+    return SeriesEvaluation(value, a - start, m, bound)
 
 
 def r_n_series(profile: Profile, precision: int = 256,
@@ -197,8 +204,8 @@ def r_n_series(profile: Profile, precision: int = 256,
     """The linear-form value by direct series summation (independent of the
     decomposition), with rigorous radius.
 
-    The target absolute accuracy is 2**-(precision+16); the reported radius
-    additionally reflects rounding in the tail evaluation.
+    The target absolute accuracy is 2**-(precision+16), and the radius is
+    at most twice the target of the call that certifies the sign.
     """
     rep = rep or build_profile_rep(profile)
     table = table or partial_fractions(rep)
@@ -208,20 +215,13 @@ def r_n_series(profile: Profile, precision: int = 256,
     ev = alternating_series_tail(rep, table, shift, start,
                                  Fraction(2) ** -tbits, precision)
     # If the value sits below the absolute target the enclosure straddles
-    # zero; descend to a relative target so the sign gets certified too.
-    # The midpoint only estimates the magnitude once it clears the target,
-    # so descend geometrically while it does not.
-    for _ in range(16):
-        if not ev.value.contains_zero():
-            break
-        mid = abs(ev.value.mid)
-        if mid != 0 and _log2_mpf(mid) > -tbits + 4:
-            tbits = -_log2_mpf(mid) + precision + 16
-        else:
-            tbits *= 2
+    # zero; square the target until the sign is certified too.  The
+    # radius is at most twice the target, so a straddling midpoint says
+    # nothing about the magnitude, and the tail order limit ends the loop.
+    while ev.value.contains_zero():
+        tbits *= 2
         ev = alternating_series_tail(rep, table, shift, start,
-                                     Fraction(2) ** -tbits,
-                                     max(precision, tbits - 16))
+                                     Fraction(2) ** -tbits, tbits - 16)
     eps = profile.series_term_sign(0)  # overall sign vs the plain (-1)**nu sum
     return ev.value if eps == 1 else -ev.value
 
@@ -276,12 +276,6 @@ def consistency_check(profile: Profile, precision: int = 256,
     gap = (precision + 64) if disc <= 0 else -int(_log2_mpf(disc)) - 1
     return ConsistencyReport(profile, series, direct,
                              series.overlaps(direct), gap)
-
-
-def _frac_to_mpf(q: Fraction):
-    from mpmath import mpf
-
-    return mpf(q.numerator) / mpf(q.denominator)
 
 
 def _log2_mpf(x) -> int:

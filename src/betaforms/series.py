@@ -2,10 +2,10 @@
 
 Series are plain lists of coefficients, ``c[j]`` multiplying ``u**j``.
 Every routine truncates to a fixed order and never allocates beyond it.
-``mul_linear`` is generic over the coefficient ring: plain integers for
-the partial-fraction tables, mpmath intervals for the high-order Taylor
-tails.  Division has one routine per ring: ``divide_fraction_free`` keeps
-integer series integral, ``divide_trunc`` serves the interval pass.
+The package's series are integer series: ``mul_linear`` builds products
+of linear factors and ``divide_fraction_free`` divides them while keeping
+them integral.  ``divide_trunc`` divides over a field; it is the exact
+``Fraction`` reference the tests hold the integer kernels to.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ from fractions import Fraction
 
 def mul_linear(coeffs: list, c, order: int) -> list:
     """Multiply a series by the linear factor ``(c + u)``, truncated."""
-    zero = coeffs[0] * 0
-    out = [zero] * min(len(coeffs) + 1, order)
+    out = [0] * min(len(coeffs) + 1, order)
     for j, a in enumerate(coeffs):
         if j < order:
             out[j] = out[j] + a * c
@@ -28,7 +27,7 @@ def mul_linear(coeffs: list, c, order: int) -> list:
 def divide_trunc(num: list, den: list, order: int) -> list:
     """Series quotient ``num/den`` to the given order; ``den[0]`` must be nonzero.
 
-    Meant for a field such as mpmath intervals: it multiplies by
+    Meant for a field such as ``Fraction``: it multiplies by
     ``1 / den[0]``, which turns integer input into floats, so integer
     series go through ``divide_fraction_free`` instead.
     """

@@ -135,7 +135,6 @@ class TestLedger:
         assert exponent_ledger(section2(3, 2), 64).d_exponent == 3
 
 
-@pytest.mark.slow
 class TestEmpiricalTrend:
     def test_theorem1_rate_monotone_toward_limit(self):
         # (1/n) log r_n should approach the certified rate from below

@@ -35,6 +35,8 @@ MALFORMED = [
                  id="bool-precision"),
     pytest.param({**S3, "mc_samples": 1.5}, "mc_samples must be an integer",
                  id="float-mc_samples"),
+    pytest.param({**S3, "mc_samples": 1000},
+                 "mc_samples needs the general family", id="section2-mc_samples"),
     pytest.param({**S3, "seed": "7"}, "seed must be an integer",
                  id="string-seed"),
     pytest.param({**S3, "verify_inclusions": 1},
@@ -121,7 +123,6 @@ class TestRun:
         total = mpmath.mpf(report["asymptotics"]["total"]["mid"])
         assert abs(total - mpmath.mpf("-0.50611968")) < 1e-6
 
-    @pytest.mark.slow
     def test_theorem1_full_preset(self, tmp_path):
         out = tmp_path / "report.json"
         assert run_cli("run", "--profile", "theorem1", "--out", str(out)) == 0

@@ -6,14 +6,17 @@ from hypothesis import given, settings, strategies as st
 
 from betaforms import numerics
 from betaforms.balls import BallReal, ball_pi, working_precision
-from betaforms.numerics import (_PI_LOWER, _choose_tail_parameters,
+from betaforms.numerics import (_PI_LOWER, _boole_sum, _choose_tail_parameters,
                                 _tail_remainder_bound, alternating_series_tail,
                                 beta_value, consistency_check,
                                 decomposition_value, mc_integral, r_n_series)
 from betaforms.profiles import THEOREM1_ETA, general, section2
-from betaforms.rationalfn import LinearProductRep, partial_fractions
+from betaforms.rationalfn import (LinearProductRep, build_section2,
+                                  partial_fractions)
+from betaforms.series import divide_trunc, euler_numbers_at_zero, mul_linear
 
 from tests.conftest import suite_profiles
+from tests.test_rationalfn import any_rep
 
 
 def truncation_oracle(i, terms=40):
@@ -114,25 +117,61 @@ class TestRemainderBound:
         assert bound <= target
 
 
+def exact_boole_sum(rep, x0, m):
+    """sum_{k<m} E_k(0) s_k from Fraction products and series division."""
+    num = [rep.scalar]
+    for r, mult in rep.num_roots:
+        for _ in range(mult):
+            num = mul_linear(num, x0 - r, m)
+    den = [Fraction(1)]
+    for r, mult in rep.den_roots:
+        for _ in range(mult):
+            den = mul_linear(den, x0 - r, m)
+    taylor = divide_trunc(num, den, m)
+    return sum(e * c for e, c in zip(euler_numbers_at_zero(m), taylor))
+
+
+class TestBooleSum:
+    @settings(max_examples=60, deadline=None)
+    @given(any_rep, st.integers(0, 80), st.integers(1, 60),
+           st.integers(1, 1000), st.integers(-20, 400))
+    def test_error_bound_holds(self, rep, steps, m, c, t):
+        x0 = max(r for r, _ in rep.den_roots) + 1 + Fraction(steps, 2)
+        tolerance = Fraction(c, 2 ** t) if t >= 0 else Fraction(c << -t)
+        value, error = _boole_sum(rep, x0, m, tolerance)
+        assert abs(exact_boole_sum(rep, x0, m) - value) <= error <= tolerance
+
+    def test_cutoff_inside_poles_raises(self):
+        rep = build_section2(5, 2)
+        with pytest.raises(ValueError):
+            _boole_sum(rep, Fraction(1, 2), 8, Fraction(1, 2 ** 64))
+
+
+def exact(x) -> Fraction:
+    return Fraction(int(x.man)) * Fraction(2) ** int(x.exp)
+
+
 class TestRnSeries:
     @pytest.mark.parametrize("profile, precisions", [
-        (general(THEOREM1_ETA, 2), [320, 592]),
-        (section2(17, 2), [320])], ids=["theorem1-2", "section2-s17"])
-    def test_every_tail_call_meets_its_cap_at_guard_64(
+        (general(THEOREM1_ETA, 2), [256, 528]),
+        (general(THEOREM1_ETA, 4), [256, 528]),
+        (section2(17, 2), [256])],
+        ids=["theorem1-2", "theorem1-4", "section2-s17"])
+    def test_every_tail_radius_is_at_most_twice_its_bound(
             self, bundle, monkeypatch, profile, precisions):
         calls = []
         original = numerics.alternating_series_tail
 
         def recording(*args):
             ev = original(*args)
-            calls.append((args[-1] + ev.guard_bits, ev))
+            calls.append((args[-1], ev))
             return ev
 
         monkeypatch.setattr(numerics, "alternating_series_tail", recording)
         b = bundle(profile)
         r_n_series(profile, 256, rep=b.rep, table=b.table)
-        assert [working for working, _ in calls] == precisions
-        assert all(ev.cap_met and ev.guard_bits == 64 for _, ev in calls)
+        assert [precision for precision, _ in calls] == precisions
+        assert all(exact(ev.value.rad) <= 2 * ev.tail_bound for _, ev in calls)
 
     def test_positive_for_all_suite_profiles(self, bundle):
         for profile in suite_profiles():
