@@ -8,11 +8,12 @@ honest bounds:
 * beta values use the Chebyshev-weight acceleration scheme for alternating
   series of moments; its error is at most 1/d with d the integer Chebyshev
   normalizer, since 1/(2k+1)**i is a moment sequence of a positive measure.
-* the linear-form series is summed exactly (rational arithmetic) up to a
-  cutoff, and the tail is evaluated by Boole summation: a short sum of
-  Taylor coefficients at the cutoff weighted by Euler-polynomial constants,
-  summed in fixed-point integers with a rounding bound derived before the
-  pass, and the remainder bounded through the partial-fraction coefficients.
+* the linear-form series is summed exactly up to a cutoff by binary
+  splitting, and the tail by Boole summation: Taylor coefficients at the
+  cutoff weighted by Euler-polynomial constants, in fixed-point integers
+  with a rounding bound derived before the pass, plus a remainder bound
+  through the partial-fraction coefficients.  Of the rungs of doubling
+  accuracy, those that cannot certify the sign are skipped.
 """
 
 from __future__ import annotations
@@ -102,16 +103,35 @@ def _tail_remainder_bound(table: PartialFractionTable, shift: Fraction,
     return 3 * total / _PI_LOWER ** m
 
 
-def _choose_tail_parameters(table, shift, start,
-                            target: Fraction) -> tuple[int, int, Fraction]:
+def _log2_largest_term(table: PartialFractionTable, shift: Fraction,
+                       a: int, m: int) -> float:
+    """log2 of the largest single term of ``_tail_remainder_bound``, with
+    each |c| rounded down to a power of 2; floats move it far less than a bit."""
+    base = a + shift + table.pole_offset
+    return max(abs(c.numerator).bit_length() - c.denominator.bit_length() - 1
+               + (math.lgamma(i + m - 1) - math.lgamma(i)) / math.log(2)
+               - (i + m - 1) * math.log2(base + k)
+               for row, k in zip(table.rows, table.pole_ks)
+               for i, c in enumerate(row, 1) if c
+               ) + math.log2(3) - m * math.log2(_PI_LOWER)
+
+
+def _choose_tail_parameters(table, shift, start, target: Fraction,
+                            m: int = 32) -> tuple[int, int, Fraction]:
     """Smallest workable (cutoff a, order m) with remainder bound <= target,
-    and that bound."""
-    m = 32
+    and that bound.
+
+    The order climbs the ladder 32, 48, 72, ... from ``m`` (a caller that
+    starts higher knows the lower rungs fail); a rung whose largest single
+    remainder term, less a 2-bit margin, exceeds the target is passed over
+    without its exact bound.
+    """
     while m <= 4096:
         a = max(start, 1) + 2 * m
-        bound = _tail_remainder_bound(table, shift, a, m)
-        if bound <= target:
-            return a, m, bound
+        if _log2_largest_term(table, shift, a, m) - 2 <= _ceil_log2(target):
+            bound = _tail_remainder_bound(table, shift, a, m)
+            if bound <= target:
+                return a, m, bound
         m = m * 3 // 2
     raise ArithmeticError("tail order limit exceeded; raise the target radius")
 
@@ -162,6 +182,37 @@ def _boole_sum(rep: LinearProductRep, x0: Fraction, m: int,
     return rep.scalar * total * unit, scale / 2 ** p
 
 
+def _direct_sum(rep: LinearProductRep, shift: Fraction, start: int,
+                stop: int) -> Fraction:
+    """sum_{start <= nu < stop} (-1)**nu rep(nu + shift), exact, by binary
+    splitting (Brent & Zimmermann, *Modern Computer Arithmetic*, 4.9.1)
+    over the term ratio -p(nu)/q(nu), p and q the products of
+    2(nu + shift - x) over the roots x of ``rep.step_ratio()``; T/Q is the
+    sum on [lo, hi) over the term at lo.  A zero of q raises.
+    """
+    ups, downs = ([int(2 * (shift - x)) for x in roots]
+                  for roots in rep.step_ratio())
+
+    def split(lo, hi):
+        if hi - lo == 1:
+            if lo == start:
+                return 1, 1, 1
+            nu2 = 2 * (lo - 1)
+            q = math.prod(nu2 + c for c in downs)
+            if q == 0:
+                raise ValueError(f"the term ratio has a pole at nu = {lo - 1}")
+            p = -math.prod(nu2 + c for c in ups)
+            return p, q, p
+        mid = (lo + hi) // 2
+        p1, q1, t1 = split(lo, mid)
+        p2, q2, t2 = split(mid, hi)
+        return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+
+    _, q, t = split(start, stop)
+    first = rep.evaluate(start + shift) * (-1) ** start
+    return Fraction(first.numerator * t, first.denominator * q)
+
+
 @dataclass(frozen=True)
 class SeriesEvaluation:
     """One tail evaluation and the parameters it settled on."""
@@ -174,23 +225,20 @@ class SeriesEvaluation:
 
 def alternating_series_tail(rep: LinearProductRep, table: PartialFractionTable,
                             shift: Fraction, start: int, target: Fraction,
-                            precision: int) -> SeriesEvaluation:
+                            precision: int, *, params=None) -> SeriesEvaluation:
     """sum_{nu >= start} (-1)**nu f(nu) with f(nu) = rep(nu + shift).
 
-    Exact partial sum to a cutoff, then Boole summation for the tail: the
-    alternating tail equals (-1)**a/2 * sum_k E_k(0) s_k up to a remainder
-    bounded by ``_tail_remainder_bound``; s_k are the Taylor coefficients
-    of f at the cutoff.  The Boole sum's rounding is at most half that
-    bound and the ball is formed with enough bits to keep its own rounding
-    far below it, so the radius is at most twice the remainder bound.
+    Exact partial sum to a cutoff by binary splitting, then Boole
+    summation for the tail: the alternating tail equals
+    (-1)**a/2 * sum_k E_k(0) s_k up to a remainder bounded by
+    ``_tail_remainder_bound``; s_k are the Taylor coefficients of f at the
+    cutoff, and ``params`` the search's (cutoff, order, bound) if known.
+    The Boole sum's rounding is at most half that bound and the ball is
+    formed with enough bits to keep its own rounding far below it, so the
+    radius is at most twice the remainder bound.
     """
-    a, m, bound = _choose_tail_parameters(table, shift, start, target)
-
-    direct = Fraction(0)
-    for nu in range(start, a):
-        v = rep.evaluate(nu + shift)
-        direct += v if nu % 2 == 0 else -v
-
+    a, m, bound = params or _choose_tail_parameters(table, shift, start, target)
+    direct = _direct_sum(rep, shift, start, a)
     boole, error = _boole_sum(rep, a + shift, m, bound)
     total = direct + (boole if a % 2 == 0 else -boole) / 2
     with working_precision(max(precision, _ceil_log2(abs(total) / bound))):
@@ -198,30 +246,45 @@ def alternating_series_tail(rep: LinearProductRep, table: PartialFractionTable,
     return SeriesEvaluation(value, a - start, m, bound)
 
 
+def _magnitude(ball: BallReal) -> Fraction:
+    """The larger endpoint magnitude: an upper bound on |x| over the ball."""
+    man, exp = max(-ball.lower, ball.upper).man_exp
+    return man * Fraction(2) ** exp
+
+
 def r_n_series(profile: Profile, precision: int = 256,
                rep: LinearProductRep | None = None,
-               table: PartialFractionTable | None = None) -> BallReal:
+               table: PartialFractionTable | None = None, *,
+               upper_bound: Fraction | float = math.inf) -> BallReal:
     """The linear-form value by direct series summation (independent of the
     decomposition), with rigorous radius.
 
-    The target absolute accuracy is 2**-(precision+16), and the radius is
-    at most twice the target of the call that certifies the sign.
+    The rungs have target 2**-tbits, tbits = (precision + 16) * 2**k, at
+    working precision tbits - 16; the first ball that excludes zero is
+    returned, so the radius is at most twice its target.  A rung takes
+    (cutoff, order, bound B) from the search resumed at the last order,
+    and is skipped if B >= U, the least known bound on |r| (``upper_bound``,
+    say from the decomposition, and each straddling ball), or if it repeats
+    the last straddling (cutoff, order).  U only picks rungs, never the
+    value: a skipped rung that would have decided leaves it to a smaller
+    radius.  The tail order limit ends the descent.
     """
     rep = rep or build_profile_rep(profile)
     table = table or partial_fractions(rep)
-    shift = profile.series_argument_shift
-    start = profile.series_start
-    tbits = precision + 16
-    ev = alternating_series_tail(rep, table, shift, start,
-                                 Fraction(2) ** -tbits, precision)
-    # If the value sits below the absolute target the enclosure straddles
-    # zero; square the target until the sign is certified too.  The
-    # radius is at most twice the target, so a straddling midpoint says
-    # nothing about the magnitude, and the tail order limit ends the loop.
-    while ev.value.contains_zero():
+    shift, start = profile.series_argument_shift, profile.series_start
+    tbits, m, bound, last = precision + 16, 32, math.inf, None
+    while True:
+        target = Fraction(2) ** -tbits
+        if bound > target:
+            a, m, bound = _choose_tail_parameters(table, shift, start, target, m)
+        if bound < upper_bound and (a, m) != last:
+            ev = alternating_series_tail(rep, table, shift, start, target,
+                                         tbits - 16, params=(a, m, bound))
+            if not ev.value.contains_zero():
+                break
+            last = (a, m)
+            upper_bound = min(upper_bound, _magnitude(ev.value))
         tbits *= 2
-        ev = alternating_series_tail(rep, table, shift, start,
-                                     Fraction(2) ** -tbits, tbits - 16)
     eps = profile.series_term_sign(0)  # overall sign vs the plain (-1)**nu sum
     return ev.value if eps == 1 else -ev.value
 
@@ -270,8 +333,10 @@ def consistency_check(profile: Profile, precision: int = 256,
     rep = rep or build_profile_rep(profile)
     table = table or partial_fractions(rep)
     dec = decomposition or beta_coefficients(table, profile)
-    series = r_n_series(profile, precision, rep=rep, table=table)
     direct = decomposition_value(dec, precision)
+    series = r_n_series(profile, precision, rep=rep, table=table,
+                        upper_bound=math.inf if direct.contains_zero()
+                        else _magnitude(direct))
     disc = abs(series.mid - direct.mid) + series.rad + direct.rad
     gap = (precision + 64) if disc <= 0 else -int(_log2_mpf(disc)) - 1
     return ConsistencyReport(profile, series, direct,

@@ -84,6 +84,20 @@ class LinearProductRep:
             return self.scalar * Fraction(num * q2 ** gap, den)
         return self.scalar * Fraction(num, den * q2 ** (-gap))
 
+    def step_ratio(self) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+        """Roots (p, q), as many of each, with f(t+1)/f(t) = prod(t-p)/prod(t-q).
+
+        A run lo..hi of consecutive roots telescopes to (t+1-lo)/(t-hi); runs
+        start at r where mult(r) > mult(r-1) and end where mult(r) > mult(r+1).
+        """
+        sides = ([], [])
+        for roots, flip in ((self.num_roots, 0), (self.den_roots, 1)):
+            mult = dict(roots)
+            for r, m in roots:
+                sides[flip].extend([r - 1] * (m - mult.get(r - 1, 0)))
+                sides[1 - flip].extend([r] * (m - mult.get(r + 1, 0)))
+        return tuple(sides[0]), tuple(sides[1])
+
     def scaled(self, c) -> "LinearProductRep":
         return LinearProductRep(self.scalar * Fraction(c),
                                 self.num_roots, self.den_roots)

@@ -1,21 +1,25 @@
+import math
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from betaforms import numerics
 from betaforms.balls import BallReal, ball_pi, working_precision
+from betaforms.decomposition import beta_coefficients
 from betaforms.numerics import (_PI_LOWER, _boole_sum, _choose_tail_parameters,
-                                _tail_remainder_bound, alternating_series_tail,
-                                beta_value, consistency_check,
-                                decomposition_value, mc_integral, r_n_series)
+                                _direct_sum, _tail_remainder_bound,
+                                alternating_series_tail, beta_value,
+                                consistency_check, decomposition_value,
+                                mc_integral, r_n_series)
 from betaforms.profiles import THEOREM1_ETA, general, section2
-from betaforms.rationalfn import (LinearProductRep, build_section2,
-                                  partial_fractions)
+from betaforms.rationalfn import (LinearProductRep, build_general,
+                                  build_section2, partial_fractions)
 from betaforms.series import divide_trunc, euler_numbers_at_zero, mul_linear
 
 from tests.conftest import suite_profiles
+from tests.test_numtheory import admissible_general
 from tests.test_rationalfn import any_rep
 
 
@@ -107,6 +111,29 @@ class TestRemainderBound:
             _tail_remainder_bound(b.table, Fraction(0),
                                   -max(b.table.pole_ks) - 1, 32)
 
+    @pytest.mark.parametrize("profile", suite_profiles(), ids=lambda p: p.label())
+    def test_resumed_search_matches_full_ladder(self, bundle, profile):
+        b = bundle(profile)
+        shift, start = profile.series_argument_shift, profile.series_start
+        bounds = {}  # the exact bound on each ladder rung, as it is needed
+
+        def full_ladder(target):
+            m = 32
+            while True:
+                a = max(start, 1) + 2 * m
+                if m not in bounds:
+                    bounds[m] = _tail_remainder_bound(b.table, shift, a, m)
+                if bounds[m] <= target:
+                    return a, m, bounds[m]
+                m = m * 3 // 2
+
+        m = 32
+        for tbits in (64, 128, 256, 512, 1024, 2048):
+            target = Fraction(2) ** -tbits
+            found = _choose_tail_parameters(b.table, shift, start, target, m)
+            assert found == full_ladder(target)
+            m = found[1]
+
     def test_search_returns_the_bound_it_accepted(self, bundle):
         b = bundle(section2(5, 2))
         shift = b.profile.series_argument_shift
@@ -115,6 +142,37 @@ class TestRemainderBound:
             b.table, shift, b.profile.series_start, target)
         assert bound == per_entry_remainder_bound(b.table, shift, a, m)
         assert bound <= target
+
+
+def loop_direct_sum(rep, shift, start, stop):
+    """The term-by-term alternating sum the binary splitting replaced."""
+    direct = Fraction(0)
+    for nu in range(start, stop):
+        v = rep.evaluate(nu + shift)
+        direct += v if nu % 2 == 0 else -v
+    return direct
+
+
+class TestDirectSum:
+    @settings(max_examples=60, deadline=None)
+    @given(any_rep, st.sampled_from([Fraction(0), Fraction(-1, 2)]),
+           st.integers(0, 30), st.integers(1, 150))
+    @example(build_general(general(THEOREM1_ETA, 2)), Fraction(0), 0, 487)
+    @example(build_section2(17, 2), Fraction(-1, 2), 0, 216)
+    def test_matches_loop(self, rep, shift, offset, length):
+        # start past the last root, as every profile's series does
+        roots = [r for r, _ in rep.num_roots + rep.den_roots]
+        start = math.floor(max(roots) - shift) + 1 + offset
+        stop = start + length
+        assert (_direct_sum(rep, shift, start, stop)
+                == loop_direct_sum(rep, shift, start, stop))
+
+    def test_zero_of_q_in_range_raises(self):
+        # f vanishes at t = 3/2 (nu = 2) and not at t = 5/2: q(2) = 0
+        rep = build_section2(3, 2)
+        assert _direct_sum(rep, Fraction(-1, 2), 0, 2) == 0
+        with pytest.raises(ValueError):
+            _direct_sum(rep, Fraction(-1, 2), 0, 5)
 
 
 def exact_boole_sum(rep, x0, m):
@@ -151,6 +209,55 @@ def exact(x) -> Fraction:
     return Fraction(int(x.man)) * Fraction(2) ** int(x.exp)
 
 
+def record_tail_calls(monkeypatch):
+    """(target, working precision, evaluation) of every tail call."""
+    calls = []
+    original = numerics.alternating_series_tail
+
+    def recording(*args, **kwargs):
+        ev = original(*args, **kwargs)
+        calls.append((args[4], args[5], ev))
+        return ev
+
+    monkeypatch.setattr(numerics, "alternating_series_tail", recording)
+    return calls
+
+
+def plain_descent(profile, precision, rep, table):
+    """The descent that evaluates every rung: the reference for which call
+    decides."""
+    shift, start = profile.series_argument_shift, profile.series_start
+    tbits = precision + 16
+    ev = numerics.alternating_series_tail(rep, table, shift, start,
+                                          Fraction(2) ** -tbits, precision)
+    while ev.value.contains_zero():
+        tbits *= 2
+        ev = numerics.alternating_series_tail(rep, table, shift, start,
+                                              Fraction(2) ** -tbits, tbits - 16)
+
+
+def assert_same_deciding_call(monkeypatch, profile, precision, rep, table,
+                              decomposition):
+    """The deciding (target, precision, cutoff, order, bound, ball) of
+    ``consistency_check`` and of ``r_n_series`` alone equal the plain
+    descent's."""
+    calls = record_tail_calls(monkeypatch)
+
+    def deciding():
+        target, work, ev = calls[-1]
+        calls.clear()
+        return (target, work, ev.direct_terms, ev.tail_order, ev.tail_bound,
+                ev.value.lower, ev.value.upper)
+
+    plain_descent(profile, precision, rep, table)
+    expected = deciding()
+    consistency_check(profile, precision, rep=rep, table=table,
+                      decomposition=decomposition)
+    assert deciding() == expected
+    r_n_series(profile, precision, rep=rep, table=table)
+    assert deciding() == expected
+
+
 class TestRnSeries:
     @pytest.mark.parametrize("profile, precisions", [
         (general(THEOREM1_ETA, 2), [256, 528]),
@@ -159,19 +266,48 @@ class TestRnSeries:
         ids=["theorem1-2", "theorem1-4", "section2-s17"])
     def test_every_tail_radius_is_at_most_twice_its_bound(
             self, bundle, monkeypatch, profile, precisions):
-        calls = []
-        original = numerics.alternating_series_tail
-
-        def recording(*args):
-            ev = original(*args)
-            calls.append((args[-1], ev))
-            return ev
-
-        monkeypatch.setattr(numerics, "alternating_series_tail", recording)
+        calls = record_tail_calls(monkeypatch)
         b = bundle(profile)
         r_n_series(profile, 256, rep=b.rep, table=b.table)
-        assert [precision for precision, _ in calls] == precisions
-        assert all(exact(ev.value.rad) <= 2 * ev.tail_bound for _, ev in calls)
+        assert [precision for _, precision, _ in calls] == precisions
+        assert all(exact(ev.value.rad) <= 2 * ev.tail_bound
+                   for _, _, ev in calls)
+
+    def test_consistency_check_makes_one_tail_call_on_theorem1_n2(
+            self, bundle, monkeypatch):
+        # the decomposition bounds |r| by about 2**-316, below the first
+        # rung's bound, so the 2**-272 rung is skipped
+        calls = record_tail_calls(monkeypatch)
+        b = bundle(general(THEOREM1_ETA, 2))
+        consistency_check(b.profile, 256, rep=b.rep, table=b.table,
+                          decomposition=b.decomposition)
+        assert [precision for _, precision, _ in calls] == [528]
+
+    def test_repeated_cutoff_and_order_are_skipped(self, monkeypatch):
+        # at n = 6 the bound accepted for 2**-80 already meets 2**-320
+        calls = record_tail_calls(monkeypatch)
+        r_n_series(general(THEOREM1_ETA, 6), 64)
+        assert [(ev.direct_terms, ev.tail_order) for _, _, ev in calls] == [
+            (729, 364), (1093, 546)]
+
+    @pytest.mark.parametrize("precision", [128, 256])
+    @pytest.mark.parametrize("profile", suite_profiles(), ids=lambda p: p.label())
+    def test_deciding_call_matches_plain_descent(self, bundle, monkeypatch,
+                                                 profile, precision):
+        b = bundle(profile)
+        assert_same_deciding_call(monkeypatch, b.profile, precision, b.rep,
+                                  b.table, b.decomposition)
+
+    @settings(max_examples=6, deadline=None)
+    @given(admissible_general((5, 7), 12).filter(lambda case: case[1] <= 2))
+    def test_deciding_call_matches_on_random_profiles(self, case):
+        _, n, eta = case
+        profile = general(eta, n)
+        rep = build_general(profile)
+        table = partial_fractions(rep)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            assert_same_deciding_call(monkeypatch, profile, 128, rep, table,
+                                      beta_coefficients(table, profile))
 
     def test_positive_for_all_suite_profiles(self, bundle):
         for profile in suite_profiles():

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -265,6 +266,31 @@ class TestHypergeometricParameters:
             assert up[0] + 1 == up[j] + low[j - 1]
         # the convergence-accelerating pair
         assert up[1] == 1 + up[0] / 2 and low[0] == up[0] / 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(admissible_general())
+    @example((13, 2, THEOREM1_ETA))
+    @example((13, 4, THEOREM1_ETA))
+    @example((5, 2, (5, 1, 1, 1, 1, 1)))
+    @example((5, 4, (5, 1, 1, 1, 1, 1)))
+    @example((5, 2, (8, 2, 2, 2, 3, 3)))
+    @example((5, 4, (8, 2, 2, 2, 3, 3)))
+    def test_step_ratio_is_the_series_term_ratio(self, case):
+        # the series term at nu = k is (-1)**k f(k), so -f(k+1)/f(k) must be
+        # z prod (k + u) / ((k + 1) prod (k + l)); compare roots after cancelling
+        _, n, eta = case
+        profile = general(eta, n)
+        assert (profile.series_start, profile.series_argument_shift) == (0, 0)
+        ups, downs = build_general(profile).step_ratio()
+        upper, lower, z = hypergeometric_parameters(profile)
+
+        def reduced(num, den):
+            num, den = Counter(num), Counter(den)
+            return num - den, den - num
+
+        assert len(ups) == len(downs) and z == -1
+        assert reduced(ups, downs) == reduced([-u for u in upper],
+                                              [-1] + [-v for v in lower])
 
     def test_direct_substitution(self):
         up, _, _ = hypergeometric_parameters(general((5, 1, 1, 1, 1, 1), 2))
