@@ -35,13 +35,22 @@ def inner_sum(i: int, start: int, stop: int) -> Fraction:
     return total
 
 
-def _tail_correction(i: int, origin: int) -> Fraction:
-    """Rewrites sum_{l>=origin} as the full alternating sum plus this constant."""
-    if origin == 0:
-        return Fraction(0)
-    if origin < 0:
-        return inner_sum(i, origin, -1)
-    return -inner_sum(i, 0, origin - 1)
+def _tail_correction_sum(i: int, terms) -> Fraction:
+    """sum of w * c_o over the pairs (o, w), where c_o rewrites sum_{l>=o}
+    as the full alternating sum plus c_o; one running inner sum each way
+    from 0."""
+    total = Fraction(0)
+    partial, stop = Fraction(0), 0
+    for o, w in sorted((t for t in terms if t[0] > 0), key=lambda t: t[0]):
+        partial += inner_sum(i, stop, o - 1)
+        stop = o
+        total -= w * partial
+    partial, start = Fraction(0), 0
+    for o, w in sorted((t for t in terms if t[0] < 0), key=lambda t: -t[0]):
+        partial += inner_sum(i, o, start - 1)
+        start = o
+        total += w * partial
+    return total
 
 
 @dataclass(frozen=True)
@@ -79,15 +88,13 @@ def _assemble(table: PartialFractionTable, profile: Profile, s: int,
             if c:
                 acc += sign(k) * c
         a[i] = 2 ** i * acc
+    origins = [ell_origin(k) for k in table.pole_ks]
     a0 = Fraction(0)
-    for idx, k in enumerate(table.pole_ks):
-        origin = ell_origin(k)
-        if origin == 0:
-            continue
-        for i in range(1, s + 1):
-            c = table.rows[idx][i - 1]
-            if c:
-                a0 += sign(k) * c * _tail_correction(i, origin)
+    for i in range(1, s + 1):
+        a0 += _tail_correction_sum(i, [
+            (origin, sign(k) * row[i - 1])
+            for k, row, origin in zip(table.pole_ks, table.rows, origins)
+            if row[i - 1]])
     a[0] = a0
     return tuple(a)
 

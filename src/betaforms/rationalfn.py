@@ -3,12 +3,13 @@ partial-fraction tables.
 
 Both construction families produce a proper rational function
 ``scalar * prod (t - r)**m / prod (t - r')**m'`` whose roots are integers
-or half-integers.  Partial-fraction coefficients are extracted per pole by
-truncated power-series division of the co-factor.  Because every root is
-a half-integer, the co-factor's linear factors are halves of integer
-linear factors, so the series work is done in integers, divided
-fraction-free, and each coefficient costs one exact division at the end;
-no floating point enters this module.
+or half-integers.  Partial-fraction coefficients are extracted per pole
+from the co-factor's Taylor series, built as the exponential of its
+logarithm: the power sums of the reciprocal root distances, scaled to
+integers, feed an integer recurrence, and each coefficient costs one
+exact division at the end.  Moving from one pole to the next changes the
+power sums only at the ends of each run of consecutive roots, so they are
+updated, not rebuilt.  No floating point enters this module.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .profiles import Profile, section2
-from .series import divide_fraction_free, mul_linear
 
 _HALF = Fraction(1, 2)
 
@@ -87,15 +87,14 @@ class LinearProductRep:
     def step_ratio(self) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
         """Roots (p, q), as many of each, with f(t+1)/f(t) = prod(t-p)/prod(t-q).
 
-        A run lo..hi of consecutive roots telescopes to (t+1-lo)/(t-hi); runs
-        start at r where mult(r) > mult(r-1) and end where mult(r) > mult(r+1).
+        A run lo..hi of consecutive roots (``_layers``) telescopes to
+        (t+1-lo)/(t-hi).
         """
         sides = ([], [])
         for roots, flip in ((self.num_roots, 0), (self.den_roots, 1)):
-            mult = dict(roots)
-            for r, m in roots:
-                sides[flip].extend([r - 1] * (m - mult.get(r - 1, 0)))
-                sides[1 - flip].extend([r] * (m - mult.get(r + 1, 0)))
+            for lo, hi in _layers({int(2 * r): m for r, m in roots}):
+                sides[flip].append(Fraction(lo - 2, 2))
+                sides[1 - flip].append(Fraction(hi, 2))
         return tuple(sides[0]), tuple(sides[1])
 
     def scaled(self, c) -> "LinearProductRep":
@@ -140,54 +139,117 @@ class PartialFractionTable:
         return total
 
 
+def _layers(mult: dict[int, int]) -> list[tuple[int, int]]:
+    """Runs ``(lo, hi)`` of doubled roots ``lo, lo + 2, ..., hi`` whose
+    indicators sum to ``mult``.
+
+    A run starts at R where mult(R) > mult(R - 2) and ends where
+    mult(R) > mult(R + 2); starts and ends are paired in order within each
+    parity class, so no run mixes integer and half-integer roots.
+    """
+    starts: tuple[list, list] = ([], [])
+    ends: tuple[list, list] = ([], [])
+    for r in sorted(mult):
+        starts[r % 2].extend([r] * (mult[r] - mult.get(r - 2, 0)))
+        ends[r % 2].extend([r] * (mult[r] - mult.get(r + 2, 0)))
+    return [run for parity in (0, 1) for run in zip(starts[parity], ends[parity])]
+
+
+def _add_power_sums(sums: list[int], pole: int, weights, lcm: int) -> Fraction:
+    """``sums[k] += w (lcm / (pole - R))**k`` for k >= 1 and every ``(R, w)``
+    with ``R != pole``; returns ``prod (pole - R)**w`` over the same terms."""
+    up = down = 1
+    for r, w in weights:
+        a = pole - r
+        if a == 0 or w == 0:
+            continue
+        q = lcm // a
+        power = w
+        for k in range(1, len(sums)):
+            power *= q
+            sums[k] += power
+        if w > 0:
+            up *= a ** w
+        else:
+            down *= a ** -w
+    return Fraction(up, down)
+
+
 def partial_fractions(rep: LinearProductRep) -> PartialFractionTable:
     """Expand a proper linear-product representation into partial fractions.
 
-    At each pole the co-factor (the function times the pole's power) is a
-    ratio of products of linear factors with nonzero constant terms; its
-    truncated series expansion yields all coefficient orders at once.
+    In doubled units (pole P = 2p, roots R = 2r, v = 2(t - p)) every factor
+    off the pole is ``(A + v)/2`` with the integer ``A = P - R``, so the
+    co-factor (the function times the pole's power) is
+    ``scalar * 2**gap * v**z * g(v)``: z numerator roots sit on the pole,
+    gap is the co-factor's degree gap and ``g = prod (A + v)**c`` over the
+    other roots, c the numerator minus the denominator multiplicity.  With
+    the power sums ``S_k = sum c A**-k``,
+    ``g = g(0) exp(sum_k (-1)**(k+1) S_k v**k / k)`` (Brent & Zimmermann,
+    *Modern Computer Arithmetic*, section 4.2).  For L = lcm(1..span of
+    the roots) the ``T_k = L**k S_k`` are integers, and so are
+    ``H_j = j! L**j g_j / g(0)``, by
+    ``H_j = sum_{k=1..j} (j-1)!/(j-k)! (-1)**(k+1) T_k H_{j-k}``.  The
+    order-(j + z) coefficient in ``t - p`` is
+    ``scalar g(0) 2**(gap + j + z) H_j / (j! L**j)``, one exact division.
 
-    Each factor ``pole - r + u`` equals ``(A + v)/2`` with the integer
-    ``A = 2(pole - r)`` and ``v = 2u``, so both products are integer series
-    in ``v``.  Their quotient comes scaled by powers of its constant term
-    ``b0`` from ``divide_fraction_free``, and the order-j coefficient in
-    ``u`` is ``scalar * 2**(gap + j) * O_j / b0**(j+1)``, where ``gap`` is
-    the co-factor's degree gap.
+    Poles are visited from the highest down.  The step from P + 2 to P
+    moves every root one place, so the T_k and g(0) change only at the two
+    boundary terms of each run of ``_layers``; where the pole grid has a
+    gap they are summed afresh over all roots.
     """
-    if rep.degree_gap < 1:
+    degree_gap = rep.degree_gap
+    if degree_gap < 1:
         raise ValueError("representation must be proper (gap >= 1)")
     offset = _HALF if any(r.denominator == 2 for r, _ in rep.den_roots) else Fraction(0)
-    poles = sorted(rep.den_roots, key=lambda rm: -rm[0] - offset)
-    num_roots = [(int(2 * r), m) for r, m in rep.num_roots]
-    den_roots = [(int(2 * r), m) for r, m in rep.den_roots]
-    scale_num, scale_den = rep.scalar.numerator, rep.scalar.denominator
+    num = {int(2 * r): m for r, m in rep.num_roots}
+    den = {int(2 * r): m for r, m in rep.den_roots}
+    net = dict(num)
+    for r, m in den.items():
+        net[r] = net.get(r, 0) - m
+    # c(R) - c(R + 2), the window's change from pole P + 2 to P at the term R
+    steps: dict[int, int] = {}
+    for side, c in ((num, 1), (den, -1)):
+        for lo, hi in _layers(side):
+            steps[lo - 2] = steps.get(lo - 2, 0) - c
+            steps[hi] = steps.get(hi, 0) + c
+    lcm = math.lcm(*range(1, max(net) - min(net) + 1))
+    s = max(den.values())
+    scales = [1]  # j! L**j
+    for j in range(1, s):
+        scales.append(scales[-1] * j * lcm)
     pole_ks = []
     mults = []
     rows = []
-    s = max(m for _, m in rep.den_roots)
-    for pole_root, mult in poles:
-        k = -pole_root - offset
+    prev = None
+    for pole, mult in sorted(den.items(), reverse=True):
+        k = -Fraction(pole, 2) - offset
         if k.denominator != 1:
             raise ValueError("pole grid mixes integer and half-integer roots")
-        pole2 = int(2 * pole_root)
-        num = [1]
-        for r2, m in num_roots:
-            for _ in range(m):
-                num = mul_linear(num, pole2 - r2, mult)
-        den = [1]
-        for r2, m in den_roots:
-            if r2 == pole2:
-                continue
-            for _ in range(m):
-                den = mul_linear(den, pole2 - r2, mult)
-        gap = rep.den_degree - mult - rep.num_degree
+        if prev is not None and pole == prev - 2:
+            # P + 2 is a root, so each boundary term has |P - R| <= span
+            scaled_g0 *= _add_power_sums(sums, pole, steps.items(), lcm)
+        else:
+            sums = [0] * s  # sums[k] = T_k for k = 1..s-1
+            scaled_g0 = rep.scalar * _add_power_sums(sums, pole, net.items(), lcm)
+        prev = pole
+        z = num.get(pole, 0)
+        h = [1] if z < mult else []
+        for j in range(1, mult - z):
+            acc = 0
+            falling = 1  # (j-1)!/(j-i)!
+            for i in range(1, j + 1):
+                term = sums[i] * h[j - i] * falling
+                acc += term if i % 2 else -term
+                falling *= j - i
+            h.append(acc)
+        gap = degree_gap - mult
         coeffs = [Fraction(0)] * s
-        b0_power = 1
-        for j, scaled in enumerate(divide_fraction_free(num, den, mult)):
-            b0_power *= den[0]
-            e = gap + j  # the power of 2; a negative one divides
-            coeffs[mult - 1 - j] = Fraction(scaled * scale_num << max(e, 0),
-                                            b0_power * scale_den << max(-e, 0))
+        for j, hj in enumerate(h):
+            e = gap + j + z  # the power of 2; a negative one divides
+            coeffs[mult - 1 - j - z] = Fraction(
+                scaled_g0.numerator * hj << max(e, 0),
+                scales[j] * scaled_g0.denominator << max(-e, 0))
         pole_ks.append(int(k))
         mults.append(mult)
         rows.append(tuple(coeffs))

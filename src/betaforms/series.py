@@ -2,10 +2,10 @@
 
 Series are plain lists of coefficients, ``c[j]`` multiplying ``u**j``.
 Every routine truncates to a fixed order and never allocates beyond it.
-The package's series are integer series: ``mul_linear`` builds products
-of linear factors and ``divide_fraction_free`` divides them while keeping
-them integral.  ``divide_trunc`` divides over a field; it is the exact
-``Fraction`` reference the tests hold the integer kernels to.
+The package's series are integer series: ``mul_linear`` builds the
+numerator product of the integer Boole pass in ``numerics``.
+``divide_trunc`` divides over a field; it is the exact ``Fraction``
+reference the tests hold the integer kernels to.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ def divide_trunc(num: list, den: list, order: int) -> list:
     """Series quotient ``num/den`` to the given order; ``den[0]`` must be nonzero.
 
     Meant for a field such as ``Fraction``: it multiplies by
-    ``1 / den[0]``, which turns integer input into floats, so integer
-    series go through ``divide_fraction_free`` instead.
+    ``1 / den[0]``, which turns integer input into floats.
     """
     inv0 = 1 / den[0]
     out = []
@@ -38,29 +37,6 @@ def divide_trunc(num: list, den: list, order: int) -> list:
         for k in range(1, min(j, len(den) - 1) + 1):
             acc = acc - den[k] * out[j - k]
         out.append(acc * inv0)
-    return out
-
-
-def divide_fraction_free(num: list[int], den: list[int], order: int) -> list[int]:
-    """Scaled quotient of integer series: ``O_j = out_j * b0**(j+1)``.
-
-    ``out = num/den`` truncated to the given order, ``b0 = den[0] != 0``.
-    The scaled coefficients are integers and obey
-    ``O_j = num_j b0**j - sum_{k>=1} den_k O_{j-k} b0**(k-1)``, so no
-    division happens here; the caller makes one exact division per
-    coefficient.
-    """
-    powers = [1]
-    for _ in range(order):
-        powers.append(powers[-1] * den[0])
-    # den_k b0**(k-1), formed once per k
-    scaled = [0] + [d * p for d, p in zip(den[1:order], powers)]
-    out = []
-    for j in range(order):
-        acc = num[j] * powers[j] if j < len(num) else 0
-        for k in range(1, min(j, len(scaled) - 1) + 1):
-            acc -= scaled[k] * out[j - k]
-        out.append(acc)
     return out
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from mpmath.libmp import to_rational
 
 from betaforms import numerics
 from betaforms.balls import BallReal, ball_pi, working_precision
@@ -206,7 +207,13 @@ class TestBooleSum:
 
 
 def exact(x) -> Fraction:
-    return Fraction(int(x.man)) * Fraction(2) ** int(x.exp)
+    return Fraction(*to_rational(x._mpf_))
+
+
+def test_exact_keeps_the_sign():
+    # mpf.man holds the magnitude; the sign lives in the first _mpf_ field
+    assert exact(mpmath.mpf(-3.25)) == Fraction(-13, 4)
+    assert exact(mpmath.mpf(3.25)) == Fraction(13, 4)
 
 
 def record_tail_calls(monkeypatch):

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from betaforms.profiles import ProfileError, THEOREM1_ETA, general
 from betaforms.rationalfn import (LinearProductRep, PartialFractionTable,
-                                  binomial_block_coefficients,
+                                  _layers, binomial_block_coefficients,
                                   binomial_block_product, build_general,
                                   build_remark1, build_section2,
                                   hypergeometric_parameters, partial_fractions,
@@ -44,6 +44,56 @@ def fraction_partial_fractions(rep):
         coeffs = [Fraction(0)] * s
         for i in range(1, mult + 1):
             coeffs[i - 1] = g[mult - i]
+        pole_ks.append(int(-pole_root - offset))
+        mults.append(mult)
+        rows.append(tuple(coeffs))
+    return PartialFractionTable(s, tuple(pole_ks), offset, tuple(mults),
+                                tuple(rows))
+
+
+def divide_fraction_free(num, den, order):
+    """Scaled quotient of integer series, ``O_j = (num/den)_j * b0**(j+1)``
+    with ``b0 = den[0]``, by
+    ``O_j = num_j b0**j - sum_{k>=1} den_k O_{j-k} b0**(k-1)``."""
+    powers = [1]
+    for _ in range(order):
+        powers.append(powers[-1] * den[0])
+    scaled = [0] + [d * p for d, p in zip(den[1:order], powers)]
+    out = []
+    for j in range(order):
+        acc = num[j] * powers[j] if j < len(num) else 0
+        for k in range(1, min(j, len(scaled) - 1) + 1):
+            acc -= scaled[k] * out[j - k]
+        out.append(acc)
+    return out
+
+
+def fraction_free_partial_fractions(rep):
+    """The table from both co-factor products, built in integers at every
+    pole and divided fraction-free: an independent reference fast enough
+    for theorem1 at n = 4 and 6, where the Fraction one is not."""
+    offset = (Fraction(1, 2) if any(r.denominator == 2 for r, _ in rep.den_roots)
+              else Fraction(0))
+    poles = sorted(rep.den_roots, key=lambda rm: -rm[0] - offset)
+    s = max(m for _, m in rep.den_roots)
+    pole_ks, mults, rows = [], [], []
+    for pole_root, mult in poles:
+        pole2 = int(2 * pole_root)
+        num = [1]
+        for r, m in rep.num_roots:
+            for _ in range(m):
+                num = mul_linear(num, pole2 - int(2 * r), mult)
+        den = [1]
+        for r, m in rep.den_roots:
+            if r == pole_root:
+                continue
+            for _ in range(m):
+                den = mul_linear(den, pole2 - int(2 * r), mult)
+        gap = rep.den_degree - mult - rep.num_degree
+        coeffs = [Fraction(0)] * s
+        for j, scaled in enumerate(divide_fraction_free(num, den, mult)):
+            coeffs[mult - 1 - j] = (rep.scalar * scaled * Fraction(2) ** (gap + j)
+                                    / den[0] ** (j + 1))
         pole_ks.append(int(-pole_root - offset))
         mults.append(mult)
         rows.append(tuple(coeffs))
@@ -136,6 +186,23 @@ class TestBuildGeneral:
             assert build_general(general(eta, n)).degree_gap >= 2
 
 
+class TestLayers:
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(st.integers(-15, 15), st.integers(1, 4), min_size=1))
+    @example({0: 1, 1: 2, 2: 1, 3: 1, -1: 1})
+    def test_layers_cover_the_multiplicities(self, mult):
+        runs = _layers(mult)
+        cover = Counter()
+        for lo, hi in runs:
+            # one parity class per run
+            assert lo <= hi and (hi - lo) % 2 == 0
+            cover.update(range(lo, hi + 1, 2))
+        assert cover == Counter(mult)
+        # one run per start: as few runs as the multiplicities allow
+        assert len(runs) == sum(max(m - mult.get(r - 2, 0), 0)
+                                for r, m in mult.items())
+
+
 class TestPartialFractions:
     def test_reconstruction_suite(self, bundle):
         from tests.conftest import suite_profiles
@@ -153,10 +220,23 @@ class TestPartialFractions:
     @given(any_rep)
     @example(build_general(general(THEOREM1_ETA, 2)))
     @example(build_section2(17, 2))
+    # the numerator root -n/2 sits on a pole
+    @example(build_section2(5, 2))
+    # gapped pole grids: the power sums are rebuilt at the second pole
+    @example(LinearProductRep.build(1, [], [(0, 2), (3, 1)]))
+    @example(LinearProductRep.build(Fraction(7, 3), [(Fraction(1, 2), 1), (0, 1)],
+                                    [(0, 3), (-3, 3)]))
+    @example(build_remark1(7, 6))
     def test_matches_fraction_reference(self, rep):
         table = partial_fractions(rep)
         assert table == fraction_partial_fractions(rep)
         assert all(type(c) is Fraction for _, _, c in table.entries())
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_matches_fraction_free_kernel_on_theorem1(self, n):
+        # the scaled power sums reach thousands of bits here
+        rep = build_general(general(THEOREM1_ETA, n))
+        assert partial_fractions(rep) == fraction_free_partial_fractions(rep)
 
     def test_improper_rejected(self):
         rep = LinearProductRep.build(1, [(Fraction(5), 1)], [(Fraction(0), 1)])

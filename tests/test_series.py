@@ -1,10 +1,7 @@
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
-
 from betaforms import series
-from betaforms.series import (divide_fraction_free, divide_trunc,
-                              euler_numbers_at_zero)
+from betaforms.series import divide_trunc, euler_numbers_at_zero
 
 
 def euler_by_series_division(count):
@@ -48,19 +45,3 @@ class TestEulerNumbers:
         values = euler_numbers_at_zero(10)
         values[1] = Fraction(99)
         assert euler_numbers_at_zero(10)[1] == Fraction(-1, 2)
-
-
-int_series = st.lists(st.integers(-50, 50), min_size=1, max_size=8)
-
-
-class TestDivideFractionFree:
-    @settings(max_examples=200, deadline=None)
-    @given(int_series, int_series.filter(lambda d: d[0] != 0),
-           st.integers(1, 9))
-    def test_scaled_quotient(self, num, den, order):
-        scaled = divide_fraction_free(num, den, order)
-        exact = divide_trunc([Fraction(c) for c in num],
-                             [Fraction(c) for c in den], order)
-        assert all(type(o) is int for o in scaled)
-        assert [Fraction(o, den[0] ** (j + 1))
-                for j, o in enumerate(scaled)] == exact

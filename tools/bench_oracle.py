@@ -1,15 +1,16 @@
-"""Time the series oracle on theorem1 and record its tail calls.
+"""Time partial fractions, assembly and the series oracle on theorem1.
 
 Usage (from the repository root)::
 
     PYTHONPATH=src python tools/bench_oracle.py --label change
 
 For theorem1 at (n, precision) = (2, 256), (4, 256), (6, 64) and (8, 256)
-it times ``numerics.r_n_series`` alone and ``numerics.consistency_check``,
-once each, and records every ``numerics.alternating_series_tail`` call
-either makes as (tbits, cutoff a, order m), the target being 2**-tbits.
-The rational function, its partial fractions and the decomposition are
-built first and not timed.  The result, with the machine, Python, mpmath
+it times ``rationalfn.partial_fractions`` and
+``decomposition.beta_coefficients``, then ``numerics.r_n_series`` alone
+and ``numerics.consistency_check``, once each, and records every
+``numerics.alternating_series_tail`` call either makes as (tbits, cutoff
+a, order m), the target being 2**-tbits.  Theorem1 at n = 12 times the
+two exact stages only.  The result, with the machine, Python, mpmath
 version and backend, goes under ``runs[label]`` of the output file; other
 labels already there are kept, so two source trees (say a parent commit
 and a change, each put on PYTHONPATH in turn) can be recorded side by side.
@@ -32,7 +33,8 @@ from betaforms.decomposition import beta_coefficients
 from betaforms.profiles import THEOREM1_ETA, general
 from betaforms.rationalfn import partial_fractions
 
-CASES = ((2, 256), (4, 256), (6, 64), (8, 256))
+# (n, precision); no precision: the exact stages only
+CASES = ((2, 256), (4, 256), (6, 64), (8, 256), (12, None))
 
 
 def machine() -> dict:
@@ -40,6 +42,13 @@ def machine() -> dict:
             "system": platform.system(), "python": platform.python_version(),
             "implementation": platform.python_implementation(),
             "mpmath": mpmath.__version__, "mpmath_backend": BACKEND}
+
+
+def timed(fn):
+    """Seconds taken by ``fn()``, and its result."""
+    t0 = time.perf_counter()
+    result = fn()
+    return time.perf_counter() - t0, result
 
 
 def timed_with_tail_calls(fn, start: int) -> tuple[float, list]:
@@ -56,19 +65,22 @@ def timed_with_tail_calls(fn, start: int) -> tuple[float, list]:
 
     numerics.alternating_series_tail = recording
     try:
-        t0 = time.perf_counter()
-        fn()
-        seconds = time.perf_counter() - t0
+        seconds, _ = timed(fn)
     finally:
         numerics.alternating_series_tail = original
     return seconds, calls
 
 
-def run_case(n: int, precision: int) -> dict:
+def run_case(n: int, precision: int | None) -> dict:
     profile = general(THEOREM1_ETA, n)
     rep = numerics.build_profile_rep(profile)
-    table = partial_fractions(rep)
-    dec = beta_coefficients(table, profile)
+    table_s, table = timed(lambda: partial_fractions(rep))
+    dec_s, dec = timed(lambda: beta_coefficients(table, profile))
+    case = {"profile": "theorem1", "n": n, "precision": precision,
+            "partial_fractions_s": round(table_s, 3),
+            "beta_coefficients_s": round(dec_s, 3)}
+    if precision is None:
+        return case
     start = profile.series_start
     series_s, series_calls = timed_with_tail_calls(
         lambda: numerics.r_n_series(profile, precision, rep=rep, table=table),
@@ -77,8 +89,7 @@ def run_case(n: int, precision: int) -> dict:
         lambda: numerics.consistency_check(profile, precision, rep=rep,
                                            table=table, decomposition=dec),
         start)
-    return {"profile": "theorem1", "n": n, "precision": precision,
-            "r_n_series_s": round(series_s, 3),
+    return {**case, "r_n_series_s": round(series_s, 3),
             "r_n_series_tail_calls": series_calls,
             "consistency_check_s": round(check_s, 3),
             "consistency_check_tail_calls": check_calls}
