@@ -2,9 +2,12 @@
 
 The decay rate of the linear forms reduces to maximizing a product over
 the unit cube, which in turn reduces to the unique root of an explicit
-integer polynomial in (0, 1).  Root isolation is exact (Sturm counts on
-rational endpoints, exact bisection); only the final logarithms run in
-ball arithmetic.  The verdict compares certified enclosures, never bare
+integer polynomial in (0, 1).  Root isolation is exact and runs on
+integer signs: a polynomial is scaled once to integer coefficients, each
+sign is an integer Horner evaluation of q**deg p(a/q), the Sturm chain is
+a primitive pseudo-remainder sequence, and bisection keeps its ends as
+integers over one power-of-2 denominator.  Only the final logarithms run
+in ball arithmetic.  The verdict compares certified enclosures, never bare
 floats.
 """
 
@@ -19,83 +22,59 @@ from .numtheory import phi_exponent
 from .profiles import Profile
 
 # ---------------------------------------------------------------------------
-# Exact polynomial helpers (coefficient lists, ascending powers)
+# Root isolation on integer signs (coefficient lists, ascending powers)
 # ---------------------------------------------------------------------------
 
-def _poly_eval(p: list[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _poly_deriv(p):
-    return [i * c for i, c in enumerate(p)][1:] or [Fraction(0)]
-
-
-def _poly_trim(p):
-    p = list(p)
+def _integer_poly(p) -> list[int]:
+    """p times the lcm of its denominators (> 0: the same signs), trimmed."""
+    p = [Fraction(c) for c in p]
     while len(p) > 1 and p[-1] == 0:
         p.pop()
-    return p or [Fraction(0)]
+    scale = math.lcm(*(c.denominator for c in p))
+    return [int(c * scale) for c in p]
 
 
-def _is_zero_poly(p) -> bool:
-    return len(p) == 1 and p[0] == 0
+def _sign_at(p: list[int], num: int, den: int) -> int:
+    """Sign of p(num/den) for den > 0, by Horner on den**deg p(num/den)."""
+    acc, power = p[-1], 1
+    for c in reversed(p[:-1]):
+        power *= den
+        acc = acc * num + c * power
+    return (acc > 0) - (acc < 0)
 
 
-def _poly_rem(a, b):
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    while True:
-        while len(a) > 1 and a[-1] == 0:
-            a.pop()
-        if not a or _is_zero_poly(a) or len(a) - 1 < db:
-            return a or [Fraction(0)]
-        f = a[-1] / lb
-        shift = len(a) - 1 - db
-        for i, c in enumerate(b):
-            a[shift + i] -= f * c
-        a.pop()
-
-
-def _sturm_chain(p):
-    p0 = _poly_trim(p)
-    if len(p0) == 1:
-        return [p0]
-    chain = [p0, _poly_trim(_poly_deriv(p0))]
-    while not _is_zero_poly(chain[-1]):
-        r = _poly_rem(chain[-2], chain[-1])
-        if _is_zero_poly(r):
+def _sturm_chain(p: list[int]) -> list[list[int]]:
+    """The Sturm sequence p, p', -rem, ... as a primitive pseudo-remainder
+    sequence; its steps scale by |lead| > 0, so each member is a positive
+    multiple of the classical one and every sign sequence is the same."""
+    chain = [p, [i * c for i, c in enumerate(p)][1:]] if len(p) > 1 else [p]
+    while len(chain[-1]) > 1:
+        a, b = chain[-2], chain[-1]
+        lead, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
+        while len(a) >= len(b) and any(a):
+            f = a[-1] * sign
+            a = [lead * c for c in a[:-1]]
+            for i, c in enumerate(b[:-1], len(a) + 1 - len(b)):
+                a[i] -= f * c
+            while a and a[-1] == 0:
+                a.pop()
+        if not a:
             break
-        chain.append([-c for c in r])
+        g = math.gcd(*a)
+        chain.append([-c // g for c in a])
     return chain
 
 
 def _sign_variations(chain, x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = _poly_eval(p, x)
-        if v:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for i in range(len(signs) - 1) if signs[i] != signs[i + 1])
+    signs = [s for p in chain if (s := _sign_at(p, *x.as_integer_ratio()))]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
 def count_roots(p: list[Fraction], lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots in the open interval (lo, hi).
-
-    Endpoints must not be roots.
-    """
-    if _poly_eval(p, lo) == 0 or _poly_eval(p, hi) == 0:
+    """Number of distinct real roots in (lo, hi); neither end may be one."""
+    p = _integer_poly(p)
+    if not (_sign_at(p, *lo.as_integer_ratio())
+            and _sign_at(p, *hi.as_integer_ratio())):
         raise ValueError("endpoint is a root; perturb the interval")
     chain = _sturm_chain(p)
     return _sign_variations(chain, lo) - _sign_variations(chain, hi)
@@ -103,32 +82,31 @@ def count_roots(p: list[Fraction], lo: Fraction, hi: Fraction) -> int:
 
 def bisect_root(p: list[Fraction], lo: Fraction, hi: Fraction,
                 width: Fraction) -> tuple[Fraction, Fraction]:
-    """Shrink a sign-change bracket below the given width, exactly."""
-    flo = _poly_eval(p, lo)
-    fhi = _poly_eval(p, hi)
-    if flo == 0 or fhi == 0 or (flo > 0) == (fhi > 0):
+    """Shrink a sign-change bracket below the given width, exactly: the
+    ends are integers a, b over one denominator that doubles per step."""
+    p = _integer_poly(p)
+    den = lo.denominator * hi.denominator
+    a, b = lo.numerator * hi.denominator, hi.numerator * lo.denominator
+    sa, sb = _sign_at(p, a, den), _sign_at(p, b, den)
+    if sa == 0 or sb == 0 or sa == sb:
         raise ValueError("interval is not a sign-change bracket")
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        fm = _poly_eval(p, mid)
-        if fm == 0:
-            return mid, mid
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
-    return lo, hi
+    while (b - a) * width.denominator > width.numerator * den:
+        mid, a, b, den = a + b, 2 * a, 2 * b, 2 * den
+        sm = _sign_at(p, mid, den)
+        if sm == 0:
+            return Fraction(mid, den), Fraction(mid, den)
+        a, b = (mid, b) if sm == sa else (a, mid)
+    return Fraction(a, den), Fraction(b, den)
 
 
-def isolate_roots(p: list[Fraction], lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
+def isolate_roots(p: list[Fraction], lo: Fraction,
+                  hi: Fraction) -> list[tuple[Fraction, Fraction]]:
     """Disjoint open subintervals of (lo, hi) each holding exactly one root."""
     total = count_roots(p, lo, hi)
-    if total == 0:
-        return []
-    if total == 1:
-        return [(lo, hi)]
+    if total <= 1:
+        return [(lo, hi)] * total
     mid = (lo + hi) / 2
-    while _poly_eval(p, mid) == 0:
+    while not _sign_at(_integer_poly(p), *mid.as_integer_ratio()):
         mid = (mid + hi) / 2
     return isolate_roots(p, lo, mid) + isolate_roots(p, mid, hi)
 
@@ -158,16 +136,14 @@ class Lemma3Data:
     max_value: BallReal
 
 
-def _maximizer_polynomial(eta) -> list[Fraction]:
-    e0 = eta[0]
-    left = [Fraction(0), Fraction(1)]            # x
-    right = [Fraction(1)]
+def _maximizer_polynomial(eta) -> list[int]:
+    """x prod (e0 - ej - ej x) - prod (ej - (e0 - ej) x), j = 1..s."""
+    e0, left, right = eta[0], [0, 1], [1]
     for ej in eta[1:]:
-        left = _poly_mul(left, [Fraction(e0 - ej), Fraction(-ej)])
-        right = _poly_mul(right, [Fraction(ej), Fraction(-(e0 - ej))])
-    return _poly_trim([l - r for l, r in
-                       zip(left + [Fraction(0)] * len(right),
-                           right + [Fraction(0)] * len(left))])
+        left = [(e0 - ej) * u - ej * v for u, v in zip(left + [0], [0] + left)]
+        right = [ej * u - (e0 - ej) * v
+                 for u, v in zip(right + [0], [0] + right)]
+    return [u - v for u, v in zip(left, right + [0])]
 
 
 def lemma3_solve(eta, precision: int = 256) -> Lemma3Data:
@@ -199,7 +175,7 @@ def lemma3_solve(eta, precision: int = 256) -> Lemma3Data:
             log_max = log_max + ej * x.log() + (e0 - 2 * ej) * (1 - x).log()
             prod = prod * x
         log_max = log_max - e0 * (1 + prod).log()
-        return Lemma3Data(tuple(poly), lo, hi, tuple(xj),
+        return Lemma3Data(tuple(map(Fraction, poly)), lo, hi, tuple(xj),
                           log_max, log_max.exp())
 
 
@@ -218,8 +194,7 @@ def _r_exponent_eta(eta, precision: int) -> BallReal:
 def _section2_onedim(s: int, precision: int) -> BallReal:
     """log(1728 * max t^s (1-t)^s / (1+t^s)^3) by exact critical-point isolation."""
     # stationarity of the log-objective clears to t^(s+1) - 2 t^s - 2 t + 1
-    poly = [Fraction(0)] * (s + 2)
-    poly[0], poly[1], poly[s], poly[s + 1] = Fraction(1), Fraction(-2), Fraction(-2), Fraction(1)
+    poly = [1, -2] + [0] * (s - 2) + [-2, 1]
     brackets = isolate_roots(poly, Fraction(1, 10 ** 6), 1 - Fraction(1, 10 ** 6))
     if not brackets:
         raise RootCertificationError("no interior critical point found")

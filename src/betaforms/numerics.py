@@ -8,6 +8,8 @@ honest bounds:
 * beta values use the Chebyshev-weight acceleration scheme for alternating
   series of moments; its error is at most 1/d with d the integer Chebyshev
   normalizer, since 1/(2k+1)**i is a moment sequence of a positive measure.
+  The weights are integers, and the sum runs in fixed point with a
+  rounding bound of n units that is added to the radius.
 * the linear-form series is summed exactly up to a cutoff by binary
   splitting, and the tail by Boole summation: Taylor coefficients at the
   cutoff weighted by Euler-polynomial constants, in fixed-point integers
@@ -48,18 +50,25 @@ def beta_value(i: int, precision: int = 256) -> BallReal:
     """The alternating sum of odd reciprocal i-th powers, radius <= 2**(1-precision)."""
     if i < 1:
         raise ValueError("beta index must be >= 1")
+    with working_precision(precision + 16):
+        return BallReal(*_beta_enclosure(i, precision))
+
+
+def _beta_enclosure(i: int, precision: int) -> tuple[Fraction, Fraction]:
+    """Exact (mid, radius) of the ball ``beta_value`` returns."""
     n = int((precision + 4) / _LOG2_ACCEL) + 3
     d = _chebyshev_normalizer(n)
-    b = Fraction(-1)
-    c = Fraction(-d)
-    s = Fraction(0)
+    # s in units of 2**-p: each floor loses under a unit, so s/2**p <= sum
+    # c_k/(2k+1)**i < (s + n)/2**p, and n/2**(p+1) < 2**-(precision+17)
+    p = precision + 16 + n.bit_length()
+    b, c, s = -1, -d, 0
     for k in range(n):
         c = b - c
-        s += c / Fraction(2 * k + 1) ** i
-        b *= Fraction(2 * (k + n) * (k - n), (2 * k + 1) * (k + 1))
-    # moment-sequence error bound: |S - s/d| <= S/d < 1/d
-    with working_precision(precision + 16):
-        return BallReal(s / d, radius=Fraction(1, d))
+        s += (c << p) // (2 * k + 1) ** i
+        b = b * 2 * (k + n) * (k - n) // ((2 * k + 1) * (k + 1))  # exact
+    # moment-sequence error bound: |S - sum/d| <= S/d < 1/d
+    return (Fraction(2 * s + n, d << (p + 1)),
+            Fraction((1 << (p + 1)) + n, d << (p + 1)))
 
 
 def build_profile_rep(profile: Profile) -> LinearProductRep:

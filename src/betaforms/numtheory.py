@@ -2,6 +2,11 @@
 the prime-power cancellation factor, digamma at rationals, and the
 exponential growth rate of the cancellation factor.
 
+The growth rate is an integer-weighted sum of digamma values at the
+table's breakpoints; ``_digamma_sum`` evaluates such a sum by Gauss's
+digamma theorem once per reduced denominator, so each cosine and each
+logarithm is taken once however many points share it.
+
 The carry functions are integer-valued sums of floors of linear forms in
 (x, y), periodic with period 1 in both arguments.  Their minimum over y
 is piecewise constant in x with rational breakpoints; the table of that
@@ -348,11 +353,9 @@ def capital_phi(profile) -> FactoredInteger:
 # ---------------------------------------------------------------------------
 
 def digamma_rational(p: int, q: int, precision: int = 256) -> BallReal:
-    """psi(p/q) for p, q > 0 with relative radius <= 2**(1-precision).
-
-    Uses the finite closed form for rational arguments in (0, 1) (Euler's
-    constant, a cotangent term, and a short cosine-log sum over residues),
-    then the recurrence psi(x+1) = psi(x) + 1/x, applied exactly.
+    """psi(p/q) for p, q > 0 with relative radius <= 2**(1-precision): the
+    one-point ``_digamma_sum``.  Near the zero of psi a first ball that
+    misses it bounds |psi| below, and a second pass adds the bits it lacks.
     """
     if q == 0:
         raise ZeroDivisionError("digamma_rational: q must be nonzero")
@@ -360,42 +363,65 @@ def digamma_rational(p: int, q: int, precision: int = 256) -> BallReal:
     if x <= 0:
         raise ValueError("argument must be positive")
     tol = Fraction(2) ** (1 - precision)
-    for attempt in range(6):
-        guard = 48 + 64 * attempt
-        with working_precision(precision + guard):
-            val = _digamma_core(x)
-        if val.rad <= tol * abs(val.mid):
-            return val
-        if val.rad <= Fraction(2) ** (-precision) and val.contains_zero():
-            return val
+    val = _digamma_sum({x: 1}, precision)
+    if val.rad > tol * abs(val.mid) and not val.contains_zero():
+        man, exp = min(abs(val.lower), abs(val.upper)).man_exp
+        val = _digamma_sum({x: 1}, precision + 2 - exp - man.bit_length())
+    if val.rad <= tol * abs(val.mid) or (
+            val.rad <= Fraction(2) ** (-precision) and val.contains_zero()):
+        return val
     raise ArithmeticError("digamma_rational failed to reach target radius")
 
 
-def _digamma_core(x: Fraction) -> BallReal:
-    k = math.floor(x)
-    frac = x - k
-    # shift to (0, 1]: psi(x) = psi(frac) + sum_{j=0}^{k-1} 1/(frac+j)
-    shift = Fraction(0)
-    if frac == 0:
-        # integer argument: psi(m) = -gamma + H_{m-1}
-        for j in range(1, k):
-            shift += Fraction(1, j)
-        return -ball_euler_gamma() + BallReal(shift)
-    for j in range(k):
-        shift += 1 / (frac + j)
-    a, b = frac.numerator, frac.denominator
-    pi = ball_pi()
-    out = -ball_euler_gamma() - BallReal(Fraction(2 * b)).log()
-    if 2 * a != b:
-        t = pi * Fraction(a, b)
-        cos_t = t.cos()
-        sin_t = t.sin()
-        out = out - pi / 2 * (cos_t / sin_t)
-    for m in range(1, (b - 1) // 2 + 1):
-        c = (pi * Fraction(2 * m * a, b)).cos()
-        s = (pi * Fraction(m, b)).sin()
-        out = out + 2 * c * s.log()
-    return out + BallReal(shift)
+def _digamma_sum(weights: dict[Fraction, int], precision: int,
+                 exact: Fraction = Fraction(0)) -> BallReal:
+    """exact + sum w psi(x) over rationals x > 0 with integer weights w, to
+    an absolute radius of about 2**-precision.
+
+    x = k + a/b with a/b in lowest terms: psi(x) = psi(a/b) + sum_{j<k}
+    1/(a/b + j), psi(k) = -gamma + H_(k-1), and by Gauss's digamma theorem,
+    with c_j = cos(2 pi j/b) and log sin(pi m/b) = log((1 - c_m)/2)/2,
+        psi(a/b) = -gamma - log 2b - (pi/2) cot(pi a/b)
+                   + sum_{0<m<b/2} c_(m a mod b) log((1 - c_m)/2).
+    Per denominator b each c_j (c_j = c_(b-j)) and each log is taken once,
+    cot(pi k/b) = sqrt((1 + c_k)/(1 - c_k)) for 0 < k < b/2, and the weights
+    on each are summed as integers first.  The guard bits cover the
+    weights and the cancellation in 1 - c_1 ~ (2 pi/b)**2.
+    """
+    rows: dict[int, dict[int, int]] = {}
+    for x, w in weights.items():
+        k = math.floor(x)
+        f = x - k
+        exact += w * sum(1 / (f + j) for j in range(k) if f + j)
+        if f:
+            row = rows.setdefault(f.denominator, {})
+            row[f.numerator] = row.get(f.numerator, 0) + w
+    guard = (16 + 2 * max(rows, default=1).bit_length()
+             + sum(map(abs, weights.values())).bit_length())
+    with working_precision(precision + guard):
+        pi = ball_pi()
+        total = BallReal(exact) - sum(weights.values()) * ball_euler_gamma()
+        for b, row in rows.items():
+            c = [None] + [(pi * Fraction(2 * j, b)).cos()
+                          for j in range(1, (b + 1) // 2)]
+            total -= sum(row.values()) * BallReal(2 * b).log()
+            for m in range(1, len(c)):
+                total += _merged_sum(c.__getitem__, (
+                    (min(m * a % b, -m * a % b), w) for a, w in row.items())
+                ) * ((1 - c[m]) / 2).log()
+            total -= pi / 2 * _merged_sum(
+                lambda k: ((1 + c[k]) / (1 - c[k])).sqrt(),
+                ((min(a, b - a), w if 2 * a < b else -w)
+                 for a, w in row.items() if 2 * a != b))
+        return total
+
+
+def _merged_sum(value, pairs) -> BallReal:
+    """sum w value(j) over (j, w) pairs, the w of equal j added first."""
+    merged: dict[int, int] = {}
+    for j, w in pairs:
+        merged[j] = merged.get(j, 0) + w
+    return sum((w * value(j) for j, w in merged.items() if w), BallReal(0))
 
 
 # ---------------------------------------------------------------------------
@@ -409,31 +435,21 @@ def phi_exponent_from_table(table: StepFunction, mu: Fraction,
     Standard prime-counting heuristic: with the table value c on [u, v),
     the primes p ~ n/x contribute c * [psi(1+v) - psi(1+u)] from each
     period window above 1, plus a clipped 1/x**2-integral term on the
-    window [1/mu, 1) when the prime range extends above n (mu > 1).
+    window [1/mu, 1) when the prime range extends above n (mu > 1).  The
+    pieces share endpoints, so the psi terms fold into one integer weight
+    per point 1 + x, and the clipped terms into one rational.
     """
-    mu = Fraction(mu)
-    clipped = Fraction(0)
-    psi_cache: dict[Fraction, BallReal] = {}
-
-    def psi1(x: Fraction) -> BallReal:
-        # psi(1 + x); adjacent pieces share an endpoint
-        if x not in psi_cache:
-            psi_cache[x] = digamma_rational((1 + x).numerator,
-                                            (1 + x).denominator,
-                                            precision + 16)
-        return psi_cache[x]
-
-    with working_precision(precision + 32):
-        acc = BallReal(0)
-        for lo, hi, c in table.intervals():
-            if c == 0:
-                continue
-            acc = acc + c * (psi1(hi) - psi1(lo))
-            top = mu if lo == 0 else min(1 / lo, mu)
-            part = top - 1 / hi
-            if part > 0:
-                clipped += c * part
-        return acc + BallReal(clipped)
+    mu, clipped, weights = Fraction(mu), Fraction(0), {}
+    for lo, hi, c in table.intervals():
+        if c == 0:
+            continue
+        weights[1 + hi] = weights.get(1 + hi, 0) + c
+        weights[1 + lo] = weights.get(1 + lo, 0) - c
+        top = mu if lo == 0 else min(1 / lo, mu)
+        part = top - 1 / hi
+        if part > 0:
+            clipped += c * part
+    return _digamma_sum(weights, precision + 32, clipped)
 
 
 def phi_exponent(profile, precision: int = 256) -> BallReal:

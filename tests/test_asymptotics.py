@@ -2,12 +2,14 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from betaforms.asymptotics import (ExponentLedger, Lemma3Data,
-                                   RootCertificationError, bisect_root,
+                                   RootCertificationError, _integer_poly,
+                                   _sign_at, _sturm_chain, bisect_root,
                                    count_roots, exponent_ledger, isolate_roots,
                                    lemma3_solve, r_exponent)
-from betaforms.balls import working_precision
+from betaforms.balls import BallReal, working_precision
 from betaforms.numerics import r_n_series
 from betaforms.profiles import THEOREM1_ETA, general, section2
 
@@ -53,10 +55,10 @@ class TestLemma3:
 
     def test_root_interval_has_sign_change(self):
         data = lemma3_solve(THEOREM1_ETA, 128)
-        poly = list(data.poly)
-        from betaforms.asymptotics import _poly_eval
-
-        assert _poly_eval(poly, data.x0_lo) * _poly_eval(poly, data.x0_hi) <= 0
+        poly = _integer_poly(data.poly)
+        lo, hi = data.x0_lo, data.x0_hi
+        assert (_sign_at(poly, lo.numerator, lo.denominator)
+                * _sign_at(poly, hi.numerator, hi.denominator)) <= 0
         assert 0 < data.x0_lo <= data.x0_hi < 1
 
     def test_stationarity_of_coordinates(self):
@@ -146,3 +148,208 @@ class TestEmpiricalTrend:
             with working_precision(96):
                 rates.append(float((v.log() / n).mid))
         assert rates[0] < rates[1] < rates[2] < float(limit.mid)
+
+
+# Reference: the exact-rational root isolation that the integer-sign
+# helpers replaced, kept to check that every bracket is the same.
+
+def ref_eval(p, x):
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def ref_trim(p):
+    p = list(p)
+    while len(p) > 1 and p[-1] == 0:
+        p.pop()
+    return p or [Fraction(0)]
+
+
+def ref_rem(a, b):
+    a = list(a)
+    db, lb = len(b) - 1, b[-1]
+    while True:
+        while len(a) > 1 and a[-1] == 0:
+            a.pop()
+        if not a or (len(a) == 1 and a[0] == 0) or len(a) - 1 < db:
+            return a or [Fraction(0)]
+        f = a[-1] / lb
+        shift = len(a) - 1 - db
+        for i, c in enumerate(b):
+            a[shift + i] -= f * c
+        a.pop()
+
+
+def ref_sturm_chain(p):
+    p0 = ref_trim(p)
+    if len(p0) == 1:
+        return [p0]
+    chain = [p0, ref_trim([i * c for i, c in enumerate(p0)][1:])]
+    while not (len(chain[-1]) == 1 and chain[-1][0] == 0):
+        r = ref_rem(chain[-2], chain[-1])
+        if len(r) == 1 and r[0] == 0:
+            break
+        chain.append([-c for c in r])
+    return chain
+
+
+def ref_variations(chain, x):
+    signs = [1 if v > 0 else -1 for v in (ref_eval(p, x) for p in chain) if v]
+    return sum(1 for i in range(len(signs) - 1) if signs[i] != signs[i + 1])
+
+
+def ref_count_roots(p, lo, hi):
+    if ref_eval(p, lo) == 0 or ref_eval(p, hi) == 0:
+        raise ValueError("endpoint is a root; perturb the interval")
+    chain = ref_sturm_chain(p)
+    return ref_variations(chain, lo) - ref_variations(chain, hi)
+
+
+def ref_bisect_root(p, lo, hi, width):
+    flo, fhi = ref_eval(p, lo), ref_eval(p, hi)
+    if flo == 0 or fhi == 0 or (flo > 0) == (fhi > 0):
+        raise ValueError("interval is not a sign-change bracket")
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        fm = ref_eval(p, mid)
+        if fm == 0:
+            return mid, mid
+        if (fm > 0) == (flo > 0):
+            lo, flo = mid, fm
+        else:
+            hi, fhi = mid, fm
+    return lo, hi
+
+
+def ref_isolate_roots(p, lo, hi):
+    total = ref_count_roots(p, lo, hi)
+    if total == 0:
+        return []
+    if total == 1:
+        return [(lo, hi)]
+    mid = (lo + hi) / 2
+    while ref_eval(p, mid) == 0:
+        mid = (mid + hi) / 2
+    return ref_isolate_roots(p, lo, mid) + ref_isolate_roots(p, mid, hi)
+
+
+def ref_lemma3_solve(eta, precision):
+    """Reference: ``lemma3_solve`` on the exact-rational helpers."""
+    e0 = eta[0]
+    left, right = [Fraction(0), Fraction(1)], [Fraction(1)]
+    for ej in eta[1:]:
+        left = [(e0 - ej) * u - ej * v for u, v in zip(left + [0], [0] + left)]
+        right = [ej * u - (e0 - ej) * v
+                 for u, v in zip(right + [0], [0] + right)]
+    poly = ref_trim([u - v for u, v in zip(left, right + [0])])
+    assert ref_count_roots(poly, Fraction(0), Fraction(1)) == 1
+    lo, hi = ref_bisect_root(poly, Fraction(0), Fraction(1),
+                             Fraction(2) ** (-(precision + 8)))
+    with working_precision(precision + 16):
+        x0 = BallReal.from_interval(BallReal(lo), BallReal(hi))
+        xj = [(ej - (e0 - ej) * x0) / ((e0 - ej) - ej * x0) for ej in eta[1:]]
+        prod, log_max = BallReal(1), BallReal(0)
+        for ej, x in zip(eta[1:], xj):
+            log_max = log_max + ej * x.log() + (e0 - 2 * ej) * (1 - x).log()
+            prod = prod * x
+        log_max = log_max - e0 * (1 + prod).log()
+        return Lemma3Data(tuple(poly), lo, hi, tuple(xj), log_max,
+                          log_max.exp())
+
+
+def outcome(fn, *args):
+    """fn(*args), or the exception type it raised."""
+    try:
+        return fn(*args)
+    except ValueError:
+        return ValueError
+
+
+@st.composite
+def planted_polynomials(draw):
+    """Integer polynomials with planted dyadic, rational and irrational
+    roots (factors x**2 - c, c not a square) and multiplicities."""
+    factors = draw(st.lists(st.one_of(
+        st.tuples(st.integers(1, 63), st.sampled_from([64, 32, 16, 8, 4, 2]))
+        .map(lambda t: [-t[0], t[1]]),                   # t1 x - t0
+        st.tuples(st.integers(-20, 20), st.integers(1, 12))
+        .map(lambda t: [-t[0], t[1]]),
+        st.sampled_from([2, 3, 5, 7, 10]).flatmap(
+            lambda c: st.integers(1, 5).map(lambda d: [-c, 0, d * d])),
+    ), min_size=1, max_size=5))
+    p = [draw(st.sampled_from([-3, -1, 1, 2]))]
+    for f in factors:
+        for _ in range(draw(st.integers(1, 2))):
+            out = [0] * (len(p) + len(f) - 1)
+            for i, a in enumerate(p):
+                for j, b in enumerate(f):
+                    out[i + j] += a * b
+            p = out
+    return [Fraction(c, draw(st.sampled_from([1, 1, 3, 16]))) for c in p]
+
+
+class TestIntegerSigns:
+    @given(planted_polynomials(),
+           st.sampled_from([(Fraction(0), Fraction(1)),
+                            (Fraction(-3), Fraction(5, 2)),
+                            (Fraction(1, 3), Fraction(7, 8))]))
+    @settings(max_examples=300, deadline=None)
+    @example([Fraction(-1), Fraction(2)], (Fraction(0), Fraction(1)))
+    @example([Fraction(0), Fraction(1)], (Fraction(0), Fraction(1)))
+    @example([Fraction(-2), Fraction(0), Fraction(1)],
+             (Fraction(-3), Fraction(5, 2)))
+    def test_brackets_match_the_fraction_helpers(self, p, ends):
+        lo, hi = ends
+        assert outcome(count_roots, p, lo, hi) == outcome(ref_count_roots,
+                                                          p, lo, hi)
+        brackets = outcome(isolate_roots, p, lo, hi)
+        assert brackets == outcome(ref_isolate_roots, p, lo, hi)
+        for width in (Fraction(1, 2 ** 12), Fraction(1, 3 * 10 ** 20)):
+            got = outcome(bisect_root, p, lo, hi, width)
+            assert got == outcome(ref_bisect_root, p, lo, hi, width)
+            for a, b in ([] if brackets is ValueError else brackets):
+                got = outcome(bisect_root, p, a, b, width)
+                assert got == outcome(ref_bisect_root, p, a, b, width)
+
+    def test_planted_dyadic_root_is_hit(self):
+        # (x - 5/16)(x - 3/4): bisection from (0, 1/2) lands on 5/16
+        p = [Fraction(15, 64), Fraction(-17, 16), Fraction(1)]
+        got = bisect_root(p, Fraction(0), Fraction(1, 2), Fraction(1, 2 ** 30))
+        assert got == (Fraction(5, 16), Fraction(5, 16))
+        with pytest.raises(ValueError):
+            isolate_roots(p, Fraction(0), Fraction(3, 4))
+        with pytest.raises(ValueError):
+            bisect_root(p, Fraction(5, 16), Fraction(1, 2), Fraction(1, 4))
+
+    def test_chain_members_are_positive_multiples(self):
+        p = [Fraction(3, 16), Fraction(-1), Fraction(0), Fraction(2, 3),
+             Fraction(1)]
+        ref = ref_sturm_chain(p)
+        got = _sturm_chain(_integer_poly(p))
+        assert len(got) == len(ref)
+        for a, b in zip(got, ref):
+            ratio = {Fraction(x) / y for x, y in zip(a, b) if y}
+            assert len(ratio) == 1 and ratio.pop() > 0
+            assert all(x == 0 for x, y in zip(a, b) if y == 0)
+
+    @pytest.mark.parametrize("eta", [THEOREM1_ETA] + [
+        (3,) + (1,) * s for s in range(3, 18, 2)])
+    def test_lemma3_data_is_unchanged(self, eta):
+        got, ref = lemma3_solve(eta, 256), ref_lemma3_solve(eta, 256)
+        assert (got.poly, got.x0_lo, got.x0_hi) == (ref.poly, ref.x0_lo,
+                                                    ref.x0_hi)
+        for a, b in zip(got.xj + (got.log_max, got.max_value),
+                        ref.xj + (ref.log_max, ref.max_value)):
+            assert (a.lower, a.upper) == (b.lower, b.upper)
+
+    @pytest.mark.parametrize("s", range(3, 18, 2))
+    def test_section2_brackets_are_unchanged(self, s):
+        poly = [Fraction(c) for c in [1, -2] + [0] * (s - 2) + [-2, 1]]
+        lo, hi = Fraction(1, 10 ** 6), 1 - Fraction(1, 10 ** 6)
+        brackets = isolate_roots(poly, lo, hi)
+        assert brackets == ref_isolate_roots(poly, lo, hi)
+        width = Fraction(2) ** -264
+        assert [bisect_root(poly, a, b, width) for a, b in brackets] == [
+            ref_bisect_root(poly, a, b, width) for a, b in brackets]

@@ -9,7 +9,9 @@ from mpmath.libmp import to_rational
 from betaforms import numerics
 from betaforms.balls import BallReal, ball_pi, working_precision
 from betaforms.decomposition import beta_coefficients
-from betaforms.numerics import (_PI_LOWER, _boole_sum, _choose_tail_parameters,
+from betaforms.numerics import (_LOG2_ACCEL, _PI_LOWER, _beta_enclosure,
+                                _boole_sum, _chebyshev_normalizer,
+                                _choose_tail_parameters,
                                 _direct_sum, _tail_remainder_bound,
                                 alternating_series_tail, beta_value,
                                 consistency_check, decomposition_value,
@@ -64,6 +66,56 @@ class TestBetaValue:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             beta_value(0, 64)
+
+
+def reference_beta_enclosure(i, precision):
+    """Reference: the exact-Fraction Chebyshev sum that the fixed-point one
+    replaced, as its (mid, radius) = (sum/d, 1/d)."""
+    n = int((precision + 4) / _LOG2_ACCEL) + 3
+    d = _chebyshev_normalizer(n)
+    b, c, s = Fraction(-1), Fraction(-d), Fraction(0)
+    for k in range(n):
+        c = b - c
+        s += c / Fraction(2 * k + 1) ** i
+        b *= Fraction(2 * (k + n) * (k - n), (2 * k + 1) * (k + 1))
+    return s / d, Fraction(1, d)
+
+
+def beta_oracle(i, bits):
+    """beta(i) = 4**-i (zeta(i, 1/4) - zeta(i, 3/4)), pi/4 at i = 1."""
+    with mpmath.workprec(bits):
+        if i == 1:
+            return +mpmath.pi / 4
+        quarter = mpmath.mpf(1) / 4
+        return (mpmath.zeta(i, quarter) - mpmath.zeta(i, 3 * quarter)) / 4 ** i
+
+
+BETA_PRECISIONS = (32, 64, 256, 768, 1024)
+
+
+class TestBetaFixedPoint:
+    @pytest.mark.parametrize("precision", BETA_PRECISIONS)
+    def test_rounding_bound_covers_the_exact_sum(self, precision):
+        for i in range(1, 17):
+            mid, rad = _beta_enclosure(i, precision)
+            ref_mid, ref_rad = reference_beta_enclosure(i, precision)
+            # what the radius adds to 1/d covers the floors' loss, and is
+            # under 2**-16 of 1/d
+            assert abs(mid - ref_mid) <= rad - ref_rad
+            assert rad - ref_rad <= ref_rad / 2 ** 16
+
+    @pytest.mark.parametrize("precision", BETA_PRECISIONS)
+    def test_ball_against_exact_sum_and_mpmath(self, precision):
+        slack = mpmath.mpf(2) ** (8 - 2 * precision)  # the oracle's own error
+        for i in range(1, 17):
+            v = beta_value(i, precision)
+            ref_mid, ref_rad = reference_beta_enclosure(i, precision)
+            with working_precision(precision + 16):
+                assert v.overlaps(BallReal(ref_mid, radius=ref_rad))
+            assert v.rad <= mpmath.mpf(2) ** (1 - precision)
+            exact = beta_oracle(i, 2 * precision)
+            with mpmath.workprec(4 * precision):
+                assert v.lower - slack <= exact <= v.upper + slack
 
 
 class TestBooleTail:

@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from betaforms.balls import BallReal, working_precision
+from betaforms import numtheory
+from betaforms.balls import (BallReal, ball_euler_gamma, ball_pi,
+                             working_precision)
 from betaforms.numtheory import (CarrySpec, FactoredInteger, StepFunction,
                                  _breakpoint_candidates, _min_over_y,
                                  capital_phi, carry_min_table, carry_min_value,
@@ -364,6 +366,29 @@ class TestDigamma:
             hi = digamma_rational(p, q, 128)
             assert abs(lo.mid - hi.mid) <= lo.rad + hi.rad
 
+    @given(st.integers(1, 300), st.integers(1, 60))
+    @settings(max_examples=60, deadline=None)
+    def test_against_series_oracle_random(self, p, q):
+        val = digamma_rational(p, q, 128)
+        oracle = euler_maclaurin_digamma(Fraction(p, q))
+        assert abs(val.mid - oracle) < 1e-45
+        assert val.rad <= Fraction(2) ** -127 * abs(val.mid)
+
+    def test_second_pass_adds_the_missing_bits(self, monkeypatch):
+        # psi(19/13) = -9.07e-5 >= 2**-14 in size: a first pass 60 bits short
+        # misses the relative radius, and the second asks for 14 + 1 more
+        real, calls = numtheory._digamma_sum, []
+
+        def short_first(weights, precision, *rest):
+            calls.append(precision)
+            return real(weights, precision - 60 * (len(calls) == 1), *rest)
+
+        monkeypatch.setattr(numtheory, "_digamma_sum", short_first)
+        val = digamma_rational(19, 13, 128)
+        assert calls == [128, 128 + 2 + 13]
+        assert val.rad <= Fraction(2) ** -127 * abs(val.mid)
+        assert abs(val.mid - euler_maclaurin_digamma(Fraction(19, 13))) < 1e-45
+
     def test_radius_contract(self):
         v = digamma_rational(22, 7, 200)
         assert v.rad <= Fraction(2) ** -199 * abs(v.mid)
@@ -395,3 +420,96 @@ class TestPhiExponent:
         approx = phi_exponent_sieved(profile)
         exact = phi_exponent(section2(3, 2), 64)
         assert abs(approx - float(exact.mid)) < 1.5e-2
+
+
+def reference_digamma(x: Fraction, precision: int) -> BallReal:
+    """Reference: the per-point digamma that ``_digamma_sum`` replaced, one
+    Gauss sum per point with its own sines, cosines and logs, at growing
+    guard bits until the relative radius is met."""
+    tol = Fraction(2) ** (1 - precision)
+    for attempt in range(6):
+        with working_precision(precision + 48 + 64 * attempt):
+            k = math.floor(x)
+            frac = x - k
+            if frac == 0:
+                val = -ball_euler_gamma() + BallReal(
+                    sum((Fraction(1, j) for j in range(1, k)), Fraction(0)))
+            else:
+                shift = sum((1 / (frac + j) for j in range(k)), Fraction(0))
+                a, b = frac.numerator, frac.denominator
+                pi = ball_pi()
+                val = -ball_euler_gamma() - BallReal(Fraction(2 * b)).log()
+                if 2 * a != b:
+                    t = pi * Fraction(a, b)
+                    val = val - pi / 2 * (t.cos() / t.sin())
+                for m in range(1, (b - 1) // 2 + 1):
+                    c = (pi * Fraction(2 * m * a, b)).cos()
+                    val = val + 2 * c * (pi * Fraction(m, b)).sin().log()
+                val = val + BallReal(shift)
+        if val.rad <= tol * abs(val.mid) or (
+                val.rad <= Fraction(2) ** -precision and val.contains_zero()):
+            return val
+    raise ArithmeticError("reference digamma failed to reach target radius")
+
+
+def reference_phi_exponent_from_table(table, mu, precision):
+    """Reference: the growth rate as a loop over ``reference_digamma``."""
+    mu, clipped, cache = Fraction(mu), Fraction(0), {}
+
+    def psi1(x):
+        if x not in cache:
+            cache[x] = reference_digamma(1 + x, precision + 16)
+        return cache[x]
+
+    with working_precision(precision + 32):
+        acc = BallReal(0)
+        for lo, hi, c in table.intervals():
+            if c == 0:
+                continue
+            acc = acc + c * (psi1(hi) - psi1(lo))
+            top = mu if lo == 0 else min(1 / lo, mu)
+            if top - 1 / hi > 0:
+                clipped += c * (top - 1 / hi)
+        return acc + BallReal(clipped)
+
+
+breakpoint_fractions = st.integers(2, 40).flatmap(
+    lambda q: st.integers(1, q - 1).map(lambda p: Fraction(p, q)))
+
+
+@st.composite
+def step_tables(draw):
+    """Step functions with breakpoints of denominator <= 40, values -3..5."""
+    points = sorted(set(draw(st.lists(breakpoint_fractions, max_size=8))))
+    values = draw(st.lists(st.integers(-3, 5), min_size=len(points) + 1,
+                           max_size=len(points) + 1))
+    return StepFunction.build([Fraction(0)] + points, values)
+
+
+class TestDigammaSum:
+    @given(step_tables(), st.fractions(1, 3, max_denominator=12),
+           st.sampled_from([64, 128, 256]))
+    @settings(max_examples=60, deadline=None)
+    @example(carry_min_table(THEOREM1_SPEC), Fraction(1), 256)
+    @example(carry_min_table(SECTION2_SPEC), Fraction(3, 2), 128)
+    def test_table_sum_matches_per_point_loop(self, table, mu, precision):
+        new = phi_exponent_from_table(table, mu, precision)
+        ref = reference_phi_exponent_from_table(table, mu, precision)
+        assert new.overlaps(ref)
+        assert new.rad <= ref.rad
+
+    def test_theorem1_folds_into_thirteen_denominators(self):
+        # 50 points with sum of denominators 828 share 13 denominators (the
+        # integer points 0 and 1 count as b = 1) with sum 154
+        table = carry_min_table(THEOREM1_SPEC)
+        points = {x for lo, hi, c in table.intervals() if c for x in (lo, hi)}
+        dens = {x.denominator for x in points}
+        assert len(points) == 50
+        assert sum(x.denominator for x in points) == 828
+        assert (len(dens), sum(dens)) == (13, 154)
+
+    def test_one_point_is_digamma_rational(self):
+        for x in (Fraction(1), Fraction(7, 3), Fraction(50, 41)):
+            val = digamma_rational(x.numerator, x.denominator, 128)
+            assert val.overlaps(reference_digamma(x, 128))
+            assert val.overlaps(numtheory._digamma_sum({x: 1}, 128))
