@@ -12,6 +12,7 @@ from fractions import Fraction
 from betaforms import (ArithmeticFactors, beta_coefficients, beta_value,
                        build_section2, consistency_check, integer_linear_form,
                        partial_fractions, section2, working_precision)
+from betaforms.balls import nstr
 
 profile = section2(3, 2)
 rep = build_section2(3, 2)
@@ -30,7 +31,7 @@ print(f"\nlinear form: r_2 = {dec.a[0]} + ({dec.a[2]}) * beta(2)")
 
 with working_precision(80):
     value = dec.a[0] + dec.a[2] * beta_value(2, 80)
-print(f"numeric value: {value.mid}")
+print(f"numeric value: {nstr(value.mid, 15)}")
 
 check = consistency_check(profile, 128, rep=rep, table=table, decomposition=dec)
 print(f"independent series evaluation agrees to {check.gap_bits} bits")

@@ -11,6 +11,7 @@ from betaforms import (ArithmeticFactors, BallReal, beta_coefficients,
                        beta_value, exponent_ledger, integer_linear_form,
                        partial_fractions, r_n_series, section2,
                        working_precision)
+from betaforms.balls import nstr
 from betaforms.numerics import build_profile_rep
 
 profile = section2(17, 2)
@@ -29,15 +30,15 @@ with working_precision(160):
     value = BallReal(ints[0])
     for pos, i in enumerate(dec.beta_indices, start=1):
         value = value + ints[pos] * beta_value(i, 160)
-print(f"\nvalue of the integer form: {value.mid}")
+print(f"\nvalue of the integer form: {nstr(value.mid, 15)}")
 print("  (positive and below 1, as the decay makes inevitable)")
 
 r2 = r_n_series(profile, 128, rep=rep, table=table)
-print(f"r_2 itself: {r2.mid}")
+print(f"r_2 itself: {nstr(r2.mid, 15)}")
 
 ledger = exponent_ledger(profile, 160)
 print("\nexponent ledger (per n, as n grows):")
 print(f"  lcm power grows like e^{ledger.d_exponent}")
-print(f"  cancellation factor grows like e^{ledger.phi_exponent.mid}")
-print(f"  the form decays like e^{ledger.r_exponent.mid}")
-print(f"  total: {ledger.total.mid}  ->  {ledger.verdict}")
+print(f"  cancellation factor grows like e^{nstr(ledger.phi_exponent.mid, 15)}")
+print(f"  the form decays like e^{nstr(ledger.r_exponent.mid, 15)}")
+print(f"  total: {nstr(ledger.total.mid, 15)}  ->  {ledger.verdict}")

@@ -12,6 +12,7 @@ from betaforms import (ArithmeticFactors, THEOREM1_ETA, beta_coefficients,
                        capital_phi, carry_min_table, exponent_ledger, general,
                        integer_linear_form, partial_fractions,
                        verify_coefficient_inclusions, verify_form_inclusions)
+from betaforms.balls import nstr
 from betaforms.numerics import build_profile_rep, consistency_check
 
 profile = general(THEOREM1_ETA, 2)
@@ -43,10 +44,10 @@ print(f"integer form: {len(ints)} coefficients "
 check = consistency_check(profile, 256, rep=rep, table=table,
                           decomposition=dec)
 print(f"series vs decomposition: agree to {check.gap_bits} bits; "
-      f"r_2 = {check.series.mid}")
+      f"r_2 = {nstr(check.series.mid, 15)}")
 
 ledger = exponent_ledger(profile, 192)
-print(f"\nledger: 13 * 11 - {ledger.phi_exponent.mid} + "
-      f"({ledger.r_exponent.mid})")
-print(f"  total = {ledger.total.mid} -> {ledger.verdict}")
+print(f"\nledger: 13 * 11 - {nstr(ledger.phi_exponent.mid, 15)} + "
+      f"({nstr(ledger.r_exponent.mid, 15)})")
+print(f"  total = {nstr(ledger.total.mid, 15)} -> {ledger.verdict}")
 print("so at least one of beta(2), beta(4), ..., beta(12) is irrational.")

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from betaforms import (CarrySpec, THEOREM1_ETA, carry_min_table, carry_value,
                        phi_exponent, phi_exponent_sieved, section2)
+from betaforms.balls import nstr
 from betaforms.numtheory import carry_min_value
 
 basic = CarrySpec("section2")
@@ -34,6 +35,6 @@ for x in [Fraction(7, 24), Fraction(2, 13), Fraction(2, 17), Fraction(1, 100)]:
 
 print("\ngrowth rate of the cancellation product (digamma formula vs sieve):")
 exact = phi_exponent(section2(3, 2), 96)
-print(f"  formula: {exact.mid}")
+print(f"  formula: {nstr(exact.mid, 15)}")
 for n in (10 ** 4, 10 ** 5, 10 ** 6):
     print(f"  sieved at n = {n:>9,}: {phi_exponent_sieved(section2(3, n)):.6f}")

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .balls import BallReal, working_precision
+from .balls import BallReal, nstr, working_precision
 from .numtheory import phi_exponent
 from .profiles import Profile
 
@@ -253,8 +253,6 @@ class ExponentLedger:
         return "inconclusive"
 
     def __str__(self):
-        from mpmath import nstr
-
         return (f"{self.profile.label()}: total = {nstr(self.total.mid, 12)} "
                 f"+- {nstr(self.total.rad, 3)} -> {self.verdict}")
 

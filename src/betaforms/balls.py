@@ -1,211 +1,634 @@
-"""Arbitrary-precision reals with a rigorous error radius.
+"""Certified reals as exact dyadic midpoint-radius balls on Python ints.
 
-A ``BallReal`` encloses one exact real number.  Internally it is an
-mpmath interval (directed outward rounding), exposed through the
-midpoint/radius view used everywhere else in the package.  All
-operations are conservative: the true value of the result is contained
-in the result ball whenever the true inputs are contained in the input
-balls.
+A ``BallReal`` is three ints (m, r, e) with r >= 0; it encloses one real
+number in [(m - r) 2**e, (m + r) 2**e].  Every operation is conservative:
+whenever the true inputs lie in the input balls, the true result lies in
+the result ball.  The views ``mid``, ``rad``, ``lower`` and ``upper`` are
+exact ``Fraction``s, and every comparison is exact.
 
-mpmath interval precision is a context attribute, so computations that
-produce balls should run inside ``with working_precision(bits):``.
-That context is process-global (mpmath's design); the library itself
-never mutates it outside the context manager.
+The working precision p is process-global: ``with working_precision(bits)``
+sets p = bits + GUARD_BITS, and p = 53 outside any such block.  Arithmetic
+is exact on the ints; the result's midpoint is then rounded to p
+significant bits and its radius to ``RADIUS_BITS``, and every unit the
+rounding drops is added to the radius (``_ball``).
+
+The transcendentals evaluate at the midpoint in fixed point, at scale
+2**-wp with wp a little above p, with an error bound in units of 2**-wp
+derived in each kernel's docstring; they then widen by a bound on the
+derivative over the whole ball times the radius.  pi (Machin), ln 2 and
+Euler's gamma (Brent-McMillan) are fixed-point constants cached per scale.
+
+``nstr`` prints a dyadic rational as mpmath's ``nstr`` prints the same
+value, so the decimal strings of reports read as they always have.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 from fractions import Fraction
-
-from mpmath import iv, mp, mpf
+from functools import lru_cache
 
 # Extra bits carried internally so that user-facing radii land at the
 # requested precision even after a moderate number of operations.
 GUARD_BITS = 16
+# Significant bits a radius keeps: rounding it up costs 2**-29 of itself.
+RADIUS_BITS = 30
+
+_prec = 53
 
 
 @contextlib.contextmanager
 def working_precision(bits: int):
-    """Temporarily set the interval-arithmetic precision (plus guard bits)."""
-    old = iv.prec
-    iv.prec = bits + GUARD_BITS
+    """Temporarily set the working precision to bits + GUARD_BITS."""
+    global _prec
+    old, _prec = _prec, bits + GUARD_BITS
     try:
         yield
     finally:
-        iv.prec = old
+        _prec = old
 
 
-def _to_interval(value):
-    """Convert int / Fraction / str / mpf / interval to an enclosing interval."""
-    if isinstance(value, BallReal):
-        return value._v
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return iv.mpf(value.numerator)
-        return iv.mpf(value.numerator) / iv.mpf(value.denominator)
-    return iv.mpf(value)
+def floor_log2(q) -> int:
+    """The exact floor of log2 q for a rational q > 0."""
+    q = Fraction(q)
+    n, d = q.numerator, q.denominator
+    if n <= 0:
+        raise ValueError("floor_log2 needs a positive rational")
+    k = n.bit_length() - d.bit_length()
+    return k - (n < d << k if k >= 0 else n << -k < d)
 
 
-def _raw_to_fraction(raw) -> Fraction:
-    """Exact rational value of a finite raw mpf tuple."""
-    sign, man, exp, _ = raw
-    if man == 0:
-        if exp != 0:
-            raise ValueError("endpoint is not finite")
-        return Fraction(0)
-    value = Fraction(man) * Fraction(2) ** exp
-    return -value if sign else value
+def _dyadic(m: int, e: int) -> Fraction:
+    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
+
+
+def _shift_div(a: int, k: int, b: int) -> int:
+    """floor(a 2**k / b) for b > 0."""
+    return (a << k) // b if k >= 0 else a // (b << -k)
+
+
+def _ceil_shift_div(a: int, k: int, b: int) -> int:
+    """ceil(a 2**k / b) for b > 0."""
+    return -_shift_div(-a, k, b)
+
+
+def _new(m: int, r: int, e: int) -> "BallReal":
+    b = object.__new__(BallReal)
+    b.m, b.r, b.e = m, r, e
+    return b
+
+
+def _ball(m: int, r: int, e: int) -> "BallReal":
+    return _new(*_rounded(m, r, e))
+
+
+def _rounded(m: int, r: int, e: int) -> tuple[int, int, int]:
+    """The ball (m, r, e) rounded to the working precision.
+
+    With s > 0 bits to drop, the new midpoint q is m / 2**s rounded to
+    nearest, and the new radius r' = ceil((r + |m - q 2**s|) / 2**s): every
+    x with |x - m| <= r has |x - q 2**s| <= r + |m - q 2**s| <= 2**s r'.
+    s keeps p bits of m and RADIUS_BITS bits of r, whichever drops more:
+    bits of m far below the radius carry no information.
+    """
+    s = max(abs(m).bit_length() - _prec, r.bit_length() - RADIUS_BITS)
+    if s <= 0:
+        return m, r, e
+    q = (m + (1 << (s - 1))) >> s
+    return q, -(-(r + abs(m - (q << s))) >> s), e + s
+
+
+def _parts(x) -> tuple[int, int, int]:
+    """(m, r, e) of a ball, or of a ball enclosing the rational x: exact
+    when x is dyadic, else floor(x 2**k) with radius 1 at p bits."""
+    if isinstance(x, BallReal):
+        return x.m, x.r, x.e
+    if isinstance(x, int):
+        return x, 0, 0
+    x = Fraction(x)
+    n, d = x.numerator, x.denominator
+    if d & (d - 1) == 0:
+        return n, 0, 1 - d.bit_length()
+    k = _prec - 1 - abs(n).bit_length() + d.bit_length()
+    return _shift_div(n, k, d), 1, -k
+
+
+def _coerce(x) -> "BallReal":
+    return x if isinstance(x, BallReal) else _ball(*_parts(x))
+
+
+def _align(a: "BallReal", b: "BallReal") -> tuple[int, int, int, int, int]:
+    """(m1, r1, m2, r2, e): both balls over the smaller exponent, exactly."""
+    if a.e <= b.e:
+        s = b.e - a.e
+        return a.m, a.r, b.m << s, b.r << s, a.e
+    s = a.e - b.e
+    return a.m << s, a.r << s, b.m, b.r, b.e
+
+
+def _fixed_point(m: int, e: int, wp: int) -> tuple[int, int]:
+    """(floor(m 2**(e + wp)), 1 if that floor dropped bits else 0)."""
+    if e + wp >= 0:
+        return m << (e + wp), 0
+    c = m >> -(e + wp)
+    return c, int(c << -(e + wp) != m)
+
+
+def _fixed_guard() -> int:
+    """Bits of fixed point beyond p: the kernels' error bounds are a few
+    units per series term, and a series has fewer than 2p terms."""
+    return 8 + _prec.bit_length()
 
 
 class BallReal:
-    """Midpoint-radius enclosure of a real number."""
+    """Midpoint-radius enclosure [(m - r) 2**e, (m + r) 2**e] of a real."""
 
-    __slots__ = ("_v",)
+    __slots__ = ("m", "r", "e")
 
     def __init__(self, value, radius=None):
-        v = _to_interval(value)
+        m, r, e = _parts(value)
         if radius is not None:
-            v = v + _to_interval(radius) * iv.mpf([-1, 1])
-        self._v = v
+            radius = Fraction(radius)
+            if radius < 0:
+                raise ValueError("radius must be >= 0")
+            if radius:
+                # an exponent fine enough to hold RADIUS_BITS of the radius
+                s = e - min(e, floor_log2(radius) + 1 - RADIUS_BITS)
+                m, r, e = m << s, r << s, e - s
+                r += _ceil_shift_div(radius.numerator, -e, radius.denominator)
+        self.m, self.r, self.e = _rounded(m, r, e)
 
     @classmethod
     def from_interval(cls, lo, hi) -> "BallReal":
-        b = cls.__new__(cls)
-        b._v = iv.mpf([_to_interval(lo).a, _to_interval(hi).b])
-        return b
+        """The ball [lower of lo, upper of hi]; lo, hi are balls or rationals."""
+        lo, hi = _coerce(lo), _coerce(hi)
+        lm, lr, hm, hr, e = _align(lo, hi)
+        a, b = lm - lr, hm + hr
+        if a > b:
+            raise ValueError("interval lower end exceeds its upper end")
+        return _ball(a + b, b - a, e - 1)
 
     # -- views ---------------------------------------------------------------
 
     @property
-    def mid(self) -> mpf:
-        """Midpoint at the interval's own precision (ambient-context free)."""
-        from mpmath.libmp import mpf_add, mpf_shift
-
-        lo, hi = self._v._mpi_
-        prec = max(lo[3], hi[3], 53) + 8
-        return mp.make_mpf(mpf_shift(mpf_add(lo, hi, prec, "n"), -1))
+    def mid(self) -> Fraction:
+        return _dyadic(self.m, self.e)
 
     @property
-    def rad(self) -> mpf:
-        """Radius covering both endpoints from the (rounded) midpoint."""
-        from mpmath.libmp import mpf_sub
-
-        lo, hi = self._v._mpi_
-        m = self.mid._mpf_
-        r1 = mp.make_mpf(mpf_sub(hi, m, 64, "c"))
-        r2 = mp.make_mpf(mpf_sub(m, lo, 64, "c"))
-        return r1 if r1 >= r2 else r2
+    def rad(self) -> Fraction:
+        return _dyadic(self.r, self.e)
 
     @property
-    def lower(self) -> mpf:
-        return mp.make_mpf(self._v._mpi_[0])
+    def lower(self) -> Fraction:
+        return _dyadic(self.m - self.r, self.e)
 
     @property
-    def upper(self) -> mpf:
-        return mp.make_mpf(self._v._mpi_[1])
+    def upper(self) -> Fraction:
+        return _dyadic(self.m + self.r, self.e)
 
     def __repr__(self):
-        return f"BallReal({iv.nstr(self._v, 12)})"
+        return f"BallReal({nstr(self.mid, 12)} +- {nstr(self.rad, 3)})"
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _wrap(self, v) -> "BallReal":
-        b = BallReal.__new__(BallReal)
-        b._v = v
-        return b
-
     def __add__(self, other):
-        return self._wrap(self._v + _to_interval(other))
+        """Exact sum of the aligned midpoints and of the radii, rounded once."""
+        m1, r1, m2, r2, e = _align(self, _coerce(other))
+        return _ball(m1 + m2, r1 + r2, e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._wrap(self._v - _to_interval(other))
+        m1, r1, m2, r2, e = _align(self, _coerce(other))
+        return _ball(m1 - m2, r1 + r2, e)
 
     def __rsub__(self, other):
-        return self._wrap(_to_interval(other) - self._v)
+        return _coerce(other) - self
 
     def __mul__(self, other):
-        return self._wrap(self._v * _to_interval(other))
+        """(m1 +- r1)(m2 +- r2) lies in m1 m2 +- (|m1| r2 + |m2| r1 + r1 r2),
+        exactly; then rounded once."""
+        o = _coerce(other)
+        m1, r1, m2, r2 = self.m, self.r, o.m, o.r
+        return _ball(m1 * m2, abs(m1) * r2 + abs(m2) * r1 + r1 * r2,
+                     self.e + o.e)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self._wrap(self._v / _to_interval(other))
+        """For |m2| > r2 and a, b in the balls,
+            |a/b - m1/m2| = |a m2 - m1 b| / |b m2|
+                          <= (r1 |m2| + |m1| r2) / ((|m2| - r2) |m2|).
+        The quotient is floor(m1 2**k / m2), off by under one unit (none
+        when the division is exact), with k giving it p + 2 bits.
+        """
+        o = _coerce(other)
+        m1, r1, m2, r2 = self.m, self.r, o.m, o.r
+        a2 = abs(m2)
+        if a2 <= r2:
+            raise ZeroDivisionError("division by a ball that contains zero")
+        k = _prec + 2 + a2.bit_length() - max(abs(m1).bit_length(),
+                                               r1.bit_length())
+        if k >= 0:
+            q, rem = divmod(m1 << k, m2)
+        else:
+            q, rem = divmod(m1, m2 << -k)
+        rad = _ceil_shift_div(r1 * a2 + abs(m1) * r2, k, (a2 - r2) * a2)
+        return _ball(q, rad + (rem != 0), self.e - o.e - k)
 
     def __rtruediv__(self, other):
-        return self._wrap(_to_interval(other) / self._v)
+        return _coerce(other) / self
 
     def __pow__(self, k: int):
-        return self._wrap(self._v ** k)
+        """Binary powering: every product is a rigorous ball product."""
+        if k < 0:
+            return 1 / self ** -k
+        result, base = _new(1, 0, 0), self
+        while k:
+            if k & 1:
+                result = result * base
+            k >>= 1
+            if k:
+                base = base * base
+        return result
 
     def __neg__(self):
-        # exact: swap and negate raw endpoints, no context rounding
-        from mpmath.libmp import mpf_neg
-
-        lo, hi = self._v._mpi_
-        return self._wrap(iv.make_mpf((mpf_neg(hi), mpf_neg(lo))))
+        return _new(-self.m, self.r, self.e)
 
     def __abs__(self):
-        v = self._v
-        if v.a >= 0:
-            return self._wrap(v)
-        if v.b <= 0:
+        m, r, e = self.m, self.r, self.e
+        if m - r >= 0:
+            return self
+        if m + r <= 0:
             return -self
-        from mpmath.libmp import fzero, mpf_neg
+        # straddles zero: [0, |m| + r]
+        top = abs(m) + r
+        return _ball(top, top, e - 1)
 
-        lo, hi = v._mpi_
-        nlo = mpf_neg(lo)
-        top = hi if mp.make_mpf(hi) >= mp.make_mpf(nlo) else nlo
-        return self._wrap(iv.make_mpf((fzero, top)))
+    # -- transcendentals -----------------------------------------------------
 
     def log(self) -> "BallReal":
-        return self._wrap(iv.log(self._v))
+        """log x for a ball with lower end > 0.
+
+        At the midpoint c, exactly: ``_log_fixed``.  Every x in the ball
+        has |log x - log c| <= |x - c| / lower <= r / (m - r), in units
+        of the ball's exponent, which cancels.
+        """
+        m, r, e = self.m, self.r, self.e
+        if m - r <= 0:
+            raise ValueError("log of a ball that is not positive")
+        wp = max(_prec, m.bit_length()) + _fixed_guard()
+        value, err = _log_fixed(m, e, wp)
+        return _ball(value, err + _ceil_shift_div(r, wp, m - r), -wp)
 
     def exp(self) -> "BallReal":
-        return self._wrap(iv.exp(self._v))
+        """exp x.
+
+        c' = floor(c 2**wp) 2**-wp is within d 2**-wp of the midpoint c
+        (d = 1 if the floor dropped bits).  With k = floor(c'/ln 2) and
+        S = c' 2**wp - k L, L the fixed ln 2, exp evaluates at the point
+        c'' = k ln 2 + S 2**-wp, within |k| err(L) 2**-wp of c'.  So every
+        x in the ball is within rho = R 2**-wp of c'',
+            R = ceil(r 2**(e + wp)) + d + |k| err(L),
+        and |exp x - exp c''| <= exp(c'') (exp(rho) - 1)
+                              <= exp(c'') rho (1 + 2 rho)  for rho <= 1
+        (exp(rho) <= 1 + 2 rho on [0, 1]).  A wider ball is the hull of
+        exp at its two (exact) ends.
+        """
+        m, r, e = self.m, self.r, self.e
+        wp = _prec + _fixed_guard() + max(0, m.bit_length() + e)
+        c, d = _fixed_point(m, e, wp)
+        ln2, ln2_err = _ln2(wp)
+        k, s = divmod(c, ln2)
+        big = abs(k) * ln2_err + d + _ceil_shift_div(r, e + wp, 1)
+        if big > 1 << wp:
+            return BallReal.from_interval(_new(m - r, 0, e).exp(),
+                                          _new(m + r, 0, e).exp())
+        value, err = _exp_fixed(s, wp)
+        widen = _ceil_shift_div((value + err) * big * ((1 << wp) + 2 * big),
+                                -2 * wp, 1)
+        return _ball(value, err + widen, k - wp)
 
     def sqrt(self) -> "BallReal":
-        return self._wrap(iv.sqrt(self._v))
+        """sqrt x for a ball with lower end >= 0 (after clipping at 0).
+
+        M = m 2**j with e - j even, so sqrt c = sqrt(M) 2**((e-j)/2)
+        exactly, and sqrt(M) lies in [S, S + 1) for S = isqrt(M).  Every x
+        in the ball has |sqrt x - sqrt c| <= |x - c| / (2 sqrt lower), and
+        sqrt lower >= isqrt((m - r) 2**j) 2**((e-j)/2).  A ball that
+        reaches 0 gives [0, sqrt upper].
+        """
+        m, r, e = self.m, self.r, self.e
+        if m + r < 0:
+            raise ValueError("sqrt of a negative ball")
+        if m + r == 0:
+            return _new(0, 0, 0)
+        if m - r <= 0:
+            return BallReal.from_interval(0, _new(m + r, 0, e).sqrt())
+        wp = max(_prec, m.bit_length()) + _fixed_guard()
+        j = 2 * wp - m.bit_length()
+        j += (e - j) & 1
+        s = math.isqrt(m << j)
+        widen = _ceil_shift_div(r, j, 2 * math.isqrt((m - r) << j))
+        # in half units: midpoint S + 1/2, radius 1/2 + widen
+        return _ball(2 * s + 1, 1 + 2 * widen, (e - j) // 2 - 1)
 
     def cos(self) -> "BallReal":
-        return self._wrap(iv.cos(self._v))
+        """cos x.
 
-    def sin(self) -> "BallReal":
-        return self._wrap(iv.sin(self._v))
+        c' = floor(c 2**wp) 2**-wp is within d 2**-wp of the midpoint c.
+        With P the fixed pi/2, n = round(c' / (pi/2)) and S = c' 2**wp - n P,
+        |S| 2**-wp <= pi/4 + tiny, and cos evaluates at the point
+        n pi/2 + S 2**-wp, within |n| err(P) 2**-wp of c'; there
+        cos = cos s, -sin s, -cos s, sin s for n = 0, 1, 2, 3 mod 4.
+        |cos'| <= 1, so the radius widens by r 2**e + (d + |n| err(P)) 2**-wp.
+        """
+        m, r, e = self.m, self.r, self.e
+        wp = _prec + _fixed_guard() + max(0, m.bit_length() + e)
+        c, d = _fixed_point(m, e, wp)
+        half_pi, pi_err = _pi(wp - 1)
+        n = (2 * c + half_pi) // (2 * half_pi)
+        s = c - n * half_pi
+        quadrant = n % 4
+        value, err = _cos_sin_fixed(s, wp, quadrant % 2)
+        if quadrant in (1, 2):
+            value = -value
+        widen = _ceil_shift_div(r, e + wp, 1) + d + abs(n) * pi_err
+        return _ball(value, err + widen, -wp)
 
     # -- predicates ----------------------------------------------------------
 
     def contains(self, q) -> bool:
-        """Exact membership for rationals; interval containment otherwise."""
-        if isinstance(q, (int, Fraction)):
-            q = Fraction(q)
-            lo, hi = self._v._mpi_
-            return _raw_to_fraction(lo) <= q <= _raw_to_fraction(hi)
-        x = _to_interval(q)
-        return self._v.a <= x.a and x.b <= self._v.b
+        """Exact membership of a rational, or containment of a ball."""
+        if isinstance(q, BallReal):
+            m1, r1, m2, r2, _ = _align(self, q)
+            return m1 - r1 <= m2 - r2 and m2 + r2 <= m1 + r1
+        return self.lower <= q <= self.upper
 
     def overlaps(self, other: "BallReal") -> bool:
-        return not (self._v.b < other._v.a or other._v.b < self._v.a)
+        m1, r1, m2, r2, _ = _align(self, other)
+        return abs(m1 - m2) <= r1 + r2
 
     def strictly_negative(self) -> bool:
-        return self._v.b < 0
+        return self.m + self.r < 0
 
     def strictly_positive(self) -> bool:
-        return self._v.a > 0
+        return self.m - self.r > 0
 
     def contains_zero(self) -> bool:
-        return self._v.a <= 0 <= self._v.b
+        return abs(self.m) <= self.r
 
 
 def ball_pi() -> BallReal:
-    b = BallReal.__new__(BallReal)
-    b._v = iv.pi
-    return b
+    wp = _prec + _fixed_guard()
+    return _ball(*_pi(wp), -wp)
 
 
 def ball_euler_gamma() -> BallReal:
-    b = BallReal.__new__(BallReal)
-    b._v = iv.euler
-    return b
+    wp = _prec + _fixed_guard()
+    return _ball(*_euler_gamma(wp), -wp)
+
+
+# ---------------------------------------------------------------------------
+# Fixed-point kernels: (value, err) with |value - f 2**wp| <= err
+# ---------------------------------------------------------------------------
+
+def _log_fixed(m: int, e: int, wp: int) -> tuple[int, int]:
+    """log(m 2**e) for m > 0 with m.bit_length() <= wp.
+
+    m 2**e = 2**k y with Y = y 2**wp exact and y in [1/sqrt 2, sqrt 2],
+    log y = 2 atanh t with t = (y - 1)/(y + 1), |t| <= 0.172.  T =
+    floor(t 2**wp) is off by under one unit, which moves 2 atanh t by
+    under 2/(1 - t**2) < 2.1 units; ``_atanh_fixed`` errs by under
+    2.25 N + 1.3 units over N terms, doubled here; k L errs by |k| err(L).
+    """
+    n = m.bit_length()
+    k = e + n - 1
+    one = 1 << wp
+    y = m << (wp - n + 1)
+    if y * y > one * one << 1:
+        y >>= 1
+        k += 1
+    atanh, terms = _atanh_fixed(((y - one) << wp) // (y + one), wp)
+    ln2, ln2_err = _ln2(wp)
+    return k * ln2 + 2 * atanh, 5 * terms + 5 + abs(k) * ln2_err
+
+
+def _atanh_fixed(t: int, wp: int) -> tuple[int, int]:
+    """(sum_j t**(2j+1)/(2j+1) at scale 2**-wp, number of terms N), for
+    |t| <= 0.18 2**wp.
+
+    On |t|: t2 = floor(t**2 / 2**wp) is under one unit low, so each power
+    P_j = floor(P_(j-1) t2 / 2**wp) errs by under 0.03 e_(j-1) + 0.18 + 1
+    < 1.25 units, and its floor division by 2j+1 by one more.  The sum
+    stops at the first P_N = 0, where the exact power is under 1.25 units
+    and the rest of the series under 1.3.  Total: under 2.25 N + 1.3.
+    """
+    sign = -1 if t < 0 else 1
+    t = abs(t)
+    t2 = t * t >> wp
+    total, power, j = 0, t, 0
+    while power:
+        total += power // (2 * j + 1)
+        power = power * t2 >> wp
+        j += 1
+    return sign * total, j
+
+
+def _exp_fixed(s: int, wp: int) -> tuple[int, int]:
+    """exp(s 2**-wp) at scale 2**-wp for 0 <= s < 0.7 2**wp.
+
+    Taylor terms t_n = floor(floor(t_(n-1) s / 2**wp) / n) err by
+    e_n < (e_(n-1) 0.7 + 1)/n + 1 < 2.3 units; the sum stops at the first
+    t_N = 0, whose exact term is under 3 units, so the tail is under
+    3 / (1 - 0.7) = 10.  Total: under 3 N + 10.
+    """
+    total, term, n = 0, 1 << wp, 0
+    while term:
+        total += term
+        n += 1
+        term = (term * s >> wp) // n
+    return total, 3 * n + 10
+
+
+def _cos_sin_fixed(s: int, wp: int, odd: int) -> tuple[int, int]:
+    """cos (odd = 0) or sin (odd = 1) of s 2**-wp at scale 2**-wp, for
+    |s| <= 0.8 2**wp.
+
+    On |s|, s2 = floor(s**2 / 2**wp) is under one unit low; each term
+    t_j = floor(floor(t_(j-1) s2 / 2**wp) / ((i+1)(i+2))) errs by under
+    (0.64 e_(j-1) + 2)/2 + 1 < 3 units.  The series alternates with
+    decreasing terms, so past the first t_N = 0 (exact term under 3
+    units) the tail is under 3.  Total: under 3 N + 3.
+    """
+    sign = -1 if s < 0 and odd else 1
+    s = abs(s)
+    s2 = s * s >> wp
+    total, term, i, n = 0, s if odd else 1 << wp, odd, 0
+    while term:
+        total += -term if n & 1 else term
+        term = (term * s2 >> wp) // ((i + 1) * (i + 2))
+        i += 2
+        n += 1
+    return sign * total, 3 * n + 3
+
+
+@lru_cache(maxsize=64)
+def _ln2(wp: int) -> tuple[int, int]:
+    """ln 2 = 2 atanh(1/3) = 2 sum_j 1/((2j+1) 3**(2j+1)).
+
+    q_j = q_(j-1) // 9 is exactly floor(2**wp / 3**(2j+1)), so each term
+    q_j // (2j+1) is the exact term's floor, under one unit low.  Past
+    the first q_N = 0 the exact terms sum to under 1.2 units.  Doubled:
+    under 2 N + 2.4.
+    """
+    total, q, j = 0, (1 << wp) // 3, 0
+    while q:
+        total += q // (2 * j + 1)
+        q //= 9
+        j += 1
+    return 2 * total, 2 * j + 3
+
+
+def _atan_inv(x: int, wp: int) -> tuple[int, int]:
+    """atan(1/x) = sum_j (-1)**j / ((2j+1) x**(2j+1)) for an int x >= 2.
+
+    As in ``_ln2`` each term is its exact value's floor; the signs
+    alternate and the terms decrease, so past the first zero term the
+    tail is under one unit.  Total: under N + 1.
+    """
+    total, q, j, x2 = 0, (1 << wp) // x, 0, x * x
+    while q:
+        term = q // (2 * j + 1)
+        total += -term if j & 1 else term
+        q //= x2
+        j += 1
+    return total, j + 1
+
+
+@lru_cache(maxsize=64)
+def _pi(wp: int) -> tuple[int, int]:
+    """Machin: pi = 16 atan(1/5) - 4 atan(1/239)."""
+    a, a_err = _atan_inv(5, wp)
+    b, b_err = _atan_inv(239, wp)
+    return 16 * a - 4 * b, 16 * a_err + 4 * b_err
+
+
+@lru_cache(maxsize=16)
+def _euler_gamma(wp: int) -> tuple[int, int]:
+    """Euler's gamma by Brent and McMillan's algorithm B1.
+
+    With B_k = (N**k / k!)**2, V = sum B_k and W = sum B_k H_k,
+    gamma = W/V - log N - K0(2N)/I0(2N) and 0 < K0(2N)/I0(2N)
+    < pi exp(-4N), which is under one unit for N > (wp + 2) ln 2 / 4
+    (0.1733 > ln 2 / 4 below).
+    The sums run exactly in integers: v = V_K (K!)**2, w = W_K (K!)**3
+    and h = H_k k!.  Past K >= 2N each B_k is at most B_(k-1)/4 and
+    H_(K+j) <= H_K + j, so the omitted parts of V and W are under B_K/3
+    and B_K (3 H_K + 4)/9, which moves W/V by under B_K (6 H_K + 4)/9
+    < B_K K.bit_length() (V >= 1, W_K <= H_K V_K): the loop runs until
+    that is at most one unit.  The quotient's floor, the tail, the
+    remainder and log N: under 3 + err(log N).
+    """
+    n = math.ceil((wp + 2) * 0.1733) + 1
+    n2 = n * n
+    v = power = fact = 1
+    w = h = k = 0
+    while k < 2 * n or (power * k.bit_length()) << wp > fact * fact:
+        k += 1
+        h = h * k + fact  # H_k k! from H_(k-1) (k-1)!
+        fact *= k
+        power *= n2
+        v = v * k * k + power
+        w = w * k ** 3 + power * h
+    log_n, log_err = _log_fixed(n, 0, wp)
+    return (w << wp) // (v * fact) - log_n, 3 + log_err
+
+
+# ---------------------------------------------------------------------------
+# Decimal strings
+# ---------------------------------------------------------------------------
+
+_LOG2_10 = math.log(10, 2)  # as mpmath computes it
+
+
+def nstr(x, digits: int) -> str:
+    """A dyadic rational x (an int, or a Fraction whose denominator is a
+    power of 2) as mpmath's ``nstr(x, digits)`` prints it.
+
+    The digits follow mpmath's ``to_str``: the value is truncated to a
+    fixed-point number of about digits + 3 decimals, which is rounded
+    half up at its digits-th significant digit, printed in fixed point
+    when the leading digit's exponent lies strictly between
+    min(-(digits // 3), -5) and digits, trailing zeros stripped.  For
+    |x| outside 2**+-3500 mpmath first divides by a power of ten rounded
+    to the working bits; here the decimal truncation stays exact, which
+    gives the same digits unless the value's decimals digits + 1 to
+    about digits + 6 are all 0 or all 9.
+    """
+    x = Fraction(x)
+    n, d = x.numerator, x.denominator
+    if d & (d - 1):
+        raise ValueError("nstr needs a dyadic rational")
+    if n == 0:
+        return "0.0"
+    sign = "-" if n < 0 else ""
+    man, exp = abs(n), 1 - d.bit_length()
+    dps = digits + 3
+    bitprec = int(dps * _LOG2_10) + 10
+    size = exp + man.bit_length()
+    if abs(size) > 3500:
+        # the leading decimal exponent, exactly
+        lead = math.floor((size - 1) / _LOG2_10)
+        while _dyadic(man, exp) >= Fraction(10) ** (lead + 1):
+            lead += 1
+        while _dyadic(man, exp) < Fraction(10) ** lead:
+            lead -= 1
+        scaled = _dyadic(man, exp) / Fraction(10) ** lead
+        fixdps = dps + 3
+        sd = scaled.numerator * 10 ** fixdps // scaled.denominator
+        text = str(sd)
+        exponent = lead + len(text) - fixdps - 1
+    else:
+        fixprec = max(bitprec - size, 0)
+        fixdps = int(fixprec / _LOG2_10 + 0.5)
+        sf = man << (exp + fixprec) if exp + fixprec >= 0 else \
+            man >> -(exp + fixprec)
+        text = str(sf * 10 ** fixdps >> fixprec)
+        exponent = len(text) - fixdps - 1
+    return sign + _to_str(text, exponent, digits)
+
+
+def _to_str(text: str, exponent: int, dps: int) -> str:
+    """mpmath's ``to_str`` layout of the truncated digits ``text``, whose
+    first digit has decimal exponent ``exponent``."""
+    if len(text) > dps and text[dps] in "56789":
+        text = text[:dps]
+        i = dps - 1
+        while i >= 0 and text[i] == "9":
+            i -= 1
+        if i >= 0:
+            text = text[:i] + str(int(text[i]) + 1) + "0" * (dps - i - 1)
+        else:
+            text = "1" + "0" * (dps - 1)
+            exponent += 1
+    else:
+        text = text[:dps]
+    if min(-(dps // 3), -5) < exponent < dps:
+        if exponent < 0:
+            text = "0" * -exponent + text
+            split = 1
+        else:
+            split = exponent + 1
+            if split > dps:
+                text += "0" * (split - dps)
+        exponent = 0
+    else:
+        split = 1
+    text = (text[:split] + "." + text[split:]).rstrip("0")
+    if text[-1] == ".":
+        text += "0"
+    if exponent == 0:
+        return text
+    return f"{text}e{'+' if exponent > 0 else ''}{exponent}"

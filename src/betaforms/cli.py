@@ -25,11 +25,9 @@ import json
 import sys
 from pathlib import Path
 
-from mpmath import nstr
-
 from . import __version__
 from .asymptotics import exponent_ledger
-from .balls import BallReal
+from .balls import BallReal, floor_log2, nstr
 from .decomposition import (ArithmeticFactors, beta_coefficients,
                             integer_linear_form, verify_coefficient_inclusions,
                             verify_form_inclusions)
@@ -164,6 +162,21 @@ def _profile_at(cfg: dict, n: int) -> Profile:
 def _ball(b: BallReal, precision: int, digits: int = 40) -> dict:
     return {"mid": nstr(b.mid, digits), "rad": nstr(b.rad, 8),
             "prec": precision}
+
+
+def _certified_digits(b: BallReal) -> int:
+    """The most significant digits (at least 1) that both ends of a ball
+    print alike.  Rounding is monotone, so every real in the ball prints
+    the same, and no printed digit is finer than the radius."""
+    lo, hi = b.lower, b.upper
+    if not lo or not hi or (lo < 0) != (hi < 0):
+        return 1
+    # log10(|mid| / rad) from below, plus 2: a start at or above the count
+    bits = floor_log2(abs(b.mid)) - floor_log2(b.rad)
+    digits = 2 + bits * 30103 // 100000
+    while digits > 1 and nstr(lo, digits) != nstr(hi, digits):
+        digits -= 1
+    return digits
 
 
 def _inclusion_json(report) -> dict:
@@ -317,8 +330,9 @@ def _cmd_beta(args) -> int:
     if precision < MIN_PRECISION:
         raise CliError(PRECISION_RULE)
     value = beta_value(args.index, precision)
-    report = {"index": args.index, "beta": _ball(value, precision,
-                                                 digits=precision // 3)}
+    digits = _certified_digits(value)
+    report = {"index": args.index, "digits": digits,
+              "beta": _ball(value, precision, digits)}
     _write_report(report, args.out)
     return 0
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .balls import BallReal, working_precision
+from .balls import BallReal, floor_log2, working_precision
 from .decomposition import DecompositionResult, beta_coefficients
 from .profiles import Profile
 from .rationalfn import (LinearProductRep, PartialFractionTable,
@@ -257,8 +257,7 @@ def alternating_series_tail(rep: LinearProductRep, table: PartialFractionTable,
 
 def _magnitude(ball: BallReal) -> Fraction:
     """The larger endpoint magnitude: an upper bound on |x| over the ball."""
-    man, exp = max(-ball.lower, ball.upper).man_exp
-    return man * Fraction(2) ** exp
+    return max(-ball.lower, ball.upper)
 
 
 def r_n_series(profile: Profile, precision: int = 256,
@@ -347,16 +346,9 @@ def consistency_check(profile: Profile, precision: int = 256,
                         upper_bound=math.inf if direct.contains_zero()
                         else _magnitude(direct))
     disc = abs(series.mid - direct.mid) + series.rad + direct.rad
-    gap = (precision + 64) if disc <= 0 else -int(_log2_mpf(disc)) - 1
+    gap = (precision + 64) if disc <= 0 else -floor_log2(disc) - 1
     return ConsistencyReport(profile, series, direct,
                              series.overlaps(direct), gap)
-
-
-def _log2_mpf(x) -> int:
-    """floor-ish log2 of a positive mpf of any exponent (diagnostic use)."""
-    from mpmath import log, mpf
-
-    return int(math.floor(float(log(mpf(x)) / log(mpf(2)))))
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .balls import BallReal, ball_euler_gamma, ball_pi, working_precision
+from .balls import (BallReal, ball_euler_gamma, ball_pi, floor_log2,
+                    working_precision)
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +366,8 @@ def digamma_rational(p: int, q: int, precision: int = 256) -> BallReal:
     tol = Fraction(2) ** (1 - precision)
     val = _digamma_sum({x: 1}, precision)
     if val.rad > tol * abs(val.mid) and not val.contains_zero():
-        man, exp = min(abs(val.lower), abs(val.upper)).man_exp
-        val = _digamma_sum({x: 1}, precision + 2 - exp - man.bit_length())
+        least = min(abs(val.lower), abs(val.upper))
+        val = _digamma_sum({x: 1}, precision + 1 - floor_log2(least))
     if val.rad <= tol * abs(val.mid) or (
             val.rad <= Fraction(2) ** (-precision) and val.contains_zero()):
         return val
@@ -384,6 +385,7 @@ def _digamma_sum(weights: dict[Fraction, int], precision: int,
         psi(a/b) = -gamma - log 2b - (pi/2) cot(pi a/b)
                    + sum_{0<m<b/2} c_(m a mod b) log((1 - c_m)/2).
     Per denominator b each c_j (c_j = c_(b-j)) and each log is taken once,
+    gamma only when the weights do not sum to 0,
     cot(pi k/b) = sqrt((1 + c_k)/(1 - c_k)) for 0 < k < b/2, and the weights
     on each are summed as integers first.  The guard bits cover the
     weights and the cancellation in 1 - c_1 ~ (2 pi/b)**2.
@@ -400,7 +402,9 @@ def _digamma_sum(weights: dict[Fraction, int], precision: int,
              + sum(map(abs, weights.values())).bit_length())
     with working_precision(precision + guard):
         pi = ball_pi()
-        total = BallReal(exact) - sum(weights.values()) * ball_euler_gamma()
+        total = BallReal(exact)
+        if gamma_weight := sum(weights.values()):
+            total -= gamma_weight * ball_euler_gamma()
         for b, row in rows.items():
             c = [None] + [(pi * Fraction(2 * j, b)).cos()
                           for j in range(1, (b + 1) // 2)]

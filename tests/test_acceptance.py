@@ -8,7 +8,6 @@ import random
 import time
 from fractions import Fraction
 
-import mpmath
 import pytest
 
 from betaforms.asymptotics import exponent_ledger, r_exponent
@@ -38,7 +37,7 @@ def test_criterion_01_kappa():
         kappa = ((digamma_rational(1, 2, 160) - digamma_rational(1, 3, 160) - 1)
                  + 2 * (digamma_rational(1, 1, 160)
                         - digamma_rational(1, 2, 160) - 1))
-    ok = abs(kappa.mid - mpmath.mpf("0.9411124762")) < 1e-10
+    ok = abs(kappa.mid - Fraction("0.9411124762")) < 1e-10
     ok = ok and time.time() - t0 < 1.0
     report(1, ok, "digamma combination reproduces 0.9411124762 to 1e-10", t0)
 
@@ -46,7 +45,7 @@ def test_criterion_01_kappa():
 def test_criterion_02_section2_exponent():
     t0 = time.time()
     val = r_exponent(section2(17, 2), 192)
-    ok = abs(val.mid - mpmath.mpf("-16.1123070755")) < 1e-9
+    ok = abs(val.mid - Fraction("-16.1123070755")) < 1e-9
     ok = ok and time.time() - t0 < 5.0
     report(2, ok, "s=17 decay rate equals -16.1123070755 to 1e-9", t0)
 
@@ -55,9 +54,9 @@ def test_criterion_03_theorem1_exponents():
     t0 = time.time()
     profile = general(THEOREM1_ETA, 2)
     r_val = r_exponent(profile, 192)
-    ok = abs(r_val.mid - mpmath.mpf("-100.73966317")) < 1e-7
+    ok = abs(r_val.mid - Fraction("-100.73966317")) < 1e-7
     phi_val = phi_exponent(profile, 192)
-    ok = ok and abs((143 - phi_val.mid) - mpmath.mpf("100.23354349")) < 1e-6
+    ok = ok and abs((143 - phi_val.mid) - Fraction("100.23354349")) < 1e-6
     ok = ok and time.time() - t0 < 30.0
     report(3, ok, "theorem-1 rates: -100.73966317 (1e-7) and 143-phi = "
                   "100.23354349 (1e-6)", t0)
@@ -160,7 +159,7 @@ def test_criterion_08_decomposition_oracle(bundle):
                                   decomposition=b.decomposition)
         disc = abs(check.series.mid - check.decomposition.mid) \
             + check.series.rad + check.decomposition.rad
-        ok = ok and check.passed and disc < mpmath.mpf("1e-40")
+        ok = ok and check.passed and disc < Fraction("1e-40")
         # the stronger working-precision identity: within 2^-(P-8)
         ok = ok and check.gap_bits >= 256 - 8
     ok = ok and time.time() - t0 < 300.0

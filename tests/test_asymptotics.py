@@ -1,6 +1,5 @@
 from fractions import Fraction
 
-import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -50,7 +49,7 @@ class TestLemma3:
     def test_equal_parameters_give_equal_coordinates(self):
         data = lemma3_solve((3, 1, 1, 1, 1, 1), 128)
         mids = [x.mid for x in data.xj]
-        assert max(mids) - min(mids) < mpmath.mpf(2) ** -100
+        assert max(mids) - min(mids) < Fraction(2) ** -100
         assert all(0 < float(x.mid) < 1 for x in data.xj)
 
     def test_root_interval_has_sign_change(self):
@@ -73,7 +72,7 @@ class TestLemma3:
             for ej, x in zip(eta[1:], data.xj):
                 grad = (ej / x - (e0 - 2 * ej) / (1 - x)
                         - e0 * (prod / x) / (1 + prod))
-                assert abs(grad.mid) < mpmath.mpf(10) ** -20
+                assert abs(grad.mid) < Fraction(10) ** -20
 
     def test_nonunique_root_is_an_error(self):
         # no eta feeds this shape two roots, so drive the guts directly
@@ -92,11 +91,11 @@ class TestLemma3:
 class TestRExponent:
     def test_section2_17(self):
         val = r_exponent(section2(17, 2), 192)
-        assert abs(val.mid - mpmath.mpf("-16.1123070755")) < 1e-9
+        assert abs(val.mid - Fraction("-16.1123070755")) < 1e-9
 
     def test_theorem1(self):
         val = r_exponent(general(THEOREM1_ETA, 2), 192)
-        assert abs(val.mid - mpmath.mpf("-100.73966317")) < 1e-7
+        assert abs(val.mid - Fraction("-100.73966317")) < 1e-7
 
     def test_section2_small_s_positive(self):
         # log(12^3 max ...) for s=3 is ~ log 20.2: no decay, no conclusion
@@ -123,7 +122,7 @@ class TestLedger:
         ledger = exponent_ledger(profile, 192)
         assert ledger.verdict == verdict
         if expected_total is not None:
-            assert abs(ledger.total.mid - mpmath.mpf(expected_total)) < 1e-6
+            assert abs(ledger.total.mid - Fraction(expected_total)) < 1e-6
 
     def test_nested_precisions(self):
         lo = exponent_ledger(section2(17, 2), 96)

@@ -7,6 +7,8 @@ import pytest
 from betaforms import cli
 from betaforms.cli import main
 
+from tests.test_numerics import beta_oracle
+
 
 def run_cli(*args) -> int:
     return main(list(args))
@@ -211,6 +213,18 @@ class TestOtherCommands:
         assert run_cli("beta", "--index", "2", "--precision", "64") == 0
         report = json.loads(capsys.readouterr().out)
         assert report["beta"]["mid"].startswith("0.915965594")
+
+    @pytest.mark.parametrize("index", [1, 2, 12, 16])
+    @pytest.mark.parametrize("precision", [64, 256, 1024])
+    def test_beta_prints_only_certified_digits(self, capsys, index, precision):
+        assert run_cli("beta", "--index", str(index),
+                       "--precision", str(precision)) == 0
+        report = json.loads(capsys.readouterr().out)
+        digits = report["digits"]
+        # the radius is at most 2**(1 - precision): about 0.3 digits a bit
+        assert digits >= precision * 3 // 10 - 2
+        reference = beta_oracle(index, precision + 200)
+        assert report["beta"]["mid"] == mpmath.nstr(reference, digits)
 
     def test_beta_rejects_zero(self):
         assert run_cli("beta", "--index", "0") == 2

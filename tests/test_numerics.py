@@ -39,7 +39,7 @@ class TestBetaValue:
     def test_catalan(self):
         v = beta_value(2, 256)
         with mpmath.workdps(90):
-            assert abs(v.mid - mpmath.catalan) < mpmath.mpf(2) ** -250
+            assert abs(v.mid - exact(+mpmath.catalan)) < Fraction(2) ** -250
 
     def test_leibniz_anchor(self):
         v = beta_value(1, 128)
@@ -50,13 +50,13 @@ class TestBetaValue:
     def test_high_index_truncation_oracle(self):
         v = beta_value(12, 64)
         est, err = truncation_oracle(12)
-        assert abs(v.mid - est) < err + float(v.rad)
+        assert abs(v.mid - exact(est)) < exact(err) + v.rad
         assert abs(float(v.mid) - 0.99999812) < 1e-8
 
     def test_radius_contract(self):
         for i, prec in [(1, 64), (2, 256), (6, 128)]:
             v = beta_value(i, prec)
-            assert v.rad <= mpmath.mpf(2) ** (1 - prec)
+            assert v.rad <= Fraction(2) ** (1 - prec)
 
     @pytest.mark.parametrize("i", [1, 2, 4, 6, 8, 10, 12])
     @pytest.mark.parametrize("prec", [64, 256])
@@ -106,16 +106,15 @@ class TestBetaFixedPoint:
 
     @pytest.mark.parametrize("precision", BETA_PRECISIONS)
     def test_ball_against_exact_sum_and_mpmath(self, precision):
-        slack = mpmath.mpf(2) ** (8 - 2 * precision)  # the oracle's own error
+        slack = Fraction(2) ** (8 - 2 * precision)  # the oracle's own error
         for i in range(1, 17):
             v = beta_value(i, precision)
             ref_mid, ref_rad = reference_beta_enclosure(i, precision)
             with working_precision(precision + 16):
                 assert v.overlaps(BallReal(ref_mid, radius=ref_rad))
-            assert v.rad <= mpmath.mpf(2) ** (1 - precision)
-            exact = beta_oracle(i, 2 * precision)
-            with mpmath.workprec(4 * precision):
-                assert v.lower - slack <= exact <= v.upper + slack
+            assert v.rad <= Fraction(2) ** (1 - precision)
+            ref = exact(beta_oracle(i, 2 * precision))
+            assert v.lower - slack <= ref <= v.upper + slack
 
 
 class TestBooleTail:
@@ -329,7 +328,7 @@ class TestRnSeries:
         b = bundle(profile)
         r_n_series(profile, 256, rep=b.rep, table=b.table)
         assert [precision for _, precision, _ in calls] == precisions
-        assert all(exact(ev.value.rad) <= 2 * ev.tail_bound
+        assert all(ev.value.rad <= 2 * ev.tail_bound
                    for _, _, ev in calls)
 
     def test_consistency_check_makes_one_tail_call_on_theorem1_n2(
@@ -432,6 +431,23 @@ class TestConsistency:
                                    decomposition=perturbed)
         assert not report.passed
 
+    @pytest.mark.parametrize("disc, zero_bits", [
+        (Fraction(1, 2 ** 100), 99), (Fraction(3, 2 ** 101), 99),
+        (Fraction(1, 2 ** 4000), 3999),
+        (Fraction(2 ** 4000 - 1, 2 ** 8000), 4000)])
+    def test_gap_bits_counts_the_zero_bits_exactly(self, monkeypatch, disc,
+                                                   zero_bits):
+        # gap_bits = -floor(log2 disc) - 1: the zero bits after the binary
+        # point before disc's first 1, exact also at a power of 2
+        with working_precision(4100):
+            series, direct = BallReal(disc), BallReal(0)
+        monkeypatch.setattr(numerics, "r_n_series", lambda *a, **k: series)
+        monkeypatch.setattr(numerics, "decomposition_value",
+                            lambda *a, **k: direct)
+        report = consistency_check(section2(3, 2), 64, rep=object(),
+                                   table=object(), decomposition=object())
+        assert report.gap_bits == zero_bits
+
     def test_scaled_form_lands_in_unit_interval(self, bundle):
         # the normalized integer form of the large instance is small but positive
         b = bundle(section2(17, 2))
@@ -491,6 +507,6 @@ class TestBallArithmetic:
         with working_precision(80):
             b = BallReal(Fraction(1, 3), radius=Fraction(1, 2 ** 90))
         assert b.contains(Fraction(1, 3))
-        assert b.rad >= mpmath.mpf(2) ** -90
+        assert b.rad >= Fraction(2) ** -90
         assert not b.contains_zero()
         assert (-b).strictly_negative()

@@ -323,8 +323,10 @@ class TestCapitalPhi:
 
 
 def euler_maclaurin_digamma(x: Fraction, terms: int = 20, shift: int = 60):
-    """Series oracle for the digamma comparison, in plain mpf arithmetic."""
+    """Series oracle for the digamma comparison, in plain mpf arithmetic;
+    the mpf it ends with, converted to a Fraction exactly."""
     import mpmath
+    from mpmath.libmp import to_rational
 
     with mpmath.workdps(90):
         t = mpmath.mpf(x.numerator) / x.denominator
@@ -340,7 +342,7 @@ def euler_maclaurin_digamma(x: Fraction, terms: int = 20, shift: int = 60):
             b = mpmath.bernoulli(2 * j)
             acc -= b / (2 * j) * power
             power *= t2
-        return acc
+        return Fraction(*to_rational(acc._mpf_))
 
 
 class TestDigamma:
@@ -439,12 +441,13 @@ def reference_digamma(x: Fraction, precision: int) -> BallReal:
                 a, b = frac.numerator, frac.denominator
                 pi = ball_pi()
                 val = -ball_euler_gamma() - BallReal(Fraction(2 * b)).log()
+                # sin(pi a/b) = cos(pi (b - 2a)/(2b))
                 if 2 * a != b:
-                    t = pi * Fraction(a, b)
-                    val = val - pi / 2 * (t.cos() / t.sin())
+                    val = val - pi / 2 * ((pi * Fraction(a, b)).cos()
+                                          / (pi * Fraction(b - 2 * a, 2 * b)).cos())
                 for m in range(1, (b - 1) // 2 + 1):
                     c = (pi * Fraction(2 * m * a, b)).cos()
-                    val = val + 2 * c * (pi * Fraction(m, b)).sin().log()
+                    val = val + 2 * c * (pi * Fraction(b - 2 * m, 2 * b)).cos().log()
                 val = val + BallReal(shift)
         if val.rad <= tol * abs(val.mid) or (
                 val.rad <= Fraction(2) ** -precision and val.contains_zero()):
