@@ -133,7 +133,6 @@ class Lemma3Data:
     x0_hi: Fraction
     xj: tuple[BallReal, ...]
     log_max: BallReal
-    max_value: BallReal
 
 
 def _maximizer_polynomial(eta) -> list[int]:
@@ -176,7 +175,7 @@ def lemma3_solve(eta, precision: int = 256) -> Lemma3Data:
             prod = prod * x
         log_max = log_max - e0 * (1 + prod).log()
         return Lemma3Data(tuple(map(Fraction, poly)), lo, hi, tuple(xj),
-                          log_max, log_max.exp())
+                          log_max)
 
 
 def _log_prefactor(eta) -> Fraction:

@@ -12,9 +12,9 @@ is exact on the ints; the result's midpoint is then rounded to p
 significant bits and its radius to ``RADIUS_BITS``, and every unit the
 rounding drops is added to the radius (``_ball``).
 
-The transcendentals evaluate at the midpoint in fixed point, at scale
-2**-wp with wp a little above p, with an error bound in units of 2**-wp
-derived in each kernel's docstring; they then widen by a bound on the
+The transcendentals log, sqrt and cos evaluate at the midpoint in fixed
+point, at scale 2**-wp with wp a little above p, with an error bound in
+units of 2**-wp derived in each kernel's docstring; they then widen by a bound on the
 derivative over the whole ball times the radius.  pi (Machin), ln 2 and
 Euler's gamma (Brent-McMillan) are fixed-point constants cached per scale.
 
@@ -282,34 +282,6 @@ class BallReal:
         value, err = _log_fixed(m, e, wp)
         return _ball(value, err + _ceil_shift_div(r, wp, m - r), -wp)
 
-    def exp(self) -> "BallReal":
-        """exp x.
-
-        c' = floor(c 2**wp) 2**-wp is within d 2**-wp of the midpoint c
-        (d = 1 if the floor dropped bits).  With k = floor(c'/ln 2) and
-        S = c' 2**wp - k L, L the fixed ln 2, exp evaluates at the point
-        c'' = k ln 2 + S 2**-wp, within |k| err(L) 2**-wp of c'.  So every
-        x in the ball is within rho = R 2**-wp of c'',
-            R = ceil(r 2**(e + wp)) + d + |k| err(L),
-        and |exp x - exp c''| <= exp(c'') (exp(rho) - 1)
-                              <= exp(c'') rho (1 + 2 rho)  for rho <= 1
-        (exp(rho) <= 1 + 2 rho on [0, 1]).  A wider ball is the hull of
-        exp at its two (exact) ends.
-        """
-        m, r, e = self.m, self.r, self.e
-        wp = _prec + _fixed_guard() + max(0, m.bit_length() + e)
-        c, d = _fixed_point(m, e, wp)
-        ln2, ln2_err = _ln2(wp)
-        k, s = divmod(c, ln2)
-        big = abs(k) * ln2_err + d + _ceil_shift_div(r, e + wp, 1)
-        if big > 1 << wp:
-            return BallReal.from_interval(_new(m - r, 0, e).exp(),
-                                          _new(m + r, 0, e).exp())
-        value, err = _exp_fixed(s, wp)
-        widen = _ceil_shift_div((value + err) * big * ((1 << wp) + 2 * big),
-                                -2 * wp, 1)
-        return _ball(value, err + widen, k - wp)
-
     def sqrt(self) -> "BallReal":
         """sqrt x for a ball with lower end >= 0 (after clipping at 0).
 
@@ -434,22 +406,6 @@ def _atanh_fixed(t: int, wp: int) -> tuple[int, int]:
         power = power * t2 >> wp
         j += 1
     return sign * total, j
-
-
-def _exp_fixed(s: int, wp: int) -> tuple[int, int]:
-    """exp(s 2**-wp) at scale 2**-wp for 0 <= s < 0.7 2**wp.
-
-    Taylor terms t_n = floor(floor(t_(n-1) s / 2**wp) / n) err by
-    e_n < (e_(n-1) 0.7 + 1)/n + 1 < 2.3 units; the sum stops at the first
-    t_N = 0, whose exact term is under 3 units, so the tail is under
-    3 / (1 - 0.7) = 10.  Total: under 3 N + 10.
-    """
-    total, term, n = 0, 1 << wp, 0
-    while term:
-        total += term
-        n += 1
-        term = (term * s >> wp) // n
-    return total, 3 * n + 10
 
 
 def _cos_sin_fixed(s: int, wp: int, odd: int) -> tuple[int, int]:

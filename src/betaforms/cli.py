@@ -34,8 +34,8 @@ from .decomposition import (ArithmeticFactors, beta_coefficients,
 from .numerics import (beta_value, build_profile_rep, consistency_check,
                        mc_integral, r_n_series)
 from .numtheory import carry_min_table
-from .profiles import (PRESETS, Profile, ProfileError, general,
-                       profile_violations, section2)
+from .profiles import (PRESETS, ProfileError, profile_from_spec,
+                       profile_violations)
 from .rationalfn import partial_fractions
 
 _DEFAULTS = {
@@ -80,7 +80,6 @@ _FIELDS = {
 
 MIN_PRECISION = 32
 PRECISION_RULE = f"precision must be >= {MIN_PRECISION} bits"
-LARGE_GENERAL_N = 6
 
 
 class CliError(Exception):
@@ -138,11 +137,6 @@ def _config(args) -> tuple[dict, list[str]]:
         bad.append("mc_samples must be >= 0")
     if cfg["mc_samples"] and cfg.get("family") == "section2":
         bad.append("mc_samples needs the general family")
-    big = [n for n in cfg["n"] if n >= LARGE_GENERAL_N]
-    if (big and cfg.get("family") == "general"
-            and not getattr(args, "allow_large", True)):
-        bad.append(f"general-family n >= {LARGE_GENERAL_N} (got {big}) is "
-                   "slow and memory-hungry; pass --allow-large to proceed")
     return cfg, bad
 
 
@@ -151,12 +145,6 @@ def _valid_config(args) -> dict:
     if bad:
         raise CliError("invalid profile: " + "; ".join(bad))
     return cfg
-
-
-def _profile_at(cfg: dict, n: int) -> Profile:
-    if cfg["family"] == "section2":
-        return section2(cfg["s"], n)
-    return general(cfg["eta"], n)
 
 
 def _ball(b: BallReal, precision: int, digits: int = 40) -> dict:
@@ -193,7 +181,7 @@ def _inclusion_json(report) -> dict:
 
 def _run_one_n(cfg: dict, n: int, failures: list[str]) -> dict:
     precision = cfg["precision"]
-    profile = _profile_at(cfg, n)
+    profile = profile_from_spec(cfg, n)
     rep = build_profile_rep(profile)
     table = partial_fractions(rep)
     dec = beta_coefficients(table, profile)
@@ -245,7 +233,7 @@ def _run_one_n(cfg: dict, n: int, failures: list[str]) -> dict:
 
 def _asymptotics_json(cfg: dict, failures: list[str]) -> dict:
     precision = cfg["precision"]
-    profile = _profile_at(cfg, cfg["n"][0])
+    profile = profile_from_spec(cfg, cfg["n"][0])
     ledger = exponent_ledger(profile, precision)
     if ledger.verdict == "inconclusive":
         failures.append("criterion enclosure straddles zero")
@@ -304,7 +292,7 @@ def _cmd_asymptotics(args) -> int:
 
 def _cmd_phi_table(args) -> int:
     cfg = _valid_config(args)
-    profile = _profile_at(cfg, cfg["n"][0])
+    profile = profile_from_spec(cfg, cfg["n"][0])
     table = carry_min_table(profile.carry_spec)
     report = {
         "profile": args.profile,
@@ -313,8 +301,8 @@ def _cmd_phi_table(args) -> int:
             for lo, hi, v in table.intervals()
         ],
         "per_n": [
-            {"n": n,
-             "phi": str(ArithmeticFactors.for_profile(_profile_at(cfg, n)).phi)}
+            {"n": n, "phi": str(ArithmeticFactors.for_profile(
+                profile_from_spec(cfg, n)).phi)}
             for n in cfg["n"]
         ],
     }
@@ -323,8 +311,6 @@ def _cmd_phi_table(args) -> int:
 
 
 def _cmd_beta(args) -> int:
-    if args.index < 1:
-        raise CliError("beta index must be >= 1")
     precision = (_DEFAULTS["precision"] if args.precision is None
                  else args.precision)
     if precision < MIN_PRECISION:
@@ -365,8 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="full verification run + report")
     add_common(p)
     p.add_argument("--seed", type=int, help="Monte Carlo seed")
-    p.add_argument("--allow-large", action="store_true",
-                   help=f"allow general-family n >= {LARGE_GENERAL_N}")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("asymptotics", help="exponent ledger only")

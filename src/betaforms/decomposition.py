@@ -3,13 +3,14 @@ exact verification of every divisibility claim.
 
 Resumming the alternating series termwise over the table turns each pole
 into a multiple of the alternating odd-power sum, leaving a rational
-constant from the finitely many shifted terms.  The family's sign
-convention and inner-sum origin come from the profile; they are never
-inferred from the data.
+constant from the finitely many shifted terms.  Pole k carries the sign
+(-1)**k in every family; the inner-sum origins come from the profile and
+are never inferred from the data.
 
-Divisibility violations are data, not exceptions: the verifiers return
-structured reports with per-prime deficits so that deliberately weakened
-exponents can be probed.
+Every integrality claim, phi**-1 d**e v in Z, goes through one kernel,
+``_scaled``.  Divisibility violations are data, not exceptions: the
+verifiers return structured reports with per-prime deficits so that
+deliberately weakened exponents can be probed.
 """
 
 from __future__ import annotations
@@ -78,35 +79,37 @@ class ArithmeticFactors:
         return cls(lcm_up_to(profile.d_index), capital_phi(profile), profile.s)
 
 
-def _assemble(table: PartialFractionTable, profile: Profile, s: int,
-              sign, ell_origin) -> tuple[Fraction, ...]:
+def _assemble(table: PartialFractionTable, s: int,
+              origins) -> tuple[Fraction, ...]:
+    """a_0..a_s from the table; ``origins`` holds each pole's inner-sum
+    start, in the order of ``table.pole_ks``.
+
+    Pole k enters with the sign (-1)**k.  That fixes r_n to match the
+    (positive) integral representation: at index nu, pole k's part is a
+    power of 1/(ell + 1/2) with ell = nu + k + j (``Profile.series_sign``),
+    so the series carries (-1)**(nu+1) for section2 (j = -1) and (-1)**nu
+    for the general family (j = 0), which lands on (-1)**k at pole k in
+    both cases.
+    """
+    rows = [row if k % 2 == 0 else [-c for c in row]
+            for k, row in zip(table.pole_ks, table.rows)]
     a = [Fraction(0)] * (s + 1)
     for i in range(1, s + 1):
-        acc = Fraction(0)
-        for idx, k in enumerate(table.pole_ks):
-            c = table.rows[idx][i - 1]
-            if c:
-                acc += sign(k) * c
-        a[i] = 2 ** i * acc
-    origins = [ell_origin(k) for k in table.pole_ks]
-    a0 = Fraction(0)
-    for i in range(1, s + 1):
-        a0 += _tail_correction_sum(i, [
-            (origin, sign(k) * row[i - 1])
-            for k, row, origin in zip(table.pole_ks, table.rows, origins)
+        a[i] = 2 ** i * sum((row[i - 1] for row in rows), Fraction(0))
+        a[0] += _tail_correction_sum(i, [
+            (origin, row[i - 1]) for origin, row in zip(origins, rows)
             if row[i - 1]])
-    a[0] = a0
     return tuple(a)
 
 
 def beta_coefficients(table: PartialFractionTable, profile: Profile) -> DecompositionResult:
-    """Exact linear-form coefficients for the profile's sign/origin convention."""
+    """Exact linear-form coefficients for the profile's inner-sum origins."""
     if tuple(profile.pole_ks) != table.pole_ks:
         raise ValueError("table poles do not match profile")
     if profile.pole_offset != table.pole_offset:
         raise ValueError("table pole offset does not match profile")
-    a = _assemble(table, profile, profile.s, profile.sign, profile.ell_origin)
-    return DecompositionResult(profile, a)
+    origins = [profile.ell_origin(k) for k in table.pole_ks]
+    return DecompositionResult(profile, _assemble(table, profile.s, origins))
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +160,27 @@ def _prime_deficits(denominator: int) -> dict[int, int]:
     return out
 
 
+def _scaled(factors: ArithmeticFactors, pairs) -> list[Fraction]:
+    """phi**-1 d**e v for each (e, v) pair, exactly: the one integrality
+    kernel.  Each power d**e is taken once, however many pairs share it."""
+    d, phi = factors.d.value(), factors.phi.value()
+    scales = {e: Fraction(d) ** e / phi for e in {e for e, _ in pairs}}
+    return [v * scales[e] for e, v in pairs]
+
+
+def _inclusion_report(factors: ArithmeticFactors, entries,
+                      exponent_slack: int) -> InclusionReport:
+    """Check phi**-1 d**(s-i-slack) v in Z for each (i, k, v) entry; zero
+    entries count as checked and hold."""
+    entries = list(entries)
+    nonzero = [t for t in entries if t[2]]
+    scaled = _scaled(factors, [(factors.s - i - exponent_slack, v)
+                               for i, _, v in nonzero])
+    return InclusionReport(len(entries), tuple(
+        Violation(i, k, v, _prime_deficits(v.denominator))
+        for (i, k, _), v in zip(nonzero, scaled) if v.denominator != 1))
+
+
 def verify_coefficient_inclusions(table: PartialFractionTable,
                                   factors: ArithmeticFactors,
                                   exponent_slack: int = 0) -> InclusionReport:
@@ -165,20 +189,7 @@ def verify_coefficient_inclusions(table: PartialFractionTable,
     ``exponent_slack`` deliberately weakens the lcm power; nonzero slack is
     how tightness of the stated exponent is probed empirically.
     """
-    d = factors.d.value()
-    phi = factors.phi.value()
-    checked = 0
-    violations = []
-    for i, k, c in table.entries():
-        checked += 1
-        if not c:
-            continue
-        e = factors.s - i - exponent_slack
-        scaled = c * Fraction(d) ** e / phi
-        if scaled.denominator != 1:
-            violations.append(Violation(i, k, scaled,
-                                        _prime_deficits(scaled.denominator)))
-    return InclusionReport(checked, tuple(violations))
+    return _inclusion_report(factors, table.entries(), exponent_slack)
 
 
 def verify_form_inclusions(result: DecompositionResult,
@@ -187,19 +198,8 @@ def verify_form_inclusions(result: DecompositionResult,
 
     Odd i are vacuous (a_i = 0 exactly) and are recorded as passing.
     """
-    d = factors.d.value()
-    phi = factors.phi.value()
-    checked = 0
-    violations = []
-    for i, ai in enumerate(result.a):
-        checked += 1
-        if not ai:
-            continue
-        scaled = ai * Fraction(d) ** (factors.s - i) / phi
-        if scaled.denominator != 1:
-            violations.append(Violation(i, None, scaled,
-                                        _prime_deficits(scaled.denominator)))
-    return InclusionReport(checked, tuple(violations))
+    return _inclusion_report(
+        factors, ((i, None, ai) for i, ai in enumerate(result.a)), 0)
 
 
 class InclusionError(ArithmeticError):
@@ -211,13 +211,11 @@ def integer_linear_form(result: DecompositionResult,
     """Integer tuple (A_0, A_2, ..., A_{s-1}) with
     phi**-1 d**s r = A_0 + sum A_i beta(i), plus a description of the scale.
     """
-    d = factors.d.value()
-    phi = factors.phi.value()
     s = factors.s
-    scale = Fraction(d) ** s / phi
+    indices = [0] + result.beta_indices
+    scaled = _scaled(factors, [(s, result.a[i]) for i in indices])
     out = []
-    for i in [0] + result.beta_indices:
-        v = result.a[i] * scale
+    for i, v in zip(indices, scaled):
         if v.denominator != 1:
             raise InclusionError(f"a_{i} does not scale to an integer")
         out.append(int(v))
@@ -252,13 +250,12 @@ def remark1_denominator_probe(s: int, n: int) -> Remark1Report:
     """
     profile = section2(s, n)
     table = partial_fractions(build_remark1(s, n))
-    a = _assemble(table, profile, s, profile.sign, lambda k: k)
-    phi = capital_phi(profile).value()
-    a0 = a[0]
+    a0 = _assemble(table, s, table.pole_ks)[0]
+    phi = capital_phi(profile)
 
     def clears(index: int) -> bool:
-        v = a0 * Fraction(lcm_up_to(index).value()) ** s / phi
-        return v.denominator == 1
+        factors = ArithmeticFactors(lcm_up_to(index), phi, s)
+        return _inclusion_report(factors, [(0, None, a0)], 0).ok
 
     dn = clears(n)
     d2n = clears(2 * n)

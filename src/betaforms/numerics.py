@@ -293,8 +293,7 @@ def r_n_series(profile: Profile, precision: int = 256,
             last = (a, m)
             upper_bound = min(upper_bound, _magnitude(ev.value))
         tbits *= 2
-    eps = profile.series_term_sign(0)  # overall sign vs the plain (-1)**nu sum
-    return ev.value if eps == 1 else -ev.value
+    return ev.value if profile.series_sign == 1 else -ev.value
 
 
 # ---------------------------------------------------------------------------

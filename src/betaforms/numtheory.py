@@ -2,6 +2,12 @@
 the prime-power cancellation factor, digamma at rationals, and the
 exponential growth rate of the cancellation factor.
 
+The cancellation factor runs over one prime window per profile: the
+primes p <= d_index with p*p > phi_lower_sq, each with the exponent
+table(n/p) of the carry-minimum table.  ``_prime_window`` is its one
+copy; ``capital_phi`` takes the exact product over it and
+``phi_exponent_sieved`` the double-precision log.
+
 The growth rate is an integer-weighted sum of digamma values at the
 table's breakpoints; ``_digamma_sum`` evaluates such a sum by Gauss's
 digamma theorem once per reduced denominator, so each cosine and each
@@ -329,23 +335,22 @@ def carry_min_value(spec: CarrySpec, x) -> tuple[int, Fraction]:
 # The prime-power cancellation factor
 # ---------------------------------------------------------------------------
 
-def capital_phi(profile) -> FactoredInteger:
-    """Product over primes in the profile's range of p**table(n/p).
-
-    The range is phi_lower < p <= phi_upper with the lower cutoff compared
-    exactly as p*p > phi_lower_sq (strict).
-    """
+def _prime_window(profile):
+    """(p, table(n/p)) for each prime p of the cancellation factor's window,
+    p <= d_index with p*p > phi_lower_sq (strict, compared exactly)."""
     table = carry_min_table(profile.carry_spec)
-    n = profile.n
+    for p in sieve_primes(profile.d_index):
+        if p * p > profile.phi_lower_sq:
+            yield p, table.value_at(Fraction(profile.n, p))
+
+
+def capital_phi(profile) -> FactoredInteger:
+    """Product of p**table(n/p) over the primes of ``_prime_window``."""
     factors = {}
-    for p in sieve_primes(profile.phi_upper):
-        if p * p <= profile.phi_lower_sq:
-            continue
-        e = table.value_at(Fraction(n, p))
+    for p, e in _prime_window(profile):
         if e < 0:
             raise ValueError(f"negative carry minimum at p={p}")
-        if e > 0:
-            factors[p] = e
+        factors[p] = e
     return FactoredInteger.from_dict(factors)
 
 
@@ -466,13 +471,5 @@ def phi_exponent_sieved(profile) -> float:
 
     Empirical anchor for ``phi_exponent`` at large n; not a rigorous bound.
     """
-    table = carry_min_table(profile.carry_spec)
-    n = profile.n
-    terms = []
-    for p in sieve_primes(profile.phi_upper):
-        if p * p <= profile.phi_lower_sq:
-            continue
-        e = table.value_at(Fraction(n, p))
-        if e:
-            terms.append(e * math.log(p))
-    return math.fsum(terms) / n
+    return math.fsum(e * math.log(p) for p, e in _prime_window(profile)
+                     if e) / profile.n

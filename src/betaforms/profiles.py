@@ -9,8 +9,9 @@ A profile pins down one instance of the linear-form construction:
   sum eta_j <= (s-1) eta_0 / 2; half-integer shift data h_j, pole window
   [N, h_0-N-1], lcm index M, prime window sqrt(2 h_0) < p <= M.
 
-Everything derived (h, N, M, the normalizing factor, sign and summation
-conventions) lives here so that downstream modules never re-derive it.
+Everything derived (h, N, M, the normalizing factor, pole and summation
+conventions) lives here, each fact derived once, so that downstream
+modules never re-derive it.
 """
 
 from __future__ import annotations
@@ -81,21 +82,18 @@ class Profile:
     @property
     def mu(self) -> Fraction:
         """Growth index of the lcm: lim d^(1/n) = e**mu."""
-        return Fraction(1) if self.is_section2 else Fraction(self.M, self.n)
+        return Fraction(self.d_index, self.n)
 
     @property
     def d_index(self) -> int:
-        """m such that d_m clears all coefficient denominators."""
+        """m such that d_m clears all coefficient denominators; also the
+        top of the cancellation factor's prime window."""
         return self.n if self.is_section2 else self.M
 
     @property
     def phi_lower_sq(self) -> int:
-        """Primes enter the cancellation factor iff p*p > this (and p <= upper)."""
+        """Primes p <= d_index enter the cancellation factor iff p*p > this."""
         return 4 * self.n if self.is_section2 else 2 * self.h0
-
-    @property
-    def phi_upper(self) -> int:
-        return self.n if self.is_section2 else self.M
 
     # -- general-family shift data --------------------------------------------
 
@@ -150,36 +148,26 @@ class Profile:
         """c with a_{i,k} = (-1)^i a_{i, c-k}."""
         return self.n if self.is_section2 else self.h0 - 1
 
-    def sign(self, k: int) -> int:
-        """Sign attached to pole k when resumming into beta values.
-
-        Fixed so that r_n matches the (positive) integral representation:
-        the series carries (-1)**(nu+1) for section2 and (-1)**nu for the
-        general family, which lands on (-1)**k at pole k in both cases.
-        """
-        return 1 if k % 2 == 0 else -1
-
     def ell_origin(self, k: int) -> int:
         """Start index of the shifted inner sum attached to pole k."""
-        if self.is_section2:
-            return k - self.n // 2
-        return k - (self.h0 - 1) // 2
+        return k - self.reflection_constant // 2
 
     @property
     def series_start(self) -> int:
         """First summation index at which the rational function can be nonzero."""
         return self.n + 1 if self.is_section2 else 0
 
-    def series_term_sign(self, nu: int) -> int:
-        """Sign on the series term at index nu; see ``sign``."""
-        if self.is_section2:
-            return 1 if nu % 2 == 1 else -1
-        return 1 if nu % 2 == 0 else -1
-
     @property
     def series_argument_shift(self) -> Fraction:
         """The series term at index nu evaluates the function at nu + shift."""
         return Fraction(-1, 2) if self.is_section2 else Fraction(0)
+
+    @property
+    def series_sign(self) -> int:
+        """Sign of r_n against the plain sum of (-1)**nu times the terms:
+        (-1)**j, j = shift + pole_offset - 1/2 (see ``_assemble``)."""
+        j = self.series_argument_shift + self.pole_offset - Fraction(1, 2)
+        return -1 if j % 2 else 1
 
     @property
     def asymptotic_eta(self) -> tuple[int, ...]:
@@ -219,8 +207,14 @@ PRESETS = {
 }
 
 
+def profile_from_spec(spec: dict, n: int) -> Profile:
+    """The profile at order n of a ``PRESETS`` value or a checked profile
+    JSON object."""
+    eta = spec.get("eta")
+    return Profile(spec["family"], spec["s"], n, tuple(eta) if eta else None)
+
+
 def preset(name: str, n: int = 2) -> Profile:
     if name not in PRESETS:
         raise KeyError(f"unknown preset {name!r}")
-    spec = PRESETS[name]
-    return Profile(spec["family"], spec["s"], n, spec.get("eta"))
+    return profile_from_spec(PRESETS[name], n)

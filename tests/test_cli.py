@@ -1,5 +1,8 @@
+import importlib
+import importlib.util
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -156,10 +159,12 @@ class TestRun:
         assert run_cli("run", "--profile", str(path)) == 2
         assert capsys.readouterr().err == f"error: {error}\n"
 
-    def test_large_n_gate(self, tmp_path):
-        code = run_cli("run", "--profile", "theorem1", "--n", "6",
-                       "--out", str(tmp_path / "r.json"))
-        assert code == 2
+    def test_large_general_n_runs(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert run_cli("run", "--profile", "theorem1", "--n", "6",
+                       "--out", str(out)) == 0
+        report = json.loads(out.read_text())
+        assert report["ok"] and report["per_n"][0]["consistency"]["passed"]
 
     @pytest.mark.parametrize("command", ["run", "asymptotics", "phi-table"])
     @pytest.mark.parametrize("cfg, phrase", MALFORMED)
@@ -226,5 +231,45 @@ class TestOtherCommands:
         reference = beta_oracle(index, precision + 200)
         assert report["beta"]["mid"] == mpmath.nstr(reference, digits)
 
-    def test_beta_rejects_zero(self):
+    def test_beta_rejects_zero(self, capsys):
         assert run_cli("beta", "--index", "0") == 2
+        assert capsys.readouterr().err == "error: beta index must be >= 1\n"
+
+
+class TestBenchmarkContract:
+    """``perfbench`` patches package functions by the names their callers
+    look them up by; a rename in ``src`` must fail here, not in a run."""
+
+    @staticmethod
+    def spans():
+        path = Path(__file__).resolve().parent.parent / "perfbench/spans.py"
+        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_every_traced_name_resolves(self):
+        spans = self.spans()
+        for _, sites, _ in spans.TARGETS:
+            for mod, attr in sites:
+                module = importlib.import_module("betaforms." + mod)
+                assert callable(getattr(module, attr)), (mod, attr)
+        for mod, attr, _ in spans.CACHES:
+            module = importlib.import_module("betaforms." + mod)
+            assert hasattr(getattr(module, attr), "cache_info"), (mod, attr)
+
+    def test_run_builds_through_cli_once_per_n(self, tmp_path, monkeypatch):
+        # the benchmark marks start-up at the first cli.build_profile_rep call
+        seen = []
+        build = cli.build_profile_rep
+
+        def counted(profile):
+            seen.append(profile.n)
+            return build(profile)
+
+        monkeypatch.setattr(cli, "build_profile_rep", counted)
+        path = tmp_path / "s3.json"
+        path.write_text(json.dumps({**S3, "asymptotics": False}))
+        assert run_cli("run", "--profile", str(path), "--n", "2", "4",
+                       "--out", str(tmp_path / "r.json")) == 0
+        assert seen == [2, 4]

@@ -12,9 +12,11 @@ from betaforms.decomposition import (ArithmeticFactors, InclusionError,
                                      verify_form_inclusions)
 from betaforms.numtheory import lcm_up_to
 from betaforms.profiles import THEOREM1_ETA, general, section2
-from betaforms.rationalfn import build_section2, partial_fractions
+from betaforms.rationalfn import (build_general, build_section2,
+                                  partial_fractions)
 
 from tests.conftest import SECTION2_SUITE, THEOREM1_NS, suite_profiles
+from tests.test_numtheory import admissible_general
 
 
 class TestInnerSum:
@@ -163,6 +165,25 @@ class TestIntegerLinearForm:
                 a + Fraction(1, 7) for a in b.decomposition.a))
         with pytest.raises(InclusionError):
             integer_linear_form(broken, b.factors)
+
+
+class TestRandomProfiles:
+    @settings(max_examples=6, deadline=None)
+    @given(admissible_general((5, 7), 12).filter(lambda case: case[1] <= 2))
+    def test_inclusions_and_integer_form(self, case):
+        _, n, eta = case
+        profile = general(eta, n)
+        table = partial_fractions(build_general(profile))
+        dec = beta_coefficients(table, profile)
+        factors = ArithmeticFactors.for_profile(profile)
+        assert verify_coefficient_inclusions(table, factors).ok
+        assert verify_form_inclusions(dec, factors).ok
+        ints, _ = integer_linear_form(dec, factors)
+        d = math.lcm(*range(1, profile.d_index + 1))
+        scale = Fraction(d) ** profile.s / factors.phi.value()
+        assert all(type(v) is int for v in ints)
+        assert list(ints) == [dec.a[i] * scale
+                              for i in [0] + dec.beta_indices]
 
 
 class TestRemark1Probe:

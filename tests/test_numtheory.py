@@ -313,7 +313,7 @@ class TestCapitalPhi:
         profile = section2(3, 36)
         table_version = capital_phi(profile)
         direct = {}
-        for p in sieve_primes(profile.phi_upper):
+        for p in sieve_primes(profile.d_index):
             if p * p <= profile.phi_lower_sq:
                 continue
             e, _ = carry_min_value(profile.carry_spec, Fraction(profile.n, p))
