@@ -2,20 +2,23 @@
 linear-form series, the series-vs-decomposition consistency oracle, and a
 Monte Carlo estimate of the multidimensional integral form.
 
-Everything except the Monte Carlo routine returns balls whose radii are
-honest bounds:
-
-* beta values use the Chebyshev-weight acceleration scheme for alternating
-  series of moments; its error is at most 1/d with d the integer Chebyshev
-  normalizer, since 1/(2k+1)**i is a moment sequence of a positive measure.
-  The weights are integers, and the sum runs in fixed point with a
-  rounding bound of n units that is added to the radius.
-* the linear-form series is summed exactly up to a cutoff by binary
-  splitting, and the tail by Boole summation: Taylor coefficients at the
-  cutoff weighted by Euler-polynomial constants, in fixed-point integers
-  with a rounding bound derived before the pass, plus a remainder bound
-  through the partial-fraction coefficients.  Of the rungs of doubling
-  accuracy, those that cannot certify the sign are skipped.
+Everything except the Monte Carlo routine returns balls with honest radii.
+Both alternating sums use the Chebyshev acceleration of Cohen, Rodriguez
+Villegas and Zagier (*Experimental Math.* 9, 2000): with d = T_N(3) and
+the integer weights c_k of ``_chebyshev_weights``, sum c_k a_k / d misses
+sum (-1)**k a_k by at most B/d when a_k = int_0^1 t**k w(t) dt and
+B >= int_0^1 |w|.  For beta(i), a_k = (2k + 1)**-i and B = 1.  The series
+term a_j = f(start + shift + j) = sum c_ik (j + X_k)**-i over the pole
+table, X_k = start + shift + k + pole_offset > 0, is the moment of
+w(t) = sum c_ik t**(X_k - 1) (-log t)**(i - 1) / (i - 1)!, so
+B = sum |c_ik| / X_k**i (``_moment_bound``); N is the least size with
+B/d <= target/2.  The terms run in fixed point at scale 2**P, each the
+last times the integer step ratio, floored; each floor's error is carried
+as an integer bound that does not depend on P, so the whole fixed-point
+error is known before the pass and P is chosen to keep it at most
+target/4.  The table enters only B, the radius, so the series value stays
+independent of the decomposition.  ``r_n_series`` meets the radius
+2**-(precision + 64) min(1, |r|).
 """
 
 from __future__ import annotations
@@ -30,11 +33,14 @@ from .decomposition import DecompositionResult, beta_coefficients
 from .profiles import Profile
 from .rationalfn import (LinearProductRep, PartialFractionTable,
                          build_general, build_section2, partial_fractions)
-# divide_trunc is unused here; perfbench traces numerics.divide_trunc by name
-from .series import divide_trunc, euler_numbers_at_zero, mul_linear
+# Unused here: the benchmark traces numerics.divide_trunc and
+# numerics.euler_numbers_at_zero by these names.
+from .series import divide_trunc, euler_numbers_at_zero
 
 _LOG2_ACCEL = 2.5431  # log2(3 + sqrt 8), the per-term gain of the scheme
-_PI_LOWER = Fraction(333, 106)  # rational lower bound on pi
+# The series descent gives up below this target, 2**-65536: a ball that
+# still straddles zero there says only that |r| is smaller.
+_MAX_SERIES_BITS = 1 << 16
 
 
 def _chebyshev_normalizer(n: int) -> int:
@@ -43,6 +49,16 @@ def _chebyshev_normalizer(n: int) -> int:
     for _ in range(n - 1):
         a, b = b, 6 * b - a
     return b if n >= 1 else 1
+
+
+def _chebyshev_weights(n: int, d: int):
+    """The integer weights c_0..c_{n-1} of the scheme of size n, with
+    d = T_n(3): sum c_k a_k / d approximates sum (-1)**k a_k."""
+    b, c = -1, -d
+    for k in range(n):
+        c = b - c
+        yield c
+        b = b * 2 * (k + n) * (k - n) // ((2 * k + 1) * (k + 1))  # exact
 
 
 @lru_cache(maxsize=None)
@@ -61,11 +77,13 @@ def _beta_enclosure(i: int, precision: int) -> tuple[Fraction, Fraction]:
     # s in units of 2**-p: each floor loses under a unit, so s/2**p <= sum
     # c_k/(2k+1)**i < (s + n)/2**p, and n/2**(p+1) < 2**-(precision+17)
     p = precision + 16 + n.bit_length()
-    b, c, s = -1, -d, 0
-    for k in range(n):
-        c = b - c
-        s += (c << p) // (2 * k + 1) ** i
-        b = b * 2 * (k + n) * (k - n) // ((2 * k + 1) * (k + 1))  # exact
+    s = 0
+    for k, c in enumerate(_chebyshev_weights(n, d)):
+        if i * ((2 * k + 1).bit_length() - 1) >= abs(c).bit_length() + p:
+            # (2k+1)**i > |c| 2**p, so the floor is 0 or -1: skip the power
+            s -= c < 0
+        else:
+            s += (c << p) // (2 * k + 1) ** i
     # moment-sequence error bound: |S - sum/d| <= S/d < 1/d
     return (Fraction(2 * s + n, d << (p + 1)),
             Fraction((1 << (p + 1)) + n, d << (p + 1)))
@@ -78,153 +96,72 @@ def build_profile_rep(profile: Profile) -> LinearProductRep:
 
 
 # ---------------------------------------------------------------------------
-# Boole tail machinery
+# Linear-form series
 # ---------------------------------------------------------------------------
 
-def _tail_remainder_bound(table: PartialFractionTable, shift: Fraction,
-                          a: int, m: int) -> Fraction:
-    """Rigorous bound on the Boole remainder for the tail starting at a.
-
-    Integrates the m-th derivative bound of the partial-fraction form
-    termwise; the periodic-Euler-polynomial envelope contributes 3/pi**m
-    (Fourier bound with margin).  Everything is exact rational arithmetic
-    with a rational lower bound for pi.
-    """
-    base = a + shift + table.pole_offset
-    # i(i+1)...(i+m-1) / (i+m-1), one integer per order i
-    rising = [math.prod(range(i, i + m - 1)) for i in range(1, table.s + 1)]
-    total = Fraction(0)
+def _moment_bound(table: PartialFractionTable, x0: Fraction) -> tuple[int, int]:
+    """(b, e) with B = sum |c_ik| / (x0 + k)**i <= b / 2**e: one ceiling
+    division per entry |c| 2**i / y**i, y = 2(x0 + k), at the scale e that
+    puts the largest near 2**64 units by bit lengths.  No Fraction sums;
+    a pole at or right of x0 raises."""
+    x2, terms = int(2 * x0), []
     for row, k in zip(table.rows, table.pole_ks):
-        if not any(row):
-            continue
-        dist = base + k
-        if dist <= 0:
-            raise ValueError("tail cutoff does not clear the poles")
-        # the pole's terms |c| rising / dist**(i+m-1) over one denominator
-        p, q = dist.numerator, dist.denominator
-        den = math.lcm(*(c.denominator for c in row))
-        num = 0
-        for i, c in enumerate(row, 1):
-            if c:
-                num += (abs(c.numerator) * (den // c.denominator) * rising[i - 1]
-                        * q ** (i + m - 1) * p ** (table.s - i))
-        total += Fraction(num, den * p ** (table.s + m - 1))
-    return 3 * total / _PI_LOWER ** m
+        y = x2 + 2 * k
+        if y <= 0 and any(row):
+            raise ValueError("the series must start right of every pole")
+        terms += [(abs(c.numerator) << i, c.denominator * y ** i)
+                  for i, c in enumerate(row, 1) if c]
+    e = 64 - max((u.bit_length() - v.bit_length() for u, v in terms),
+                 default=0)
+    return sum(-(-(u << max(e, 0)) // (v << max(-e, 0))) for u, v in terms), e
 
 
-def _log2_largest_term(table: PartialFractionTable, shift: Fraction,
-                       a: int, m: int) -> float:
-    """log2 of the largest single term of ``_tail_remainder_bound``, with
-    each |c| rounded down to a power of 2; floats move it far less than a bit."""
-    base = a + shift + table.pole_offset
-    return max(abs(c.numerator).bit_length() - c.denominator.bit_length() - 1
-               + (math.lgamma(i + m - 1) - math.lgamma(i)) / math.log(2)
-               - (i + m - 1) * math.log2(base + k)
-               for row, k in zip(table.rows, table.pole_ks)
-               for i, c in enumerate(row, 1) if c
-               ) + math.log2(3) - m * math.log2(_PI_LOWER)
+def _term_ratios(rep: LinearProductRep, shift: Fraction, start: int,
+                 weights: list[int]) -> tuple[list[tuple[int, int]], int]:
+    """The ratios (u_j, v_j), v_j > 0, with a_{j+1} = a_j u_j / v_j for the
+    terms a_j = rep(start + j + shift), j < len(weights) - 1, and
+    E >= sum |c_k| |A_k - a_k 2**p| for the floored terms A_k of
+    ``_chebyshev_pass`` at every p.
 
-
-def _choose_tail_parameters(table, shift, start, target: Fraction,
-                            m: int = 32) -> tuple[int, int, Fraction]:
-    """Smallest workable (cutoff a, order m) with remainder bound <= target,
-    and that bound.
-
-    The order climbs the ladder 32, 48, 72, ... from ``m`` (a caller that
-    starts higher knows the lower rungs fail); a rung whose largest single
-    remainder term, less a 2-bit margin, exceeds the target is passed over
-    without its exact bound.
-    """
-    while m <= 4096:
-        a = max(start, 1) + 2 * m
-        if _log2_largest_term(table, shift, a, m) - 2 <= _ceil_log2(target):
-            bound = _tail_remainder_bound(table, shift, a, m)
-            if bound <= target:
-                return a, m, bound
-        m = m * 3 // 2
-    raise ArithmeticError("tail order limit exceeded; raise the target radius")
-
-
-def _ceil_log2(q: Fraction) -> int:
-    """The least integer P with 2**P >= q, for q >= 0."""
-    p = q.numerator.bit_length() - q.denominator.bit_length()
-    return p if Fraction(2) ** p >= q else p + 1
-
-
-def _boole_sum(rep: LinearProductRep, x0: Fraction, m: int,
-               tolerance: Fraction) -> tuple[Fraction, Fraction]:
-    """sum_{k<m} E_k(0) s_k for the Taylor coefficients s_k at the
-    half-integer x0, and a bound on its error that is at most ``tolerance``.
-
-    Each factor x0 - r + u is (A + v)/2 with the integer A = 2(x0 - r) and
-    v = 2u, so s_k = scalar 2**(gap+k) g_k, where g = N/D and N, D are the
-    integer products of (A + v); E_k(0) 2**k is an integer too.  N is
-    exact, and D is divided out one factor at a time in units of 2**-P:
-    with A >= 2 a step halves the error it is given and rounds by less
-    than a unit, so each factor adds at most 2 units to every g_k (the
-    fixed-point style of Brent & Zimmermann, *Modern Computer Arithmetic*).
-    """
-    if (2 * x0).denominator != 1:
-        raise ValueError("the cutoff must be a half-integer")
-    x2 = int(2 * x0)
-    den = []
-    for r, mult in rep.den_roots:
-        a = x2 - int(2 * r)
-        if a < 2:
-            raise ValueError("tail cutoff does not clear the poles")
-        den += [a] * mult
-    euler = [int(e * 2 ** k) for k, e in enumerate(euler_numbers_at_zero(m))]
-    scale = (abs(rep.scalar) * Fraction(2) ** rep.degree_gap
-             * 2 * len(den) * sum(map(abs, euler)))
-    p = max(0, _ceil_log2(scale / tolerance))
-    num = [1]
-    for r, mult in rep.num_roots:
-        for _ in range(mult):
-            num = mul_linear(num, x2 - int(2 * r), m)
-    q = [c << p for c in num] + [0] * (m - len(num))
-    for a in den:
-        prev = 0
-        for j in range(m):
-            q[j] = prev = (q[j] - prev) // a
-    total = sum(e * c for e, c in zip(euler, q) if e)
-    unit = Fraction(2) ** (rep.degree_gap - p)
-    return rep.scalar * total * unit, scale / 2 ** p
-
-
-def _direct_sum(rep: LinearProductRep, shift: Fraction, start: int,
-                stop: int) -> Fraction:
-    """sum_{start <= nu < stop} (-1)**nu rep(nu + shift), exact, by binary
-    splitting (Brent & Zimmermann, *Modern Computer Arithmetic*, 4.9.1)
-    over the term ratio -p(nu)/q(nu), p and q the products of
-    2(nu + shift - x) over the roots x of ``rep.step_ratio()``; T/Q is the
-    sum on [lo, hi) over the term at lo.  A zero of q raises.
+    u and v are the products of 2(nu + shift - x) over the roots x of
+    ``rep.step_ratio()``; a zero of either, where the terms meet a root of
+    f, raises.  A_0 errs by under 1, and floor(A_k u / v) by |u|/v times
+    A_k's error plus under 1, so e_0 = 1 and e_{k+1} = ceil(e_k |u| / v)
+    + 1 bound the errors, whatever p is.
     """
     ups, downs = ([int(2 * (shift - x)) for x in roots]
                   for roots in rep.step_ratio())
+    ratios, e, error = [], 1, abs(weights[0])
+    for nu2, c in zip(range(2 * start, 2 * (start + len(weights)), 2),
+                      weights[1:]):
+        u = math.prod(nu2 + a for a in ups)
+        v = math.prod(nu2 + a for a in downs)
+        if not u or not v:
+            raise ValueError(f"the series terms meet a root of f near "
+                             f"nu = {nu2 // 2}")
+        ratios.append((u, v) if v > 0 else (-u, -v))
+        e = -(-e * abs(u) // abs(v)) + 1
+        error += abs(c) * e
+    return ratios, error
 
-    def split(lo, hi):
-        if hi - lo == 1:
-            if lo == start:
-                return 1, 1, 1
-            nu2 = 2 * (lo - 1)
-            q = math.prod(nu2 + c for c in downs)
-            if q == 0:
-                raise ValueError(f"the term ratio has a pole at nu = {lo - 1}")
-            p = -math.prod(nu2 + c for c in ups)
-            return p, q, p
-        mid = (lo + hi) // 2
-        p1, q1, t1 = split(lo, mid)
-        p2, q2, t2 = split(mid, hi)
-        return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
 
-    _, q, t = split(start, stop)
-    first = rep.evaluate(start + shift) * (-1) ** start
-    return Fraction(first.numerator * t, first.denominator * q)
+def _chebyshev_pass(first: Fraction, ratios: list[tuple[int, int]],
+                    weights: list[int], p: int) -> int:
+    """sum c_k A_k, the weighted sum in units of 2**-p, with
+    A_0 = floor(first 2**p) and A_{k+1} = floor(A_k u_k / v_k)."""
+    a = (first.numerator << p) // first.denominator
+    total = weights[0] * a
+    for (u, v), c in zip(ratios, weights[1:]):
+        a = a * u // v
+        total += c * a
+    return total
 
 
 @dataclass(frozen=True)
 class SeriesEvaluation:
-    """One tail evaluation and the parameters it settled on."""
+    """One series pass: its ball, the scheme's size N (``direct_terms``)
+    and bound B/d (``tail_bound``).  No tail is summed apart, so
+    ``tail_order`` is 0."""
 
     value: BallReal
     direct_terms: int
@@ -234,66 +171,80 @@ class SeriesEvaluation:
 
 def alternating_series_tail(rep: LinearProductRep, table: PartialFractionTable,
                             shift: Fraction, start: int, target: Fraction,
-                            precision: int, *, params=None) -> SeriesEvaluation:
-    """sum_{nu >= start} (-1)**nu f(nu) with f(nu) = rep(nu + shift).
-
-    Exact partial sum to a cutoff by binary splitting, then Boole
-    summation for the tail: the alternating tail equals
-    (-1)**a/2 * sum_k E_k(0) s_k up to a remainder bounded by
-    ``_tail_remainder_bound``; s_k are the Taylor coefficients of f at the
-    cutoff, and ``params`` the search's (cutoff, order, bound) if known.
-    The Boole sum's rounding is at most half that bound and the ball is
-    formed with enough bits to keep its own rounding far below it, so the
-    radius is at most twice the remainder bound.
+                            precision: int) -> SeriesEvaluation:
+    """sum_{nu >= start} (-1)**nu rep(nu + shift) as a ball of radius at
+    most ``target``, by the scheme of the module docstring: N is the least
+    size with B/d <= target/2, and P the least, to a bit, with fixed-point
+    error E/(d 2**P) <= target/4.  The ball keeps at least ``precision``
+    bits, and enough to round its midpoint far below the target.
     """
-    a, m, bound = params or _choose_tail_parameters(table, shift, start, target)
-    direct = _direct_sum(rep, shift, start, a)
-    boole, error = _boole_sum(rep, a + shift, m, bound)
-    total = direct + (boole if a % 2 == 0 else -boole) / 2
-    with working_precision(max(precision, _ceil_log2(abs(total) / bound))):
-        value = BallReal(total, radius=bound + error / 2)
-    return SeriesEvaluation(value, a - start, m, bound)
+    tn, td = Fraction(target).as_integer_ratio()
+    b, e = _moment_bound(table, start + shift + table.pole_offset)
+    n, a, d = 1, 1, 3  # T_0(3), T_1(3): up to the least n that meets B
+    while (d * tn) << max(e, 0) < (2 * b * td) << max(-e, 0):
+        n, a, d = n + 1, d, 6 * d - a
+    weights = list(_chebyshev_weights(n, d))
+    ratios, error = _term_ratios(rep, shift, start, weights)
+    p = max(0, (4 * error * td).bit_length() - (tn * d).bit_length() + 1)
+    total = _chebyshev_pass(rep.evaluate(start + shift), ratios, weights, p)
+    bound = Fraction(b, d << e) if e >= 0 else Fraction(b << -e, d)
+    # log2 |sum / target|, from above
+    bits = (abs(total).bit_length() - d.bit_length() - p
+            + td.bit_length() - tn.bit_length() + 2)
+    with working_precision(max(precision, bits + 8)):
+        value = BallReal(Fraction(-total if start % 2 else total, d << p),
+                         radius=bound + Fraction(error, d << p))
+    return SeriesEvaluation(value, n, 0, bound)
 
 
-def _magnitude(ball: BallReal) -> Fraction:
-    """The larger endpoint magnitude: an upper bound on |x| over the ball."""
-    return max(-ball.lower, ball.upper)
+def _least_magnitude(ball: BallReal) -> Fraction:
+    """The least |x| over a ball that excludes zero."""
+    return min(abs(ball.lower), abs(ball.upper))
 
 
 def r_n_series(profile: Profile, precision: int = 256,
                rep: LinearProductRep | None = None,
                table: PartialFractionTable | None = None, *,
-               upper_bound: Fraction | float = math.inf) -> BallReal:
+               lower_bound: Fraction | None = None) -> BallReal:
     """The linear-form value by direct series summation (independent of the
-    decomposition), with rigorous radius.
+    decomposition), as a ball of radius at most
+    2**-(precision + 64) min(1, |r|).
 
-    The rungs have target 2**-tbits, tbits = (precision + 16) * 2**k, at
-    working precision tbits - 16; the first ball that excludes zero is
-    returned, so the radius is at most twice its target.  A rung takes
-    (cutoff, order, bound B) from the search resumed at the last order,
-    and is skipped if B >= U, the least known bound on |r| (``upper_bound``,
-    say from the decomposition, and each straddling ball), or if it repeats
-    the last straddling (cutoff, order).  U only picks rungs, never the
-    value: a skipped rung that would have decided leaves it to a smaller
-    radius.  The tail order limit ends the descent.
+    Rungs of target 2**-tbits, tbits = (precision + 16) 2**k, run until a
+    ball excludes zero; unless it already meets the radius, one pass at
+    2**-(precision + 64) min(1, L) follows, L the ball's least |x|.  A
+    positive ``lower_bound`` on |r| known elsewhere (say from the
+    decomposition) replaces the descent by that pass with L = lower_bound;
+    it picks the target only, and a ball that misses the radius for its own
+    least |x| falls back to the descent.  The descent gives up with
+    ``ArithmeticError`` past a target of 2**-``_MAX_SERIES_BITS``.
     """
     rep = rep or build_profile_rep(profile)
     table = table or partial_fractions(rep)
-    shift, start = profile.series_argument_shift, profile.series_start
-    tbits, m, bound, last = precision + 16, 32, math.inf, None
-    while True:
-        target = Fraction(2) ** -tbits
-        if bound > target:
-            a, m, bound = _choose_tail_parameters(table, shift, start, target, m)
-        if bound < upper_bound and (a, m) != last:
-            ev = alternating_series_tail(rep, table, shift, start, target,
-                                         tbits - 16, params=(a, m, bound))
-            if not ev.value.contains_zero():
-                break
-            last = (a, m)
-            upper_bound = min(upper_bound, _magnitude(ev.value))
-        tbits *= 2
-    return ev.value if profile.series_sign == 1 else -ev.value
+
+    def ball(tbits: int) -> BallReal:
+        return alternating_series_tail(
+            rep, table, profile.series_argument_shift, profile.series_start,
+            Fraction(1, 1 << tbits), precision).value
+
+    def relative(least: Fraction) -> BallReal:
+        return ball(precision + 64 + max(0, -floor_log2(least)))
+
+    def meets(value: BallReal) -> bool:
+        return (not value.contains_zero() and value.rad * 2 ** (precision + 64)
+                <= min(1, _least_magnitude(value)))
+
+    value = relative(lower_bound) if lower_bound else None
+    if value is None or not meets(value):
+        tbits = precision + 16
+        while (value := ball(tbits)).contains_zero():
+            tbits *= 2
+            if tbits > _MAX_SERIES_BITS:
+                raise ArithmeticError("the series certifies no sign down to "
+                                      f"2**-{_MAX_SERIES_BITS}")
+        if not meets(value):
+            value = relative(_least_magnitude(value))
+    return value if profile.series_sign == 1 else -value
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +293,8 @@ def consistency_check(profile: Profile, precision: int = 256,
     dec = decomposition or beta_coefficients(table, profile)
     direct = decomposition_value(dec, precision)
     series = r_n_series(profile, precision, rep=rep, table=table,
-                        upper_bound=math.inf if direct.contains_zero()
-                        else _magnitude(direct))
+                        lower_bound=None if direct.contains_zero()
+                        else _least_magnitude(direct))
     disc = abs(series.mid - direct.mid) + series.rad + direct.rad
     gap = (precision + 64) if disc <= 0 else -floor_log2(disc) - 1
     return ConsistencyReport(profile, series, direct,

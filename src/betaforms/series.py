@@ -1,27 +1,20 @@
-"""Truncated power-series helpers.
+"""Truncated power-series helpers and the Euler numbers.
 
 Series are plain lists of coefficients, ``c[j]`` multiplying ``u**j``.
-Every routine truncates to a fixed order and never allocates beyond it.
-The package's series are integer series: ``mul_linear`` builds the
-numerator product of the integer Boole pass in ``numerics``.
 ``divide_trunc`` divides over a field; it is the exact ``Fraction``
-reference the tests hold the integer kernels to.
+reference the tests hold the integer partial-fraction kernel to.
+``euler_numbers_at_zero`` gives E_k(0), checked against that division.
+
+No code path of the package calls either since the Chebyshev series
+kernel replaced the Boole tail.  ``numerics`` still imports both names,
+because the benchmark (``perfbench/spans.py``) traces them at
+``numerics.divide_trunc`` and ``numerics.euler_numbers_at_zero``; they
+can go once the pipeline records its own stages (ROADMAP item 1).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-
-def mul_linear(coeffs: list, c, order: int) -> list:
-    """Multiply a series by the linear factor ``(c + u)``, truncated."""
-    out = [0] * min(len(coeffs) + 1, order)
-    for j, a in enumerate(coeffs):
-        if j < order:
-            out[j] = out[j] + a * c
-        if j + 1 < order:
-            out[j + 1] = out[j + 1] + a
-    return out
 
 
 def divide_trunc(num: list, den: list, order: int) -> list:
@@ -38,10 +31,6 @@ def divide_trunc(num: list, den: list, order: int) -> list:
             acc = acc - den[k] * out[j - k]
         out.append(acc * inv0)
     return out
-
-
-# E_k(0) for k < len(_EULER), extended on demand by euler_numbers_at_zero.
-_EULER: list[Fraction] = []
 
 
 def _tangent_numbers(h: int) -> list[int]:
@@ -64,16 +53,11 @@ def euler_numbers_at_zero(count: int) -> list[Fraction]:
 
     E_k(0) = k! [t^k] 2/(e^t+1): E_0(0) = 1, E_{2j}(0) = 0 for j >= 1 and
     E_{2h-1}(0) = (-1)**h T_h / 2**(2h-1) with T_h the tangent numbers.
-    The values are computed once, up to the largest count asked for.
     """
-    if count > len(_EULER):
-        tangents = _tangent_numbers(count // 2)
-        values = [Fraction(1)]
-        for k in range(1, count):
-            if k % 2 == 0:
-                values.append(Fraction(0))
-            else:
-                h = (k + 1) // 2
-                values.append(Fraction((-1) ** h * tangents[h - 1], 2 ** k))
-        _EULER[:] = values
-    return _EULER[:count]
+    tangents = _tangent_numbers(count // 2)
+    values = [Fraction(1)][:count]
+    for k in range(1, count):
+        h = (k + 1) // 2
+        values.append(Fraction((-1) ** h * tangents[h - 1], 2 ** k)
+                      if k % 2 else Fraction(0))
+    return values

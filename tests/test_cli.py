@@ -7,10 +7,10 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from betaforms import cli
+from betaforms import cli, numerics
 from betaforms.cli import main
 
-from tests.test_numerics import beta_oracle
+from tests.test_numerics import beta_oracle, full_power_enclosure
 
 
 def run_cli(*args) -> int:
@@ -230,6 +230,20 @@ class TestOtherCommands:
         assert digits >= precision * 3 // 10 - 2
         reference = beta_oracle(index, precision + 200)
         assert report["beta"]["mid"] == mpmath.nstr(reference, digits)
+
+    @pytest.mark.parametrize("index", [1, 2, 5, 12, 16])
+    @pytest.mark.parametrize("precision", [64, 256, 1024])
+    def test_beta_output_matches_full_powers(self, capsys, monkeypatch,
+                                             index, precision):
+        argv = ("beta", "--index", str(index), "--precision", str(precision))
+        numerics.beta_value.cache_clear()
+        assert run_cli(*argv) == 0
+        out = capsys.readouterr().out
+        monkeypatch.setattr(numerics, "_beta_enclosure", full_power_enclosure)
+        numerics.beta_value.cache_clear()
+        assert run_cli(*argv) == 0
+        numerics.beta_value.cache_clear()
+        assert capsys.readouterr().out == out
 
     def test_beta_rejects_zero(self, capsys):
         assert run_cli("beta", "--index", "0") == 2

@@ -1,25 +1,28 @@
+import importlib.util
 import math
+import operator
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath.libmp import to_rational
 
-from betaforms import numerics
-from betaforms.balls import BallReal, ball_pi, working_precision
+from betaforms import cli, numerics
+from betaforms.balls import BallReal, ball_pi, floor_log2, working_precision
 from betaforms.decomposition import beta_coefficients
-from betaforms.numerics import (_LOG2_ACCEL, _PI_LOWER, _beta_enclosure,
-                                _boole_sum, _chebyshev_normalizer,
-                                _choose_tail_parameters,
-                                _direct_sum, _tail_remainder_bound,
-                                alternating_series_tail, beta_value,
+from betaforms.numerics import (_LOG2_ACCEL, _beta_enclosure,
+                                _chebyshev_normalizer, _chebyshev_pass,
+                                _chebyshev_weights, _moment_bound,
+                                _term_ratios,
+                                SeriesEvaluation, alternating_series_tail, beta_value,
                                 consistency_check, decomposition_value,
                                 mc_integral, r_n_series)
 from betaforms.profiles import THEOREM1_ETA, general, section2
 from betaforms.rationalfn import (LinearProductRep, build_general,
                                   build_section2, partial_fractions)
-from betaforms.series import divide_trunc, euler_numbers_at_zero, mul_linear
 
 from tests.conftest import suite_profiles
 from tests.test_numtheory import admissible_general
@@ -81,6 +84,21 @@ def reference_beta_enclosure(i, precision):
     return s / d, Fraction(1, d)
 
 
+def full_power_enclosure(i, precision):
+    """Reference: ``_beta_enclosure`` with every power (2k+1)**i formed,
+    as it was before large powers were skipped."""
+    n = int((precision + 4) / _LOG2_ACCEL) + 3
+    d = _chebyshev_normalizer(n)
+    p = precision + 16 + n.bit_length()
+    b, c, s = -1, -d, 0
+    for k in range(n):
+        c = b - c
+        s += (c << p) // (2 * k + 1) ** i
+        b = b * 2 * (k + n) * (k - n) // ((2 * k + 1) * (k + 1))
+    return (Fraction(2 * s + n, d << (p + 1)),
+            Fraction((1 << (p + 1)) + n, d << (p + 1)))
+
+
 def beta_oracle(i, bits):
     """beta(i) = 4**-i (zeta(i, 1/4) - zeta(i, 3/4)), pi/4 at i = 1."""
     with mpmath.workprec(bits):
@@ -117,7 +135,63 @@ class TestBetaFixedPoint:
             assert v.lower - slack <= ref <= v.upper + slack
 
 
-class TestBooleTail:
+class TestBetaLargeIndex:
+    @pytest.mark.parametrize("i", [40, 100, 1000, 10 ** 4])
+    @pytest.mark.parametrize("precision", [64, 256, 1024])
+    def test_skipped_powers_keep_every_floor(self, i, precision):
+        # a power above |c| 2**p floors to 0 or -1 whether formed or not;
+        # below i = 17 no power is skipped at these precisions
+        assert _beta_enclosure(i, precision) == full_power_enclosure(i, precision)
+
+    def test_index_one_million_is_fast(self):
+        t0 = time.perf_counter()
+        mid, rad = _beta_enclosure(10 ** 6, 64)
+        assert time.perf_counter() - t0 < 1.0
+        assert abs(mid - 1) <= rad
+
+
+def first_start(rep, shift):
+    """The least start whose terms lie right of every root of ``rep``."""
+    roots = [r for r, _ in rep.num_roots + rep.den_roots]
+    return math.floor(max(roots) - shift) + 1
+
+
+def series_reference(table, shift, start, bits):
+    """sum_{nu >= start} (-1)**nu f(nu + shift) from the pole table by
+    mpmath: with X = start + shift + k + pole_offset, each entry adds
+    c 2**-i (zeta(i, X/2) - zeta(i, (X+1)/2)), or c (psi((X+1)/2) -
+    psi(X/2))/2 at i = 1."""
+    with mpmath.workprec(bits):
+        total = mpmath.mpf(0)
+        for i, k, c in table.entries():
+            if not c:
+                continue
+            x = start + shift + k + table.pole_offset
+            x = mpmath.mpf(x.numerator) / x.denominator
+            if i == 1:
+                term = (mpmath.digamma((x + 1) / 2) - mpmath.digamma(x / 2)) / 2
+            else:
+                term = (mpmath.zeta(i, x / 2) - mpmath.zeta(i, (x + 1) / 2)) / 2 ** i
+            total += mpmath.mpf(c.numerator) / c.denominator * term
+        return total if start % 2 == 0 else -total
+
+
+def exact_moment_bound(table, x0):
+    """B = sum |c_ik| / (x0 + k)**i in Fractions."""
+    return sum(abs(c) / (x0 + k) ** i for i, k, c in table.entries() if c)
+
+
+def dyadic(b, e):
+    return Fraction(b, 2 ** e) if e >= 0 else Fraction(b * 2 ** -e)
+
+
+shifts = st.sampled_from([Fraction(0), Fraction(-1, 2)])
+# t(t-1)...(t-19) / (t+1/2)**22: from t = 20 the terms grow by about 2**18
+GROWING = LinearProductRep.build(1, [(j, 1) for j in range(20)],
+                                 [(Fraction(-1, 2), 22)])
+
+
+class TestSeriesKernel:
     def test_toy_against_beta(self):
         # sum_{nu>=0} (-1)^nu (nu+1/2)^-2 = 4 beta(2)
         toy = LinearProductRep.build(1, [], [(Fraction(-1, 2), 2)])
@@ -126,135 +200,99 @@ class TestBooleTail:
                                      Fraction(2) ** -180, 160)
         four_g = beta_value(2, 200) * 4
         assert ev.value.overlaps(four_g)
-        assert ev.tail_bound <= Fraction(2) ** -180
+        assert ev.tail_bound <= Fraction(2) ** -181
+        assert ev.value.rad <= Fraction(2) ** -180
 
+    @settings(max_examples=40, deadline=None)
+    @given(any_rep, shifts, st.integers(0, 30))
+    def test_moment_bound_is_tight_from_above(self, rep, shift, offset):
+        table = partial_fractions(rep)
+        x0 = first_start(rep, shift) + offset + shift + table.pole_offset
+        exact_b = exact_moment_bound(table, x0)
+        assert exact_b <= dyadic(*_moment_bound(table, x0)) \
+            <= exact_b * (1 + Fraction(1, 2 ** 40))
 
-def per_entry_remainder_bound(table, shift, a, m):
-    """The Boole remainder bound summed entry by entry in Fractions."""
-    total = Fraction(0)
-    for i, k, c in table.entries():
-        if not c:
-            continue
-        dist = a + shift + k + table.pole_offset
-        if dist <= 0:
-            raise ValueError("tail cutoff does not clear the poles")
-        rising = Fraction(1)
-        for j in range(m):
-            rising *= i + j
-        total += abs(c) * rising / ((i + m - 1) * dist ** (i + m - 1))
-    return 3 * total / _PI_LOWER ** m
+    @pytest.mark.parametrize("tbits", [64, 200, 600])
+    def test_size_is_the_least_that_meets_half_the_target(self, bundle, tbits):
+        b = bundle(section2(5, 2))
+        target = Fraction(1, 2 ** tbits)
+        ev = alternating_series_tail(b.rep, b.table, Fraction(-1, 2),
+                                     b.profile.series_start, target, 64)
+        n = ev.direct_terms
+        bound = ev.tail_bound * _chebyshev_normalizer(n)  # B
+        assert ev.tail_bound <= target / 2 < bound / _chebyshev_normalizer(n - 1)
 
+    @settings(max_examples=40, deadline=None)
+    @given(any_rep, shifts, st.integers(0, 6), st.integers(1, 60),
+           st.integers(0, 48))
+    @example(build_section2(7, 6), Fraction(-1, 2), 0, 60, 0)
+    @example(GROWING, Fraction(0), 0, 60, 36)
+    def test_fixed_point_error_bound_holds(self, rep, shift, offset, n, p):
+        start = first_start(rep, shift) + offset
+        weights = list(_chebyshev_weights(n, _chebyshev_normalizer(n)))
+        ratios, error = _term_ratios(rep, shift, start, weights)
+        terms = [rep.evaluate(start + j + shift) for j in range(n)]
+        got = _chebyshev_pass(terms[0], ratios, weights, p)
+        assert abs(got - sum(map(operator.mul, weights, terms)) * 2 ** p) <= error
+        # a unit lost on the first term grows with the terms: a_k / a_0
+        assert error >= sum(abs(c) * a / terms[0] for c, a in zip(weights, terms))
 
-class TestRemainderBound:
-    @settings(max_examples=30, deadline=None)
-    @given(st.sampled_from([section2(5, 2), section2(17, 2),
-                            general(THEOREM1_ETA, 2)]),
-           st.integers(1, 400), st.integers(1, 260))
-    def test_matches_per_entry_sum(self, bundle, profile, a, m):
-        b = bundle(profile)
-        shift = profile.series_argument_shift
-        a = max(profile.series_start, 1) + a
-        assert (_tail_remainder_bound(b.table, shift, a, m)
-                == per_entry_remainder_bound(b.table, shift, a, m))
-
-    def test_cutoff_inside_poles_raises(self, bundle):
-        b = bundle(general(THEOREM1_ETA, 2))
-        with pytest.raises(ValueError):
-            _tail_remainder_bound(b.table, Fraction(0),
-                                  -max(b.table.pole_ks) - 1, 32)
+    @settings(max_examples=25, deadline=None)
+    @given(any_rep, shifts, st.integers(0, 20), st.sampled_from([64, 96, 160]))
+    def test_ball_contains_the_zeta_reference(self, rep, shift, offset, tbits):
+        table = partial_fractions(rep)
+        start = first_start(rep, shift) + offset
+        target = Fraction(1, 2 ** tbits)
+        ev = alternating_series_tail(rep, table, shift, start, target, 64)
+        assert ev.value.rad <= target
+        size = exact_moment_bound(table, start + shift + table.pole_offset)
+        bits = 2 * tbits + max(0, floor_log2(size)) + 32
+        ref = exact(series_reference(table, shift, start, bits))
+        slack = size * Fraction(2) ** (16 - bits)  # the reference's own error
+        assert ev.value.lower - slack <= ref <= ev.value.upper + slack
 
     @pytest.mark.parametrize("profile", suite_profiles(), ids=lambda p: p.label())
-    def test_resumed_search_matches_full_ladder(self, bundle, profile):
+    def test_radius_covers_truncation_and_fixed_point_error(
+            self, bundle, monkeypatch, profile):
         b = bundle(profile)
-        shift, start = profile.series_argument_shift, profile.series_start
-        bounds = {}  # the exact bound on each ladder rung, as it is needed
+        seen = {}
+        term_ratios, chebyshev_pass = numerics._term_ratios, numerics._chebyshev_pass
 
-        def full_ladder(target):
-            m = 32
-            while True:
-                a = max(start, 1) + 2 * m
-                if m not in bounds:
-                    bounds[m] = _tail_remainder_bound(b.table, shift, a, m)
-                if bounds[m] <= target:
-                    return a, m, bounds[m]
-                m = m * 3 // 2
+        def recording_ratios(*args):
+            ratios, seen["error"] = term_ratios(*args)
+            return ratios, seen["error"]
 
-        m = 32
-        for tbits in (64, 128, 256, 512, 1024, 2048):
-            target = Fraction(2) ** -tbits
-            found = _choose_tail_parameters(b.table, shift, start, target, m)
-            assert found == full_ladder(target)
-            m = found[1]
+        def recording_pass(first, ratios, weights, p):
+            seen["p"] = p
+            return chebyshev_pass(first, ratios, weights, p)
 
-    def test_search_returns_the_bound_it_accepted(self, bundle):
-        b = bundle(section2(5, 2))
-        shift = b.profile.series_argument_shift
-        target = Fraction(2) ** -200
-        a, m, bound = _choose_tail_parameters(
-            b.table, shift, b.profile.series_start, target)
-        assert bound == per_entry_remainder_bound(b.table, shift, a, m)
-        assert bound <= target
-
-
-def loop_direct_sum(rep, shift, start, stop):
-    """The term-by-term alternating sum the binary splitting replaced."""
-    direct = Fraction(0)
-    for nu in range(start, stop):
-        v = rep.evaluate(nu + shift)
-        direct += v if nu % 2 == 0 else -v
-    return direct
-
-
-class TestDirectSum:
-    @settings(max_examples=60, deadline=None)
-    @given(any_rep, st.sampled_from([Fraction(0), Fraction(-1, 2)]),
-           st.integers(0, 30), st.integers(1, 150))
-    @example(build_general(general(THEOREM1_ETA, 2)), Fraction(0), 0, 487)
-    @example(build_section2(17, 2), Fraction(-1, 2), 0, 216)
-    def test_matches_loop(self, rep, shift, offset, length):
-        # start past the last root, as every profile's series does
-        roots = [r for r, _ in rep.num_roots + rep.den_roots]
-        start = math.floor(max(roots) - shift) + 1 + offset
-        stop = start + length
-        assert (_direct_sum(rep, shift, start, stop)
-                == loop_direct_sum(rep, shift, start, stop))
+        monkeypatch.setattr(numerics, "_term_ratios", recording_ratios)
+        monkeypatch.setattr(numerics, "_chebyshev_pass", recording_pass)
+        target = Fraction(1, 2 ** 300)
+        ev = alternating_series_tail(b.rep, b.table,
+                                     profile.series_argument_shift,
+                                     profile.series_start, target, 64)
+        d = _chebyshev_normalizer(ev.direct_terms)
+        fixed = Fraction(seen["error"], d << seen["p"])
+        assert fixed <= target / 4
+        assert ev.tail_bound + fixed <= ev.value.rad <= target
 
     def test_zero_of_q_in_range_raises(self):
         # f vanishes at t = 3/2 (nu = 2) and not at t = 5/2: q(2) = 0
         rep = build_section2(3, 2)
-        assert _direct_sum(rep, Fraction(-1, 2), 0, 2) == 0
+        ratios, _ = _term_ratios(rep, Fraction(-1, 2), 3, [1] * 40)
+        assert len(ratios) == 39
         with pytest.raises(ValueError):
-            _direct_sum(rep, Fraction(-1, 2), 0, 5)
+            _term_ratios(rep, Fraction(-1, 2), 2, [1] * 5)
 
-
-def exact_boole_sum(rep, x0, m):
-    """sum_{k<m} E_k(0) s_k from Fraction products and series division."""
-    num = [rep.scalar]
-    for r, mult in rep.num_roots:
-        for _ in range(mult):
-            num = mul_linear(num, x0 - r, m)
-    den = [Fraction(1)]
-    for r, mult in rep.den_roots:
-        for _ in range(mult):
-            den = mul_linear(den, x0 - r, m)
-    taylor = divide_trunc(num, den, m)
-    return sum(e * c for e, c in zip(euler_numbers_at_zero(m), taylor))
-
-
-class TestBooleSum:
-    @settings(max_examples=60, deadline=None)
-    @given(any_rep, st.integers(0, 80), st.integers(1, 60),
-           st.integers(1, 1000), st.integers(-20, 400))
-    def test_error_bound_holds(self, rep, steps, m, c, t):
-        x0 = max(r for r, _ in rep.den_roots) + 1 + Fraction(steps, 2)
-        tolerance = Fraction(c, 2 ** t) if t >= 0 else Fraction(c << -t)
-        value, error = _boole_sum(rep, x0, m, tolerance)
-        assert abs(exact_boole_sum(rep, x0, m) - value) <= error <= tolerance
-
-    def test_cutoff_inside_poles_raises(self):
-        rep = build_section2(5, 2)
+    def test_cutoff_inside_poles_raises(self, bundle):
+        b = bundle(general(THEOREM1_ETA, 2))
+        start = -max(b.table.pole_ks) - 1
         with pytest.raises(ValueError):
-            _boole_sum(rep, Fraction(1, 2), 8, Fraction(1, 2 ** 64))
+            _moment_bound(b.table, start + b.table.pole_offset)
+        with pytest.raises(ValueError):
+            alternating_series_tail(b.rep, b.table, Fraction(0), start,
+                                    Fraction(1, 2 ** 64), 64)
 
 
 def exact(x) -> Fraction:
@@ -268,7 +306,7 @@ def test_exact_keeps_the_sign():
 
 
 def record_tail_calls(monkeypatch):
-    """(target, working precision, evaluation) of every tail call."""
+    """(target, working precision, evaluation) of every series pass."""
     calls = []
     original = numerics.alternating_series_tail
 
@@ -281,80 +319,61 @@ def record_tail_calls(monkeypatch):
     return calls
 
 
-def plain_descent(profile, precision, rep, table):
-    """The descent that evaluates every rung: the reference for which call
-    decides."""
-    shift, start = profile.series_argument_shift, profile.series_start
-    tbits = precision + 16
-    ev = numerics.alternating_series_tail(rep, table, shift, start,
-                                          Fraction(2) ** -tbits, precision)
-    while ev.value.contains_zero():
-        tbits *= 2
-        ev = numerics.alternating_series_tail(rep, table, shift, start,
-                                              Fraction(2) ** -tbits, tbits - 16)
+def meets_relative_radius(ball, precision):
+    """rad <= 2**-(precision + 64) min(1, |x|) for every x in the ball."""
+    least = min(abs(ball.lower), abs(ball.upper))
+    return (not ball.contains_zero()
+            and ball.rad * 2 ** (precision + 64) <= min(1, least))
 
 
-def assert_same_deciding_call(monkeypatch, profile, precision, rep, table,
-                              decomposition):
-    """The deciding (target, precision, cutoff, order, bound, ball) of
-    ``consistency_check`` and of ``r_n_series`` alone equal the plain
-    descent's."""
+def assert_hint_matches_plain_descent(monkeypatch, profile, precision, rep,
+                                      table, decomposition):
+    """``consistency_check`` makes one series pass, at the target the
+    decomposition's bound on |r| picks; its ball meets the relative radius
+    and agrees with the ball of ``r_n_series`` alone, the plain descent."""
     calls = record_tail_calls(monkeypatch)
-
-    def deciding():
-        target, work, ev = calls[-1]
-        calls.clear()
-        return (target, work, ev.direct_terms, ev.tail_order, ev.tail_bound,
-                ev.value.lower, ev.value.upper)
-
-    plain_descent(profile, precision, rep, table)
-    expected = deciding()
-    consistency_check(profile, precision, rep=rep, table=table,
-                      decomposition=decomposition)
-    assert deciding() == expected
-    r_n_series(profile, precision, rep=rep, table=table)
-    assert deciding() == expected
+    plain = r_n_series(profile, precision, rep=rep, table=table)
+    calls.clear()
+    report = consistency_check(profile, precision, rep=rep, table=table,
+                               decomposition=decomposition)
+    assert len(calls) == 1
+    for ball in (plain, report.series):
+        assert meets_relative_radius(ball, precision)
+    assert report.series.overlaps(plain)
+    assert report.series.strictly_positive() == plain.strictly_positive()
 
 
 class TestRnSeries:
-    @pytest.mark.parametrize("profile, precisions", [
-        (general(THEOREM1_ETA, 2), [256, 528]),
-        (general(THEOREM1_ETA, 4), [256, 528]),
-        (section2(17, 2), [256])],
+    @pytest.mark.parametrize("profile", [
+        general(THEOREM1_ETA, 2), general(THEOREM1_ETA, 4), section2(17, 2)],
         ids=["theorem1-2", "theorem1-4", "section2-s17"])
-    def test_every_tail_radius_is_at_most_twice_its_bound(
-            self, bundle, monkeypatch, profile, precisions):
+    def test_every_tail_radius_is_at_most_its_target(
+            self, bundle, monkeypatch, profile):
         calls = record_tail_calls(monkeypatch)
         b = bundle(profile)
         r_n_series(profile, 256, rep=b.rep, table=b.table)
-        assert [precision for _, precision, _ in calls] == precisions
-        assert all(ev.value.rad <= 2 * ev.tail_bound
-                   for _, _, ev in calls)
+        assert calls
+        for target, _, ev in calls:
+            assert ev.tail_bound <= target / 2
+            assert ev.value.rad <= target
 
     def test_consistency_check_makes_one_tail_call_on_theorem1_n2(
             self, bundle, monkeypatch):
-        # the decomposition bounds |r| by about 2**-316, below the first
-        # rung's bound, so the 2**-272 rung is skipped
+        # the decomposition puts |r| in [2**-316, 2**-315), so its one pass
+        # aims at 2**-(256 + 64 + 316)
         calls = record_tail_calls(monkeypatch)
         b = bundle(general(THEOREM1_ETA, 2))
         consistency_check(b.profile, 256, rep=b.rep, table=b.table,
                           decomposition=b.decomposition)
-        assert [precision for _, precision, _ in calls] == [528]
-
-    def test_repeated_cutoff_and_order_are_skipped(self, monkeypatch):
-        # at n = 6 the bound accepted for 2**-80 already meets 2**-320
-        calls = record_tail_calls(monkeypatch)
-        r_n_series(general(THEOREM1_ETA, 6), 64)
-        assert [(ev.direct_terms, ev.tail_order) for _, _, ev in calls] == [
-            (729, 364), (1093, 546)]
+        assert [target for target, _, _ in calls] == [Fraction(1, 2 ** 636)]
 
     @pytest.mark.parametrize("precision", [128, 256])
     @pytest.mark.parametrize("profile", suite_profiles(), ids=lambda p: p.label())
     def test_deciding_call_matches_plain_descent(self, bundle, monkeypatch,
                                                  profile, precision):
         b = bundle(profile)
-        assert_same_deciding_call(monkeypatch, b.profile, precision, b.rep,
-                                  b.table, b.decomposition)
+        assert_hint_matches_plain_descent(monkeypatch, b.profile, precision,
+                                          b.rep, b.table, b.decomposition)
 
     @settings(max_examples=6, deadline=None)
     @given(admissible_general((5, 7), 12).filter(lambda case: case[1] <= 2))
@@ -364,8 +383,41 @@ class TestRnSeries:
         rep = build_general(profile)
         table = partial_fractions(rep)
         with pytest.MonkeyPatch.context() as monkeypatch:
-            assert_same_deciding_call(monkeypatch, profile, 128, rep, table,
-                                      beta_coefficients(table, profile))
+            assert_hint_matches_plain_descent(
+                monkeypatch, profile, 128, rep, table,
+                beta_coefficients(table, profile))
+
+    @pytest.mark.parametrize("precision", [64, 256])
+    @pytest.mark.parametrize("profile", suite_profiles(), ids=lambda p: p.label())
+    def test_meets_the_relative_radius(self, bundle, profile, precision):
+        b = bundle(profile)
+        v = r_n_series(profile, precision, rep=b.rep, table=b.table)
+        assert meets_relative_radius(v, precision)
+
+    @pytest.mark.parametrize("scale", [Fraction(2) ** 40, Fraction(2) ** -300])
+    def test_a_wrong_lower_bound_only_picks_the_target(self, bundle, scale):
+        # too large a bound aims too high and falls back to the descent;
+        # too small a one aims lower than needed
+        b = bundle(section2(5, 2))
+        plain = r_n_series(b.profile, 128, rep=b.rep, table=b.table)
+        hinted = r_n_series(b.profile, 128, rep=b.rep, table=b.table,
+                            lower_bound=abs(plain.mid) * scale)
+        assert meets_relative_radius(hinted, 128)
+        assert hinted.overlaps(plain)
+
+    def test_descent_gives_up_without_a_sign(self, bundle, monkeypatch):
+        b = bundle(section2(3, 2))
+        targets = []
+
+        def straddling(rep, table, shift, start, target, precision):
+            targets.append(target)
+            with working_precision(precision):
+                return SeriesEvaluation(BallReal(0, radius=target), 1, 0, target)
+
+        monkeypatch.setattr(numerics, "alternating_series_tail", straddling)
+        with pytest.raises(ArithmeticError):
+            r_n_series(b.profile, 64, rep=b.rep, table=b.table)
+        assert targets[-1] == Fraction(1, 2 ** (80 << 9))
 
     def test_positive_for_all_suite_profiles(self, bundle):
         for profile in suite_profiles():
@@ -456,6 +508,42 @@ class TestConsistency:
         with working_precision(160):
             scaled = v * scale
         assert scaled.strictly_positive() and scaled.upper < 1
+
+
+def perfbench_gate():
+    """``perfbench/gate.py``, the benchmark's correctness gate, loaded from
+    its file."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gate.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gate", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+GATE_PROFILES = [general(THEOREM1_ETA, 2)] + [section2(s, s - 1)
+                                               for s in range(3, 18, 2)]
+
+
+class TestGateAccuracyFloor:
+    """The benchmark gate's accuracy rule on its frozen references: the
+    consistency check passes, r overlaps the frozen ball, and gap_bits is
+    at most ``GAP_SLACK_BITS`` below the frozen value."""
+
+    @pytest.mark.parametrize("profile", GATE_PROFILES, ids=lambda p: p.label())
+    def test_meets_the_frozen_floor(self, bundle, profile):
+        gate = perfbench_gate()
+        if profile.is_section2:
+            ref = gate.load_reference("section2")[
+                gate.section2_key(profile.s, profile.n)]
+        else:
+            ref = gate.load_reference("theorem1")["per_n"][str(profile.n)]
+        b = bundle(profile)
+        check = consistency_check(profile, 256, rep=b.rep, table=b.table,
+                                  decomposition=b.decomposition)
+        entry = {"r": cli._ball(check.series, 256),
+                 "consistency": {"passed": check.passed,
+                                 "gap_bits": check.gap_bits}}
+        assert gate.accuracy_problems(entry, 256, ref) == []
 
 
 class TestDecompositionValue:

@@ -14,11 +14,22 @@ from betaforms.rationalfn import (LinearProductRep, PartialFractionTable,
                                   hypergeometric_parameters, partial_fractions,
                                   remark1_identity_check,
                                   section2_top_coefficient, symmetry_check)
-from betaforms.series import divide_trunc, mul_linear
+from betaforms.series import divide_trunc
 
 from tests.test_numtheory import admissible_general
 
 TOP_COEFF_CASES = [(3, 2), (5, 2), (5, 4), (17, 2)]
+
+
+def mul_linear(coeffs: list, c, order: int) -> list:
+    """Multiply a series by the linear factor ``(c + u)``, truncated."""
+    out = [0] * min(len(coeffs) + 1, order)
+    for j, a in enumerate(coeffs):
+        if j < order:
+            out[j] = out[j] + a * c
+        if j + 1 < order:
+            out[j + 1] = out[j + 1] + a
+    return out
 
 
 def fraction_partial_fractions(rep):

@@ -22,11 +22,14 @@ run is three fresh interpreters with ``PYTHONPATH=SRC``:
   ``rationalfn.partial_fractions`` and ``decomposition.beta_coefficients``;
   then the real constants: ``numtheory.phi_exponent`` (carry table warm),
   ``asymptotics.r_exponent`` and ``numerics.decomposition_value`` (cold
-  ``beta_value`` cache).  Except at n = 12 it then times
-  ``numerics.r_n_series`` alone and ``numerics.consistency_check``, and
-  records every ``numerics.alternating_series_tail`` call either makes as
-  (tbits, cutoff a, order m), the target being 2**-tbits.  Last comes the
-  ledger ``asymptotics.exponent_ledger`` of section2-s17 at 256 bits.
+  ``beta_value`` cache).  It then times ``numerics.r_n_series`` alone and
+  ``numerics.consistency_check``, and records every
+  ``numerics.alternating_series_tail`` call either makes as (tbits, N, P):
+  the target 2**-tbits, the size N of the Chebyshev scheme and the
+  fixed-point bits P of its pass (``numerics._chebyshev_pass``; null for
+  a tree without that kernel, where N is the old direct-sum length).
+  Last comes the ledger ``asymptotics.exponent_ledger`` of section2-s17
+  at 256 bits.
 
 Every timing is recorded as the median, min and max over the rounds.  The
 result, with the machine and Python, goes under ``runs[label]`` of the
@@ -45,9 +48,8 @@ import sys
 import time
 from pathlib import Path
 
-# (n, precision, whether to run the series oracle)
-CASES = ((2, 256, True), (4, 256, True), (6, 64, True), (8, 256, True),
-         (12, 256, False))
+# (n, precision)
+CASES = ((2, 256), (4, 256), (6, 64), (8, 256), (12, 256))
 IMPORT_CODE = ("import time; t = time.perf_counter(); import betaforms.cli; "
                "print(time.perf_counter() - t)")
 RUN_ARGV = ("-m", "betaforms.cli", "run", "--profile", "theorem1", "--n", "2",
@@ -70,27 +72,37 @@ def seconds(fn, before=None):
     return time.perf_counter() - t0, result
 
 
-def timed_with_tail_calls(numerics, fn, start: int) -> tuple[float, list]:
-    """``seconds(fn)`` and the (tbits, a, m) of the tail calls it makes."""
-    calls = []
-    original = numerics.alternating_series_tail
+def timed_with_tail_calls(numerics, fn) -> tuple[float, list]:
+    """``seconds(fn)`` and the (tbits, N, P) of the series calls it makes."""
+    calls, bits = [], []
+    tail = numerics.alternating_series_tail
+    chebyshev_pass = getattr(numerics, "_chebyshev_pass", None)
 
-    def recording(*args, **kwargs):
-        ev = original(*args, **kwargs)
+    def recording_tail(*args, **kwargs):
+        bits.clear()
+        ev = tail(*args, **kwargs)
         target = args[4]
-        calls.append([target.denominator.bit_length() - 1,
-                      start + ev.direct_terms, ev.tail_order])
+        calls.append([target.denominator.bit_length() - 1, ev.direct_terms,
+                      bits[0] if bits else None])
         return ev
 
-    numerics.alternating_series_tail = recording
+    def recording_pass(first, ratios, weights, p):
+        bits.append(p)
+        return chebyshev_pass(first, ratios, weights, p)
+
+    numerics.alternating_series_tail = recording_tail
+    if chebyshev_pass:
+        numerics._chebyshev_pass = recording_pass
     try:
         elapsed, _ = seconds(fn)
     finally:
-        numerics.alternating_series_tail = original
+        numerics.alternating_series_tail = tail
+        if chebyshev_pass:
+            numerics._chebyshev_pass = chebyshev_pass
     return elapsed, calls
 
 
-def run_case(n: int, precision: int, series: bool) -> dict:
+def run_case(n: int, precision: int) -> dict:
     from betaforms import numerics
     from betaforms.asymptotics import r_exponent
     from betaforms.decomposition import beta_coefficients
@@ -111,16 +123,12 @@ def run_case(n: int, precision: int, series: bool) -> dict:
             "decomposition_value_s": seconds(
                 lambda: numerics.decomposition_value(dec, precision),
                 numerics.beta_value.cache_clear)[0]}
-    if not series:
-        return case
-    start = profile.series_start
     series_s, series_calls = timed_with_tail_calls(
         numerics, lambda: numerics.r_n_series(profile, precision, rep=rep,
-                                              table=table), start)
+                                              table=table))
     check_s, check_calls = timed_with_tail_calls(
         numerics, lambda: numerics.consistency_check(
-            profile, precision, rep=rep, table=table, decomposition=dec),
-        start)
+            profile, precision, rep=rep, table=table, decomposition=dec))
     return {**case, "r_n_series_s": series_s,
             "r_n_series_tail_calls": series_calls,
             "consistency_check_s": check_s,
@@ -141,7 +149,7 @@ def ledger_case() -> dict:
 
 def run_stages() -> list[dict]:
     """One run of every stage in this interpreter."""
-    return ([run_case(n, precision, series) for n, precision, series in CASES]
+    return ([run_case(n, precision) for n, precision in CASES]
             + [ledger_case()])
 
 
