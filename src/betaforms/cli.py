@@ -1,9 +1,11 @@
 """Command-line driver: profile validation, full verification runs, and
 machine-readable reports.
 
-Exit codes: 0 all enabled checks pass, 1 a mathematical verification
-failed (inclusion violation, consistency mismatch, or an inconclusive
-criterion enclosure), 2 usage / profile / I-O errors, and any
+``run`` does the whole certificate for each n: the inclusions, the
+integer form when they hold, the series-vs-decomposition oracle, and then
+the exponent ledger.  Exit codes: 0 every check passes, 1 a mathematical
+verification failed (inclusion violation, consistency mismatch, or an
+inconclusive criterion enclosure), 2 usage / profile / I-O errors, and any
 ``ArithmeticError`` or ``ValueError`` that escapes a command.
 
 Every profile command reads ``--profile`` (a ``profiles.PRESETS`` name or
@@ -13,9 +15,8 @@ command that takes ``--precision`` (all but ``validate`` and the exact
 ``phi-table``), ``beta`` included, rejects precision below
 ``MIN_PRECISION``.
 
-Reports are deterministic for fixed inputs and seed: exact rationals
-serialize as decimal-free "p/q" strings, balls as {mid, rad, prec}
-decimal strings.
+Reports are deterministic for fixed inputs: exact rationals serialize as
+decimal-free "p/q" strings, balls as {mid, rad, prec} decimal strings.
 """
 
 from __future__ import annotations
@@ -31,21 +32,15 @@ from .balls import BallReal, floor_log2, nstr
 from .decomposition import (ArithmeticFactors, beta_coefficients,
                             integer_linear_form, verify_coefficient_inclusions,
                             verify_form_inclusions)
+# r_n_series is unused here: the benchmark traces cli.r_n_series by name.
 from .numerics import (beta_value, build_profile_rep, consistency_check,
-                       mc_integral, r_n_series)
+                       r_n_series)
 from .numtheory import carry_min_table
 from .profiles import (PRESETS, ProfileError, profile_from_spec,
                        profile_violations)
 from .rationalfn import partial_fractions
 
-_DEFAULTS = {
-    "precision": 256,
-    "verify_inclusions": True,
-    "consistency": True,
-    "asymptotics": True,
-    "mc_samples": 0,
-    "seed": 20180418,
-}
+DEFAULT_PRECISION = 256
 
 
 def _is_int(value) -> bool:
@@ -58,10 +53,6 @@ def _is_int_list(value) -> bool:
             and all(_is_int(v) for v in value))
 
 
-def _is_bool(value) -> bool:
-    return isinstance(value, bool)
-
-
 # Every profile field: the JSON type it must have, and its test.
 _FIELDS = {
     "family": ("a string", lambda v: isinstance(v, str)),
@@ -71,11 +62,6 @@ _FIELDS = {
     "eta": ("a list of integers or null",
             lambda v: v is None or _is_int_list(v)),
     "precision": ("an integer", _is_int),
-    "verify_inclusions": ("a boolean", _is_bool),
-    "consistency": ("a boolean", _is_bool),
-    "asymptotics": ("a boolean", _is_bool),
-    "mc_samples": ("an integer", _is_int),
-    "seed": ("an integer", _is_int),
 }
 
 MIN_PRECISION = 32
@@ -107,8 +93,8 @@ def _config(args) -> tuple[dict, list[str]]:
         if not isinstance(raw, dict):
             return {}, [f"profile must be a JSON object, "
                         f"got {type(raw).__name__}"]
-    cfg = {**_DEFAULTS, **raw}
-    for key in ("n", "precision", "seed"):
+    cfg = {"precision": DEFAULT_PRECISION, **raw}
+    for key in ("n", "precision"):
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
@@ -133,10 +119,6 @@ def _config(args) -> tuple[dict, list[str]]:
             cfg["family"], cfg["s"], n, cfg.get("eta"))]
     if cfg["precision"] < MIN_PRECISION:
         bad.append(PRECISION_RULE)
-    if cfg["mc_samples"] < 0:
-        bad.append("mc_samples must be >= 0")
-    if cfg["mc_samples"] and cfg.get("family") == "section2":
-        bad.append("mc_samples needs the general family")
     return cfg, bad
 
 
@@ -192,42 +174,29 @@ def _run_one_n(cfg: dict, n: int, failures: list[str]) -> dict:
         "d": {"index": profile.d_index, "factorization": str(factors.d)},
         "phi": str(factors.phi),
     }
-    if cfg["verify_inclusions"]:
-        coeff_rep = verify_coefficient_inclusions(table, factors)
-        form_rep = verify_form_inclusions(dec, factors)
-        entry["inclusions"] = {
-            "coefficients": _inclusion_json(coeff_rep),
-            "form": _inclusion_json(form_rep),
+    coeff_rep = verify_coefficient_inclusions(table, factors)
+    form_rep = verify_form_inclusions(dec, factors)
+    entry["inclusions"] = {
+        "coefficients": _inclusion_json(coeff_rep),
+        "form": _inclusion_json(form_rep),
+    }
+    if not coeff_rep.ok:
+        failures.append(f"n={n}: coefficient inclusions violated")
+    if not form_rep.ok:
+        failures.append(f"n={n}: form inclusions violated")
+    if coeff_rep.ok and form_rep.ok:
+        ints, scale = integer_linear_form(dec, factors)
+        entry["integer_form"] = {
+            "scale": scale,
+            "coefficients": [str(v) for v in ints],
         }
-        if not coeff_rep.ok:
-            failures.append(f"n={n}: coefficient inclusions violated")
-        if not form_rep.ok:
-            failures.append(f"n={n}: form inclusions violated")
-        if coeff_rep.ok and form_rep.ok:
-            ints, scale = integer_linear_form(dec, factors)
-            entry["integer_form"] = {
-                "scale": scale,
-                "coefficients": [str(v) for v in ints],
-            }
-    if cfg["consistency"]:
-        check = consistency_check(profile, precision, rep=rep, table=table,
-                                  decomposition=dec)
-        entry["r"] = _ball(check.series, precision)
-        entry["consistency"] = {"passed": check.passed,
-                                "gap_bits": check.gap_bits}
-        if not check.passed:
-            failures.append(f"n={n}: series/decomposition mismatch")
-    else:
-        entry["r"] = _ball(r_n_series(profile, precision, rep=rep,
-                                      table=table), precision)
-    if cfg["mc_samples"]:
-        est = mc_integral(profile, cfg["mc_samples"], cfg["seed"])
-        entry["mc_integral"] = {
-            **_ball(est, 53),
-            "samples": cfg["mc_samples"],
-            "seed": cfg["seed"],
-            "radius_is_statistical": True,
-        }
+    check = consistency_check(profile, precision, rep=rep, table=table,
+                              decomposition=dec)
+    entry["r"] = _ball(check.series, precision)
+    entry["consistency"] = {"passed": check.passed,
+                            "gap_bits": check.gap_bits}
+    if not check.passed:
+        failures.append(f"n={n}: series/decomposition mismatch")
     return entry
 
 
@@ -271,11 +240,10 @@ def _cmd_run(args) -> int:
         "tool": {"name": "betaforms", "version": __version__},
         "profile": cfg,
         "per_n": [_run_one_n(cfg, n, failures) for n in cfg["n"]],
+        "asymptotics": _asymptotics_json(cfg, failures),
+        "failures": failures,
+        "ok": not failures,
     }
-    if cfg["asymptotics"]:
-        report["asymptotics"] = _asymptotics_json(cfg, failures)
-    report["failures"] = failures
-    report["ok"] = not failures
     _write_report(report, args.out)
     return 0 if not failures else 1
 
@@ -311,7 +279,7 @@ def _cmd_phi_table(args) -> int:
 
 
 def _cmd_beta(args) -> int:
-    precision = (_DEFAULTS["precision"] if args.precision is None
+    precision = (DEFAULT_PRECISION if args.precision is None
                  else args.precision)
     if precision < MIN_PRECISION:
         raise CliError(PRECISION_RULE)
@@ -350,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="full verification run + report")
     add_common(p)
-    p.add_argument("--seed", type=int, help="Monte Carlo seed")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("asymptotics", help="exponent ledger only")

@@ -7,12 +7,13 @@ Both alternating sums use the Chebyshev acceleration of Cohen, Rodriguez
 Villegas and Zagier (*Experimental Math.* 9, 2000): with d = T_N(3) and
 the integer weights c_k of ``_chebyshev_weights``, sum c_k a_k / d misses
 sum (-1)**k a_k by at most B/d when a_k = int_0^1 t**k w(t) dt and
-B >= int_0^1 |w|.  For beta(i), a_k = (2k + 1)**-i and B = 1.  The series
-term a_j = f(start + shift + j) = sum c_ik (j + X_k)**-i over the pole
-table, X_k = start + shift + k + pole_offset > 0, is the moment of
-w(t) = sum c_ik t**(X_k - 1) (-log t)**(i - 1) / (i - 1)!, so
-B = sum |c_ik| / X_k**i (``_moment_bound``); N is the least size with
-B/d <= target/2.  The terms run in fixed point at scale 2**P, each the
+B >= int_0^1 |w|, and ``_least_size`` finds the least N with
+B/d <= target/2.  For beta(i), a_k = (2k + 1)**-i, B = 1 and the target is
+2**-(precision + 7).  The series term a_j = f(start + shift + j) =
+sum c_ik (j + X_k)**-i over the pole table, X_k = start + shift + k +
+pole_offset > 0, is the moment of w(t) = sum c_ik t**(X_k - 1)
+(-log t)**(i - 1) / (i - 1)!, so B = sum |c_ik| / X_k**i
+(``_moment_bound``).  The terms run in fixed point at scale 2**P, each the
 last times the integer step ratio, floored; each floor's error is carried
 as an integer bound that does not depend on P, so the whole fixed-point
 error is known before the pass and P is chosen to keep it at most
@@ -37,18 +38,20 @@ from .rationalfn import (LinearProductRep, PartialFractionTable,
 # numerics.euler_numbers_at_zero by these names.
 from .series import divide_trunc, euler_numbers_at_zero
 
-_LOG2_ACCEL = 2.5431  # log2(3 + sqrt 8), the per-term gain of the scheme
 # The series descent gives up below this target, 2**-65536: a ball that
 # still straddles zero there says only that |r| is smaller.
 _MAX_SERIES_BITS = 1 << 16
 
 
-def _chebyshev_normalizer(n: int) -> int:
-    """T_n(3), the integer ((3+sqrt8)^n + (3-sqrt8)^n)/2."""
-    a, b = 1, 3
-    for _ in range(n - 1):
-        a, b = b, 6 * b - a
-    return b if n >= 1 else 1
+def _least_size(b: int, e: int, target: Fraction) -> tuple[int, int]:
+    """The least size n, and d = T_n(3), with B/d <= target/2 for
+    B = b / 2**e."""
+    tn, td = target.as_integer_ratio()
+    scale, bound = tn << max(e, 0), (2 * b * td) << max(-e, 0)
+    n, a, d = 1, 1, 3  # T_0(3), T_1(3): up to the least n that meets B
+    while d * scale < bound:
+        n, a, d = n + 1, d, 6 * d - a
+    return n, d
 
 
 def _chebyshev_weights(n: int, d: int):
@@ -72,8 +75,7 @@ def beta_value(i: int, precision: int = 256) -> BallReal:
 
 def _beta_enclosure(i: int, precision: int) -> tuple[Fraction, Fraction]:
     """Exact (mid, radius) of the ball ``beta_value`` returns."""
-    n = int((precision + 4) / _LOG2_ACCEL) + 3
-    d = _chebyshev_normalizer(n)
+    n, d = _least_size(1, 0, Fraction(1, 1 << (precision + 7)))
     # s in units of 2**-p: each floor loses under a unit, so s/2**p <= sum
     # c_k/(2k+1)**i < (s + n)/2**p, and n/2**(p+1) < 2**-(precision+17)
     p = precision + 16 + n.bit_length()
@@ -180,9 +182,7 @@ def alternating_series_tail(rep: LinearProductRep, table: PartialFractionTable,
     """
     tn, td = Fraction(target).as_integer_ratio()
     b, e = _moment_bound(table, start + shift + table.pole_offset)
-    n, a, d = 1, 1, 3  # T_0(3), T_1(3): up to the least n that meets B
-    while (d * tn) << max(e, 0) < (2 * b * td) << max(-e, 0):
-        n, a, d = n + 1, d, 6 * d - a
+    n, d = _least_size(b, e, target)
     weights = list(_chebyshev_weights(n, d))
     ratios, error = _term_ratios(rep, shift, start, weights)
     p = max(0, (4 * error * td).bit_length() - (tn * d).bit_length() + 1)

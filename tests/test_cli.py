@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import importlib.util
 import json
@@ -8,7 +9,9 @@ import mpmath
 import pytest
 
 from betaforms import cli, numerics
+from betaforms.balls import BallReal
 from betaforms.cli import main
+from betaforms.decomposition import InclusionReport, Violation
 
 from tests.test_numerics import beta_oracle, full_power_enclosure
 
@@ -38,19 +41,13 @@ MALFORMED = [
                  id="string-precision"),
     pytest.param({**S3, "precision": True}, "precision must be an integer",
                  id="bool-precision"),
-    pytest.param({**S3, "mc_samples": 1.5}, "mc_samples must be an integer",
-                 id="float-mc_samples"),
-    pytest.param({**S3, "mc_samples": 1000},
-                 "mc_samples needs the general family", id="section2-mc_samples"),
-    pytest.param({**S3, "seed": "7"}, "seed must be an integer",
-                 id="string-seed"),
-    pytest.param({**S3, "verify_inclusions": 1},
-                 "verify_inclusions must be a bool",
-                 id="int-verify_inclusions"),
-    pytest.param({**S3, "consistency": "yes"}, "consistency must be a bool",
-                 id="string-consistency"),
-    pytest.param({**S3, "asymptotics": None}, "asymptotics must be a bool",
-                 id="null-asymptotics"),
+    # run always does every check: a profile that names a removed switch
+    # must not pass as if it had been obeyed
+    *[pytest.param({**S3, key: value}, f"unknown key {key!r}",
+                   id=f"removed-{key}")
+      for key, value in [("verify_inclusions", False), ("consistency", False),
+                         ("asymptotics", False), ("mc_samples", 1000),
+                         ("seed", 7)]],
     pytest.param({"family": "general", "eta": [], "n": [2]},
                  "missing key 's'", id="empty-eta"),
     pytest.param({"family": "section2", "n": [2]}, "missing key 's'",
@@ -139,7 +136,7 @@ class TestRun:
     def test_reports_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         argv = ["run", "--profile", "section2-s17", "--n", "2",
-                "--precision", "128", "--seed", "5"]
+                "--precision", "128"]
         assert run_cli(*argv, "--out", str(a)) == 0
         assert run_cli(*argv, "--out", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
@@ -155,9 +152,34 @@ class TestRun:
 
         monkeypatch.setattr(cli, "consistency_check", give_up)
         path = tmp_path / "s3.json"
-        path.write_text(json.dumps({**S3, "asymptotics": False}))
+        path.write_text(json.dumps(S3))
         assert run_cli("run", "--profile", str(path)) == 2
         assert capsys.readouterr().err == f"error: {error}\n"
+
+    @pytest.mark.parametrize("name, spoil, failure", [
+        ("verify_form_inclusions",
+         lambda rep: InclusionReport(rep.checked, (
+             Violation(0, None, Fraction(1, 7), {7: 1}),)),
+         "n=2: form inclusions violated"),
+        ("consistency_check",
+         lambda check: dataclasses.replace(check, passed=False),
+         "n=2: series/decomposition mismatch"),
+        ("exponent_ledger",
+         lambda ledger: dataclasses.replace(ledger,
+                                            total=BallReal(0, radius=1)),
+         "criterion enclosure straddles zero")])
+    def test_failed_check_is_exit_1(self, tmp_path, monkeypatch, name, spoil,
+                                    failure):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name,
+                            lambda *args, **kw: spoil(real(*args, **kw)))
+        out = tmp_path / "r.json"
+        assert run_cli("run", "--profile", "section2-s17", "--n", "2",
+                       "--precision", "64", "--out", str(out)) == 1
+        report = json.loads(out.read_text())
+        assert report["failures"] == [failure] and report["ok"] is False
+        entry = report["per_n"][0]
+        assert ("integer_form" in entry) == (name != "verify_form_inclusions")
 
     def test_large_general_n_runs(self, tmp_path):
         out = tmp_path / "r.json"
@@ -185,12 +207,16 @@ class TestRun:
         assert run_cli(command, *where, "--precision", str(bits)) == 2
         assert "precision must be >= 32 bits" in capsys.readouterr().err
 
-    def test_phi_table_rejects_precision_flag(self, capsys):
+    @pytest.mark.parametrize("command, flag", [
         # the table and the factors are exact, so there is nothing to set
+        ("phi-table", "--precision"),
+        # run has no Monte Carlo; the estimate is numerics.mc_integral
+        ("run", "--seed")])
+    def test_rejects_flag(self, capsys, command, flag):
         with pytest.raises(SystemExit) as exc:
-            run_cli("phi-table", "--profile", "theorem1", "--precision", "64")
+            run_cli(command, "--profile", "theorem1", flag, "64")
         assert exc.value.code == 2
-        assert "unrecognized arguments: --precision" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class TestOtherCommands:
@@ -283,7 +309,7 @@ class TestBenchmarkContract:
 
         monkeypatch.setattr(cli, "build_profile_rep", counted)
         path = tmp_path / "s3.json"
-        path.write_text(json.dumps({**S3, "asymptotics": False}))
+        path.write_text(json.dumps(S3))
         assert run_cli("run", "--profile", str(path), "--n", "2", "4",
                        "--out", str(tmp_path / "r.json")) == 0
         assert seen == [2, 4]

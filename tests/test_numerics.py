@@ -13,10 +13,9 @@ from mpmath.libmp import to_rational
 from betaforms import cli, numerics
 from betaforms.balls import BallReal, ball_pi, floor_log2, working_precision
 from betaforms.decomposition import beta_coefficients
-from betaforms.numerics import (_LOG2_ACCEL, _beta_enclosure,
-                                _chebyshev_normalizer, _chebyshev_pass,
-                                _chebyshev_weights, _moment_bound,
-                                _term_ratios,
+from betaforms.numerics import (_beta_enclosure, _chebyshev_pass,
+                                _chebyshev_weights, _least_size,
+                                _moment_bound, _term_ratios,
                                 SeriesEvaluation, alternating_series_tail, beta_value,
                                 consistency_check, decomposition_value,
                                 mc_integral, r_n_series)
@@ -71,11 +70,28 @@ class TestBetaValue:
             beta_value(0, 64)
 
 
+def chebyshev_t3(n):
+    """T_n(3) by its recurrence T_{k+1} = 6 T_k - T_{k-1}."""
+    a, b = 1, 3
+    for _ in range(n):
+        a, b = b, 6 * b - a
+    return a
+
+
+def beta_size(precision):
+    """The least n with T_n(3) >= 2**(precision + 8): the size of the beta
+    sum, so that its bound 1/d is at most 2**-(precision + 8)."""
+    n = 1
+    while chebyshev_t3(n) < 2 ** (precision + 8):
+        n += 1
+    return n
+
+
 def reference_beta_enclosure(i, precision):
     """Reference: the exact-Fraction Chebyshev sum that the fixed-point one
     replaced, as its (mid, radius) = (sum/d, 1/d)."""
-    n = int((precision + 4) / _LOG2_ACCEL) + 3
-    d = _chebyshev_normalizer(n)
+    n = beta_size(precision)
+    d = chebyshev_t3(n)
     b, c, s = Fraction(-1), Fraction(-d), Fraction(0)
     for k in range(n):
         c = b - c
@@ -87,8 +103,8 @@ def reference_beta_enclosure(i, precision):
 def full_power_enclosure(i, precision):
     """Reference: ``_beta_enclosure`` with every power (2k+1)**i formed,
     as it was before large powers were skipped."""
-    n = int((precision + 4) / _LOG2_ACCEL) + 3
-    d = _chebyshev_normalizer(n)
+    n = beta_size(precision)
+    d = chebyshev_t3(n)
     p = precision + 16 + n.bit_length()
     b, c, s = -1, -d, 0
     for k in range(n):
@@ -112,7 +128,10 @@ BETA_PRECISIONS = (32, 64, 256, 768, 1024)
 
 
 class TestBetaFixedPoint:
-    @pytest.mark.parametrize("precision", BETA_PRECISIONS)
+    # 52..169: the least size is one term below what the old float rule
+    # gave, so the reference's 1/d pins the size as well
+    @pytest.mark.parametrize("precision", BETA_PRECISIONS
+                             + (52, 80, 113, 141, 169))
     def test_rounding_bound_covers_the_exact_sum(self, precision):
         for i in range(1, 17):
             mid, rad = _beta_enclosure(i, precision)
@@ -121,6 +140,18 @@ class TestBetaFixedPoint:
             # under 2**-16 of 1/d
             assert abs(mid - ref_mid) <= rad - ref_rad
             assert rad - ref_rad <= ref_rad / 2 ** 16
+
+    def test_size_is_the_least_that_meets_the_bound(self):
+        t3 = [chebyshev_t3(0), chebyshev_t3(1)]
+        for precision in range(32, 2001):
+            n, d = _least_size(1, 0, Fraction(1, 2 ** (precision + 7)))
+            while len(t3) <= n:
+                t3.append(6 * t3[-1] - t3[-2])
+            assert d == t3[n]
+            assert t3[n - 1] < 2 ** (precision + 8) <= d
+            if precision == 64 or precision % 256 == 0:
+                # the float rule that sized the sum before
+                assert n == int((precision + 4) / 2.5431) + 3
 
     @pytest.mark.parametrize("precision", BETA_PRECISIONS)
     def test_ball_against_exact_sum_and_mpmath(self, precision):
@@ -219,8 +250,8 @@ class TestSeriesKernel:
         ev = alternating_series_tail(b.rep, b.table, Fraction(-1, 2),
                                      b.profile.series_start, target, 64)
         n = ev.direct_terms
-        bound = ev.tail_bound * _chebyshev_normalizer(n)  # B
-        assert ev.tail_bound <= target / 2 < bound / _chebyshev_normalizer(n - 1)
+        bound = ev.tail_bound * chebyshev_t3(n)  # B
+        assert ev.tail_bound <= target / 2 < bound / chebyshev_t3(n - 1)
 
     @settings(max_examples=40, deadline=None)
     @given(any_rep, shifts, st.integers(0, 6), st.integers(1, 60),
@@ -229,7 +260,7 @@ class TestSeriesKernel:
     @example(GROWING, Fraction(0), 0, 60, 36)
     def test_fixed_point_error_bound_holds(self, rep, shift, offset, n, p):
         start = first_start(rep, shift) + offset
-        weights = list(_chebyshev_weights(n, _chebyshev_normalizer(n)))
+        weights = list(_chebyshev_weights(n, chebyshev_t3(n)))
         ratios, error = _term_ratios(rep, shift, start, weights)
         terms = [rep.evaluate(start + j + shift) for j in range(n)]
         got = _chebyshev_pass(terms[0], ratios, weights, p)
@@ -272,7 +303,7 @@ class TestSeriesKernel:
         ev = alternating_series_tail(b.rep, b.table,
                                      profile.series_argument_shift,
                                      profile.series_start, target, 64)
-        d = _chebyshev_normalizer(ev.direct_terms)
+        d = chebyshev_t3(ev.direct_terms)
         fixed = Fraction(seen["error"], d << seen["p"])
         assert fixed <= target / 4
         assert ev.tail_bound + fixed <= ev.value.rad <= target
