@@ -14,9 +14,9 @@ floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._records import frozen
 from .balls import BallReal, nstr, working_precision
 from .numtheory import phi_exponent
 from .profiles import Profile
@@ -119,7 +119,7 @@ class RootCertificationError(ArithmeticError):
     """The defining polynomial does not have a unique zero in (0, 1)."""
 
 
-@dataclass(frozen=True)
+@frozen
 class Lemma3Data:
     """Certified root data for the cube maximization.
 
@@ -229,7 +229,7 @@ def r_exponent(profile: Profile, precision: int = 256) -> BallReal:
 # The criterion ledger
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@frozen
 class ExponentLedger:
     """All exponential rates feeding the small-linear-forms criterion.
 

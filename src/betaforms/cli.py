@@ -3,10 +3,12 @@ machine-readable reports.
 
 ``run`` does the whole certificate for each n: the inclusions, the
 integer form when they hold, the series-vs-decomposition oracle, and then
-the exponent ledger.  Exit codes: 0 every check passes, 1 a mathematical
-verification failed (inclusion violation, consistency mismatch, or an
-inconclusive criterion enclosure), 2 usage / profile / I-O errors, and any
-``ArithmeticError`` or ``ValueError`` that escapes a command.
+the exponent ledger.  Exit codes: 0 every check ran and decided (the
+report's ``ok``; whether the criterion holds is ``asymptotics.verdict``,
+which may be ``"fails"``), 1 a mathematical verification failed
+(inclusion violation, consistency mismatch, or an inconclusive criterion
+enclosure), 2 usage / profile / I-O errors, and any ``ArithmeticError``
+or ``ValueError`` that escapes a command.
 
 Every profile command reads ``--profile`` (a ``profiles.PRESETS`` name or
 a JSON object) through ``_config``, which type-checks each field, rejects
@@ -316,7 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", nargs="+", type=int)
     p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("run", help="full verification run + report")
+    p = sub.add_parser(
+        "run", help="full verification run + report; exit 0 means every "
+                    "check ran and decided, and asymptotics.verdict says "
+                    "whether the criterion holds")
     add_common(p)
     p.set_defaults(func=_cmd_run)
 

@@ -15,9 +15,9 @@ deliberately weakened exponents can be probed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ._records import frozen
 from .numtheory import FactoredInteger, capital_phi, lcm_up_to
 from .profiles import Profile, section2
 from .rationalfn import PartialFractionTable, build_remark1, partial_fractions
@@ -54,7 +54,7 @@ def _tail_correction_sum(i: int, terms) -> Fraction:
     return total
 
 
-@dataclass(frozen=True)
+@frozen
 class DecompositionResult:
     """Exact coefficients a_0..a_s of r = a_0 + sum a_i beta(i)."""
 
@@ -66,7 +66,7 @@ class DecompositionResult:
         return [i for i in range(2, self.profile.s + 1, 2)]
 
 
-@dataclass(frozen=True)
+@frozen
 class ArithmeticFactors:
     """The lcm power base d and the prime-power factor, kept factored."""
 
@@ -116,12 +116,12 @@ def beta_coefficients(table: PartialFractionTable, profile: Profile) -> Decompos
 # Divisibility verification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@frozen(unhashed=("deficits",))
 class Violation:
     i: int
     k: int | None
     value: Fraction
-    deficits: dict[int, int] = field(hash=False, default_factory=dict)
+    deficits: dict[int, int]
 
     def __str__(self):
         where = f"i={self.i}" + ("" if self.k is None else f", k={self.k}")
@@ -129,7 +129,7 @@ class Violation:
         return f"[{where}] denominator {self.value.denominator} ({defs})"
 
 
-@dataclass(frozen=True)
+@frozen
 class InclusionReport:
     checked: int
     violations: tuple[Violation, ...]
@@ -227,7 +227,7 @@ def integer_linear_form(result: DecompositionResult,
 # The earlier-variant denominator probe
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@frozen
 class Remark1Report:
     s: int
     n: int

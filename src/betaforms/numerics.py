@@ -25,10 +25,10 @@ independent of the decomposition.  ``r_n_series`` meets the radius
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from ._records import frozen
 from .balls import BallReal, floor_log2, working_precision
 from .decomposition import DecompositionResult, beta_coefficients
 from .profiles import Profile
@@ -159,7 +159,7 @@ def _chebyshev_pass(first: Fraction, ratios: list[tuple[int, int]],
     return total
 
 
-@dataclass(frozen=True)
+@frozen
 class SeriesEvaluation:
     """One series pass: its ball, the scheme's size N (``direct_terms``)
     and bound B/d (``tail_bound``).  No tail is summed apart, so
@@ -265,7 +265,7 @@ def decomposition_value(result: DecompositionResult, precision: int = 256) -> Ba
     return total
 
 
-@dataclass(frozen=True)
+@frozen
 class ConsistencyReport:
     profile: Profile
     series: BallReal

@@ -35,10 +35,10 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from ._records import frozen
 from .balls import (BallReal, ball_euler_gamma, ball_pi, floor_log2,
                     working_precision)
 
@@ -74,7 +74,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@frozen
 class FactoredInteger:
     """A positive integer kept in factored form: sorted (prime, exponent) pairs."""
 
@@ -140,7 +140,7 @@ def eta_violations(eta) -> list[str]:
     return bad
 
 
-@dataclass(frozen=True)
+@frozen
 class CarrySpec:
     """Which floor-sum carry function to use.
 
@@ -230,7 +230,7 @@ def _min_over_y(terms, x: Fraction) -> tuple[int, Fraction]:
     return best, Fraction(best_key, 2 * period)
 
 
-@dataclass(frozen=True)
+@frozen
 class StepFunction:
     """Piecewise-constant integer function on [0, 1), canonical form.
 

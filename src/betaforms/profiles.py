@@ -17,10 +17,10 @@ modules never re-derive it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from ._records import frozen
 from .numtheory import CarrySpec, eta_violations
 
 
@@ -55,7 +55,7 @@ def profile_violations(family: str, s: int, n: int,
     return bad
 
 
-@dataclass(frozen=True)
+@frozen
 class Profile:
     family: str
     s: int

@@ -15,15 +15,15 @@ updated, not rebuilt.  No floating point enters this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._records import frozen
 from .profiles import Profile, section2
 
 _HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
+@frozen
 class LinearProductRep:
     """scalar * prod (t - r)**mult / prod (t - r')**mult'.
 
@@ -102,7 +102,7 @@ class LinearProductRep:
                                 self.num_roots, self.den_roots)
 
 
-@dataclass(frozen=True)
+@frozen
 class PartialFractionTable:
     """Exact coefficients a[i][k] of (t + k + pole_offset)**(-i).
 

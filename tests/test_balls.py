@@ -345,19 +345,42 @@ class TestNstr:
             assert out["rad"] == mpmath_nstr(b.rad, 8)
 
 
-def test_no_mpmath_on_the_import_path_or_in_a_run(tmp_path):
-    """``betaforms.cli`` imports no mpmath, and a theorem1 run loads none."""
+def run_fresh(tmp_path, *lines):
+    """Run ``lines`` in a fresh interpreter, after ``import sys`` and
+    with ``run_theorem1()`` defined; it must exit 0."""
     code = "\n".join([
         "import sys",
-        "import betaforms.cli",
-        "assert 'mpmath' not in sys.modules, 'loaded by the import'",
-        "rc = betaforms.cli.main(['run', '--profile', 'theorem1', '--n', '2',"
-        f" '--out', {str(tmp_path / 'report.json')!r}])",
-        "assert rc == 0, rc",
-        "assert 'mpmath' not in sys.modules, 'loaded by the run'",
-    ])
+        "def run_theorem1():",
+        "    import betaforms.cli",
+        "    rc = betaforms.cli.main(['run', '--profile', 'theorem1',"
+        f" '--n', '2', '--out', {str(tmp_path / 'report.json')!r}])",
+        "    assert rc == 0, rc",
+        *lines])
     root = str(Path(balls.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=300,
                           env={**os.environ, "PYTHONPATH": root})
     assert done.returncode == 0, done.stderr
+
+
+def test_no_mpmath_on_the_import_path_or_in_a_run(tmp_path):
+    """``betaforms.cli`` imports no mpmath, and a theorem1 run loads none."""
+    run_fresh(tmp_path,
+              "import betaforms.cli",
+              "assert 'mpmath' not in sys.modules, 'loaded by the import'",
+              "run_theorem1()",
+              "assert 'mpmath' not in sys.modules, 'loaded by the run'")
+
+
+def test_no_record_generator_on_the_import_path_or_in_a_run(tmp_path):
+    """Neither importing ``betaforms.cli`` nor a theorem1 run loads
+    ``dataclasses`` or ``inspect`` (measured against what the interpreter
+    had loaded before, which on some hosts includes them)."""
+    run_fresh(tmp_path,
+              "before = set(sys.modules)",
+              "new = lambda: {'dataclasses', 'inspect'} & (set(sys.modules)"
+              " - before)",
+              "import betaforms.cli",
+              "assert not new(), ('loaded by the import', new())",
+              "run_theorem1()",
+              "assert not new(), ('loaded by the run', new())")

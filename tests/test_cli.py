@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import importlib.util
 import json
@@ -9,9 +8,11 @@ import mpmath
 import pytest
 
 from betaforms import cli, numerics
+from betaforms.asymptotics import ExponentLedger
 from betaforms.balls import BallReal
 from betaforms.cli import main
 from betaforms.decomposition import InclusionReport, Violation
+from betaforms.numerics import ConsistencyReport
 
 from tests.test_numerics import beta_oracle, full_power_enclosure
 
@@ -162,11 +163,14 @@ class TestRun:
              Violation(0, None, Fraction(1, 7), {7: 1}),)),
          "n=2: form inclusions violated"),
         ("consistency_check",
-         lambda check: dataclasses.replace(check, passed=False),
+         lambda check: ConsistencyReport(check.profile, check.series,
+                                         check.decomposition, False,
+                                         check.gap_bits),
          "n=2: series/decomposition mismatch"),
         ("exponent_ledger",
-         lambda ledger: dataclasses.replace(ledger,
-                                            total=BallReal(0, radius=1)),
+         lambda ledger: ExponentLedger(ledger.profile, ledger.r_exponent,
+                                       ledger.d_exponent, ledger.phi_exponent,
+                                       BallReal(0, radius=1)),
          "criterion enclosure straddles zero")])
     def test_failed_check_is_exit_1(self, tmp_path, monkeypatch, name, spoil,
                                     failure):

@@ -1,0 +1,106 @@
+"""The frozen records behind the package's value classes."""
+
+from fractions import Fraction
+
+import pytest
+
+from betaforms._records import frozen
+from betaforms.decomposition import Violation
+from betaforms.numtheory import CarrySpec, carry_min_table
+from betaforms.profiles import THEOREM1_ETA, Profile, ProfileError, general
+
+
+@frozen
+class Pair:
+    x: int
+    y: int = 0
+
+
+@frozen
+class OtherPair:
+    x: int
+    y: int = 0
+
+
+def test_fields_cannot_be_set_or_deleted():
+    profile = general(THEOREM1_ETA, 2)
+    with pytest.raises(AttributeError):
+        profile.n = 4
+    with pytest.raises(AttributeError):
+        profile.extra = 1
+    with pytest.raises(AttributeError):
+        del profile.eta
+    assert profile.n == 2
+
+
+def test_equality_and_hash_follow_class_and_fields():
+    a, b = CarrySpec("general", THEOREM1_ETA), CarrySpec("general", THEOREM1_ETA)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert hash(a) == hash(("general", THEOREM1_ETA))
+    assert a != CarrySpec("section2")
+    # a cached property in one instance's __dict__ is not a field
+    p, q = general(THEOREM1_ETA, 2), general(THEOREM1_ETA, 2)
+    assert p.gamma and p == q and hash(p) == hash(q)
+    assert Pair(1, 2) == Pair(1, 2) and Pair(1, 2) != Pair(2, 1)
+    assert Pair(1, 2) != OtherPair(1, 2)
+
+
+def test_keywords_and_defaults():
+    assert CarrySpec("section2").eta is None
+    assert Profile("section2", 3, 2).eta is None
+    assert CarrySpec(eta=THEOREM1_ETA, family="general") == CarrySpec(
+        "general", THEOREM1_ETA)
+    assert Pair(x=1) == Pair(1, 0)
+
+
+def test_repr_names_every_field():
+    assert repr(Profile("section2", 3, 2)) == (
+        "Profile(family='section2', s=3, n=2, eta=None)")
+
+
+def test_post_init_still_validates():
+    with pytest.raises(ProfileError, match="s must be odd"):
+        Profile("section2", 4, 2)
+    with pytest.raises(ValueError, match="takes no eta"):
+        CarrySpec("section2", (3, 1, 1))
+
+
+def test_violation_hash_leaves_out_deficits():
+    a = Violation(0, None, Fraction(1, 7), {7: 1})
+    b = Violation(0, None, Fraction(1, 7), {7: 2})
+    assert hash(a) == hash(b) == hash((0, None, Fraction(1, 7)))
+    assert a != b and a == Violation(0, None, Fraction(1, 7), {7: 1})
+
+
+def test_cached_properties_still_cache():
+    profile = general(THEOREM1_ETA, 2)
+    assert profile.carry_spec is profile.carry_spec
+    assert profile.gamma is profile.gamma
+    assert {"carry_spec", "gamma"} <= vars(profile).keys()
+
+
+def test_equal_specs_share_one_carry_table_entry():
+    first = carry_min_table(CarrySpec("section2"))
+    before = carry_min_table.cache_info()
+    assert carry_min_table(CarrySpec("section2")) is first
+    after = carry_min_table.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    ((1, 2, 3), {}),
+    ((), {}),
+    ((1,), {"x": 1}),
+    ((1,), {"z": 1}),
+])
+def test_wrong_arity_is_type_error(args, kwargs):
+    with pytest.raises(TypeError):
+        Pair(*args, **kwargs)
+
+
+def test_required_field_after_default_is_rejected():
+    with pytest.raises(TypeError, match="without a default"):
+        @frozen
+        class Bad:
+            x: int = 0
+            y: int

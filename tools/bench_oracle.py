@@ -57,9 +57,13 @@ RUN_ARGV = ("-m", "betaforms.cli", "run", "--profile", "theorem1", "--n", "2",
 
 
 def machine() -> dict:
+    """The host, and whether the children may write bytecode caches: the
+    ``startup`` stage about doubles when they may not, so rows taken with
+    and without ``PYTHONDONTWRITEBYTECODE`` do not compare."""
     return {"machine": platform.machine(), "cpus": os.cpu_count(),
             "system": platform.system(), "python": platform.python_version(),
-            "implementation": platform.python_implementation()}
+            "implementation": platform.python_implementation(),
+            "dont_write_bytecode": bool(sys.flags.dont_write_bytecode)}
 
 
 def seconds(fn, before=None):
