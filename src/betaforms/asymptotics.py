@@ -6,7 +6,9 @@ integer polynomial in (0, 1).  Root isolation is exact and runs on
 integer signs: a polynomial is scaled once to integer coefficients, each
 sign is an integer Horner evaluation of q**deg p(a/q), the Sturm chain is
 a primitive pseudo-remainder sequence, and bisection keeps its ends as
-integers over one power-of-2 denominator.  Only the final logarithms run
+integers over one power-of-2 denominator; on a bracket with one root,
+Newton steps jump along bisection's own grid, checked by exact signs, so
+the refined bracket is bisection's.  Only the final logarithms run
 in ball arithmetic.  The verdict compares certified enclosures, never bare
 floats.
 """
@@ -70,45 +72,103 @@ def _sign_variations(chain, x: Fraction) -> int:
     return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
+def _count(chain, lo: Fraction, hi: Fraction) -> int:
+    """``count_roots`` on a Sturm chain already built."""
+    if not (_sign_at(chain[0], *lo.as_integer_ratio())
+            and _sign_at(chain[0], *hi.as_integer_ratio())):
+        raise ValueError("endpoint is a root; perturb the interval")
+    return _sign_variations(chain, lo) - _sign_variations(chain, hi)
+
+
 def count_roots(p: list[Fraction], lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots in (lo, hi); neither end may be one."""
-    p = _integer_poly(p)
-    if not (_sign_at(p, *lo.as_integer_ratio())
-            and _sign_at(p, *hi.as_integer_ratio())):
-        raise ValueError("endpoint is a root; perturb the interval")
-    chain = _sturm_chain(p)
-    return _sign_variations(chain, lo) - _sign_variations(chain, hi)
+    return _count(_sturm_chain(_integer_poly(p)), lo, hi)
+
+
+def _newton_cell(p: list[int], a: int, w: int, den: int, jump: int) -> int:
+    """The index j of the cell [a 2**jump + j w, a 2**jump + (j+1) w] over
+    den 2**jump that one Newton step from the midpoint of [a, a + w] over
+    den lands in, the step taken in fixed point finer than the cells; -1
+    when the step fails or leaves the bracket."""
+    f = (den << jump).bit_length() - w.bit_length() + 8
+    x = ((2 * a + w) << f) // (2 * den)
+    value, slope = p[-1] << f, 0
+    for c in reversed(p[:-1]):
+        slope = (slope * x >> f) + value
+        value = (value * x >> f) + (c << f)
+    if not slope:
+        return -1
+    x -= (value << f) // slope
+    j = ((x * den - (a << f)) << jump) // (w << f)
+    return j if 0 <= j < 1 << jump else -1
 
 
 def bisect_root(p: list[Fraction], lo: Fraction, hi: Fraction,
                 width: Fraction) -> tuple[Fraction, Fraction]:
-    """Shrink a sign-change bracket below the given width, exactly: the
-    ends are integers a, b over one denominator that doubles per step."""
+    """Shrink a sign-change bracket below the given width, exactly, to the
+    bracket bisection returns: the ends are integers over one denominator
+    den 2**k, on the grid a + j (b - a) of bisection's k-th step.
+
+    When the Sturm count of the bracket is 1, a step may instead jump
+    ``jump`` levels at once to the cell that one Newton step from the
+    midpoint lands in (``_newton_cell``).  The jump is taken only when the
+    exact signs at both ends of that cell are those of the bracket's ends.
+    The one root is then inside the cell, not on its ends, and bisection's
+    own path, which keeps the sign-change half that holds the root, passes
+    through the same cell; a zero sign at a cell end is the root itself,
+    where bisection stops too.  No jump goes past bisection's last level.
+    A taken jump doubles the next one; a refused one halves it (to no
+    less than 2), and a bisection step follows.  With several roots in the
+    bracket every step is a bisection step: a jump could land next to
+    another root than the one bisection ends at.
+    """
     p = _integer_poly(p)
     den = lo.denominator * hi.denominator
     a, b = lo.numerator * hi.denominator, hi.numerator * lo.denominator
     sa, sb = _sign_at(p, a, den), _sign_at(p, b, den)
     if sa == 0 or sb == 0 or sa == sb:
         raise ValueError("interval is not a sign-change bracket")
-    while (b - a) * width.denominator > width.numerator * den:
-        mid, a, b, den = a + b, 2 * a, 2 * b, 2 * den
+    w, levels = b - a, 0  # w: the width in units of 1/den at every level
+    while w * width.denominator > (width.numerator * den) << levels:
+        levels += 1
+    # 0: bisection only
+    jump = 2 if levels and _count(_sturm_chain(p), lo, hi) == 1 else 0
+    while levels:
+        if jump:
+            step = min(jump, levels)
+            j = _newton_cell(p, a, w, den, step)
+            if j >= 0:
+                a2, den2 = (a << step) + j * w, den << step
+                s1, s2 = _sign_at(p, a2, den2), _sign_at(p, a2 + w, den2)
+                if s1 == 0 or s2 == 0:
+                    root = Fraction(a2 if s1 == 0 else a2 + w, den2)
+                    return root, root
+                if s1 == sa and s2 == sb:
+                    a, den, levels, jump = a2, den2, levels - step, 2 * jump
+                    continue
+            jump = max(2, jump // 2)
+        mid, a, den = 2 * a + w, 2 * a, 2 * den
         sm = _sign_at(p, mid, den)
         if sm == 0:
             return Fraction(mid, den), Fraction(mid, den)
-        a, b = (mid, b) if sm == sa else (a, mid)
-    return Fraction(a, den), Fraction(b, den)
+        a, levels = mid if sm == sa else a, levels - 1
+    return Fraction(a, den), Fraction(a + w, den)
 
 
 def isolate_roots(p: list[Fraction], lo: Fraction,
                   hi: Fraction) -> list[tuple[Fraction, Fraction]]:
     """Disjoint open subintervals of (lo, hi) each holding exactly one root."""
-    total = count_roots(p, lo, hi)
+    return _isolate(_sturm_chain(_integer_poly(p)), lo, hi)
+
+
+def _isolate(chain, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
+    total = _count(chain, lo, hi)
     if total <= 1:
         return [(lo, hi)] * total
     mid = (lo + hi) / 2
-    while not _sign_at(_integer_poly(p), *mid.as_integer_ratio()):
+    while not _sign_at(chain[0], *mid.as_integer_ratio()):
         mid = (mid + hi) / 2
-    return isolate_roots(p, lo, mid) + isolate_roots(p, mid, hi)
+    return _isolate(chain, lo, mid) + _isolate(chain, mid, hi)
 
 
 # ---------------------------------------------------------------------------

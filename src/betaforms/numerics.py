@@ -9,7 +9,11 @@ the integer weights c_k of ``_chebyshev_weights``, sum c_k a_k / d misses
 sum (-1)**k a_k by at most B/d when a_k = int_0^1 t**k w(t) dt and
 B >= int_0^1 |w|, and ``_least_size`` finds the least N with
 B/d <= target/2.  For beta(i), a_k = (2k + 1)**-i, B = 1 and the target is
-2**-(precision + 7).  The series term a_j = f(start + shift + j) =
+2**-(precision + 7).  The indices one decomposition needs share one pass
+(``_beta_enclosures``): floor(floor(a/b)/c) = floor(a/(bc)) for integers
+b, c > 0, so dividing the last floor by (2k + 1)**(i' - i) gives each
+next index's floor exactly, and a chain stops at 0 or -1, the fixed points
+of floor division.  The series term a_j = f(start + shift + j) =
 sum c_ik (j + X_k)**-i over the pole table, X_k = start + shift + k +
 pole_offset > 0, is the moment of w(t) = sum c_ik t**(X_k - 1)
 (-log t)**(i - 1) / (i - 1)!, so B = sum |c_ik| / X_k**i
@@ -64,31 +68,72 @@ def _chebyshev_weights(n: int, d: int):
         b = b * 2 * (k + n) * (k - n) // ((2 * k + 1) * (k + 1))  # exact
 
 
+# Per precision, the ascending indices ``decomposition_value`` is about to
+# ask ``beta_value`` for; and the enclosures a shared pass made ahead of
+# their own call, keyed by (index, precision).
+_beta_rows: dict[int, tuple[int, ...]] = {}
+_beta_ahead: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
+
+
 @lru_cache(maxsize=None)
 def beta_value(i: int, precision: int = 256) -> BallReal:
-    """The alternating sum of odd reciprocal i-th powers, radius <= 2**(1-precision)."""
+    """The alternating sum of odd reciprocal i-th powers, radius <= 2**(1-precision).
+
+    An enclosure a shared pass made ahead is taken as it is.  Otherwise,
+    when ``_beta_rows`` lists indices above i at this precision, one pass
+    makes i's enclosure and theirs, and keeps theirs for their own calls.
+    """
     if i < 1:
         raise ValueError("beta index must be >= 1")
+    enclosure = _beta_ahead.pop((i, precision), None)
+    if enclosure is None:
+        later = [j for j in _beta_rows.get(precision, ())
+                 if j > i and (j, precision) not in _beta_ahead]
+        if later:
+            enclosure, *rest = _beta_enclosures([i] + later, precision)
+            _beta_ahead.update(zip([(j, precision) for j in later], rest))
+        else:
+            enclosure = _beta_enclosure(i, precision)
     with working_precision(precision + 16):
-        return BallReal(*_beta_enclosure(i, precision))
+        return BallReal(*enclosure)
 
 
 def _beta_enclosure(i: int, precision: int) -> tuple[Fraction, Fraction]:
     """Exact (mid, radius) of the ball ``beta_value`` returns."""
+    return _beta_enclosures([i], precision)[0]
+
+
+def _beta_enclosures(indices: list[int],
+                     precision: int) -> list[tuple[Fraction, Fraction]]:
+    """``_beta_enclosure`` of each of the ascending indices, in one pass.
+
+    For integers b, c > 0, floor(floor(a/b)/c) = floor(a/(bc)), so the
+    chain t = floor(c 2**p / (2k+1)**i_0), t //= (2k+1)**(i_(r+1) - i_r)
+    gives every floor of every index exactly; the weights are made once.
+    A power above |c| 2**p floors to 0 or -1, and 0 and -1 are fixed
+    points of //, so a chain divides no more once it reaches either.
+    """
     n, d = _least_size(1, 0, Fraction(1, 1 << (precision + 7)))
     # s in units of 2**-p: each floor loses under a unit, so s/2**p <= sum
     # c_k/(2k+1)**i < (s + n)/2**p, and n/2**(p+1) < 2**-(precision+17)
     p = precision + 16 + n.bit_length()
-    s = 0
+    first, gaps = indices[0], [j - i for i, j in zip(indices, indices[1:])]
+    sums = [0] * len(indices)
     for k, c in enumerate(_chebyshev_weights(n, d)):
-        if i * ((2 * k + 1).bit_length() - 1) >= abs(c).bit_length() + p:
-            # (2k+1)**i > |c| 2**p, so the floor is 0 or -1: skip the power
-            s -= c < 0
+        m = 2 * k + 1
+        if first * (m.bit_length() - 1) >= abs(c).bit_length() + p:
+            # m**first > |c| 2**p: the floor is 0 or -1, no power formed
+            t = -(c < 0)
         else:
-            s += (c << p) // (2 * k + 1) ** i
+            t = (c << p) // m ** first
+        sums[0] += t
+        for r, gap in enumerate(gaps, 1):
+            if t not in (0, -1):
+                t //= m ** gap
+            sums[r] += t
     # moment-sequence error bound: |S - sum/d| <= S/d < 1/d
-    return (Fraction(2 * s + n, d << (p + 1)),
-            Fraction((1 << (p + 1)) + n, d << (p + 1)))
+    return [(Fraction(2 * s + n, d << (p + 1)),
+             Fraction((1 << (p + 1)) + n, d << (p + 1))) for s in sums]
 
 
 def build_profile_rep(profile: Profile) -> LinearProductRep:
@@ -256,12 +301,14 @@ def decomposition_value(result: DecompositionResult, precision: int = 256) -> Ba
     bits = max(max(abs(ai.numerator).bit_length(), ai.denominator.bit_length())
                for ai in result.a)
     p2 = 256 * math.ceil((precision + bits + 48) / 256)
+    indices = [i for i in result.beta_indices if result.a[i]]
+    # the first uncached index makes every later one in the same pass
+    _beta_rows[p2] = tuple(indices)
     with working_precision(p2):
         total = BallReal(result.a[0])
-        for i in result.beta_indices:
-            ai = result.a[i]
-            if ai:
-                total = total + BallReal(ai) * beta_value(i, p2)
+        for i in indices:
+            total = total + BallReal(result.a[i]) * beta_value(i, p2)
+    del _beta_rows[p2]
     return total
 
 

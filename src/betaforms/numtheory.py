@@ -29,12 +29,19 @@ without passing one another, so the cyclic order of the cells in y and
 the value on each cell stay fixed; min over y is then constant.  The
 candidate set is therefore complete, and ``carry_min_table`` evaluates
 each candidate and each gap between them exactly once.
+
+The floor sum is linear in the signs, so the table is built from the
+merged sum: terms with equal (a, e) become one term carrying the sum of
+their signs, and a term whose signs cancel is identically 0, has no jump
+lines and adds no candidates.  The merged sum is the same function, so
+its table is the same step function.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+from itertools import starmap
 from fractions import Fraction
 from functools import lru_cache
 
@@ -195,39 +202,61 @@ def carry_value(spec: CarrySpec, x, y) -> int:
     return total
 
 
-def _min_over_y(terms, x: Fraction) -> tuple[int, Fraction]:
-    """Minimum of the carry sum over y in [0, 1) at x = p/q in [0, 1), and
-    the first y attaining it.
-
-    With L = lcm |e| and y = Y/(L q), a term (a, e) with e != 0 jumps at
-    the integers Y = -(L/e) a p mod (L/|e|) q, |e| of them per period.  The
-    sum is taken once at Y = 0; then, in increasing Y, a term with e > 0
-    adds its sign at the jump point itself (floor is right-continuous) and
-    one with e < 0 subtracts its sign just after it.  On the doubled grid
-    K = 2Y (the point) and 2Y + 1 (the open interval after it) the running
-    sum takes every value of the function, so its least value is the
-    minimum, with witness y = K / (2 L q).
-    """
-    p, q = x.numerator, x.denominator
-    period = math.lcm(*(abs(e) for _, _, e in terms if e)) * q
-    total = 0
-    steps: dict[int, int] = {}
+def _merged_terms(terms) -> tuple[tuple[int, int, int], ...]:
+    """The floor terms with equal (a, e) merged by adding their signs; a
+    term whose signs cancel is dropped."""
+    merged: dict[tuple[int, int], int] = {}
     for sign, a, e in terms:
+        merged[a, e] = merged.get((a, e), 0) + sign
+    return tuple((sign, a, e) for (a, e), sign in merged.items() if sign)
+
+
+def _sweep_plan(terms):
+    """The constants of ``_min_over_y`` for a sum of floor terms, taken once
+    per table: L = lcm |e|; the (sign, a) of the sum at y = 0, merged by a;
+    and per term with e != 0 its spacing factor L/|e|, -(L/e) a, the parity
+    of its keys and its delta."""
+    lcm = math.lcm(*(abs(e) for _, _, e in terms if e))
+    at_zero: dict[int, int] = {}
+    for sign, a, _ in terms:
+        at_zero[a] = at_zero.get(a, 0) + sign
+    jumps = tuple((lcm // abs(e), -(lcm // e) * a, e < 0,
+                   sign if e > 0 else -sign) for sign, a, e in terms if e)
+    return (lcm, tuple((sign, a) for a, sign in at_zero.items() if sign and a),
+            jumps)
+
+
+def _min_over_y(plan, p: int, q: int) -> tuple[int, int]:
+    """Minimum of the floor sum over y in [0, 1) at x = p/q in [0, 1), with
+    q > 0 and p/q not necessarily reduced, and the key K of the first y =
+    K / (2 L q) attaining it; ``plan`` is the sum's ``_sweep_plan``.
+
+    With y = Y/(L q), a term (a, e) with e != 0 jumps at the integers Y =
+    -(L/e) a p mod (L/|e|) q, |e| of them per period.  The sum is taken
+    once at Y = 0; then, in increasing Y, a term with e > 0 adds its sign
+    at the jump point itself (floor is right-continuous) and one with e < 0
+    subtracts its sign just after it.  On the doubled grid K = 2Y (the
+    point) and 2Y + 1 (the open interval after it) the running sum takes
+    every value of the function, so its least value is the minimum.
+    """
+    lcm, at_zero, jumps = plan
+    end = 2 * lcm * q
+    total = 0
+    for sign, a in at_zero:
         total += sign * (a * p // q)
-        if e == 0:
-            continue
-        spacing = period // abs(e)
-        first = -(period // q // e) * a * p % spacing
-        key, delta = (2 * first, sign) if e > 0 else (2 * first + 1, -sign)
+    steps: dict[int, int] = {}
+    for factor, coef, parity, delta in jumps:
+        spacing = factor * q
         # a jump at the point Y = 0 is already in the sum at Y = 0
-        for k in range(key or 2 * spacing, 2 * period, 2 * spacing):
+        for k in range(2 * (coef * p % spacing) + parity or 2 * spacing, end,
+                       2 * spacing):
             steps[k] = steps.get(k, 0) + delta
     best, best_key = total, 0
     for k in sorted(steps):
         total += steps[k]
         if total < best:
             best, best_key = total, k
-    return best, Fraction(best_key, 2 * period)
+    return best, best_key
 
 
 @frozen
@@ -283,21 +312,31 @@ class StepFunction:
         return max(self.values)
 
 
-def _breakpoint_candidates(terms) -> list[Fraction]:
-    """Every x in [0, 1) where min over y of the floor sum can change:
-    (1/D)Z for D = |a1 e2 - a2 e1| > 0 over pairs of terms with e != 0,
-    where two jump lines cross, and (1/|a|)Z for the y-free terms."""
+def _breakpoint_candidates(terms) -> list[tuple[int, int]]:
+    """Every x in [0, 1) where min over y of the floor sum can change, as
+    reduced (p, q) in increasing order: (1/D)Z for D = |a1 e2 - a2 e1| > 0
+    over pairs of terms with e != 0, where two jump lines cross, and
+    (1/|a|)Z for the y-free terms.  Distinct points j/d differ by at least
+    1/(d1 d2), so the integer keys floor(j 2**k / d), 2**k >= the largest
+    D squared, order them exactly."""
     sloped = {(a, e) for _, a, e in terms if e}
     dens = {abs(a) for _, a, e in terms if not e and a}
     dens |= {abs(a1 * e2 - a2 * e1) for a1, e1 in sloped for a2, e2 in sloped}
     dens.discard(0)
-    return sorted({Fraction(0)} | {Fraction(j, d) for d in dens
-                                   for j in range(1, d)})
+    # the reduced denominators of (1/D)Z are the divisors of D
+    dens = {d for top in dens for d in range(2, top + 1) if top % d == 0}
+    shift = 2 * max(dens, default=1).bit_length()
+    return [(0, 1)] + [(j, d) for _, j, d in sorted(
+        ((j << shift) // d, j, d) for d in dens for j in range(1, d)
+        if math.gcd(j, d) == 1)]
 
 
 @lru_cache(maxsize=None)
 def carry_min_table(spec: CarrySpec) -> StepFunction:
     """Exact table of min_y carry(x, y) as a step function of x.
+
+    It is built from the merged sum of the module docstring, the same
+    function with fewer terms (45 become 14 for theorem1).
 
     Completeness: every breakpoint lies in ``_breakpoint_candidates``.  On
     an open gap between consecutive candidates no two jump lines in the
@@ -309,26 +348,29 @@ def carry_min_table(spec: CarrySpec) -> StepFunction:
     on the gap to its right; this is checked, and a sum for which it fails
     raises instead of being tabulated wrongly.
     """
-    terms = spec.terms()
+    terms = _merged_terms(spec.terms())
+    plan = _sweep_plan(terms)
     grid = _breakpoint_candidates(terms)
     values = []
-    for lo, hi in zip(grid, grid[1:] + [Fraction(1)]):
-        v_left, _ = _min_over_y(terms, lo)
-        v_gap, _ = _min_over_y(terms, (lo + hi) / 2)
+    for (p1, q1), (p2, q2) in zip(grid, grid[1:] + [(1, 1)]):
+        v_left = _min_over_y(plan, p1, q1)[0]
+        v_gap = _min_over_y(plan, p1 * q2 + p2 * q1, 2 * q1 * q2)[0]
         if v_left != v_gap:
-            raise ValueError(
-                f"carry minimum {v_left} at {lo} differs from its value "
-                f"{v_gap} on ({lo}, {hi})"
-            )
+            lo, hi = Fraction(p1, q1), Fraction(p2, q2)
+            raise ValueError(f"carry minimum {v_left} at {lo} differs from "
+                             f"its value {v_gap} on ({lo}, {hi})")
         values.append(v_left)
-    return StepFunction.build(grid, values)
+    return StepFunction.build(starmap(Fraction, grid), values)
 
 
 def carry_min_value(spec: CarrySpec, x) -> tuple[int, Fraction]:
     """Pointwise min over y at a single x, with a witness y (no table)."""
     x = Fraction(x)
     x -= math.floor(x)
-    return _min_over_y(spec.terms(), x)
+    p, q = x.as_integer_ratio()
+    plan = _sweep_plan(_merged_terms(spec.terms()))
+    value, key = _min_over_y(plan, p, q)
+    return value, Fraction(key, 2 * plan[0] * q)
 
 
 # ---------------------------------------------------------------------------

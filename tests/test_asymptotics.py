@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from betaforms import asymptotics
 from betaforms.asymptotics import (ExponentLedger, Lemma3Data,
                                    RootCertificationError, _integer_poly,
                                    _sign_at, _sturm_chain, bisect_root,
@@ -289,6 +290,14 @@ def planted_polynomials(draw):
     return [Fraction(c, draw(st.sampled_from([1, 1, 3, 16]))) for c in p]
 
 
+def from_roots(*roots):
+    """The monic polynomial with these roots, ascending coefficients."""
+    p = [Fraction(1)]
+    for r in roots:
+        p = [u - r * v for u, v in zip([Fraction(0)] + p, p + [Fraction(0)])]
+    return p
+
+
 class TestIntegerSigns:
     @given(planted_polynomials(),
            st.sampled_from([(Fraction(0), Fraction(1)),
@@ -299,6 +308,20 @@ class TestIntegerSigns:
     @example([Fraction(0), Fraction(1)], (Fraction(0), Fraction(1)))
     @example([Fraction(-2), Fraction(0), Fraction(1)],
              (Fraction(-3), Fraction(5, 2)))
+    # three roots, two of them 2**-40 apart: Sturm count 3, so no Newton
+    # step; bisection of (0, 9/10) ends next to 3/4
+    @example(from_roots(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 2 ** 40),
+                        Fraction(3, 4)), (Fraction(0), Fraction(9, 10)))
+    # three roots where a Newton step from 9/20 would be taken next to
+    # 1/21, while bisection ends next to 2/3
+    @example(from_roots(Fraction(1, 21), Fraction(5, 21), Fraction(2, 3)),
+             (Fraction(0), Fraction(9, 10)))
+    # x**15 - 1/3: one root, and the first Newton steps leave (0, 1)
+    @example([Fraction(-1, 3)] + [Fraction(0)] * 14 + [Fraction(1)],
+             (Fraction(0), Fraction(1)))
+    # a Newton step lands on the cell whose left end is the root 5/16
+    @example(from_roots(Fraction(5, 16), Fraction(-3)),
+             (Fraction(0), Fraction(1)))
     def test_brackets_match_the_fraction_helpers(self, p, ends):
         lo, hi = ends
         assert outcome(count_roots, p, lo, hi) == outcome(ref_count_roots,
@@ -321,6 +344,18 @@ class TestIntegerSigns:
             isolate_roots(p, Fraction(0), Fraction(3, 4))
         with pytest.raises(ValueError):
             bisect_root(p, Fraction(5, 16), Fraction(1, 2), Fraction(1, 4))
+
+    def test_newton_jumps_replace_most_halvings(self, monkeypatch):
+        # theorem1's root to 2**-264: bisection alone takes 264 halvings
+        poly = [Fraction(c) for c in lemma3_solve(THEOREM1_ETA).poly]
+        calls = []
+        sign_at = asymptotics._sign_at
+        monkeypatch.setattr(asymptotics, "_sign_at",
+                            lambda *args: calls.append(1) or sign_at(*args))
+        got = bisect_root(poly, Fraction(0), Fraction(1), Fraction(2) ** -264)
+        assert got == ref_bisect_root(poly, Fraction(0), Fraction(1),
+                                      Fraction(2) ** -264)
+        assert len(calls) < 100
 
     def test_chain_members_are_positive_multiples(self):
         p = [Fraction(3, 16), Fraction(-1), Fraction(0), Fraction(2, 3),

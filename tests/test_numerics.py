@@ -13,7 +13,8 @@ from mpmath.libmp import to_rational
 from betaforms import cli, numerics
 from betaforms.balls import BallReal, ball_pi, floor_log2, working_precision
 from betaforms.decomposition import beta_coefficients
-from betaforms.numerics import (_beta_enclosure, _chebyshev_pass,
+from betaforms.numerics import (_beta_enclosure, _beta_enclosures,
+                                _chebyshev_pass,
                                 _chebyshev_weights, _least_size,
                                 _moment_bound, _term_ratios,
                                 SeriesEvaluation, alternating_series_tail, beta_value,
@@ -179,6 +180,75 @@ class TestBetaLargeIndex:
         mid, rad = _beta_enclosure(10 ** 6, 64)
         assert time.perf_counter() - t0 < 1.0
         assert abs(mid - 1) <= rad
+
+
+ROWS = (tuple(range(2, 17)), tuple(range(1, 17)))
+
+
+class TestBetaSharedPass:
+    @pytest.mark.parametrize("precision", [64, 256])
+    def test_even_rows_and_chains_that_stop(self, precision):
+        # the row decomposition_value asks for; at 64 bits, chains that
+        # reach the fixed points 0 and -1 before the last index, and a
+        # first index whose large powers are skipped
+        for row in ([2, 4, 6, 8, 10, 12], [3, 40, 41, 1000],
+                    list(range(1, 41)), [40, 41, 100]):
+            assert _beta_enclosures(row, precision) == [
+                full_power_enclosure(i, precision) for i in row]
+
+    @staticmethod
+    def counted_passes(monkeypatch):
+        calls = []
+        shared = numerics._beta_enclosures
+
+        def counting(indices, precision):
+            calls.append(list(indices))
+            return shared(indices, precision)
+
+        monkeypatch.setattr(numerics, "_beta_enclosures", counting)
+        return calls
+
+    @pytest.mark.parametrize("row", ROWS)
+    @pytest.mark.parametrize("precision", [64, 256, 1024])
+    @pytest.mark.parametrize("top_first", [False, True])
+    def test_beta_value_takes_the_shared_pass(self, monkeypatch, row,
+                                              precision, top_first):
+        calls = self.counted_passes(monkeypatch)
+        monkeypatch.setitem(numerics._beta_rows, precision, row)
+        beta_value.cache_clear()
+        order = ((row[-1],) + row[:-1]) if top_first else row
+        got = {i: beta_value(i, precision) for i in order}
+        info = beta_value.cache_info()
+        assert (info.hits, info.misses) == (0, len(row))
+        with working_precision(precision + 16):
+            for i in row:
+                ref = BallReal(*full_power_enclosure(i, precision))
+                assert (got[i].lower, got[i].upper) == (ref.lower, ref.upper)
+        # ascending, the first call makes every index; the top first is
+        # made alone, and then once more by the pass for the rest, which
+        # keeps that copy unused
+        assert calls == ([[row[-1]], list(row)] if top_first else [list(row)])
+        if top_first:
+            assert (numerics._beta_ahead.pop((row[-1], precision))
+                    == full_power_enclosure(row[-1], precision))
+        assert not [key for key in numerics._beta_ahead if key[1] == precision]
+        assert [beta_value(i, precision) for i in row] == [got[i] for i in row]
+        assert beta_value.cache_info().hits == len(row)
+        beta_value.cache_clear()
+
+    def test_decomposition_value_makes_one_pass(self, bundle, monkeypatch):
+        dec = bundle(general(THEOREM1_ETA, 2)).decomposition
+        calls = self.counted_passes(monkeypatch)
+        beta_value.cache_clear()
+        value = decomposition_value(dec, 256)
+        assert calls == [[2, 4, 6, 8, 10, 12]]
+        assert numerics._beta_rows == {} and numerics._beta_ahead == {}
+        assert beta_value.cache_info().misses == 6
+        # warm, no pass at all
+        again = decomposition_value(dec, 256)
+        assert (again.lower, again.upper) == (value.lower, value.upper)
+        assert len(calls) == 1
+        beta_value.cache_clear()
 
 
 def first_start(rep, shift):

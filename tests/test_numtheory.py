@@ -9,8 +9,9 @@ from betaforms import numtheory
 from betaforms.balls import (BallReal, ball_euler_gamma, ball_pi,
                              working_precision)
 from betaforms.numtheory import (CarrySpec, FactoredInteger, StepFunction,
-                                 _breakpoint_candidates, _min_over_y,
-                                 capital_phi, carry_min_table, carry_min_value,
+                                 _breakpoint_candidates, _merged_terms,
+                                 _min_over_y, _sweep_plan, capital_phi,
+                                 carry_min_table, carry_min_value,
                                  carry_value, digamma_rational, lcm_up_to,
                                  phi_exponent, phi_exponent_from_table,
                                  phi_exponent_sieved, sieve_primes)
@@ -220,14 +221,57 @@ def farey_scan_table(terms, order):
     return StepFunction.build(grid, values)
 
 
+def unmerged_min_over_y(terms, x):
+    """Reference: min over y at x by the sweep over every term as given,
+    with no merging, Fraction arithmetic and a reduced x."""
+    p, q = x.numerator, x.denominator
+    period = math.lcm(*(abs(e) for _, _, e in terms if e)) * q
+    total = 0
+    steps = {}
+    for sign, a, e in terms:
+        total += sign * (a * p // q)
+        if e == 0:
+            continue
+        spacing = period // abs(e)
+        first = -(period // q // e) * a * p % spacing
+        key, delta = (2 * first, sign) if e > 0 else (2 * first + 1, -sign)
+        for k in range(key or 2 * spacing, 2 * period, 2 * spacing):
+            steps[k] = steps.get(k, 0) + delta
+    best = total
+    for k in sorted(steps):
+        total += steps[k]
+        best = min(best, total)
+    return best
+
+
+def unmerged_table(terms):
+    """Reference: the carry-minimum table from the terms as given, every
+    point of (1/D)Z and every gap midpoint evaluated as a Fraction."""
+    sloped = {(a, e) for _, a, e in terms if e}
+    dens = {abs(a) for _, a, e in terms if not e and a}
+    dens |= {abs(a1 * e2 - a2 * e1) for a1, e1 in sloped for a2, e2 in sloped}
+    dens.discard(0)
+    grid = sorted({Fraction(0)} | {Fraction(j, d) for d in dens
+                                   for j in range(1, d)})
+    values = []
+    for lo, hi in zip(grid, grid[1:] + [Fraction(1)]):
+        value = unmerged_min_over_y(terms, lo)
+        assert unmerged_min_over_y(terms, (lo + hi) / 2) == value
+        values.append(value)
+    return StepFunction.build(grid, values)
+
+
 @st.composite
 def periodic_floor_sums(draw):
     """Random floor sums sum sign*floor(a x + e y), made periodic in both
-    arguments by one balancing term; y-free terms are frequent."""
+    arguments by one balancing term; y-free terms are frequent.  Some
+    (a, e) pairs repeat, and some repeats cancel to a net sign of 0."""
     terms = draw(st.lists(st.tuples(st.sampled_from([-2, -1, 1, 2]),
                                     st.integers(-7, 7),
                                     st.sampled_from([-2, -1, 0, 0, 1, 2])),
                           min_size=2, max_size=5))
+    for sign, a, e in draw(st.lists(st.sampled_from(terms), max_size=3)):
+        terms.append((draw(st.sampled_from([-sign, -1, 1])), a, e))
     sum_a = sum(sign * a for sign, a, _ in terms)
     sum_e = sum(sign * e for sign, _, e in terms)
     return (*terms, (1, -sum_a, -sum_e))
@@ -279,14 +323,43 @@ class TestCarryMinTable:
 
     @settings(max_examples=150, deadline=None)
     @given(periodic_floor_sums(), unit_fractions)
+    @example(((1, 2, 1), (-1, 2, 1), (1, 3, 0), (-1, 3, 0), (1, 1, -1),
+              (-1, 1, 1), (1, 0, 2)), Fraction(1, 3))
     def test_candidates_complete_for_any_periodic_sum(self, terms, r):
-        # the sweep equals enumeration at every candidate, and min over y
-        # does not change inside any gap between consecutive candidates
-        grid = _breakpoint_candidates(terms)
+        # the sweep over the merged terms equals enumeration over the terms
+        # as given at every candidate, and min over y does not change
+        # inside any gap between consecutive candidates of the merged sum
+        merged = _merged_terms(terms)
+        assert all(sign for sign, _, _ in merged)
+        plan = _sweep_plan(merged)
+        grid = [Fraction(p, q) for p, q in _breakpoint_candidates(merged)]
+        assert grid == sorted(set(grid)) and grid[0] == 0
         for lo, hi in zip(grid, grid[1:] + [Fraction(1)]):
-            assert _min_over_y(terms, lo)[0] == enumerated_min_over_y(terms, lo)
+            p1, q1, p2, q2 = *lo.as_integer_ratio(), *hi.as_integer_ratio()
+            assert (_min_over_y(plan, p1, q1)[0]
+                    == enumerated_min_over_y(terms, lo))
             inside = enumerated_min_over_y(terms, lo + r * (hi - lo))
-            assert _min_over_y(terms, (lo + hi) / 2)[0] == inside
+            # the midpoint as an unreduced p/q
+            assert _min_over_y(plan, p1 * q2 + p2 * q1, 2 * q1 * q2)[0] == inside
+
+    @settings(max_examples=20, deadline=None)
+    @given(admissible_general((3, 5, 7), 14).map(lambda case: case[2]))
+    @example(THEOREM1_ETA)
+    # y-free terms whose signs cancel: (3, 0) and (1, 0), then (5, 0)
+    @example((5, 1, 2, 2))
+    @example((9, 2, 3, 3))
+    def test_merged_table_equals_the_unmerged_one(self, eta):
+        spec = CarrySpec("general", eta)
+        assert carry_min_table(spec) == unmerged_table(spec.terms())
+
+    def test_a_candidate_unlike_its_right_gap_raises(self, monkeypatch):
+        # floor(x) + floor(-x) is 0 at x = 0 and -1 on (0, 1): a table of
+        # right-continuous pieces cannot hold it
+        monkeypatch.setattr(CarrySpec, "terms",
+                            lambda self: ((1, 1, 0), (1, -1, 0)))
+        with pytest.raises(ValueError, match=r"minimum 0 at 0 differs from "
+                           r"its value -1 on \(0, 1\)"):
+            carry_min_table.__wrapped__(SECTION2_SPEC)
 
     def test_step_function_validation(self):
         with pytest.raises(ValueError):

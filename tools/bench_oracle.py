@@ -28,8 +28,9 @@ run is three fresh interpreters with ``PYTHONPATH=SRC``:
   the target 2**-tbits, the size N of the Chebyshev scheme and the
   fixed-point bits P of its pass (``numerics._chebyshev_pass``; null for
   a tree without that kernel, where N is the old direct-sum length).
-  Last comes the ledger ``asymptotics.exponent_ledger`` of section2-s17
-  at 256 bits.
+  Last come the ledger ``asymptotics.exponent_ledger`` of section2-s17
+  at 256 bits and a cold ``numtheory.carry_min_table`` of theorem1 (its
+  cache cleared first; ``phi_exponent`` above runs with the table warm).
 
 Every timing is recorded as the median, min and max over the rounds.  The
 result, with the machine and Python, goes under ``runs[label]`` of the
@@ -151,10 +152,19 @@ def ledger_case() -> dict:
                 lambda: exponent_ledger(profile, 256))[0]}
 
 
+def carry_case() -> dict:
+    from betaforms.numtheory import CarrySpec, carry_min_table
+    from betaforms.profiles import THEOREM1_ETA
+
+    spec = CarrySpec("general", THEOREM1_ETA)
+    return {"profile": "theorem1", "carry_min_table_s": seconds(
+        lambda: carry_min_table(spec), carry_min_table.cache_clear)[0]}
+
+
 def run_stages() -> list[dict]:
     """One run of every stage in this interpreter."""
     return ([run_case(n, precision) for n, precision in CASES]
-            + [ledger_case()])
+            + [ledger_case(), carry_case()])
 
 
 def run_tree(src: Path) -> list[dict]:
