@@ -14,7 +14,7 @@ def _values(record, names) -> tuple:
     return tuple(map(record.__dict__.__getitem__, names))
 
 
-def frozen(cls=None, *, unhashed=()):
+def frozen(cls):
     """Make ``cls`` a frozen record of the fields its body annotates.
 
     ``__init__`` takes the fields in order, positionally or by keyword; a
@@ -22,19 +22,15 @@ def frozen(cls=None, *, unhashed=()):
     come last).  ``__post_init__``, if the class has one, runs after the
     fields are set.  Setting or deleting an attribute raises
     ``AttributeError``; ``__eq__`` compares the exact class and every
-    field; ``__hash__`` hashes the tuple of the fields not named in
-    ``unhashed``; ``__repr__`` reads ``Name(field=value, ...)``.
-    Instances keep a ``__dict__``, so ``functools.cached_property`` works.
-    Use as ``@frozen`` or ``@frozen(unhashed=("name",))``.
+    field; ``__hash__`` hashes the tuple of the fields; ``__repr__`` reads
+    ``Name(field=value, ...)``.  Instances keep a ``__dict__``, so
+    ``functools.cached_property`` works.
     """
-    if cls is None:
-        return lambda c: frozen(c, unhashed=unhashed)
     names = tuple(cls.__dict__.get("__annotations__", ()))
     defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
     if any(n not in defaults for n in names[len(names) - len(defaults):]):
         raise TypeError(f"{cls.__name__}: a field without a default "
                         "follows one with a default")
-    hashed = tuple(n for n in names if n not in unhashed)
     post_init = getattr(cls, "__post_init__", None)
     title = cls.__name__
 
@@ -67,7 +63,7 @@ def frozen(cls=None, *, unhashed=()):
         return _values(self, names) == _values(other, names)
 
     def __hash__(self):
-        return hash(_values(self, hashed))
+        return hash(_values(self, names))
 
     def __repr__(self):
         fields = ", ".join(f"{n}={self.__dict__[n]!r}" for n in names)

@@ -5,12 +5,12 @@ the unit cube, which in turn reduces to the unique root of an explicit
 integer polynomial in (0, 1).  Root isolation is exact and runs on
 integer signs: a polynomial is scaled once to integer coefficients, each
 sign is an integer Horner evaluation of q**deg p(a/q), the Sturm chain is
-a primitive pseudo-remainder sequence, and bisection keeps its ends as
-integers over one power-of-2 denominator; on a bracket with one root,
-Newton steps jump along bisection's own grid, checked by exact signs, so
-the refined bracket is bisection's.  Only the final logarithms run
-in ball arithmetic.  The verdict compares certified enclosures, never bare
-floats.
+a primitive pseudo-remainder sequence built once per polynomial, and
+bisection keeps its ends as integers over one power-of-2 denominator; on
+each isolated bracket, Newton steps jump along bisection's own grid,
+checked by exact signs, so the refined bracket is bisection's.  Only the
+final logarithms run in ball arithmetic.  The verdict compares certified
+enclosures, never bare floats.
 """
 
 from __future__ import annotations
@@ -103,50 +103,45 @@ def _newton_cell(p: list[int], a: int, w: int, den: int, jump: int) -> int:
     return j if 0 <= j < 1 << jump else -1
 
 
-def bisect_root(p: list[Fraction], lo: Fraction, hi: Fraction,
-                width: Fraction) -> tuple[Fraction, Fraction]:
-    """Shrink a sign-change bracket below the given width, exactly, to the
-    bracket bisection returns: the ends are integers over one denominator
-    den 2**k, on the grid a + j (b - a) of bisection's k-th step.
+def _refine(p: list[int], lo: Fraction, hi: Fraction,
+            width: Fraction) -> tuple[Fraction, Fraction]:
+    """Shrink a bracket of ``p`` that holds exactly one root, neither end a
+    root, below the given width, exactly, to the bracket bisection
+    returns: the ends are integers over one denominator den 2**k, on the
+    grid a + j (b - a) of bisection's k-th step.
 
-    When the Sturm count of the bracket is 1, a step may instead jump
-    ``jump`` levels at once to the cell that one Newton step from the
-    midpoint lands in (``_newton_cell``).  The jump is taken only when the
-    exact signs at both ends of that cell are those of the bracket's ends.
-    The one root is then inside the cell, not on its ends, and bisection's
-    own path, which keeps the sign-change half that holds the root, passes
-    through the same cell; a zero sign at a cell end is the root itself,
-    where bisection stops too.  No jump goes past bisection's last level.
-    A taken jump doubles the next one; a refused one halves it (to no
-    less than 2), and a bisection step follows.  With several roots in the
-    bracket every step is a bisection step: a jump could land next to
-    another root than the one bisection ends at.
+    A step may instead jump ``jump`` levels at once to the cell that one
+    Newton step from the midpoint lands in (``_newton_cell``).  The jump
+    is taken only when the exact signs at both ends of that cell are those
+    of the bracket's ends.  The one root is then inside the cell, not on
+    its ends, and bisection's own path, which keeps the sign-change half
+    that holds the root, passes through the same cell; a zero sign at a
+    cell end is the root itself, where bisection stops too.  No jump goes
+    past bisection's last level.  A taken jump doubles the next one; a
+    refused one halves it (to no less than 2), and a bisection step
+    follows.  A root of even multiplicity, with no sign change, raises.
     """
-    p = _integer_poly(p)
     den = lo.denominator * hi.denominator
     a, b = lo.numerator * hi.denominator, hi.numerator * lo.denominator
     sa, sb = _sign_at(p, a, den), _sign_at(p, b, den)
-    if sa == 0 or sb == 0 or sa == sb:
+    if sa == sb:
         raise ValueError("interval is not a sign-change bracket")
-    w, levels = b - a, 0  # w: the width in units of 1/den at every level
+    w, levels, jump = b - a, 0, 2  # w: the width in units of 1/den
     while w * width.denominator > (width.numerator * den) << levels:
         levels += 1
-    # 0: bisection only
-    jump = 2 if levels and _count(_sturm_chain(p), lo, hi) == 1 else 0
     while levels:
-        if jump:
-            step = min(jump, levels)
-            j = _newton_cell(p, a, w, den, step)
-            if j >= 0:
-                a2, den2 = (a << step) + j * w, den << step
-                s1, s2 = _sign_at(p, a2, den2), _sign_at(p, a2 + w, den2)
-                if s1 == 0 or s2 == 0:
-                    root = Fraction(a2 if s1 == 0 else a2 + w, den2)
-                    return root, root
-                if s1 == sa and s2 == sb:
-                    a, den, levels, jump = a2, den2, levels - step, 2 * jump
-                    continue
-            jump = max(2, jump // 2)
+        step = min(jump, levels)
+        j = _newton_cell(p, a, w, den, step)
+        if j >= 0:
+            a2, den2 = (a << step) + j * w, den << step
+            s1, s2 = _sign_at(p, a2, den2), _sign_at(p, a2 + w, den2)
+            if s1 == 0 or s2 == 0:
+                root = Fraction(a2 if s1 == 0 else a2 + w, den2)
+                return root, root
+            if s1 == sa and s2 == sb:
+                a, den, levels, jump = a2, den2, levels - step, 2 * jump
+                continue
+        jump = max(2, jump // 2)
         mid, a, den = 2 * a + w, 2 * a, 2 * den
         sm = _sign_at(p, mid, den)
         if sm == 0:
@@ -155,10 +150,14 @@ def bisect_root(p: list[Fraction], lo: Fraction, hi: Fraction,
     return Fraction(a, den), Fraction(a + w, den)
 
 
-def isolate_roots(p: list[Fraction], lo: Fraction,
-                  hi: Fraction) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint open subintervals of (lo, hi) each holding exactly one root."""
-    return _isolate(_sturm_chain(_integer_poly(p)), lo, hi)
+def isolate_roots(p: list[Fraction], lo: Fraction, hi: Fraction,
+                  width: Fraction) -> list[tuple[Fraction, Fraction]]:
+    """Ascending disjoint brackets in (lo, hi), one for each distinct root,
+    each narrowed below ``width`` by ``_refine``: one Sturm chain isolates
+    them all, and a root that does not change sign raises ``ValueError``."""
+    p = _integer_poly(p)
+    return [_refine(p, a, b, width)
+            for a, b in _isolate(_sturm_chain(p), lo, hi)]
 
 
 def _isolate(chain, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
@@ -215,12 +214,12 @@ def lemma3_solve(eta, precision: int = 256) -> Lemma3Data:
     eta = tuple(int(e) for e in eta)
     e0 = eta[0]
     poly = _maximizer_polynomial(eta)
-    n_roots = count_roots(poly, Fraction(0), Fraction(1))
-    if n_roots != 1:
+    roots = isolate_roots(poly, Fraction(0), Fraction(1),
+                          Fraction(2) ** (-(precision + 8)))
+    if len(roots) != 1:
         raise RootCertificationError(
-            f"expected a unique zero in (0,1), Sturm count gives {n_roots}")
-    lo, hi = bisect_root(poly, Fraction(0), Fraction(1),
-                         Fraction(2) ** (-(precision + 8)))
+            f"expected a unique zero in (0,1), Sturm count gives {len(roots)}")
+    (lo, hi), = roots
     with working_precision(precision + 16):
         x0 = BallReal.from_interval(BallReal(lo), BallReal(hi))
         xj = []
@@ -254,13 +253,14 @@ def _section2_onedim(s: int, precision: int) -> BallReal:
     """log(1728 * max t^s (1-t)^s / (1+t^s)^3) by exact critical-point isolation."""
     # stationarity of the log-objective clears to t^(s+1) - 2 t^s - 2 t + 1
     poly = [1, -2] + [0] * (s - 2) + [-2, 1]
-    brackets = isolate_roots(poly, Fraction(1, 10 ** 6), 1 - Fraction(1, 10 ** 6))
+    brackets = isolate_roots(poly, Fraction(1, 10 ** 6),
+                             1 - Fraction(1, 10 ** 6),
+                             Fraction(2) ** (-(precision + 8)))
     if not brackets:
         raise RootCertificationError("no interior critical point found")
     best = None
     with working_precision(precision + 16):
         for lo, hi in brackets:
-            lo, hi = bisect_root(poly, lo, hi, Fraction(2) ** (-(precision + 8)))
             t = BallReal.from_interval(BallReal(lo), BallReal(hi))
             val = (s * t.log() + s * (1 - t).log()
                    - 3 * (1 + t ** s).log() + BallReal(1728).log())

@@ -157,7 +157,7 @@ def _inclusion_json(report) -> dict:
         "ok": report.ok,
         "violations": [
             {"i": v.i, "k": v.k, "denominator": str(v.value.denominator),
-             "deficits": {str(p): e for p, e in sorted(v.deficits.items())}}
+             "deficits": {str(p): e for p, e in v.deficits}}
             for v in report.violations
         ],
     }

@@ -116,16 +116,16 @@ def beta_coefficients(table: PartialFractionTable, profile: Profile) -> Decompos
 # Divisibility verification
 # ---------------------------------------------------------------------------
 
-@frozen(unhashed=("deficits",))
+@frozen
 class Violation:
     i: int
     k: int | None
     value: Fraction
-    deficits: dict[int, int]
+    deficits: tuple[tuple[int, int], ...]  # (prime, exponent), ascending
 
     def __str__(self):
         where = f"i={self.i}" + ("" if self.k is None else f", k={self.k}")
-        defs = ", ".join(f"p={p}: short {e}" for p, e in sorted(self.deficits.items()))
+        defs = ", ".join(f"p={p}: short {e}" for p, e in self.deficits)
         return f"[{where}] denominator {self.value.denominator} ({defs})"
 
 
@@ -146,7 +146,7 @@ class InclusionReport:
         return "\n".join(lines)
 
 
-def _prime_deficits(denominator: int) -> dict[int, int]:
+def _prime_deficits(denominator: int) -> tuple[tuple[int, int], ...]:
     out = {}
     d = denominator
     p = 2
@@ -157,7 +157,7 @@ def _prime_deficits(denominator: int) -> dict[int, int]:
         p += 1 if p == 2 else 2
     if d > 1:
         out[d] = out.get(d, 0) + 1
-    return out
+    return tuple(out.items())  # found in ascending order
 
 
 def _scaled(factors: ArithmeticFactors, pairs) -> list[Fraction]:

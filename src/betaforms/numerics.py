@@ -68,34 +68,17 @@ def _chebyshev_weights(n: int, d: int):
         b = b * 2 * (k + n) * (k - n) // ((2 * k + 1) * (k + 1))  # exact
 
 
-# Per precision, the ascending indices ``decomposition_value`` is about to
-# ask ``beta_value`` for; and the enclosures a shared pass made ahead of
-# their own call, keyed by (index, precision).
-_beta_rows: dict[int, tuple[int, ...]] = {}
-_beta_ahead: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
-
-
 @lru_cache(maxsize=None)
 def beta_value(i: int, precision: int = 256) -> BallReal:
     """The alternating sum of odd reciprocal i-th powers, radius <= 2**(1-precision).
 
-    An enclosure a shared pass made ahead is taken as it is.  Otherwise,
-    when ``_beta_rows`` lists indices above i at this precision, one pass
-    makes i's enclosure and theirs, and keeps theirs for their own calls.
+    One index alone; ``decomposition_value`` makes its whole row in one
+    ``_beta_enclosures`` pass instead.
     """
     if i < 1:
         raise ValueError("beta index must be >= 1")
-    enclosure = _beta_ahead.pop((i, precision), None)
-    if enclosure is None:
-        later = [j for j in _beta_rows.get(precision, ())
-                 if j > i and (j, precision) not in _beta_ahead]
-        if later:
-            enclosure, *rest = _beta_enclosures([i] + later, precision)
-            _beta_ahead.update(zip([(j, precision) for j in later], rest))
-        else:
-            enclosure = _beta_enclosure(i, precision)
     with working_precision(precision + 16):
-        return BallReal(*enclosure)
+        return BallReal(*_beta_enclosure(i, precision))
 
 
 def _beta_enclosure(i: int, precision: int) -> tuple[Fraction, Fraction]:
@@ -302,13 +285,14 @@ def decomposition_value(result: DecompositionResult, precision: int = 256) -> Ba
                for ai in result.a)
     p2 = 256 * math.ceil((precision + bits + 48) / 256)
     indices = [i for i in result.beta_indices if result.a[i]]
-    # the first uncached index makes every later one in the same pass
-    _beta_rows[p2] = tuple(indices)
+    # each ball as ``beta_value(i, p2)`` makes it, the row in one pass
+    with working_precision(p2 + 16):
+        betas = [BallReal(*e) for e in
+                 (_beta_enclosures(indices, p2) if indices else [])]
     with working_precision(p2):
         total = BallReal(result.a[0])
-        for i in indices:
-            total = total + BallReal(result.a[i]) * beta_value(i, p2)
-    del _beta_rows[p2]
+        for i, beta in zip(indices, betas):
+            total = total + BallReal(result.a[i]) * beta
     return total
 
 

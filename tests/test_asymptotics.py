@@ -7,8 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 from betaforms import asymptotics
 from betaforms.asymptotics import (ExponentLedger, Lemma3Data,
                                    RootCertificationError, _integer_poly,
-                                   _sign_at, _sturm_chain, bisect_root,
-                                   count_roots, exponent_ledger, isolate_roots,
+                                   _sign_at, _sturm_chain, count_roots,
+                                   exponent_ledger, isolate_roots,
                                    lemma3_solve, r_exponent)
 from betaforms.balls import BallReal, working_precision
 from betaforms.numerics import r_n_series
@@ -30,21 +30,26 @@ class TestRootIsolation:
 
     def test_bisect_refines(self):
         p = [Fraction(-2), Fraction(0), Fraction(1)]  # x^2 - 2
-        lo, hi = bisect_root(p, Fraction(1), Fraction(2), Fraction(1, 2 ** 40))
+        (lo, hi), = isolate_roots(p, Fraction(1), Fraction(2),
+                                  Fraction(1, 2 ** 40))
         assert hi - lo <= Fraction(1, 2 ** 40)
         assert lo ** 2 < 2 < hi ** 2
 
     def test_bisect_requires_bracket(self):
-        p = [Fraction(1), Fraction(0), Fraction(1)]  # x^2 + 1
-        with pytest.raises(ValueError):
-            bisect_root(p, Fraction(0), Fraction(1), Fraction(1, 4))
+        # (x - 1/2)**2: one root in (0, 1), and no sign change there
+        p = [Fraction(1, 4), Fraction(-1), Fraction(1)]
+        with pytest.raises(ValueError, match="not a sign-change bracket"):
+            isolate_roots(p, Fraction(0), Fraction(1), Fraction(1, 4))
+        # x**2 + 1: no root, so nothing to refine
+        p = [Fraction(1), Fraction(0), Fraction(1)]
+        assert isolate_roots(p, Fraction(0), Fraction(1), Fraction(1, 4)) == []
 
     def test_isolate_roots_splits(self):
         p = [Fraction(3, 16), Fraction(-1), Fraction(1)]
-        brackets = isolate_roots(p, Fraction(0), Fraction(1))
+        brackets = isolate_roots(p, Fraction(0), Fraction(1), Fraction(1, 8))
         assert len(brackets) == 2
-        for lo, hi in brackets:
-            assert count_roots(p, lo, hi) == 1
+        for (lo, hi), root in zip(brackets, (Fraction(1, 4), Fraction(3, 4))):
+            assert hi - lo <= Fraction(1, 8) and lo <= root <= hi
 
 
 class TestLemma3:
@@ -76,18 +81,15 @@ class TestLemma3:
                         - e0 * (prod / x) / (1 + prod))
                 assert abs(grad.mid) < Fraction(10) ** -20
 
-    def test_nonunique_root_is_an_error(self):
-        # no eta feeds this shape two roots, so drive the guts directly
-        from betaforms.asymptotics import _maximizer_polynomial
-
-        poly = _maximizer_polynomial((5, 2, 2, 2, 2, 2))
-        assert count_roots(poly, Fraction(0), Fraction(1)) == 1  # sanity
-        with pytest.raises((RootCertificationError, ValueError)):
-            # quadratic with two roots stands in for a degenerate instance
-            brackets = isolate_roots([Fraction(3, 16), Fraction(-1), Fraction(1)],
-                                     Fraction(0), Fraction(1))
-            if len(brackets) != 1:
-                raise RootCertificationError("not unique")
+    def test_nonunique_root_is_an_error(self, monkeypatch):
+        # no admissible eta gives its polynomial other than one root
+        for poly, count in (([3, -16, 16], 2),  # 16 (x - 1/4)(x - 3/4)
+                            ([1, 0, 1], 0)):    # 1 + x**2
+            monkeypatch.setattr(asymptotics, "_maximizer_polynomial",
+                                lambda eta: poly)
+            with pytest.raises(RootCertificationError,
+                               match=f"Sturm count gives {count}$"):
+                lemma3_solve(THEOREM1_ETA)
 
 
 class TestRExponent:
@@ -236,6 +238,12 @@ def ref_isolate_roots(p, lo, hi):
     return ref_isolate_roots(p, lo, mid) + ref_isolate_roots(p, mid, hi)
 
 
+def ref_refined_roots(p, lo, hi, width):
+    """Reference: ``isolate_roots``, each bracket bisected below width."""
+    return [ref_bisect_root(p, a, b, width)
+            for a, b in ref_isolate_roots(p, lo, hi)]
+
+
 def ref_lemma3_solve(eta, precision):
     """Reference: ``lemma3_solve`` on the exact-rational helpers."""
     e0 = eta[0]
@@ -308,12 +316,12 @@ class TestIntegerSigns:
     @example([Fraction(0), Fraction(1)], (Fraction(0), Fraction(1)))
     @example([Fraction(-2), Fraction(0), Fraction(1)],
              (Fraction(-3), Fraction(5, 2)))
-    # three roots, two of them 2**-40 apart: Sturm count 3, so no Newton
-    # step; bisection of (0, 9/10) ends next to 3/4
+    # three roots, two of them 2**-40 apart: isolation splits (0, 9/10)
+    # down to brackets of one root each before any Newton step
     @example(from_roots(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 2 ** 40),
                         Fraction(3, 4)), (Fraction(0), Fraction(9, 10)))
-    # three roots where a Newton step from 9/20 would be taken next to
-    # 1/21, while bisection ends next to 2/3
+    # three roots where a Newton step from 9/20 would land next to 1/21:
+    # each isolated bracket is refined on its own
     @example(from_roots(Fraction(1, 21), Fraction(5, 21), Fraction(2, 3)),
              (Fraction(0), Fraction(9, 10)))
     # x**15 - 1/3: one root, and the first Newton steps leave (0, 1)
@@ -326,36 +334,33 @@ class TestIntegerSigns:
         lo, hi = ends
         assert outcome(count_roots, p, lo, hi) == outcome(ref_count_roots,
                                                           p, lo, hi)
-        brackets = outcome(isolate_roots, p, lo, hi)
-        assert brackets == outcome(ref_isolate_roots, p, lo, hi)
         for width in (Fraction(1, 2 ** 12), Fraction(1, 3 * 10 ** 20)):
-            got = outcome(bisect_root, p, lo, hi, width)
-            assert got == outcome(ref_bisect_root, p, lo, hi, width)
-            for a, b in ([] if brackets is ValueError else brackets):
-                got = outcome(bisect_root, p, a, b, width)
-                assert got == outcome(ref_bisect_root, p, a, b, width)
+            assert outcome(isolate_roots, p, lo, hi, width) == outcome(
+                ref_refined_roots, p, lo, hi, width)
 
     def test_planted_dyadic_root_is_hit(self):
         # (x - 5/16)(x - 3/4): bisection from (0, 1/2) lands on 5/16
         p = [Fraction(15, 64), Fraction(-17, 16), Fraction(1)]
-        got = bisect_root(p, Fraction(0), Fraction(1, 2), Fraction(1, 2 ** 30))
-        assert got == (Fraction(5, 16), Fraction(5, 16))
+        got = isolate_roots(p, Fraction(0), Fraction(1, 2),
+                            Fraction(1, 2 ** 30))
+        assert got == [(Fraction(5, 16), Fraction(5, 16))]
         with pytest.raises(ValueError):
-            isolate_roots(p, Fraction(0), Fraction(3, 4))
+            isolate_roots(p, Fraction(0), Fraction(3, 4), Fraction(1, 4))
         with pytest.raises(ValueError):
-            bisect_root(p, Fraction(5, 16), Fraction(1, 2), Fraction(1, 4))
+            isolate_roots(p, Fraction(5, 16), Fraction(1, 2), Fraction(1, 4))
 
     def test_newton_jumps_replace_most_halvings(self, monkeypatch):
-        # theorem1's root to 2**-264: bisection alone takes 264 halvings
-        poly = [Fraction(c) for c in lemma3_solve(THEOREM1_ETA).poly]
+        # theorem1's root to 2**-264: bisection alone takes 264 halvings,
+        # and the Sturm count at 0 and 1 takes a sign per chain member
         calls = []
         sign_at = asymptotics._sign_at
         monkeypatch.setattr(asymptotics, "_sign_at",
                             lambda *args: calls.append(1) or sign_at(*args))
-        got = bisect_root(poly, Fraction(0), Fraction(1), Fraction(2) ** -264)
-        assert got == ref_bisect_root(poly, Fraction(0), Fraction(1),
-                                      Fraction(2) ** -264)
-        assert len(calls) < 100
+        got = lemma3_solve(THEOREM1_ETA)
+        poly = list(got.poly)
+        assert (got.x0_lo, got.x0_hi) == ref_bisect_root(
+            poly, Fraction(0), Fraction(1), Fraction(2) ** -264)
+        assert len(calls) < 70
 
     def test_chain_members_are_positive_multiples(self):
         p = [Fraction(3, 16), Fraction(-1), Fraction(0), Fraction(2, 3),
@@ -381,8 +386,6 @@ class TestIntegerSigns:
     def test_section2_brackets_are_unchanged(self, s):
         poly = [Fraction(c) for c in [1, -2] + [0] * (s - 2) + [-2, 1]]
         lo, hi = Fraction(1, 10 ** 6), 1 - Fraction(1, 10 ** 6)
-        brackets = isolate_roots(poly, lo, hi)
-        assert brackets == ref_isolate_roots(poly, lo, hi)
         width = Fraction(2) ** -264
-        assert [bisect_root(poly, a, b, width) for a, b in brackets] == [
-            ref_bisect_root(poly, a, b, width) for a, b in brackets]
+        assert isolate_roots(poly, lo, hi, width) == ref_refined_roots(
+            poly, lo, hi, width)

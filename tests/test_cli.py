@@ -160,7 +160,7 @@ class TestRun:
     @pytest.mark.parametrize("name, spoil, failure", [
         ("verify_form_inclusions",
          lambda rep: InclusionReport(rep.checked, (
-             Violation(0, None, Fraction(1, 7), {7: 1}),)),
+             Violation(0, None, Fraction(1, 7), ((7, 1),)),)),
          "n=2: form inclusions violated"),
         ("consistency_check",
          lambda check: ConsistencyReport(check.profile, check.series,
@@ -184,6 +184,9 @@ class TestRun:
         assert report["failures"] == [failure] and report["ok"] is False
         entry = report["per_n"][0]
         assert ("integer_form" in entry) == (name != "verify_form_inclusions")
+        if name == "verify_form_inclusions":
+            violation, = entry["inclusions"]["form"]["violations"]
+            assert violation["deficits"] == {"7": 1}
 
     def test_large_general_n_runs(self, tmp_path):
         out = tmp_path / "r.json"

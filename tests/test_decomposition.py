@@ -103,7 +103,11 @@ class TestCoefficientInclusions:
                                              exponent_slack=2)
         assert not weak.ok
         assert all(v.value.denominator > 1 for v in weak.violations)
-        assert all(v.deficits for v in weak.violations)
+        for v in weak.violations:
+            primes = [p for p, _ in v.deficits]
+            assert primes and primes == sorted(set(primes))
+            assert (math.prod(p ** e for p, e in v.deficits)
+                    == v.value.denominator)
         assert "short" in str(weak.violations[0])
 
     def test_report_is_data_not_exception(self, bundle):

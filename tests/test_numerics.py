@@ -12,7 +12,7 @@ from mpmath.libmp import to_rational
 
 from betaforms import cli, numerics
 from betaforms.balls import BallReal, ball_pi, floor_log2, working_precision
-from betaforms.decomposition import beta_coefficients
+from betaforms.decomposition import DecompositionResult, beta_coefficients
 from betaforms.numerics import (_beta_enclosure, _beta_enclosures,
                                 _chebyshev_pass,
                                 _chebyshev_weights, _least_size,
@@ -182,9 +182,6 @@ class TestBetaLargeIndex:
         assert abs(mid - 1) <= rad
 
 
-ROWS = (tuple(range(2, 17)), tuple(range(1, 17)))
-
-
 class TestBetaSharedPass:
     @pytest.mark.parametrize("precision", [64, 256])
     def test_even_rows_and_chains_that_stop(self, precision):
@@ -208,47 +205,41 @@ class TestBetaSharedPass:
         monkeypatch.setattr(numerics, "_beta_enclosures", counting)
         return calls
 
-    @pytest.mark.parametrize("row", ROWS)
-    @pytest.mark.parametrize("precision", [64, 256, 1024])
-    @pytest.mark.parametrize("top_first", [False, True])
-    def test_beta_value_takes_the_shared_pass(self, monkeypatch, row,
-                                              precision, top_first):
-        calls = self.counted_passes(monkeypatch)
-        monkeypatch.setitem(numerics._beta_rows, precision, row)
+    def test_decomposition_value_makes_one_pass(self, bundle, monkeypatch):
+        # theorem1 n = 2 at 256 bits sums its row at 1024 bits; warm
+        # beta_value balls are neither used nor added to
+        dec = bundle(general(THEOREM1_ETA, 2)).decomposition
+        row = [2, 4, 6, 8, 10, 12]
         beta_value.cache_clear()
-        order = ((row[-1],) + row[:-1]) if top_first else row
-        got = {i: beta_value(i, precision) for i in order}
-        info = beta_value.cache_info()
-        assert (info.hits, info.misses) == (0, len(row))
-        with working_precision(precision + 16):
+        calls = self.counted_passes(monkeypatch)
+        balls = []
+        for warm in (False, True):
+            if warm:
+                for i in row[1:]:
+                    beta_value(i, 1024)
+            info = beta_value.cache_info()
+            calls.clear()
+            value = decomposition_value(dec, 256)
+            assert calls == [row]
+            assert beta_value.cache_info() == info
+            balls.append((value.lower, value.upper))
+        # bit for bit the sum over beta_value's own balls
+        with working_precision(1024):
+            ref = BallReal(dec.a[0])
             for i in row:
-                ref = BallReal(*full_power_enclosure(i, precision))
-                assert (got[i].lower, got[i].upper) == (ref.lower, ref.upper)
-        # ascending, the first call makes every index; the top first is
-        # made alone, and then once more by the pass for the rest, which
-        # keeps that copy unused
-        assert calls == ([[row[-1]], list(row)] if top_first else [list(row)])
-        if top_first:
-            assert (numerics._beta_ahead.pop((row[-1], precision))
-                    == full_power_enclosure(row[-1], precision))
-        assert not [key for key in numerics._beta_ahead if key[1] == precision]
-        assert [beta_value(i, precision) for i in row] == [got[i] for i in row]
-        assert beta_value.cache_info().hits == len(row)
+                ref = ref + BallReal(dec.a[i]) * beta_value(i, 1024)
+        assert balls == [(ref.lower, ref.upper)] * 2
         beta_value.cache_clear()
 
-    def test_decomposition_value_makes_one_pass(self, bundle, monkeypatch):
-        dec = bundle(general(THEOREM1_ETA, 2)).decomposition
+    def test_a_form_without_beta_terms_is_its_constant(self, monkeypatch):
+        a0 = Fraction(-3, 7)
+        dec = DecompositionResult(section2(5, 2), (a0,) + (Fraction(0),) * 5)
         calls = self.counted_passes(monkeypatch)
-        beta_value.cache_clear()
-        value = decomposition_value(dec, 256)
-        assert calls == [[2, 4, 6, 8, 10, 12]]
-        assert numerics._beta_rows == {} and numerics._beta_ahead == {}
-        assert beta_value.cache_info().misses == 6
-        # warm, no pass at all
-        again = decomposition_value(dec, 256)
-        assert (again.lower, again.upper) == (value.lower, value.upper)
-        assert len(calls) == 1
-        beta_value.cache_clear()
+        value = decomposition_value(dec, 64)
+        with working_precision(256):
+            ref = BallReal(a0)
+        assert (value.lower, value.upper) == (ref.lower, ref.upper)
+        assert value.lower <= a0 <= value.upper and calls == []
 
 
 def first_start(rep, shift):

@@ -23,11 +23,13 @@ run is three fresh interpreters with ``PYTHONPATH=SRC``:
   then the real constants: ``numtheory.phi_exponent`` (carry table warm),
   ``asymptotics.r_exponent`` and ``numerics.decomposition_value`` (cold
   ``beta_value`` cache).  It then times ``numerics.r_n_series`` alone and
-  ``numerics.consistency_check``, and records every
-  ``numerics.alternating_series_tail`` call either makes as (tbits, N, P):
-  the target 2**-tbits, the size N of the Chebyshev scheme and the
-  fixed-point bits P of its pass (``numerics._chebyshev_pass``; null for
-  a tree without that kernel, where N is the old direct-sum length).
+  ``numerics.consistency_check`` (the ``beta_value`` cache cleared first,
+  untimed, so that every tree pays the β pass cold, as a run does), and
+  records every ``numerics.alternating_series_tail`` call either makes as
+  (tbits, N, P): the target 2**-tbits, the size N of the Chebyshev scheme
+  and the fixed-point bits P of its pass (``numerics._chebyshev_pass``;
+  null for a tree without that kernel, where N is the old direct-sum
+  length).
   Last come the ledger ``asymptotics.exponent_ledger`` of section2-s17
   at 256 bits and a cold ``numtheory.carry_min_table`` of theorem1 (its
   cache cleared first; ``phi_exponent`` above runs with the table warm).
@@ -131,6 +133,7 @@ def run_case(n: int, precision: int) -> dict:
     series_s, series_calls = timed_with_tail_calls(
         numerics, lambda: numerics.r_n_series(profile, precision, rep=rep,
                                               table=table))
+    numerics.beta_value.cache_clear()
     check_s, check_calls = timed_with_tail_calls(
         numerics, lambda: numerics.consistency_check(
             profile, precision, rep=rep, table=table, decomposition=dec))
