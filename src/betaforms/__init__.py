@@ -17,39 +17,31 @@ __version__ = "0.1.0"
 from .balls import BallReal, working_precision
 from .decomposition import (ArithmeticFactors, DecompositionResult,
                             InclusionReport, beta_coefficients, inner_sum,
-                            integer_linear_form, remark1_denominator_probe,
+                            integer_linear_form,
                             verify_coefficient_inclusions,
                             verify_form_inclusions)
 from .asymptotics import (ExponentLedger, Lemma3Data, exponent_ledger,
                           lemma3_solve, r_exponent)
-from .numerics import (beta_value, consistency_check, mc_integral,
-                       r_n_series)
+from .numerics import beta_value, consistency_check, r_n_series
 from .numtheory import (CarrySpec, FactoredInteger, StepFunction,
                         capital_phi, carry_min_table, carry_value,
-                        digamma_rational, lcm_up_to, phi_exponent,
-                        phi_exponent_sieved, sieve_primes)
+                        lcm_up_to, phi_exponent, phi_exponent_sieved,
+                        sieve_primes)
 from .profiles import (Profile, ProfileError, THEOREM1_ETA, general,
                        preset, profile_violations, section2)
 from .rationalfn import (LinearProductRep, PartialFractionTable,
-                         binomial_block_coefficients, binomial_block_product,
-                         build_general, build_remark1, build_section2,
-                         hypergeometric_parameters, partial_fractions,
-                         remark1_identity_check, section2_top_coefficient,
-                         symmetry_check)
+                         build_general, build_section2, partial_fractions)
 
 __all__ = [
     "ArithmeticFactors", "BallReal", "CarrySpec", "DecompositionResult",
     "ExponentLedger", "FactoredInteger", "InclusionReport", "Lemma3Data",
     "LinearProductRep", "PartialFractionTable", "Profile", "ProfileError",
     "StepFunction", "THEOREM1_ETA", "beta_coefficients", "beta_value",
-    "binomial_block_coefficients", "binomial_block_product", "build_general",
-    "build_remark1", "build_section2", "capital_phi", "carry_min_table",
-    "carry_value", "consistency_check", "digamma_rational", "exponent_ledger",
-    "general", "hypergeometric_parameters", "inner_sum", "integer_linear_form",
-    "lcm_up_to", "lemma3_solve", "mc_integral", "partial_fractions", "preset",
-    "phi_exponent", "phi_exponent_sieved", "profile_violations", "r_exponent",
-    "r_n_series", "remark1_denominator_probe", "remark1_identity_check",
-    "section2", "section2_top_coefficient", "sieve_primes", "symmetry_check",
-    "verify_coefficient_inclusions", "verify_form_inclusions",
+    "build_general", "build_section2", "capital_phi", "carry_min_table",
+    "carry_value", "consistency_check", "exponent_ledger", "general",
+    "inner_sum", "integer_linear_form", "lcm_up_to", "lemma3_solve",
+    "partial_fractions", "preset", "phi_exponent", "phi_exponent_sieved",
+    "profile_violations", "r_exponent", "r_n_series", "section2",
+    "sieve_primes", "verify_coefficient_inclusions", "verify_form_inclusions",
     "working_precision",
 ]

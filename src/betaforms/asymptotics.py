@@ -73,16 +73,12 @@ def _sign_variations(chain, x: Fraction) -> int:
 
 
 def _count(chain, lo: Fraction, hi: Fraction) -> int:
-    """``count_roots`` on a Sturm chain already built."""
+    """Number of distinct real roots in (lo, hi) by the Sturm chain of
+    ``chain[0]``; neither end may be one."""
     if not (_sign_at(chain[0], *lo.as_integer_ratio())
             and _sign_at(chain[0], *hi.as_integer_ratio())):
         raise ValueError("endpoint is a root; perturb the interval")
     return _sign_variations(chain, lo) - _sign_variations(chain, hi)
-
-
-def count_roots(p: list[Fraction], lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots in (lo, hi); neither end may be one."""
-    return _count(_sturm_chain(_integer_poly(p)), lo, hi)
 
 
 def _newton_cell(p: list[int], a: int, w: int, den: int, jump: int) -> int:

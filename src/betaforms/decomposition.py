@@ -19,8 +19,8 @@ from fractions import Fraction
 
 from ._records import frozen
 from .numtheory import FactoredInteger, capital_phi, lcm_up_to
-from .profiles import Profile, section2
-from .rationalfn import PartialFractionTable, build_remark1, partial_fractions
+from .profiles import Profile
+from .rationalfn import PartialFractionTable
 
 _HALF = Fraction(1, 2)
 
@@ -221,43 +221,3 @@ def integer_linear_form(result: DecompositionResult,
         out.append(int(v))
     desc = f"phi^-1 d_{result.profile.d_index}^{s} r_n with phi={factors.phi}"
     return tuple(out), desc
-
-
-# ---------------------------------------------------------------------------
-# The earlier-variant denominator probe
-# ---------------------------------------------------------------------------
-
-@frozen
-class Remark1Report:
-    s: int
-    n: int
-    a0: Fraction
-    d_n_clears: bool
-    d_2n_clears: bool
-    smallest_clearing_index: int | None
-
-    def __str__(self):
-        return (f"variant a_0 for (s={self.s}, n={self.n}): d_n^s clears: "
-                f"{self.d_n_clears}; d_2n^s clears: {self.d_2n_clears}")
-
-
-def remark1_denominator_probe(s: int, n: int) -> Remark1Report:
-    """Decompose the earlier variant and test which lcm power clears a_0.
-
-    The variant's series starts at index 1, so each pole's inner-sum origin
-    is the pole index itself; the constant term then needs odd denominators
-    up to 2n-1, hence the d_2n power.
-    """
-    profile = section2(s, n)
-    table = partial_fractions(build_remark1(s, n))
-    a0 = _assemble(table, s, table.pole_ks)[0]
-    phi = capital_phi(profile)
-
-    def clears(index: int) -> bool:
-        factors = ArithmeticFactors(lcm_up_to(index), phi, s)
-        return _inclusion_report(factors, [(0, None, a0)], 0).ok
-
-    dn = clears(n)
-    d2n = clears(2 * n)
-    smallest = n if dn else (2 * n if d2n else None)
-    return Remark1Report(s, n, a0, dn, d2n, smallest)

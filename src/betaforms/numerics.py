@@ -1,8 +1,7 @@
 """High-precision rigorous evaluation: the alternating beta values, the
-linear-form series, the series-vs-decomposition consistency oracle, and a
-Monte Carlo estimate of the multidimensional integral form.
+linear-form series and the series-vs-decomposition consistency oracle.
 
-Everything except the Monte Carlo routine returns balls with honest radii.
+Every value is a ball with an honest radius.
 Both alternating sums use the Chebyshev acceleration of Cohen, Rodriguez
 Villegas and Zagier (*Experimental Math.* 9, 2000): with d = T_N(3) and
 the integer weights c_k of ``_chebyshev_weights``, sum c_k a_k / d misses
@@ -78,17 +77,13 @@ def beta_value(i: int, precision: int = 256) -> BallReal:
     if i < 1:
         raise ValueError("beta index must be >= 1")
     with working_precision(precision + 16):
-        return BallReal(*_beta_enclosure(i, precision))
-
-
-def _beta_enclosure(i: int, precision: int) -> tuple[Fraction, Fraction]:
-    """Exact (mid, radius) of the ball ``beta_value`` returns."""
-    return _beta_enclosures([i], precision)[0]
+        return BallReal(*_beta_enclosures([i], precision)[0])
 
 
 def _beta_enclosures(indices: list[int],
                      precision: int) -> list[tuple[Fraction, Fraction]]:
-    """``_beta_enclosure`` of each of the ascending indices, in one pass.
+    """Exact (mid, radius) of the ball ``beta_value`` returns, for each of
+    the ascending indices, in one pass.
 
     For integers b, c > 0, floor(floor(a/b)/c) = floor(a/(bc)), so the
     chain t = floor(c 2**p / (2k+1)**i_0), t //= (2k+1)**(i_(r+1) - i_r)
@@ -330,48 +325,3 @@ def consistency_check(profile: Profile, precision: int = 256,
     gap = (precision + 64) if disc <= 0 else -floor_log2(disc) - 1
     return ConsistencyReport(profile, series, direct,
                              series.overlaps(direct), gap)
-
-
-# ---------------------------------------------------------------------------
-# Monte Carlo integral
-# ---------------------------------------------------------------------------
-
-def mc_integral(profile: Profile, samples: int, seed: int) -> BallReal:
-    """Monte Carlo estimate of the s-dimensional integral form (general family).
-
-    Radius is three standard errors: statistical, not rigorous; never used
-    in acceptance-critical arithmetic.  Deterministic for a fixed seed.
-    """
-    import numpy as np
-
-    if samples <= 0:
-        raise ValueError("samples must be positive")
-    e0, e1, n = profile.eta[0], profile.eta[1], profile.n
-    h0 = profile.h0
-    pref = Fraction(4 ** (e0 * n) * math.factorial(h0),
-                    math.factorial(e1 * n) ** 2
-                    * math.factorial((e0 - 2 * e1) * n))
-    x_exps = [float(ej * n) - 0.5 for ej in profile.eta[1:]]
-    y_exps = [float((e0 - 2 * ej) * n) for ej in profile.eta[1:]]
-
-    rng = np.random.default_rng(seed)
-    chunk = 1 << 16
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < samples:
-        size = min(chunk, samples - done)
-        t = rng.random((size, profile.s))
-        w = np.ones(size)
-        for j in range(profile.s):
-            w *= t[:, j] ** x_exps[j] * (1.0 - t[:, j]) ** y_exps[j]
-        prod = t.prod(axis=1)
-        f = w * (1.0 - prod) / (1.0 + prod) ** (h0 + 1)
-        total += float(f.sum())
-        total_sq += float((f * f).sum())
-        done += size
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0)
-    sem = math.sqrt(var / samples)
-    with working_precision(64):
-        return BallReal(Fraction(mean) * pref, radius=Fraction(3 * sem) * pref)

@@ -46,8 +46,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ._records import frozen
-from .balls import (BallReal, ball_euler_gamma, ball_pi, floor_log2,
-                    working_precision)
+from .balls import BallReal, ball_euler_gamma, ball_pi, working_precision
 
 
 # ---------------------------------------------------------------------------
@@ -399,27 +398,6 @@ def capital_phi(profile) -> FactoredInteger:
 # ---------------------------------------------------------------------------
 # Digamma at positive rationals
 # ---------------------------------------------------------------------------
-
-def digamma_rational(p: int, q: int, precision: int = 256) -> BallReal:
-    """psi(p/q) for p, q > 0 with relative radius <= 2**(1-precision): the
-    one-point ``_digamma_sum``.  Near the zero of psi a first ball that
-    misses it bounds |psi| below, and a second pass adds the bits it lacks.
-    """
-    if q == 0:
-        raise ZeroDivisionError("digamma_rational: q must be nonzero")
-    x = Fraction(p, q)
-    if x <= 0:
-        raise ValueError("argument must be positive")
-    tol = Fraction(2) ** (1 - precision)
-    val = _digamma_sum({x: 1}, precision)
-    if val.rad > tol * abs(val.mid) and not val.contains_zero():
-        least = min(abs(val.lower), abs(val.upper))
-        val = _digamma_sum({x: 1}, precision + 1 - floor_log2(least))
-    if val.rad <= tol * abs(val.mid) or (
-            val.rad <= Fraction(2) ** (-precision) and val.contains_zero()):
-        return val
-    raise ArithmeticError("digamma_rational failed to reach target radius")
-
 
 def _digamma_sum(weights: dict[Fraction, int], precision: int,
                  exact: Fraction = Fraction(0)) -> BallReal:

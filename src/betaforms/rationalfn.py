@@ -124,20 +124,6 @@ class PartialFractionTable:
             for i in range(1, self.s + 1):
                 yield i, k, self.rows[idx][i - 1]
 
-    def reconstruct(self, t) -> Fraction:
-        t = Fraction(t)
-        total = Fraction(0)
-        for idx, k in enumerate(self.pole_ks):
-            base = t + k + self.pole_offset
-            inv = 1 / base
-            power = Fraction(1)
-            for i in range(1, self.s + 1):
-                power *= inv
-                c = self.rows[idx][i - 1]
-                if c:
-                    total += c * power
-        return total
-
 
 def _layers(mult: dict[int, int]) -> list[tuple[int, int]]:
     """Runs ``(lo, hi)`` of doubled roots ``lo, lo + 2, ..., hi`` whose
@@ -283,96 +269,3 @@ def build_general(profile: Profile) -> LinearProductRep:
         for k in range(k_lo, h0 - k_lo):
             den.append((-(k + _HALF), 1))
     return LinearProductRep.build(scalar, num, den)
-
-
-def build_remark1(s: int, n: int) -> LinearProductRep:
-    """The earlier variant with two half-integer runs of length n."""
-    section2(s, n)
-    scalar = Fraction(2 ** (4 * n + 1) * math.factorial(n) ** (s - 2))
-    num = [(Fraction(-n, 2), 1)]
-    num += [(Fraction(2 * (n - j) + 1, 2), 1) for j in range(1, n + 1)]
-    num += [(Fraction(-2 * (n + j) + 1, 2), 1) for j in range(1, n + 1)]
-    den = [(Fraction(-j), s) for j in range(n + 1)]
-    return LinearProductRep.build(scalar, num, den)
-
-
-def remark1_identity_check(s: int, n: int, t) -> bool:
-    """Does the main function equal the variant times its completing factor at t?"""
-    t = Fraction(t)
-    main = build_section2(s, n).evaluate(t)
-    variant = build_remark1(s, n).evaluate(t)
-    extra = Fraction(2 ** (2 * n), math.factorial(n))
-    for j in range(1, n + 1):
-        extra *= t + j - _HALF
-    return main == variant * extra
-
-
-def symmetry_check(table: PartialFractionTable, reflect_const: int) -> bool:
-    """Check a_{i,k} == (-1)**i * a_{i, reflect_const - k} exactly, all i, k."""
-    for i, k, c in table.entries():
-        k_ref = reflect_const - k
-        if k_ref not in table.pole_ks:
-            if c != 0:
-                return False
-            continue
-        mirrored = table.a(i, k_ref)
-        if c != (mirrored if i % 2 == 0 else -mirrored):
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# Elementary binomial blocks
-# ---------------------------------------------------------------------------
-
-def binomial_block_coefficients(kind: int, n: int) -> list[Fraction]:
-    """Closed-form simple-pole coefficients of the four elementary quotients."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    C = math.comb
-    if kind == 1:
-        return [Fraction((-1) ** k * C(n, k)) for k in range(n + 1)]
-    if kind == 2:
-        return [Fraction((-1) ** (n + k) * C(2 * n + 2 * k, 2 * n) * C(2 * n, n + k))
-                for k in range(n + 1)]
-    if kind == 3:
-        return [Fraction(C(2 * k, k) * C(2 * n - 2 * k, n - k)) for k in range(n + 1)]
-    if kind == 4:
-        return [Fraction((-1) ** k * C(4 * n - 2 * k, 2 * n) * C(2 * n, k))
-                for k in range(n + 1)]
-    raise ValueError("kind must be 1..4")
-
-
-def binomial_block_product(kind: int, n: int) -> LinearProductRep:
-    """The product form each closed-form coefficient list decomposes."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    den = [(Fraction(-j), 1) for j in range(n + 1)]
-    if kind == 1:
-        return LinearProductRep.build(math.factorial(n), [], den)
-    if kind == 2:
-        num = [(Fraction(2 * (n - j) + 1, 2), 1) for j in range(1, n + 1)]
-    elif kind == 3:
-        num = [(Fraction(1 - 2 * j, 2), 1) for j in range(1, n + 1)]
-    elif kind == 4:
-        num = [(Fraction(-2 * (n + j) + 1, 2), 1) for j in range(1, n + 1)]
-    else:
-        raise ValueError("kind must be 1..4")
-    return LinearProductRep.build(2 ** (2 * n), num, den)
-
-
-def section2_top_coefficient(s: int, n: int, k: int) -> Fraction:
-    """Closed form for the order-s coefficient at pole k of the basic family."""
-    f = math.factorial
-    num = f(2 * n + 2 * k) * f(4 * n - 2 * k)
-    den = f(n + k) * f(2 * n - k) * f(k) ** 3 * f(n - k) ** 3
-    return Fraction(num, den) * (n - 2 * k) * Fraction(math.comb(n, k)) ** (s - 3)
-
-
-def hypergeometric_parameters(profile: Profile):
-    """Upper/lower parameter lists and argument of the series form."""
-    h = profile.h
-    h0 = h[0]
-    upper = (h0, 1 + h0 / 2) + tuple(h[1:])
-    lower = (h0 / 2,) + tuple(1 + h0 - hj for hj in h[1:])
-    return upper, lower, -1

@@ -1,0 +1,254 @@
+"""Reference constructions and checks that only the tests use.
+
+The package ships what ``betaforms run`` and the library calls need.  What
+is here serves the tests as closed forms, identities and independent
+estimates to hold the package to: the remark-1 variant and its
+denominator probe, the elementary binomial blocks, the top-coefficient
+closed form, the reflection symmetry of a table, the hypergeometric
+parameters, pointwise reconstruction of a table, a Sturm root count, the
+one-point digamma and a Monte Carlo estimate of the integral form.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from betaforms import numtheory
+from betaforms._records import frozen
+from betaforms.asymptotics import _count, _integer_poly, _sturm_chain
+from betaforms.balls import BallReal, floor_log2, working_precision
+from betaforms.decomposition import (ArithmeticFactors, _assemble,
+                                     _inclusion_report)
+from betaforms.numtheory import capital_phi, lcm_up_to
+from betaforms.profiles import Profile, section2
+from betaforms.rationalfn import (LinearProductRep, PartialFractionTable,
+                                  build_section2, partial_fractions)
+
+_HALF = Fraction(1, 2)
+
+
+# ---------------------------------------------------------------------------
+# Rational functions
+# ---------------------------------------------------------------------------
+
+def reconstruct(table: PartialFractionTable, t) -> Fraction:
+    """The table's partial-fraction sum at a non-pole rational t, exactly."""
+    t = Fraction(t)
+    total = Fraction(0)
+    for idx, k in enumerate(table.pole_ks):
+        base = t + k + table.pole_offset
+        inv = 1 / base
+        power = Fraction(1)
+        for i in range(1, table.s + 1):
+            power *= inv
+            c = table.rows[idx][i - 1]
+            if c:
+                total += c * power
+    return total
+
+
+def build_remark1(s: int, n: int) -> LinearProductRep:
+    """The earlier variant with two half-integer runs of length n."""
+    section2(s, n)
+    scalar = Fraction(2 ** (4 * n + 1) * math.factorial(n) ** (s - 2))
+    num = [(Fraction(-n, 2), 1)]
+    num += [(Fraction(2 * (n - j) + 1, 2), 1) for j in range(1, n + 1)]
+    num += [(Fraction(-2 * (n + j) + 1, 2), 1) for j in range(1, n + 1)]
+    den = [(Fraction(-j), s) for j in range(n + 1)]
+    return LinearProductRep.build(scalar, num, den)
+
+
+def remark1_identity_check(s: int, n: int, t) -> bool:
+    """Does the main function equal the variant times its completing factor at t?"""
+    t = Fraction(t)
+    main = build_section2(s, n).evaluate(t)
+    variant = build_remark1(s, n).evaluate(t)
+    extra = Fraction(2 ** (2 * n), math.factorial(n))
+    for j in range(1, n + 1):
+        extra *= t + j - _HALF
+    return main == variant * extra
+
+
+def symmetry_check(table: PartialFractionTable, reflect_const: int) -> bool:
+    """Check a_{i,k} == (-1)**i * a_{i, reflect_const - k} exactly, all i, k."""
+    for i, k, c in table.entries():
+        k_ref = reflect_const - k
+        if k_ref not in table.pole_ks:
+            if c != 0:
+                return False
+            continue
+        mirrored = table.a(i, k_ref)
+        if c != (mirrored if i % 2 == 0 else -mirrored):
+            return False
+    return True
+
+
+def binomial_block_coefficients(kind: int, n: int) -> list[Fraction]:
+    """Closed-form simple-pole coefficients of the four elementary quotients."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    C = math.comb
+    if kind == 1:
+        return [Fraction((-1) ** k * C(n, k)) for k in range(n + 1)]
+    if kind == 2:
+        return [Fraction((-1) ** (n + k) * C(2 * n + 2 * k, 2 * n) * C(2 * n, n + k))
+                for k in range(n + 1)]
+    if kind == 3:
+        return [Fraction(C(2 * k, k) * C(2 * n - 2 * k, n - k)) for k in range(n + 1)]
+    if kind == 4:
+        return [Fraction((-1) ** k * C(4 * n - 2 * k, 2 * n) * C(2 * n, k))
+                for k in range(n + 1)]
+    raise ValueError("kind must be 1..4")
+
+
+def binomial_block_product(kind: int, n: int) -> LinearProductRep:
+    """The product form each closed-form coefficient list decomposes."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    den = [(Fraction(-j), 1) for j in range(n + 1)]
+    if kind == 1:
+        return LinearProductRep.build(math.factorial(n), [], den)
+    if kind == 2:
+        num = [(Fraction(2 * (n - j) + 1, 2), 1) for j in range(1, n + 1)]
+    elif kind == 3:
+        num = [(Fraction(1 - 2 * j, 2), 1) for j in range(1, n + 1)]
+    elif kind == 4:
+        num = [(Fraction(-2 * (n + j) + 1, 2), 1) for j in range(1, n + 1)]
+    else:
+        raise ValueError("kind must be 1..4")
+    return LinearProductRep.build(2 ** (2 * n), num, den)
+
+
+def section2_top_coefficient(s: int, n: int, k: int) -> Fraction:
+    """Closed form for the order-s coefficient at pole k of the basic family."""
+    f = math.factorial
+    num = f(2 * n + 2 * k) * f(4 * n - 2 * k)
+    den = f(n + k) * f(2 * n - k) * f(k) ** 3 * f(n - k) ** 3
+    return Fraction(num, den) * (n - 2 * k) * Fraction(math.comb(n, k)) ** (s - 3)
+
+
+def hypergeometric_parameters(profile: Profile):
+    """Upper/lower parameter lists and argument of the series form."""
+    h = profile.h
+    h0 = h[0]
+    upper = (h0, 1 + h0 / 2) + tuple(h[1:])
+    lower = (h0 / 2,) + tuple(1 + h0 - hj for hj in h[1:])
+    return upper, lower, -1
+
+
+# ---------------------------------------------------------------------------
+# The earlier-variant denominator probe
+# ---------------------------------------------------------------------------
+
+@frozen
+class Remark1Report:
+    s: int
+    n: int
+    a0: Fraction
+    d_n_clears: bool
+    d_2n_clears: bool
+    smallest_clearing_index: int | None
+
+    def __str__(self):
+        return (f"variant a_0 for (s={self.s}, n={self.n}): d_n^s clears: "
+                f"{self.d_n_clears}; d_2n^s clears: {self.d_2n_clears}")
+
+
+def remark1_denominator_probe(s: int, n: int) -> Remark1Report:
+    """Decompose the earlier variant and test which lcm power clears a_0.
+
+    The variant's series starts at index 1, so each pole's inner-sum origin
+    is the pole index itself; the constant term then needs odd denominators
+    up to 2n-1, hence the d_2n power.
+    """
+    profile = section2(s, n)
+    table = partial_fractions(build_remark1(s, n))
+    a0 = _assemble(table, s, table.pole_ks)[0]
+    phi = capital_phi(profile)
+
+    def clears(index: int) -> bool:
+        factors = ArithmeticFactors(lcm_up_to(index), phi, s)
+        return _inclusion_report(factors, [(0, None, a0)], 0).ok
+
+    dn = clears(n)
+    d2n = clears(2 * n)
+    smallest = n if dn else (2 * n if d2n else None)
+    return Remark1Report(s, n, a0, dn, d2n, smallest)
+
+
+# ---------------------------------------------------------------------------
+# Roots and digamma
+# ---------------------------------------------------------------------------
+
+def count_roots(p: list[Fraction], lo: Fraction, hi: Fraction) -> int:
+    """Number of distinct real roots in (lo, hi); neither end may be one."""
+    return _count(_sturm_chain(_integer_poly(p)), lo, hi)
+
+
+def digamma_rational(p: int, q: int, precision: int = 256) -> BallReal:
+    """psi(p/q) for p, q > 0 with relative radius <= 2**(1-precision): the
+    one-point ``numtheory._digamma_sum``, looked up at each call.  Near the
+    zero of psi a first ball that misses it bounds |psi| below, and a
+    second pass adds the bits it lacks.
+    """
+    if q == 0:
+        raise ZeroDivisionError("digamma_rational: q must be nonzero")
+    x = Fraction(p, q)
+    if x <= 0:
+        raise ValueError("argument must be positive")
+    tol = Fraction(2) ** (1 - precision)
+    val = numtheory._digamma_sum({x: 1}, precision)
+    if val.rad > tol * abs(val.mid) and not val.contains_zero():
+        least = min(abs(val.lower), abs(val.upper))
+        val = numtheory._digamma_sum({x: 1},
+                                     precision + 1 - floor_log2(least))
+    if val.rad <= tol * abs(val.mid) or (
+            val.rad <= Fraction(2) ** (-precision) and val.contains_zero()):
+        return val
+    raise ArithmeticError("digamma_rational failed to reach target radius")
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo integral
+# ---------------------------------------------------------------------------
+
+def mc_integral(profile: Profile, samples: int, seed: int) -> BallReal:
+    """Monte Carlo estimate of the s-dimensional integral form (general family).
+
+    Radius is three standard errors: statistical, not rigorous; never used
+    in acceptance-critical arithmetic.  Deterministic for a fixed seed.
+    """
+    import numpy as np
+
+    if samples <= 0:
+        raise ValueError("samples must be positive")
+    e0, e1, n = profile.eta[0], profile.eta[1], profile.n
+    h0 = profile.h0
+    pref = Fraction(4 ** (e0 * n) * math.factorial(h0),
+                    math.factorial(e1 * n) ** 2
+                    * math.factorial((e0 - 2 * e1) * n))
+    x_exps = [float(ej * n) - 0.5 for ej in profile.eta[1:]]
+    y_exps = [float((e0 - 2 * ej) * n) for ej in profile.eta[1:]]
+
+    rng = np.random.default_rng(seed)
+    chunk = 1 << 16
+    total = 0.0
+    total_sq = 0.0
+    done = 0
+    while done < samples:
+        size = min(chunk, samples - done)
+        t = rng.random((size, profile.s))
+        w = np.ones(size)
+        for j in range(profile.s):
+            w *= t[:, j] ** x_exps[j] * (1.0 - t[:, j]) ** y_exps[j]
+        prod = t.prod(axis=1)
+        f = w * (1.0 - prod) / (1.0 + prod) ** (h0 + 1)
+        total += float(f.sum())
+        total_sq += float((f * f).sum())
+        done += size
+    mean = total / samples
+    var = max(total_sq / samples - mean * mean, 0.0)
+    sem = math.sqrt(var / samples)
+    with working_precision(64):
+        return BallReal(Fraction(mean) * pref, radius=Fraction(3 * sem) * pref)

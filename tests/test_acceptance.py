@@ -12,17 +12,17 @@ import pytest
 
 from betaforms.asymptotics import exponent_ledger, r_exponent
 from betaforms.balls import working_precision
-from betaforms.decomposition import (remark1_denominator_probe,
-                                     verify_coefficient_inclusions,
+from betaforms.decomposition import (verify_coefficient_inclusions,
                                      verify_form_inclusions)
-from betaforms.numerics import consistency_check, mc_integral, r_n_series
-from betaforms.numtheory import (carry_min_table, digamma_rational,
-                                 phi_exponent, phi_exponent_sieved)
+from betaforms.numerics import consistency_check, r_n_series
+from betaforms.numtheory import (carry_min_table, phi_exponent,
+                                 phi_exponent_sieved)
 from betaforms.profiles import THEOREM1_ETA, general, section2
-from betaforms.rationalfn import (remark1_identity_check,
-                                  section2_top_coefficient, symmetry_check)
 
 from tests.conftest import SECTION2_SUITE, THEOREM1_NS, suite_profiles
+from tests.reference import (digamma_rational, mc_integral,
+                             remark1_denominator_probe, remark1_identity_check,
+                             section2_top_coefficient, symmetry_check)
 
 
 def report(num, ok, desc, t0):

@@ -7,12 +7,13 @@ from hypothesis import example, given, settings, strategies as st
 from betaforms import asymptotics
 from betaforms.asymptotics import (ExponentLedger, Lemma3Data,
                                    RootCertificationError, _integer_poly,
-                                   _sign_at, _sturm_chain, count_roots,
-                                   exponent_ledger, isolate_roots,
-                                   lemma3_solve, r_exponent)
+                                   _sign_at, _sturm_chain, exponent_ledger,
+                                   isolate_roots, lemma3_solve, r_exponent)
 from betaforms.balls import BallReal, working_precision
 from betaforms.numerics import r_n_series
 from betaforms.profiles import THEOREM1_ETA, general, section2
+
+from tests.reference import count_roots
 
 
 class TestRootIsolation:
@@ -203,10 +204,10 @@ def ref_variations(chain, x):
     return sum(1 for i in range(len(signs) - 1) if signs[i] != signs[i + 1])
 
 
-def ref_count_roots(p, lo, hi):
-    if ref_eval(p, lo) == 0 or ref_eval(p, hi) == 0:
+def ref_count(chain, lo, hi):
+    """Distinct roots of ``chain[0]`` in (lo, hi), on a chain already built."""
+    if ref_eval(chain[0], lo) == 0 or ref_eval(chain[0], hi) == 0:
         raise ValueError("endpoint is a root; perturb the interval")
-    chain = ref_sturm_chain(p)
     return ref_variations(chain, lo) - ref_variations(chain, hi)
 
 
@@ -226,22 +227,26 @@ def ref_bisect_root(p, lo, hi, width):
     return lo, hi
 
 
-def ref_isolate_roots(p, lo, hi):
-    total = ref_count_roots(p, lo, hi)
+def ref_isolate(chain, lo, hi):
+    """One bracket per distinct root of ``chain[0]`` in (lo, hi)."""
+    total = ref_count(chain, lo, hi)
     if total == 0:
         return []
     if total == 1:
         return [(lo, hi)]
     mid = (lo + hi) / 2
-    while ref_eval(p, mid) == 0:
+    while ref_eval(chain[0], mid) == 0:
         mid = (mid + hi) / 2
-    return ref_isolate_roots(p, lo, mid) + ref_isolate_roots(p, mid, hi)
+    return ref_isolate(chain, lo, mid) + ref_isolate(chain, mid, hi)
+
+
+def ref_bisect_each(p, brackets, width):
+    return [ref_bisect_root(p, a, b, width) for a, b in brackets]
 
 
 def ref_refined_roots(p, lo, hi, width):
     """Reference: ``isolate_roots``, each bracket bisected below width."""
-    return [ref_bisect_root(p, a, b, width)
-            for a, b in ref_isolate_roots(p, lo, hi)]
+    return ref_bisect_each(p, ref_isolate(ref_sturm_chain(p), lo, hi), width)
 
 
 def ref_lemma3_solve(eta, precision):
@@ -253,7 +258,7 @@ def ref_lemma3_solve(eta, precision):
         right = [ej * u - (e0 - ej) * v
                  for u, v in zip(right + [0], [0] + right)]
     poly = ref_trim([u - v for u, v in zip(left, right + [0])])
-    assert ref_count_roots(poly, Fraction(0), Fraction(1)) == 1
+    assert ref_count(ref_sturm_chain(poly), Fraction(0), Fraction(1)) == 1
     lo, hi = ref_bisect_root(poly, Fraction(0), Fraction(1),
                              Fraction(2) ** (-(precision + 8)))
     with working_precision(precision + 16):
@@ -331,12 +336,17 @@ class TestIntegerSigns:
     @example(from_roots(Fraction(5, 16), Fraction(-3)),
              (Fraction(0), Fraction(1)))
     def test_brackets_match_the_fraction_helpers(self, p, ends):
+        # one reference chain and one isolation serve the count and both
+        # widths; an isolation that raises raises at every width
         lo, hi = ends
-        assert outcome(count_roots, p, lo, hi) == outcome(ref_count_roots,
-                                                          p, lo, hi)
+        chain = ref_sturm_chain(p)
+        assert outcome(count_roots, p, lo, hi) == outcome(ref_count,
+                                                          chain, lo, hi)
+        brackets = outcome(ref_isolate, chain, lo, hi)
         for width in (Fraction(1, 2 ** 12), Fraction(1, 3 * 10 ** 20)):
-            assert outcome(isolate_roots, p, lo, hi, width) == outcome(
-                ref_refined_roots, p, lo, hi, width)
+            assert outcome(isolate_roots, p, lo, hi, width) == (
+                brackets if brackets is ValueError
+                else outcome(ref_bisect_each, p, brackets, width))
 
     def test_planted_dyadic_root_is_hit(self):
         # (x - 5/16)(x - 3/4): bisection from (0, 1/2) lands on 5/16

@@ -363,13 +363,15 @@ def run_fresh(tmp_path, *lines):
     assert done.returncode == 0, done.stderr
 
 
-def test_no_mpmath_on_the_import_path_or_in_a_run(tmp_path):
-    """``betaforms.cli`` imports no mpmath, and a theorem1 run loads none."""
+def test_no_mpmath_or_numpy_on_the_import_path_or_in_a_run(tmp_path):
+    """``betaforms.cli`` imports neither mpmath nor numpy, and a theorem1
+    run loads neither."""
     run_fresh(tmp_path,
+              "loaded = lambda: {'mpmath', 'numpy'} & set(sys.modules)",
               "import betaforms.cli",
-              "assert 'mpmath' not in sys.modules, 'loaded by the import'",
+              "assert not loaded(), ('loaded by the import', loaded())",
               "run_theorem1()",
-              "assert 'mpmath' not in sys.modules, 'loaded by the run'")
+              "assert not loaded(), ('loaded by the run', loaded())")
 
 
 def test_no_record_generator_on_the_import_path_or_in_a_run(tmp_path):

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import json
@@ -217,7 +218,7 @@ class TestRun:
     @pytest.mark.parametrize("command, flag", [
         # the table and the factors are exact, so there is nothing to set
         ("phi-table", "--precision"),
-        # run has no Monte Carlo; the estimate is numerics.mc_integral
+        # run has no Monte Carlo; the estimate is a test reference
         ("run", "--seed")])
     def test_rejects_flag(self, capsys, command, flag):
         with pytest.raises(SystemExit) as exc:
@@ -272,7 +273,8 @@ class TestOtherCommands:
         numerics.beta_value.cache_clear()
         assert run_cli(*argv) == 0
         out = capsys.readouterr().out
-        monkeypatch.setattr(numerics, "_beta_enclosure", full_power_enclosure)
+        monkeypatch.setattr(numerics, "_beta_enclosures", lambda indices, p: [
+            full_power_enclosure(i, p) for i in indices])
         numerics.beta_value.cache_clear()
         assert run_cli(*argv) == 0
         numerics.beta_value.cache_clear()
@@ -320,3 +322,54 @@ class TestBenchmarkContract:
         assert run_cli("run", "--profile", str(path), "--n", "2", "4",
                        "--out", str(tmp_path / "r.json")) == 0
         assert seen == [2, 4]
+
+
+class TestPackageSurface:
+    """Every top-level public function and class in ``src/betaforms`` has a
+    caller outside ``tests/``; what only the tests call belongs in
+    ``tests/reference.py``.
+
+    A use is a name or attribute read in ``src`` outside the definition's
+    own body and outside ``__init__.py`` (re-exports are not uses), in
+    ``demos/``, ``tools/`` or ``perfbench/``, or a site that
+    ``perfbench/spans.py`` traces by name.  A use inside an unused
+    definition does not count, so a dead chain is found whole."""
+
+    ROOT = Path(__file__).resolve().parent.parent
+
+    @staticmethod
+    def reads(tree, owner):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                yield node.id, owner.get(node)
+            elif isinstance(node, ast.Attribute):
+                yield node.attr, owner.get(node)
+
+    def test_every_public_definition_has_a_caller_outside_tests(self):
+        defs, uses = {}, []
+        for path in sorted((self.ROOT / "src/betaforms").glob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            tree = ast.parse(path.read_text())
+            owner = {}
+            for top in tree.body:
+                if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                    key = f"{path.stem}.{top.name}"
+                    if not top.name.startswith("_"):
+                        defs[key] = top.name
+                    owner.update(dict.fromkeys(ast.walk(top), key))
+            uses += self.reads(tree, owner)
+        for folder in ("demos", "tools", "perfbench"):
+            for path in sorted((self.ROOT / folder).glob("*.py")):
+                uses += self.reads(ast.parse(path.read_text()), {})
+        spans = TestBenchmarkContract.spans()
+        uses += [(attr, None) for _, sites, _ in spans.TARGETS
+                 for _, attr in sites]
+        uses += [(attr, None) for _, attr, _ in spans.CACHES]
+        assert {"numerics.r_n_series", "profiles.Profile"} <= defs.keys()
+        unused = set()
+        while new := {key for key, name in defs.items() if key not in unused
+                      and not any(n == name and at != key and at not in unused
+                                  for n, at in uses)}:
+            unused |= new
+        assert not unused, "only tests use: " + ", ".join(sorted(unused))

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from betaforms.decomposition import (ArithmeticFactors, InclusionError,
                                      beta_coefficients, inner_sum,
                                      integer_linear_form,
-                                     remark1_denominator_probe,
                                      verify_coefficient_inclusions,
                                      verify_form_inclusions)
 from betaforms.numtheory import lcm_up_to
@@ -16,6 +15,7 @@ from betaforms.rationalfn import (build_general, build_section2,
                                   partial_fractions)
 
 from tests.conftest import SECTION2_SUITE, THEOREM1_NS, suite_profiles
+from tests.reference import remark1_denominator_probe
 from tests.test_numtheory import admissible_general
 
 

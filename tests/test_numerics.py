@@ -13,18 +13,18 @@ from mpmath.libmp import to_rational
 from betaforms import cli, numerics
 from betaforms.balls import BallReal, ball_pi, floor_log2, working_precision
 from betaforms.decomposition import DecompositionResult, beta_coefficients
-from betaforms.numerics import (_beta_enclosure, _beta_enclosures,
-                                _chebyshev_pass,
+from betaforms.numerics import (_beta_enclosures, _chebyshev_pass,
                                 _chebyshev_weights, _least_size,
                                 _moment_bound, _term_ratios,
                                 SeriesEvaluation, alternating_series_tail, beta_value,
                                 consistency_check, decomposition_value,
-                                mc_integral, r_n_series)
+                                r_n_series)
 from betaforms.profiles import THEOREM1_ETA, general, section2
 from betaforms.rationalfn import (LinearProductRep, build_general,
                                   build_section2, partial_fractions)
 
 from tests.conftest import suite_profiles
+from tests.reference import mc_integral
 from tests.test_numtheory import admissible_general
 from tests.test_rationalfn import any_rep
 
@@ -102,8 +102,8 @@ def reference_beta_enclosure(i, precision):
 
 
 def full_power_enclosure(i, precision):
-    """Reference: ``_beta_enclosure`` with every power (2k+1)**i formed,
-    as it was before large powers were skipped."""
+    """Reference: ``beta_value``'s (mid, radius) with every power
+    (2k+1)**i formed, as it was before large powers were skipped."""
     n = beta_size(precision)
     d = chebyshev_t3(n)
     p = precision + 16 + n.bit_length()
@@ -135,7 +135,7 @@ class TestBetaFixedPoint:
                              + (52, 80, 113, 141, 169))
     def test_rounding_bound_covers_the_exact_sum(self, precision):
         for i in range(1, 17):
-            mid, rad = _beta_enclosure(i, precision)
+            (mid, rad), = _beta_enclosures([i], precision)
             ref_mid, ref_rad = reference_beta_enclosure(i, precision)
             # what the radius adds to 1/d covers the floors' loss, and is
             # under 2**-16 of 1/d
@@ -173,11 +173,12 @@ class TestBetaLargeIndex:
     def test_skipped_powers_keep_every_floor(self, i, precision):
         # a power above |c| 2**p floors to 0 or -1 whether formed or not;
         # below i = 17 no power is skipped at these precisions
-        assert _beta_enclosure(i, precision) == full_power_enclosure(i, precision)
+        assert _beta_enclosures([i], precision) == [
+            full_power_enclosure(i, precision)]
 
     def test_index_one_million_is_fast(self):
         t0 = time.perf_counter()
-        mid, rad = _beta_enclosure(10 ** 6, 64)
+        (mid, rad), = _beta_enclosures([10 ** 6], 64)
         assert time.perf_counter() - t0 < 1.0
         assert abs(mid - 1) <= rad
 

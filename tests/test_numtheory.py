@@ -12,11 +12,13 @@ from betaforms.numtheory import (CarrySpec, FactoredInteger, StepFunction,
                                  _breakpoint_candidates, _merged_terms,
                                  _min_over_y, _sweep_plan, capital_phi,
                                  carry_min_table, carry_min_value,
-                                 carry_value, digamma_rational, lcm_up_to,
+                                 carry_value, lcm_up_to,
                                  phi_exponent, phi_exponent_from_table,
                                  phi_exponent_sieved, sieve_primes)
 from betaforms.profiles import (THEOREM1_ETA, Profile, general,
                                 profile_violations, section2)
+
+from tests.reference import digamma_rational
 
 THEOREM1_SPEC = CarrySpec("general", THEOREM1_ETA)
 SECTION2_SPEC = CarrySpec("section2")

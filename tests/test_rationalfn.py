@@ -8,14 +8,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from betaforms.profiles import ProfileError, THEOREM1_ETA, general
 from betaforms.rationalfn import (LinearProductRep, PartialFractionTable,
-                                  _layers, binomial_block_coefficients,
-                                  binomial_block_product, build_general,
-                                  build_remark1, build_section2,
-                                  hypergeometric_parameters, partial_fractions,
-                                  remark1_identity_check,
-                                  section2_top_coefficient, symmetry_check)
+                                  _layers, build_general, build_section2,
+                                  partial_fractions)
 from betaforms.series import divide_trunc
 
+from tests.reference import (binomial_block_coefficients,
+                             binomial_block_product, build_remark1,
+                             hypergeometric_parameters, reconstruct,
+                             remark1_identity_check,
+                             section2_top_coefficient, symmetry_check)
 from tests.test_numtheory import admissible_general
 
 TOP_COEFF_CASES = [(3, 2), (5, 2), (5, 4), (17, 2)]
@@ -225,7 +226,7 @@ class TestPartialFractions:
             points = 5 if b.rep.den_degree > 300 else 20
             for _ in range(points):
                 t = Fraction(rng.randrange(1, 400), rng.choice([7, 9, 11, 13]))
-                assert b.table.reconstruct(t) == b.rep.evaluate(t)
+                assert reconstruct(b.table, t) == b.rep.evaluate(t)
 
     @settings(max_examples=60, deadline=None)
     @given(any_rep)
