@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 
 from .balls import BallReal, working_precision
 from .decomposition import (ArithmeticFactors, DecompositionResult,
-                            InclusionReport, beta_coefficients, inner_sum,
+                            InclusionReport, beta_coefficients,
                             integer_linear_form,
                             verify_coefficient_inclusions,
                             verify_form_inclusions)
@@ -39,7 +39,7 @@ __all__ = [
     "StepFunction", "THEOREM1_ETA", "beta_coefficients", "beta_value",
     "build_general", "build_section2", "capital_phi", "carry_min_table",
     "carry_value", "consistency_check", "exponent_ledger", "general",
-    "inner_sum", "integer_linear_form", "lcm_up_to", "lemma3_solve",
+    "integer_linear_form", "lcm_up_to", "lemma3_solve",
     "partial_fractions", "preset", "phi_exponent", "phi_exponent_sieved",
     "profile_violations", "r_exponent", "r_n_series", "section2",
     "sieve_primes", "verify_coefficient_inclusions", "verify_form_inclusions",

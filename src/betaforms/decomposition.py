@@ -15,6 +15,7 @@ deliberately weakened exponents can be probed.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from ._records import frozen
@@ -22,36 +23,40 @@ from .numtheory import FactoredInteger, capital_phi, lcm_up_to
 from .profiles import Profile
 from .rationalfn import PartialFractionTable
 
-_HALF = Fraction(1, 2)
 
-
-def inner_sum(i: int, start: int, stop: int) -> Fraction:
-    """sum_{l=start}^{stop} (-1)**l / (l + 1/2)**i, exact; empty gives 0."""
-    if i < 1:
-        raise ValueError("order i must be >= 1")
-    total = Fraction(0)
-    for ell in range(start, stop + 1):
-        term = 1 / (ell + _HALF) ** i
-        total += term if ell % 2 == 0 else -term
-    return total
+def _dot(pairs) -> Fraction:
+    """sum of w * x over (Fraction w, int x) pairs, exactly: one integer sum
+    over the lcm of the denominators and one division, not a Fraction sum."""
+    pairs = list(pairs)
+    den = math.lcm(*(w.denominator for w, _ in pairs))
+    return Fraction(sum(w.numerator * (den // w.denominator) * x
+                        for w, x in pairs), den)
 
 
 def _tail_correction_sum(i: int, terms) -> Fraction:
     """sum of w * c_o over the pairs (o, w), where c_o rewrites sum_{l>=o}
-    as the full alternating sum plus c_o; one running inner sum each way
-    from 0."""
-    total = Fraction(0)
-    partial, stop = Fraction(0), 0
-    for o, w in sorted((t for t in terms if t[0] > 0), key=lambda t: t[0]):
-        partial += inner_sum(i, stop, o - 1)
-        stop = o
-        total -= w * partial
-    partial, start = Fraction(0), 0
-    for o, w in sorted((t for t in terms if t[0] < 0), key=lambda t: -t[0]):
-        partial += inner_sum(i, o, start - 1)
-        start = o
-        total += w * partial
-    return total
+    as the full alternating sum plus c_o: minus the terms l = 0..o-1 for
+    o > 0, plus the terms l = o..-1 for o < 0, each (-1)**l / (l + 1/2)**i.
+
+    Term l = m - 1 is (2/D)**i u_m with u_m = (-1)**(m-1) (D/(2m-1))**i,
+    and term l = -m is (-1)**(i+1) times it, where D is the lcm of the odd
+    numbers up to 2 max|o| - 1.  So both sides share one running integer
+    sum U_m = u_1 + ... + u_m, and the total is
+    -(2/D)**i (sum_{o>0} w U_o + (-1)**i sum_{o<0} w U_{-o}).
+    """
+    terms = [(o, w) for o, w in terms if o]
+    if not terms:
+        return Fraction(0)
+    top = max(abs(o) for o, _ in terms)
+    d = math.lcm(*range(1, 2 * top, 2))
+    running = [0]
+    for m in range(1, top + 1):
+        u = (d // (2 * m - 1)) ** i
+        running.append(running[-1] + u if m % 2 else running[-1] - u)
+    flip = -1 if i % 2 else 1
+    total = _dot((w, running[o] if o > 0 else flip * running[-o])
+                 for o, w in terms)
+    return -total * Fraction(2 ** i, d ** i)
 
 
 @frozen
@@ -95,7 +100,7 @@ def _assemble(table: PartialFractionTable, s: int,
             for k, row in zip(table.pole_ks, table.rows)]
     a = [Fraction(0)] * (s + 1)
     for i in range(1, s + 1):
-        a[i] = 2 ** i * sum((row[i - 1] for row in rows), Fraction(0))
+        a[i] = 2 ** i * _dot((row[i - 1], 1) for row in rows)
         a[0] += _tail_correction_sum(i, [
             (origin, row[i - 1]) for origin, row in zip(origins, rows)
             if row[i - 1]])

@@ -145,7 +145,12 @@ class Profile:
 
     @property
     def reflection_constant(self) -> int:
-        """c with a_{i,k} = (-1)^i a_{i, c-k}."""
+        """c with a_{i,k} = (-1)^(i+gap) a_{i, c-k}, gap the degree gap of
+        the rational function (``rationalfn.partial_fractions``).  Both
+        families have an even gap, so the sign is (-1)^i: for section2 the
+        gap is (n+1)s - (3n+1), even for odd s and even n; for the general
+        family it is (s-1)(eta_0 n + 1) - 2n sum_{j>=1} eta_j, even for odd s.
+        """
         return self.n if self.is_section2 else self.h0 - 1
 
     def ell_origin(self, k: int) -> int:

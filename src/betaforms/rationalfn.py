@@ -7,9 +7,12 @@ or half-integers.  Partial-fraction coefficients are extracted per pole
 from the co-factor's Taylor series, built as the exponential of its
 logarithm: the power sums of the reciprocal root distances, scaled to
 integers, feed an integer recurrence, and each coefficient costs one
-exact division at the end.  Moving from one pole to the next changes the
-power sums only at the ends of each run of consecutive roots, so they are
-updated, not rebuilt.  No floating point enters this module.
+exact division at the end.  Poles are swept from the highest down, and
+moving from one pole to the next changes the power sums only at the ends
+of each run of consecutive roots, so they are updated, not rebuilt.  Every
+profile's function is well-poised: a reflection of t maps both root sets
+onto themselves, so the sweep stops at the middle pole and the other half
+of the table is its mirror image.  No floating point enters this module.
 """
 
 from __future__ import annotations
@@ -97,10 +100,6 @@ class LinearProductRep:
                 sides[1 - flip].append(Fraction(hi, 2))
         return tuple(sides[0]), tuple(sides[1])
 
-    def scaled(self, c) -> "LinearProductRep":
-        return LinearProductRep(self.scalar * Fraction(c),
-                                self.num_roots, self.den_roots)
-
 
 @frozen
 class PartialFractionTable:
@@ -161,6 +160,16 @@ def _add_power_sums(sums: list[int], pole: int, weights, lcm: int) -> Fraction:
     return Fraction(up, down)
 
 
+def _reflection(num: dict[int, int], den: dict[int, int]) -> int | None:
+    """C = min + max of the doubled poles if R -> C - R maps the doubled
+    numerator roots and the doubled poles each onto themselves, with
+    multiplicity; None otherwise."""
+    c = min(den) + max(den)
+    if all(side.get(c - r) == m for side in (num, den) for r, m in side.items()):
+        return c
+    return None
+
+
 def partial_fractions(rep: LinearProductRep) -> PartialFractionTable:
     """Expand a proper linear-product representation into partial fractions.
 
@@ -183,6 +192,18 @@ def partial_fractions(rep: LinearProductRep) -> PartialFractionTable:
     moves every root one place, so the T_k and g(0) change only at the two
     boundary terms of each run of ``_layers``; where the pole grid has a
     gap they are summed afresh over all roots.
+
+    Before the sweep, at a cost of O(roots), the reflection R -> C - R
+    with C = min + max of the doubled poles is checked exactly
+    (``_reflection``).
+    If it maps the numerator roots and the poles each onto themselves, with
+    multiplicity, then f(C/2 - t) = (-1)**gap f(t) for the degree gap of
+    f, so pole P and pole C - P carry a_{i,C-P} = (-1)**(i+gap) a_{i,P}:
+    the sweep stops at the middle pole and the lower half is mirrored.  In
+    pole indices that is a_{i,c-k} = (-1)**(i+gap) a_{i,k} with
+    c = -C/2 - 2 pole_offset (``Profile.reflection_constant``).  Every
+    profile's function passes the check; any other rep that fails it is
+    swept in full.
     """
     degree_gap = rep.degree_gap
     if degree_gap < 1:
@@ -190,6 +211,11 @@ def partial_fractions(rep: LinearProductRep) -> PartialFractionTable:
     offset = _HALF if any(r.denominator == 2 for r, _ in rep.den_roots) else Fraction(0)
     num = {int(2 * r): m for r, m in rep.num_roots}
     den = {int(2 * r): m for r, m in rep.den_roots}
+    poles = sorted(den.items(), reverse=True)
+    pole_ks = [-Fraction(pole, 2) - offset for pole, _ in poles]
+    if any(k.denominator != 1 for k in pole_ks):
+        raise ValueError("pole grid mixes integer and half-integer roots")
+    mirror = _reflection(num, den)
     net = dict(num)
     for r, m in den.items():
         net[r] = net.get(r, 0) - m
@@ -204,14 +230,11 @@ def partial_fractions(rep: LinearProductRep) -> PartialFractionTable:
     scales = [1]  # j! L**j
     for j in range(1, s):
         scales.append(scales[-1] * j * lcm)
-    pole_ks = []
-    mults = []
-    rows = []
+    rows = {}
     prev = None
-    for pole, mult in sorted(den.items(), reverse=True):
-        k = -Fraction(pole, 2) - offset
-        if k.denominator != 1:
-            raise ValueError("pole grid mixes integer and half-integer roots")
+    for pole, mult in poles:
+        if mirror is not None and 2 * pole < mirror:
+            break
         if prev is not None and pole == prev - 2:
             # P + 2 is a root, so each boundary term has |P - R| <= span
             scaled_g0 *= _add_power_sums(sums, pole, steps.items(), lcm)
@@ -236,11 +259,14 @@ def partial_fractions(rep: LinearProductRep) -> PartialFractionTable:
             coeffs[mult - 1 - j - z] = Fraction(
                 scaled_g0.numerator * hj << max(e, 0),
                 scales[j] * scaled_g0.denominator << max(-e, 0))
-        pole_ks.append(int(k))
-        mults.append(mult)
-        rows.append(tuple(coeffs))
-    return PartialFractionTable(s, tuple(pole_ks), offset,
-                                tuple(mults), tuple(rows))
+        rows[pole] = tuple(coeffs)
+    for pole, _ in poles[len(rows):]:
+        # i = idx + 1; entry i changes sign when i + gap is odd
+        rows[pole] = tuple(-c if (idx + degree_gap) % 2 == 0 else c
+                           for idx, c in enumerate(rows[mirror - pole]))
+    return PartialFractionTable(s, tuple(int(k) for k in pole_ks), offset,
+                                tuple(m for _, m in poles),
+                                tuple(rows[pole] for pole, _ in poles))
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,11 @@ The package ships what ``betaforms run`` and the library calls need.  What
 is here serves the tests as closed forms, identities and independent
 estimates to hold the package to: the remark-1 variant and its
 denominator probe, the elementary binomial blocks, the top-coefficient
-closed form, the reflection symmetry of a table, the hypergeometric
-parameters, pointwise reconstruction of a table, a Sturm root count, the
-one-point digamma and a Monte Carlo estimate of the integral form.
+closed form, the reflection symmetry of a table, the full pole sweep that
+mirrored tables are held to, a rep's scalar multiple, the hypergeometric
+parameters, pointwise reconstruction of a table, the Fraction inner sum,
+a Sturm root count, the one-point digamma and a Monte Carlo estimate of
+the integral form.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from betaforms.decomposition import (ArithmeticFactors, _assemble,
 from betaforms.numtheory import capital_phi, lcm_up_to
 from betaforms.profiles import Profile, section2
 from betaforms.rationalfn import (LinearProductRep, PartialFractionTable,
-                                  build_section2, partial_fractions)
+                                  _add_power_sums, _layers, build_section2,
+                                  partial_fractions)
 
 _HALF = Fraction(1, 2)
 
@@ -46,6 +49,77 @@ def reconstruct(table: PartialFractionTable, t) -> Fraction:
             if c:
                 total += c * power
     return total
+
+
+def scaled(rep: LinearProductRep, c) -> LinearProductRep:
+    """The rep of c times the function."""
+    return LinearProductRep(rep.scalar * Fraction(c), rep.num_roots,
+                            rep.den_roots)
+
+
+def full_sweep_partial_fractions(rep: LinearProductRep) -> PartialFractionTable:
+    """``rationalfn.partial_fractions`` as it was before the reflection
+    check: every pole computed by the top-down sweep, none mirrored.  A
+    mirrored table satisfies the reflection identity by construction, so
+    the symmetry tests hold the package's tables to this one.
+    """
+    degree_gap = rep.degree_gap
+    if degree_gap < 1:
+        raise ValueError("representation must be proper (gap >= 1)")
+    offset = _HALF if any(r.denominator == 2 for r, _ in rep.den_roots) else Fraction(0)
+    num = {int(2 * r): m for r, m in rep.num_roots}
+    den = {int(2 * r): m for r, m in rep.den_roots}
+    net = dict(num)
+    for r, m in den.items():
+        net[r] = net.get(r, 0) - m
+    # c(R) - c(R + 2), the window's change from pole P + 2 to P at the term R
+    steps: dict[int, int] = {}
+    for side, c in ((num, 1), (den, -1)):
+        for lo, hi in _layers(side):
+            steps[lo - 2] = steps.get(lo - 2, 0) - c
+            steps[hi] = steps.get(hi, 0) + c
+    lcm = math.lcm(*range(1, max(net) - min(net) + 1))
+    s = max(den.values())
+    scales = [1]  # j! L**j
+    for j in range(1, s):
+        scales.append(scales[-1] * j * lcm)
+    pole_ks = []
+    mults = []
+    rows = []
+    prev = None
+    for pole, mult in sorted(den.items(), reverse=True):
+        k = -Fraction(pole, 2) - offset
+        if k.denominator != 1:
+            raise ValueError("pole grid mixes integer and half-integer roots")
+        if prev is not None and pole == prev - 2:
+            # P + 2 is a root, so each boundary term has |P - R| <= span
+            scaled_g0 *= _add_power_sums(sums, pole, steps.items(), lcm)
+        else:
+            sums = [0] * s  # sums[k] = T_k for k = 1..s-1
+            scaled_g0 = rep.scalar * _add_power_sums(sums, pole, net.items(), lcm)
+        prev = pole
+        z = num.get(pole, 0)
+        h = [1] if z < mult else []
+        for j in range(1, mult - z):
+            acc = 0
+            falling = 1  # (j-1)!/(j-i)!
+            for i in range(1, j + 1):
+                term = sums[i] * h[j - i] * falling
+                acc += term if i % 2 else -term
+                falling *= j - i
+            h.append(acc)
+        gap = degree_gap - mult
+        coeffs = [Fraction(0)] * s
+        for j, hj in enumerate(h):
+            e = gap + j + z  # the power of 2; a negative one divides
+            coeffs[mult - 1 - j - z] = Fraction(
+                scaled_g0.numerator * hj << max(e, 0),
+                scales[j] * scaled_g0.denominator << max(-e, 0))
+        pole_ks.append(int(k))
+        mults.append(mult)
+        rows.append(tuple(coeffs))
+    return PartialFractionTable(s, tuple(pole_ks), offset,
+                                tuple(mults), tuple(rows))
 
 
 def build_remark1(s: int, n: int) -> LinearProductRep:
@@ -135,6 +209,21 @@ def hypergeometric_parameters(profile: Profile):
     upper = (h0, 1 + h0 / 2) + tuple(h[1:])
     lower = (h0 / 2,) + tuple(1 + h0 - hj for hj in h[1:])
     return upper, lower, -1
+
+
+# ---------------------------------------------------------------------------
+# Inner sums
+# ---------------------------------------------------------------------------
+
+def inner_sum(i: int, start: int, stop: int) -> Fraction:
+    """sum_{l=start}^{stop} (-1)**l / (l + 1/2)**i, exact; empty gives 0."""
+    if i < 1:
+        raise ValueError("order i must be >= 1")
+    total = Fraction(0)
+    for ell in range(start, stop + 1):
+        term = 1 / (ell + _HALF) ** i
+        total += term if ell % 2 == 0 else -term
+    return total
 
 
 # ---------------------------------------------------------------------------

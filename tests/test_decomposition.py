@@ -2,10 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from betaforms.decomposition import (ArithmeticFactors, InclusionError,
-                                     beta_coefficients, inner_sum,
+                                     _tail_correction_sum, beta_coefficients,
                                      integer_linear_form,
                                      verify_coefficient_inclusions,
                                      verify_form_inclusions)
@@ -15,7 +15,7 @@ from betaforms.rationalfn import (build_general, build_section2,
                                   partial_fractions)
 
 from tests.conftest import SECTION2_SUITE, THEOREM1_NS, suite_profiles
-from tests.reference import remark1_denominator_probe
+from tests.reference import inner_sum, remark1_denominator_probe
 from tests.test_numtheory import admissible_general
 
 
@@ -51,6 +51,44 @@ class TestInnerSum:
         v = inner_sum(i, 0, stop)
         d = lcm_up_to(2 * stop + 1).value()
         assert (v * d ** i).denominator == 1
+
+
+def fraction_tail_correction_sum(i, terms):
+    """The tail correction in Fraction arithmetic, one ``inner_sum`` per
+    origin: the reference the integer running sums must reproduce."""
+    total = Fraction(0)
+    partial, stop = Fraction(0), 0
+    for o, w in sorted((t for t in terms if t[0] > 0), key=lambda t: t[0]):
+        partial += inner_sum(i, stop, o - 1)
+        stop = o
+        total -= w * partial
+    partial, start = Fraction(0), 0
+    for o, w in sorted((t for t in terms if t[0] < 0), key=lambda t: -t[0]):
+        partial += inner_sum(i, o, start - 1)
+        start = o
+        total += w * partial
+    return total
+
+
+class TestTailCorrectionSum:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=1, max_value=14),
+           st.lists(st.tuples(st.integers(min_value=-25, max_value=25),
+                              st.fractions(max_denominator=10 ** 6)),
+                    max_size=12))
+    @example(2, [])
+    @example(1, [(0, Fraction(3))])
+    @example(3, [(4, Fraction(1, 3)), (4, Fraction(-2, 7)), (-4, Fraction(5))])
+    @example(2, [(-1, Fraction(1)), (1, Fraction(1))])
+    def test_matches_the_fraction_inner_sums(self, i, terms):
+        assert (_tail_correction_sum(i, terms)
+                == fraction_tail_correction_sum(i, terms))
+
+    def test_single_origins(self):
+        # c_1 = -2**i, c_-1 = -(-2)**i
+        assert _tail_correction_sum(2, [(1, Fraction(1))]) == -4
+        assert _tail_correction_sum(3, [(-1, Fraction(1))]) == 8
+        assert _tail_correction_sum(2, [(-2, Fraction(1, 2))]) == Fraction(-16, 9)
 
 
 class TestBetaCoefficients:

@@ -1,21 +1,27 @@
+import importlib.util
 import math
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from betaforms.profiles import ProfileError, THEOREM1_ETA, general
+from betaforms import profile_violations
+from betaforms.numerics import build_profile_rep
+from betaforms.profiles import (ProfileError, THEOREM1_ETA, general,
+                                profile_from_spec)
 from betaforms.rationalfn import (LinearProductRep, PartialFractionTable,
-                                  _layers, build_general, build_section2,
-                                  partial_fractions)
+                                  _layers, _reflection, build_general,
+                                  build_section2, partial_fractions)
 from betaforms.series import divide_trunc
 
 from tests.reference import (binomial_block_coefficients,
                              binomial_block_product, build_remark1,
+                             full_sweep_partial_fractions,
                              hypergeometric_parameters, reconstruct,
-                             remark1_identity_check,
+                             remark1_identity_check, scaled,
                              section2_top_coefficient, symmetry_check)
 from tests.test_numtheory import admissible_general
 
@@ -262,9 +268,9 @@ class TestPartialFractions:
         from betaforms.profiles import section2
 
         b = bundle(section2(3, 2))
-        scaled = partial_fractions(b.rep.scaled(c))
+        table = partial_fractions(scaled(b.rep, c))
         for i, k, coeff in b.table.entries():
-            assert scaled.a(i, k) == c * coeff
+            assert table.a(i, k) == c * coeff
 
     def test_section2_properness_formula(self):
         for s, n in [(3, 2), (3, 4), (5, 2), (5, 4), (17, 2)]:
@@ -289,11 +295,12 @@ class TestPartialFractions:
             assert table.a(s, k) == section2_top_coefficient(s, n, k)
 
     def test_reflection_identity(self, bundle):
+        # on the full sweep: a mirrored table holds it by construction
         from tests.conftest import suite_profiles
 
         for profile in suite_profiles():
-            b = bundle(profile)
-            assert symmetry_check(b.table, profile.reflection_constant)
+            table = full_sweep_partial_fractions(bundle(profile).rep)
+            assert symmetry_check(table, profile.reflection_constant)
 
     def test_mutated_table_fails_symmetry(self, bundle):
         from betaforms.profiles import section2
@@ -306,6 +313,76 @@ class TestPartialFractions:
                                    table.multiplicities,
                                    tuple(tuple(r) for r in rows))
         assert not symmetry_check(bad, 2)
+
+
+def reflection(rep):
+    """``rationalfn._reflection`` of a rep: the doubled mirror constant, or
+    None when the sweep must run in full."""
+    return _reflection({int(2 * r): m for r, m in rep.num_roots},
+                       {int(2 * r): m for r, m in rep.den_roots})
+
+
+def random_profile_reps():
+    """The reps of the benchmark's 16 seed-1 ``random-profiles`` profiles."""
+    path = Path(__file__).resolve().parent.parent / "perfbench/workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [build_profile_rep(profile_from_spec(profile, n))
+            for profile in workloads.random_profiles(1, profile_violations)
+            for n in profile["n"]]
+
+
+class TestMirroredPartialFractions:
+    """The sweep stops at the middle pole when the reflection fixes the
+    rep, and runs in full otherwise; both must give the full sweep's
+    table."""
+
+    @staticmethod
+    def assert_same_table(rep):
+        table, ref = partial_fractions(rep), full_sweep_partial_fractions(rep)
+        assert table.rows == ref.rows
+        assert table.pole_ks == ref.pole_ks
+        assert table.multiplicities == ref.multiplicities
+        assert table.pole_offset == ref.pole_offset
+
+    def test_profiles_take_the_mirror_and_match_the_full_sweep(self, bundle):
+        from tests.conftest import suite_profiles
+
+        reps = [bundle(profile).rep for profile in suite_profiles()]
+        reps.append(build_general(general(THEOREM1_ETA, 6)))
+        for rep in reps:
+            assert reflection(rep) is not None
+            self.assert_same_table(rep)
+
+    @pytest.mark.parametrize("kind", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_binomial_blocks(self, kind, n):
+        # kinds 1 and 3 are fixed by the reflection, 2 and 4 are not
+        rep = binomial_block_product(kind, n)
+        assert (reflection(rep) is None) == (kind in (2, 4))
+        self.assert_same_table(rep)
+
+    @pytest.mark.parametrize("s,n", [(5, 2), (17, 2)])
+    def test_one_numerator_multiplicity_bumped(self, s, n):
+        rep = build_section2(s, n)
+        assert reflection(rep) is not None
+        (r, m), *rest = rep.num_roots  # the lowest root, off the centre
+        bumped = LinearProductRep(rep.scalar, ((r, m + 1), *rest),
+                                  rep.den_roots)
+        assert reflection(bumped) is None
+        self.assert_same_table(bumped)
+
+    def test_profile_degree_gaps_are_even(self, bundle):
+        # so the mirror's sign (-1)**(i + gap) is (-1)**i on every profile
+        from tests.conftest import suite_profiles
+
+        reps = [bundle(profile).rep for profile in suite_profiles()]
+        reps += random_profile_reps()
+        assert len(reps) == len(suite_profiles()) + 16
+        for rep in reps:
+            assert rep.degree_gap % 2 == 0
+            assert reflection(rep) is not None
 
 
 class TestBinomialBlocks:

@@ -18,8 +18,9 @@ run is three fresh interpreters with ``PYTHONPATH=SRC``:
   interpreter, and the wall seconds, spawn to exit, of ``python -m
   betaforms.cli run --profile theorem1 --n 2``;
 * the stages (this script with ``--one``): for theorem1 at (n, precision)
-  = (2, 256), (4, 256), (6, 64), (8, 256) and (12, 256),
-  ``rationalfn.partial_fractions`` and ``decomposition.beta_coefficients``;
+  = (2, 256), (4, 256), (6, 64), (8, 256), (12, 256) and (24, 256),
+  ``rationalfn.partial_fractions`` and ``decomposition.beta_coefficients``
+  (n = 24 is where partial fractions dominate a certificate);
   then the real constants: ``numtheory.phi_exponent`` (carry table warm),
   ``asymptotics.r_exponent`` and ``numerics.decomposition_value`` (cold
   ``beta_value`` cache).  It then times ``numerics.r_n_series`` alone and
@@ -52,7 +53,7 @@ import time
 from pathlib import Path
 
 # (n, precision)
-CASES = ((2, 256), (4, 256), (6, 64), (8, 256), (12, 256))
+CASES = ((2, 256), (4, 256), (6, 64), (8, 256), (12, 256), (24, 256))
 IMPORT_CODE = ("import time; t = time.perf_counter(); import betaforms.cli; "
                "print(time.perf_counter() - t)")
 RUN_ARGV = ("-m", "betaforms.cli", "run", "--profile", "theorem1", "--n", "2",
