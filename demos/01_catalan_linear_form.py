@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Smallest end-to-end example: a rational linear form in Catalan's constant.
 
-Builds the basic construction at (s, n) = (3, 2), expands it into exact
-partial fractions, resums the alternating series into
-r = a_0 + a_2 * beta(2), and verifies the divisibility normalization and
-the numeric identity.
+Builds the basic construction at (s, n) = (3, 2), the general family's
+function at eta = (3, 1, 1, 1), so its poles sit at t = -(k + 1/2) for
+k = n..2n = 2..4 (the paper's section 2 writes the same function with
+poles at t = 0..-n).  Expands it into exact partial fractions, resums the
+alternating series into r = a_0 + a_2 * beta(2), and verifies the
+divisibility normalization and the numeric identity.
 """
 
 from fractions import Fraction

@@ -268,11 +268,11 @@ def _section2_onedim(s: int, precision: int) -> BallReal:
 def r_exponent(profile: Profile, precision: int = 256) -> BallReal:
     """lim (1/n) log of the linear form, as a certified enclosure.
 
-    The general family goes through the cube-maximum reduction.  The basic
-    family routes through eta = (3, 1, ..., 1) and is cross-checked against
-    the one-dimensional form; disagreement is a hard failure.
+    Both families go through the cube-maximum reduction at the profile's
+    shape.  The basic family, shape (3, 1, ..., 1), is cross-checked
+    against the one-dimensional form; disagreement is a hard failure.
     """
-    value = _r_exponent_eta(profile.asymptotic_eta, precision)
+    value = _r_exponent_eta(profile.shape, precision)
     if profile.is_section2:
         one_dim = _section2_onedim(profile.s, precision)
         if not value.overlaps(one_dim):

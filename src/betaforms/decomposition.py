@@ -90,11 +90,10 @@ def _assemble(table: PartialFractionTable, s: int,
     start, in the order of ``table.pole_ks``.
 
     Pole k enters with the sign (-1)**k.  That fixes r_n to match the
-    (positive) integral representation: at index nu, pole k's part is a
-    power of 1/(ell + 1/2) with ell = nu + k + j (``Profile.series_sign``),
-    so the series carries (-1)**(nu+1) for section2 (j = -1) and (-1)**nu
-    for the general family (j = 0), which lands on (-1)**k at pole k in
-    both cases.
+    (positive) integral representation r_n = sum_{nu >= 0} (-1)**nu f(nu):
+    at index nu, pole k's part is a power of 1/(ell + 1/2) with
+    ell = nu + k + j, j = 0 for both families, so (-1)**nu lands on
+    (-1)**k (-1)**ell at pole k.
     """
     rows = [row if k % 2 == 0 else [-c for c in row]
             for k, row in zip(table.pole_ks, table.rows)]

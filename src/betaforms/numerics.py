@@ -12,9 +12,9 @@ B/d <= target/2.  For beta(i), a_k = (2k + 1)**-i, B = 1 and the target is
 (``_beta_enclosures``): floor(floor(a/b)/c) = floor(a/(bc)) for integers
 b, c > 0, so dividing the last floor by (2k + 1)**(i' - i) gives each
 next index's floor exactly, and a chain stops at 0 or -1, the fixed points
-of floor division.  The series term a_j = f(start + shift + j) =
-sum c_ik (j + X_k)**-i over the pole table, X_k = start + shift + k +
-pole_offset > 0, is the moment of w(t) = sum c_ik t**(X_k - 1)
+of floor division.  The series term a_j = f(j) =
+sum c_ik (j + X_k)**-i over the pole table, X_k = k + pole_offset > 0
+(k + 1/2 for every profile), is the moment of w(t) = sum c_ik t**(X_k - 1)
 (-log t)**(i - 1) / (i - 1)!, so B = sum |c_ik| / X_k**i
 (``_moment_bound``).  The terms run in fixed point at scale 2**P, each the
 last times the integer step ratio, floored; each floor's error is carried
@@ -36,9 +36,10 @@ from .balls import BallReal, floor_log2, working_precision
 from .decomposition import DecompositionResult, beta_coefficients
 from .profiles import Profile
 from .rationalfn import (LinearProductRep, PartialFractionTable,
-                         build_general, build_section2, partial_fractions)
-# Unused here: the benchmark traces numerics.divide_trunc and
-# numerics.euler_numbers_at_zero by these names.
+                         build_general, partial_fractions)
+# Unused here: the benchmark traces numerics.build_section2,
+# numerics.divide_trunc and numerics.euler_numbers_at_zero by these names.
+from .rationalfn import build_section2
 from .series import divide_trunc, euler_numbers_at_zero
 
 # The series descent gives up below this target, 2**-65536: a ball that
@@ -115,8 +116,6 @@ def _beta_enclosures(indices: list[int],
 
 
 def build_profile_rep(profile: Profile) -> LinearProductRep:
-    if profile.is_section2:
-        return build_section2(profile.s, profile.n)
     return build_general(profile)
 
 
@@ -124,12 +123,12 @@ def build_profile_rep(profile: Profile) -> LinearProductRep:
 # Linear-form series
 # ---------------------------------------------------------------------------
 
-def _moment_bound(table: PartialFractionTable, x0: Fraction) -> tuple[int, int]:
-    """(b, e) with B = sum |c_ik| / (x0 + k)**i <= b / 2**e: one ceiling
-    division per entry |c| 2**i / y**i, y = 2(x0 + k), at the scale e that
+def _moment_bound(table: PartialFractionTable) -> tuple[int, int]:
+    """(b, e) with B = sum |c_ik| / X_k**i <= b / 2**e: one ceiling
+    division per entry |c| 2**i / y**i, y = 2 X_k, at the scale e that
     puts the largest near 2**64 units by bit lengths.  No Fraction sums;
-    a pole at or right of x0 raises."""
-    x2, terms = int(2 * x0), []
+    a pole at t >= 0 raises."""
+    x2, terms = int(2 * table.pole_offset), []
     for row, k in zip(table.rows, table.pole_ks):
         y = x2 + 2 * k
         if y <= 0 and any(row):
@@ -141,24 +140,22 @@ def _moment_bound(table: PartialFractionTable, x0: Fraction) -> tuple[int, int]:
     return sum(-(-(u << max(e, 0)) // (v << max(-e, 0))) for u, v in terms), e
 
 
-def _term_ratios(rep: LinearProductRep, shift: Fraction, start: int,
+def _term_ratios(rep: LinearProductRep,
                  weights: list[int]) -> tuple[list[tuple[int, int]], int]:
     """The ratios (u_j, v_j), v_j > 0, with a_{j+1} = a_j u_j / v_j for the
-    terms a_j = rep(start + j + shift), j < len(weights) - 1, and
+    terms a_j = rep(j), j < len(weights) - 1, and
     E >= sum |c_k| |A_k - a_k 2**p| for the floored terms A_k of
     ``_chebyshev_pass`` at every p.
 
-    u and v are the products of 2(nu + shift - x) over the roots x of
+    u and v are the products of 2(nu - x) over the roots x of
     ``rep.step_ratio()``; a zero of either, where the terms meet a root of
     f, raises.  A_0 errs by under 1, and floor(A_k u / v) by |u|/v times
     A_k's error plus under 1, so e_0 = 1 and e_{k+1} = ceil(e_k |u| / v)
     + 1 bound the errors, whatever p is.
     """
-    ups, downs = ([int(2 * (shift - x)) for x in roots]
-                  for roots in rep.step_ratio())
+    ups, downs = ([int(-2 * x) for x in roots] for roots in rep.step_ratio())
     ratios, e, error = [], 1, abs(weights[0])
-    for nu2, c in zip(range(2 * start, 2 * (start + len(weights)), 2),
-                      weights[1:]):
+    for nu2, c in zip(range(0, 2 * len(weights), 2), weights[1:]):
         u = math.prod(nu2 + a for a in ups)
         v = math.prod(nu2 + a for a in downs)
         if not u or not v:
@@ -195,27 +192,27 @@ class SeriesEvaluation:
 
 
 def alternating_series_tail(rep: LinearProductRep, table: PartialFractionTable,
-                            shift: Fraction, start: int, target: Fraction,
+                            target: Fraction,
                             precision: int) -> SeriesEvaluation:
-    """sum_{nu >= start} (-1)**nu rep(nu + shift) as a ball of radius at
+    """sum_{nu >= 0} (-1)**nu rep(nu) as a ball of radius at
     most ``target``, by the scheme of the module docstring: N is the least
     size with B/d <= target/2, and P the least, to a bit, with fixed-point
     error E/(d 2**P) <= target/4.  The ball keeps at least ``precision``
     bits, and enough to round its midpoint far below the target.
     """
     tn, td = Fraction(target).as_integer_ratio()
-    b, e = _moment_bound(table, start + shift + table.pole_offset)
+    b, e = _moment_bound(table)
     n, d = _least_size(b, e, target)
     weights = list(_chebyshev_weights(n, d))
-    ratios, error = _term_ratios(rep, shift, start, weights)
+    ratios, error = _term_ratios(rep, weights)
     p = max(0, (4 * error * td).bit_length() - (tn * d).bit_length() + 1)
-    total = _chebyshev_pass(rep.evaluate(start + shift), ratios, weights, p)
+    total = _chebyshev_pass(rep.evaluate(0), ratios, weights, p)
     bound = Fraction(b, d << e) if e >= 0 else Fraction(b << -e, d)
     # log2 |sum / target|, from above
     bits = (abs(total).bit_length() - d.bit_length() - p
             + td.bit_length() - tn.bit_length() + 2)
     with working_precision(max(precision, bits + 8)):
-        value = BallReal(Fraction(-total if start % 2 else total, d << p),
+        value = BallReal(Fraction(total, d << p),
                          radius=bound + Fraction(error, d << p))
     return SeriesEvaluation(value, n, 0, bound)
 
@@ -246,9 +243,8 @@ def r_n_series(profile: Profile, precision: int = 256,
     table = table or partial_fractions(rep)
 
     def ball(tbits: int) -> BallReal:
-        return alternating_series_tail(
-            rep, table, profile.series_argument_shift, profile.series_start,
-            Fraction(1, 1 << tbits), precision).value
+        return alternating_series_tail(rep, table, Fraction(1, 1 << tbits),
+                                       precision).value
 
     def relative(least: Fraction) -> BallReal:
         return ball(precision + 64 + max(0, -floor_log2(least)))
@@ -267,7 +263,7 @@ def r_n_series(profile: Profile, precision: int = 256,
                                       f"2**-{_MAX_SERIES_BITS}")
         if not meets(value):
             value = relative(_least_magnitude(value))
-    return value if profile.series_sign == 1 else -value
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,21 @@
 """Construction profiles: family, integer parameters, and derived data.
 
-A profile pins down one instance of the linear-form construction:
+A profile pins down one instance of the linear-form construction.  Both
+families build one rational function from a tuple ``shape`` =
+(eta_0, ..., eta_s): half-integer shift data h_j, poles at
+t = -(k + 1/2) for k in the window [N, h_0-N-1], lcm index M.  They differ
+in their parameter rules and their arithmetic (carry function and prime
+window):
 
-* ``section2`` -- odd s >= 3, even n > 0; poles at the negative integers
-  0..n, lcm index n, prime window 2*sqrt(n) < p <= n.
+* ``section2`` -- odd s >= 3, even n > 0; shape (3, 1, ..., 1), so
+  h_0 = 3n + 1, poles k = n..2n and M = n; the six-term carry function
+  and the prime window 2*sqrt(n) < p <= n.
 * ``general`` -- odd s >= 5 and a tuple eta = (eta_0, ..., eta_s) of
   positive integers with 0 < eta_j < eta_0/2 and
-  sum eta_j <= (s-1) eta_0 / 2; half-integer shift data h_j, pole window
-  [N, h_0-N-1], lcm index M, prime window sqrt(2 h_0) < p <= M.
+  sum eta_j <= (s-1) eta_0 / 2; shape eta, the carry function built from
+  eta and the prime window sqrt(2 h_0) < p <= M.
 
-Everything derived (h, N, M, the normalizing factor, pole and summation
+Everything derived (h, N, M, the normalizing factor, the pole
 conventions) lives here, each fact derived once, so that downstream
 modules never re-derive it.
 """
@@ -67,7 +73,7 @@ class Profile:
         if bad:
             raise ProfileError("; ".join(bad))
 
-    # -- shared derived data --------------------------------------------------
+    # -- the family's arithmetic ----------------------------------------------
 
     @property
     def is_section2(self) -> bool:
@@ -80,110 +86,80 @@ class Profile:
         return CarrySpec("general", self.eta)
 
     @property
+    def phi_lower_sq(self) -> int:
+        """Primes p <= d_index enter the cancellation factor iff p*p > this."""
+        return 4 * self.n if self.is_section2 else 2 * self.h0
+
+    # -- the construction, shared by both families ------------------------------
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """The eta tuple the rational function is built from: section2 is
+        the general construction at eta = (3, 1, ..., 1)."""
+        return (3,) + (1,) * self.s if self.is_section2 else self.eta
+
+    @property
     def mu(self) -> Fraction:
         """Growth index of the lcm: lim d^(1/n) = e**mu."""
         return Fraction(self.d_index, self.n)
 
     @property
     def d_index(self) -> int:
-        """m such that d_m clears all coefficient denominators; also the
-        top of the cancellation factor's prime window."""
-        return self.n if self.is_section2 else self.M
-
-    @property
-    def phi_lower_sq(self) -> int:
-        """Primes p <= d_index enter the cancellation factor iff p*p > this."""
-        return 4 * self.n if self.is_section2 else 2 * self.h0
-
-    # -- general-family shift data --------------------------------------------
+        """m such that d_m clears all coefficient denominators (M); also
+        the top of the cancellation factor's prime window."""
+        return self.M
 
     @property
     def h0(self) -> int:
-        self._general_only()
-        return self.eta[0] * self.n + 1
+        return self.shape[0] * self.n + 1
 
     @property
     def h(self) -> tuple[Fraction, ...]:
         """(h_0, h_1, ..., h_s); h_j = eta_j n + 1/2 for j >= 1."""
-        self._general_only()
         return (Fraction(self.h0),) + tuple(
-            Fraction(2 * ej * self.n + 1, 2) for ej in self.eta[1:])
+            Fraction(2 * ej * self.n + 1, 2) for ej in self.shape[1:])
 
     @property
     def N(self) -> int:
-        self._general_only()
-        return self.n * min(self.eta[1:])
+        return self.n * min(self.shape[1:])
 
     @property
     def M(self) -> int:
-        self._general_only()
-        e0 = self.eta[0]
-        return self.n * max(e0 - 2 * min(self.eta[1:]), self.eta[1])
+        e0, e1 = self.shape[:2]
+        return self.n * max(e0 - 2 * min(self.shape[1:]), e1)
 
     @cached_property
     def gamma(self) -> Fraction:
-        """Normalizing factor of the general rational function (exact)."""
-        self._general_only()
-        e0, n = self.eta[0], self.n
-        num = 4 ** (e0 * n)
-        for ej in self.eta[2:]:
-            num *= math.factorial((e0 - 2 * ej) * n)
-        return Fraction(num, math.factorial(self.eta[1] * n) ** 2)
+        """Normalizing factor of the rational function (exact)."""
+        e0, e1 = self.shape[:2]
+        num = 4 ** (e0 * self.n)
+        for ej in self.shape[2:]:
+            num *= math.factorial((e0 - 2 * ej) * self.n)
+        return Fraction(num, math.factorial(e1 * self.n) ** 2)
 
     # -- decomposition conventions ---------------------------------------------
 
     @property
     def pole_ks(self) -> range:
         """Pole indices k: poles sit at t = -(k + pole_offset)."""
-        if self.is_section2:
-            return range(0, self.n + 1)
         return range(self.N, self.h0 - self.N)
 
     @property
     def pole_offset(self) -> Fraction:
-        return Fraction(0) if self.is_section2 else Fraction(1, 2)
+        return Fraction(1, 2)
 
     @property
     def reflection_constant(self) -> int:
         """c with a_{i,k} = (-1)^(i+gap) a_{i, c-k}, gap the degree gap of
-        the rational function (``rationalfn.partial_fractions``).  Both
-        families have an even gap, so the sign is (-1)^i: for section2 the
-        gap is (n+1)s - (3n+1), even for odd s and even n; for the general
-        family it is (s-1)(eta_0 n + 1) - 2n sum_{j>=1} eta_j, even for odd s.
+        the rational function (``rationalfn.partial_fractions``).  The gap
+        is (s-1)(eta_0 n + 1) - 2n sum_{j>=1} eta_j, even for odd s, so the
+        sign is (-1)^i.
         """
-        return self.n if self.is_section2 else self.h0 - 1
+        return self.h0 - 1
 
     def ell_origin(self, k: int) -> int:
         """Start index of the shifted inner sum attached to pole k."""
         return k - self.reflection_constant // 2
-
-    @property
-    def series_start(self) -> int:
-        """First summation index at which the rational function can be nonzero."""
-        return self.n + 1 if self.is_section2 else 0
-
-    @property
-    def series_argument_shift(self) -> Fraction:
-        """The series term at index nu evaluates the function at nu + shift."""
-        return Fraction(-1, 2) if self.is_section2 else Fraction(0)
-
-    @property
-    def series_sign(self) -> int:
-        """Sign of r_n against the plain sum of (-1)**nu times the terms:
-        (-1)**j, j = shift + pole_offset - 1/2 (see ``_assemble``)."""
-        j = self.series_argument_shift + self.pole_offset - Fraction(1, 2)
-        return -1 if j % 2 else 1
-
-    @property
-    def asymptotic_eta(self) -> tuple[int, ...]:
-        """eta tuple feeding the growth-rate maximization."""
-        if self.is_section2:
-            return (3,) + (1,) * self.s
-        return self.eta
-
-    def _general_only(self):
-        if self.is_section2:
-            raise AttributeError("shift data exists only for the general family")
 
     def label(self) -> str:
         if self.is_section2:

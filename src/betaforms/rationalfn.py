@@ -1,9 +1,12 @@
 """Rational functions as products of linear factors, and their exact
 partial-fraction tables.
 
-Both construction families produce a proper rational function
-``scalar * prod (t - r)**m / prod (t - r')**m'`` whose roots are integers
-or half-integers.  Partial-fraction coefficients are extracted per pole
+Every profile's rational function comes from one builder,
+``build_general``: a proper ``scalar * prod (t - r)**m / prod (t - r')**m'``
+with integer numerator roots, one half-integer numerator root and
+half-integer poles (the basic family is the case eta = (3, 1, ..., 1)).
+The expansion takes any such product whose roots are integers or
+half-integers.  Partial-fraction coefficients are extracted per pole
 from the co-factor's Taylor series, built as the exponential of its
 logarithm: the power sums of the reciprocal root distances, scaled to
 integers, feed an integer recurrence, and each coefficient costs one
@@ -18,6 +21,7 @@ of the table is its mirror image.  No floating point enters this module.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 from ._records import frozen
@@ -270,28 +274,25 @@ def partial_fractions(rep: LinearProductRep) -> PartialFractionTable:
 
 
 # ---------------------------------------------------------------------------
-# The two construction families
+# The construction
 # ---------------------------------------------------------------------------
 
 def build_section2(s: int, n: int) -> LinearProductRep:
-    """Odd s >= 3, even n: the basic construction with triple half-integer run."""
-    section2(s, n)  # parameter validation
-    scalar = Fraction(2 ** (6 * n + 1) * math.factorial(n) ** (s - 3))
-    num = [(Fraction(-n, 2), 1)]
-    num += [(Fraction(2 * (n - j) + 1, 2), 1) for j in range(1, 3 * n + 1)]
-    den = [(Fraction(-j), s) for j in range(n + 1)]
-    return LinearProductRep.build(scalar, num, den)
+    """Odd s >= 3, even n: the basic construction, the general family's
+    function at eta = (3, 1, ..., 1)."""
+    return build_general(section2(s, n))
 
 
 def build_general(profile: Profile) -> LinearProductRep:
-    """The general family: shifted factorial quotient with half-integer poles."""
+    """Shifted factorial quotient with half-integer poles, from the
+    profile's shape data."""
     h0 = profile.h0
     scalar = 2 * profile.gamma
     num = [(Fraction(-h0, 2), 1)]
     num += [(Fraction(-j), 1) for j in range(1, h0)]
-    den = []
+    poles = Counter()  # pole k, at t = -(k + 1/2): its multiplicity
     for hj in profile.h[1:]:
         k_lo = int(hj - _HALF)
-        for k in range(k_lo, h0 - k_lo):
-            den.append((-(k + _HALF), 1))
+        poles.update(range(k_lo, h0 - k_lo))
+    den = [(-(k + _HALF), m) for k, m in poles.items()]
     return LinearProductRep.build(scalar, num, den)

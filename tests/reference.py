@@ -2,10 +2,10 @@
 
 The package ships what ``betaforms run`` and the library calls need.  What
 is here serves the tests as closed forms, identities and independent
-estimates to hold the package to: the remark-1 variant and its
-denominator probe, the elementary binomial blocks, the top-coefficient
+estimates to hold the package to: the paper's section-2 function in its
+own coordinates, the remark-1 variant and its denominator probe, the elementary binomial blocks, the top-coefficient
 closed form, the reflection symmetry of a table, the full pole sweep that
-mirrored tables are held to, a rep's scalar multiple, the hypergeometric
+mirrored tables are held to, a rep's scalar multiple and shift, the hypergeometric
 parameters, pointwise reconstruction of a table, the Fraction inner sum,
 a Sturm root count, the one-point digamma and a Monte Carlo estimate of
 the integral form.
@@ -25,7 +25,7 @@ from betaforms.decomposition import (ArithmeticFactors, _assemble,
 from betaforms.numtheory import capital_phi, lcm_up_to
 from betaforms.profiles import Profile, section2
 from betaforms.rationalfn import (LinearProductRep, PartialFractionTable,
-                                  _add_power_sums, _layers, build_section2,
+                                  _add_power_sums, _layers,
                                   partial_fractions)
 
 _HALF = Fraction(1, 2)
@@ -55,6 +55,14 @@ def scaled(rep: LinearProductRep, c) -> LinearProductRep:
     """The rep of c times the function."""
     return LinearProductRep(rep.scalar * Fraction(c), rep.num_roots,
                             rep.den_roots)
+
+
+def shifted(rep: LinearProductRep, c) -> LinearProductRep:
+    """The rep of t -> f(t + c), for a half-integer c."""
+    c = Fraction(c)
+    return LinearProductRep(rep.scalar,
+                            tuple((r - c, m) for r, m in rep.num_roots),
+                            tuple((r - c, m) for r, m in rep.den_roots))
 
 
 def full_sweep_partial_fractions(rep: LinearProductRep) -> PartialFractionTable:
@@ -122,6 +130,19 @@ def full_sweep_partial_fractions(rep: LinearProductRep) -> PartialFractionTable:
                                 tuple(mults), tuple(rows))
 
 
+def paper_section2_rep(s: int, n: int) -> LinearProductRep:
+    """The basic construction of section 2 as the paper writes it, odd
+    s >= 3 and even n: the triple half-integer run over poles at the
+    integers 0..-n, whose series starts at nu = n + 1 with terms at
+    nu - 1/2.  ``build_section2`` is this function shifted by n + 1/2."""
+    section2(s, n)  # parameter validation
+    scalar = Fraction(2 ** (6 * n + 1) * math.factorial(n) ** (s - 3))
+    num = [(Fraction(-n, 2), 1)]
+    num += [(Fraction(2 * (n - j) + 1, 2), 1) for j in range(1, 3 * n + 1)]
+    den = [(Fraction(-j), s) for j in range(n + 1)]
+    return LinearProductRep.build(scalar, num, den)
+
+
 def build_remark1(s: int, n: int) -> LinearProductRep:
     """The earlier variant with two half-integer runs of length n."""
     section2(s, n)
@@ -136,7 +157,7 @@ def build_remark1(s: int, n: int) -> LinearProductRep:
 def remark1_identity_check(s: int, n: int, t) -> bool:
     """Does the main function equal the variant times its completing factor at t?"""
     t = Fraction(t)
-    main = build_section2(s, n).evaluate(t)
+    main = paper_section2_rep(s, n).evaluate(t)
     variant = build_remark1(s, n).evaluate(t)
     extra = Fraction(2 ** (2 * n), math.factorial(n))
     for j in range(1, n + 1):
@@ -195,7 +216,8 @@ def binomial_block_product(kind: int, n: int) -> LinearProductRep:
 
 
 def section2_top_coefficient(s: int, n: int, k: int) -> Fraction:
-    """Closed form for the order-s coefficient at pole k of the basic family."""
+    """Closed form for the order-s coefficient at the pole t = -k of
+    ``paper_section2_rep``, k = 0..n."""
     f = math.factorial
     num = f(2 * n + 2 * k) * f(4 * n - 2 * k)
     den = f(n + k) * f(2 * n - k) * f(k) ** 3 * f(n - k) ** 3

@@ -1,8 +1,10 @@
-"""Every demo in ``demos/`` runs to completion in a fresh interpreter.
+"""Every demo in ``demos/`` runs to completion in a fresh interpreter and
+prints, byte for byte, the stdout frozen in ``tests/golden/``.
 
 The demos call library entry points directly (``build_section2``,
 ``build_profile_rep``, ``CarrySpec``, ``consistency_check``), so a
-signature change there must show up here.
+signature change there must show up here; a change in what they print
+shows up as a diff of the golden file.
 """
 
 import os
@@ -15,6 +17,7 @@ import pytest
 import betaforms
 
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+GOLDEN = Path(__file__).resolve().parent / "golden"
 # the directory holding the package under test, so the child imports it too
 PACKAGE_ROOT = str(Path(betaforms.__file__).resolve().parent.parent)
 
@@ -25,5 +28,6 @@ def test_demo_runs(demo):
     env = {**os.environ, "PYTHONPATH": PACKAGE_ROOT + (
         os.pathsep + path if path else "")}
     done = subprocess.run([sys.executable, str(demo)], env=env,
-                          capture_output=True, text=True, timeout=600)
-    assert done.returncode == 0, done.stderr
+                          capture_output=True, timeout=600)
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout == (GOLDEN / f"{demo.stem}.txt").read_bytes()

@@ -24,7 +24,7 @@ from betaforms.rationalfn import (LinearProductRep, build_general,
                                   build_section2, partial_fractions)
 
 from tests.conftest import suite_profiles
-from tests.reference import mc_integral
+from tests.reference import mc_integral, paper_section2_rep, shifted
 from tests.test_numtheory import admissible_general
 from tests.test_rationalfn import any_rep
 
@@ -249,24 +249,30 @@ def first_start(rep, shift):
     return math.floor(max(roots) - shift) + 1
 
 
-def series_reference(table, shift, start, bits):
-    """sum_{nu >= start} (-1)**nu f(nu + shift) from the pole table by
-    mpmath: with X = start + shift + k + pole_offset, each entry adds
-    c 2**-i (zeta(i, X/2) - zeta(i, (X+1)/2)), or c (psi((X+1)/2) -
-    psi(X/2))/2 at i = 1."""
+def started(rep, shift, offset):
+    """The rep of nu -> f(nu + start + shift), start the ``first_start``
+    plus ``offset``: the series sum_{nu >= start} (-1)**nu f(nu + shift)
+    is (-1)**start times its series from nu = 0."""
+    return shifted(rep, first_start(rep, shift) + offset + shift)
+
+
+def series_reference(table, bits):
+    """sum_{nu >= 0} (-1)**nu f(nu) from the pole table by mpmath: with
+    X = k + pole_offset, each entry adds c 2**-i (zeta(i, X/2) -
+    zeta(i, (X+1)/2)), or c (psi((X+1)/2) - psi(X/2))/2 at i = 1."""
     with mpmath.workprec(bits):
         total = mpmath.mpf(0)
         for i, k, c in table.entries():
             if not c:
                 continue
-            x = start + shift + k + table.pole_offset
+            x = k + table.pole_offset
             x = mpmath.mpf(x.numerator) / x.denominator
             if i == 1:
                 term = (mpmath.digamma((x + 1) / 2) - mpmath.digamma(x / 2)) / 2
             else:
                 term = (mpmath.zeta(i, x / 2) - mpmath.zeta(i, (x + 1) / 2)) / 2 ** i
             total += mpmath.mpf(c.numerator) / c.denominator * term
-        return total if start % 2 == 0 else -total
+        return total
 
 
 def exact_moment_bound(table, x0):
@@ -289,8 +295,7 @@ class TestSeriesKernel:
         # sum_{nu>=0} (-1)^nu (nu+1/2)^-2 = 4 beta(2)
         toy = LinearProductRep.build(1, [], [(Fraction(-1, 2), 2)])
         table = partial_fractions(toy)
-        ev = alternating_series_tail(toy, table, Fraction(0), 0,
-                                     Fraction(2) ** -180, 160)
+        ev = alternating_series_tail(toy, table, Fraction(2) ** -180, 160)
         four_g = beta_value(2, 200) * 4
         assert ev.value.overlaps(four_g)
         assert ev.tail_bound <= Fraction(2) ** -181
@@ -299,18 +304,16 @@ class TestSeriesKernel:
     @settings(max_examples=40, deadline=None)
     @given(any_rep, shifts, st.integers(0, 30))
     def test_moment_bound_is_tight_from_above(self, rep, shift, offset):
-        table = partial_fractions(rep)
-        x0 = first_start(rep, shift) + offset + shift + table.pole_offset
-        exact_b = exact_moment_bound(table, x0)
-        assert exact_b <= dyadic(*_moment_bound(table, x0)) \
+        table = partial_fractions(started(rep, shift, offset))
+        exact_b = exact_moment_bound(table, table.pole_offset)
+        assert exact_b <= dyadic(*_moment_bound(table)) \
             <= exact_b * (1 + Fraction(1, 2 ** 40))
 
     @pytest.mark.parametrize("tbits", [64, 200, 600])
     def test_size_is_the_least_that_meets_half_the_target(self, bundle, tbits):
         b = bundle(section2(5, 2))
         target = Fraction(1, 2 ** tbits)
-        ev = alternating_series_tail(b.rep, b.table, Fraction(-1, 2),
-                                     b.profile.series_start, target, 64)
+        ev = alternating_series_tail(b.rep, b.table, target, 64)
         n = ev.direct_terms
         bound = ev.tail_bound * chebyshev_t3(n)  # B
         assert ev.tail_bound <= target / 2 < bound / chebyshev_t3(n - 1)
@@ -318,13 +321,13 @@ class TestSeriesKernel:
     @settings(max_examples=40, deadline=None)
     @given(any_rep, shifts, st.integers(0, 6), st.integers(1, 60),
            st.integers(0, 48))
-    @example(build_section2(7, 6), Fraction(-1, 2), 0, 60, 0)
+    @example(paper_section2_rep(7, 6), Fraction(-1, 2), 0, 60, 0)
     @example(GROWING, Fraction(0), 0, 60, 36)
     def test_fixed_point_error_bound_holds(self, rep, shift, offset, n, p):
-        start = first_start(rep, shift) + offset
+        rep = started(rep, shift, offset)
         weights = list(_chebyshev_weights(n, chebyshev_t3(n)))
-        ratios, error = _term_ratios(rep, shift, start, weights)
-        terms = [rep.evaluate(start + j + shift) for j in range(n)]
+        ratios, error = _term_ratios(rep, weights)
+        terms = [rep.evaluate(j) for j in range(n)]
         got = _chebyshev_pass(terms[0], ratios, weights, p)
         assert abs(got - sum(map(operator.mul, weights, terms)) * 2 ** p) <= error
         # a unit lost on the first term grows with the terms: a_k / a_0
@@ -333,14 +336,14 @@ class TestSeriesKernel:
     @settings(max_examples=25, deadline=None)
     @given(any_rep, shifts, st.integers(0, 20), st.sampled_from([64, 96, 160]))
     def test_ball_contains_the_zeta_reference(self, rep, shift, offset, tbits):
+        rep = started(rep, shift, offset)
         table = partial_fractions(rep)
-        start = first_start(rep, shift) + offset
         target = Fraction(1, 2 ** tbits)
-        ev = alternating_series_tail(rep, table, shift, start, target, 64)
+        ev = alternating_series_tail(rep, table, target, 64)
         assert ev.value.rad <= target
-        size = exact_moment_bound(table, start + shift + table.pole_offset)
+        size = exact_moment_bound(table, table.pole_offset)
         bits = 2 * tbits + max(0, floor_log2(size)) + 32
-        ref = exact(series_reference(table, shift, start, bits))
+        ref = exact(series_reference(table, bits))
         slack = size * Fraction(2) ** (16 - bits)  # the reference's own error
         assert ev.value.lower - slack <= ref <= ev.value.upper + slack
 
@@ -362,30 +365,29 @@ class TestSeriesKernel:
         monkeypatch.setattr(numerics, "_term_ratios", recording_ratios)
         monkeypatch.setattr(numerics, "_chebyshev_pass", recording_pass)
         target = Fraction(1, 2 ** 300)
-        ev = alternating_series_tail(b.rep, b.table,
-                                     profile.series_argument_shift,
-                                     profile.series_start, target, 64)
+        ev = alternating_series_tail(b.rep, b.table, target, 64)
         d = chebyshev_t3(ev.direct_terms)
         fixed = Fraction(seen["error"], d << seen["p"])
         assert fixed <= target / 4
         assert ev.tail_bound + fixed <= ev.value.rad <= target
 
     def test_zero_of_q_in_range_raises(self):
-        # f vanishes at t = 3/2 (nu = 2) and not at t = 5/2: q(2) = 0
+        # f vanishes at t = -1 and not at t = 0: q(-1) = 0
         rep = build_section2(3, 2)
-        ratios, _ = _term_ratios(rep, Fraction(-1, 2), 3, [1] * 40)
+        ratios, _ = _term_ratios(rep, [1] * 40)
         assert len(ratios) == 39
         with pytest.raises(ValueError):
-            _term_ratios(rep, Fraction(-1, 2), 2, [1] * 5)
+            _term_ratios(shifted(rep, -1), [1] * 5)
 
     def test_cutoff_inside_poles_raises(self, bundle):
+        # every pole of f(t + start) lies at t >= 1/2
         b = bundle(general(THEOREM1_ETA, 2))
-        start = -max(b.table.pole_ks) - 1
+        rep = shifted(b.rep, -max(b.table.pole_ks) - 1)
+        table = partial_fractions(rep)
         with pytest.raises(ValueError):
-            _moment_bound(b.table, start + b.table.pole_offset)
+            _moment_bound(table)
         with pytest.raises(ValueError):
-            alternating_series_tail(b.rep, b.table, Fraction(0), start,
-                                    Fraction(1, 2 ** 64), 64)
+            alternating_series_tail(rep, table, Fraction(1, 2 ** 64), 64)
 
 
 def exact(x) -> Fraction:
@@ -405,7 +407,7 @@ def record_tail_calls(monkeypatch):
 
     def recording(*args, **kwargs):
         ev = original(*args, **kwargs)
-        calls.append((args[4], args[5], ev))
+        calls.append((args[2], args[3], ev))
         return ev
 
     monkeypatch.setattr(numerics, "alternating_series_tail", recording)
@@ -502,7 +504,7 @@ class TestRnSeries:
         b = bundle(section2(3, 2))
         targets = []
 
-        def straddling(rep, table, shift, start, target, precision):
+        def straddling(rep, table, target, precision):
             targets.append(target)
             with working_precision(precision):
                 return SeriesEvaluation(BallReal(0, radius=target), 1, 0, target)
@@ -518,23 +520,16 @@ class TestRnSeries:
             v = r_n_series(profile, 128, rep=b.rep, table=b.table)
             assert v.strictly_positive(), profile.label()
 
-    def test_section2_start_index_is_free(self):
-        from betaforms.rationalfn import build_section2
-
-        # the function vanishes at the skipped half-integer arguments,
-        # so summation may start from 1, n+1, or below without changing r_n
-        for (s, n) in [(3, 2), (5, 2)]:
-            rep = build_section2(s, n)
-            for nu in range(-(n // 2) - 1, n + 1):
-                assert rep.evaluate(Fraction(nu) - Fraction(1, 2)) == 0
-
-    def test_general_start_index_is_free(self):
+    def test_start_index_is_free(self):
         from betaforms.numerics import build_profile_rep
 
-        profile = general((5, 1, 1, 1, 1, 1), 2)
-        rep = build_profile_rep(profile)
-        for nu in range(-(profile.h0 - 1) // 2, 0):
-            assert rep.evaluate(Fraction(nu)) == 0
+        # f vanishes at nu = -1, ..., -(h0 - 1), so summation may start
+        # anywhere down to -(h0 - 1) without changing r_n
+        for profile in (section2(3, 2), section2(5, 2),
+                        general((5, 1, 1, 1, 1, 1), 2)):
+            rep = build_profile_rep(profile)
+            for nu in range(-(profile.h0 - 1), 0):
+                assert rep.evaluate(Fraction(nu)) == 0
 
     def test_radius_shrinks_with_precision(self, bundle):
         b = bundle(section2(5, 2))

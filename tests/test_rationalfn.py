@@ -9,9 +9,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from betaforms import profile_violations
+from betaforms.decomposition import _assemble
 from betaforms.numerics import build_profile_rep
+from betaforms.numtheory import CarrySpec
 from betaforms.profiles import (ProfileError, THEOREM1_ETA, general,
-                                profile_from_spec)
+                                profile_from_spec, section2)
 from betaforms.rationalfn import (LinearProductRep, PartialFractionTable,
                                   _layers, _reflection, build_general,
                                   build_section2, partial_fractions)
@@ -20,9 +22,11 @@ from betaforms.series import divide_trunc
 from tests.reference import (binomial_block_coefficients,
                              binomial_block_product, build_remark1,
                              full_sweep_partial_fractions,
-                             hypergeometric_parameters, reconstruct,
+                             hypergeometric_parameters,
+                             paper_section2_rep, reconstruct,
                              remark1_identity_check, scaled,
-                             section2_top_coefficient, symmetry_check)
+                             section2_top_coefficient, shifted,
+                             symmetry_check)
 from tests.test_numtheory import admissible_general
 
 TOP_COEFF_CASES = [(3, 2), (5, 2), (5, 4), (17, 2)]
@@ -121,11 +125,14 @@ def fraction_free_partial_fractions(rep):
 
 # Every kind of representation the package builds, kept small enough for
 # the Fraction reference: general profiles (s in {5, 7}, eta_0 <= 14,
-# n <= 2), the basic family, the binomial blocks and the remark-1 variant.
+# n <= 2), the basic family (also in the paper's integer-pole coordinates),
+# the binomial blocks and the remark-1 variant.
 any_rep = st.one_of(
     admissible_general((5, 7), 14).filter(lambda case: case[1] <= 2).map(
         lambda case: build_general(general(case[2], case[1]))),
     st.builds(build_section2, st.sampled_from([3, 5, 7]),
+              st.sampled_from([2, 4])),
+    st.builds(paper_section2_rep, st.sampled_from([3, 5, 7]),
               st.sampled_from([2, 4])),
     st.builds(binomial_block_product, st.integers(1, 4), st.integers(1, 5)),
     st.builds(build_remark1, st.sampled_from([3, 5, 7]),
@@ -134,7 +141,9 @@ any_rep = st.one_of(
 
 
 def product_eval_oracle(s, n, t):
-    """Straight product evaluation of the basic construction, no shared code."""
+    """Straight product evaluation of the basic construction in the paper's
+    coordinates (poles at 0..-n), no shared code; ``build_section2`` at t
+    is this at t + n + 1/2."""
     t = Fraction(t)
     val = Fraction(2 ** (6 * n) * math.factorial(n) ** (s - 3)) * (2 * t + n)
     for j in range(1, 3 * n + 1):
@@ -145,26 +154,31 @@ def product_eval_oracle(s, n, t):
 
 
 class TestBuildSection2:
+    """The package's basic construction, in the shared coordinates: the
+    paper's t is t + n + 1/2 here."""
+
     def test_structure_3_2(self):
         rep = build_section2(3, 2)
-        assert rep.den_roots == ((Fraction(-2), 3), (Fraction(-1), 3), (Fraction(0), 3))
+        assert rep.den_roots == ((Fraction(-9, 2), 3), (Fraction(-7, 2), 3),
+                                 (Fraction(-5, 2), 3))
         assert rep.num_degree == 7
         assert rep.degree_gap == 2
 
     def test_symmetry_at_point(self):
+        # t -> -t - h0, h0 = 3n + 1
         rep = build_section2(5, 2)
         t = Fraction(1, 3)
-        assert rep.evaluate(-t - 2) == rep.evaluate(t)
+        assert rep.evaluate(-t - 7) == rep.evaluate(t)
 
     @settings(max_examples=40, deadline=None)
     @given(st.fractions(min_value=Fraction(1, 7), max_value=3, max_denominator=30))
     def test_matches_product_oracle(self, t):
         rep = build_section2(3, 2)
-        assert rep.evaluate(t) == product_eval_oracle(3, 2, t)
+        assert rep.evaluate(t - Fraction(5, 2)) == product_eval_oracle(3, 2, t)
 
     def test_value_at_half(self):
         rep = build_section2(5, 4)
-        assert rep.evaluate(Fraction(1, 2)) == product_eval_oracle(5, 4, Fraction(1, 2))
+        assert rep.evaluate(-4) == product_eval_oracle(5, 4, Fraction(1, 2))
 
     def test_parameter_validation(self):
         with pytest.raises(ProfileError):
@@ -174,7 +188,47 @@ class TestBuildSection2:
 
     def test_pole_evaluation_raises(self):
         with pytest.raises(ZeroDivisionError):
-            build_section2(3, 2).evaluate(-1)
+            build_section2(3, 2).evaluate(Fraction(-7, 2))
+
+
+SHAPE_CASES = [(s, n) for s in range(3, 18, 2) for n in (2, 4, 6, 8)]
+
+
+class TestSection2IsTheGeneralFamily:
+    """The paper's section-2 function, shifted by n + 1/2, is the general
+    construction at eta = (3, 1, ..., 1)."""
+
+    @pytest.mark.parametrize("s,n", SHAPE_CASES)
+    def test_shifted_paper_function_is_the_package_rep(self, s, n):
+        paper = shifted(paper_section2_rep(s, n), n + Fraction(1, 2))
+        rep = build_section2(s, n)
+        assert paper == rep
+        assert rep.scalar == 2 ** (6 * n + 1) * math.factorial(n) ** (s - 3)
+
+    @pytest.mark.parametrize("s,n", [(3, 2), (3, 4), (5, 2), (5, 4), (17, 2)])
+    def test_paper_origins_give_the_same_form(self, bundle, s, n):
+        # the paper's pole k = 0..n has inner-sum origin k - n/2
+        table = partial_fractions(paper_section2_rep(s, n))
+        a = _assemble(table, s, [k - n // 2 for k in table.pole_ks])
+        assert a == bundle(section2(s, n)).decomposition.a
+
+    @pytest.mark.parametrize("s,n", SHAPE_CASES)
+    def test_profile_keeps_its_arithmetic_and_shares_the_shape(self, s, n):
+        profile = section2(s, n)
+        assert profile.shape == (3,) + (1,) * s
+        assert profile.d_index == profile.M == n
+        assert profile.phi_lower_sq == 4 * n
+        assert profile.carry_spec == CarrySpec("section2")
+        assert len(profile.carry_spec.terms()) == 6
+        assert profile.pole_ks == range(n, 2 * n + 1)
+        assert profile.pole_offset == Fraction(1, 2)
+        if s < 5:
+            return  # the general family starts at s = 5
+        twin = general(profile.shape, n)
+        for name in ("h0", "h", "N", "M", "gamma", "pole_ks",
+                     "reflection_constant"):
+            assert getattr(profile, name) == getattr(twin, name), name
+        assert build_general(twin) == build_section2(s, n)
 
 
 class TestBuildGeneral:
@@ -238,8 +292,9 @@ class TestPartialFractions:
     @given(any_rep)
     @example(build_general(general(THEOREM1_ETA, 2)))
     @example(build_section2(17, 2))
-    # the numerator root -n/2 sits on a pole
+    # the numerator root -(3n + 1)/2 sits on a pole
     @example(build_section2(5, 2))
+    @example(paper_section2_rep(5, 2))
     # gapped pole grids: the power sums are rebuilt at the second pole
     @example(LinearProductRep.build(1, [], [(0, 2), (3, 1)]))
     @example(LinearProductRep.build(Fraction(7, 3), [(Fraction(1, 2), 1), (0, 1)],
@@ -265,8 +320,6 @@ class TestPartialFractions:
     @given(st.fractions(min_value=Fraction(-50), max_value=50,
                         max_denominator=90).filter(bool))
     def test_linearity(self, bundle, c):
-        from betaforms.profiles import section2
-
         b = bundle(section2(3, 2))
         table = partial_fractions(scaled(b.rep, c))
         for i, k, coeff in b.table.entries():
@@ -288,11 +341,10 @@ class TestPartialFractions:
 
     @pytest.mark.parametrize("s,n", TOP_COEFF_CASES)
     def test_top_coefficient_closed_form(self, bundle, s, n):
-        from betaforms.profiles import section2
-
+        # the paper's pole k is pole k + n here
         table = bundle(section2(s, n)).table
         for k in range(n + 1):
-            assert table.a(s, k) == section2_top_coefficient(s, n, k)
+            assert table.a(s, k + n) == section2_top_coefficient(s, n, k)
 
     def test_reflection_identity(self, bundle):
         # on the full sweep: a mirrored table holds it by construction
@@ -303,16 +355,17 @@ class TestPartialFractions:
             assert symmetry_check(table, profile.reflection_constant)
 
     def test_mutated_table_fails_symmetry(self, bundle):
-        from betaforms.profiles import section2
         from betaforms.rationalfn import PartialFractionTable
 
-        table = bundle(section2(3, 2)).table
+        b = bundle(section2(3, 2))
+        table, c = b.table, b.profile.reflection_constant
         rows = [list(r) for r in table.rows]
         rows[0][0] += 1
         bad = PartialFractionTable(table.s, table.pole_ks, table.pole_offset,
                                    table.multiplicities,
                                    tuple(tuple(r) for r in rows))
-        assert not symmetry_check(bad, 2)
+        assert symmetry_check(table, c)
+        assert not symmetry_check(bad, c)
 
 
 def reflection(rep):
@@ -444,13 +497,17 @@ class TestHypergeometricParameters:
     @example((5, 4, (5, 1, 1, 1, 1, 1)))
     @example((5, 2, (8, 2, 2, 2, 3, 3)))
     @example((5, 4, (8, 2, 2, 2, 3, 3)))
+    # no eta: the basic family
+    @example((3, 2, None))
+    @example((5, 4, None))
+    @example((17, 2, None))
+    @example((7, 6, None))
     def test_step_ratio_is_the_series_term_ratio(self, case):
         # the series term at nu = k is (-1)**k f(k), so -f(k+1)/f(k) must be
         # z prod (k + u) / ((k + 1) prod (k + l)); compare roots after cancelling
-        _, n, eta = case
-        profile = general(eta, n)
-        assert (profile.series_start, profile.series_argument_shift) == (0, 0)
-        ups, downs = build_general(profile).step_ratio()
+        s, n, eta = case
+        profile = general(eta, n) if eta else section2(s, n)
+        ups, downs = build_profile_rep(profile).step_ratio()
         upper, lower, z = hypergeometric_parameters(profile)
 
         def reduced(num, den):

@@ -89,7 +89,9 @@ def timed_with_tail_calls(numerics, fn) -> tuple[float, list]:
     def recording_tail(*args, **kwargs):
         bits.clear()
         ev = tail(*args, **kwargs)
-        target = args[4]
+        # (rep, table, target, precision); trees from before the series
+        # always started at nu = 0 also pass (shift, start) before target
+        target = args[-2]
         calls.append([target.denominator.bit_length() - 1, ev.direct_terms,
                       bits[0] if bits else None])
         return ev
