@@ -15,8 +15,9 @@ from betaforms.numtheory import CarrySpec
 from betaforms.profiles import (ProfileError, THEOREM1_ETA, general,
                                 profile_from_spec, section2)
 from betaforms.rationalfn import (LinearProductRep, PartialFractionTable,
-                                  _layers, _reflection, build_general,
-                                  build_section2, partial_fractions)
+                                  _layers, _reflection, _times_linear,
+                                  build_general, build_section2,
+                                  partial_fractions)
 from betaforms.series import divide_trunc
 
 from tests.reference import (binomial_block_coefficients,
@@ -258,6 +259,79 @@ class TestBuildGeneral:
             assert build_general(general(eta, n)).degree_gap >= 2
 
 
+@st.composite
+def linear_product_reps(draw):
+    """A proper rep with poles on a possibly gapped grid of integers or of
+    half-integers and numerator roots of both kinds (some on poles) with
+    multiplicity up to 3; in about half the draws both root sets are made
+    symmetric under the reflection that lets the sweep stop halfway."""
+    parity = draw(st.integers(0, 1))  # 1: half-integer poles
+    den = Counter({2 * k + parity: m for k, m in draw(
+        st.dictionaries(st.integers(-4, 4), st.integers(1, 3),
+                        min_size=1, max_size=5)).items()})
+    num = Counter()
+    room = sum(den.values()) - 1
+    for r, m in draw(st.lists(st.tuples(st.integers(-12, 12),
+                                        st.integers(1, 3)), max_size=8)):
+        m = min(m, room - sum(num.values()))
+        if m > 0:
+            num[r] += m
+    if draw(st.booleans()):
+        c = min(den) + max(den)
+        num += Counter({c - r: m for r, m in num.items()})
+        den += Counter({c - r: m for r, m in den.items()})
+    scalar = draw(st.sampled_from([1, -2, Fraction(7, 3), Fraction(-5, 8)]))
+    return LinearProductRep.build(scalar,
+                                  [(Fraction(r, 2), m) for r, m in num.items()],
+                                  [(Fraction(r, 2), m) for r, m in den.items()])
+
+
+class TestParitySplit:
+    """Each pole's co-factor splits into an integer polynomial over the
+    roots of the other parity and scaled power sums over those of the
+    pole's parity; the table must not depend on the split."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(linear_product_reps())
+    # no root of the other parity
+    @example(LinearProductRep.build(
+        Fraction(5, 3), [(Fraction(-1, 2), 2), (Fraction(7, 2), 1)],
+        [(Fraction(1, 2), 3), (Fraction(3, 2), 1), (Fraction(-5, 2), 2)]))
+    # only poles have the poles' parity
+    @example(LinearProductRep.build(
+        -2, [(Fraction(1, 2), 3), (Fraction(-5, 2), 1)],
+        [(0, 2), (1, 3), (3, 1)]))
+    # a numerator root on a pole, integer poles
+    @example(LinearProductRep.build(
+        1, [(1, 2), (Fraction(1, 2), 1)], [(1, 3), (0, 1), (2, 1)]))
+    def test_matches_the_references(self, rep):
+        table = partial_fractions(rep)
+        assert table == full_sweep_partial_fractions(rep)
+        assert table == fraction_partial_fractions(rep)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=8),
+           st.integers(-40, 40).filter(bool), st.integers(0, 4))
+    def test_division_undoes_multiplication(self, poly, a, w):
+        assert _times_linear(_times_linear(poly, a, w), a, -w) == poly
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=8),
+           st.integers(2, 40), st.sampled_from([1, -1]))
+    def test_absent_factor_raises(self, poly, a, sign):
+        # a constant term prime to a leaves a remainder at the first step
+        poly[0] = poly[0] * a + 1
+        with pytest.raises(ArithmeticError):
+            _times_linear(poly, sign * a, -1)
+
+    def test_absent_factor_raises_past_the_constant_term(self):
+        # (5 + v)**2 holds 5 + v but not -5 + v: dividing by the latter
+        # passes q_0 = -5 and q_1 = -3, then leaves a remainder at q_2
+        assert _times_linear([25, 10, 1], 5, -1) == [5, 1, 0]
+        with pytest.raises(ArithmeticError):
+            _times_linear([25, 10, 1], -5, -1)
+
+
 class TestLayers:
     @settings(max_examples=200, deadline=None)
     @given(st.dictionaries(st.integers(-15, 15), st.integers(1, 4), min_size=1))
@@ -307,7 +381,8 @@ class TestPartialFractions:
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_matches_fraction_free_kernel_on_theorem1(self, n):
-        # the scaled power sums reach thousands of bits here
+        # 45 and 67 poles of multiplicity up to 13: too slow for the
+        # Fraction reference
         rep = build_general(general(THEOREM1_ETA, n))
         assert partial_fractions(rep) == fraction_free_partial_fractions(rep)
 
