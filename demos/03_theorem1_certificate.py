@@ -18,7 +18,8 @@ from betaforms.numerics import build_profile_rep, consistency_check
 profile = general(THEOREM1_ETA, 2)
 print(f"profile: {profile.label()}")
 print(f"  shift data: h_0 = {profile.h0}, pole window "
-      f"[{profile.N}, {profile.h0 - profile.N - 1}], lcm index M = {profile.M}")
+      f"[{profile.N}, {profile.h0 - profile.N - 1}], "
+      f"lcm index M = {profile.d_index}")
 
 table_phi = carry_min_table(profile.carry_spec)
 print(f"\ncarry-minimum table: {len(table_phi.values)} pieces, "

@@ -4,13 +4,13 @@ The decay rate of the linear forms reduces to maximizing a product over
 the unit cube, which in turn reduces to the unique root of an explicit
 integer polynomial in (0, 1).  Root isolation is exact and runs on
 integer signs: a polynomial is scaled once to integer coefficients, each
-sign is an integer Horner evaluation of q**deg p(a/q), the Sturm chain is
-a primitive pseudo-remainder sequence built once per polynomial, and
-bisection keeps its ends as integers over one power-of-2 denominator; on
-each isolated bracket, Newton steps jump along bisection's own grid,
-checked by exact signs, so the refined bracket is bisection's.  Only the
-final logarithms run in ball arithmetic.  The verdict compares certified
-enclosures, never bare floats.
+sign is an integer Horner evaluation of q**deg p(a/q), and the Sturm
+chain, a primitive pseudo-remainder sequence, certifies that the given
+interval holds exactly one root.  Bisection keeps the bracket's ends as
+integers over one power-of-2 denominator, and Newton steps jump along
+bisection's own grid, checked by exact signs, so the refined bracket is
+bisection's.  Only the final logarithms run in ball arithmetic.  The
+verdict compares certified enclosures, never bare floats.
 """
 
 from __future__ import annotations
@@ -146,33 +146,26 @@ def _refine(p: list[int], lo: Fraction, hi: Fraction,
     return Fraction(a, den), Fraction(a + w, den)
 
 
-def isolate_roots(p: list[Fraction], lo: Fraction, hi: Fraction,
-                  width: Fraction) -> list[tuple[Fraction, Fraction]]:
-    """Ascending disjoint brackets in (lo, hi), one for each distinct root,
-    each narrowed below ``width`` by ``_refine``: one Sturm chain isolates
-    them all, and a root that does not change sign raises ``ValueError``."""
+class RootCertificationError(ArithmeticError):
+    """A polynomial does not have exactly one zero where one is required."""
+
+
+def isolate_root(p: list[Fraction], lo: Fraction, hi: Fraction,
+                 width: Fraction) -> tuple[Fraction, Fraction]:
+    """The bracket of the one root of ``p`` in (lo, hi), narrowed below
+    ``width`` by ``_refine``.  Raises ``RootCertificationError`` unless
+    the Sturm count there is exactly 1."""
     p = _integer_poly(p)
-    return [_refine(p, a, b, width)
-            for a, b in _isolate(_sturm_chain(p), lo, hi)]
-
-
-def _isolate(chain, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
-    total = _count(chain, lo, hi)
-    if total <= 1:
-        return [(lo, hi)] * total
-    mid = (lo + hi) / 2
-    while not _sign_at(chain[0], *mid.as_integer_ratio()):
-        mid = (mid + hi) / 2
-    return _isolate(chain, lo, mid) + _isolate(chain, mid, hi)
+    count = _count(_sturm_chain(p), lo, hi)
+    if count != 1:
+        raise RootCertificationError("expected a unique zero in "
+                                     f"({lo}, {hi}), Sturm count gives {count}")
+    return _refine(p, lo, hi, width)
 
 
 # ---------------------------------------------------------------------------
 # The cube-maximum reduction
 # ---------------------------------------------------------------------------
-
-class RootCertificationError(ArithmeticError):
-    """The defining polynomial does not have a unique zero in (0, 1)."""
-
 
 @frozen
 class Lemma3Data:
@@ -210,12 +203,8 @@ def lemma3_solve(eta, precision: int = 256) -> Lemma3Data:
     eta = tuple(int(e) for e in eta)
     e0 = eta[0]
     poly = _maximizer_polynomial(eta)
-    roots = isolate_roots(poly, Fraction(0), Fraction(1),
+    lo, hi = isolate_root(poly, Fraction(0), Fraction(1),
                           Fraction(2) ** (-(precision + 8)))
-    if len(roots) != 1:
-        raise RootCertificationError(
-            f"expected a unique zero in (0,1), Sturm count gives {len(roots)}")
-    (lo, hi), = roots
     with working_precision(precision + 16):
         x0 = BallReal.from_interval(BallReal(lo), BallReal(hi))
         xj = []
@@ -247,22 +236,16 @@ def _r_exponent_eta(eta, precision: int) -> BallReal:
 
 def _section2_onedim(s: int, precision: int) -> BallReal:
     """log(1728 * max t^s (1-t)^s / (1+t^s)^3) by exact critical-point isolation."""
-    # stationarity of the log-objective clears to t^(s+1) - 2 t^s - 2 t + 1
+    # stationarity of the log-objective clears to t^(s+1) - 2 t^s - 2 t + 1,
+    # invariant under t -> 1/t with two sign changes: at most two positive
+    # roots, t and 1/t, and p(0) = 1 > 0 > p(1) = -2, so one lies in (0, 1)
     poly = [1, -2] + [0] * (s - 2) + [-2, 1]
-    brackets = isolate_roots(poly, Fraction(1, 10 ** 6),
-                             1 - Fraction(1, 10 ** 6),
-                             Fraction(2) ** (-(precision + 8)))
-    if not brackets:
-        raise RootCertificationError("no interior critical point found")
-    best = None
+    lo, hi = isolate_root(poly, Fraction(1, 10 ** 6), 1 - Fraction(1, 10 ** 6),
+                          Fraction(2) ** (-(precision + 8)))
     with working_precision(precision + 16):
-        for lo, hi in brackets:
-            t = BallReal.from_interval(BallReal(lo), BallReal(hi))
-            val = (s * t.log() + s * (1 - t).log()
-                   - 3 * (1 + t ** s).log() + BallReal(1728).log())
-            if best is None or val.upper > best.upper:
-                best = val
-    return best
+        t = BallReal.from_interval(BallReal(lo), BallReal(hi))
+        return (s * t.log() + s * (1 - t).log()
+                - 3 * (1 + t ** s).log() + BallReal(1728).log())
 
 
 def r_exponent(profile: Profile, precision: int = 256) -> BallReal:

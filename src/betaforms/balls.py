@@ -15,8 +15,8 @@ rounding drops is added to the radius (``_ball``).
 The transcendentals log, sqrt and cos evaluate at the midpoint in fixed
 point, at scale 2**-wp with wp a little above p, with an error bound in
 units of 2**-wp derived in each kernel's docstring; they then widen by a bound on the
-derivative over the whole ball times the radius.  pi (Machin), ln 2 and
-Euler's gamma (Brent-McMillan) are fixed-point constants cached per scale.
+derivative over the whole ball times the radius.  pi (Machin) and ln 2
+are fixed-point constants cached per scale.
 
 ``nstr`` prints a dyadic rational as mpmath's ``nstr`` prints the same
 value, so the decimal strings of reports read as they always have.
@@ -357,11 +357,6 @@ def ball_pi() -> BallReal:
     return _ball(*_pi(wp), -wp)
 
 
-def ball_euler_gamma() -> BallReal:
-    wp = _prec + _fixed_guard()
-    return _ball(*_euler_gamma(wp), -wp)
-
-
 # ---------------------------------------------------------------------------
 # Fixed-point kernels: (value, err) with |value - f 2**wp| <= err
 # ---------------------------------------------------------------------------
@@ -469,37 +464,6 @@ def _pi(wp: int) -> tuple[int, int]:
     a, a_err = _atan_inv(5, wp)
     b, b_err = _atan_inv(239, wp)
     return 16 * a - 4 * b, 16 * a_err + 4 * b_err
-
-
-@lru_cache(maxsize=16)
-def _euler_gamma(wp: int) -> tuple[int, int]:
-    """Euler's gamma by Brent and McMillan's algorithm B1.
-
-    With B_k = (N**k / k!)**2, V = sum B_k and W = sum B_k H_k,
-    gamma = W/V - log N - K0(2N)/I0(2N) and 0 < K0(2N)/I0(2N)
-    < pi exp(-4N), which is under one unit for N > (wp + 2) ln 2 / 4
-    (0.1733 > ln 2 / 4 below).
-    The sums run exactly in integers: v = V_K (K!)**2, w = W_K (K!)**3
-    and h = H_k k!.  Past K >= 2N each B_k is at most B_(k-1)/4 and
-    H_(K+j) <= H_K + j, so the omitted parts of V and W are under B_K/3
-    and B_K (3 H_K + 4)/9, which moves W/V by under B_K (6 H_K + 4)/9
-    < B_K K.bit_length() (V >= 1, W_K <= H_K V_K): the loop runs until
-    that is at most one unit.  The quotient's floor, the tail, the
-    remainder and log N: under 3 + err(log N).
-    """
-    n = math.ceil((wp + 2) * 0.1733) + 1
-    n2 = n * n
-    v = power = fact = 1
-    w = h = k = 0
-    while k < 2 * n or (power * k.bit_length()) << wp > fact * fact:
-        k += 1
-        h = h * k + fact  # H_k k! from H_(k-1) (k-1)!
-        fact *= k
-        power *= n2
-        v = v * k * k + power
-        w = w * k ** 3 + power * h
-    log_n, log_err = _log_fixed(n, 0, wp)
-    return (w << wp) // (v * fact) - log_n, 3 + log_err
 
 
 # ---------------------------------------------------------------------------

@@ -186,14 +186,9 @@ def _inclusion_report(factors: ArithmeticFactors, entries,
 
 
 def verify_coefficient_inclusions(table: PartialFractionTable,
-                                  factors: ArithmeticFactors,
-                                  exponent_slack: int = 0) -> InclusionReport:
-    """Check phi**-1 d**(s-i-slack) a_{i,k} in Z for every table entry.
-
-    ``exponent_slack`` deliberately weakens the lcm power; nonzero slack is
-    how tightness of the stated exponent is probed empirically.
-    """
-    return _inclusion_report(factors, table.entries(), exponent_slack)
+                                  factors: ArithmeticFactors) -> InclusionReport:
+    """Check phi**-1 d**(s-i) a_{i,k} in Z for every table entry."""
+    return _inclusion_report(factors, table.entries(), 0)
 
 
 def verify_form_inclusions(result: DecompositionResult,

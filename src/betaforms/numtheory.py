@@ -9,9 +9,10 @@ copy; ``capital_phi`` takes the exact product over it and
 ``phi_exponent_sieved`` the double-precision log.
 
 The growth rate is an integer-weighted sum of digamma values at the
-table's breakpoints; ``_digamma_sum`` evaluates such a sum by Gauss's
-digamma theorem once per reduced denominator, so each cosine and each
-logarithm is taken once however many points share it.
+table's breakpoints, the weights summing to 0 so that Euler's gamma
+cancels; ``_digamma_sum`` evaluates such a sum by Gauss's digamma theorem
+once per reduced denominator, so each cosine and each logarithm is taken
+once however many points share it.
 
 The carry functions are integer-valued sums of floors of linear forms in
 (x, y), periodic with period 1 in both arguments.  Their minimum over y
@@ -46,7 +47,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ._records import frozen
-from .balls import BallReal, ball_euler_gamma, ball_pi, working_precision
+from .balls import BallReal, ball_pi, working_precision
 
 
 # ---------------------------------------------------------------------------
@@ -400,21 +401,24 @@ def capital_phi(profile) -> FactoredInteger:
 # ---------------------------------------------------------------------------
 
 def _digamma_sum(weights: dict[Fraction, int], precision: int,
-                 exact: Fraction = Fraction(0)) -> BallReal:
-    """exact + sum w psi(x) over rationals x > 0 with integer weights w, to
-    an absolute radius of about 2**-precision.
+                 exact: Fraction) -> BallReal:
+    """exact + sum w psi(x) over rationals x > 0 with integer weights w
+    that sum to 0, to an absolute radius of about 2**-precision.
 
     x = k + a/b with a/b in lowest terms: psi(x) = psi(a/b) + sum_{j<k}
     1/(a/b + j), psi(k) = -gamma + H_(k-1), and by Gauss's digamma theorem,
     with c_j = cos(2 pi j/b) and log sin(pi m/b) = log((1 - c_m)/2)/2,
         psi(a/b) = -gamma - log 2b - (pi/2) cot(pi a/b)
                    + sum_{0<m<b/2} c_(m a mod b) log((1 - c_m)/2).
-    Per denominator b each c_j (c_j = c_(b-j)) and each log is taken once,
-    gamma only when the weights do not sum to 0,
+    Every psi carries one -gamma, so zero-sum weights cancel it; any
+    other weights raise ``ValueError``.  Per denominator b each c_j
+    (c_j = c_(b-j)) and each log is taken once,
     cot(pi k/b) = sqrt((1 + c_k)/(1 - c_k)) for 0 < k < b/2, and the weights
     on each are summed as integers first.  The guard bits cover the
     weights and the cancellation in 1 - c_1 ~ (2 pi/b)**2.
     """
+    if sum(weights.values()):
+        raise ValueError("digamma weights must sum to 0")
     rows: dict[int, dict[int, int]] = {}
     for x, w in weights.items():
         k = math.floor(x)
@@ -428,8 +432,6 @@ def _digamma_sum(weights: dict[Fraction, int], precision: int,
     with working_precision(precision + guard):
         pi = ball_pi()
         total = BallReal(exact)
-        if gamma_weight := sum(weights.values()):
-            total -= gamma_weight * ball_euler_gamma()
         for b, row in rows.items():
             c = [None] + [(pi * Fraction(2 * j, b)).cos()
                           for j in range(1, (b + 1) // 2)]
@@ -466,7 +468,8 @@ def phi_exponent_from_table(table: StepFunction, mu: Fraction,
     period window above 1, plus a clipped 1/x**2-integral term on the
     window [1/mu, 1) when the prime range extends above n (mu > 1).  The
     pieces share endpoints, so the psi terms fold into one integer weight
-    per point 1 + x, and the clipped terms into one rational.
+    per point 1 + x, each piece adding +c and -c, so the weights sum to 0;
+    the clipped terms fold into one rational.
     """
     mu, clipped, weights = Fraction(mu), Fraction(0), {}
     for lo, hi, c in table.intervals():

@@ -3,9 +3,9 @@
 A profile pins down one instance of the linear-form construction.  Both
 families build one rational function from a tuple ``shape`` =
 (eta_0, ..., eta_s): half-integer shift data h_j, poles at
-t = -(k + 1/2) for k in the window [N, h_0-N-1], lcm index M.  They differ
-in their parameter rules and their arithmetic (carry function and prime
-window):
+t = -(k + 1/2) for k in the window [N, h_0-N-1], lcm index M
+(``d_index``).  They differ in their parameter rules and their
+arithmetic (carry function and prime window):
 
 * ``section2`` -- odd s >= 3, even n > 0; shape (3, 1, ..., 1), so
   h_0 = 3n + 1, poles k = n..2n and M = n; the six-term carry function
@@ -15,7 +15,7 @@ window):
   sum eta_j <= (s-1) eta_0 / 2; shape eta, the carry function built from
   eta and the prime window sqrt(2 h_0) < p <= M.
 
-Everything derived (h, N, M, the normalizing factor, the pole
+Everything derived (h, N, d_index, the normalizing factor, the pole
 conventions) lives here, each fact derived once, so that downstream
 modules never re-derive it.
 """
@@ -105,9 +105,10 @@ class Profile:
 
     @property
     def d_index(self) -> int:
-        """m such that d_m clears all coefficient denominators (M); also
+        """The lcm index M: d_M clears all coefficient denominators; also
         the top of the cancellation factor's prime window."""
-        return self.M
+        e0, e1 = self.shape[:2]
+        return self.n * max(e0 - 2 * min(self.shape[1:]), e1)
 
     @property
     def h0(self) -> int:
@@ -122,11 +123,6 @@ class Profile:
     @property
     def N(self) -> int:
         return self.n * min(self.shape[1:])
-
-    @property
-    def M(self) -> int:
-        e0, e1 = self.shape[:2]
-        return self.n * max(e0 - 2 * min(self.shape[1:]), e1)
 
     @cached_property
     def gamma(self) -> Fraction:

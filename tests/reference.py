@@ -7,14 +7,17 @@ own coordinates, the remark-1 variant and its denominator probe, the elementary 
 closed form, the reflection symmetry of a table, the full pole sweep that
 mirrored tables are held to, a rep's scalar multiple and shift, the hypergeometric
 parameters, pointwise reconstruction of a table, the Fraction inner sum,
-a Sturm root count, the one-point digamma and a Monte Carlo estimate of
-the integral form.
+a Sturm root count, Euler's gamma from mpmath, the one-point digamma and
+a Monte Carlo estimate of the integral form.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+from mpmath import iv
+from mpmath.libmp import to_rational
 
 from betaforms import numtheory
 from betaforms._records import frozen
@@ -297,11 +300,32 @@ def count_roots(p: list[Fraction], lo: Fraction, hi: Fraction) -> int:
     return _count(_sturm_chain(_integer_poly(p)), lo, hi)
 
 
+def euler_gamma(bits: int) -> BallReal:
+    """Euler's gamma enclosed by ``mpmath.iv`` at ``bits``, its ends
+    converted to Fractions exactly; the ball rounds them outward at the
+    working precision."""
+    old, iv.prec = iv.prec, bits
+    try:
+        lo, hi = (Fraction(*to_rational(raw)) for raw in iv.euler._mpi_)
+    finally:
+        iv.prec = old
+    return BallReal.from_interval(lo, hi)
+
+
+def _digamma_pass(x: Fraction, precision: int) -> BallReal:
+    """psi(x) = (psi(x) - psi(1)) + psi(1): the zero-sum two-point
+    ``numtheory._digamma_sum``, looked up at each call, and psi(1) = -gamma."""
+    weights = {x: 1}
+    weights[Fraction(1)] = weights.get(Fraction(1), 0) - 1
+    total = numtheory._digamma_sum(weights, precision, Fraction(0))
+    with working_precision(precision + 32):
+        return total - euler_gamma(precision + 64)
+
+
 def digamma_rational(p: int, q: int, precision: int = 256) -> BallReal:
-    """psi(p/q) for p, q > 0 with relative radius <= 2**(1-precision): the
-    one-point ``numtheory._digamma_sum``, looked up at each call.  Near the
-    zero of psi a first ball that misses it bounds |psi| below, and a
-    second pass adds the bits it lacks.
+    """psi(p/q) for p, q > 0 with relative radius <= 2**(1-precision), by
+    ``_digamma_pass``.  Near the zero of psi a first ball that misses it
+    bounds |psi| below, and a second pass adds the bits it lacks.
     """
     if q == 0:
         raise ZeroDivisionError("digamma_rational: q must be nonzero")
@@ -309,11 +333,10 @@ def digamma_rational(p: int, q: int, precision: int = 256) -> BallReal:
     if x <= 0:
         raise ValueError("argument must be positive")
     tol = Fraction(2) ** (1 - precision)
-    val = numtheory._digamma_sum({x: 1}, precision)
+    val = _digamma_pass(x, precision)
     if val.rad > tol * abs(val.mid) and not val.contains_zero():
         least = min(abs(val.lower), abs(val.upper))
-        val = numtheory._digamma_sum({x: 1},
-                                     precision + 1 - floor_log2(least))
+        val = _digamma_pass(x, precision + 1 - floor_log2(least))
     if val.rad <= tol * abs(val.mid) or (
             val.rad <= Fraction(2) ** (-precision) and val.contains_zero()):
         return val

@@ -7,13 +7,15 @@ from hypothesis import example, given, settings, strategies as st
 from betaforms import asymptotics
 from betaforms.asymptotics import (ExponentLedger, Lemma3Data,
                                    RootCertificationError, _integer_poly,
-                                   _sign_at, _sturm_chain, exponent_ledger,
-                                   isolate_roots, lemma3_solve, r_exponent)
+                                   _maximizer_polynomial, _sign_at,
+                                   _sturm_chain, exponent_ledger,
+                                   isolate_root, lemma3_solve, r_exponent)
 from betaforms.balls import BallReal, working_precision
 from betaforms.numerics import r_n_series
 from betaforms.profiles import THEOREM1_ETA, general, section2
 
 from tests.reference import count_roots
+from tests.test_numtheory import admissible_general
 
 
 class TestRootIsolation:
@@ -31,8 +33,8 @@ class TestRootIsolation:
 
     def test_bisect_refines(self):
         p = [Fraction(-2), Fraction(0), Fraction(1)]  # x^2 - 2
-        (lo, hi), = isolate_roots(p, Fraction(1), Fraction(2),
-                                  Fraction(1, 2 ** 40))
+        lo, hi = isolate_root(p, Fraction(1), Fraction(2),
+                              Fraction(1, 2 ** 40))
         assert hi - lo <= Fraction(1, 2 ** 40)
         assert lo ** 2 < 2 < hi ** 2
 
@@ -40,17 +42,20 @@ class TestRootIsolation:
         # (x - 1/2)**2: one root in (0, 1), and no sign change there
         p = [Fraction(1, 4), Fraction(-1), Fraction(1)]
         with pytest.raises(ValueError, match="not a sign-change bracket"):
-            isolate_roots(p, Fraction(0), Fraction(1), Fraction(1, 4))
-        # x**2 + 1: no root, so nothing to refine
-        p = [Fraction(1), Fraction(0), Fraction(1)]
-        assert isolate_roots(p, Fraction(0), Fraction(1), Fraction(1, 4)) == []
+            isolate_root(p, Fraction(0), Fraction(1), Fraction(1, 4))
 
-    def test_isolate_roots_splits(self):
-        p = [Fraction(3, 16), Fraction(-1), Fraction(1)]
-        brackets = isolate_roots(p, Fraction(0), Fraction(1), Fraction(1, 8))
-        assert len(brackets) == 2
-        for (lo, hi), root in zip(brackets, (Fraction(1, 4), Fraction(3, 4))):
-            assert hi - lo <= Fraction(1, 8) and lo <= root <= hi
+    @pytest.mark.parametrize("s", range(3, 200, 2))
+    def test_section2_polynomial_has_one_root(self, s):
+        # t**(s+1) - 2 t**s - 2 t + 1, the one-dimensional stationarity
+        poly = [1, -2] + [0] * (s - 2) + [-2, 1]
+        assert count_roots(poly, Fraction(1, 10 ** 6),
+                           1 - Fraction(1, 10 ** 6)) == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(admissible_general((5, 7, 9, 11, 13), 40).map(lambda case: case[2]))
+    def test_maximizer_polynomial_has_one_root(self, eta):
+        assert count_roots(_maximizer_polynomial(eta), Fraction(0),
+                           Fraction(1)) == 1
 
 
 class TestLemma3:
@@ -240,13 +245,10 @@ def ref_isolate(chain, lo, hi):
     return ref_isolate(chain, lo, mid) + ref_isolate(chain, mid, hi)
 
 
-def ref_bisect_each(p, brackets, width):
-    return [ref_bisect_root(p, a, b, width) for a, b in brackets]
-
-
 def ref_refined_roots(p, lo, hi, width):
-    """Reference: ``isolate_roots``, each bracket bisected below width."""
-    return ref_bisect_each(p, ref_isolate(ref_sturm_chain(p), lo, hi), width)
+    """Reference: every root's bracket in (lo, hi), bisected below width."""
+    return [ref_bisect_root(p, a, b, width)
+            for a, b in ref_isolate(ref_sturm_chain(p), lo, hi)]
 
 
 def ref_lemma3_solve(eta, precision):
@@ -321,8 +323,8 @@ class TestIntegerSigns:
     @example([Fraction(0), Fraction(1)], (Fraction(0), Fraction(1)))
     @example([Fraction(-2), Fraction(0), Fraction(1)],
              (Fraction(-3), Fraction(5, 2)))
-    # three roots, two of them 2**-40 apart: isolation splits (0, 9/10)
-    # down to brackets of one root each before any Newton step
+    # three roots, two of them 2**-40 apart: the reference splits (0, 9/10)
+    # down to brackets of one root each, refined before any Newton step
     @example(from_roots(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 2 ** 40),
                         Fraction(3, 4)), (Fraction(0), Fraction(9, 10)))
     # three roots where a Newton step from 9/20 would land next to 1/21:
@@ -337,27 +339,34 @@ class TestIntegerSigns:
              (Fraction(0), Fraction(1)))
     def test_brackets_match_the_fraction_helpers(self, p, ends):
         # one reference chain and one isolation serve the count and both
-        # widths; an isolation that raises raises at every width
+        # widths: each reference bracket refines as the reference does, and
+        # the whole interval refines only when it holds exactly one root
         lo, hi = ends
         chain = ref_sturm_chain(p)
         assert outcome(count_roots, p, lo, hi) == outcome(ref_count,
                                                           chain, lo, hi)
         brackets = outcome(ref_isolate, chain, lo, hi)
         for width in (Fraction(1, 2 ** 12), Fraction(1, 3 * 10 ** 20)):
-            assert outcome(isolate_roots, p, lo, hi, width) == (
-                brackets if brackets is ValueError
-                else outcome(ref_bisect_each, p, brackets, width))
+            if brackets is ValueError:
+                assert outcome(isolate_root, p, lo, hi, width) is ValueError
+                continue
+            assert [outcome(isolate_root, p, a, b, width)
+                    for a, b in brackets] == [
+                outcome(ref_bisect_root, p, a, b, width) for a, b in brackets]
+            if len(brackets) != 1:
+                with pytest.raises(RootCertificationError):
+                    isolate_root(p, lo, hi, width)
 
     def test_planted_dyadic_root_is_hit(self):
         # (x - 5/16)(x - 3/4): bisection from (0, 1/2) lands on 5/16
         p = [Fraction(15, 64), Fraction(-17, 16), Fraction(1)]
-        got = isolate_roots(p, Fraction(0), Fraction(1, 2),
-                            Fraction(1, 2 ** 30))
-        assert got == [(Fraction(5, 16), Fraction(5, 16))]
+        got = isolate_root(p, Fraction(0), Fraction(1, 2),
+                           Fraction(1, 2 ** 30))
+        assert got == (Fraction(5, 16), Fraction(5, 16))
         with pytest.raises(ValueError):
-            isolate_roots(p, Fraction(0), Fraction(3, 4), Fraction(1, 4))
+            isolate_root(p, Fraction(0), Fraction(3, 4), Fraction(1, 4))
         with pytest.raises(ValueError):
-            isolate_roots(p, Fraction(5, 16), Fraction(1, 2), Fraction(1, 4))
+            isolate_root(p, Fraction(5, 16), Fraction(1, 2), Fraction(1, 4))
 
     def test_newton_jumps_replace_most_halvings(self, monkeypatch):
         # theorem1's root to 2**-264: bisection alone takes 264 halvings,
@@ -397,5 +406,5 @@ class TestIntegerSigns:
         poly = [Fraction(c) for c in [1, -2] + [0] * (s - 2) + [-2, 1]]
         lo, hi = Fraction(1, 10 ** 6), 1 - Fraction(1, 10 ** 6)
         width = Fraction(2) ** -264
-        assert isolate_roots(poly, lo, hi, width) == ref_refined_roots(
+        assert [isolate_root(poly, lo, hi, width)] == ref_refined_roots(
             poly, lo, hi, width)

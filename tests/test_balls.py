@@ -15,7 +15,7 @@ GUARD_BITS) and c per kernel:
   wp >= p + 8 + bit length of p, kernel error far below 2**-p, then one
   rounding);
 * sqrt: c = 2 over |value| (fixed point relative to the value);
-* pi and Euler's gamma: c = 1 over the value.
+* pi: c = 1 over the value.
 """
 
 import contextlib
@@ -32,8 +32,8 @@ from mpmath import iv
 from mpmath.libmp import from_man_exp, to_rational
 
 from betaforms import balls, cli
-from betaforms.balls import (GUARD_BITS, BallReal, ball_euler_gamma, ball_pi,
-                             floor_log2, nstr, working_precision)
+from betaforms.balls import (GUARD_BITS, BallReal, ball_pi, floor_log2, nstr,
+                             working_precision)
 
 
 def exact(raw) -> Fraction:
@@ -230,12 +230,11 @@ class TestTranscendentals:
     @given(precisions)
     def test_constants(self, prec):
         with working_precision(prec):
-            pi, gamma = ball_pi(), ball_euler_gamma()
+            pi = ball_pi()
         with iv_precision(4 * (prec + GUARD_BITS)):
-            refs = ends(iv.pi), ends(iv.euler)
-        for ball, (lo, hi) in zip((pi, gamma), refs):
-            assert_contains(ball, lo, hi)
-            assert fits(ball, lo, 1, prec)
+            lo, hi = ends(iv.pi)
+        assert_contains(pi, lo, hi)
+        assert fits(pi, lo, 1, prec)
 
     def test_wide_and_edge_balls(self):
         with working_precision(64):
@@ -291,9 +290,8 @@ class TestKernelBounds:
     @pytest.mark.parametrize("wp", [20, 64, 200, 531, 1100])
     def test_constants(self, wp):
         with iv_precision(4 * wp):
-            refs = ends(iv.ln2), ends(iv.pi), ends(iv.euler)
-        for kernel, ref in zip((balls._ln2, balls._pi, balls._euler_gamma),
-                               refs):
+            refs = ends(iv.ln2), ends(iv.pi)
+        for kernel, ref in zip((balls._ln2, balls._pi), refs):
             self.within(*kernel(wp), *ref, wp)
 
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from betaforms.decomposition import (ArithmeticFactors, InclusionError,
-                                     _tail_correction_sum, beta_coefficients,
+                                     _inclusion_report, _tail_correction_sum,
+                                     beta_coefficients,
                                      integer_linear_form,
                                      verify_coefficient_inclusions,
                                      verify_form_inclusions)
@@ -137,8 +138,7 @@ class TestCoefficientInclusions:
         # the lcm exponent is tight up to slack 1 here; slack 2 must break,
         # and the report carries the exact offending denominators
         b = bundle(section2(5, 4))
-        weak = verify_coefficient_inclusions(b.table, b.factors,
-                                             exponent_slack=2)
+        weak = _inclusion_report(b.factors, b.table.entries(), 2)
         assert not weak.ok
         assert all(v.value.denominator > 1 for v in weak.violations)
         for v in weak.violations:
@@ -150,8 +150,7 @@ class TestCoefficientInclusions:
 
     def test_report_is_data_not_exception(self, bundle):
         b = bundle(section2(5, 4))
-        report = verify_coefficient_inclusions(b.table, b.factors,
-                                               exponent_slack=3)
+        report = _inclusion_report(b.factors, b.table.entries(), 3)
         assert report.checked == len(b.table.pole_ks) * b.table.s
         assert isinstance(str(report), str)
 

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from betaforms import numtheory
-from betaforms.balls import (BallReal, ball_euler_gamma, ball_pi,
-                             working_precision)
+from betaforms.balls import BallReal, ball_pi, working_precision
 from betaforms.numtheory import (CarrySpec, FactoredInteger, StepFunction,
                                  _breakpoint_candidates, _merged_terms,
                                  _min_over_y, _sweep_plan, capital_phi,
@@ -18,7 +17,7 @@ from betaforms.numtheory import (CarrySpec, FactoredInteger, StepFunction,
 from betaforms.profiles import (THEOREM1_ETA, Profile, general,
                                 profile_violations, section2)
 
-from tests.reference import digamma_rational
+from tests.reference import digamma_rational, euler_gamma
 
 THEOREM1_SPEC = CarrySpec("general", THEOREM1_ETA)
 SECTION2_SPEC = CarrySpec("section2")
@@ -505,17 +504,18 @@ def reference_digamma(x: Fraction, precision: int) -> BallReal:
     guard bits until the relative radius is met."""
     tol = Fraction(2) ** (1 - precision)
     for attempt in range(6):
-        with working_precision(precision + 48 + 64 * attempt):
+        bits = precision + 48 + 64 * attempt
+        with working_precision(bits):
             k = math.floor(x)
             frac = x - k
             if frac == 0:
-                val = -ball_euler_gamma() + BallReal(
+                val = -euler_gamma(bits + 32) + BallReal(
                     sum((Fraction(1, j) for j in range(1, k)), Fraction(0)))
             else:
                 shift = sum((1 / (frac + j) for j in range(k)), Fraction(0))
                 a, b = frac.numerator, frac.denominator
                 pi = ball_pi()
-                val = -ball_euler_gamma() - BallReal(Fraction(2 * b)).log()
+                val = -euler_gamma(bits + 32) - BallReal(Fraction(2 * b)).log()
                 # sin(pi a/b) = cos(pi (b - 2a)/(2b))
                 if 2 * a != b:
                     val = val - pi / 2 * ((pi * Fraction(a, b)).cos()
@@ -587,7 +587,17 @@ class TestDigammaSum:
         assert (len(dens), sum(dens)) == (13, 154)
 
     def test_one_point_is_digamma_rational(self):
+        psi2 = reference_digamma(Fraction(2), 128)
         for x in (Fraction(1), Fraction(7, 3), Fraction(50, 41)):
             val = digamma_rational(x.numerator, x.denominator, 128)
-            assert val.overlaps(reference_digamma(x, 128))
-            assert val.overlaps(numtheory._digamma_sum({x: 1}, 128))
+            ref = reference_digamma(x, 128)
+            assert val.overlaps(ref)
+            with working_precision(160):
+                assert (ref - psi2).overlaps(numtheory._digamma_sum(
+                    {x: 1, Fraction(2): -1}, 128, Fraction(0)))
+
+    @pytest.mark.parametrize("weights", [
+        {Fraction(1): 1}, {Fraction(7, 3): 2, Fraction(1, 2): -1}])
+    def test_nonzero_weight_sum_raises(self, weights):
+        with pytest.raises(ValueError, match="sum to 0"):
+            numtheory._digamma_sum(weights, 64, Fraction(0))

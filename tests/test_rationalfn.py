@@ -217,7 +217,7 @@ class TestSection2IsTheGeneralFamily:
     def test_profile_keeps_its_arithmetic_and_shares_the_shape(self, s, n):
         profile = section2(s, n)
         assert profile.shape == (3,) + (1,) * s
-        assert profile.d_index == profile.M == n
+        assert profile.d_index == n
         assert profile.phi_lower_sq == 4 * n
         assert profile.carry_spec == CarrySpec("section2")
         assert len(profile.carry_spec.terms()) == 6
@@ -226,7 +226,7 @@ class TestSection2IsTheGeneralFamily:
         if s < 5:
             return  # the general family starts at s = 5
         twin = general(profile.shape, n)
-        for name in ("h0", "h", "N", "M", "gamma", "pole_ks",
+        for name in ("h0", "h", "N", "d_index", "gamma", "pole_ks",
                      "reflection_constant"):
             assert getattr(profile, name) == getattr(twin, name), name
         assert build_general(twin) == build_section2(s, n)

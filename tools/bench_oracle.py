@@ -28,9 +28,7 @@ run is three fresh interpreters with ``PYTHONPATH=SRC``:
   untimed, so that every tree pays the β pass cold, as a run does), and
   records every ``numerics.alternating_series_tail`` call either makes as
   (tbits, N, P): the target 2**-tbits, the size N of the Chebyshev scheme
-  and the fixed-point bits P of its pass (``numerics._chebyshev_pass``;
-  null for a tree without that kernel, where N is the old direct-sum
-  length).
+  and the fixed-point bits P of its pass (``numerics._chebyshev_pass``).
   Last come the ledger ``asymptotics.exponent_ledger`` of section2-s17
   at 256 bits and a cold ``numtheory.carry_min_table`` of theorem1 (its
   cache cleared first; ``phi_exponent`` above runs with the table warm).
@@ -83,17 +81,14 @@ def seconds(fn, before=None):
 def timed_with_tail_calls(numerics, fn) -> tuple[float, list]:
     """``seconds(fn)`` and the (tbits, N, P) of the series calls it makes."""
     calls, bits = [], []
-    tail = numerics.alternating_series_tail
-    chebyshev_pass = getattr(numerics, "_chebyshev_pass", None)
+    tail, chebyshev_pass = (numerics.alternating_series_tail,
+                            numerics._chebyshev_pass)
 
-    def recording_tail(*args, **kwargs):
+    def recording_tail(rep, table, target, precision):
         bits.clear()
-        ev = tail(*args, **kwargs)
-        # (rep, table, target, precision); trees from before the series
-        # always started at nu = 0 also pass (shift, start) before target
-        target = args[-2]
+        ev = tail(rep, table, target, precision)
         calls.append([target.denominator.bit_length() - 1, ev.direct_terms,
-                      bits[0] if bits else None])
+                      bits[0]])
         return ev
 
     def recording_pass(first, ratios, weights, p):
@@ -101,14 +96,12 @@ def timed_with_tail_calls(numerics, fn) -> tuple[float, list]:
         return chebyshev_pass(first, ratios, weights, p)
 
     numerics.alternating_series_tail = recording_tail
-    if chebyshev_pass:
-        numerics._chebyshev_pass = recording_pass
+    numerics._chebyshev_pass = recording_pass
     try:
         elapsed, _ = seconds(fn)
     finally:
         numerics.alternating_series_tail = tail
-        if chebyshev_pass:
-            numerics._chebyshev_pass = chebyshev_pass
+        numerics._chebyshev_pass = chebyshev_pass
     return elapsed, calls
 
 
