@@ -192,8 +192,7 @@ def _run_one_n(cfg: dict, n: int, failures: list[str]) -> dict:
             "scale": scale,
             "coefficients": [str(v) for v in ints],
         }
-    check = consistency_check(profile, precision, rep=rep, table=table,
-                              decomposition=dec)
+    check = consistency_check(dec, rep, table, precision)
     entry["r"] = _ball(check.series, precision)
     entry["consistency"] = {"passed": check.passed,
                             "gap_bits": check.gap_bits}

@@ -4,8 +4,11 @@ exact verification of every divisibility claim.
 Resumming the alternating series termwise over the table turns each pole
 into a multiple of the alternating odd-power sum, leaving a rational
 constant from the finitely many shifted terms.  Pole k carries the sign
-(-1)**k in every family; the inner-sum origins come from the profile and
-are never inferred from the data.
+(-1)**k in every family.  The function vanishes at nu = -1, ..., -(h_0 - 1),
+so the series may start at nu = -m for any 0 <= m < h_0, pole k's inner
+sum then starting at k - m, and give the same form.  The table rule takes
+m at the centre (k_first + k_last)/2 = (h_0 - 1)/2 of the table's pole
+window, which keeps |k - m|, and so the lcm of the tail sums, smallest.
 
 Every integrality claim, phi**-1 d**e v in Z, goes through one kernel,
 ``_scaled``.  Divisibility violations are data, not exceptions: the
@@ -107,12 +110,14 @@ def _assemble(table: PartialFractionTable, s: int,
 
 
 def beta_coefficients(table: PartialFractionTable, profile: Profile) -> DecompositionResult:
-    """Exact linear-form coefficients for the profile's inner-sum origins."""
+    """Exact linear-form coefficients, each pole's inner sum starting at
+    k minus the centre of the table's pole window."""
     if tuple(profile.pole_ks) != table.pole_ks:
         raise ValueError("table poles do not match profile")
-    if profile.pole_offset != table.pole_offset:
-        raise ValueError("table pole offset does not match profile")
-    origins = [profile.ell_origin(k) for k in table.pole_ks]
+    if table.pole_offset != Fraction(1, 2):
+        raise ValueError("table poles are not at half-integers")
+    centre = (table.pole_ks[0] + table.pole_ks[-1]) // 2
+    origins = [k - centre for k in table.pole_ks]
     return DecompositionResult(profile, _assemble(table, profile.s, origins))
 
 
@@ -172,14 +177,12 @@ def _scaled(factors: ArithmeticFactors, pairs) -> list[Fraction]:
     return [v * scales[e] for e, v in pairs]
 
 
-def _inclusion_report(factors: ArithmeticFactors, entries,
-                      exponent_slack: int) -> InclusionReport:
-    """Check phi**-1 d**(s-i-slack) v in Z for each (i, k, v) entry; zero
+def _inclusion_report(factors: ArithmeticFactors, entries) -> InclusionReport:
+    """Check phi**-1 d**(s-i) v in Z for each (i, k, v) entry; zero
     entries count as checked and hold."""
     entries = list(entries)
     nonzero = [t for t in entries if t[2]]
-    scaled = _scaled(factors, [(factors.s - i - exponent_slack, v)
-                               for i, _, v in nonzero])
+    scaled = _scaled(factors, [(factors.s - i, v) for i, _, v in nonzero])
     return InclusionReport(len(entries), tuple(
         Violation(i, k, v, _prime_deficits(v.denominator))
         for (i, k, _), v in zip(nonzero, scaled) if v.denominator != 1))
@@ -188,7 +191,7 @@ def _inclusion_report(factors: ArithmeticFactors, entries,
 def verify_coefficient_inclusions(table: PartialFractionTable,
                                   factors: ArithmeticFactors) -> InclusionReport:
     """Check phi**-1 d**(s-i) a_{i,k} in Z for every table entry."""
-    return _inclusion_report(factors, table.entries(), 0)
+    return _inclusion_report(factors, table.entries())
 
 
 def verify_form_inclusions(result: DecompositionResult,
@@ -198,7 +201,7 @@ def verify_form_inclusions(result: DecompositionResult,
     Odd i are vacuous (a_i = 0 exactly) and are recorded as passing.
     """
     return _inclusion_report(
-        factors, ((i, None, ai) for i, ai in enumerate(result.a)), 0)
+        factors, ((i, None, ai) for i, ai in enumerate(result.a)))
 
 
 class InclusionError(ArithmeticError):

@@ -33,13 +33,14 @@ from functools import lru_cache
 
 from ._records import frozen
 from .balls import BallReal, floor_log2, working_precision
-from .decomposition import DecompositionResult, beta_coefficients
+from .decomposition import DecompositionResult
 from .profiles import Profile
-from .rationalfn import (LinearProductRep, PartialFractionTable,
-                         build_general, partial_fractions)
-# Unused here: the benchmark traces numerics.build_section2,
+from .rationalfn import LinearProductRep, PartialFractionTable, build_general
+# Unused here: the benchmark traces numerics.beta_coefficients,
+# numerics.build_section2, numerics.partial_fractions,
 # numerics.divide_trunc and numerics.euler_numbers_at_zero by these names.
-from .rationalfn import build_section2
+from .decomposition import beta_coefficients
+from .rationalfn import build_section2, partial_fractions
 from .series import divide_trunc, euler_numbers_at_zero
 
 # The series descent gives up below this target, 2**-65536: a ball that
@@ -222,13 +223,12 @@ def _least_magnitude(ball: BallReal) -> Fraction:
     return min(abs(ball.lower), abs(ball.upper))
 
 
-def r_n_series(profile: Profile, precision: int = 256,
-               rep: LinearProductRep | None = None,
-               table: PartialFractionTable | None = None, *,
+def r_n_series(rep: LinearProductRep, table: PartialFractionTable,
+               precision: int = 256, *,
                lower_bound: Fraction | None = None) -> BallReal:
-    """The linear-form value by direct series summation (independent of the
-    decomposition), as a ball of radius at most
-    2**-(precision + 64) min(1, |r|).
+    """sum_{nu >= 0} (-1)**nu rep(nu) by direct series summation (the
+    table, independent of the decomposition, enters only the radius), as a
+    ball of radius at most 2**-(precision + 64) min(1, |r|).
 
     Rungs of target 2**-tbits, tbits = (precision + 16) 2**k, run until a
     ball excludes zero; unless it already meets the radius, one pass at
@@ -239,9 +239,6 @@ def r_n_series(profile: Profile, precision: int = 256,
     least |x| falls back to the descent.  The descent gives up with
     ``ArithmeticError`` past a target of 2**-``_MAX_SERIES_BITS``.
     """
-    rep = rep or build_profile_rep(profile)
-    table = table or partial_fractions(rep)
-
     def ball(tbits: int) -> BallReal:
         return alternating_series_tail(rep, table, Fraction(1, 1 << tbits),
                                        precision).value
@@ -301,23 +298,20 @@ class ConsistencyReport:
                 f"(gap {self.gap_bits} bits)")
 
 
-def consistency_check(profile: Profile, precision: int = 256,
-                      rep: LinearProductRep | None = None,
-                      table: PartialFractionTable | None = None,
-                      decomposition: DecompositionResult | None = None) -> ConsistencyReport:
-    """Evaluate the linear form two independent ways and compare.
+def consistency_check(decomposition: DecompositionResult,
+                      rep: LinearProductRep, table: PartialFractionTable,
+                      precision: int = 256) -> ConsistencyReport:
+    """Evaluate the linear form two independent ways, the certificate
+    ``decomposition`` and the series of ``rep``, and compare.
 
     Passes iff the two balls overlap; the gap counts the bits below 1 of
     the total discrepancy (midpoint distance plus both radii).
     """
-    rep = rep or build_profile_rep(profile)
-    table = table or partial_fractions(rep)
-    dec = decomposition or beta_coefficients(table, profile)
-    direct = decomposition_value(dec, precision)
-    series = r_n_series(profile, precision, rep=rep, table=table,
+    direct = decomposition_value(decomposition, precision)
+    series = r_n_series(rep, table, precision,
                         lower_bound=None if direct.contains_zero()
                         else _least_magnitude(direct))
     disc = abs(series.mid - direct.mid) + series.rad + direct.rad
     gap = (precision + 64) if disc <= 0 else -floor_log2(disc) - 1
-    return ConsistencyReport(profile, series, direct,
+    return ConsistencyReport(decomposition.profile, series, direct,
                              series.overlaps(direct), gap)

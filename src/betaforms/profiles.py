@@ -2,8 +2,8 @@
 
 A profile pins down one instance of the linear-form construction.  Both
 families build one rational function from a tuple ``shape`` =
-(eta_0, ..., eta_s): half-integer shift data h_j, poles at
-t = -(k + 1/2) for k in the window [N, h_0-N-1], lcm index M
+(eta_0, ..., eta_s): h_0 = eta_0 n + 1, poles at t = -(k + 1/2) for k
+in the window [N, h_0-N-1] with N = n min_{j>=1} eta_j, lcm index M
 (``d_index``).  They differ in their parameter rules and their
 arithmetic (carry function and prime window):
 
@@ -15,9 +15,10 @@ arithmetic (carry function and prime window):
   sum eta_j <= (s-1) eta_0 / 2; shape eta, the carry function built from
   eta and the prime window sqrt(2 h_0) < p <= M.
 
-Everything derived (h, N, d_index, the normalizing factor, the pole
-conventions) lives here, each fact derived once, so that downstream
-modules never re-derive it.
+Everything derived (h_0, N, d_index, the normalizing factor, the pole
+window) lives here, each fact derived once, so that downstream modules
+never re-derive it.  The inner-sum origins are not here: they follow
+from the table's pole window (``decomposition.beta_coefficients``).
 """
 
 from __future__ import annotations
@@ -112,13 +113,8 @@ class Profile:
 
     @property
     def h0(self) -> int:
+        """The function vanishes at t = -1, ..., -(h_0 - 1)."""
         return self.shape[0] * self.n + 1
-
-    @property
-    def h(self) -> tuple[Fraction, ...]:
-        """(h_0, h_1, ..., h_s); h_j = eta_j n + 1/2 for j >= 1."""
-        return (Fraction(self.h0),) + tuple(
-            Fraction(2 * ej * self.n + 1, 2) for ej in self.shape[1:])
 
     @property
     def N(self) -> int:
@@ -133,29 +129,10 @@ class Profile:
             num *= math.factorial((e0 - 2 * ej) * self.n)
         return Fraction(num, math.factorial(e1 * self.n) ** 2)
 
-    # -- decomposition conventions ---------------------------------------------
-
     @property
     def pole_ks(self) -> range:
-        """Pole indices k: poles sit at t = -(k + pole_offset)."""
+        """Pole indices k: poles sit at t = -(k + 1/2)."""
         return range(self.N, self.h0 - self.N)
-
-    @property
-    def pole_offset(self) -> Fraction:
-        return Fraction(1, 2)
-
-    @property
-    def reflection_constant(self) -> int:
-        """c with a_{i,k} = (-1)^(i+gap) a_{i, c-k}, gap the degree gap of
-        the rational function (``rationalfn.partial_fractions``).  The gap
-        is (s-1)(eta_0 n + 1) - 2n sum_{j>=1} eta_j, even for odd s, so the
-        sign is (-1)^i.
-        """
-        return self.h0 - 1
-
-    def ell_origin(self, k: int) -> int:
-        """Start index of the shifted inner sum attached to pole k."""
-        return k - self.reflection_constant // 2
 
     def label(self) -> str:
         if self.is_section2:

@@ -122,7 +122,6 @@ class PartialFractionTable:
     s: int
     pole_ks: tuple[int, ...]
     pole_offset: Fraction
-    multiplicities: tuple[int, ...]
     rows: tuple[tuple[Fraction, ...], ...]
 
     def a(self, i: int, k: int) -> Fraction:
@@ -238,7 +237,7 @@ def partial_fractions(rep: LinearProductRep) -> PartialFractionTable:
 
     Poles are visited from the highest down.  The step from P + 2 to P
     moves every root one place, so the T_k, g_even(0) and g_odd change only
-    at the two boundary terms of each run of ``_layers``: g_odd is
+    at the roots of f(t + 1)/f(t) (``rep.step_ratio()``): g_odd is
     multiplied by each factor that enters and divided, exactly from the low
     end, by each that leaves (the untruncated product holds it).  Where the
     pole grid has a gap both parts are built afresh over all roots.
@@ -250,10 +249,10 @@ def partial_fractions(rep: LinearProductRep) -> PartialFractionTable:
     multiplicity, then f(C/2 - t) = (-1)**gap f(t) for the degree gap of
     f, so pole P and pole C - P carry a_{i,C-P} = (-1)**(i+gap) a_{i,P}:
     the sweep stops at the middle pole and the lower half is mirrored.  In
-    pole indices that is a_{i,c-k} = (-1)**(i+gap) a_{i,k} with
-    c = -C/2 - 2 pole_offset (``Profile.reflection_constant``).  Every
-    profile's function passes the check; any other rep that fails it is
-    swept in full.
+    pole indices that is a_{i,c-k} = (-1)**(i+gap) a_{i,k} with c the sum
+    of the first and last k.  Every profile's function passes the check,
+    with c = h_0 - 1 and the even gap (s - 1) h_0 - 2n sum_{j>=1} eta_j;
+    any other rep that fails it is swept in full.
     """
     degree_gap = rep.degree_gap
     if degree_gap < 1:
@@ -271,11 +270,9 @@ def partial_fractions(rep: LinearProductRep) -> PartialFractionTable:
     for r, m in den.items():
         net[r] = net.get(r, 0) - m
     # c(R) - c(R + 2), the window's change from pole P + 2 to P at the term R
-    steps: dict[int, int] = {}
-    for side, c in ((num, 1), (den, -1)):
-        for lo, hi in _layers(side):
-            steps[lo - 2] = steps.get(lo - 2, 0) - c
-            steps[hi] = steps.get(hi, 0) + c
+    ups, downs = rep.step_ratio()
+    steps = Counter(int(2 * q) for q in downs)
+    steps.subtract(int(2 * p) for p in ups)
     even = [(r, c) for r, c in net.items() if r % 2 == parity]
     odd = [(r, c) for r, c in net.items() if r % 2 != parity]
     even_steps = [(r, c) for r, c in steps.items() if r % 2 == parity]
@@ -327,7 +324,6 @@ def partial_fractions(rep: LinearProductRep) -> PartialFractionTable:
         rows[pole] = tuple(-c if (idx + degree_gap) % 2 == 0 else c
                            for idx, c in enumerate(rows[mirror - pole]))
     return PartialFractionTable(s, tuple(int(k) for k in pole_ks), offset,
-                                tuple(m for _, m in poles),
                                 tuple(rows[pole] for pole, _ in poles))
 
 
@@ -349,8 +345,7 @@ def build_general(profile: Profile) -> LinearProductRep:
     num = [(Fraction(-h0, 2), 1)]
     num += [(Fraction(-j), 1) for j in range(1, h0)]
     poles = Counter()  # pole k, at t = -(k + 1/2): its multiplicity
-    for hj in profile.h[1:]:
-        k_lo = int(hj - _HALF)
-        poles.update(range(k_lo, h0 - k_lo))
+    for ej in profile.shape[1:]:
+        poles.update(range(ej * profile.n, h0 - ej * profile.n))
     den = [(-(k + _HALF), m) for k, m in poles.items()]
     return LinearProductRep.build(scalar, num, den)

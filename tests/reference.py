@@ -95,7 +95,6 @@ def full_sweep_partial_fractions(rep: LinearProductRep) -> PartialFractionTable:
     for j in range(1, s):
         scales.append(scales[-1] * j * lcm)
     pole_ks = []
-    mults = []
     rows = []
     prev = None
     for pole, mult in sorted(den.items(), reverse=True):
@@ -127,10 +126,8 @@ def full_sweep_partial_fractions(rep: LinearProductRep) -> PartialFractionTable:
                 scaled_g0.numerator * hj << max(e, 0),
                 scales[j] * scaled_g0.denominator << max(-e, 0))
         pole_ks.append(int(k))
-        mults.append(mult)
         rows.append(tuple(coeffs))
-    return PartialFractionTable(s, tuple(pole_ks), offset,
-                                tuple(mults), tuple(rows))
+    return PartialFractionTable(s, tuple(pole_ks), offset, tuple(rows))
 
 
 def paper_section2_rep(s: int, n: int) -> LinearProductRep:
@@ -229,8 +226,8 @@ def section2_top_coefficient(s: int, n: int, k: int) -> Fraction:
 
 def hypergeometric_parameters(profile: Profile):
     """Upper/lower parameter lists and argument of the series form."""
-    h = profile.h
-    h0 = h[0]
+    h0 = Fraction(profile.h0)
+    h = (h0,) + tuple(ej * profile.n + _HALF for ej in profile.shape[1:])
     upper = (h0, 1 + h0 / 2) + tuple(h[1:])
     lower = (h0 / 2,) + tuple(1 + h0 - hj for hj in h[1:])
     return upper, lower, -1
@@ -283,7 +280,7 @@ def remark1_denominator_probe(s: int, n: int) -> Remark1Report:
 
     def clears(index: int) -> bool:
         factors = ArithmeticFactors(lcm_up_to(index), phi, s)
-        return _inclusion_report(factors, [(0, None, a0)], 0).ok
+        return _inclusion_report(factors, [(0, None, a0)]).ok
 
     dn = clears(n)
     d2n = clears(2 * n)

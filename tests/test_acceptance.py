@@ -157,8 +157,7 @@ def test_criterion_08_decomposition_oracle(bundle):
     ok = True
     for profile in suite_profiles():
         b = bundle(profile)
-        check = consistency_check(profile, 256, rep=b.rep, table=b.table,
-                                  decomposition=b.decomposition)
+        check = consistency_check(b.decomposition, b.rep, b.table, 256)
         disc = abs(check.series.mid - check.decomposition.mid) \
             + check.series.rad + check.decomposition.rad
         ok = ok and check.passed and disc < Fraction("1e-40")
@@ -177,7 +176,7 @@ def test_criterion_09_symmetry_and_vanishing(bundle):
         # the full sweep: a mirrored table holds the identity by construction
         table = full_sweep_partial_fractions(b.rep)
         ok = ok and table == b.table
-        ok = ok and symmetry_check(table, profile.reflection_constant)
+        ok = ok and symmetry_check(table, profile.h0 - 1)
         ok = ok and all(b.decomposition.a[i] == 0
                         for i in range(1, profile.s + 1, 2))
     report(9, ok, "reflection identity and odd-coefficient vanishing hold "
@@ -194,11 +193,12 @@ def test_criterion_10_sieve_anchor():
                    "digamma-formula value", t0)
 
 
-def test_criterion_11_monte_carlo():
+def test_criterion_11_monte_carlo(bundle):
     t0 = time.time()
     profile = general((5, 1, 1, 1, 1, 1), 2)
     est = mc_integral(profile, 10 ** 6, seed=12345)
-    series = r_n_series(profile, 128)
+    b = bundle(profile)
+    series = r_n_series(b.rep, b.table, 128)
     ok = est.mid > 0 and est.overlaps(series)
     ok = ok and time.time() - t0 < 60.0
     report(11, ok, "10^6-sample integral estimate positive and within 3 "

@@ -147,12 +147,13 @@ class TestLedger:
 
 
 class TestEmpiricalTrend:
-    def test_theorem1_rate_monotone_toward_limit(self):
+    def test_theorem1_rate_monotone_toward_limit(self, bundle):
         # (1/n) log r_n should approach the certified rate from below
         limit = r_exponent(general(THEOREM1_ETA, 2), 96)
         rates = []
         for n in (2, 4, 6):
-            v = r_n_series(general(THEOREM1_ETA, n), 64)
+            b = bundle(general(THEOREM1_ETA, n))
+            v = r_n_series(b.rep, b.table, 64)
             assert v.strictly_positive()
             with working_precision(96):
                 rates.append(float((v.log() / n).mid))

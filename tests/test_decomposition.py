@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from betaforms.decomposition import (ArithmeticFactors, InclusionError,
-                                     _inclusion_report, _tail_correction_sum,
+                                     _assemble, _inclusion_report,
+                                     _tail_correction_sum,
                                      beta_coefficients,
                                      integer_linear_form,
                                      verify_coefficient_inclusions,
@@ -121,6 +122,50 @@ class TestBetaCoefficients:
         assert fresh.a == bundle(profile).decomposition.a
 
 
+class TestInnerSumOrigins:
+    """f vanishes at nu = -1, ..., -(h_0 - 1) and not at -h_0, so the series
+    may start at nu = -m for any 0 <= m <= h_0 - 1: the origins k - m all
+    give the form ``beta_coefficients`` takes at the window's centre, and
+    m = h_0 adds the term (-1)**h_0 f(-h_0) to a_0."""
+
+    @staticmethod
+    def check_origins(profile, rep, table, a):
+        h0 = profile.h0
+        assert all(rep.evaluate(-j) == 0 for j in range(1, h0))
+        assert rep.evaluate(-h0) != 0
+
+        def form(m):
+            return _assemble(table, profile.s, [k - m for k in table.pole_ks])
+
+        for m in (0, (h0 - 1) // 2, h0 - 1):
+            assert form(m) == a, m
+        assert form(h0) == (a[0] + (-1) ** h0 * rep.evaluate(-h0),) + a[1:]
+
+    @pytest.mark.parametrize("profile", suite_profiles(),
+                             ids=lambda p: p.label())
+    def test_suite_profiles(self, bundle, profile):
+        b = bundle(profile)
+        # the table rule's centre is (h_0 - 1)/2
+        assert b.table.pole_ks[0] + b.table.pole_ks[-1] == profile.h0 - 1
+        self.check_origins(profile, b.rep, b.table, b.decomposition.a)
+
+    @settings(max_examples=12, deadline=None)
+    @given(admissible_general((5, 7), 12).filter(lambda case: case[1] <= 2))
+    @example((5, 2, (5, 1, 1, 1, 1, 1)))
+    def test_random_profiles(self, case):
+        _, n, eta = case
+        profile = general(eta, n)
+        rep = build_general(profile)
+        table = partial_fractions(rep)
+        self.check_origins(profile, rep, table,
+                           beta_coefficients(table, profile).a)
+
+
+def slackened(factors: ArithmeticFactors, slack: int) -> ArithmeticFactors:
+    """The factors with the lcm exponent s - i lowered to s - i - slack."""
+    return ArithmeticFactors(factors.d, factors.phi, factors.s - slack)
+
+
 class TestCoefficientInclusions:
     @pytest.mark.parametrize("s,n", SECTION2_SUITE)
     def test_section2_suite(self, bundle, s, n):
@@ -138,7 +183,7 @@ class TestCoefficientInclusions:
         # the lcm exponent is tight up to slack 1 here; slack 2 must break,
         # and the report carries the exact offending denominators
         b = bundle(section2(5, 4))
-        weak = _inclusion_report(b.factors, b.table.entries(), 2)
+        weak = _inclusion_report(slackened(b.factors, 2), b.table.entries())
         assert not weak.ok
         assert all(v.value.denominator > 1 for v in weak.violations)
         for v in weak.violations:
@@ -150,7 +195,7 @@ class TestCoefficientInclusions:
 
     def test_report_is_data_not_exception(self, bundle):
         b = bundle(section2(5, 4))
-        report = _inclusion_report(b.factors, b.table.entries(), 3)
+        report = _inclusion_report(slackened(b.factors, 3), b.table.entries())
         assert report.checked == len(b.table.pole_ks) * b.table.s
         assert isinstance(str(report), str)
 

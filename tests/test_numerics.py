@@ -4,6 +4,7 @@ import operator
 import time
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import mpmath
 import pytest
@@ -421,16 +422,15 @@ def meets_relative_radius(ball, precision):
             and ball.rad * 2 ** (precision + 64) <= min(1, least))
 
 
-def assert_hint_matches_plain_descent(monkeypatch, profile, precision, rep,
-                                      table, decomposition):
+def assert_hint_matches_plain_descent(monkeypatch, precision, rep, table,
+                                      decomposition):
     """``consistency_check`` makes one series pass, at the target the
     decomposition's bound on |r| picks; its ball meets the relative radius
     and agrees with the ball of ``r_n_series`` alone, the plain descent."""
     calls = record_tail_calls(monkeypatch)
-    plain = r_n_series(profile, precision, rep=rep, table=table)
+    plain = r_n_series(rep, table, precision)
     calls.clear()
-    report = consistency_check(profile, precision, rep=rep, table=table,
-                               decomposition=decomposition)
+    report = consistency_check(decomposition, rep, table, precision)
     assert len(calls) == 1
     for ball in (plain, report.series):
         assert meets_relative_radius(ball, precision)
@@ -446,7 +446,7 @@ class TestRnSeries:
             self, bundle, monkeypatch, profile):
         calls = record_tail_calls(monkeypatch)
         b = bundle(profile)
-        r_n_series(profile, 256, rep=b.rep, table=b.table)
+        r_n_series(b.rep, b.table, 256)
         assert calls
         for target, _, ev in calls:
             assert ev.tail_bound <= target / 2
@@ -458,8 +458,7 @@ class TestRnSeries:
         # aims at 2**-(256 + 64 + 316)
         calls = record_tail_calls(monkeypatch)
         b = bundle(general(THEOREM1_ETA, 2))
-        consistency_check(b.profile, 256, rep=b.rep, table=b.table,
-                          decomposition=b.decomposition)
+        consistency_check(b.decomposition, b.rep, b.table, 256)
         assert [target for target, _, _ in calls] == [Fraction(1, 2 ** 636)]
 
     @pytest.mark.parametrize("precision", [128, 256])
@@ -467,8 +466,8 @@ class TestRnSeries:
     def test_deciding_call_matches_plain_descent(self, bundle, monkeypatch,
                                                  profile, precision):
         b = bundle(profile)
-        assert_hint_matches_plain_descent(monkeypatch, b.profile, precision,
-                                          b.rep, b.table, b.decomposition)
+        assert_hint_matches_plain_descent(monkeypatch, precision, b.rep,
+                                          b.table, b.decomposition)
 
     @settings(max_examples=6, deadline=None)
     @given(admissible_general((5, 7), 12).filter(lambda case: case[1] <= 2))
@@ -479,14 +478,14 @@ class TestRnSeries:
         table = partial_fractions(rep)
         with pytest.MonkeyPatch.context() as monkeypatch:
             assert_hint_matches_plain_descent(
-                monkeypatch, profile, 128, rep, table,
+                monkeypatch, 128, rep, table,
                 beta_coefficients(table, profile))
 
     @pytest.mark.parametrize("precision", [64, 256])
     @pytest.mark.parametrize("profile", suite_profiles(), ids=lambda p: p.label())
     def test_meets_the_relative_radius(self, bundle, profile, precision):
         b = bundle(profile)
-        v = r_n_series(profile, precision, rep=b.rep, table=b.table)
+        v = r_n_series(b.rep, b.table, precision)
         assert meets_relative_radius(v, precision)
 
     @pytest.mark.parametrize("scale", [Fraction(2) ** 40, Fraction(2) ** -300])
@@ -494,8 +493,8 @@ class TestRnSeries:
         # too large a bound aims too high and falls back to the descent;
         # too small a one aims lower than needed
         b = bundle(section2(5, 2))
-        plain = r_n_series(b.profile, 128, rep=b.rep, table=b.table)
-        hinted = r_n_series(b.profile, 128, rep=b.rep, table=b.table,
+        plain = r_n_series(b.rep, b.table, 128)
+        hinted = r_n_series(b.rep, b.table, 128,
                             lower_bound=abs(plain.mid) * scale)
         assert meets_relative_radius(hinted, 128)
         assert hinted.overlaps(plain)
@@ -511,36 +510,25 @@ class TestRnSeries:
 
         monkeypatch.setattr(numerics, "alternating_series_tail", straddling)
         with pytest.raises(ArithmeticError):
-            r_n_series(b.profile, 64, rep=b.rep, table=b.table)
+            r_n_series(b.rep, b.table, 64)
         assert targets[-1] == Fraction(1, 2 ** (80 << 9))
 
     def test_positive_for_all_suite_profiles(self, bundle):
         for profile in suite_profiles():
             b = bundle(profile)
-            v = r_n_series(profile, 128, rep=b.rep, table=b.table)
+            v = r_n_series(b.rep, b.table, 128)
             assert v.strictly_positive(), profile.label()
-
-    def test_start_index_is_free(self):
-        from betaforms.numerics import build_profile_rep
-
-        # f vanishes at nu = -1, ..., -(h0 - 1), so summation may start
-        # anywhere down to -(h0 - 1) without changing r_n
-        for profile in (section2(3, 2), section2(5, 2),
-                        general((5, 1, 1, 1, 1, 1), 2)):
-            rep = build_profile_rep(profile)
-            for nu in range(-(profile.h0 - 1), 0):
-                assert rep.evaluate(Fraction(nu)) == 0
 
     def test_radius_shrinks_with_precision(self, bundle):
         b = bundle(section2(5, 2))
-        lo = r_n_series(b.profile, 64, rep=b.rep, table=b.table)
-        hi = r_n_series(b.profile, 128, rep=b.rep, table=b.table)
+        lo = r_n_series(b.rep, b.table, 64)
+        hi = r_n_series(b.rep, b.table, 128)
         assert hi.rad * 2 <= lo.rad
         assert lo.overlaps(hi)
 
     def test_theorem1_value_range(self, bundle):
         b = bundle(general(THEOREM1_ETA, 2))
-        v = r_n_series(b.profile, 128, rep=b.rep, table=b.table)
+        v = r_n_series(b.rep, b.table, 128)
         assert v.strictly_positive()
         assert v.upper < 1
 
@@ -548,15 +536,13 @@ class TestRnSeries:
 class TestConsistency:
     def test_section2_3_2_gap(self, bundle):
         b = bundle(section2(3, 2))
-        report = consistency_check(b.profile, 128, rep=b.rep, table=b.table,
-                                   decomposition=b.decomposition)
+        report = consistency_check(b.decomposition, b.rep, b.table, 128)
         assert report.passed
         assert report.gap_bits >= 100
 
     def test_section2_5_4(self, bundle):
         b = bundle(section2(5, 4))
-        report = consistency_check(b.profile, 256, rep=b.rep, table=b.table,
-                                   decomposition=b.decomposition)
+        report = consistency_check(b.decomposition, b.rep, b.table, 256)
         assert report.passed
 
     def test_perturbation_detected(self, bundle):
@@ -567,8 +553,7 @@ class TestConsistency:
             b.profile,
             (b.decomposition.a[0] + Fraction(1, 10 ** 10),)
             + b.decomposition.a[1:])
-        report = consistency_check(b.profile, 128, rep=b.rep, table=b.table,
-                                   decomposition=perturbed)
+        report = consistency_check(perturbed, b.rep, b.table, 128)
         assert not report.passed
 
     @pytest.mark.parametrize("disc, zero_bits", [
@@ -584,14 +569,14 @@ class TestConsistency:
         monkeypatch.setattr(numerics, "r_n_series", lambda *a, **k: series)
         monkeypatch.setattr(numerics, "decomposition_value",
                             lambda *a, **k: direct)
-        report = consistency_check(section2(3, 2), 64, rep=object(),
-                                   table=object(), decomposition=object())
+        report = consistency_check(SimpleNamespace(profile=section2(3, 2)),
+                                   object(), object(), 64)
         assert report.gap_bits == zero_bits
 
     def test_scaled_form_lands_in_unit_interval(self, bundle):
         # the normalized integer form of the large instance is small but positive
         b = bundle(section2(17, 2))
-        v = r_n_series(b.profile, 128, rep=b.rep, table=b.table)
+        v = r_n_series(b.rep, b.table, 128)
         scale = Fraction(b.factors.d.value()) ** 17 / b.factors.phi.value()
         with working_precision(160):
             scaled = v * scale
@@ -626,8 +611,7 @@ class TestGateAccuracyFloor:
         else:
             ref = gate.load_reference("theorem1")["per_n"][str(profile.n)]
         b = bundle(profile)
-        check = consistency_check(profile, 256, rep=b.rep, table=b.table,
-                                  decomposition=b.decomposition)
+        check = consistency_check(b.decomposition, b.rep, b.table, 256)
         entry = {"r": cli._ball(check.series, 256),
                  "consistency": {"passed": check.passed,
                                  "gap_bits": check.gap_bits}}
@@ -637,16 +621,17 @@ class TestGateAccuracyFloor:
 class TestDecompositionValue:
     def test_matches_series_within_radii(self, bundle):
         b = bundle(section2(5, 2))
-        series = r_n_series(b.profile, 192, rep=b.rep, table=b.table)
+        series = r_n_series(b.rep, b.table, 192)
         direct = decomposition_value(b.decomposition, 192)
         assert series.overlaps(direct)
 
 
 class TestMonteCarlo:
-    def test_agreement_and_positivity(self):
+    def test_agreement_and_positivity(self, bundle):
         profile = general((5, 1, 1, 1, 1, 1), 2)
         est = mc_integral(profile, 120_000, seed=99)
-        series = r_n_series(profile, 96)
+        b = bundle(profile)
+        series = r_n_series(b.rep, b.table, 96)
         assert est.mid > 0
         assert est.overlaps(series)
 

@@ -51,7 +51,7 @@ def fraction_partial_fractions(rep):
     offset = half if any(r.denominator == 2 for r, _ in rep.den_roots) else Fraction(0)
     poles = sorted(rep.den_roots, key=lambda rm: -rm[0] - offset)
     s = max(m for _, m in rep.den_roots)
-    pole_ks, mults, rows = [], [], []
+    pole_ks, rows = [], []
     for pole_root, mult in poles:
         num = [rep.scalar]
         for r, m in rep.num_roots:
@@ -68,10 +68,8 @@ def fraction_partial_fractions(rep):
         for i in range(1, mult + 1):
             coeffs[i - 1] = g[mult - i]
         pole_ks.append(int(-pole_root - offset))
-        mults.append(mult)
         rows.append(tuple(coeffs))
-    return PartialFractionTable(s, tuple(pole_ks), offset, tuple(mults),
-                                tuple(rows))
+    return PartialFractionTable(s, tuple(pole_ks), offset, tuple(rows))
 
 
 def divide_fraction_free(num, den, order):
@@ -99,7 +97,7 @@ def fraction_free_partial_fractions(rep):
               else Fraction(0))
     poles = sorted(rep.den_roots, key=lambda rm: -rm[0] - offset)
     s = max(m for _, m in rep.den_roots)
-    pole_ks, mults, rows = [], [], []
+    pole_ks, rows = [], []
     for pole_root, mult in poles:
         pole2 = int(2 * pole_root)
         num = [1]
@@ -118,10 +116,8 @@ def fraction_free_partial_fractions(rep):
             coeffs[mult - 1 - j] = (rep.scalar * scaled * Fraction(2) ** (gap + j)
                                     / den[0] ** (j + 1))
         pole_ks.append(int(-pole_root - offset))
-        mults.append(mult)
         rows.append(tuple(coeffs))
-    return PartialFractionTable(s, tuple(pole_ks), offset, tuple(mults),
-                                tuple(rows))
+    return PartialFractionTable(s, tuple(pole_ks), offset, tuple(rows))
 
 
 # Every kind of representation the package builds, kept small enough for
@@ -222,12 +218,12 @@ class TestSection2IsTheGeneralFamily:
         assert profile.carry_spec == CarrySpec("section2")
         assert len(profile.carry_spec.terms()) == 6
         assert profile.pole_ks == range(n, 2 * n + 1)
-        assert profile.pole_offset == Fraction(1, 2)
+        assert [r for r, _ in build_section2(s, n).den_roots] == sorted(
+            -(k + Fraction(1, 2)) for k in profile.pole_ks)
         if s < 5:
             return  # the general family starts at s = 5
         twin = general(profile.shape, n)
-        for name in ("h0", "h", "N", "d_index", "gamma", "pole_ks",
-                     "reflection_constant"):
+        for name in ("h0", "N", "d_index", "gamma", "pole_ks"):
             assert getattr(profile, name) == getattr(twin, name), name
         assert build_general(twin) == build_section2(s, n)
 
@@ -247,12 +243,12 @@ class TestBuildGeneral:
     def test_pole_multiplicity_at_edge(self):
         # multiplicity at the lowest pole = number of minimal eta entries
         profile = general(THEOREM1_ETA, 2)
-        table = partial_fractions(build_general(profile))
+        rep = build_general(profile)
+        table = partial_fractions(rep)
         k_min = min(table.pole_ks)
         assert k_min == profile.N
-        idx = table.pole_ks.index(k_min)
         n_min = sum(1 for e in THEOREM1_ETA[1:] if e == min(THEOREM1_ETA[1:]))
-        assert table.multiplicities[idx] == n_min == 5
+        assert dict(rep.den_roots)[-(k_min + Fraction(1, 2))] == n_min == 5
 
     def test_degree_gap_positive(self):
         for eta, n in [((5, 1, 1, 1, 1, 1), 2), (THEOREM1_ETA, 2)]:
@@ -427,17 +423,16 @@ class TestPartialFractions:
 
         for profile in suite_profiles():
             table = full_sweep_partial_fractions(bundle(profile).rep)
-            assert symmetry_check(table, profile.reflection_constant)
+            assert symmetry_check(table, profile.h0 - 1)
 
     def test_mutated_table_fails_symmetry(self, bundle):
         from betaforms.rationalfn import PartialFractionTable
 
         b = bundle(section2(3, 2))
-        table, c = b.table, b.profile.reflection_constant
+        table, c = b.table, b.profile.h0 - 1
         rows = [list(r) for r in table.rows]
         rows[0][0] += 1
         bad = PartialFractionTable(table.s, table.pole_ks, table.pole_offset,
-                                   table.multiplicities,
                                    tuple(tuple(r) for r in rows))
         assert symmetry_check(table, c)
         assert not symmetry_check(bad, c)
@@ -468,11 +463,7 @@ class TestMirroredPartialFractions:
 
     @staticmethod
     def assert_same_table(rep):
-        table, ref = partial_fractions(rep), full_sweep_partial_fractions(rep)
-        assert table.rows == ref.rows
-        assert table.pole_ks == ref.pole_ks
-        assert table.multiplicities == ref.multiplicities
-        assert table.pole_offset == ref.pole_offset
+        assert partial_fractions(rep) == full_sweep_partial_fractions(rep)
 
     def test_profiles_take_the_mirror_and_match_the_full_sweep(self, bundle):
         from tests.conftest import suite_profiles

@@ -8,11 +8,15 @@ Usage (from the repository root)::
         --tree change=src --repeat 5
 
 Each ``--tree LABEL=SRC`` names a directory holding the ``betaforms``
-package.  The run is ``--repeat`` rounds; in each round every tree runs
-once, in the given order on even rounds and reversed on odd ones, so two
-trees alternate within seconds of each other instead of running minutes
-apart (the host's speed drifts by up to a fifth at that scale).  A tree's
-run is three fresh interpreters with ``PYTHONPATH=SRC``:
+package.  The tool times only trees that have ``numerics._chebyshev_pass``
+and the oracle signatures ``r_n_series(rep, table, precision)`` and
+``consistency_check(decomposition, rep, table, precision)``; on an older
+tree its ``--one`` child fails.  The run is ``--repeat`` rounds; in each
+round every tree runs once, in the given order on even rounds and
+reversed on odd ones, so two trees alternate within seconds of each
+other instead of running minutes apart (the host's speed drifts by up to
+a fifth at that scale).  A tree's run is three fresh interpreters with
+``PYTHONPATH=SRC``:
 
 * ``startup``: the seconds of ``import betaforms.cli`` inside a fresh
   interpreter, and the wall seconds, spawn to exit, of ``python -m
@@ -127,12 +131,11 @@ def run_case(n: int, precision: int) -> dict:
                 lambda: numerics.decomposition_value(dec, precision),
                 numerics.beta_value.cache_clear)[0]}
     series_s, series_calls = timed_with_tail_calls(
-        numerics, lambda: numerics.r_n_series(profile, precision, rep=rep,
-                                              table=table))
+        numerics, lambda: numerics.r_n_series(rep, table, precision))
     numerics.beta_value.cache_clear()
     check_s, check_calls = timed_with_tail_calls(
-        numerics, lambda: numerics.consistency_check(
-            profile, precision, rep=rep, table=table, decomposition=dec))
+        numerics, lambda: numerics.consistency_check(dec, rep, table,
+                                                     precision))
     return {**case, "r_n_series_s": series_s,
             "r_n_series_tail_calls": series_calls,
             "consistency_check_s": check_s,

@@ -25,6 +25,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+from betaforms import profile_violations
 from betaforms.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -61,7 +62,6 @@ def random_report(profile: dict, scratch: Path) -> tuple[int, bytes]:
 
 def random_profiles() -> dict[str, dict]:
     """The benchmark's profiles, keyed ``seed<S>-<index>``."""
-    from betaforms import profile_violations
     path = ROOT / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
