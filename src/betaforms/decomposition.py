@@ -10,46 +10,47 @@ sum then starting at k - m, and give the same form.  The table rule takes
 m at the centre (k_first + k_last)/2 = (h_0 - 1)/2 of the table's pole
 window, which keeps |k - m|, and so the lcm of the tail sums, smallest.
 
+The table's entries are integers over denominators known in factored
+form, so assembly sums each column over the lcm of its denominators,
+taken from their exponents, and reduces only the s + 1 values a_i.
 Every integrality claim, phi**-1 d**e v in Z, goes through one kernel,
-``_scaled``.  Divisibility violations are data, not exceptions: the
-verifiers return structured reports with per-prime deficits so that
-deliberately weakened exponents can be probed.
+``_scaled``, which decides it from exponents and touches the numerator
+only at the primes where d**e cannot cover the denominator and phi.
+Divisibility violations are data, not exceptions: the verifiers return
+structured reports with per-prime deficits, each violation's value
+reduced, so that deliberately weakened exponents can be probed.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from ._records import frozen
-from .numtheory import FactoredInteger, capital_phi, lcm_up_to
+from .numtheory import (FactoredInteger, capital_phi, factorize, lcm_up_to,
+                        valuation)
 from .profiles import Profile
 from .rationalfn import PartialFractionTable
 
 
-def _dot(pairs) -> Fraction:
-    """sum of w * x over (Fraction w, int x) pairs, exactly: one integer sum
-    over the lcm of the denominators and one division, not a Fraction sum."""
-    pairs = list(pairs)
-    den = math.lcm(*(w.denominator for w, _ in pairs))
-    return Fraction(sum(w.numerator * (den // w.denominator) * x
-                        for w, x in pairs), den)
-
-
-def _tail_correction_sum(i: int, terms) -> Fraction:
-    """sum of w * c_o over the pairs (o, w), where c_o rewrites sum_{l>=o}
-    as the full alternating sum plus c_o: minus the terms l = 0..o-1 for
-    o > 0, plus the terms l = o..-1 for o < 0, each (-1)**l / (l + 1/2)**i.
+def _tail_correction_sum(i: int, terms) -> tuple[int, int]:
+    """(u, D) with the sum of w * c_o over the pairs (o, w) equal to
+    u / D**i, where c_o rewrites sum_{l>=o} as the full alternating sum plus
+    c_o: minus the terms l = 0..o-1 for o > 0, plus the terms l = o..-1 for
+    o < 0, each (-1)**l / (l + 1/2)**i.
 
     Term l = m - 1 is (2/D)**i u_m with u_m = (-1)**(m-1) (D/(2m-1))**i,
     and term l = -m is (-1)**(i+1) times it, where D is the lcm of the odd
-    numbers up to 2 max|o| - 1.  So both sides share one running integer
-    sum U_m = u_1 + ... + u_m, and the total is
-    -(2/D)**i (sum_{o>0} w U_o + (-1)**i sum_{o<0} w U_{-o}).
+    numbers up to 2 max|o| - 1 over the nonzero origins, zero weights
+    included, so that every i shares it.  So both sides share one running
+    integer sum U_m = u_1 + ... + u_m, and
+    u = -2**i sum_m U_m (w_m + (-1)**i w_{-m}), the weights at m and -m
+    added before the one product.
     """
     terms = [(o, w) for o, w in terms if o]
     if not terms:
-        return Fraction(0)
+        return 0, 1
     top = max(abs(o) for o, _ in terms)
     d = math.lcm(*range(1, 2 * top, 2))
     running = [0]
@@ -57,9 +58,10 @@ def _tail_correction_sum(i: int, terms) -> Fraction:
         u = (d // (2 * m - 1)) ** i
         running.append(running[-1] + u if m % 2 else running[-1] - u)
     flip = -1 if i % 2 else 1
-    total = _dot((w, running[o] if o > 0 else flip * running[-o])
-                 for o, w in terms)
-    return -total * Fraction(2 ** i, d ** i)
+    merged: dict[int, int] = {}  # origins o and -o share U_|o|
+    for o, w in terms:
+        merged[abs(o)] = merged.get(abs(o), 0) + (w if o > 0 else flip * w)
+    return -sum(w * running[m] for m, w in merged.items()) * 2 ** i, d
 
 
 @frozen
@@ -97,15 +99,34 @@ def _assemble(table: PartialFractionTable, s: int,
     at index nu, pole k's part is a power of 1/(ell + 1/2) with
     ell = nu + k + j, j = 0 for both families, so (-1)**nu lands on
     (-1)**k (-1)**ell at pole k.
+
+    Column i of the table is one integer sum over C L**(top - i) 2**i,
+    with C the lcm of the cofactors (from their exponents) and top the
+    largest order: pole k's rows enter with the integer weight
+    (-1)**k scale_k (C / cofactor_k) L**(top - order_k), and a_i's factor
+    2**i cancels the 2**i.  The tail corrections meet over one denominator
+    too, so the s + 1 values a_i are the only fractions reduced.
     """
-    rows = [row if k % 2 == 0 else [-c for c in row]
-            for k, row in zip(table.pole_ks, table.rows)]
     a = [Fraction(0)] * (s + 1)
-    for i in range(1, s + 1):
-        a[i] = 2 ** i * _dot((row[i - 1], 1) for row in rows)
-        a[0] += _tail_correction_sum(i, [
-            (origin, row[i - 1]) for origin, row in zip(origins, rows)
-            if row[i - 1]])
+    top = max(table.orders)
+    if not top:
+        return tuple(a)
+    powers = table.lcm_powers
+    lcm = math.prod(p ** -v for p, v in zip(
+        table.primes, map(min, zip(*table.valuations))) if v < 0)
+    quotients = {c: lcm // c for c in set(table.cofactors)}
+    weights = [(-scale if k % 2 else scale) * quotients[c]
+               * powers[top - order]
+               for k, scale, c, order in zip(table.pole_ks, table.scales,
+                                             table.cofactors, table.orders)]
+    tail_num = 0
+    for i in range(1, top + 1):
+        column = [w * row[i - 1] for w, row in zip(weights, table.rows)]
+        a[i] = Fraction(sum(column), lcm * powers[top - i])
+        u, d = _tail_correction_sum(i, zip(origins, column))
+        # u / (d**i lcm L**(top - i) 2**i), over the denominator at i = top
+        tail_num += u * d ** (top - i) * powers[i - 1] << top - i
+    a[0] = Fraction(tail_num, d ** top * lcm * powers[top - 1] << top)
     return tuple(a)
 
 
@@ -155,43 +176,102 @@ class InclusionReport:
         return "\n".join(lines)
 
 
-def _prime_deficits(denominator: int) -> tuple[tuple[int, int], ...]:
-    out = {}
-    d = denominator
-    p = 2
-    while p * p <= d:
-        while d % p == 0:
-            out[p] = out.get(p, 0) + 1
-            d //= p
-        p += 1 if p == 2 else 2
-    if d > 1:
-        out[d] = out.get(d, 0) + 1
-    return tuple(out.items())  # found in ascending order
+@lru_cache(maxsize=16)
+def _prime_groups(factors: ArithmeticFactors, primes: tuple[int, ...],
+                  lcm: FactoredInteger | None):
+    """The primes of ``primes``, d, phi and ``lcm``, grouped by
+    (L_p, d_p, p = 2); each member is (its place in ``primes``, or
+    len(primes) if absent, p, phi_p).  d's primes count because an
+    exponent e < 0 puts them in the denominator."""
+    d, phi = dict(factors.d.factors), dict(factors.phi.factors)
+    lcm = dict(lcm.factors) if lcm else {}
+    place = {p: k for k, p in enumerate(primes)}
+    groups: dict[tuple[int, int, bool], list] = {}
+    for p in sorted(place.keys() | d.keys() | phi.keys() | lcm.keys()):
+        groups.setdefault((lcm.get(p, 0), d.get(p, 0), p == 2), []).append(
+            (place.get(p, len(primes)), p, phi.get(p, 0)))
+    return tuple(groups.items())
 
 
-def _scaled(factors: ArithmeticFactors, pairs) -> list[Fraction]:
-    """phi**-1 d**e v for each (e, v) pair, exactly: the one integrality
-    kernel.  Each power d**e is taken once, however many pairs share it."""
-    d, phi = factors.d.value(), factors.phi.value()
-    scales = {e: Fraction(d) ** e / phi for e in {e for e, _ in pairs}}
-    return [v * scales[e] for e, v in pairs]
+def _scaled(factors: ArithmeticFactors, primes: tuple[int, ...], known,
+            lcm: FactoredInteger | None,
+            items) -> list[tuple[tuple[int, int], ...]]:
+    """For each item (e, j, x, n): the primes p at which
+    phi**-1 d**e V n / (L**j 2**x) misses Z, each with how short it falls,
+    ascending; empty where it is an integer.  The one integrality kernel.
+
+    V is a rational known by its exponents ``known`` at ``primes`` (no
+    other prime divides its denominator), and L is ``lcm`` (None for 1).
+    Item by item n must cover the exponent
+    t_p = phi_p + j L_p + x [p = 2] - e d_p - V_p at each prime; n is
+    touched only where t_p > 0, by one remainder n mod prod p**t_p, and is
+    factored further only where that fails.  t_p depends on the item only
+    through (L_p, d_p, p = 2), so the primes are grouped by that and each
+    group's part of the modulus is formed once per value.
+    """
+    exps = [*known, 0]
+    moduli = [1] * len(items)
+    needs: list[list] = [[] for _ in items]
+    for (lp, dp, two), members in _prime_groups(factors, primes, lcm):
+        shifts = [j * lp - e * dp + (x if two else 0) for e, j, x, _ in items]
+        most = max(shifts, default=0)
+        live = [(p, c) for k, p, f in members if (c := f - exps[k]) + most > 0]
+        if not live:
+            continue
+        parts = {}
+        for idx, v in enumerate(shifts):
+            if v not in parts:
+                need = [(p, c + v) for p, c in live if c + v > 0]
+                parts[v] = need, math.prod(p ** t for p, t in need)
+            need, modulus = parts[v]
+            needs[idx] += need
+            moduli[idx] *= modulus
+    return [() if n % m == 0 else tuple(sorted(
+        (p, t - v) for p, t in need if (v := valuation(n, p)) < t))
+        for (_, _, _, n), m, need in zip(items, moduli, needs)]
 
 
-def _inclusion_report(factors: ArithmeticFactors, entries) -> InclusionReport:
-    """Check phi**-1 d**(s-i) v in Z for each (i, k, v) entry; zero
-    entries count as checked and hold."""
-    entries = list(entries)
-    nonzero = [t for t in entries if t[2]]
-    scaled = _scaled(factors, [(factors.s - i, v) for i, _, v in nonzero])
-    return InclusionReport(len(entries), tuple(
-        Violation(i, k, v, _prime_deficits(v.denominator))
-        for (i, k, _), v in zip(nonzero, scaled) if v.denominator != 1))
+def _violation(factors, i, k, value, e, deficits) -> Violation:
+    """The violation of phi**-1 d**e value in Z, its value reduced."""
+    return Violation(i, k, value * Fraction(factors.d.value()) ** e
+                     / factors.phi.value(), deficits)
 
 
 def verify_coefficient_inclusions(table: PartialFractionTable,
                                   factors: ArithmeticFactors) -> InclusionReport:
-    """Check phi**-1 d**(s-i) a_{i,k} in Z for every table entry."""
-    return _inclusion_report(factors, table.entries())
+    """Check phi**-1 d**(s-i) a_{i,k} in Z for every table entry; zero
+    entries count as checked and hold.
+
+    Pole by pole, V is the scale over the cofactor, known by the pole's
+    valuations (and, at a prime of d or phi outside them, by the scale's
+    own exponent), and n runs over the pole's rows."""
+    known = set(table.primes)
+    beyond = tuple(sorted({p for p, _ in factors.d.factors + factors.phi.factors
+                           if p not in known}))
+    primes = table.primes + beyond
+    violations = []
+    for idx, k in enumerate(table.pole_ks):
+        scale, order, row = (table.scales[idx], table.orders[idx],
+                             table.rows[idx])
+        exps = table.valuations[idx]
+        if beyond:
+            exps += tuple(valuation(scale, p) for p in beyond)
+        items = [(factors.s - i, order - i, i, row[i - 1])
+                 for i in range(1, order + 1) if row[i - 1]]
+        for (e, _, _, _), deficits in zip(items, _scaled(
+                factors, primes, exps, table.lcm, items)):
+            if deficits:
+                i = factors.s - e
+                violations.append(_violation(
+                    factors, i, k, table.a(i, k), e, deficits))
+    return InclusionReport(len(table.pole_ks) * table.s, tuple(violations))
+
+
+def _form_deficits(factors: ArithmeticFactors, e: int, value: Fraction):
+    """``_scaled`` of phi**-1 d**e value for a nonzero Fraction value."""
+    den = factorize(value.denominator)
+    return _scaled(factors, tuple(den), tuple(-k for k in den.values()), None,
+                   [(e, 0, 0, value.numerator)])[0]
 
 
 def verify_form_inclusions(result: DecompositionResult,
@@ -200,8 +280,12 @@ def verify_form_inclusions(result: DecompositionResult,
 
     Odd i are vacuous (a_i = 0 exactly) and are recorded as passing.
     """
-    return _inclusion_report(
-        factors, ((i, None, ai) for i, ai in enumerate(result.a)))
+    violations = []
+    for i, ai in enumerate(result.a):
+        if ai and (deficits := _form_deficits(factors, factors.s - i, ai)):
+            violations.append(_violation(factors, i, None, ai,
+                                         factors.s - i, deficits))
+    return InclusionReport(len(result.a), tuple(violations))
 
 
 class InclusionError(ArithmeticError):
@@ -214,12 +298,12 @@ def integer_linear_form(result: DecompositionResult,
     phi**-1 d**s r = A_0 + sum A_i beta(i), plus a description of the scale.
     """
     s = factors.s
-    indices = [0] + result.beta_indices
-    scaled = _scaled(factors, [(s, result.a[i]) for i in indices])
+    d, phi = factors.d.value(), factors.phi.value()
     out = []
-    for i, v in zip(indices, scaled):
-        if v.denominator != 1:
+    for i in [0] + result.beta_indices:
+        ai = result.a[i]
+        if ai and _form_deficits(factors, s, ai):
             raise InclusionError(f"a_{i} does not scale to an integer")
-        out.append(int(v))
+        out.append(ai.numerator * d ** s // (ai.denominator * phi))
     desc = f"phi^-1 d_{result.profile.d_index}^{s} r_n with phi={factors.phi}"
     return tuple(out), desc

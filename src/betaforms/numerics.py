@@ -127,17 +127,26 @@ def build_profile_rep(profile: Profile) -> LinearProductRep:
 def _moment_bound(table: PartialFractionTable) -> tuple[int, int]:
     """(b, e) with B = sum |c_ik| / X_k**i <= b / 2**e: one ceiling
     division per entry |c| 2**i / y**i, y = 2 X_k, at the scale e that
-    puts the largest near 2**64 units by bit lengths.  No Fraction sums;
-    a pole at t >= 0 raises."""
-    x2, terms = int(2 * table.pole_offset), []
-    for row, k in zip(table.rows, table.pole_ks):
+    puts the largest near 2**64 units by its exact floor(log2), so that
+    (b, e) does not depend on how the entries are reduced.  No Fraction
+    sums; a pole at t >= 0 raises."""
+    x2, terms, powers = int(2 * table.pole_offset), [], table.lcm_powers
+    for k, scale, cofactor, order, row in zip(
+            table.pole_ks, table.scales, table.cofactors, table.orders,
+            table.rows):
         y = x2 + 2 * k
         if y <= 0 and any(row):
             raise ValueError("the series must start right of every pole")
-        terms += [(abs(c.numerator) << i, c.denominator * y ** i)
-                  for i, c in enumerate(row, 1) if c]
-    e = 64 - max((u.bit_length() - v.bit_length() for u, v in terms),
-                 default=0)
+        # |c| 2**i / y**i = |scale row| / (cofactor L**(order - i) y**i)
+        terms += [(abs(scale * c), cofactor * powers[order - i] * y ** i)
+                  for i, c in enumerate(row[:order], 1) if c]
+    # floor(log2(u/v)) is the bit-length gap g or g - 1
+    gaps = [u.bit_length() - v.bit_length() for u, v in terms]
+    top = max(gaps, default=-1)
+    if terms and not any(g == top and (u >> g if g >= 0 else u << -g) >= v
+                         for (u, v), g in zip(terms, gaps)):
+        top -= 1
+    e = 63 - top
     return sum(-(-(u << max(e, 0)) // (v << max(-e, 0))) for u, v in terms), e
 
 
@@ -148,13 +157,13 @@ def _term_ratios(rep: LinearProductRep,
     E >= sum |c_k| |A_k - a_k 2**p| for the floored terms A_k of
     ``_chebyshev_pass`` at every p.
 
-    u and v are the products of 2(nu - x) over the roots x of
+    u and v are the products of 2 nu - X over the doubled roots X of
     ``rep.step_ratio()``; a zero of either, where the terms meet a root of
     f, raises.  A_0 errs by under 1, and floor(A_k u / v) by |u|/v times
     A_k's error plus under 1, so e_0 = 1 and e_{k+1} = ceil(e_k |u| / v)
     + 1 bound the errors, whatever p is.
     """
-    ups, downs = ([int(-2 * x) for x in roots] for roots in rep.step_ratio())
+    ups, downs = ([-x for x in roots] for roots in rep.step_ratio())
     ratios, e, error = [], 1, abs(weights[0])
     for nu2, c in zip(range(0, 2 * len(weights), 2), weights[1:]):
         u = math.prod(nu2 + a for a in ups)

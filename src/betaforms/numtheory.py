@@ -128,6 +128,38 @@ def lcm_up_to(m: int) -> FactoredInteger:
     return FactoredInteger.from_dict(factors)
 
 
+def valuation(m: int, p: int) -> int:
+    """The exponent of the prime p in the integer m != 0: binary digits
+    from the largest p**(2**k) dividing m down."""
+    if not m:
+        raise ValueError("0 has no valuation")
+    powers = []
+    q = p
+    while m % q == 0:
+        powers.append(q)
+        q *= q
+    v = 0
+    for k in range(len(powers) - 1, -1, -1):
+        q, r = divmod(m, powers[k])
+        if not r:
+            m, v = q, v + (1 << k)
+    return v
+
+
+def factorize(m: int) -> dict[int, int]:
+    """The prime factorization of m >= 1 by trial division, ascending."""
+    out = {}
+    p = 2
+    while p * p <= m:
+        while m % p == 0:
+            out[p] = out.get(p, 0) + 1
+            m //= p
+        p += 1 if p == 2 else 2
+    if m > 1:
+        out[m] = 1
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Carry functions
 # ---------------------------------------------------------------------------

@@ -5,23 +5,29 @@ Every profile's rational function comes from one builder,
 ``build_general``: a proper ``scalar * prod (t - r)**m / prod (t - r')**m'``
 with integer numerator roots, one half-integer numerator root and
 half-integer poles (the basic family is the case eta = (3, 1, ..., 1)).
-The expansion takes any such product whose roots are integers or
-half-integers and whose poles are all integers or all half-integers.
-Partial-fraction coefficients are extracted per pole from the co-factor's
-Taylor series, split by root class.  The roots not in the poles' class
-are numerator roots, and their part is an integer polynomial.  The roots
-in the poles' class give the rest as the exponential of its logarithm:
-the power sums of the reciprocal root distances, scaled to integers by
-twice the lcm up to half their span, feed an integer recurrence.  The two
-parts meet in one integer convolution, and each coefficient costs one
-exact division at the end.  Poles are swept from the highest down, and
-moving from one pole to the next changes both parts only at the ends of
-each run of consecutive roots, so they are updated, not rebuilt: the
-power sums at the boundary terms, the polynomial by exact multiplications
-and low-end divisions by linear factors.  Every profile's function is
-well-poised: a reflection of t maps both root sets onto themselves, so
-the sweep stops at the middle pole and the other half of the table is its
-mirror image.  No floating point enters this module.
+Roots are kept doubled, as integers.  The expansion takes any such
+product whose roots are integers or half-integers and whose poles are all
+integers or all half-integers.  Partial-fraction coefficients are
+extracted per pole from the co-factor's Taylor series, split by root
+class.  The roots not in the poles' class are numerator roots, and their
+part is an integer polynomial.  The roots in the poles' class give the
+rest as the exponential of its logarithm: the power sums of the
+reciprocal root distances, scaled to integers by twice the lcm up to half
+their span, feed an integer recurrence.  The two parts meet in one
+integer convolution.  No coefficient is reduced: each is an integer over
+a denominator known in factored form, because the pole's rational scale
+(the scalar times the product of the root distances, less the content
+known to divide the polynomial) is kept as exponents over the primes up to
+the roots' span and slides from pole to pole with them.  Poles are swept
+from the highest down, and moving from one pole to the next changes every
+part only at the ends of each run of consecutive roots, so they are
+updated, not rebuilt: the power sums and the scale's exponents at the
+boundary terms, the polynomial by exact multiplications and low-end
+divisions by linear factors.  Every profile's function is well-poised: a
+reflection of t maps both root sets onto themselves, so the sweep stops
+at the middle pole and the other half of the table is its mirror image.
+No floating point enters this module, and no gcd outside the reduced
+views of a table.
 """
 
 from __future__ import annotations
@@ -29,44 +35,49 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 
 from ._records import frozen
+from .numtheory import FactoredInteger, factorize, lcm_up_to, valuation
 from .profiles import Profile, section2
-
-_HALF = Fraction(1, 2)
 
 
 @frozen
 class LinearProductRep:
-    """scalar * prod (t - r)**mult / prod (t - r')**mult'.
+    """scalar * prod (t - R/2)**mult / prod (t - R'/2)**mult'.
 
-    Roots are exact rationals with denominator 1 or 2.  Equal roots are
-    merged; numerator and denominator are *not* cross-cancelled, so a pole's
-    nominal multiplicity can exceed its true order (the leading expansion
-    coefficients are then exact zeros).
+    Roots are kept doubled, as the integers R = 2r: every root is an
+    integer or a half-integer.  Equal roots are merged; numerator and
+    denominator are *not* cross-cancelled, so a pole's nominal multiplicity
+    can exceed its true order (the leading expansion coefficients are then
+    exact zeros).
     """
 
     scalar: Fraction
-    num_roots: tuple[tuple[Fraction, int], ...]
-    den_roots: tuple[tuple[Fraction, int], ...]
+    num_roots: tuple[tuple[int, int], ...]
+    den_roots: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         for roots in (self.num_roots, self.den_roots):
             seen = set()
             for r, m in roots:
-                if (2 * r).denominator != 1:
-                    raise ValueError(f"root {r} is not a half-integer")
+                if type(r) is not int:
+                    raise ValueError(f"doubled root {r!r} is not an integer")
                 if m < 1 or r in seen:
                     raise ValueError("roots must be distinct with mult >= 1")
                 seen.add(r)
 
     @classmethod
     def build(cls, scalar, num_roots, den_roots) -> "LinearProductRep":
+        """The rep of (root, mult) pairs whose roots are rationals with
+        denominator 1 or 2."""
         def merge(pairs):
-            acc: dict[Fraction, int] = {}
+            acc: dict[int, int] = {}
             for r, m in pairs:
-                r = Fraction(r)
-                acc[r] = acc.get(r, 0) + m
+                r2 = 2 * Fraction(r)
+                if r2.denominator != 1:
+                    raise ValueError(f"root {r} is not a half-integer")
+                acc[r2.numerator] = acc.get(r2.numerator, 0) + m
             return tuple(sorted(acc.items()))
         return cls(Fraction(scalar), merge(num_roots), merge(den_roots))
 
@@ -85,52 +96,85 @@ class LinearProductRep:
     def evaluate(self, t) -> Fraction:
         """Exact value at a non-pole rational t (ZeroDivisionError at poles)."""
         t = Fraction(t)
-        p, q2 = t.numerator, 2 * t.denominator
+        p, q, q2 = t.numerator, t.denominator, 2 * t.denominator
         num = 1
         for r, m in self.num_roots:
-            num *= (2 * p - int(2 * r) * t.denominator) ** m
+            num *= (2 * p - r * q) ** m
         den = 1
         for r, m in self.den_roots:
-            den *= (2 * p - int(2 * r) * t.denominator) ** m
+            den *= (2 * p - r * q) ** m
         gap = self.degree_gap
         if gap >= 0:
             return self.scalar * Fraction(num * q2 ** gap, den)
         return self.scalar * Fraction(num, den * q2 ** (-gap))
 
-    def step_ratio(self) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-        """Roots (p, q), as many of each, with f(t+1)/f(t) = prod(t-p)/prod(t-q).
+    def step_ratio(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Doubled roots (P, Q), as many of each, with
+        f(t+1)/f(t) = prod(t - P/2)/prod(t - Q/2).
 
-        A run lo..hi of consecutive roots (``_layers``) telescopes to
-        (t+1-lo)/(t-hi).
+        A run lo..hi of consecutive doubled roots (``_layers``) telescopes
+        to (t + 1 - lo/2)/(t - hi/2).
         """
         sides = ([], [])
         for roots, flip in ((self.num_roots, 0), (self.den_roots, 1)):
-            for lo, hi in _layers({int(2 * r): m for r, m in roots}):
-                sides[flip].append(Fraction(lo - 2, 2))
-                sides[1 - flip].append(Fraction(hi, 2))
+            for lo, hi in _layers(dict(roots)):
+                sides[flip].append(lo - 2)
+                sides[1 - flip].append(hi)
         return tuple(sides[0]), tuple(sides[1])
 
 
 @frozen
 class PartialFractionTable:
-    """Exact coefficients a[i][k] of (t + k + pole_offset)**(-i).
+    """Exact coefficients a[i][k] of (t + k + pole_offset)**(-i), each an
+    integer over a denominator known in factored form.
 
-    ``rows[idx][i-1]`` is a_{i, pole_ks[idx]} for i = 1..s; entries above a
-    pole's true order are exact zeros, so sums may run uniformly to s.
+    Pole ``pole_ks[idx]`` has true order ``orders[idx]`` and the scale
+    ``scales[idx] / cofactors[idx]``, a fraction in lowest terms whose
+    exponent at each prime of ``primes`` is ``valuations[idx]`` (the
+    cofactor has no other prime).  For i up to the order,
+    a_{i,k} = scale rows[idx][i-1] / (cofactor L**j 2**i) with
+    j = order - i and L = ``lcm``, whose primes are among ``primes``.
+    Entries above the order are exact zeros, so sums may run uniformly to
+    s.  ``fraction`` gives an entry unreduced, ``a`` and ``entries``
+    reduced.
     """
 
     s: int
     pole_ks: tuple[int, ...]
     pole_offset: Fraction
-    rows: tuple[tuple[Fraction, ...], ...]
+    lcm: FactoredInteger
+    primes: tuple[int, ...]
+    orders: tuple[int, ...]
+    scales: tuple[int, ...]
+    cofactors: tuple[int, ...]
+    valuations: tuple[tuple[int, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def lcm_powers(self) -> list[int]:
+        """L**j for j = 0..s."""
+        powers, lcm = [1], self.lcm.value()
+        for _ in range(self.s):
+            powers.append(powers[-1] * lcm)
+        return powers
+
+    def fraction(self, idx: int, i: int) -> tuple[int, int]:
+        """(N, D), entry i at pole ``pole_ks[idx]`` as N/D, not reduced;
+        D = 1 above the pole's order."""
+        n = self.scales[idx] * self.rows[idx][i - 1]
+        j = self.orders[idx] - i
+        if j < 0:
+            return n, 1
+        return n, self.cofactors[idx] * self.lcm_powers[j] << i
 
     def a(self, i: int, k: int) -> Fraction:
-        return self.rows[self.pole_ks.index(k)][i - 1]
+        return Fraction(*self.fraction(self.pole_ks.index(k), i))
 
     def entries(self):
+        """(i, k, a_{i,k}) for every entry, each a reduced Fraction."""
         for idx, k in enumerate(self.pole_ks):
             for i in range(1, self.s + 1):
-                yield i, k, self.rows[idx][i - 1]
+                yield i, k, Fraction(*self.fraction(idx, i))
 
 
 def _layers(mult: dict[int, int]) -> list[tuple[int, int]]:
@@ -149,10 +193,81 @@ def _layers(mult: dict[int, int]) -> list[tuple[int, int]]:
     return [run for parity in (0, 1) for run in zip(starts[parity], ends[parity])]
 
 
-def _add_power_sums(sums: list[int], pole: int, weights, lcm: int) -> Fraction:
+class _FactoredRatio:
+    """A nonzero rational ``num/den`` in lowest terms with its exponent
+    ``exps[p]`` at every prime p up to ``len(lpf) - 1`` (and at the primes
+    of ``den``), multiplied by powers of integers up to that bound without
+    a gcd: ``lpf`` is a least-prime-factor table that factors each one.
+    """
+
+    def __init__(self, num: int, den: int, exps: dict[int, int], lpf):
+        self.num, self.den, self.exps, self.lpf = num, den, exps, lpf
+
+    @classmethod
+    def of(cls, value: Fraction, lpf) -> "_FactoredRatio":
+        """``value`` factored over the primes up to ``len(lpf) - 1`` and
+        every prime of its denominator."""
+        num, den = value.numerator, value.denominator
+        exps = {p: valuation(num, p)
+                for p in range(2, len(lpf)) if lpf[p] == p}
+        for p, e in factorize(den).items():
+            exps[p] = exps.get(p, 0) - e
+        return cls(num, den, exps, lpf)
+
+    def copy(self) -> "_FactoredRatio":
+        return _FactoredRatio(self.num, self.den, dict(self.exps), self.lpf)
+
+    def times(self, a: int, w: int) -> None:
+        """Multiply by a**w for an integer 0 < |a| < len(lpf)."""
+        if a < 0 and w % 2:
+            self.num = -self.num
+        for p, e in _prime_powers(a, self.lpf):
+            self.shift(p, e * w)
+
+    def shift(self, p: int, e: int) -> None:
+        """Multiply by p**e for a prime p of ``exps``."""
+        old = self.exps[p]
+        new = self.exps[p] = old + e
+        up = max(new, 0) - max(old, 0)
+        down = max(-new, 0) - max(-old, 0)
+        if up > 0:
+            self.num *= p ** up
+        elif up < 0:
+            self.num //= p ** -up
+        if down > 0:
+            self.den *= p ** down
+        elif down < 0:
+            self.den //= p ** -down
+
+
+def _prime_powers(a: int, lpf):
+    """(p, e) for each prime power p**e exactly dividing |a|, 0 < |a| <
+    len(lpf), by the least-prime-factor table ``lpf``."""
+    a = abs(a)
+    while a > 1:
+        p, e = lpf[a], 0
+        while a % p == 0:
+            a //= p
+            e += 1
+        yield p, e
+
+
+def _least_prime_factors(limit: int) -> list[int]:
+    """lpf[m] = the least prime factor of m, for 2 <= m <= limit."""
+    lpf = list(range(limit + 1))
+    for p in range(2, math.isqrt(limit) + 1):
+        if lpf[p] == p:
+            for m in range(p * p, limit + 1, p):
+                if lpf[m] == m:
+                    lpf[m] = p
+    return lpf
+
+
+def _add_power_sums(sums: list[int], pole: int, weights, lcm: int,
+                    ratio: _FactoredRatio) -> None:
     """``sums[k] += w (lcm / (pole - R))**k`` for k >= 1 and every ``(R, w)``
-    with ``R != pole``; returns ``prod (pole - R)**w`` over the same terms."""
-    up = down = 1
+    with ``R != pole``, and ``ratio`` times ``prod (pole - R)**w`` over the
+    same terms."""
     for r, w in weights:
         a = pole - r
         if a == 0 or w == 0:
@@ -162,11 +277,7 @@ def _add_power_sums(sums: list[int], pole: int, weights, lcm: int) -> Fraction:
         for k in range(1, len(sums)):
             power *= q
             sums[k] += power
-        if w > 0:
-            up *= a ** w
-        else:
-            down *= a ** -w
-    return Fraction(up, down)
+        ratio.times(a, w)
 
 
 def _reflection(num: dict[int, int], den: dict[int, int]) -> int | None:
@@ -229,18 +340,28 @@ def partial_fractions(rep: LinearProductRep) -> PartialFractionTable:
       ``j E_j = sum_{k=1..j} (-1)**(k+1) T_k E_{j-k}``.
 
     With ``X_j = sum_{a+b=j} (L**a g_odd_a) E_b`` the order-(j + z)
-    coefficient is ``scalar g_even(0) 2**(gap + j + z) X_j / L**j``, one
-    exact division.  L covers only the same-parity distances, so it is far
-    smaller than the lcm over all of them (91 bits against 532 at theorem1
-    n = 6), and the integers carry that much less content that the final
-    gcd would throw away.
+    coefficient, entry i = order - j, is
+    ``scalar g_even(0) 2**(gap + j + z) X_j / L**j``, and
+    gap + j + z = degree_gap - i.  L covers only the same-parity distances,
+    so it is far smaller than the lcm over all of them (91 bits against 532
+    at theorem1 n = 6).  No entry is reduced.  Every coefficient of g has
+    v_p(g_a) >= v_p(g(0)) - a lambda_p, where p**lambda_p <= the span of
+    all roots bounds v_p of every distance, so the content
+    ``G = prod p**max(0, v_p(g_odd(0)) - (s - 1)(lambda_p - v_p(L)))``
+    divides every ``L**a g_odd_a``, a < s, and the table stores
+    ``X_j / G``.  The pole's scale ``scalar 2**degree_gap g_even(0) G`` is
+    kept as a fraction in lowest terms with its exponent at every prime up
+    to that span, which a least-prime-factor table reads off each distance
+    (``_FactoredRatio``); its denominator is the entry's cofactor, and the
+    entry is ``scale (X_j / G) / (cofactor L**j 2**i)``.
 
     Poles are visited from the highest down.  The step from P + 2 to P
-    moves every root one place, so the T_k, g_even(0) and g_odd change only
-    at the roots of f(t + 1)/f(t) (``rep.step_ratio()``): g_odd is
-    multiplied by each factor that enters and divided, exactly from the low
-    end, by each that leaves (the untruncated product holds it).  Where the
-    pole grid has a gap both parts are built afresh over all roots.
+    moves every root one place, so the T_k, the exponents of g_even(0) and
+    g_odd(0) and g_odd change only at the roots of f(t + 1)/f(t)
+    (``rep.step_ratio()``): g_odd is multiplied by each factor that enters
+    and divided, exactly from the low end, by each that leaves (the
+    untruncated product holds it).  Where the pole grid has a gap every
+    part is built afresh over all roots.
 
     Before the sweep, at a cost of O(roots), the reflection R -> C - R
     with C = min + max of the doubled poles is checked exactly
@@ -257,48 +378,79 @@ def partial_fractions(rep: LinearProductRep) -> PartialFractionTable:
     degree_gap = rep.degree_gap
     if degree_gap < 1:
         raise ValueError("representation must be proper (gap >= 1)")
-    offset = _HALF if any(r.denominator == 2 for r, _ in rep.den_roots) else Fraction(0)
-    num = {int(2 * r): m for r, m in rep.num_roots}
-    den = {int(2 * r): m for r, m in rep.den_roots}
+    if not rep.scalar:
+        raise ValueError("the scalar must be nonzero")
+    num, den = dict(rep.num_roots), dict(rep.den_roots)
     poles = sorted(den.items(), reverse=True)
-    pole_ks = [-Fraction(pole, 2) - offset for pole, _ in poles]
-    if any(k.denominator != 1 for k in pole_ks):
+    parity = poles[0][0] % 2
+    if any(pole % 2 != parity for pole in den):
         raise ValueError("pole grid mixes integer and half-integer roots")
     mirror = _reflection(num, den)
-    parity = poles[0][0] % 2
     net = dict(num)
     for r, m in den.items():
         net[r] = net.get(r, 0) - m
     # c(R) - c(R + 2), the window's change from pole P + 2 to P at the term R
     ups, downs = rep.step_ratio()
-    steps = Counter(int(2 * q) for q in downs)
-    steps.subtract(int(2 * p) for p in ups)
+    steps = Counter(downs)
+    steps.subtract(ups)
     even = [(r, c) for r, c in net.items() if r % 2 == parity]
     odd = [(r, c) for r, c in net.items() if r % 2 != parity]
     even_steps = [(r, c) for r, c in steps.items() if r % 2 == parity]
     odd_steps = [(r, c) for r, c in steps.items() if r % 2 != parity]
     span = max(r for r, _ in even) - min(r for r, _ in even)
-    lcm = 2 * math.lcm(*range(1, span // 2 + 1))
+    lcm_exps = dict(lcm_up_to(max(span // 2, 1)).factors)
+    lcm_exps[2] = lcm_exps.get(2, 0) + 1
+    lcm = FactoredInteger.from_dict(lcm_exps)
+    lcm_value = lcm.value()
     s = max(den.values())
     lcm_powers = [1]
     for _ in range(1, s):
-        lcm_powers.append(lcm_powers[-1] * lcm)
-    rows = {}
+        lcm_powers.append(lcm_powers[-1] * lcm_value)
+    # every |P - R| is at most the full span of the roots
+    lpf = _least_prime_factors(max(max(net) - min(net), 2))
+    scalar = _FactoredRatio.of(rep.scalar, lpf)
+    scalar.shift(2, degree_gap)
+    primes = tuple(p for p in scalar.exps if p < len(lpf))
+    # v_p(L**a g_odd_a) >= v_p(g_odd(0)) - a (floor(log_p span) - v_p(L))
+    slack = {}
+    for p in primes:
+        power, slack[p] = p, -(s - 1) * lcm_exps.get(p, 0)
+        while power < len(lpf):
+            power, slack[p] = power * p, slack[p] + s - 1
+    found = {}
     prev = None
     for pole, mult in poles:
         if mirror is not None and 2 * pole < mirror:
             break
         if prev is not None and pole == prev - 2:
             # P + 2 is a root, so each boundary term has |P - R| <= span
-            scaled_g0 *= _add_power_sums(sums, pole, even_steps, lcm)
+            _add_power_sums(sums, pole, even_steps, lcm_value, g0)
+            touched = set()
             for r, c in odd_steps:
                 g_odd = _times_linear(g_odd, pole - r, c)
+                for p, e in _prime_powers(pole - r, lpf):
+                    odd_exps[p] += c * e
+                    touched.add(p)
         else:
             sums = [0] * s  # sums[k] = T_k for k = 1..s-1
-            scaled_g0 = rep.scalar * _add_power_sums(sums, pole, even, lcm)
+            g0 = scalar.copy()
+            _add_power_sums(sums, pole, even, lcm_value, g0)
             g_odd = [1] + [0] * (s - 1)
+            odd_exps = dict.fromkeys(primes, 0)
+            content, common = dict.fromkeys(primes, 0), 1
             for r, c in odd:
                 g_odd = _times_linear(g_odd, pole - r, c)
+                for p, e in _prime_powers(pole - r, lpf):
+                    odd_exps[p] += c * e
+            touched = primes
+        # the content g_odd(0) / prod p**slack_p moves from g_odd to g0
+        for p in touched:
+            step = max(odd_exps[p] - slack[p], 0) - content[p]
+            if step:
+                content[p] += step
+                g0.shift(p, step)
+                common = (common * p ** step if step > 0
+                          else common // p ** -step)
         prev = pole
         z = num.get(pole, 0)
         order = mult - z  # the nonzero coefficients at this pole
@@ -309,22 +461,28 @@ def partial_fractions(rep: LinearProductRep) -> PartialFractionTable:
                 term = sums[i] * e[j - i]
                 acc += term if i % 2 else -term
             e.append(acc // j)
-        odd_scaled = [g * p for g, p in zip(g_odd[:order], lcm_powers)]
-        gap = degree_gap - mult
-        coeffs = [Fraction(0)] * s
+        odd_scaled = []
+        for g, power in zip(g_odd[:order], lcm_powers):
+            q, rem = divmod(g * power, common)
+            if rem:
+                raise ArithmeticError("g_odd lost its known content")
+            odd_scaled.append(q)
+        row = [0] * s
         for j in range(order):
-            x = sum(odd_scaled[i] * e[j - i] for i in range(j + 1))
-            shift = gap + j + z  # the power of 2; a negative one divides
-            coeffs[mult - 1 - j - z] = Fraction(
-                scaled_g0.numerator * x << max(shift, 0),
-                lcm_powers[j] * scaled_g0.denominator << max(-shift, 0))
-        rows[pole] = tuple(coeffs)
-    for pole, _ in poles[len(rows):]:
+            row[order - j - 1] = sum(odd_scaled[i] * e[j - i]
+                                     for i in range(j + 1))
+        found[pole] = (order, g0.num, g0.den, tuple(g0.exps.values()),
+                       tuple(row))
+    for pole, _ in poles[len(found):]:
         # i = idx + 1; entry i changes sign when i + gap is odd
-        rows[pole] = tuple(-c if (idx + degree_gap) % 2 == 0 else c
-                           for idx, c in enumerate(rows[mirror - pole]))
-    return PartialFractionTable(s, tuple(int(k) for k in pole_ks), offset,
-                                tuple(rows[pole] for pole, _ in poles))
+        order, num, cofactor, valuations, row = found[mirror - pole]
+        found[pole] = (order, num, cofactor, valuations, tuple(
+            -c if (idx + degree_gap) % 2 == 0 else c
+            for idx, c in enumerate(row)))
+    columns = zip(*(found[pole] for pole, _ in poles))
+    return PartialFractionTable(
+        s, tuple(-(pole + parity) // 2 for pole, _ in poles),
+        Fraction(parity, 2), lcm, tuple(scalar.exps), *columns)
 
 
 # ---------------------------------------------------------------------------
@@ -339,13 +497,13 @@ def build_section2(s: int, n: int) -> LinearProductRep:
 
 def build_general(profile: Profile) -> LinearProductRep:
     """Shifted factorial quotient with half-integer poles, from the
-    profile's shape data."""
+    profile's shape data, in doubled roots."""
     h0 = profile.h0
-    scalar = 2 * profile.gamma
-    num = [(Fraction(-h0, 2), 1)]
-    num += [(Fraction(-j), 1) for j in range(1, h0)]
+    num = Counter(range(2 - 2 * h0, 0, 2))  # t = -1, ..., -(h0 - 1)
+    num[-h0] += 1
     poles = Counter()  # pole k, at t = -(k + 1/2): its multiplicity
     for ej in profile.shape[1:]:
         poles.update(range(ej * profile.n, h0 - ej * profile.n))
-    den = [(-(k + _HALF), m) for k, m in poles.items()]
-    return LinearProductRep.build(scalar, num, den)
+    return LinearProductRep(2 * profile.gamma, tuple(sorted(num.items())),
+                            tuple(sorted((-2 * k - 1, m)
+                                         for k, m in poles.items())))

@@ -4,11 +4,13 @@ The package ships what ``betaforms run`` and the library calls need.  What
 is here serves the tests as closed forms, identities and independent
 estimates to hold the package to: the paper's section-2 function in its
 own coordinates, the remark-1 variant and its denominator probe, the elementary binomial blocks, the top-coefficient
-closed form, the reflection symmetry of a table, the full pole sweep that
-mirrored tables are held to, a rep's scalar multiple and shift, the hypergeometric
-parameters, pointwise reconstruction of a table, the Fraction inner sum,
-a Sturm root count, Euler's gamma from mpmath, the one-point digamma and
-a Monte Carlo estimate of the integral form.
+closed form, the reflection symmetry of a table, tables of reduced
+Fractions and the full pole sweep that mirrored tables are held to, a
+rep's scalar multiple and shift, the hypergeometric parameters, pointwise
+reconstruction of a table, the Fraction integrality kernel that the
+exponent kernel is held to, the Fraction inner sum, a Sturm root count,
+Euler's gamma from mpmath, the one-point digamma and a Monte Carlo
+estimate of the integral form.
 """
 
 from __future__ import annotations
@@ -23,35 +25,52 @@ from betaforms import numtheory
 from betaforms._records import frozen
 from betaforms.asymptotics import _count, _integer_poly, _sturm_chain
 from betaforms.balls import BallReal, floor_log2, working_precision
-from betaforms.decomposition import (ArithmeticFactors, _assemble,
-                                     _inclusion_report)
+from betaforms.decomposition import (ArithmeticFactors, InclusionReport,
+                                     Violation, _assemble)
 from betaforms.numtheory import capital_phi, lcm_up_to
 from betaforms.profiles import Profile, section2
 from betaforms.rationalfn import (LinearProductRep, PartialFractionTable,
-                                  _add_power_sums, _layers,
-                                  partial_fractions)
+                                  _layers, partial_fractions)
 
 _HALF = Fraction(1, 2)
+
+
+@frozen
+class FractionTable:
+    """A partial-fraction table as reduced Fractions, ``rows[idx][i-1]``
+    = a_{i, pole_ks[idx]}: what the reference expansions build, and what
+    ``fraction_table`` reads a package table as."""
+
+    s: int
+    pole_ks: tuple[int, ...]
+    pole_offset: Fraction
+    rows: tuple[tuple[Fraction, ...], ...]
+
+    def a(self, i: int, k: int) -> Fraction:
+        return self.rows[self.pole_ks.index(k)][i - 1]
+
+    def entries(self):
+        for idx, k in enumerate(self.pole_ks):
+            for i in range(1, self.s + 1):
+                yield i, k, self.rows[idx][i - 1]
+
+
+def fraction_table(table: PartialFractionTable) -> FractionTable:
+    """The package table's entries, reduced."""
+    return FractionTable(table.s, table.pole_ks, table.pole_offset, tuple(
+        tuple(table.a(i, k) for i in range(1, table.s + 1))
+        for k in table.pole_ks))
 
 
 # ---------------------------------------------------------------------------
 # Rational functions
 # ---------------------------------------------------------------------------
 
-def reconstruct(table: PartialFractionTable, t) -> Fraction:
+def reconstruct(table, t) -> Fraction:
     """The table's partial-fraction sum at a non-pole rational t, exactly."""
     t = Fraction(t)
-    total = Fraction(0)
-    for idx, k in enumerate(table.pole_ks):
-        base = t + k + table.pole_offset
-        inv = 1 / base
-        power = Fraction(1)
-        for i in range(1, table.s + 1):
-            power *= inv
-            c = table.rows[idx][i - 1]
-            if c:
-                total += c * power
-    return total
+    return sum((c / (t + k + table.pole_offset) ** i
+                for i, k, c in table.entries() if c), Fraction(0))
 
 
 def scaled(rep: LinearProductRep, c) -> LinearProductRep:
@@ -62,24 +81,47 @@ def scaled(rep: LinearProductRep, c) -> LinearProductRep:
 
 def shifted(rep: LinearProductRep, c) -> LinearProductRep:
     """The rep of t -> f(t + c), for a half-integer c."""
-    c = Fraction(c)
+    c2 = 2 * Fraction(c)
+    if c2.denominator != 1:
+        raise ValueError(f"shift {c} is not a half-integer")
+    c2 = c2.numerator
     return LinearProductRep(rep.scalar,
-                            tuple((r - c, m) for r, m in rep.num_roots),
-                            tuple((r - c, m) for r, m in rep.den_roots))
+                            tuple((r - c2, m) for r, m in rep.num_roots),
+                            tuple((r - c2, m) for r, m in rep.den_roots))
 
 
-def full_sweep_partial_fractions(rep: LinearProductRep) -> PartialFractionTable:
+def _power_sums(sums: list[int], pole: int, weights, lcm: int) -> Fraction:
+    """``sums[k] += w (lcm / (pole - R))**k`` for k >= 1 and every ``(R, w)``
+    with ``R != pole``; returns ``prod (pole - R)**w`` over the same terms."""
+    up = down = 1
+    for r, w in weights:
+        a = pole - r
+        if a == 0 or w == 0:
+            continue
+        q = lcm // a
+        power = w
+        for k in range(1, len(sums)):
+            power *= q
+            sums[k] += power
+        if w > 0:
+            up *= a ** w
+        else:
+            down *= a ** -w
+    return Fraction(up, down)
+
+
+def full_sweep_partial_fractions(rep: LinearProductRep) -> FractionTable:
     """``rationalfn.partial_fractions`` as it was before the reflection
-    check: every pole computed by the top-down sweep, none mirrored.  A
-    mirrored table satisfies the reflection identity by construction, so
-    the symmetry tests hold the package's tables to this one.
+    check, in Fractions: every pole computed by the top-down sweep, none
+    mirrored, over the lcm of every root distance.  A mirrored table
+    satisfies the reflection identity by construction, so the symmetry
+    tests hold the package's tables to this one.
     """
     degree_gap = rep.degree_gap
     if degree_gap < 1:
         raise ValueError("representation must be proper (gap >= 1)")
-    offset = _HALF if any(r.denominator == 2 for r, _ in rep.den_roots) else Fraction(0)
-    num = {int(2 * r): m for r, m in rep.num_roots}
-    den = {int(2 * r): m for r, m in rep.den_roots}
+    offset = _HALF if any(r % 2 for r, _ in rep.den_roots) else Fraction(0)
+    num, den = dict(rep.num_roots), dict(rep.den_roots)
     net = dict(num)
     for r, m in den.items():
         net[r] = net.get(r, 0) - m
@@ -103,10 +145,10 @@ def full_sweep_partial_fractions(rep: LinearProductRep) -> PartialFractionTable:
             raise ValueError("pole grid mixes integer and half-integer roots")
         if prev is not None and pole == prev - 2:
             # P + 2 is a root, so each boundary term has |P - R| <= span
-            scaled_g0 *= _add_power_sums(sums, pole, steps.items(), lcm)
+            scaled_g0 *= _power_sums(sums, pole, steps.items(), lcm)
         else:
             sums = [0] * s  # sums[k] = T_k for k = 1..s-1
-            scaled_g0 = rep.scalar * _add_power_sums(sums, pole, net.items(), lcm)
+            scaled_g0 = rep.scalar * _power_sums(sums, pole, net.items(), lcm)
         prev = pole
         z = num.get(pole, 0)
         h = [1] if z < mult else []
@@ -127,7 +169,7 @@ def full_sweep_partial_fractions(rep: LinearProductRep) -> PartialFractionTable:
                 scales[j] * scaled_g0.denominator << max(-e, 0))
         pole_ks.append(int(k))
         rows.append(tuple(coeffs))
-    return PartialFractionTable(s, tuple(pole_ks), offset, tuple(rows))
+    return FractionTable(s, tuple(pole_ks), offset, tuple(rows))
 
 
 def paper_section2_rep(s: int, n: int) -> LinearProductRep:
@@ -165,7 +207,7 @@ def remark1_identity_check(s: int, n: int, t) -> bool:
     return main == variant * extra
 
 
-def symmetry_check(table: PartialFractionTable, reflect_const: int) -> bool:
+def symmetry_check(table, reflect_const: int) -> bool:
     """Check a_{i,k} == (-1)**i * a_{i, reflect_const - k} exactly, all i, k."""
     for i, k, c in table.entries():
         k_ref = reflect_const - k
@@ -234,6 +276,46 @@ def hypergeometric_parameters(profile: Profile):
 
 
 # ---------------------------------------------------------------------------
+# The Fraction integrality kernel
+# ---------------------------------------------------------------------------
+
+def _prime_deficits(denominator: int) -> tuple[tuple[int, int], ...]:
+    out = {}
+    d = denominator
+    p = 2
+    while p * p <= d:
+        while d % p == 0:
+            out[p] = out.get(p, 0) + 1
+            d //= p
+        p += 1 if p == 2 else 2
+    if d > 1:
+        out[d] = out.get(d, 0) + 1
+    return tuple(out.items())  # found in ascending order
+
+
+def fraction_scaled(factors: ArithmeticFactors, pairs) -> list[Fraction]:
+    """phi**-1 d**e v for each (e, v) pair, in Fractions: the package's
+    integrality kernel as it was before it worked from exponents."""
+    d, phi = factors.d.value(), factors.phi.value()
+    scales = {e: Fraction(d) ** e / phi for e in {e for e, _ in pairs}}
+    return [v * scales[e] for e, v in pairs]
+
+
+def fraction_inclusion_report(factors: ArithmeticFactors,
+                              entries) -> InclusionReport:
+    """Check phi**-1 d**(s-i) v in Z for each (i, k, v) entry by
+    ``fraction_scaled``, each violation's deficits by trial division of its
+    denominator; zero entries count as checked and hold."""
+    entries = list(entries)
+    nonzero = [t for t in entries if t[2]]
+    scaled = fraction_scaled(factors, [(factors.s - i, v)
+                                       for i, _, v in nonzero])
+    return InclusionReport(len(entries), tuple(
+        Violation(i, k, v, _prime_deficits(v.denominator))
+        for (i, k, _), v in zip(nonzero, scaled) if v.denominator != 1))
+
+
+# ---------------------------------------------------------------------------
 # Inner sums
 # ---------------------------------------------------------------------------
 
@@ -280,7 +362,7 @@ def remark1_denominator_probe(s: int, n: int) -> Remark1Report:
 
     def clears(index: int) -> bool:
         factors = ArithmeticFactors(lcm_up_to(index), phi, s)
-        return _inclusion_report(factors, [(0, None, a0)]).ok
+        return fraction_inclusion_report(factors, [(0, None, a0)]).ok
 
     dn = clears(n)
     d2n = clears(2 * n)

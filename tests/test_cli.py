@@ -2,8 +2,10 @@ import ast
 import importlib
 import importlib.util
 import json
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import mpmath
 import pytest
@@ -13,7 +15,9 @@ from betaforms.asymptotics import ExponentLedger
 from betaforms.balls import BallReal
 from betaforms.cli import main
 from betaforms.decomposition import InclusionReport, Violation
-from betaforms.numerics import ConsistencyReport
+from betaforms.numerics import ConsistencyReport, build_profile_rep
+from betaforms.profiles import preset
+from betaforms.rationalfn import partial_fractions
 
 from tests.test_numerics import beta_oracle, full_power_enclosure
 
@@ -290,12 +294,35 @@ class TestBenchmarkContract:
     look them up by; a rename in ``src`` must fail here, not in a run."""
 
     @staticmethod
-    def spans():
-        path = Path(__file__).resolve().parent.parent / "perfbench/spans.py"
-        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    def load(name: str):
+        """``perfbench/NAME.py`` as the module ``perfbench_NAME``."""
+        path = Path(__file__).resolve().parent.parent / f"perfbench/{name}.py"
+        spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                      path)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         return module
+
+    @classmethod
+    def spans(cls):
+        return cls.load("spans")
+
+    def test_exact_forms_library_path_passes_the_gate(self, monkeypatch):
+        # the worker's own library calls, not entries built from the
+        # frozen reference; the worker imports spans by its bare name
+        monkeypatch.syspath_prepend(
+            str(Path(__file__).resolve().parent.parent / "perfbench"))
+        worker, gate, spans = (self.load(name)
+                               for name in ("worker", "gate", "spans"))
+        entries = worker._exact_forms([2, 4], lambda: None)
+        problems = gate.check_exact_forms(
+            entries, gate.load_reference("theorem1"), [2, 4])
+        assert problems == {"n=2": [], "n=4": []}
+        tracer = SimpleNamespace(counts=Counter())
+        spans._table_counts(tracer, partial_fractions(
+            build_profile_rep(preset("theorem1", 2))))
+        assert tracer.counts == {"rationalfn.table_entries": 299,
+                                 "rationalfn.max_coeff_bits": 447}
 
     def test_every_traced_name_resolves(self):
         spans = self.spans()

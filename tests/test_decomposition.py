@@ -4,21 +4,23 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from betaforms.decomposition import (ArithmeticFactors, InclusionError,
-                                     _assemble, _inclusion_report,
+from betaforms.decomposition import (ArithmeticFactors, DecompositionResult,
+                                     InclusionError, _assemble,
                                      _tail_correction_sum,
                                      beta_coefficients,
                                      integer_linear_form,
                                      verify_coefficient_inclusions,
                                      verify_form_inclusions)
-from betaforms.numtheory import lcm_up_to
+from betaforms.numtheory import FactoredInteger, lcm_up_to
 from betaforms.profiles import THEOREM1_ETA, general, section2
-from betaforms.rationalfn import (build_general, build_section2,
-                                  partial_fractions)
+from betaforms.rationalfn import (LinearProductRep, build_general,
+                                  build_section2, partial_fractions)
 
 from tests.conftest import SECTION2_SUITE, THEOREM1_NS, suite_profiles
-from tests.reference import inner_sum, remark1_denominator_probe
+from tests.reference import (fraction_inclusion_report, inner_sum,
+                             remark1_denominator_probe)
 from tests.test_numtheory import admissible_general
+from tests.test_rationalfn import linear_product_reps
 
 
 class TestInnerSum:
@@ -72,6 +74,12 @@ def fraction_tail_correction_sum(i, terms):
     return total
 
 
+def tail_correction(i, terms) -> Fraction:
+    """``_tail_correction_sum`` as the one value u / D**i."""
+    u, d = _tail_correction_sum(i, terms)
+    return Fraction(u) / d ** i
+
+
 class TestTailCorrectionSum:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(min_value=1, max_value=14),
@@ -83,14 +91,14 @@ class TestTailCorrectionSum:
     @example(3, [(4, Fraction(1, 3)), (4, Fraction(-2, 7)), (-4, Fraction(5))])
     @example(2, [(-1, Fraction(1)), (1, Fraction(1))])
     def test_matches_the_fraction_inner_sums(self, i, terms):
-        assert (_tail_correction_sum(i, terms)
+        assert (tail_correction(i, terms)
                 == fraction_tail_correction_sum(i, terms))
 
     def test_single_origins(self):
         # c_1 = -2**i, c_-1 = -(-2)**i
-        assert _tail_correction_sum(2, [(1, Fraction(1))]) == -4
-        assert _tail_correction_sum(3, [(-1, Fraction(1))]) == 8
-        assert _tail_correction_sum(2, [(-2, Fraction(1, 2))]) == Fraction(-16, 9)
+        assert tail_correction(2, [(1, Fraction(1))]) == -4
+        assert tail_correction(3, [(-1, Fraction(1))]) == 8
+        assert tail_correction(2, [(-2, Fraction(1, 2))]) == Fraction(-16, 9)
 
 
 class TestBetaCoefficients:
@@ -183,7 +191,7 @@ class TestCoefficientInclusions:
         # the lcm exponent is tight up to slack 1 here; slack 2 must break,
         # and the report carries the exact offending denominators
         b = bundle(section2(5, 4))
-        weak = _inclusion_report(slackened(b.factors, 2), b.table.entries())
+        weak = verify_coefficient_inclusions(b.table, slackened(b.factors, 2))
         assert not weak.ok
         assert all(v.value.denominator > 1 for v in weak.violations)
         for v in weak.violations:
@@ -195,9 +203,67 @@ class TestCoefficientInclusions:
 
     def test_report_is_data_not_exception(self, bundle):
         b = bundle(section2(5, 4))
-        report = _inclusion_report(slackened(b.factors, 3), b.table.entries())
+        report = verify_coefficient_inclusions(b.table,
+                                               slackened(b.factors, 3))
         assert report.checked == len(b.table.pole_ks) * b.table.s
         assert isinstance(str(report), str)
+
+
+def without_top_phi_power(factors: ArithmeticFactors) -> ArithmeticFactors:
+    """The factors with phi's largest prime power removed."""
+    return ArithmeticFactors(factors.d,
+                             FactoredInteger(factors.phi.factors[:-1]),
+                             factors.s)
+
+
+class TestExponentKernel:
+    """The inclusion checks decide from exponents; on theorem1 they must
+    give the report the Fraction kernel gives: the checked count, each
+    violation and its deficits."""
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    @pytest.mark.parametrize("weaken", [
+        lambda f: f, lambda f: slackened(f, 1), without_top_phi_power],
+        ids=["true", "d-exponent-less-one", "phi-top-power-removed"])
+    def test_matches_the_fraction_kernel(self, bundle, n, weaken):
+        b = bundle(general(THEOREM1_ETA, n))
+        factors = weaken(b.factors)
+        assert (verify_coefficient_inclusions(b.table, factors)
+                == fraction_inclusion_report(factors, b.table.entries()))
+        assert (verify_form_inclusions(b.decomposition, factors)
+                == fraction_inclusion_report(
+                    factors, ((i, None, ai)
+                              for i, ai in enumerate(b.decomposition.a))))
+
+    def test_weakened_factors_fail(self, bundle):
+        # the comparison above must see violations, not only passes
+        b = bundle(general(THEOREM1_ETA, 2))
+        weak = slackened(b.factors, 1)
+        assert not verify_coefficient_inclusions(b.table, weak).ok
+        assert not verify_form_inclusions(b.decomposition, weak).ok
+
+    @settings(max_examples=150, deadline=None)
+    @given(linear_product_reps(), st.integers(1, 30),
+           st.dictionaries(st.sampled_from([2, 3, 5, 7, 11, 13, 37, 53]),
+                           st.integers(1, 4), max_size=4),
+           st.integers(0, 8),
+           st.lists(st.fractions(max_denominator=10 ** 6), min_size=4,
+                    max_size=4))
+    # e = s - i < 0 puts d's primes in the denominator, and 5 is a prime
+    # of d and of the scale beyond the table's primes
+    @example(LinearProductRep.build(Fraction(-5, 8), [], [(0, 1)]), 5, {}, 0,
+             [Fraction(0)] * 4)
+    def test_matches_the_fraction_kernel_anywhere(self, rep, index, phi, s,
+                                                  a):
+        factors = ArithmeticFactors(lcm_up_to(index),
+                                    FactoredInteger.from_dict(phi), s)
+        table = partial_fractions(rep)
+        assert (verify_coefficient_inclusions(table, factors)
+                == fraction_inclusion_report(factors, table.entries()))
+        assert (verify_form_inclusions(
+            DecompositionResult(section2(3, 2), tuple(a)), factors)
+                == fraction_inclusion_report(
+                    factors, ((i, None, ai) for i, ai in enumerate(a))))
 
 
 class TestFormInclusions:

@@ -21,7 +21,8 @@ from betaforms.numerics import (_beta_enclosures, _chebyshev_pass,
                                 consistency_check, decomposition_value,
                                 r_n_series)
 from betaforms.profiles import THEOREM1_ETA, general, section2
-from betaforms.rationalfn import (LinearProductRep, build_general,
+from betaforms.rationalfn import (LinearProductRep, PartialFractionTable,
+                                  build_general,
                                   build_section2, partial_fractions)
 
 from tests.conftest import suite_profiles
@@ -246,7 +247,7 @@ class TestBetaSharedPass:
 
 def first_start(rep, shift):
     """The least start whose terms lie right of every root of ``rep``."""
-    roots = [r for r, _ in rep.num_roots + rep.den_roots]
+    roots = [Fraction(r, 2) for r, _ in rep.num_roots + rep.den_roots]
     return math.floor(max(roots) - shift) + 1
 
 
@@ -301,6 +302,40 @@ class TestSeriesKernel:
         assert ev.value.overlaps(four_g)
         assert ev.tail_bound <= Fraction(2) ** -181
         assert ev.value.rad <= Fraction(2) ** -180
+
+    @pytest.mark.parametrize("rep", [
+        build_general(general(THEOREM1_ETA, 2)),
+        # the first example rep of test_rationalfn's TestParitySplit
+        LinearProductRep.build(
+            Fraction(5, 3), [(Fraction(-1, 2), 2), (Fraction(7, 2), 1)],
+            [(Fraction(1, 2), 3), (Fraction(3, 2), 1), (Fraction(-5, 2), 2)])],
+        ids=["theorem1-n2", "parity-split"])
+    def test_moment_bound_does_not_depend_on_reduction(self, rep):
+        table = partial_fractions(started(rep, 0, 0))
+        bound = _moment_bound(table)
+
+        def bit_gaps(t):
+            # bit length of |N| 2**i less that of D y**i, per entry
+            y = [int(2 * t.pole_offset) + 2 * k for k in t.pole_ks]
+            return [(abs(n) << i).bit_length() - (d * y[idx] ** i).bit_length()
+                    for idx in range(len(t.pole_ks))
+                    for i in range(1, t.s + 1)
+                    for n, d in [t.fraction(idx, i)] if n]
+
+        for m in (3, 5):
+            inflated = PartialFractionTable(
+                table.s, table.pole_ks, table.pole_offset, table.lcm,
+                table.primes, table.orders, table.scales,
+                tuple(m * c for c in table.cofactors), table.valuations,
+                tuple(tuple(m * c for c in row) for row in table.rows))
+            assert [Fraction(*inflated.fraction(idx, i)) for idx in
+                    range(len(table.pole_ks)) for i in range(1, table.s + 1)
+                    ] == [Fraction(*table.fraction(idx, i)) for idx in
+                          range(len(table.pole_ks))
+                          for i in range(1, table.s + 1)]
+            # the factor moves some entry's bit lengths across a boundary
+            assert bit_gaps(inflated) != bit_gaps(table)
+            assert _moment_bound(inflated) == bound
 
     @settings(max_examples=40, deadline=None)
     @given(any_rep, shifts, st.integers(0, 30))

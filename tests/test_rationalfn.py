@@ -14,15 +14,16 @@ from betaforms.numerics import build_profile_rep
 from betaforms.numtheory import CarrySpec
 from betaforms.profiles import (ProfileError, THEOREM1_ETA, general,
                                 profile_from_spec, section2)
-from betaforms.rationalfn import (LinearProductRep, PartialFractionTable,
+from betaforms.rationalfn import (LinearProductRep,
                                   _layers, _reflection, _times_linear,
                                   build_general, build_section2,
                                   partial_fractions)
 from betaforms.series import divide_trunc
 
-from tests.reference import (binomial_block_coefficients,
+from betaforms.numtheory import valuation
+from tests.reference import (FractionTable, binomial_block_coefficients,
                              binomial_block_product, build_remark1,
-                             full_sweep_partial_fractions,
+                             fraction_table, full_sweep_partial_fractions,
                              hypergeometric_parameters,
                              paper_section2_rep, reconstruct,
                              remark1_identity_check, scaled,
@@ -44,21 +45,26 @@ def mul_linear(coeffs: list, c, order: int) -> list:
     return out
 
 
+def roots(pairs):
+    """(root, multiplicity) pairs from a rep's doubled roots."""
+    return [(Fraction(r, 2), m) for r, m in pairs]
+
+
 def fraction_partial_fractions(rep):
     """The table by series division in Fraction arithmetic throughout: the
     reference the integer kernel must reproduce entry for entry."""
     half = Fraction(1, 2)
-    offset = half if any(r.denominator == 2 for r, _ in rep.den_roots) else Fraction(0)
-    poles = sorted(rep.den_roots, key=lambda rm: -rm[0] - offset)
+    offset = half if any(r % 2 for r, _ in rep.den_roots) else Fraction(0)
+    poles = sorted(roots(rep.den_roots), key=lambda rm: -rm[0] - offset)
     s = max(m for _, m in rep.den_roots)
     pole_ks, rows = [], []
     for pole_root, mult in poles:
         num = [rep.scalar]
-        for r, m in rep.num_roots:
+        for r, m in roots(rep.num_roots):
             for _ in range(m):
                 num = mul_linear(num, pole_root - r, mult)
         den = [Fraction(1)]
-        for r, m in rep.den_roots:
+        for r, m in roots(rep.den_roots):
             if r == pole_root:
                 continue
             for _ in range(m):
@@ -69,7 +75,7 @@ def fraction_partial_fractions(rep):
             coeffs[i - 1] = g[mult - i]
         pole_ks.append(int(-pole_root - offset))
         rows.append(tuple(coeffs))
-    return PartialFractionTable(s, tuple(pole_ks), offset, tuple(rows))
+    return FractionTable(s, tuple(pole_ks), offset, tuple(rows))
 
 
 def divide_fraction_free(num, den, order):
@@ -93,31 +99,51 @@ def fraction_free_partial_fractions(rep):
     """The table from both co-factor products, built in integers at every
     pole and divided fraction-free: an independent reference fast enough
     for theorem1 at n = 4 and 6, where the Fraction one is not."""
-    offset = (Fraction(1, 2) if any(r.denominator == 2 for r, _ in rep.den_roots)
-              else Fraction(0))
-    poles = sorted(rep.den_roots, key=lambda rm: -rm[0] - offset)
+    offset = Fraction(any(r % 2 for r, _ in rep.den_roots), 2)
+    poles = sorted(rep.den_roots, key=lambda rm: -rm[0])
     s = max(m for _, m in rep.den_roots)
     pole_ks, rows = [], []
-    for pole_root, mult in poles:
-        pole2 = int(2 * pole_root)
+    for pole2, mult in poles:
         num = [1]
         for r, m in rep.num_roots:
             for _ in range(m):
-                num = mul_linear(num, pole2 - int(2 * r), mult)
+                num = mul_linear(num, pole2 - r, mult)
         den = [1]
         for r, m in rep.den_roots:
-            if r == pole_root:
+            if r == pole2:
                 continue
             for _ in range(m):
-                den = mul_linear(den, pole2 - int(2 * r), mult)
+                den = mul_linear(den, pole2 - r, mult)
         gap = rep.den_degree - mult - rep.num_degree
         coeffs = [Fraction(0)] * s
         for j, scaled in enumerate(divide_fraction_free(num, den, mult)):
             coeffs[mult - 1 - j] = (rep.scalar * scaled * Fraction(2) ** (gap + j)
                                     / den[0] ** (j + 1))
-        pole_ks.append(int(-pole_root - offset))
+        pole_ks.append(int(-Fraction(pole2, 2) - offset))
         rows.append(tuple(coeffs))
-    return PartialFractionTable(s, tuple(pole_ks), offset, tuple(rows))
+    return FractionTable(s, tuple(pole_ks), offset, tuple(rows))
+
+
+def assert_factored(table):
+    """Each pole's scale and cofactor have the exponents its valuations
+    claim, and each entry's denominator, multiplied out from its factors
+    2**x L**j cofactor, is the stored one."""
+    lcm = dict(table.lcm.factors)
+    assert lcm.keys() <= set(table.primes)
+    for idx, values in enumerate(table.valuations):
+        exps = dict(zip(table.primes, values))
+        assert table.cofactors[idx] == math.prod(
+            p ** -v for p, v in exps.items() if v < 0)
+        assert all(valuation(table.scales[idx], p) == max(v, 0)
+                   for p, v in exps.items())
+        order = table.orders[idx]
+        assert not any(table.rows[idx][order:])
+        for i in range(1, order + 1):
+            j, x = order - i, i
+            factored = math.prod(
+                p ** (max(-v, 0) + j * lcm.get(p, 0) + (x if p == 2 else 0))
+                for p, v in exps.items())
+            assert factored == table.fraction(idx, i)[1]
 
 
 # Every kind of representation the package builds, kept small enough for
@@ -156,8 +182,7 @@ class TestBuildSection2:
 
     def test_structure_3_2(self):
         rep = build_section2(3, 2)
-        assert rep.den_roots == ((Fraction(-9, 2), 3), (Fraction(-7, 2), 3),
-                                 (Fraction(-5, 2), 3))
+        assert rep.den_roots == ((-9, 3), (-7, 3), (-5, 3))
         assert rep.num_degree == 7
         assert rep.degree_gap == 2
 
@@ -219,7 +244,7 @@ class TestSection2IsTheGeneralFamily:
         assert len(profile.carry_spec.terms()) == 6
         assert profile.pole_ks == range(n, 2 * n + 1)
         assert [r for r, _ in build_section2(s, n).den_roots] == sorted(
-            -(k + Fraction(1, 2)) for k in profile.pole_ks)
+            -(2 * k + 1) for k in profile.pole_ks)
         if s < 5:
             return  # the general family starts at s = 5
         twin = general(profile.shape, n)
@@ -248,7 +273,7 @@ class TestBuildGeneral:
         k_min = min(table.pole_ks)
         assert k_min == profile.N
         n_min = sum(1 for e in THEOREM1_ETA[1:] if e == min(THEOREM1_ETA[1:]))
-        assert dict(rep.den_roots)[-(k_min + Fraction(1, 2))] == n_min == 5
+        assert dict(rep.den_roots)[-(2 * k_min + 1)] == n_min == 5
 
     def test_degree_gap_positive(self):
         for eta, n in [((5, 1, 1, 1, 1, 1), 2), (THEOREM1_ETA, 2)]:
@@ -302,8 +327,15 @@ class TestParitySplit:
         1, [(1, 2), (Fraction(1, 2), 1)], [(1, 3), (0, 1), (2, 1)]))
     def test_matches_the_references(self, rep):
         table = partial_fractions(rep)
-        assert table == full_sweep_partial_fractions(rep)
-        assert table == fraction_partial_fractions(rep)
+        assert_factored(table)
+        reduced = fraction_table(table)
+        assert reduced == full_sweep_partial_fractions(rep)
+        assert reduced == fraction_partial_fractions(rep)
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
+    def test_theorem1_denominators_are_factored(self, n):
+        assert_factored(partial_fractions(
+            build_general(general(THEOREM1_ETA, n))))
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=8),
@@ -372,7 +404,8 @@ class TestPartialFractions:
     @example(build_remark1(7, 6))
     def test_matches_fraction_reference(self, rep):
         table = partial_fractions(rep)
-        assert table == fraction_partial_fractions(rep)
+        assert fraction_table(table) == fraction_partial_fractions(rep)
+        # the reduced view
         assert all(type(c) is Fraction for _, _, c in table.entries())
 
     @pytest.mark.parametrize("n", [4, 6])
@@ -380,7 +413,8 @@ class TestPartialFractions:
         # 45 and 67 poles of multiplicity up to 13: too slow for the
         # Fraction reference
         rep = build_general(general(THEOREM1_ETA, n))
-        assert partial_fractions(rep) == fraction_free_partial_fractions(rep)
+        assert (fraction_table(partial_fractions(rep))
+                == fraction_free_partial_fractions(rep))
 
     def test_improper_rejected(self):
         rep = LinearProductRep.build(1, [(Fraction(5), 1)], [(Fraction(0), 1)])
@@ -426,14 +460,12 @@ class TestPartialFractions:
             assert symmetry_check(table, profile.h0 - 1)
 
     def test_mutated_table_fails_symmetry(self, bundle):
-        from betaforms.rationalfn import PartialFractionTable
-
         b = bundle(section2(3, 2))
-        table, c = b.table, b.profile.h0 - 1
+        table, c = fraction_table(b.table), b.profile.h0 - 1
         rows = [list(r) for r in table.rows]
         rows[0][0] += 1
-        bad = PartialFractionTable(table.s, table.pole_ks, table.pole_offset,
-                                   tuple(tuple(r) for r in rows))
+        bad = FractionTable(table.s, table.pole_ks, table.pole_offset,
+                            tuple(tuple(r) for r in rows))
         assert symmetry_check(table, c)
         assert not symmetry_check(bad, c)
 
@@ -441,8 +473,7 @@ class TestPartialFractions:
 def reflection(rep):
     """``rationalfn._reflection`` of a rep: the doubled mirror constant, or
     None when the sweep must run in full."""
-    return _reflection({int(2 * r): m for r, m in rep.num_roots},
-                       {int(2 * r): m for r, m in rep.den_roots})
+    return _reflection(dict(rep.num_roots), dict(rep.den_roots))
 
 
 def random_profile_reps():
@@ -463,7 +494,8 @@ class TestMirroredPartialFractions:
 
     @staticmethod
     def assert_same_table(rep):
-        assert partial_fractions(rep) == full_sweep_partial_fractions(rep)
+        assert (fraction_table(partial_fractions(rep))
+                == full_sweep_partial_fractions(rep))
 
     def test_profiles_take_the_mirror_and_match_the_full_sweep(self, bundle):
         from tests.conftest import suite_profiles
@@ -573,7 +605,8 @@ class TestHypergeometricParameters:
         # z prod (k + u) / ((k + 1) prod (k + l)); compare roots after cancelling
         s, n, eta = case
         profile = general(eta, n) if eta else section2(s, n)
-        ups, downs = build_profile_rep(profile).step_ratio()
+        ups, downs = ([Fraction(r, 2) for r in side]
+                      for side in build_profile_rep(profile).step_ratio())
         upper, lower, z = hypergeometric_parameters(profile)
 
         def reduced(num, den):

@@ -6,6 +6,7 @@ Usage (from the repository root)::
     python tools/bench_oracle.py --tree change=src --repeat 3
     python tools/bench_oracle.py --tree parent=../parent/src \\
         --tree change=src --repeat 5
+    python tools/bench_oracle.py --tree change=src --large
 
 Each ``--tree LABEL=SRC`` names a directory holding the ``betaforms``
 package.  The tool times only trees that have ``numerics._chebyshev_pass``
@@ -22,20 +23,25 @@ a fifth at that scale).  A tree's run is three fresh interpreters with
   interpreter, and the wall seconds, spawn to exit, of ``python -m
   betaforms.cli run --profile theorem1 --n 2``;
 * the stages (this script with ``--one``): for theorem1 at (n, precision)
-  = (2, 256), (4, 256), (6, 64), (8, 256), (12, 256) and (24, 256),
-  ``rationalfn.partial_fractions`` and ``decomposition.beta_coefficients``
-  (n = 24 is where partial fractions dominate a certificate);
-  then the real constants: ``numtheory.phi_exponent`` (carry table warm),
-  ``asymptotics.r_exponent`` and ``numerics.decomposition_value`` (cold
-  ``beta_value`` cache).  It then times ``numerics.r_n_series`` alone and
-  ``numerics.consistency_check`` (the ``beta_value`` cache cleared first,
-  untimed, so that every tree pays the β pass cold, as a run does), and
-  records every ``numerics.alternating_series_tail`` call either makes as
+  = (2, 256), (4, 256), (6, 64), (8, 256), (12, 256) and (24, 256), the
+  exact certificate stage by stage (``exact_stages``):
+  ``numerics.build_profile_rep``, ``rationalfn.partial_fractions``,
+  ``decomposition.beta_coefficients``, both inclusion checks and
+  ``decomposition.integer_linear_form`` (n = 24 is where partial
+  fractions dominate a certificate); then the real constants:
+  ``numtheory.phi_exponent`` (carry table warm), ``asymptotics.r_exponent``
+  and ``numerics.decomposition_value``, which makes its beta values itself
+  and reads no cache.  It then times ``numerics.r_n_series`` alone and
+  ``numerics.consistency_check`` (which makes its beta values the same
+  way), and records every ``numerics.alternating_series_tail`` call either makes as
   (tbits, N, P): the target 2**-tbits, the size N of the Chebyshev scheme
   and the fixed-point bits P of its pass (``numerics._chebyshev_pass``).
   Last come the ledger ``asymptotics.exponent_ledger`` of section2-s17
   at 256 bits and a cold ``numtheory.carry_min_table`` of theorem1 (its
   cache cleared first; ``phi_exponent`` above runs with the table warm).
+  With ``--large`` the exact certificate of theorem1 at n = 48 and 96
+  follows, stage by stage (about 25 s a tree at n = 96); without it the
+  run keeps its length.
 
 Every timing is recorded as the median, min and max over the rounds.  The
 result, with the machine and Python, goes under ``runs[label]`` of the
@@ -56,6 +62,8 @@ from pathlib import Path
 
 # (n, precision)
 CASES = ((2, 256), (4, 256), (6, 64), (8, 256), (12, 256), (24, 256))
+# the opt-in exact certificates (``--large``)
+LARGE_NS = (48, 96)
 IMPORT_CODE = ("import time; t = time.perf_counter(); import betaforms.cli; "
                "print(time.perf_counter() - t)")
 RUN_ARGV = ("-m", "betaforms.cli", "run", "--profile", "theorem1", "--n", "2",
@@ -109,30 +117,46 @@ def timed_with_tail_calls(numerics, fn) -> tuple[float, list]:
     return elapsed, calls
 
 
+def exact_stages(n: int) -> tuple[dict, tuple]:
+    """Seconds of each exact stage of the theorem1 certificate at n, the
+    lcm and phi factors made first; and the rep, table and decomposition."""
+    from betaforms import decomposition, numerics, rationalfn
+    from betaforms.profiles import THEOREM1_ETA, general
+
+    profile = general(THEOREM1_ETA, n)
+    factors = decomposition.ArithmeticFactors.for_profile(profile)
+    times = {}
+    times["build_s"], rep = seconds(
+        lambda: numerics.build_profile_rep(profile))
+    times["partial_fractions_s"], table = seconds(
+        lambda: rationalfn.partial_fractions(rep))
+    times["beta_coefficients_s"], dec = seconds(
+        lambda: decomposition.beta_coefficients(table, profile))
+    times["coefficient_inclusions_s"], _ = seconds(
+        lambda: decomposition.verify_coefficient_inclusions(table, factors))
+    times["form_inclusions_s"], _ = seconds(
+        lambda: decomposition.verify_form_inclusions(dec, factors))
+    times["integer_form_s"], _ = seconds(
+        lambda: decomposition.integer_linear_form(dec, factors))
+    times["exact_s"] = sum(times.values())
+    return times, (profile, rep, table, dec)
+
+
 def run_case(n: int, precision: int) -> dict:
     from betaforms import numerics
     from betaforms.asymptotics import r_exponent
-    from betaforms.decomposition import beta_coefficients
     from betaforms.numtheory import carry_min_table, phi_exponent
-    from betaforms.profiles import THEOREM1_ETA, general
-    from betaforms.rationalfn import partial_fractions
 
-    profile = general(THEOREM1_ETA, n)
-    rep = numerics.build_profile_rep(profile)
-    table_s, table = seconds(lambda: partial_fractions(rep))
-    dec_s, dec = seconds(lambda: beta_coefficients(table, profile))
+    times, (profile, rep, table, dec) = exact_stages(n)
     carry_min_table(profile.carry_spec)
-    case = {"profile": "theorem1", "n": n, "precision": precision,
-            "partial_fractions_s": table_s, "beta_coefficients_s": dec_s,
+    case = {"profile": "theorem1", "n": n, "precision": precision, **times,
             "phi_exponent_s": seconds(
                 lambda: phi_exponent(profile, precision))[0],
             "r_exponent_s": seconds(lambda: r_exponent(profile, precision))[0],
             "decomposition_value_s": seconds(
-                lambda: numerics.decomposition_value(dec, precision),
-                numerics.beta_value.cache_clear)[0]}
+                lambda: numerics.decomposition_value(dec, precision))[0]}
     series_s, series_calls = timed_with_tail_calls(
         numerics, lambda: numerics.r_n_series(rep, table, precision))
-    numerics.beta_value.cache_clear()
     check_s, check_calls = timed_with_tail_calls(
         numerics, lambda: numerics.consistency_check(dec, rep, table,
                                                      precision))
@@ -163,13 +187,15 @@ def carry_case() -> dict:
         lambda: carry_min_table(spec), carry_min_table.cache_clear)[0]}
 
 
-def run_stages() -> list[dict]:
+def run_stages(large: bool) -> list[dict]:
     """One run of every stage in this interpreter."""
     return ([run_case(n, precision) for n, precision in CASES]
-            + [ledger_case(), carry_case()])
+            + [ledger_case(), carry_case()]
+            + [{"profile": "theorem1", "n": n, **exact_stages(n)[0]}
+               for n in (LARGE_NS if large else ())])
 
 
-def run_tree(src: Path) -> list[dict]:
+def run_tree(src: Path, large: bool) -> list[dict]:
     """One run of the start-up stage and of every stage for one tree."""
     env = {**os.environ, "PYTHONPATH": str(src)}
 
@@ -184,7 +210,8 @@ def run_tree(src: Path) -> list[dict]:
     run_s = time.perf_counter() - t0
     startup = {"stage": "startup", "import_cli_s": import_s,
                "run_theorem1_n2_s": run_s}
-    stages = child(str(Path(__file__).resolve()), "--one")
+    stages = child(str(Path(__file__).resolve()), "--one",
+                   *(["--large"] if large else []))
     return [startup] + json.loads(stages)
 
 
@@ -219,11 +246,14 @@ def main(argv=None) -> None:
     parser.add_argument("--out", type=Path, default=Path("BENCH_oracle.json"))
     parser.add_argument("--repeat", type=int, default=1,
                         help="rounds; median, min and max are kept")
+    parser.add_argument("--large", action="store_true",
+                        help="also time the exact certificate of theorem1 "
+                             f"at n = {' and '.join(map(str, LARGE_NS))}")
     parser.add_argument("--one", action="store_true",
                         help=argparse.SUPPRESS)  # one stage run, as JSON
     args = parser.parse_args(argv)
     if args.one:
-        print(json.dumps(run_stages()))
+        print(json.dumps(run_stages(args.large)))
         return
     if not args.tree:
         parser.error("give at least one --tree LABEL=SRC")
@@ -233,7 +263,7 @@ def main(argv=None) -> None:
     for round_ in range(args.repeat):
         order = args.tree if round_ % 2 == 0 else args.tree[::-1]
         for label, src in order:
-            runs[label].append(run_tree(src))
+            runs[label].append(run_tree(src, args.large))
             startup = runs[label][-1][0]
             print(f"round {round_} {label}: import "
                   f"{startup['import_cli_s']:.3f} s, run "
@@ -242,7 +272,7 @@ def main(argv=None) -> None:
     for label, src in args.tree:
         record.setdefault("runs", {})[label] = {
             "machine": machine(), "repeat": args.repeat,
-            "cases": summarize(runs[label])}
+            "large": args.large, "cases": summarize(runs[label])}
     args.out.write_text(json.dumps(record, indent=2) + "\n")
 
 
