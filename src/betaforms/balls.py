@@ -12,11 +12,12 @@ is exact on the ints; the result's midpoint is then rounded to p
 significant bits and its radius to ``RADIUS_BITS``, and every unit the
 rounding drops is added to the radius (``_ball``).
 
-The transcendentals log, sqrt and cos evaluate at the midpoint in fixed
-point, at scale 2**-wp with wp a little above p, with an error bound in
-units of 2**-wp derived in each kernel's docstring; they then widen by a bound on the
-derivative over the whole ball times the radius.  pi (Machin) and ln 2
-are fixed-point constants cached per scale.
+``BallReal.log`` evaluates at the midpoint in fixed point, at scale
+2**-wp with wp a little above p, then widens by a bound on the
+derivative over the whole ball times the radius.  The fixed-point
+kernels (log, atanh, cos and sin, and pi by Machin and ln 2, cached per
+scale) return an integer with an error bound in units of 2**-wp derived
+in each docstring; ``numtheory`` runs its digamma sums on them directly.
 
 ``nstr`` prints a dyadic rational as mpmath's ``nstr`` prints the same
 value, so the decimal strings of reports read as they always have.
@@ -125,14 +126,6 @@ def _align(a: "BallReal", b: "BallReal") -> tuple[int, int, int, int, int]:
         return a.m, a.r, b.m << s, b.r << s, a.e
     s = a.e - b.e
     return a.m << s, a.r << s, b.m, b.r, b.e
-
-
-def _fixed_point(m: int, e: int, wp: int) -> tuple[int, int]:
-    """(floor(m 2**(e + wp)), 1 if that floor dropped bits else 0)."""
-    if e + wp >= 0:
-        return m << (e + wp), 0
-    c = m >> -(e + wp)
-    return c, int(c << -(e + wp) != m)
 
 
 def _fixed_guard() -> int:
@@ -282,53 +275,6 @@ class BallReal:
         value, err = _log_fixed(m, e, wp)
         return _ball(value, err + _ceil_shift_div(r, wp, m - r), -wp)
 
-    def sqrt(self) -> "BallReal":
-        """sqrt x for a ball with lower end >= 0 (after clipping at 0).
-
-        M = m 2**j with e - j even, so sqrt c = sqrt(M) 2**((e-j)/2)
-        exactly, and sqrt(M) lies in [S, S + 1) for S = isqrt(M).  Every x
-        in the ball has |sqrt x - sqrt c| <= |x - c| / (2 sqrt lower), and
-        sqrt lower >= isqrt((m - r) 2**j) 2**((e-j)/2).  A ball that
-        reaches 0 gives [0, sqrt upper].
-        """
-        m, r, e = self.m, self.r, self.e
-        if m + r < 0:
-            raise ValueError("sqrt of a negative ball")
-        if m + r == 0:
-            return _new(0, 0, 0)
-        if m - r <= 0:
-            return BallReal.from_interval(0, _new(m + r, 0, e).sqrt())
-        wp = max(_prec, m.bit_length()) + _fixed_guard()
-        j = 2 * wp - m.bit_length()
-        j += (e - j) & 1
-        s = math.isqrt(m << j)
-        widen = _ceil_shift_div(r, j, 2 * math.isqrt((m - r) << j))
-        # in half units: midpoint S + 1/2, radius 1/2 + widen
-        return _ball(2 * s + 1, 1 + 2 * widen, (e - j) // 2 - 1)
-
-    def cos(self) -> "BallReal":
-        """cos x.
-
-        c' = floor(c 2**wp) 2**-wp is within d 2**-wp of the midpoint c.
-        With P the fixed pi/2, n = round(c' / (pi/2)) and S = c' 2**wp - n P,
-        |S| 2**-wp <= pi/4 + tiny, and cos evaluates at the point
-        n pi/2 + S 2**-wp, within |n| err(P) 2**-wp of c'; there
-        cos = cos s, -sin s, -cos s, sin s for n = 0, 1, 2, 3 mod 4.
-        |cos'| <= 1, so the radius widens by r 2**e + (d + |n| err(P)) 2**-wp.
-        """
-        m, r, e = self.m, self.r, self.e
-        wp = _prec + _fixed_guard() + max(0, m.bit_length() + e)
-        c, d = _fixed_point(m, e, wp)
-        half_pi, pi_err = _pi(wp - 1)
-        n = (2 * c + half_pi) // (2 * half_pi)
-        s = c - n * half_pi
-        quadrant = n % 4
-        value, err = _cos_sin_fixed(s, wp, quadrant % 2)
-        if quadrant in (1, 2):
-            value = -value
-        widen = _ceil_shift_div(r, e + wp, 1) + d + abs(n) * pi_err
-        return _ball(value, err + widen, -wp)
-
     # -- predicates ----------------------------------------------------------
 
     def contains(self, q) -> bool:
@@ -350,11 +296,6 @@ class BallReal:
 
     def contains_zero(self) -> bool:
         return abs(self.m) <= self.r
-
-
-def ball_pi() -> BallReal:
-    wp = _prec + _fixed_guard()
-    return _ball(*_pi(wp), -wp)
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ._records import frozen
-from .numtheory import (FactoredInteger, capital_phi, factorize, lcm_up_to,
-                        valuation)
+from .numtheory import FactoredInteger, capital_phi, lcm_up_to, valuation
 from .profiles import Profile
 from .rationalfn import PartialFractionTable
 
@@ -66,10 +65,12 @@ def _tail_correction_sum(i: int, terms) -> tuple[int, int]:
 
 @frozen
 class DecompositionResult:
-    """Exact coefficients a_0..a_s of r = a_0 + sum a_i beta(i)."""
+    """Exact coefficients a_0..a_s of r = a_0 + sum a_i beta(i), and each
+    a_i's denominator as ascending (prime, exponent) pairs."""
 
     profile: Profile
     a: tuple[Fraction, ...]
+    denominators: tuple[tuple[tuple[int, int], ...], ...]
 
     @property
     def beta_indices(self) -> list[int]:
@@ -87,6 +88,18 @@ class ArithmeticFactors:
     @classmethod
     def for_profile(cls, profile: Profile) -> "ArithmeticFactors":
         return cls(lcm_up_to(profile.d_index), capital_phi(profile), profile.s)
+
+
+def _factored(den: int, primes) -> tuple[tuple[int, int], ...]:
+    """den > 0 as ascending (prime, exponent) pairs over ``primes``."""
+    out = []
+    for p in primes:
+        if den % p == 0:
+            out.append((p, v := valuation(den, p)))
+            den //= p ** v
+    if den != 1:
+        raise ArithmeticError(f"{den} has a prime factor off the table's")
+    return tuple(out)
 
 
 def _assemble(table: PartialFractionTable, s: int,
@@ -132,14 +145,17 @@ def _assemble(table: PartialFractionTable, s: int,
 
 def beta_coefficients(table: PartialFractionTable, profile: Profile) -> DecompositionResult:
     """Exact linear-form coefficients, each pole's inner sum starting at
-    k minus the centre of the table's pole window."""
+    k minus the centre of the table's pole window.  The denominators' primes
+    (of C, L and d in ``_assemble``) are among the table's primes."""
     if tuple(profile.pole_ks) != table.pole_ks:
         raise ValueError("table poles do not match profile")
     if table.pole_offset != Fraction(1, 2):
         raise ValueError("table poles are not at half-integers")
     centre = (table.pole_ks[0] + table.pole_ks[-1]) // 2
     origins = [k - centre for k in table.pole_ks]
-    return DecompositionResult(profile, _assemble(table, profile.s, origins))
+    a = _assemble(table, profile.s, origins)
+    return DecompositionResult(profile, a, tuple(
+        _factored(x.denominator, table.primes) for x in a))
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +283,12 @@ def verify_coefficient_inclusions(table: PartialFractionTable,
     return InclusionReport(len(table.pole_ks) * table.s, tuple(violations))
 
 
-def _form_deficits(factors: ArithmeticFactors, e: int, value: Fraction):
-    """``_scaled`` of phi**-1 d**e value for a nonzero Fraction value."""
-    den = factorize(value.denominator)
-    return _scaled(factors, tuple(den), tuple(-k for k in den.values()), None,
-                   [(e, 0, 0, value.numerator)])[0]
+def _form_deficits(factors: ArithmeticFactors, e: int, value: Fraction,
+                   den: tuple[tuple[int, int], ...]):
+    """``_scaled`` of phi**-1 d**e value for a nonzero Fraction value whose
+    denominator factors as ``den``."""
+    return _scaled(factors, tuple(p for p, _ in den), tuple(-k for _, k in den),
+                   None, [(e, 0, 0, value.numerator)])[0]
 
 
 def verify_form_inclusions(result: DecompositionResult,
@@ -281,8 +298,8 @@ def verify_form_inclusions(result: DecompositionResult,
     Odd i are vacuous (a_i = 0 exactly) and are recorded as passing.
     """
     violations = []
-    for i, ai in enumerate(result.a):
-        if ai and (deficits := _form_deficits(factors, factors.s - i, ai)):
+    for i, (ai, den) in enumerate(zip(result.a, result.denominators)):
+        if ai and (deficits := _form_deficits(factors, factors.s - i, ai, den)):
             violations.append(_violation(factors, i, None, ai,
                                          factors.s - i, deficits))
     return InclusionReport(len(result.a), tuple(violations))
@@ -302,7 +319,7 @@ def integer_linear_form(result: DecompositionResult,
     out = []
     for i in [0] + result.beta_indices:
         ai = result.a[i]
-        if ai and _form_deficits(factors, s, ai):
+        if ai and _form_deficits(factors, s, ai, result.denominators[i]):
             raise InclusionError(f"a_{i} does not scale to an integer")
         out.append(ai.numerator * d ** s // (ai.denominator * phi))
     desc = f"phi^-1 d_{result.profile.d_index}^{s} r_n with phi={factors.phi}"

@@ -10,9 +10,9 @@ copy; ``capital_phi`` takes the exact product over it and
 
 The growth rate is an integer-weighted sum of digamma values at the
 table's breakpoints, the weights summing to 0 so that Euler's gamma
-cancels; ``_digamma_sum`` evaluates such a sum by Gauss's digamma theorem
-once per reduced denominator, so each cosine and each logarithm is taken
-once however many points share it.
+cancels; ``_digamma_sum`` takes it by Gauss's digamma theorem in one
+fixed-point pass on the kernels of ``balls``, each cosine and logarithm
+once per reduced angle, under one integer error bound.
 
 The carry functions are integer-valued sums of floors of linear forms in
 (x, y), periodic with period 1 in both arguments.  Their minimum over y
@@ -47,7 +47,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ._records import frozen
-from .balls import BallReal, ball_pi, working_precision
+from .balls import (BallReal, _ball, _cos_sin_fixed, _log_fixed, _pi,
+                    working_precision)
 
 
 # ---------------------------------------------------------------------------
@@ -67,20 +68,6 @@ def sieve_primes(limit: int) -> list[int]:
     return [i for i, f in enumerate(flags) if f]
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13):
-        if n % p == 0:
-            return n == p
-    d = 17
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 @frozen
 class FactoredInteger:
     """A positive integer kept in factored form: sorted (prime, exponent) pairs."""
@@ -90,7 +77,7 @@ class FactoredInteger:
     def __post_init__(self):
         last = 1
         for p, e in self.factors:
-            if p <= last or not _is_prime(p):
+            if p <= last or factorize(p) != {p: 1}:
                 raise ValueError(f"factor keys must be increasing primes, got {p}")
             if e < 1:
                 raise ValueError(f"exponent for {p} must be >= 1, got {e}")
@@ -435,56 +422,109 @@ def capital_phi(profile) -> FactoredInteger:
 def _digamma_sum(weights: dict[Fraction, int], precision: int,
                  exact: Fraction) -> BallReal:
     """exact + sum w psi(x) over rationals x > 0 with integer weights w
-    that sum to 0, to an absolute radius of about 2**-precision.
+    that sum to 0 (else ``ValueError``), within about 2**-precision.
 
-    x = k + a/b with a/b in lowest terms: psi(x) = psi(a/b) + sum_{j<k}
-    1/(a/b + j), psi(k) = -gamma + H_(k-1), and by Gauss's digamma theorem,
-    with c_j = cos(2 pi j/b) and log sin(pi m/b) = log((1 - c_m)/2)/2,
+    x = k + a/b, a/b in lowest terms: psi(x) = psi(a/b) + sum_{j<k}
+    b/(a + j b), psi(k) = -gamma + H_(k-1), and by Gauss's theorem, with
+    c_j = cos(2 pi j/b) and L_m = log sin(pi m/b)**2 = log((1 - c_m)/2),
         psi(a/b) = -gamma - log 2b - (pi/2) cot(pi a/b)
-                   + sum_{0<m<b/2} c_(m a mod b) log((1 - c_m)/2).
-    Every psi carries one -gamma, so zero-sum weights cancel it; any
-    other weights raise ``ValueError``.  Per denominator b each c_j
-    (c_j = c_(b-j)) and each log is taken once,
-    cot(pi k/b) = sqrt((1 + c_k)/(1 - c_k)) for 0 < k < b/2, and the weights
-    on each are summed as integers first.  The guard bits cover the
-    weights and the cancellation in 1 - c_1 ~ (2 pi/b)**2.
+                   + sum_{0<m<b/2} c_(m a mod b) L_m,
+    where cot(pi a/b) = +-sqrt((1 + c_a)/(1 - c_a)), the sign of b - 2a.
+    The -gamma cancel.
+
+    One fixed-point pass at scale 2**-wp, wp = precision + guard, makes the
+    sum M 2**-F, F = 2 wp + 2, within R 2**-F.  The weights fold first: the
+    shifts into one fraction, log 2b into one weight per prime, the cots of
+    a/b and 1 - a/b into one, the c_(m a) into one coefficient S per
+    reduced angle m/b; each kernel runs once per reduced angle or prime.
+    R adds up:
+
+    * c_j, from P within e of pi 2**(wp + 8): with n = round(4j/b) and
+      t = 4j - n b, c_j = cos s, -sin s, -cos s (n = 0, 1, 2) at s = (pi/2)
+      t/b, |s| <= pi/4; u = floor(P |t| / (b 2**9)) is within e/2**10 + 1
+      of |s| 2**wp, which |cos'|, |sin'| <= 1 add to ``_cos_sin_fixed``'s
+      bound: E_c.  The kernel sees only |t|/b and n mod 2, so j/b and
+      1/2 - j/b share it, and c_(b-j) = c_j;
+    * the shifts: one floor over their common denominator, 1 unit;
+    * a prime's g log p: |g| times ``_log_fixed``'s error, at 2**-(wp + 1);
+    * S (scale 2**-wp, within E_S, E_c sum |w| per row it gathers) times
+      L_m (scale 2**-(wp + 1), within E_L): |S| E_L + |L| E_S + E_S E_L,
+      doubled to scale 2**-F.  D = 2**wp - C_m is within E_c of (1 - c_m)
+      2**wp, so E_L is ``_log_fixed``'s error plus E_c 2**(wp + 1)/(D - E_c)
+      (|log' x| <= 1/x on [D - E_c, D + E_c]);
+    * cot is increasing in c: isqrt of its square at C - E_c rounded down
+      and at C + E_c rounded up bound it, so the weighted cots make 2T
+      2**wp within R_T; with P' = P/2**8 (floored) within e' = e/2**8 + 2
+      of pi 2**wp, -(pi/2) T = -P' (2T 2**wp) 2**-F within
+      P' R_T + e' (|2T| + R_T).
+
+    E_c, a few wp units, grows near c = 1 by up to (b/pi)**2 in a log and
+    (b/pi)**3 in a cot; the guard covers that, the weights and 32 bits
+    more, which keep D - E_c and 1 + C - E_c positive.
     """
     if sum(weights.values()):
         raise ValueError("digamma weights must sum to 0")
-    rows: dict[int, dict[int, int]] = {}
+    shifts, rows = {}, {}
     for x, w in weights.items():
-        k = math.floor(x)
-        f = x - k
-        exact += w * sum(1 / (f + j) for j in range(k) if f + j)
-        if f:
-            row = rows.setdefault(f.denominator, {})
-            row[f.numerator] = row.get(f.numerator, 0) + w
-    guard = (16 + 2 * max(rows, default=1).bit_length()
-             + sum(map(abs, weights.values())).bit_length())
-    with working_precision(precision + guard):
-        pi = ball_pi()
-        total = BallReal(exact)
-        for b, row in rows.items():
-            c = [None] + [(pi * Fraction(2 * j, b)).cos()
-                          for j in range(1, (b + 1) // 2)]
-            total -= sum(row.values()) * BallReal(2 * b).log()
-            for m in range(1, len(c)):
-                total += _merged_sum(c.__getitem__, (
-                    (min(m * a % b, -m * a % b), w) for a, w in row.items())
-                ) * ((1 - c[m]) / 2).log()
-            total -= pi / 2 * _merged_sum(
-                lambda k: ((1 + c[k]) / (1 - c[k])).sqrt(),
-                ((min(a, b - a), w if 2 * a < b else -w)
-                 for a, w in row.items() if 2 * a != b))
-        return total
-
-
-def _merged_sum(value, pairs) -> BallReal:
-    """sum w value(j) over (j, w) pairs, the w of equal j added first."""
-    merged: dict[int, int] = {}
-    for j, w in pairs:
-        merged[j] = merged.get(j, 0) + w
-    return sum((w * value(j) for j, w in merged.items() if w), BallReal(0))
+        b = x.denominator
+        k, a = divmod(x.numerator, b)
+        for j in range(not a, k):
+            shifts[a + j * b] = shifts.get(a + j * b, 0) + w * b
+        if a:
+            row = rows.setdefault(b, {})
+            row[a] = row.get(a, 0) + w
+    wp = (precision + 32 + 3 * max(rows, default=1).bit_length()
+          + precision.bit_length() + sum(map(abs, weights.values())).bit_length())
+    one, shift, (pi, e_pi) = 1 << wp, 2 * wp + 2, _pi(wp + 8)
+    den = math.lcm(exact.denominator, *shifts)
+    mid, rem = divmod((exact.numerator * (den // exact.denominator) + sum(
+        n * (den // d) for d, n in shifts.items())) << shift, den)
+    rad, t2, r2 = int(rem != 0), 0, 0
+    primes, kernels, logs = {}, {}, {}
+    for b, row in rows.items():
+        for p, v in factorize(2 * b).items():
+            primes[p] = primes.get(p, 0) + v * sum(row.values())
+        turns = [(0, 0)] * b
+        for j in range(1, b // 2 + 1):
+            n = (8 * j + b) // (2 * b)
+            t = 4 * j - n * b
+            key = abs(t) // (g := math.gcd(t, b)), b // g, n & 1
+            if key not in kernels:
+                value, err = _cos_sin_fixed(pi * key[0] // (key[1] << 9), wp, n & 1)
+                kernels[key] = value, err + (e_pi >> 10) + 2
+            value, err = kernels[key]
+            turns[j] = turns[b - j] = (
+                -value if n == 2 or n == 1 and t > 0 else value, err)
+        e_s = max(e for _, e in turns) * sum(map(abs, row.values()))
+        for m in range(1, (b + 1) // 2):
+            log = logs.setdefault((m // (g := math.gcd(m, b)), b // g),
+                                  [0, 0, *turns[m]])
+            log[0] += sum([w * turns[m * a % b][0] for a, w in row.items()])
+            log[1] += e_s
+        cots = {}
+        for a, w in row.items():
+            if 2 * a != b:
+                k = min(a, b - a)
+                cots[k] = cots.get(k, 0) + (w if 2 * a < b else -w)
+        for k, w in cots.items():
+            c, e = turns[k]
+            lo = math.isqrt((one + c - e << 2 * wp) // (one - c + e))
+            hi = math.isqrt(-(-(one + c + e << 2 * wp) // (one - c - e)) - 1) + 1
+            t2 += w * (lo + hi)
+            r2 += abs(w) * (hi - lo)
+    for s, e_s, c, e in logs.values():
+        value, err = _log_fixed(one - c, -wp - 1, wp + 1)
+        err -= (-e << wp + 1) // (one - c - e)
+        mid += s * value << 1
+        rad += abs(s) * err + (abs(value) + err) * e_s << 1
+    for p, g in primes.items():
+        value, err = _log_fixed(p, 0, wp + 1)
+        mid -= g * value << wp + 1
+        rad += abs(g) * err << wp + 1
+    mid -= (pi >> 8) * t2
+    rad += (pi >> 8) * r2 + ((e_pi >> 8) + 2) * (abs(t2) + r2)
+    with working_precision(wp):
+        return _ball(mid, rad, -shift)
 
 
 # ---------------------------------------------------------------------------
@@ -499,21 +539,23 @@ def phi_exponent_from_table(table: StepFunction, mu: Fraction,
     the primes p ~ n/x contribute c * [psi(1+v) - psi(1+u)] from each
     period window above 1, plus a clipped 1/x**2-integral term on the
     window [1/mu, 1) when the prime range extends above n (mu > 1).  The
-    pieces share endpoints, so the psi terms fold into one integer weight
-    per point 1 + x, each piece adding +c and -c, so the weights sum to 0;
-    the clipped terms fold into one rational.
+    psi terms fold into one integer weight per point 1 + x, summing to 0;
+    the clipped terms c (min(1/u, mu) - 1/v) into one integer over the lcm
+    of mu's denominator and the breakpoints' numerators.
     """
-    mu, clipped, weights = Fraction(mu), Fraction(0), {}
-    for lo, hi, c in table.intervals():
-        if c == 0:
-            continue
-        weights[1 + hi] = weights.get(1 + hi, 0) + c
-        weights[1 + lo] = weights.get(1 + lo, 0) - c
-        top = mu if lo == 0 else min(1 / lo, mu)
-        part = top - 1 / hi
-        if part > 0:
+    mu = Fraction(mu)
+    points = table.breakpoints + (Fraction(1),)
+    den = math.lcm(mu.denominator, *(x.numerator for x in points[1:]))
+    inverse = [None] + [den // x.numerator * x.denominator for x in points[1:]]
+    top = den // mu.denominator * mu.numerator
+    clipped, weights, left = 0, {}, 0
+    for i, c in enumerate(table.values + (0,)):
+        if c != left:
+            weights[1 + points[i]] = left - c
+        if c and (part := min(inverse[i] or top, top) - inverse[i + 1]) > 0:
             clipped += c * part
-    return _digamma_sum(weights, precision + 32, clipped)
+        left = c
+    return _digamma_sum(weights, precision + 32, Fraction(clipped, den))
 
 
 def phi_exponent(profile, precision: int = 256) -> BallReal:

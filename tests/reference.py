@@ -9,8 +9,9 @@ Fractions and the full pole sweep that mirrored tables are held to, a
 rep's scalar multiple and shift, the hypergeometric parameters, pointwise
 reconstruction of a table, the Fraction integrality kernel that the
 exponent kernel is held to, the Fraction inner sum, a Sturm root count,
-Euler's gamma from mpmath, the one-point digamma and a Monte Carlo
-estimate of the integral form.
+the ball pi, sqrt and cos and the ball-operation digamma sum that the
+fixed-point pass is held to, Euler's gamma from mpmath, the one-point
+digamma and a Monte Carlo estimate of the integral form.
 """
 
 from __future__ import annotations
@@ -24,10 +25,13 @@ from mpmath.libmp import to_rational
 from betaforms import numtheory
 from betaforms._records import frozen
 from betaforms.asymptotics import _count, _integer_poly, _sturm_chain
-from betaforms.balls import BallReal, floor_log2, working_precision
-from betaforms.decomposition import (ArithmeticFactors, InclusionReport,
-                                     Violation, _assemble)
-from betaforms.numtheory import capital_phi, lcm_up_to
+from betaforms import balls
+from betaforms.balls import (BallReal, _ball, _ceil_shift_div, _cos_sin_fixed,
+                             _fixed_guard, _new, _pi, floor_log2,
+                             working_precision)
+from betaforms.decomposition import (ArithmeticFactors, DecompositionResult,
+                                     InclusionReport, Violation, _assemble)
+from betaforms.numtheory import capital_phi, factorize, lcm_up_to
 from betaforms.profiles import Profile, section2
 from betaforms.rationalfn import (LinearProductRep, PartialFractionTable,
                                   _layers, partial_fractions)
@@ -319,6 +323,14 @@ def fraction_inclusion_report(factors: ArithmeticFactors,
 # Inner sums
 # ---------------------------------------------------------------------------
 
+def decomposition(profile: Profile, a) -> DecompositionResult:
+    """A ``DecompositionResult`` of arbitrary coefficients, each denominator
+    factored by trial division."""
+    a = tuple(a)
+    return DecompositionResult(profile, a, tuple(
+        tuple(sorted(factorize(x.denominator).items())) for x in a))
+
+
 def inner_sum(i: int, start: int, stop: int) -> Fraction:
     """sum_{l=start}^{stop} (-1)**l / (l + 1/2)**i, exact; empty gives 0."""
     if i < 1:
@@ -373,6 +385,111 @@ def remark1_denominator_probe(s: int, n: int) -> Remark1Report:
 # ---------------------------------------------------------------------------
 # Roots and digamma
 # ---------------------------------------------------------------------------
+
+def ball_pi() -> BallReal:
+    """pi at the working precision, from the fixed-point Machin kernel."""
+    wp = balls._prec + _fixed_guard()
+    return _ball(*_pi(wp), -wp)
+
+
+def ball_sqrt(x: BallReal) -> BallReal:
+    """sqrt x for a ball with lower end >= 0 (after clipping at 0).
+
+    M = m 2**j with e - j even, so sqrt c = sqrt(M) 2**((e-j)/2)
+    exactly, and sqrt(M) lies in [S, S + 1) for S = isqrt(M).  Every x
+    in the ball has |sqrt x - sqrt c| <= |x - c| / (2 sqrt lower), and
+    sqrt lower >= isqrt((m - r) 2**j) 2**((e-j)/2).  A ball that
+    reaches 0 gives [0, sqrt upper].
+    """
+    m, r, e = x.m, x.r, x.e
+    if m + r < 0:
+        raise ValueError("sqrt of a negative ball")
+    if m + r == 0:
+        return _new(0, 0, 0)
+    if m - r <= 0:
+        return BallReal.from_interval(0, ball_sqrt(_new(m + r, 0, e)))
+    wp = max(balls._prec, m.bit_length()) + _fixed_guard()
+    j = 2 * wp - m.bit_length()
+    j += (e - j) & 1
+    s = math.isqrt(m << j)
+    widen = _ceil_shift_div(r, j, 2 * math.isqrt((m - r) << j))
+    # in half units: midpoint S + 1/2, radius 1/2 + widen
+    return _ball(2 * s + 1, 1 + 2 * widen, (e - j) // 2 - 1)
+
+
+def ball_cos(x: BallReal) -> BallReal:
+    """cos x.
+
+    c' = floor(c 2**wp) 2**-wp is within d 2**-wp of the midpoint c (d = 1
+    if the floor dropped bits, else 0).  With P the fixed pi/2,
+    n = round(c' / (pi/2)) and S = c' 2**wp - n P, |S| 2**-wp <= pi/4 +
+    tiny, and cos evaluates at the point n pi/2 + S 2**-wp, within
+    |n| err(P) 2**-wp of c'; there cos = cos s, -sin s, -cos s, sin s for
+    n = 0, 1, 2, 3 mod 4.  |cos'| <= 1, so the radius widens by
+    r 2**e + (d + |n| err(P)) 2**-wp.
+    """
+    m, r, e = x.m, x.r, x.e
+    wp = balls._prec + _fixed_guard() + max(0, m.bit_length() + e)
+    if e + wp >= 0:
+        c, d = m << (e + wp), 0
+    else:
+        c = m >> -(e + wp)
+        d = int(c << -(e + wp) != m)
+    half_pi, pi_err = _pi(wp - 1)
+    n = (2 * c + half_pi) // (2 * half_pi)
+    s = c - n * half_pi
+    quadrant = n % 4
+    value, err = _cos_sin_fixed(s, wp, quadrant % 2)
+    if quadrant in (1, 2):
+        value = -value
+    widen = _ceil_shift_div(r, e + wp, 1) + d + abs(n) * pi_err
+    return _ball(value, err + widen, -wp)
+
+
+def digamma_sum(weights: dict[Fraction, int], precision: int,
+                exact: Fraction) -> BallReal:
+    """``numtheory._digamma_sum`` as a pass of ball operations: the same
+    Gauss sums, each cosine a ``ball_cos``, each cot a ``ball_sqrt`` of
+    (1 + c_k)/(1 - c_k), and the weights on each summed as integers first,
+    at guard bits that cover the weights and the cancellation in
+    1 - c_1 ~ (2 pi/b)**2."""
+    if sum(weights.values()):
+        raise ValueError("digamma weights must sum to 0")
+    rows: dict[int, dict[int, int]] = {}
+    for x, w in weights.items():
+        k = math.floor(x)
+        f = x - k
+        exact += w * sum(1 / (f + j) for j in range(k) if f + j)
+        if f:
+            row = rows.setdefault(f.denominator, {})
+            row[f.numerator] = row.get(f.numerator, 0) + w
+    guard = (16 + 2 * max(rows, default=1).bit_length()
+             + sum(map(abs, weights.values())).bit_length())
+    with working_precision(precision + guard):
+        pi = ball_pi()
+        total = BallReal(exact)
+        for b, row in rows.items():
+            c = [None] + [ball_cos(pi * Fraction(2 * j, b))
+                          for j in range(1, (b + 1) // 2)]
+            total -= sum(row.values()) * BallReal(2 * b).log()
+            for m in range(1, len(c)):
+                total += _merged_sum(c.__getitem__, (
+                    (min(m * a % b, -m * a % b), w) for a, w in row.items())
+                ) * ((1 - c[m]) / 2).log()
+            total -= pi / 2 * _merged_sum(
+                lambda k: ball_sqrt((1 + c[k]) / (1 - c[k])),
+                ((min(a, b - a), w if 2 * a < b else -w)
+                 for a, w in row.items() if 2 * a != b))
+        return total
+
+
+def _merged_sum(value, pairs) -> BallReal:
+    """sum w value(j) over (j, w) pairs, the w of equal j added first."""
+    merged: dict[int, int] = {}
+    for j, w in pairs:
+        merged[j] = merged.get(j, 0) + w
+    return sum((w * value(j) for j, w in merged.items() if w), BallReal(0))
+
 
 def count_roots(p: list[Fraction], lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots in (lo, hi); neither end may be one."""

@@ -16,6 +16,9 @@ GUARD_BITS) and c per kernel:
   rounding);
 * sqrt: c = 2 over |value| (fixed point relative to the value);
 * pi: c = 1 over the value.
+
+sqrt, cos and pi as balls are ``tests.reference.ball_sqrt``, ``ball_cos``
+and ``ball_pi``: only the reference digamma pass uses them now.
 """
 
 import contextlib
@@ -32,8 +35,10 @@ from mpmath import iv
 from mpmath.libmp import from_man_exp, to_rational
 
 from betaforms import balls, cli
-from betaforms.balls import (GUARD_BITS, BallReal, ball_pi, floor_log2, nstr,
+from betaforms.balls import (GUARD_BITS, BallReal, floor_log2, nstr,
                              working_precision)
+
+from tests.reference import ball_cos, ball_pi, ball_sqrt
 
 
 def exact(raw) -> Fraction:
@@ -194,33 +199,37 @@ class TestArithmetic:
         assert floor_log2(q) == expected
 
 
+# (name, mpmath reference, positive inputs only, the ball function); sqrt
+# and cos live in ``tests.reference`` since only its digamma pass uses them
 TRANSCENDENTALS = [
-    ("log", iv.log, True), ("sqrt", iv.sqrt, True), ("cos", iv.cos, False)]
+    ("log", iv.log, True, BallReal.log), ("sqrt", iv.sqrt, True, ball_sqrt),
+    ("cos", iv.cos, False, ball_cos)]
 
 
 class TestTranscendentals:
-    @pytest.mark.parametrize("name, ref, positive", TRANSCENDENTALS,
+    @pytest.mark.parametrize("name, ref, positive, fn", TRANSCENDENTALS,
                              ids=[t[0] for t in TRANSCENDENTALS])
     @settings(max_examples=120, deadline=None)
     @given(prec=precisions, data=st.data())
     def test_contains_the_value_over_the_whole_ball(self, name, ref, positive,
-                                                    prec, data):
+                                                    fn, prec, data):
         c, rho = data.draw(rational_balls(positive=positive))
         with working_precision(prec):
-            ball = getattr(BallReal(c, radius=rho), name)()
+            ball = fn(BallReal(c, radius=rho))
         for y in points(c, rho):
             assert_contains(ball, *enclosure(ref, 4 * (prec + GUARD_BITS), y))
 
-    @pytest.mark.parametrize("name, ref, positive", TRANSCENDENTALS,
+    @pytest.mark.parametrize("name, ref, positive, fn", TRANSCENDENTALS,
                              ids=[t[0] for t in TRANSCENDENTALS])
     @settings(max_examples=120, deadline=None)
     @given(prec=precisions, data=st.data())
-    def test_radius_on_exact_inputs(self, name, ref, positive, prec, data):
+    def test_radius_on_exact_inputs(self, name, ref, positive, fn, prec,
+                                    data):
         x = data.draw(dyadics(prec + GUARD_BITS))
         if positive:
             x = abs(x) or Fraction(1)
         with working_precision(prec):
-            ball = getattr(BallReal(x), name)()
+            ball = fn(BallReal(x))
         lo, hi = enclosure(ref, 4 * (prec + GUARD_BITS), x)
         assert_contains(ball, lo, hi)
         size = abs(lo) if name == "sqrt" else max(1, abs(lo))
@@ -238,15 +247,15 @@ class TestTranscendentals:
 
     def test_wide_and_edge_balls(self):
         with working_precision(64):
-            assert BallReal(0, radius=3).cos().contains(1)
-            root = BallReal(Fraction(1, 4), radius=Fraction(1, 2)).sqrt()
+            assert ball_cos(BallReal(0, radius=3)).contains(1)
+            root = ball_sqrt(BallReal(Fraction(1, 4), radius=Fraction(1, 2)))
             assert root.contains(0)
             assert_contains(root, *enclosure(iv.sqrt, 256, Fraction(3, 4)))
-            assert BallReal(0).sqrt().rad == 0
+            assert ball_sqrt(BallReal(0)).rad == 0
             with pytest.raises(ValueError):
                 BallReal(0, radius=1).log()
             with pytest.raises(ValueError):
-                BallReal(-1).sqrt()
+                ball_sqrt(BallReal(-1))
 
 
 class TestKernelBounds:

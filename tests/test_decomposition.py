@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from betaforms.decomposition import (ArithmeticFactors, DecompositionResult,
-                                     InclusionError, _assemble,
+from betaforms.decomposition import (ArithmeticFactors, InclusionError,
+                                     _assemble,
                                      _tail_correction_sum,
                                      beta_coefficients,
                                      integer_linear_form,
@@ -17,8 +17,8 @@ from betaforms.rationalfn import (LinearProductRep, build_general,
                                   build_section2, partial_fractions)
 
 from tests.conftest import SECTION2_SUITE, THEOREM1_NS, suite_profiles
-from tests.reference import (fraction_inclusion_report, inner_sum,
-                             remark1_denominator_probe)
+from tests.reference import (decomposition, fraction_inclusion_report,
+                             inner_sum, remark1_denominator_probe)
 from tests.test_numtheory import admissible_general
 from tests.test_rationalfn import linear_product_reps
 
@@ -261,7 +261,7 @@ class TestExponentKernel:
         assert (verify_coefficient_inclusions(table, factors)
                 == fraction_inclusion_report(factors, table.entries()))
         assert (verify_form_inclusions(
-            DecompositionResult(section2(3, 2), tuple(a)), factors)
+            decomposition(section2(3, 2), a), factors)
                 == fraction_inclusion_report(
                     factors, ((i, None, ai) for i, ai in enumerate(a))))
 
@@ -309,12 +309,9 @@ class TestIntegerLinearForm:
         assert len(ints) == 7  # constant plus beta(2), ..., beta(12)
 
     def test_inclusion_failure_raises(self, bundle):
-        from betaforms.decomposition import DecompositionResult
-
         b = bundle(section2(3, 2))
-        broken = DecompositionResult(
-            b.profile, tuple(
-                a + Fraction(1, 7) for a in b.decomposition.a))
+        broken = decomposition(
+            b.profile, (a + Fraction(1, 7) for a in b.decomposition.a))
         with pytest.raises(InclusionError):
             integer_linear_form(broken, b.factors)
 

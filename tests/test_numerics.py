@@ -12,8 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath.libmp import to_rational
 
 from betaforms import cli, numerics
-from betaforms.balls import BallReal, ball_pi, floor_log2, working_precision
-from betaforms.decomposition import DecompositionResult, beta_coefficients
+from betaforms.balls import BallReal, floor_log2, working_precision
+from betaforms.decomposition import beta_coefficients
 from betaforms.numerics import (_beta_enclosures, _chebyshev_pass,
                                 _chebyshev_weights, _least_size,
                                 _moment_bound, _term_ratios,
@@ -26,7 +26,8 @@ from betaforms.rationalfn import (LinearProductRep, PartialFractionTable,
                                   build_section2, partial_fractions)
 
 from tests.conftest import suite_profiles
-from tests.reference import mc_integral, paper_section2_rep, shifted
+from tests.reference import (ball_pi, decomposition, mc_integral,
+                             paper_section2_rep, shifted)
 from tests.test_numtheory import admissible_general
 from tests.test_rationalfn import any_rep
 
@@ -236,7 +237,7 @@ class TestBetaSharedPass:
 
     def test_a_form_without_beta_terms_is_its_constant(self, monkeypatch):
         a0 = Fraction(-3, 7)
-        dec = DecompositionResult(section2(5, 2), (a0,) + (Fraction(0),) * 5)
+        dec = decomposition(section2(5, 2), (a0,) + (Fraction(0),) * 5)
         calls = self.counted_passes(monkeypatch)
         value = decomposition_value(dec, 64)
         with working_precision(256):
@@ -581,10 +582,8 @@ class TestConsistency:
         assert report.passed
 
     def test_perturbation_detected(self, bundle):
-        from betaforms.decomposition import DecompositionResult
-
         b = bundle(section2(3, 2))
-        perturbed = DecompositionResult(
+        perturbed = decomposition(
             b.profile,
             (b.decomposition.a[0] + Fraction(1, 10 ** 10),)
             + b.decomposition.a[1:])

@@ -1,12 +1,13 @@
+import contextlib
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from betaforms import numtheory
-from betaforms.balls import BallReal, ball_pi, working_precision
+from betaforms.balls import BallReal, working_precision
 from betaforms.numtheory import (CarrySpec, FactoredInteger, StepFunction,
                                  _breakpoint_candidates, _merged_terms,
                                  _min_over_y, _sweep_plan, capital_phi,
@@ -17,7 +18,8 @@ from betaforms.numtheory import (CarrySpec, FactoredInteger, StepFunction,
 from betaforms.profiles import (THEOREM1_ETA, Profile, general,
                                 profile_violations, section2)
 
-from tests.reference import digamma_rational, euler_gamma
+from tests.reference import (ball_cos, ball_pi, digamma_rational,
+                             digamma_sum, euler_gamma)
 
 THEOREM1_SPEC = CarrySpec("general", THEOREM1_ETA)
 SECTION2_SPEC = CarrySpec("section2")
@@ -518,11 +520,11 @@ def reference_digamma(x: Fraction, precision: int) -> BallReal:
                 val = -euler_gamma(bits + 32) - BallReal(Fraction(2 * b)).log()
                 # sin(pi a/b) = cos(pi (b - 2a)/(2b))
                 if 2 * a != b:
-                    val = val - pi / 2 * ((pi * Fraction(a, b)).cos()
-                                          / (pi * Fraction(b - 2 * a, 2 * b)).cos())
+                    val = val - pi / 2 * (ball_cos(pi * Fraction(a, b))
+                                          / ball_cos(pi * Fraction(b - 2 * a, 2 * b)))
                 for m in range(1, (b - 1) // 2 + 1):
-                    c = (pi * Fraction(2 * m * a, b)).cos()
-                    val = val + 2 * c * (pi * Fraction(b - 2 * m, 2 * b)).cos().log()
+                    c = ball_cos(pi * Fraction(2 * m * a, b))
+                    val = val + 2 * c * ball_cos(pi * Fraction(b - 2 * m, 2 * b)).log()
                 val = val + BallReal(shift)
         if val.rad <= tol * abs(val.mid) or (
                 val.rad <= Fraction(2) ** -precision and val.contains_zero()):
@@ -564,6 +566,46 @@ def step_tables(draw):
     return StepFunction.build([Fraction(0)] + points, values)
 
 
+@contextlib.contextmanager
+def pushed_kernels(signs: dict[str, int]):
+    """``numtheory``'s fixed-point kernels, each value moved by its sign in
+    ``signs`` times 255 times its error bound, and the bound made 256 times
+    as large so that it still holds: the value then sits near the end of
+    its bound, where an error term the pass leaves out shows."""
+    saved = {name: getattr(numtheory, name) for name in signs}
+
+    def pushed(kernel, sign):
+        def run(*args):
+            value, err = kernel(*args)
+            return value + sign * 255 * err, 256 * err
+        return run
+
+    try:
+        for name, sign in signs.items():
+            if sign:
+                setattr(numtheory, name, pushed(saved[name], sign))
+        yield
+    finally:
+        for name, kernel in saved.items():
+            setattr(numtheory, name, kernel)
+
+
+@st.composite
+def digamma_weights(draw):
+    """Zero-sum weights, |w| <= 5, at up to 8 points k + a/b with b <= 40
+    and k <= 3: up to four pairs of points carrying +w and -w."""
+    point = st.builds(lambda k, b, a: k + Fraction(a % b, b),
+                      st.integers(0, 3), st.integers(1, 40),
+                      st.integers(0, 39)).filter(bool)
+    weights = {}
+    for x, y, w in draw(st.lists(st.tuples(point, point, st.integers(1, 5)),
+                                 max_size=4)):
+        weights[x] = weights.get(x, 0) + w
+        weights[y] = weights.get(y, 0) - w
+    assume(all(abs(w) <= 5 for w in weights.values()))
+    return {x: w for x, w in weights.items() if w}
+
+
 class TestDigammaSum:
     @given(step_tables(), st.fractions(1, 3, max_denominator=12),
            st.sampled_from([64, 128, 256]))
@@ -595,6 +637,38 @@ class TestDigammaSum:
             with working_precision(160):
                 assert (ref - psi2).overlaps(numtheory._digamma_sum(
                     {x: 1, Fraction(2): -1}, 128, Fraction(0)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(digamma_weights(), st.sampled_from([32, 64, 256]),
+           st.fixed_dictionaries(dict.fromkeys(
+               ("_cos_sin_fixed", "_log_fixed", "_pi"),
+               st.sampled_from([0, 1, -1]))))
+    @example({}, 64, {})
+    @example({Fraction(1): 2, Fraction(2): -3, Fraction(4): 1}, 32, {})
+    # the cot of pi/40 and, with the cots cancelled, the logs near c = 1
+    @example({Fraction(1, 40): 5, Fraction(1): -5}, 64, {"_cos_sin_fixed": 1})
+    @example({Fraction(1, 40): 5, Fraction(39, 40): 5, Fraction(1): -5,
+              Fraction(2): -5}, 64, {"_cos_sin_fixed": 1})
+    def test_fixed_point_pass_encloses_the_sum(self, weights, precision, push):
+        """The ball overlaps the ball-operation pass, holds mpmath's sum at
+        twice the precision (up to that sum's own rounding) and has radius
+        at most 2**-precision, also with the kernels' values pushed to the
+        ends of their error bounds (``pushed_kernels``): the pass must hold
+        for any kernel values within their bounds.
+        """
+        import mpmath
+        from mpmath.libmp import to_rational
+
+        with pushed_kernels(push):
+            val = numtheory._digamma_sum(weights, precision, Fraction(0))
+        assert val.overlaps(digamma_sum(weights, precision, Fraction(0)))
+        with mpmath.workprec(2 * precision):
+            ref = mpmath.fsum(w * mpmath.digamma(mpmath.mpf(x.numerator)
+                                                 / x.denominator)
+                              for x, w in weights.items())
+        slack = Fraction(2) ** (12 - 2 * precision)
+        assert abs(Fraction(*to_rational(ref._mpf_)) - val.mid) <= val.rad + slack
+        assert val.rad <= Fraction(2) ** -precision
 
     @pytest.mark.parametrize("weights", [
         {Fraction(1): 1}, {Fraction(7, 3): 2, Fraction(1, 2): -1}])

@@ -37,8 +37,10 @@ a fifth at that scale).  A tree's run is three fresh interpreters with
   (tbits, N, P): the target 2**-tbits, the size N of the Chebyshev scheme
   and the fixed-point bits P of its pass (``numerics._chebyshev_pass``).
   Last come the ledger ``asymptotics.exponent_ledger`` of section2-s17
-  at 256 bits and a cold ``numtheory.carry_min_table`` of theorem1 (its
-  cache cleared first; ``phi_exponent`` above runs with the table warm).
+  at 256 bits, a cold ``numtheory.carry_min_table`` of theorem1 (its
+  cache cleared first; ``phi_exponent`` above runs with the table warm)
+  and theorem1's ledger at 64 bits from a cold carry table, the work of
+  ranking one eta candidate.
   With ``--large`` the exact certificate of theorem1 at n = 48 and 96
   follows, stage by stage (about 25 s a tree at n = 96); without it the
   run keeps its length.
@@ -187,10 +189,22 @@ def carry_case() -> dict:
         lambda: carry_min_table(spec), carry_min_table.cache_clear)[0]}
 
 
+def ranking_case() -> dict:
+    from betaforms.asymptotics import exponent_ledger
+    from betaforms.numtheory import carry_min_table
+    from betaforms.profiles import THEOREM1_ETA, general
+
+    profile = general(THEOREM1_ETA, 2)
+    return {"profile": "theorem1", "precision": 64, "carry_table": "cold",
+            "exponent_ledger_s": seconds(
+                lambda: exponent_ledger(profile, 64),
+                carry_min_table.cache_clear)[0]}
+
+
 def run_stages(large: bool) -> list[dict]:
     """One run of every stage in this interpreter."""
     return ([run_case(n, precision) for n, precision in CASES]
-            + [ledger_case(), carry_case()]
+            + [ledger_case(), carry_case(), ranking_case()]
             + [{"profile": "theorem1", "n": n, **exact_stages(n)[0]}
                for n in (LARGE_NS if large else ())])
 
