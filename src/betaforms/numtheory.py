@@ -430,13 +430,15 @@ def _digamma_sum(weights: dict[Fraction, int], precision: int,
         psi(a/b) = -gamma - log 2b - (pi/2) cot(pi a/b)
                    + sum_{0<m<b/2} c_(m a mod b) L_m,
     where cot(pi a/b) = +-sqrt((1 + c_a)/(1 - c_a)), the sign of b - 2a.
-    The -gamma cancel.
+    The -gamma cancel, and as the sines at m/b, 0 < m < b, multiply to
+    b 2**(1-b), log 2b = b log 2 + sum_{0<m<b/2} L_m: its part joins the
+    L_m as c_(m a) - 1.
 
     One fixed-point pass at scale 2**-wp, wp = precision + guard, makes the
     sum M 2**-F, F = 2 wp + 2, within R 2**-F.  The weights fold first: the
-    shifts into one fraction, log 2b into one weight per prime, the cots of
-    a/b and 1 - a/b into one, the c_(m a) into one coefficient S per
-    reduced angle m/b; each kernel runs once per reduced angle or prime.
+    shifts into one fraction, the b log 2 into one weight g of log 2, the
+    cots of a/b and 1 - a/b into one, the c_(m a) - 1 into one coefficient
+    S per reduced angle m/b; each kernel runs once per reduced angle.
     R adds up:
 
     * c_j, from P within e of pi 2**(wp + 8): with n = round(4j/b) and
@@ -446,7 +448,7 @@ def _digamma_sum(weights: dict[Fraction, int], precision: int,
       bound: E_c.  The kernel sees only |t|/b and n mod 2, so j/b and
       1/2 - j/b share it, and c_(b-j) = c_j;
     * the shifts: one floor over their common denominator, 1 unit;
-    * a prime's g log p: |g| times ``_log_fixed``'s error, at 2**-(wp + 1);
+    * g log 2: |g| times ``_log_fixed``'s error, at scale 2**-(wp + 1);
     * S (scale 2**-wp, within E_S, E_c sum |w| per row it gathers) times
       L_m (scale 2**-(wp + 1), within E_L): |S| E_L + |L| E_S + E_S E_L,
       doubled to scale 2**-F.  D = 2**wp - C_m is within E_c of (1 - c_m)
@@ -480,10 +482,9 @@ def _digamma_sum(weights: dict[Fraction, int], precision: int,
     mid, rem = divmod((exact.numerator * (den // exact.denominator) + sum(
         n * (den // d) for d, n in shifts.items())) << shift, den)
     rad, t2, r2 = int(rem != 0), 0, 0
-    primes, kernels, logs = {}, {}, {}
+    twos, kernels, logs = 0, {}, {}
     for b, row in rows.items():
-        for p, v in factorize(2 * b).items():
-            primes[p] = primes.get(p, 0) + v * sum(row.values())
+        twos += b * sum(row.values())
         turns = [(0, 0)] * b
         for j in range(1, b // 2 + 1):
             n = (8 * j + b) // (2 * b)
@@ -499,7 +500,7 @@ def _digamma_sum(weights: dict[Fraction, int], precision: int,
         for m in range(1, (b + 1) // 2):
             log = logs.setdefault((m // (g := math.gcd(m, b)), b // g),
                                   [0, 0, *turns[m]])
-            log[0] += sum([w * turns[m * a % b][0] for a, w in row.items()])
+            log[0] += sum([w * (turns[m * a % b][0] - one) for a, w in row.items()])
             log[1] += e_s
         cots = {}
         for a, w in row.items():
@@ -517,10 +518,9 @@ def _digamma_sum(weights: dict[Fraction, int], precision: int,
         err -= (-e << wp + 1) // (one - c - e)
         mid += s * value << 1
         rad += abs(s) * err + (abs(value) + err) * e_s << 1
-    for p, g in primes.items():
-        value, err = _log_fixed(p, 0, wp + 1)
-        mid -= g * value << wp + 1
-        rad += abs(g) * err << wp + 1
+    value, err = _log_fixed(2, 0, wp + 1)
+    mid -= twos * value << wp + 1
+    rad += abs(twos) * err << wp + 1
     mid -= (pi >> 8) * t2
     rad += (pi >> 8) * r2 + ((e_pi >> 8) + 2) * (abs(t2) + r2)
     with working_precision(wp):

@@ -645,9 +645,10 @@ class TestDigammaSum:
                st.sampled_from([0, 1, -1]))))
     @example({}, 64, {})
     @example({Fraction(1): 2, Fraction(2): -3, Fraction(4): 1}, 32, {})
-    # the cot of pi/40 and, with the cots cancelled, the logs near c = 1
+    # the cot of pi/40; then, the cots cancelled, the logs near c = 1, whose
+    # coefficients c_(m a) - 1 are near -2 for a/b = 19/40 and 21/40
     @example({Fraction(1, 40): 5, Fraction(1): -5}, 64, {"_cos_sin_fixed": 1})
-    @example({Fraction(1, 40): 5, Fraction(39, 40): 5, Fraction(1): -5,
+    @example({Fraction(19, 40): 5, Fraction(21, 40): 5, Fraction(1): -5,
               Fraction(2): -5}, 64, {"_cos_sin_fixed": 1})
     def test_fixed_point_pass_encloses_the_sum(self, weights, precision, push):
         """The ball overlaps the ball-operation pass, holds mpmath's sum at
