@@ -13,6 +13,14 @@ window, which keeps |k - m|, and so the lcm of the tail sums, smallest.
 The table's entries are integers over denominators known in factored
 form, so assembly sums each column over the lcm of its denominators,
 taken from their exponents, and reduces only the s + 1 values a_i.
+Every profile's table is mirrored, a_{i,c-k} = (-1)**(i+gap) a_{i,k}
+(``PartialFractionTable.reflection``), so its poles fall into orbits
+{k, c - k}: assembly forms one product of weight and row per orbit and
+column, the mirror's value being that product times (-1)**(c+i+gap), and
+the coefficient inclusions run one integrality check per orbit.  The
+middle pole, and every pole of a table without a reflection, is an orbit
+of one.  The tail sums share one lcm D and one list of powers
+(D/(2m - 1))**i, raised by one factor per column.
 Every integrality claim, phi**-1 d**e v in Z, goes through one kernel,
 ``_scaled``, which decides it from exponents and touches the numerator
 only at the primes where d**e cannot cover the denominator and phi.
@@ -26,6 +34,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 from ._records import frozen
 from .numtheory import FactoredInteger, capital_phi, lcm_up_to, valuation
@@ -33,34 +42,20 @@ from .profiles import Profile
 from .rationalfn import PartialFractionTable
 
 
-def _tail_correction_sum(i: int, terms) -> tuple[int, int]:
-    """(u, D) with the sum of w * c_o over the pairs (o, w) equal to
-    u / D**i, where c_o rewrites sum_{l>=o} as the full alternating sum plus
-    c_o: minus the terms l = 0..o-1 for o > 0, plus the terms l = o..-1 for
-    o < 0, each (-1)**l / (l + 1/2)**i.
+def _tail_coefficients(i: int, origins, powers) -> list[int]:
+    """e_o per origin o with c_o = e_o (2/D)**i, where c_o rewrites
+    sum_{l>=o} as the full alternating sum plus c_o: minus the terms
+    l = 0..o-1 for o > 0, plus the terms l = o..-1 for o < 0, each
+    (-1)**l / (l + 1/2)**i.  ``powers`` holds u_m = (-1)**(m-1) (D/(2m-1))**i
+    for m = 1..max|o|, D the lcm of the odd numbers up to 2 max|o| - 1.
 
-    Term l = m - 1 is (2/D)**i u_m with u_m = (-1)**(m-1) (D/(2m-1))**i,
-    and term l = -m is (-1)**(i+1) times it, where D is the lcm of the odd
-    numbers up to 2 max|o| - 1 over the nonzero origins, zero weights
-    included, so that every i shares it.  So both sides share one running
-    integer sum U_m = u_1 + ... + u_m, and
-    u = -2**i sum_m U_m (w_m + (-1)**i w_{-m}), the weights at m and -m
-    added before the one product.
+    Term l = m - 1 is (2/D)**i u_m, and term l = -m is (-1)**(i+1) times
+    it.  So both sides share one running integer sum U_m = u_1 + ... + u_m
+    (U_0 = 0): e_o = -U_o for o >= 0 and (-1)**(i+1) U_-o for o < 0.
     """
-    terms = [(o, w) for o, w in terms if o]
-    if not terms:
-        return 0, 1
-    top = max(abs(o) for o, _ in terms)
-    d = math.lcm(*range(1, 2 * top, 2))
-    running = [0]
-    for m in range(1, top + 1):
-        u = (d // (2 * m - 1)) ** i
-        running.append(running[-1] + u if m % 2 else running[-1] - u)
-    flip = -1 if i % 2 else 1
-    merged: dict[int, int] = {}  # origins o and -o share U_|o|
-    for o, w in terms:
-        merged[abs(o)] = merged.get(abs(o), 0) + (w if o > 0 else flip * w)
-    return -sum(w * running[m] for m, w in merged.items()) * 2 ** i, d
+    running = [0, *accumulate(powers)]
+    flip = 1 if i % 2 else -1
+    return [-running[o] if o > 0 else flip * running[-o] for o in origins]
 
 
 @frozen
@@ -74,7 +69,7 @@ class DecompositionResult:
 
     @property
     def beta_indices(self) -> list[int]:
-        return [i for i in range(2, self.profile.s + 1, 2)]
+        return list(range(2, self.profile.s + 1, 2))
 
 
 @frozen
@@ -117,28 +112,43 @@ def _assemble(table: PartialFractionTable, s: int,
     with C the lcm of the cofactors (from their exponents) and top the
     largest order: pole k's rows enter with the integer weight
     (-1)**k scale_k (C / cofactor_k) L**(top - order_k), and a_i's factor
-    2**i cancels the 2**i.  The tail corrections meet over one denominator
-    too, so the s + 1 values a_i are the only fractions reduced.
+    2**i cancels the 2**i.  Poles k and c - k of a reflected table share
+    the scale, cofactor and order, so the weight of c - k is (-1)**c times
+    that of k, and its column value is (-1)**(c+i+gap) times the product
+    of k's weight and row: one product per orbit and column.  The tail
+    corrections meet over one denominator D**top too, D and the powers
+    (D/(2m - 1))**i built once for all columns, so the s + 1 values a_i
+    are the only fractions reduced.
     """
     a = [Fraction(0)] * (s + 1)
     top = max(table.orders)
-    if not top:
-        return tuple(a)
     powers = table.lcm_powers
     lcm = math.prod(p ** -v for p, v in zip(
         table.primes, map(min, zip(*table.valuations))) if v < 0)
     quotients = {c: lcm // c for c in set(table.cofactors)}
-    weights = [(-scale if k % 2 else scale) * quotients[c]
+    weights = [(-scale if k % 2 else scale) * quotients[cofactor]
                * powers[top - order]
-               for k, scale, c, order in zip(table.pole_ks, table.scales,
-                                             table.cofactors, table.orders)]
+               for k, scale, cofactor, order in zip(
+                   table.pole_ks, table.scales, table.cofactors, table.orders)]
+    c, gap = table.reflection or (0, 0)
+    extent = max(map(abs, origins))
+    d = math.lcm(*range(1, 2 * extent, 2))
+    bases = [d // (2 * m + 1) for m in range(extent)]
+    odd_powers = [1, -1] * extent  # (-1)**(m-1), cut to extent by zip
     tail_num = 0
     for i in range(1, top + 1):
-        column = [w * row[i - 1] for w, row in zip(weights, table.rows)]
-        a[i] = Fraction(sum(column), lcm * powers[top - i])
-        u, d = _tail_correction_sum(i, zip(origins, column))
-        # u / (d**i lcm L**(top - i) 2**i), over the denominator at i = top
-        tail_num += u * d ** (top - i) * powers[i - 1] << top - i
+        odd_powers = [p * b for p, b in zip(odd_powers, bases)]
+        tail = _tail_coefficients(i, origins, odd_powers)
+        sign = -1 if (c + i + gap) % 2 else 1
+        column = u = 0
+        for idx, mirror in table.orbits:
+            v = weights[idx] * table.rows[idx][i - 1]
+            twin = sign * (mirror != idx)
+            column += v * (1 + twin)
+            u += v * (tail[idx] + twin * tail[mirror])
+        a[i] = Fraction(column, lcm * powers[top - i])
+        # u / (d**i lcm L**(top - i)), over the denominator at i = top
+        tail_num += u * d ** (top - i) * powers[i - 1] << top
     a[0] = Fraction(tail_num, d ** top * lcm * powers[top - 1] << top)
     return tuple(a)
 
@@ -152,8 +162,7 @@ def beta_coefficients(table: PartialFractionTable, profile: Profile) -> Decompos
     if table.pole_offset != Fraction(1, 2):
         raise ValueError("table poles are not at half-integers")
     centre = (table.pole_ks[0] + table.pole_ks[-1]) // 2
-    origins = [k - centre for k in table.pole_ks]
-    a = _assemble(table, profile.s, origins)
+    a = _assemble(table, profile.s, [k - centre for k in table.pole_ks])
     return DecompositionResult(profile, a, tuple(
         _factored(x.denominator, table.primes) for x in a))
 
@@ -258,29 +267,29 @@ def verify_coefficient_inclusions(table: PartialFractionTable,
     """Check phi**-1 d**(s-i) a_{i,k} in Z for every table entry; zero
     entries count as checked and hold.
 
-    Pole by pole, V is the scale over the cofactor, known by the pole's
-    valuations (and, at a prime of d or phi outside them, by the scale's
-    own exponent), and n runs over the pole's rows."""
+    Orbit by orbit (``table.orbits``), V is the scale over the cofactor,
+    known by the pole's valuations (and, at a prime of d or phi outside
+    them, by the scale's own exponent), and n runs over the pole's rows.
+    A mirrored pole has the same V and |n|, so its deficits are the
+    pole's; violations are reported pole by pole in table order."""
     known = set(table.primes)
     beyond = tuple(sorted({p for p, _ in factors.d.factors + factors.phi.factors
                            if p not in known}))
     primes = table.primes + beyond
-    violations = []
-    for idx, k in enumerate(table.pole_ks):
-        scale, order, row = (table.scales[idx], table.orders[idx],
-                             table.rows[idx])
+    found = [()] * len(table.pole_ks)  # (item, deficits) per pole
+    for idx, mirror in table.orbits:
+        order, row = table.orders[idx], table.rows[idx]
         exps = table.valuations[idx]
         if beyond:
-            exps += tuple(valuation(scale, p) for p in beyond)
-        items = [(factors.s - i, order - i, i, row[i - 1])
-                 for i in range(1, order + 1) if row[i - 1]]
-        for (e, _, _, _), deficits in zip(items, _scaled(
-                factors, primes, exps, table.lcm, items)):
-            if deficits:
-                i = factors.s - e
-                violations.append(_violation(
-                    factors, i, k, table.a(i, k), e, deficits))
-    return InclusionReport(len(table.pole_ks) * table.s, tuple(violations))
+            exps += tuple(valuation(table.scales[idx], p) for p in beyond)
+        items = [(factors.s - i, order - i, i, n)
+                 for i, n in enumerate(row, 1) if n]
+        found[idx] = found[mirror] = list(zip(items, _scaled(
+            factors, primes, exps, table.lcm, items)))
+    return InclusionReport(len(table.pole_ks) * table.s, tuple(
+        _violation(factors, i, k, table.a(i, k), e, deficits)
+        for k, pairs in zip(table.pole_ks, found)
+        for (e, _, i, _), deficits in pairs if deficits))
 
 
 def _form_deficits(factors: ArithmeticFactors, e: int, value: Fraction,
@@ -297,12 +306,10 @@ def verify_form_inclusions(result: DecompositionResult,
 
     Odd i are vacuous (a_i = 0 exactly) and are recorded as passing.
     """
-    violations = []
-    for i, (ai, den) in enumerate(zip(result.a, result.denominators)):
-        if ai and (deficits := _form_deficits(factors, factors.s - i, ai, den)):
-            violations.append(_violation(factors, i, None, ai,
-                                         factors.s - i, deficits))
-    return InclusionReport(len(result.a), tuple(violations))
+    return InclusionReport(len(result.a), tuple(
+        _violation(factors, i, None, ai, factors.s - i, deficits)
+        for i, (ai, den) in enumerate(zip(result.a, result.denominators))
+        if ai and (deficits := _form_deficits(factors, factors.s - i, ai, den))))
 
 
 class InclusionError(ArithmeticError):
@@ -313,14 +320,23 @@ def integer_linear_form(result: DecompositionResult,
                         factors: ArithmeticFactors) -> tuple[tuple[int, ...], str]:
     """Integer tuple (A_0, A_2, ..., A_{s-1}) with
     phi**-1 d**s r = A_0 + sum A_i beta(i), plus a description of the scale.
-    """
+
+    d**s / phi = top / bottom in lowest terms, from exponents.  Once the
+    inclusion holds, a_i = num/den in lowest terms has den bottom dividing
+    num top; num is prime to den and top to bottom, so den divides top and
+    bottom divides num, and A_i = (num / bottom) (top / den): two exact
+    divisions, each with a small quotient or divisor, and one product."""
     s = factors.s
-    d, phi = factors.d.value(), factors.phi.value()
+    exps = {p: s * e for p, e in factors.d.factors}
+    for p, e in factors.phi.factors:
+        exps[p] = exps.get(p, 0) - e
+    top = math.prod([p ** e for p, e in exps.items() if e > 0])
+    bottom = math.prod([p ** -e for p, e in exps.items() if e < 0])
     out = []
     for i in [0] + result.beta_indices:
         ai = result.a[i]
         if ai and _form_deficits(factors, s, ai, result.denominators[i]):
             raise InclusionError(f"a_{i} does not scale to an integer")
-        out.append(ai.numerator * d ** s // (ai.denominator * phi))
+        out.append(ai.numerator // bottom * (top // ai.denominator))
     desc = f"phi^-1 d_{result.profile.d_index}^{s} r_n with phi={factors.phi}"
     return tuple(out), desc

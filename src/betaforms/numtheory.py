@@ -21,10 +21,12 @@ minimum drives both the exact prime-power factor and its asymptotic
 exponent.
 
 Where the breakpoints can lie follows from the line arrangement.  A term
-floor(a x + e y) with e != 0 jumps on the lines a x + e y in Z; two such
-lines from terms (a1, e1), (a2, e2) cross only at x in (1/D)Z with
-D = |a1 e2 - a2 e1| (parallel lines, D = 0, never cross or coincide for
-all x), and a y-free term floor(a x) jumps only at x in (1/|a|)Z.  On an
+floor(a x + e y) with e != 0 jumps on the lines a x + e y in Z; the
+lines a1 x + e1 y = m1 and a2 x + e2 y = m2 cross at
+x = (e2 m1 - e1 m2)/D with D = |a1 e2 - a2 e1|, and e2 m1 - e1 m2 runs
+over gZ with g = gcd(e1, e2), so only at x in (g/D)Z (parallel lines,
+D = 0, never cross or coincide for all x); a y-free term floor(a x)
+jumps only at x in (1/|a|)Z.  On an
 open x-interval that avoids all of these, the jump points in y move
 without passing one another, so the cyclic order of the cells in y and
 the value on each cell stay fixed; min over y is then constant.  The
@@ -333,16 +335,17 @@ class StepFunction:
 
 def _breakpoint_candidates(terms) -> list[tuple[int, int]]:
     """Every x in [0, 1) where min over y of the floor sum can change, as
-    reduced (p, q) in increasing order: (1/D)Z for D = |a1 e2 - a2 e1| > 0
-    over pairs of terms with e != 0, where two jump lines cross, and
-    (1/|a|)Z for the y-free terms.  Distinct points j/d differ by at least
-    1/(d1 d2), so the integer keys floor(j 2**k / d), 2**k >= the largest
-    D squared, order them exactly."""
+    reduced (p, q) in increasing order: (1/(D/g))Z for D = |a1 e2 - a2 e1|
+    > 0 and g = gcd(e1, e2) over pairs of terms with e != 0, where two jump
+    lines cross (g divides D), and (1/|a|)Z for the y-free terms.  Distinct
+    points j/d differ by at least 1/(d1 d2), so the integer keys
+    floor(j 2**k / d), 2**k >= the largest d squared, order them exactly."""
     sloped = {(a, e) for _, a, e in terms if e}
-    dens = {abs(a) for _, a, e in terms if not e and a}
-    dens |= {abs(a1 * e2 - a2 * e1) for a1, e1 in sloped for a2, e2 in sloped}
-    dens.discard(0)
-    # the reduced denominators of (1/D)Z are the divisors of D
+    dens = {abs(a) for _, a, e in terms if not e}
+    dens |= {abs(a1 * e2 - a2 * e1) // math.gcd(e1, e2)
+             for a1, e1 in sloped for a2, e2 in sloped}
+    # the reduced denominators of (1/m)Z are the divisors of m (none for
+    # m = 0: parallel lines, or a y-free term with a = 0)
     dens = {d for top in dens for d in range(2, top + 1) if top % d == 0}
     shift = 2 * max(dens, default=1).bit_length()
     return [(0, 1)] + [(j, d) for _, j, d in sorted(

@@ -137,6 +137,14 @@ class PartialFractionTable:
     Entries above the order are exact zeros, so sums may run uniformly to
     s.  ``fraction`` gives an entry unreduced, ``a`` and ``entries``
     reduced.
+
+    ``reflection`` is (c, gap mod 2) when ``partial_fractions`` found the
+    table mirrored, a_{i,c-k} = (-1)**(i+gap) a_{i,k} with c the sum of
+    the first and last k, and None otherwise.  The mirror's scale,
+    cofactor, order and valuations are the pole's own.  ``orbits`` pairs
+    the index of pole k with that of pole c - k, the lower first; the
+    middle pole, and every pole of a table without a reflection, pairs
+    with itself.
     """
 
     s: int
@@ -149,14 +157,19 @@ class PartialFractionTable:
     cofactors: tuple[int, ...]
     valuations: tuple[tuple[int, ...], ...]
     rows: tuple[tuple[int, ...], ...]
+    reflection: tuple[int, int] | None = None
+
+    @cached_property
+    def orbits(self) -> list[tuple[int, int]]:
+        last = len(self.pole_ks) - 1
+        return [(idx, last - idx if self.reflection else idx) for idx in
+                range(last // 2 + 1 if self.reflection else last + 1)]
 
     @cached_property
     def lcm_powers(self) -> list[int]:
         """L**j for j = 0..s."""
-        powers, lcm = [1], self.lcm.value()
-        for _ in range(self.s):
-            powers.append(powers[-1] * lcm)
-        return powers
+        lcm = self.lcm.value()
+        return [lcm ** j for j in range(self.s + 1)]
 
     def fraction(self, idx: int, i: int) -> tuple[int, int]:
         """(N, D), entry i at pole ``pole_ks[idx]`` as N/D, not reduced;
@@ -403,9 +416,7 @@ def partial_fractions(rep: LinearProductRep) -> PartialFractionTable:
     lcm = FactoredInteger.from_dict(lcm_exps)
     lcm_value = lcm.value()
     s = max(den.values())
-    lcm_powers = [1]
-    for _ in range(1, s):
-        lcm_powers.append(lcm_powers[-1] * lcm_value)
+    lcm_powers = [lcm_value ** j for j in range(s)]
     # every |P - R| is at most the full span of the roots
     lpf = _least_prime_factors(max(max(net) - min(net), 2))
     scalar = _FactoredRatio.of(rep.scalar, lpf)
@@ -475,14 +486,14 @@ def partial_fractions(rep: LinearProductRep) -> PartialFractionTable:
                        tuple(row))
     for pole, _ in poles[len(found):]:
         # i = idx + 1; entry i changes sign when i + gap is odd
-        order, num, cofactor, valuations, row = found[mirror - pole]
-        found[pole] = (order, num, cofactor, valuations, tuple(
-            -c if (idx + degree_gap) % 2 == 0 else c
-            for idx, c in enumerate(row)))
+        *same, row = found[mirror - pole]
+        found[pole] = (*same, tuple(-c if (idx + degree_gap) % 2 == 0 else c
+                                    for idx, c in enumerate(row)))
     columns = zip(*(found[pole] for pole, _ in poles))
     return PartialFractionTable(
         s, tuple(-(pole + parity) // 2 for pole, _ in poles),
-        Fraction(parity, 2), lcm, tuple(scalar.exps), *columns)
+        Fraction(parity, 2), lcm, tuple(scalar.exps), *columns,
+        None if mirror is None else (-mirror // 2 - parity, degree_gap % 2))
 
 
 # ---------------------------------------------------------------------------

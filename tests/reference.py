@@ -8,7 +8,10 @@ closed form, the reflection symmetry of a table, tables of reduced
 Fractions and the full pole sweep that mirrored tables are held to, a
 rep's scalar multiple and shift, the hypergeometric parameters, pointwise
 reconstruction of a table, the Fraction integrality kernel that the
-exponent kernel is held to, the Fraction inner sum, a Sturm root count,
+exponent kernel is held to, the per-pole assembly and coefficient
+inclusion check that the orbit-wise ones are held to, the carry table's
+breakpoint candidates over the full crossing denominators, the Fraction
+inner sum, a Sturm root count,
 the ball pi, sqrt and cos and the ball-operation digamma sum that the
 fixed-point pass is held to, Euler's gamma from mpmath, the one-point
 digamma and a Monte Carlo estimate of the integral form.
@@ -30,8 +33,9 @@ from betaforms.balls import (BallReal, _ball, _ceil_shift_div, _cos_sin_fixed,
                              _fixed_guard, _new, _pi, floor_log2,
                              working_precision)
 from betaforms.decomposition import (ArithmeticFactors, DecompositionResult,
-                                     InclusionReport, Violation, _assemble)
-from betaforms.numtheory import capital_phi, factorize, lcm_up_to
+                                     InclusionReport, Violation, _assemble,
+                                     _scaled, _violation)
+from betaforms.numtheory import capital_phi, factorize, lcm_up_to, valuation
 from betaforms.profiles import Profile, section2
 from betaforms.rationalfn import (LinearProductRep, PartialFractionTable,
                                   _layers, partial_fractions)
@@ -317,6 +321,101 @@ def fraction_inclusion_report(factors: ArithmeticFactors,
     return InclusionReport(len(entries), tuple(
         Violation(i, k, v, _prime_deficits(v.denominator))
         for (i, k, _), v in zip(nonzero, scaled) if v.denominator != 1))
+
+
+# ---------------------------------------------------------------------------
+# Per-pole assembly and coefficient inclusions
+# ---------------------------------------------------------------------------
+
+def per_pole_tail_sum(i: int, terms) -> tuple[int, int]:
+    """(u, D) with the sum of w * c_o over the pairs (o, w) equal to
+    u / D**i, c_o as in ``decomposition._tail_coefficients``, D the lcm of
+    the odd numbers up to 2 max|o| - 1 over the nonzero origins: the tail
+    kernel as it was before the powers were shared between columns."""
+    terms = [(o, w) for o, w in terms if o]
+    if not terms:
+        return 0, 1
+    top = max(abs(o) for o, _ in terms)
+    d = math.lcm(*range(1, 2 * top, 2))
+    running = [0]
+    for m in range(1, top + 1):
+        u = (d // (2 * m - 1)) ** i
+        running.append(running[-1] + u if m % 2 else running[-1] - u)
+    flip = -1 if i % 2 else 1
+    merged: dict[int, int] = {}  # origins o and -o share U_|o|
+    for o, w in terms:
+        merged[abs(o)] = merged.get(abs(o), 0) + (w if o > 0 else flip * w)
+    return -sum(w * running[m] for m, w in merged.items()) * 2 ** i, d
+
+
+def per_pole_assemble(table: PartialFractionTable, s: int,
+                      origins) -> tuple[Fraction, ...]:
+    """``decomposition._assemble`` as it was before it read the table's
+    reflection: one product of weight and row per pole and column, and
+    the tail sums per column."""
+    a = [Fraction(0)] * (s + 1)
+    top = max(table.orders)
+    if not top:
+        return tuple(a)
+    powers = table.lcm_powers
+    lcm = math.prod(p ** -v for p, v in zip(
+        table.primes, map(min, zip(*table.valuations))) if v < 0)
+    quotients = {c: lcm // c for c in set(table.cofactors)}
+    weights = [(-scale if k % 2 else scale) * quotients[c]
+               * powers[top - order]
+               for k, scale, c, order in zip(table.pole_ks, table.scales,
+                                             table.cofactors, table.orders)]
+    tail_num = 0
+    for i in range(1, top + 1):
+        column = [w * row[i - 1] for w, row in zip(weights, table.rows)]
+        a[i] = Fraction(sum(column), lcm * powers[top - i])
+        u, d = per_pole_tail_sum(i, zip(origins, column))
+        # u / (d**i lcm L**(top - i) 2**i), over the denominator at i = top
+        tail_num += u * d ** (top - i) * powers[i - 1] << top - i
+    a[0] = Fraction(tail_num, d ** top * lcm * powers[top - 1] << top)
+    return tuple(a)
+
+
+def per_pole_coefficient_inclusions(table: PartialFractionTable,
+                                    factors: ArithmeticFactors
+                                    ) -> InclusionReport:
+    """``decomposition.verify_coefficient_inclusions`` as it was before it
+    read the table's reflection: one ``_scaled`` call per pole."""
+    known = set(table.primes)
+    beyond = tuple(sorted({p for p, _ in factors.d.factors + factors.phi.factors
+                           if p not in known}))
+    primes = table.primes + beyond
+    violations = []
+    for idx, k in enumerate(table.pole_ks):
+        scale, order, row = (table.scales[idx], table.orders[idx],
+                             table.rows[idx])
+        exps = table.valuations[idx]
+        if beyond:
+            exps += tuple(valuation(scale, p) for p in beyond)
+        items = [(factors.s - i, order - i, i, row[i - 1])
+                 for i in range(1, order + 1) if row[i - 1]]
+        for (e, _, _, _), deficits in zip(items, _scaled(
+                factors, primes, exps, table.lcm, items)):
+            if deficits:
+                i = factors.s - e
+                violations.append(_violation(
+                    factors, i, k, table.a(i, k), e, deficits))
+    return InclusionReport(len(table.pole_ks) * table.s, tuple(violations))
+
+
+def full_breakpoint_candidates(terms) -> list[tuple[int, int]]:
+    """``numtheory._breakpoint_candidates`` as it was before the crossings
+    were taken from (g/D)Z: (1/D)Z for D = |a1 e2 - a2 e1| over pairs of
+    sloped terms, and (1/|a|)Z for the y-free terms."""
+    sloped = {(a, e) for _, a, e in terms if e}
+    dens = {abs(a) for _, a, e in terms if not e and a}
+    dens |= {abs(a1 * e2 - a2 * e1) for a1, e1 in sloped for a2, e2 in sloped}
+    dens.discard(0)
+    dens = {d for top in dens for d in range(2, top + 1) if top % d == 0}
+    shift = 2 * max(dens, default=1).bit_length()
+    return [(0, 1)] + [(j, d) for _, j, d in sorted(
+        ((j << shift) // d, j, d) for d in dens for j in range(1, d)
+        if math.gcd(j, d) == 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,11 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from betaforms.decomposition import (ArithmeticFactors, InclusionError,
-                                     _assemble,
-                                     _tail_correction_sum,
+                                     _assemble, _factored,
+                                     _tail_coefficients,
                                      beta_coefficients,
                                      integer_linear_form,
                                      verify_coefficient_inclusions,
@@ -18,7 +18,9 @@ from betaforms.rationalfn import (LinearProductRep, build_general,
 
 from tests.conftest import SECTION2_SUITE, THEOREM1_NS, suite_profiles
 from tests.reference import (decomposition, fraction_inclusion_report,
-                             inner_sum, remark1_denominator_probe)
+                             inner_sum, per_pole_assemble,
+                             per_pole_coefficient_inclusions,
+                             remark1_denominator_probe)
 from tests.test_numtheory import admissible_general
 from tests.test_rationalfn import linear_product_reps
 
@@ -75,9 +77,15 @@ def fraction_tail_correction_sum(i, terms):
 
 
 def tail_correction(i, terms) -> Fraction:
-    """``_tail_correction_sum`` as the one value u / D**i."""
-    u, d = _tail_correction_sum(i, terms)
-    return Fraction(u) / d ** i
+    """``_tail_coefficients`` summed against the weights, with the D and
+    the signed powers (-1)**(m-1) (D/(2m - 1))**i that ``_assemble``
+    hands it."""
+    extent = max((abs(o) for o, _ in terms), default=0)
+    d = math.lcm(*range(1, 2 * extent, 2))
+    powers = [(-1) ** m * (d // (2 * m + 1)) ** i for m in range(extent)]
+    e = _tail_coefficients(i, [o for o, _ in terms], powers)
+    return sum((w * e_o for (_, w), e_o in zip(terms, e)),
+               Fraction(0)) * Fraction(2, d) ** i
 
 
 class TestTailCorrectionSum:
@@ -314,6 +322,100 @@ class TestIntegerLinearForm:
             b.profile, (a + Fraction(1, 7) for a in b.decomposition.a))
         with pytest.raises(InclusionError):
             integer_linear_form(broken, b.factors)
+
+
+def weakened(factors: ArithmeticFactors, how: int,
+             pick: int) -> ArithmeticFactors:
+    """The factors as they are (how 0), with one power of d's prime number
+    ``pick`` (mod their count) taken out (1), or with one more power of it
+    put into phi (2)."""
+    d, phi = dict(factors.d.factors), dict(factors.phi.factors)
+    p = sorted(d)[pick % len(d)]
+    if how == 1:
+        d[p] -= 1
+    elif how == 2:
+        phi[p] = phi.get(p, 0) + 1
+    return ArithmeticFactors(FactoredInteger.from_dict(d),
+                             FactoredInteger.from_dict(phi), factors.s)
+
+
+def random_profiles():
+    """Admissible profiles of both families, small enough for a few
+    milliseconds of partial fractions."""
+    return st.one_of(
+        st.tuples(st.sampled_from([3, 5, 7]), st.sampled_from([2, 4])).map(
+            lambda case: section2(*case)),
+        admissible_general((5, 7), 12).filter(
+            lambda case: case[1] <= 2).map(
+            lambda case: general(case[2], case[1])))
+
+
+def bumped(rep: LinearProductRep) -> LinearProductRep:
+    """``rep`` with its lowest numerator root's multiplicity raised by 1,
+    so that the reflection no longer fixes it."""
+    (r, m), *rest = rep.num_roots
+    return LinearProductRep(rep.scalar, ((r, m + 1), *rest), rep.den_roots)
+
+
+class TestOrbitwiseAssembly:
+    """Assembly and the coefficient inclusions take one product and one
+    integrality check per orbit {k, c - k} of the table's reflection; they
+    must give what the per-pole versions give: the a_i, their
+    denominators and every violation, at mirrored poles too, in order."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(random_profiles(), st.integers(0, 2), st.integers(0, 99))
+    @example(general(THEOREM1_ETA, 2), 1, 5)
+    def test_profiles(self, profile, how, pick):
+        table = partial_fractions(build_general(profile))
+        assert table.reflection == (profile.h0 - 1, 0)
+        centre = (profile.h0 - 1) // 2
+        a = per_pole_assemble(table, profile.s,
+                              [k - centre for k in table.pole_ks])
+        dec = beta_coefficients(table, profile)
+        assert dec.a == a
+        assert dec.denominators == tuple(
+            _factored(x.denominator, table.primes) for x in a)
+        factors = weakened(ArithmeticFactors.for_profile(profile), how, pick)
+        assert (verify_coefficient_inclusions(table, factors)
+                == per_pole_coefficient_inclusions(table, factors))
+        if how == 0:
+            d, phi, s = factors.d.value(), factors.phi.value(), profile.s
+            assert integer_linear_form(dec, factors)[0] == tuple(
+                a[i].numerator * d ** s // (a[i].denominator * phi)
+                for i in [0] + dec.beta_indices)
+
+    @settings(max_examples=25, deadline=None)
+    @given(linear_product_reps(), st.integers(-3, 6), st.integers(1, 30),
+           st.dictionaries(st.sampled_from([2, 3, 5, 7, 11, 13]),
+                           st.integers(1, 3), max_size=3),
+           st.integers(0, 8))
+    @example(bumped(build_section2(5, 2)), 3, 4, {}, 3)
+    @example(bumped(build_section2(3, 2)), 0, 2, {3: 1}, 1)
+    def test_any_rep(self, rep, m, index, phi, s):
+        table = partial_fractions(rep)
+        # a root that cancels a pole beyond its order leaves order < 0,
+        # which neither assembly takes
+        assume(min(table.orders) >= 0)
+        origins = [k - m for k in table.pole_ks]
+        assert (_assemble(table, table.s, origins)
+                == per_pole_assemble(table, table.s, origins))
+        factors = ArithmeticFactors(lcm_up_to(index),
+                                    FactoredInteger.from_dict(phi), s)
+        assert (verify_coefficient_inclusions(table, factors)
+                == per_pole_coefficient_inclusions(table, factors))
+
+    def test_inputs_reach_violations_at_mirrored_poles(self):
+        # the comparison above must see violations at both poles of an
+        # orbit, and tables the reflection does not fix
+        profile = general(THEOREM1_ETA, 2)
+        table = partial_fractions(build_general(profile))
+        report = verify_coefficient_inclusions(
+            table, weakened(ArithmeticFactors.for_profile(profile), 1, 5))
+        c = table.reflection[0]
+        poles = {v.k for v in report.violations}
+        assert poles and all(c - k in poles for k in poles)
+        assert partial_fractions(bumped(build_section2(5, 2))).reflection is None
 
 
 class TestRandomProfiles:

@@ -2,6 +2,7 @@ import contextlib
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -19,7 +20,8 @@ from betaforms.profiles import (THEOREM1_ETA, Profile, general,
                                 profile_violations, section2)
 
 from tests.reference import (ball_cos, ball_pi, digamma_rational,
-                             digamma_sum, euler_gamma)
+                             digamma_sum, euler_gamma,
+                             full_breakpoint_candidates)
 
 THEOREM1_SPEC = CarrySpec("general", THEOREM1_ETA)
 SECTION2_SPEC = CarrySpec("section2")
@@ -354,6 +356,27 @@ class TestCarryMinTable:
     def test_merged_table_equals_the_unmerged_one(self, eta):
         spec = CarrySpec("general", eta)
         assert carry_min_table(spec) == unmerged_table(spec.terms())
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.one_of(st.just(SECTION2_SPEC), admissible_general(
+        (3, 5, 7), 14).map(lambda case: CarrySpec("general", case[2]))))
+    @example(THEOREM1_SPEC)
+    def test_pruned_candidates_give_the_same_table(self, spec):
+        # crossings lie in (g/D)Z, g = gcd(e1, e2): the candidates over D/g
+        # are a subset of those over D, and the table built on them is the
+        # one built on all of them
+        terms = _merged_terms(spec.terms())
+        assert (set(_breakpoint_candidates(terms))
+                <= set(full_breakpoint_candidates(terms)))
+        with mock.patch.object(numtheory, "_breakpoint_candidates",
+                               full_breakpoint_candidates):
+            reference = carry_min_table.__wrapped__(spec)
+        assert carry_min_table.__wrapped__(spec) == reference
+
+    def test_candidate_counts(self):
+        for spec, count in ((THEOREM1_SPEC, 214), (SECTION2_SPEC, 8)):
+            terms = _merged_terms(spec.terms())
+            assert len(_breakpoint_candidates(terms)) == count
 
     def test_a_candidate_unlike_its_right_gap_raises(self, monkeypatch):
         # floor(x) + floor(-x) is 0 at x = 0 and -1 on (0, 1): a table of
