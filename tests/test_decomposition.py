@@ -339,7 +339,7 @@ def weakened(factors: ArithmeticFactors, how: int,
                              FactoredInteger.from_dict(phi), factors.s)
 
 
-def random_profiles():
+def small_profiles():
     """Admissible profiles of both families, small enough for a few
     milliseconds of partial fractions."""
     return st.one_of(
@@ -364,7 +364,7 @@ class TestOrbitwiseAssembly:
     denominators and every violation, at mirrored poles too, in order."""
 
     @settings(max_examples=25, deadline=None)
-    @given(random_profiles(), st.integers(0, 2), st.integers(0, 99))
+    @given(small_profiles(), st.integers(0, 2), st.integers(0, 99))
     @example(general(THEOREM1_ETA, 2), 1, 5)
     def test_profiles(self, profile, how, pick):
         table = partial_fractions(build_general(profile))
