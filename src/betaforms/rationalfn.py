@@ -464,7 +464,9 @@ def partial_fractions(rep: LinearProductRep) -> PartialFractionTable:
                           else common // p ** -step)
         prev = pole
         z = num.get(pole, 0)
-        order = mult - z  # the nonzero coefficients at this pole
+        # the nonzero coefficients at this pole: none where a numerator root
+        # of higher multiplicity cancels it
+        order = max(mult - z, 0)
         e = [1]
         for j in range(1, order):
             acc = 0

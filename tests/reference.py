@@ -14,29 +14,33 @@ breakpoint candidates over the full crossing denominators, the Fraction
 inner sum, a Sturm root count,
 the ball pi, sqrt and cos and the ball-operation digamma sum that the
 fixed-point pass is held to, Euler's gamma from mpmath, the one-point
-digamma and a Monte Carlo estimate of the integral form.
+digamma, a Monte Carlo estimate of the integral form, and the argparse
+parser that the command table of ``cli`` is held to.
 """
 
 from __future__ import annotations
 
+import argparse
 import math
 from fractions import Fraction
 
 from mpmath import iv
 from mpmath.libmp import to_rational
 
-from betaforms import numtheory
+from betaforms import __version__, numtheory
 from betaforms._records import frozen
 from betaforms.asymptotics import _count, _integer_poly, _sturm_chain
 from betaforms import balls
 from betaforms.balls import (BallReal, _ball, _ceil_shift_div, _cos_sin_fixed,
                              _fixed_guard, _new, _pi, floor_log2,
                              working_precision)
+from betaforms.cli import (_cmd_asymptotics, _cmd_beta, _cmd_phi_table,
+                           _cmd_run, _cmd_validate)
 from betaforms.decomposition import (ArithmeticFactors, DecompositionResult,
                                      InclusionReport, Violation, _assemble,
                                      _scaled, _violation)
 from betaforms.numtheory import capital_phi, factorize, lcm_up_to, valuation
-from betaforms.profiles import Profile, section2
+from betaforms.profiles import PRESETS, Profile, section2
 from betaforms.rationalfn import (LinearProductRep, PartialFractionTable,
                                   _layers, partial_fractions)
 
@@ -681,3 +685,53 @@ def mc_integral(profile: Profile, samples: int, seed: int) -> BallReal:
     sem = math.sqrt(var / samples)
     with working_precision(64):
         return BallReal(Fraction(mean) * pref, radius=Fraction(3 * sem) * pref)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser that ``cli`` read its command line with before
+    the command table: the parity reference of ``cli._parse_args``."""
+    parser = argparse.ArgumentParser(
+        prog="betaforms",
+        description="Exact linear forms in even beta values: construction, "
+                    "verification, and asymptotic certificates.")
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_common(p, profile=True, precision=True):
+        if profile:
+            p.add_argument("--profile", required=True,
+                           help="profile JSON path or preset name "
+                                f"({', '.join(sorted(PRESETS))})")
+            p.add_argument("--n", nargs="+", type=int,
+                           help="override the profile's n list")
+        if precision:
+            p.add_argument("--precision", type=int,
+                           help="working precision, bits")
+        p.add_argument("--out", help="write the JSON report here")
+
+    p = sub.add_parser("validate", help="check profile conditions")
+    p.add_argument("--profile", required=True)
+    p.add_argument("--n", nargs="+", type=int)
+    p.set_defaults(func=_cmd_validate)
+
+    p = sub.add_parser(
+        "run", help="full verification run + report; exit 0 means every "
+                    "check ran and decided, and asymptotics.verdict says "
+                    "whether the criterion holds")
+    add_common(p)
+    p.set_defaults(func=_cmd_run)
+
+    p = sub.add_parser("asymptotics", help="exponent ledger only")
+    add_common(p)
+    p.set_defaults(func=_cmd_asymptotics)
+
+    # the table and the factors are exact: no precision to set
+    p = sub.add_parser("phi-table", help="carry-minimum table and factors")
+    add_common(p, precision=False)
+    p.set_defaults(func=_cmd_phi_table)
+
+    p = sub.add_parser("beta", help="one beta value as a ball")
+    p.add_argument("--index", "--n", dest="index", type=int, required=True)
+    add_common(p, profile=False)
+    p.set_defaults(func=_cmd_beta)
+    return parser

@@ -352,9 +352,11 @@ class TestNstr:
             assert out["rad"] == mpmath_nstr(b.rad, 8)
 
 
-def run_fresh(tmp_path, *lines):
+def run_fresh(tmp_path, *lines, site=True):
     """Run ``lines`` in a fresh interpreter, after ``import sys`` and
-    with ``run_theorem1()`` defined; it must exit 0."""
+    with ``run_theorem1()`` defined; it must exit 0.  With ``site``
+    false the interpreter skips the site hook (``-S``), which on some
+    hosts loads modules such as ``pathlib`` before any code runs."""
     code = "\n".join([
         "import sys",
         "def run_theorem1():",
@@ -364,8 +366,9 @@ def run_fresh(tmp_path, *lines):
         "    assert rc == 0, rc",
         *lines])
     root = str(Path(balls.__file__).resolve().parents[1])
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=300,
+    flags = [] if site else ["-S"]
+    done = subprocess.run([sys.executable, *flags, "-c", code],
+                          capture_output=True, text=True, timeout=300,
                           env={**os.environ, "PYTHONPATH": root})
     assert done.returncode == 0, done.stderr
 
@@ -379,17 +382,3 @@ def test_no_mpmath_or_numpy_on_the_import_path_or_in_a_run(tmp_path):
               "assert not loaded(), ('loaded by the import', loaded())",
               "run_theorem1()",
               "assert not loaded(), ('loaded by the run', loaded())")
-
-
-def test_no_record_generator_on_the_import_path_or_in_a_run(tmp_path):
-    """Neither importing ``betaforms.cli`` nor a theorem1 run loads
-    ``dataclasses`` or ``inspect`` (measured against what the interpreter
-    had loaded before, which on some hosts includes them)."""
-    run_fresh(tmp_path,
-              "before = set(sys.modules)",
-              "new = lambda: {'dataclasses', 'inspect'} & (set(sys.modules)"
-              " - before)",
-              "import betaforms.cli",
-              "assert not new(), ('loaded by the import', new())",
-              "run_theorem1()",
-              "assert not new(), ('loaded by the run', new())")

@@ -1,7 +1,12 @@
 import ast
+import contextlib
 import importlib
 import importlib.util
+import io
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -9,6 +14,7 @@ from types import SimpleNamespace
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from betaforms import cli, numerics
 from betaforms.asymptotics import ExponentLedger
@@ -19,6 +25,8 @@ from betaforms.numerics import ConsistencyReport, build_profile_rep
 from betaforms.profiles import preset
 from betaforms.rationalfn import partial_fractions
 
+from tests.reference import build_parser
+from tests.test_balls import run_fresh
 from tests.test_numerics import beta_oracle, full_power_enclosure
 
 
@@ -229,6 +237,138 @@ class TestRun:
             run_cli(command, "--profile", "theorem1", flag, "64")
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+COMMAND_NAMES = [name for name in cli.COMMANDS if name]
+# every flag and each prefix of it past "--" (--p, --pr, ..., --profile),
+# -h, and a flag that no command has
+FLAGS = sorted({flag[:end] for flag in ("--profile", "--n", "--precision",
+                                         "--out", "--index", "--help",
+                                         "--version")
+                for end in range(3, len(flag) + 1)}) + ["-h", "--seed"]
+VALUES = st.one_of(st.integers(-20, 300).map(str), st.sampled_from(
+    ["theorem1", "x", "1.5", "-1.5", "-.5", "-5.", "", "-", "2 4", "-x y"]))
+WORD = st.one_of(st.sampled_from(COMMAND_NAMES + FLAGS), VALUES,
+                 st.builds("{}={}".format, st.sampled_from(FLAGS), VALUES))
+
+
+def option_pairs(command):
+    """``command`` and pairs of one of its flags (or a prefix of one) and
+    an int: mostly lines that parse, often with a repeated option."""
+    flags = sorted({flag[:end] for option in cli.COMMANDS[command][2]
+                    for flag in option[0] for end in range(3, len(flag) + 1)})
+    pairs = st.lists(st.tuples(st.sampled_from(flags),
+                               st.integers(-20, 300).map(str)), max_size=6)
+    return pairs.map(lambda pairs: [command, *(w for pair in pairs
+                                               for w in pair)])
+
+
+ARGV = st.one_of(st.lists(WORD, max_size=3), st.builds(
+    lambda command, rest: [command, *rest], st.sampled_from(COMMAND_NAMES),
+    st.lists(WORD, max_size=8)),
+    st.sampled_from(COMMAND_NAMES).flatmap(option_pairs))
+
+# one command line per usage error
+USAGE_ERRORS = {
+    "no command": [],
+    "unknown command": ["frobnicate", "--profile", "theorem1"],
+    "unknown flag": ["run", "--profile", "theorem1", "--seed", "1"],
+    "unknown flag before the command": ["--seed", "run", "--profile", "x"],
+    "stray word": ["run", "--profile", "theorem1", "extra"],
+    "ambiguous prefix": ["run", "--p", "theorem1"],
+    "missing value": ["run", "--profile"],
+    "missing list": ["run", "--profile", "theorem1", "--n", "--out", "f"],
+    "non-int value": ["beta", "--index", "two"],
+    "non-int in a list": ["run", "--profile", "theorem1", "--n", "2", "4.0"],
+    "missing required option": ["beta", "--precision", "64"],
+    "value given to a flag": ["run", "--help=yes"],
+}
+
+
+def parse_outcome(parse, argv) -> tuple:
+    """``("ok", attributes)``, or ``("exit", code)`` with what was written
+    to stderr (exit 2) or stdout (exit 0)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return ("ok", vars(parse(list(argv)))), ""
+        except SystemExit as exc:
+            return ("exit", exc.code), (err if exc.code else out).getvalue()
+
+
+class TestParser:
+    """``cli._parse_args`` reads every command line as the argparse parser
+    it replaced (``tests.reference.build_parser``) did."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(argv=ARGV)
+    @example(argv=["run", "--prof=theorem1", "--n", "2", "-4", "--n", "6"])
+    @example(argv=["beta", "--n", "3", "--i", "5", "--pre", "64"])
+    @example(argv=["run", "--pro", "a", "--profile", "b", "--o", "f"])
+    @example(argv=["validate", "--p", "theorem1", "--n=4"])
+    @example(argv=["--seed", "run", "-h"])
+    @example(argv=["run", "-h", "--p"])
+    @example(argv=["run", "-h=x"])
+    @example(argv=["--vers"])
+    @example(argv=["run", "--profile", "-x y", "--precision", "-64"])
+    def test_same_reading_as_argparse(self, argv):
+        expected, _ = parse_outcome(build_parser().parse_args, argv)
+        got, said = parse_outcome(cli._parse_args, argv)
+        assert got == expected, argv
+        # help or the version on stdout, an error on stderr
+        assert got[0] == "ok" or said and (got[1] == 0 or ": error: " in said)
+
+    @pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+    def test_usage_error_exits_2_with_a_message(self, argv):
+        expected, _ = parse_outcome(build_parser().parse_args, argv)
+        assert expected == ("exit", 2)
+        got, said = parse_outcome(cli.main, argv)
+        assert got == ("exit", 2)
+        message = said.splitlines()[-1]
+        assert message.startswith("betaforms") and ": error: " in message
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["-h"], ["run", "--help"],
+        *([name, "-h"] for name in COMMAND_NAMES)])
+    def test_help_exits_0(self, argv):
+        got, said = parse_outcome(cli.main, argv)
+        assert got == ("exit", 0)
+        usage, _, text, _, *rows = said.splitlines()
+        command = argv[0] if argv[0] in cli.COMMANDS else None
+        _, help, options = cli.COMMANDS[command]
+        assert usage.startswith(f"usage: betaforms {command or ''}".strip())
+        assert text == help and len(rows) == 1 + len(options) + (
+            0 if command else len(COMMAND_NAMES))
+
+    def test_version(self):
+        assert parse_outcome(cli.main, ["--version"]) == (
+            ("exit", 0), f"{cli.__version__}\n")
+
+    def test_bare_command_line_exits_2_without_a_traceback(self):
+        root = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-m", "betaforms.cli"],
+                              capture_output=True, text=True, timeout=300,
+                              env={**os.environ, "PYTHONPATH": root})
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.splitlines()[-1] == (
+            "betaforms: error: the following arguments are required: command")
+
+    def test_run_loads_no_parser_pathlib_or_record_generator(self,
+                                                            tmp_path):
+        """Neither importing ``betaforms.cli`` nor a theorem1 run loads
+        ``argparse``, its ``gettext`` and ``locale``, ``pathlib``,
+        ``dataclasses`` or ``inspect``: measured against what the
+        interpreter had loaded before, without the site hook, which on
+        some hosts loads some of them."""
+        run_fresh(tmp_path,
+                  "before = set(sys.modules)",
+                  "new = lambda: {'argparse', 'gettext', 'locale', 'pathlib',"
+                  " 'dataclasses', 'inspect'} & (set(sys.modules) - before)",
+                  "import betaforms.cli",
+                  "assert not new(), ('loaded by the import', new())",
+                  "run_theorem1()",
+                  "assert not new(), ('loaded by the run', new())",
+                  site=False)
 
 
 class TestOtherCommands:

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from betaforms.decomposition import (ArithmeticFactors, InclusionError,
                                      _assemble, _factored,
@@ -392,11 +392,11 @@ class TestOrbitwiseAssembly:
            st.integers(0, 8))
     @example(bumped(build_section2(5, 2)), 3, 4, {}, 3)
     @example(bumped(build_section2(3, 2)), 0, 2, {3: 1}, 1)
+    # the numerator's double root cancels the simple pole at 0: order 0
+    @example(LinearProductRep(1, ((0, 2),), ((0, 1), (2, 1), (4, 1))),
+             0, 4, {}, 2)
     def test_any_rep(self, rep, m, index, phi, s):
         table = partial_fractions(rep)
-        # a root that cancels a pole beyond its order leaves order < 0,
-        # which neither assembly takes
-        assume(min(table.orders) >= 0)
         origins = [k - m for k in table.pole_ks]
         assert (_assemble(table, table.s, origins)
                 == per_pole_assemble(table, table.s, origins))
