@@ -35,7 +35,7 @@ with working_precision(80):
     value = dec.a[0] + dec.a[2] * beta_value(2, 80)
 print(f"numeric value: {nstr(value.mid, 15)}")
 
-check = consistency_check(dec, rep, table, 128)
+check = consistency_check(dec, rep, 128)
 print(f"independent series evaluation agrees to {check.gap_bits} bits")
 
 factors = ArithmeticFactors.for_profile(profile)

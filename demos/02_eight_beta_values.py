@@ -33,7 +33,7 @@ with working_precision(160):
 print(f"\nvalue of the integer form: {nstr(value.mid, 15)}")
 print("  (positive and below 1, as the decay makes inevitable)")
 
-r2 = r_n_series(rep, table, 128)
+r2 = r_n_series(rep, 128)
 print(f"r_2 itself: {nstr(r2.mid, 15)}")
 
 ledger = exponent_ledger(profile, 160)

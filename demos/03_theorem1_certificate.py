@@ -42,7 +42,7 @@ ints, _ = integer_linear_form(dec, factors)
 print(f"integer form: {len(ints)} coefficients "
       f"(constant plus beta(2), beta(4), ..., beta(12))")
 
-check = consistency_check(dec, rep, table, 256)
+check = consistency_check(dec, rep, 256)
 print(f"series vs decomposition: agree to {check.gap_bits} bits; "
       f"r_2 = {nstr(check.series.mid, 15)}")
 

@@ -202,7 +202,7 @@ def _run_one_n(cfg: dict, n: int, failures: list[str]) -> dict:
             "scale": scale,
             "coefficients": [str(v) for v in ints],
         }
-    check = consistency_check(dec, rep, table, precision)
+    check = consistency_check(dec, rep, precision)
     entry["r"] = _ball(check.series, precision)
     entry["consistency"] = {"passed": check.passed,
                             "gap_bits": check.gap_bits}
@@ -362,13 +362,20 @@ def _words(args: list[str], command) -> list:
     """How argparse reads each of ``args`` at the level of ``command``:
     None for a value, else (option, the text after "=" or None), with
     option None for an unknown flag.  A long flag may be cut to a unique
-    prefix."""
+    prefix.  No option reads "--" or a word after it, so they are unknown,
+    except that at the top level "--" with words after it is the command."""
     flags = {flag: o for o in (_HELP, *COMMANDS[command][2]) for flag in o[0]}
     words = []
-    for arg in args:
+    for k, arg in enumerate(args):
+        if arg == "--":
+            rest = len(args) - k - 1
+            head = None if command is None and rest else (None, None)
+            return words + [head] + [(None, None)] * rest
         name, eq, value = arg.partition("=")
         if name not in flags and arg[:2] in flags:  # -hx is -h=x
             name, eq, value = arg[:2], "=", arg[2:]
+        if name == "-h" and value:  # -hhx is -h -h -x: x is the value
+            value = value.lstrip("h") or None
         hits = [name] if name in flags else [flag for flag in flags if (
             name[:2] == "--" and flag.startswith(name))]
         if len(hits) > 1:
@@ -435,6 +442,12 @@ def _parse_args(argv: list[str]) -> SimpleNamespace:
 
 def main(argv=None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+    # CPython caps int-to-decimal conversion (4300 digits by default, no
+    # cap before 3.10.7), and an a_i passes it from theorem1 n = 48: lift
+    # the cap while the command runs, and give the caller its own back
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except CliError as exc:
@@ -448,6 +461,9 @@ def main(argv=None) -> int:
         # mathematical failure of the certificate, so not exit 1
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -8,26 +8,22 @@ the integer weights c_k of ``_chebyshev_weights``, sum c_k a_k / d misses
 sum (-1)**k a_k by at most B/d when a_k = int_0^1 t**k w(t) dt and
 B >= int_0^1 |w|, and ``_least_size`` finds the least N with
 B/d <= target/2.  For beta(i), a_k = (2k + 1)**-i, B = 1 and the target is
-2**-(precision + 7).  The indices one decomposition needs share one pass
-(``_beta_enclosures``): floor(floor(a/b)/c) = floor(a/(bc)) for integers
-b, c > 0, so dividing the last floor by (2k + 1)**(i' - i) gives each
-next index's floor exactly, and a chain stops at 0 or -1, the fixed points
-of floor division.  The series term a_j = f(j) =
-sum c_ik (j + X_k)**-i over the pole table, X_k = k + pole_offset > 0
-(k + 1/2 for every profile), is the moment of w(t) = sum c_ik t**(X_k - 1)
-(-log t)**(i - 1) / (i - 1)!, so B = sum |c_ik| / X_k**i
-(``_moment_bound``).  The terms run in fixed point at scale 2**P, each the
-last times the integer step ratio, floored; each floor's error is carried
-as an integer bound that does not depend on P, so the whole fixed-point
-error is known before the pass and P is chosen to keep it at most
-target/4.  The table enters only B, the radius, so the series value stays
-independent of the decomposition.  ``r_n_series`` meets the radius
-2**-(precision + 64) min(1, |r|).
+2**-(precision + 7); the indices one decomposition needs share one pass
+(``_beta_enclosures``).  The series term a_j = f(j) = sum c_ik
+(j + X_k)**-i, in partial fractions with every pole -X_k < 0, is the
+moment of w(t) = sum c_ik t**(X_k - 1) (-log t)**(i - 1) / (i - 1)!, so
+B = sum |c_ik| / X_k**i will do; ``_moment_bound`` bounds it from the rep
+alone, by Cauchy's estimate.  The terms run in fixed point at scale 2**P
+with an error bound known before the pass (``_term_ratios``), so P keeps
+it at most target/4.  The series reads the rep only, never the
+decomposition; ``r_n_series`` meets the radius 2**-(precision + 64)
+min(1, |r|).
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -35,10 +31,9 @@ from ._records import frozen
 from .balls import BallReal, floor_log2, working_precision
 from .decomposition import DecompositionResult
 from .profiles import Profile
-from .rationalfn import LinearProductRep, PartialFractionTable, build_general
-# Unused here: the benchmark traces numerics.beta_coefficients,
-# numerics.build_section2, numerics.partial_fractions,
-# numerics.divide_trunc and numerics.euler_numbers_at_zero by these names.
+from .rationalfn import LinearProductRep, _layers, build_general
+# Unused here: the benchmark traces beta_coefficients, build_section2,
+# partial_fractions, divide_trunc and euler_numbers_at_zero in numerics.
 from .decomposition import beta_coefficients
 from .rationalfn import build_section2, partial_fractions
 from .series import divide_trunc, euler_numbers_at_zero
@@ -49,11 +44,16 @@ _MAX_SERIES_BITS = 1 << 16
 
 
 def _least_size(b: int, e: int, target: Fraction) -> tuple[int, int]:
-    """The least size n, and d = T_n(3), with B/d <= target/2 for
-    B = b / 2**e."""
+    """The least n, and d = T_n(3), with B/d <= target/2, B = b / 2**e:
+    T_n(3) < 2**(2.544 n), so steps up from an n below it, its T_(n-1)(3)
+    and T_n(3) doubled: T_2k = 2 T_k**2 - 1, T_(2k+1) = 2 T_k T_(k+1) - 3."""
     tn, td = target.as_integer_ratio()
     scale, bound = tn << max(e, 0), (2 * b * td) << max(-e, 0)
-    n, a, d = 1, 1, 3  # T_0(3), T_1(3): up to the least n that meets B
+    n = max(1, (bound.bit_length() - scale.bit_length() - 1) * 1000 // 2544)
+    a, d = 1, 3  # T_0(3), T_1(3), then along the bits of n
+    for bit in bin(n)[3:]:
+        a, d = ((2 * d * d - 1, 2 * d * (6 * d - a) - 3) if bit == "1"
+                else (2 * a * d - 3, 2 * d * d - 1))
     while d * scale < bound:
         n, a, d = n + 1, d, 6 * d - a
     return n, d
@@ -66,7 +66,7 @@ def _chebyshev_weights(n: int, d: int):
     for k in range(n):
         c = b - c
         yield c
-        b = b * 2 * (k + n) * (k - n) // ((2 * k + 1) * (k + 1))  # exact
+        b = b * (2 * (k + n) * (k - n)) // ((2 * k + 1) * (k + 1))  # exact
 
 
 @lru_cache(maxsize=None)
@@ -124,30 +124,50 @@ def build_profile_rep(profile: Profile) -> LinearProductRep:
 # Linear-form series
 # ---------------------------------------------------------------------------
 
-def _moment_bound(table: PartialFractionTable) -> tuple[int, int]:
-    """(b, e) with B = sum |c_ik| / X_k**i <= b / 2**e: one ceiling
-    division per entry |c| 2**i / y**i, y = 2 X_k, at the scale e that
-    puts the largest near 2**64 units by its exact floor(log2), so that
-    (b, e) does not depend on how the entries are reduced.  No Fraction
-    sums; a pole at t >= 0 raises."""
-    x2, terms, powers = int(2 * table.pole_offset), [], table.lcm_powers
-    for k, scale, cofactor, order, row in zip(
-            table.pole_ks, table.scales, table.cofactors, table.orders,
-            table.rows):
-        y = x2 + 2 * k
-        if y <= 0 and any(row):
-            raise ValueError("the series must start right of every pole")
-        # |c| 2**i / y**i = |scale row| / (cofactor L**(order - i) y**i)
-        terms += [(abs(scale * c), cofactor * powers[order - i] * y ** i)
-                  for i, c in enumerate(row[:order], 1) if c]
-    # floor(log2(u/v)) is the bit-length gap g or g - 1
-    gaps = [u.bit_length() - v.bit_length() for u, v in terms]
-    top = max(gaps, default=-1)
-    if terms and not any(g == top and (u >> g if g >= 0 else u << -g) >= v
-                         for (u, v), g in zip(terms, gaps)):
-        top -= 1
-    e = 63 - top
-    return sum(-(-(u << max(e, 0)) // (v << max(-e, 0))) for u, v in terms), e
+def _cauchy_products(rep: LinearProductRep):
+    """(|P|, order, U, V) for each pole P of ``rep`` of order >= 1, highest
+    first (see ``_moment_bound``); a zero or improper rep, poles of both
+    parities or one at t >= 0 raise ValueError.  From P + 2 to P a product
+    changes only at the ends of the runs (``_layers``) of its part of c;
+    V's factor at the grid position itself, |0| - 1, only flips its sign."""
+    den = dict(rep.den_roots)
+    if not rep.scalar or rep.degree_gap < 1 or len({q % 2 for q in den}) > 1:
+        raise ValueError("need a nonzero proper rep, its poles of one parity")
+    net, top, sides = Counter(dict(rep.num_roots)), max(den), []
+    net.subtract(den)
+    for pm in (1, -1):  # U's factors |P - R| + 1, then V's |P - R| - 1
+        part = {r: pm * c for r, c in net.items() if pm * c > 0}
+        sides.append([math.prod((abs(top - r) + pm) ** c
+                                for r, c in part.items()), pm, _layers(part)])
+    for p in range(top, min(den) - 1, -2):
+        if net[p] < 0:
+            if p >= 0:
+                raise ValueError("the series must start right of every pole")
+            yield -p, -net[p], sides[0][0], abs(sides[1][0])
+        for side in sides:  # on to P - 2: R = hi + 2 enters, R = lo leaves
+            x, pm, runs = side
+            side[0] = (x * math.prod([abs(p - 2 - hi) + pm for _, hi in runs])
+                       // math.prod([abs(p - lo) + pm for lo, _ in runs]))
+
+
+@lru_cache(maxsize=16)
+def _moment_bound(rep: LinearProductRep) -> tuple[int, int]:
+    """(b, e) with B = sum |c_ik| / X_k**i <= b / 2**e, read off ``rep``.
+
+    P and the roots R doubled, the circle |t - P/2| = 1/2 meets no pole but
+    P, so |c_ik| <= 2**-i max |f| on it (Cauchy).  There |t - R/2| is at
+    most (|P - R| + 1)/2 and at least (|P - R| - 1)/2, and P's own factors
+    give 2**order: max |f| <= |scalar| 2**gap U/V, c(R) the numerator's
+    multiplicity less the denominator's, U = prod (|P - R| + 1)**c(R) over
+    c(R) > 0, V = prod (|P - R| - 1)**-c(R) over c(R) < 0, R != P.  With
+    X = |P|/2, B <= |scalar| 2**gap sum_P U/V sum_{i <= order} |P|**-i: a
+    ceiling division per pole, at the e that puts the top near 2**64."""
+    terms = [(u * sum(y ** j for j in range(o)), v * y ** o)
+             for y, o, u, v in _cauchy_products(rep)]
+    e = 63 - max(u.bit_length() - v.bit_length() for u, v in terms)
+    b = sum(-(-(u << max(e, 0)) // (v << max(-e, 0))) for u, v in terms)
+    num, den = rep.scalar.as_integer_ratio()
+    return -(-abs(num) * b // den), e - rep.degree_gap
 
 
 def _term_ratios(rep: LinearProductRep,
@@ -158,16 +178,16 @@ def _term_ratios(rep: LinearProductRep,
     ``_chebyshev_pass`` at every p.
 
     u and v are the products of 2 nu - X over the doubled roots X of
-    ``rep.step_ratio()``; a zero of either, where the terms meet a root of
-    f, raises.  A_0 errs by under 1, and floor(A_k u / v) by |u|/v times
-    A_k's error plus under 1, so e_0 = 1 and e_{k+1} = ceil(e_k |u| / v)
-    + 1 bound the errors, whatever p is.
+    ``rep.step_ratio()``, a power per distinct X; a zero of either, where
+    the terms meet a root of f, raises.  A_0 errs by under 1, and
+    floor(A_k u / v) by |u|/v times A_k's error plus under 1, so e_0 = 1
+    and e_{k+1} = ceil(e_k |u| / v) + 1 bound the errors, whatever p is.
     """
-    ups, downs = ([-x for x in roots] for roots in rep.step_ratio())
+    ups, downs = (Counter(-x for x in xs).items() for xs in rep.step_ratio())
     ratios, e, error = [], 1, abs(weights[0])
     for nu2, c in zip(range(0, 2 * len(weights), 2), weights[1:]):
-        u = math.prod(nu2 + a for a in ups)
-        v = math.prod(nu2 + a for a in downs)
+        u = math.prod([(nu2 + a) ** m for a, m in ups])
+        v = math.prod([(nu2 + a) ** m for a, m in downs])
         if not u or not v:
             raise ValueError(f"the series terms meet a root of f near "
                              f"nu = {nu2 // 2}")
@@ -191,9 +211,8 @@ def _chebyshev_pass(first: Fraction, ratios: list[tuple[int, int]],
 
 @frozen
 class SeriesEvaluation:
-    """One series pass: its ball, the scheme's size N (``direct_terms``)
-    and bound B/d (``tail_bound``).  No tail is summed apart, so
-    ``tail_order`` is 0."""
+    """One series pass: its ball, the scheme's size N (``direct_terms``),
+    its bound B/d (``tail_bound``) and 0 (``tail_order``: no tail apart)."""
 
     value: BallReal
     direct_terms: int
@@ -201,17 +220,15 @@ class SeriesEvaluation:
     tail_bound: Fraction
 
 
-def alternating_series_tail(rep: LinearProductRep, table: PartialFractionTable,
-                            target: Fraction,
+def alternating_series_tail(rep: LinearProductRep, target: Fraction,
                             precision: int) -> SeriesEvaluation:
-    """sum_{nu >= 0} (-1)**nu rep(nu) as a ball of radius at
-    most ``target``, by the scheme of the module docstring: N is the least
-    size with B/d <= target/2, and P the least, to a bit, with fixed-point
-    error E/(d 2**P) <= target/4.  The ball keeps at least ``precision``
-    bits, and enough to round its midpoint far below the target.
-    """
+    """sum_{nu >= 0} (-1)**nu rep(nu) from ``rep`` alone, as a ball of
+    radius at most ``target``, by the scheme of the module docstring: N is
+    the least size with B/d <= target/2, and P the least, to a bit, with
+    fixed-point error E/(d 2**P) <= target/4.  The ball keeps at least
+    ``precision`` bits, and enough to round its midpoint far below it."""
     tn, td = Fraction(target).as_integer_ratio()
-    b, e = _moment_bound(table)
+    b, e = _moment_bound(rep)
     n, d = _least_size(b, e, target)
     weights = list(_chebyshev_weights(n, d))
     ratios, error = _term_ratios(rep, weights)
@@ -227,17 +244,10 @@ def alternating_series_tail(rep: LinearProductRep, table: PartialFractionTable,
     return SeriesEvaluation(value, n, 0, bound)
 
 
-def _least_magnitude(ball: BallReal) -> Fraction:
-    """The least |x| over a ball that excludes zero."""
-    return min(abs(ball.lower), abs(ball.upper))
-
-
-def r_n_series(rep: LinearProductRep, table: PartialFractionTable,
-               precision: int = 256, *,
+def r_n_series(rep: LinearProductRep, precision: int = 256, *,
                lower_bound: Fraction | None = None) -> BallReal:
-    """sum_{nu >= 0} (-1)**nu rep(nu) by direct series summation (the
-    table, independent of the decomposition, enters only the radius), as a
-    ball of radius at most 2**-(precision + 64) min(1, |r|).
+    """sum_{nu >= 0} (-1)**nu rep(nu), summed from ``rep`` alone, as a ball
+    of radius at most 2**-(precision + 64) min(1, |r|).
 
     Rungs of target 2**-tbits, tbits = (precision + 16) 2**k, run until a
     ball excludes zero; unless it already meets the radius, one pass at
@@ -249,7 +259,7 @@ def r_n_series(rep: LinearProductRep, table: PartialFractionTable,
     ``ArithmeticError`` past a target of 2**-``_MAX_SERIES_BITS``.
     """
     def ball(tbits: int) -> BallReal:
-        return alternating_series_tail(rep, table, Fraction(1, 1 << tbits),
+        return alternating_series_tail(rep, Fraction(1, 1 << tbits),
                                        precision).value
 
     def relative(least: Fraction) -> BallReal:
@@ -257,7 +267,7 @@ def r_n_series(rep: LinearProductRep, table: PartialFractionTable,
 
     def meets(value: BallReal) -> bool:
         return (not value.contains_zero() and value.rad * 2 ** (precision + 64)
-                <= min(1, _least_magnitude(value)))
+                <= min(1, abs(value).lower))
 
     value = relative(lower_bound) if lower_bound else None
     if value is None or not meets(value):
@@ -268,7 +278,7 @@ def r_n_series(rep: LinearProductRep, table: PartialFractionTable,
                 raise ArithmeticError("the series certifies no sign down to "
                                       f"2**-{_MAX_SERIES_BITS}")
         if not meets(value):
-            value = relative(_least_magnitude(value))
+            value = relative(abs(value).lower)
     return value
 
 
@@ -308,7 +318,7 @@ class ConsistencyReport:
 
 
 def consistency_check(decomposition: DecompositionResult,
-                      rep: LinearProductRep, table: PartialFractionTable,
+                      rep: LinearProductRep,
                       precision: int = 256) -> ConsistencyReport:
     """Evaluate the linear form two independent ways, the certificate
     ``decomposition`` and the series of ``rep``, and compare.
@@ -317,9 +327,9 @@ def consistency_check(decomposition: DecompositionResult,
     the total discrepancy (midpoint distance plus both radii).
     """
     direct = decomposition_value(decomposition, precision)
-    series = r_n_series(rep, table, precision,
+    series = r_n_series(rep, precision,
                         lower_bound=None if direct.contains_zero()
-                        else _least_magnitude(direct))
+                        else abs(direct).lower)
     disc = abs(series.mid - direct.mid) + series.rad + direct.rad
     gap = (precision + 64) if disc <= 0 else -floor_log2(disc) - 1
     return ConsistencyReport(decomposition.profile, series, direct,

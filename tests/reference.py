@@ -6,7 +6,8 @@ estimates to hold the package to: the paper's section-2 function in its
 own coordinates, the remark-1 variant and its denominator probe, the elementary binomial blocks, the top-coefficient
 closed form, the reflection symmetry of a table, tables of reduced
 Fractions and the full pole sweep that mirrored tables are held to, a
-rep's scalar multiple and shift, the hypergeometric parameters, pointwise
+rep's scalar multiple and shift, the per-pole Cauchy products that the
+series' moment bound slides, the hypergeometric parameters, pointwise
 reconstruction of a table, the Fraction integrality kernel that the
 exponent kernel is held to, the per-pole assembly and coefficient
 inclusion check that the orbit-wise ones are held to, the carry table's
@@ -100,6 +101,21 @@ def shifted(rep: LinearProductRep, c) -> LinearProductRep:
     return LinearProductRep(rep.scalar,
                             tuple((r - c2, m) for r, m in rep.num_roots),
                             tuple((r - c2, m) for r, m in rep.den_roots))
+
+
+def cauchy_products(rep: LinearProductRep) -> list[tuple[int, int, int, int]]:
+    """(|P|, order, U, V) for each pole P of order >= 1, the highest first,
+    each product formed afresh over every root: with c(R) the numerator's
+    multiplicity less the denominator's, U = prod (|P - R| + 1)**c(R) over
+    c(R) > 0 and V = prod (|P - R| - 1)**-c(R) over c(R) < 0, R != P."""
+    net = dict(rep.num_roots)
+    for r, m in rep.den_roots:
+        net[r] = net.get(r, 0) - m
+    return [(-p, -net[p],
+             math.prod((abs(p - r) + 1) ** c for r, c in net.items() if c > 0),
+             math.prod((abs(p - r) - 1) ** -c for r, c in net.items()
+                       if c < 0 and r != p))
+            for p, _ in sorted(rep.den_roots, reverse=True) if net[p] < 0]
 
 
 def _power_sums(sums: list[int], pole: int, weights, lcm: int) -> Fraction:

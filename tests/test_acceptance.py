@@ -157,7 +157,7 @@ def test_criterion_08_decomposition_oracle(bundle):
     ok = True
     for profile in suite_profiles():
         b = bundle(profile)
-        check = consistency_check(b.decomposition, b.rep, b.table, 256)
+        check = consistency_check(b.decomposition, b.rep, 256)
         disc = abs(check.series.mid - check.decomposition.mid) \
             + check.series.rad + check.decomposition.rad
         ok = ok and check.passed and disc < Fraction("1e-40")
@@ -198,7 +198,7 @@ def test_criterion_11_monte_carlo(bundle):
     profile = general((5, 1, 1, 1, 1, 1), 2)
     est = mc_integral(profile, 10 ** 6, seed=12345)
     b = bundle(profile)
-    series = r_n_series(b.rep, b.table, 128)
+    series = r_n_series(b.rep, 128)
     ok = est.mid > 0 and est.overlaps(series)
     ok = ok and time.time() - t0 < 60.0
     report(11, ok, "10^6-sample integral estimate positive and within 3 "

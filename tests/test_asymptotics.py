@@ -153,7 +153,7 @@ class TestEmpiricalTrend:
         rates = []
         for n in (2, 4, 6):
             b = bundle(general(THEOREM1_ETA, n))
-            v = r_n_series(b.rep, b.table, 64)
+            v = r_n_series(b.rep, 64)
             assert v.strictly_positive()
             with working_precision(96):
                 rates.append(float((v.log() / n).mid))

@@ -201,6 +201,20 @@ class TestRun:
             violation, = entry["inclusions"]["form"]["violations"]
             assert violation["deficits"] == {"7": 1}
 
+    def test_theorem1_n48_writes_a_past_the_digit_cap(self, tmp_path):
+        # from n = 48 an a_i has more digits than CPython's default cap on
+        # int-to-str (4300); the caller keeps its own cap
+        out = tmp_path / "r.json"
+        cap = sys.get_int_max_str_digits()
+        assert run_cli("run", "--profile", "theorem1", "--n", "48",
+                       "--out", str(out)) == 0
+        assert sys.get_int_max_str_digits() == cap
+        report = json.loads(out.read_text())
+        assert report["ok"] and report["per_n"][0]["consistency"]["passed"]
+        a = report["per_n"][0]["a"].values()
+        assert max(len(part.lstrip("-")) for ai in a
+                   for part in ai.split("/")) > 4300
+
     def test_large_general_n_runs(self, tmp_path):
         out = tmp_path / "r.json"
         assert run_cli("run", "--profile", "theorem1", "--n", "6",
@@ -241,11 +255,13 @@ class TestRun:
 
 COMMAND_NAMES = [name for name in cli.COMMANDS if name]
 # every flag and each prefix of it past "--" (--p, --pr, ..., --profile),
-# -h, and a flag that no command has
+# -h, a flag that no command has, "--" (no option reads it or what follows
+# it) and the clusters -hh (-h twice) and -hx (-h, then a flag no level has)
 FLAGS = sorted({flag[:end] for flag in ("--profile", "--n", "--precision",
                                          "--out", "--index", "--help",
                                          "--version")
-                for end in range(3, len(flag) + 1)}) + ["-h", "--seed"]
+                for end in range(3, len(flag) + 1)}) + [
+    "-h", "--seed", "--", "-hh", "-hx"]
 VALUES = st.one_of(st.integers(-20, 300).map(str), st.sampled_from(
     ["theorem1", "x", "1.5", "-1.5", "-.5", "-5.", "", "-", "2 4", "-x y"]))
 WORD = st.one_of(st.sampled_from(COMMAND_NAMES + FLAGS), VALUES,
@@ -311,6 +327,9 @@ class TestParser:
     @example(argv=["run", "-h=x"])
     @example(argv=["--vers"])
     @example(argv=["run", "--profile", "-x y", "--precision", "-64"])
+    @example(argv=["run", "--profile", "theorem1", "--", "x"])
+    @example(argv=["run", "-hh"])
+    @example(argv=["run", "-hx"])
     def test_same_reading_as_argparse(self, argv):
         expected, _ = parse_outcome(build_parser().parse_args, argv)
         got, said = parse_outcome(cli._parse_args, argv)
@@ -327,8 +346,17 @@ class TestParser:
         message = said.splitlines()[-1]
         assert message.startswith("betaforms") and ": error: " in message
 
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--profile", "theorem1", "--"], "unrecognized arguments: --"),
+        (["run", "--profile", "theorem1", "--", "x"],
+         "unrecognized arguments: -- x"),
+        (["run", "-hhx"], "ignored explicit argument 'x'")])
+    def test_message_names_only_what_was_typed(self, argv, message):
+        got, said = parse_outcome(cli.main, argv)
+        assert got == ("exit", 2) and said.splitlines()[-1].endswith(message)
+
     @pytest.mark.parametrize("argv", [
-        ["--help"], ["-h"], ["run", "--help"],
+        ["--help"], ["-h"], ["run", "--help"], ["run", "-hh"], ["-hh"],
         *([name, "-h"] for name in COMMAND_NAMES)])
     def test_help_exits_0(self, argv):
         got, said = parse_outcome(cli.main, argv)

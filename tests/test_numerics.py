@@ -14,22 +14,23 @@ from mpmath.libmp import to_rational
 from betaforms import cli, numerics
 from betaforms.balls import BallReal, floor_log2, working_precision
 from betaforms.decomposition import beta_coefficients
-from betaforms.numerics import (_beta_enclosures, _chebyshev_pass,
-                                _chebyshev_weights, _least_size,
-                                _moment_bound, _term_ratios,
+from betaforms import rationalfn
+from betaforms.numerics import (_beta_enclosures, _cauchy_products,
+                                _chebyshev_pass, _chebyshev_weights,
+                                _least_size, _moment_bound, _term_ratios,
                                 SeriesEvaluation, alternating_series_tail, beta_value,
                                 consistency_check, decomposition_value,
                                 r_n_series)
 from betaforms.profiles import THEOREM1_ETA, general, section2
-from betaforms.rationalfn import (LinearProductRep, PartialFractionTable,
-                                  build_general,
+from betaforms.rationalfn import (LinearProductRep, build_general,
                                   build_section2, partial_fractions)
 
 from tests.conftest import suite_profiles
+from tests import reference
 from tests.reference import (ball_pi, decomposition, mc_integral,
                              paper_section2_rep, shifted)
 from tests.test_numtheory import admissible_general
-from tests.test_rationalfn import any_rep
+from tests.test_rationalfn import any_rep, linear_product_reps
 
 
 def truncation_oracle(i, terms=40):
@@ -297,60 +298,17 @@ class TestSeriesKernel:
     def test_toy_against_beta(self):
         # sum_{nu>=0} (-1)^nu (nu+1/2)^-2 = 4 beta(2)
         toy = LinearProductRep.build(1, [], [(Fraction(-1, 2), 2)])
-        table = partial_fractions(toy)
-        ev = alternating_series_tail(toy, table, Fraction(2) ** -180, 160)
+        ev = alternating_series_tail(toy, Fraction(2) ** -180, 160)
         four_g = beta_value(2, 200) * 4
         assert ev.value.overlaps(four_g)
         assert ev.tail_bound <= Fraction(2) ** -181
         assert ev.value.rad <= Fraction(2) ** -180
 
-    @pytest.mark.parametrize("rep", [
-        build_general(general(THEOREM1_ETA, 2)),
-        # the first example rep of test_rationalfn's TestParitySplit
-        LinearProductRep.build(
-            Fraction(5, 3), [(Fraction(-1, 2), 2), (Fraction(7, 2), 1)],
-            [(Fraction(1, 2), 3), (Fraction(3, 2), 1), (Fraction(-5, 2), 2)])],
-        ids=["theorem1-n2", "parity-split"])
-    def test_moment_bound_does_not_depend_on_reduction(self, rep):
-        table = partial_fractions(started(rep, 0, 0))
-        bound = _moment_bound(table)
-
-        def bit_gaps(t):
-            # bit length of |N| 2**i less that of D y**i, per entry
-            y = [int(2 * t.pole_offset) + 2 * k for k in t.pole_ks]
-            return [(abs(n) << i).bit_length() - (d * y[idx] ** i).bit_length()
-                    for idx in range(len(t.pole_ks))
-                    for i in range(1, t.s + 1)
-                    for n, d in [t.fraction(idx, i)] if n]
-
-        for m in (3, 5):
-            inflated = PartialFractionTable(
-                table.s, table.pole_ks, table.pole_offset, table.lcm,
-                table.primes, table.orders, table.scales,
-                tuple(m * c for c in table.cofactors), table.valuations,
-                tuple(tuple(m * c for c in row) for row in table.rows))
-            assert [Fraction(*inflated.fraction(idx, i)) for idx in
-                    range(len(table.pole_ks)) for i in range(1, table.s + 1)
-                    ] == [Fraction(*table.fraction(idx, i)) for idx in
-                          range(len(table.pole_ks))
-                          for i in range(1, table.s + 1)]
-            # the factor moves some entry's bit lengths across a boundary
-            assert bit_gaps(inflated) != bit_gaps(table)
-            assert _moment_bound(inflated) == bound
-
-    @settings(max_examples=40, deadline=None)
-    @given(any_rep, shifts, st.integers(0, 30))
-    def test_moment_bound_is_tight_from_above(self, rep, shift, offset):
-        table = partial_fractions(started(rep, shift, offset))
-        exact_b = exact_moment_bound(table, table.pole_offset)
-        assert exact_b <= dyadic(*_moment_bound(table)) \
-            <= exact_b * (1 + Fraction(1, 2 ** 40))
-
     @pytest.mark.parametrize("tbits", [64, 200, 600])
     def test_size_is_the_least_that_meets_half_the_target(self, bundle, tbits):
         b = bundle(section2(5, 2))
         target = Fraction(1, 2 ** tbits)
-        ev = alternating_series_tail(b.rep, b.table, target, 64)
+        ev = alternating_series_tail(b.rep, target, 64)
         n = ev.direct_terms
         bound = ev.tail_bound * chebyshev_t3(n)  # B
         assert ev.tail_bound <= target / 2 < bound / chebyshev_t3(n - 1)
@@ -376,7 +334,7 @@ class TestSeriesKernel:
         rep = started(rep, shift, offset)
         table = partial_fractions(rep)
         target = Fraction(1, 2 ** tbits)
-        ev = alternating_series_tail(rep, table, target, 64)
+        ev = alternating_series_tail(rep, target, 64)
         assert ev.value.rad <= target
         size = exact_moment_bound(table, table.pole_offset)
         bits = 2 * tbits + max(0, floor_log2(size)) + 32
@@ -402,7 +360,7 @@ class TestSeriesKernel:
         monkeypatch.setattr(numerics, "_term_ratios", recording_ratios)
         monkeypatch.setattr(numerics, "_chebyshev_pass", recording_pass)
         target = Fraction(1, 2 ** 300)
-        ev = alternating_series_tail(b.rep, b.table, target, 64)
+        ev = alternating_series_tail(b.rep, target, 64)
         d = chebyshev_t3(ev.direct_terms)
         fixed = Fraction(seen["error"], d << seen["p"])
         assert fixed <= target / 4
@@ -420,11 +378,91 @@ class TestSeriesKernel:
         # every pole of f(t + start) lies at t >= 1/2
         b = bundle(general(THEOREM1_ETA, 2))
         rep = shifted(b.rep, -max(b.table.pole_ks) - 1)
+        with pytest.raises(ValueError):
+            _moment_bound(rep)
+        with pytest.raises(ValueError):
+            alternating_series_tail(rep, Fraction(1, 2 ** 64), 64)
+
+
+def left_of_zero(rep, extra):
+    """``rep`` shifted so that its highest pole lies at t = -1/2 or t = -1
+    (doubled -1 or -2), and ``extra`` further left."""
+    top = max(r for r, _ in rep.den_roots)
+    return shifted(rep, Fraction(top + 2 - top % 2 + 2 * extra, 2))
+
+
+# the reps of test_rationalfn's TestParitySplit, poles left of the start
+left_reps = st.builds(left_of_zero, linear_product_reps(), st.integers(0, 3))
+# 1/(t + 1/2)**3: Cauchy's 2**-3 max |f| = 1 is c_3 itself
+CUBE = LinearProductRep.build(1, [], [(Fraction(-1, 2), 3)])
+# 1/((t + 1/2)(t + 3/2))**3: exact B is 37.6; with |P - Q| for
+# |P - Q| - 1 the bound would be 27.9
+CUBES = LinearProductRep.build(1, [], [(Fraction(-1, 2), 3),
+                                       (Fraction(-3, 2), 3)])
+# a gapped grid of integer poles, a numerator root on one (order 1 left)
+GAPPED = LinearProductRep.build(Fraction(-5, 8),
+                                [(-3, 1), (Fraction(-7, 2), 2)],
+                                [(-1, 2), (-3, 2), (-6, 3)])
+# a numerator root cancels the pole at t = 1/2: no pole right of the start
+CANCELLED = LinearProductRep.build(Fraction(7, 3), [(Fraction(1, 2), 2)],
+                                   [(Fraction(1, 2), 1), (Fraction(-1, 2), 2),
+                                    (Fraction(-5, 2), 1)])
+
+
+class TestCauchyMomentBound:
+    """``_moment_bound`` reads B off the rep by Cauchy's estimate; the exact
+    B = sum |c_ik| / X_k**i of the partial-fraction table must lie below."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(left_reps)
+    @example(CUBE)
+    @example(CUBES)
+    @example(GAPPED)
+    @example(CANCELLED)
+    @example(build_general(general(THEOREM1_ETA, 2)))
+    def test_bounds_the_exact_moment_sum(self, rep):
         table = partial_fractions(rep)
+        exact_b = exact_moment_bound(table, table.pole_offset)
+        assert exact_b <= dyadic(*_moment_bound(rep))
+
+    def test_cube_takes_cauchy_at_every_order(self):
+        # |c_i| <= 2**-i 2**3 = 1 for i = 1, 2, 3 over X**i = 2**-i: B <= 24
+        assert dyadic(*_moment_bound(CUBE)) == 24
+
+    @settings(max_examples=150, deadline=None)
+    @given(left_reps)
+    @example(GAPPED)
+    @example(CANCELLED)
+    @example(build_general(general(THEOREM1_ETA, 4)))
+    @example(build_section2(5, 2))
+    def test_slid_products_are_the_direct_ones(self, rep):
+        assert list(_cauchy_products(rep)) == reference.cauchy_products(rep)
+
+    @pytest.mark.parametrize("rep", [
+        LinearProductRep.build(1, [(0, 1)], [(Fraction(-1, 2), 1)]),
+        LinearProductRep.build(0, [], [(Fraction(-1, 2), 1)]),
+        LinearProductRep.build(1, [], [(Fraction(-1, 2), 1), (-1, 1)]),
+        LinearProductRep.build(1, [], [(0, 2), (-1, 1)]),
+        LinearProductRep.build(1, [(Fraction(1, 2), 1)],
+                               [(Fraction(1, 2), 2), (Fraction(-1, 2), 1)])],
+        ids=["improper", "zero", "mixed-parity", "pole-at-0", "pole-right"])
+    def test_rejects(self, rep):
         with pytest.raises(ValueError):
-            _moment_bound(table)
-        with pytest.raises(ValueError):
-            alternating_series_tail(rep, table, Fraction(1, 2 ** 64), 64)
+            _moment_bound(rep)
+
+    def test_theorem1_n64_without_a_table(self, monkeypatch):
+        # (1/64) ln r_64 as certified through the partial-fraction table,
+        # now from the series alone
+        def no_table(rep):
+            raise AssertionError("the series built a partial-fraction table")
+
+        for module in (rationalfn, numerics):
+            monkeypatch.setattr(module, "partial_fractions", no_table)
+        r = r_n_series(build_general(general(THEOREM1_ETA, 64)), 256)
+        assert r.strictly_positive()
+        mid = r.mid
+        rate = (math.log(mid.numerator) - math.log(mid.denominator)) / 64
+        assert abs(rate - (-101.3643124)) < 1e-7
 
 
 def exact(x) -> Fraction:
@@ -444,7 +482,7 @@ def record_tail_calls(monkeypatch):
 
     def recording(*args, **kwargs):
         ev = original(*args, **kwargs)
-        calls.append((args[2], args[3], ev))
+        calls.append((args[1], args[2], ev))
         return ev
 
     monkeypatch.setattr(numerics, "alternating_series_tail", recording)
@@ -458,15 +496,15 @@ def meets_relative_radius(ball, precision):
             and ball.rad * 2 ** (precision + 64) <= min(1, least))
 
 
-def assert_hint_matches_plain_descent(monkeypatch, precision, rep, table,
+def assert_hint_matches_plain_descent(monkeypatch, precision, rep,
                                       decomposition):
     """``consistency_check`` makes one series pass, at the target the
     decomposition's bound on |r| picks; its ball meets the relative radius
     and agrees with the ball of ``r_n_series`` alone, the plain descent."""
     calls = record_tail_calls(monkeypatch)
-    plain = r_n_series(rep, table, precision)
+    plain = r_n_series(rep, precision)
     calls.clear()
-    report = consistency_check(decomposition, rep, table, precision)
+    report = consistency_check(decomposition, rep, precision)
     assert len(calls) == 1
     for ball in (plain, report.series):
         assert meets_relative_radius(ball, precision)
@@ -482,7 +520,7 @@ class TestRnSeries:
             self, bundle, monkeypatch, profile):
         calls = record_tail_calls(monkeypatch)
         b = bundle(profile)
-        r_n_series(b.rep, b.table, 256)
+        r_n_series(b.rep, 256)
         assert calls
         for target, _, ev in calls:
             assert ev.tail_bound <= target / 2
@@ -494,7 +532,7 @@ class TestRnSeries:
         # aims at 2**-(256 + 64 + 316)
         calls = record_tail_calls(monkeypatch)
         b = bundle(general(THEOREM1_ETA, 2))
-        consistency_check(b.decomposition, b.rep, b.table, 256)
+        consistency_check(b.decomposition, b.rep, 256)
         assert [target for target, _, _ in calls] == [Fraction(1, 2 ** 636)]
 
     @pytest.mark.parametrize("precision", [128, 256])
@@ -503,7 +541,7 @@ class TestRnSeries:
                                                  profile, precision):
         b = bundle(profile)
         assert_hint_matches_plain_descent(monkeypatch, precision, b.rep,
-                                          b.table, b.decomposition)
+                                          b.decomposition)
 
     @settings(max_examples=6, deadline=None)
     @given(admissible_general((5, 7), 12).filter(lambda case: case[1] <= 2))
@@ -514,14 +552,13 @@ class TestRnSeries:
         table = partial_fractions(rep)
         with pytest.MonkeyPatch.context() as monkeypatch:
             assert_hint_matches_plain_descent(
-                monkeypatch, 128, rep, table,
-                beta_coefficients(table, profile))
+                monkeypatch, 128, rep, beta_coefficients(table, profile))
 
     @pytest.mark.parametrize("precision", [64, 256])
     @pytest.mark.parametrize("profile", suite_profiles(), ids=lambda p: p.label())
     def test_meets_the_relative_radius(self, bundle, profile, precision):
         b = bundle(profile)
-        v = r_n_series(b.rep, b.table, precision)
+        v = r_n_series(b.rep, precision)
         assert meets_relative_radius(v, precision)
 
     @pytest.mark.parametrize("scale", [Fraction(2) ** 40, Fraction(2) ** -300])
@@ -529,8 +566,8 @@ class TestRnSeries:
         # too large a bound aims too high and falls back to the descent;
         # too small a one aims lower than needed
         b = bundle(section2(5, 2))
-        plain = r_n_series(b.rep, b.table, 128)
-        hinted = r_n_series(b.rep, b.table, 128,
+        plain = r_n_series(b.rep, 128)
+        hinted = r_n_series(b.rep, 128,
                             lower_bound=abs(plain.mid) * scale)
         assert meets_relative_radius(hinted, 128)
         assert hinted.overlaps(plain)
@@ -539,32 +576,32 @@ class TestRnSeries:
         b = bundle(section2(3, 2))
         targets = []
 
-        def straddling(rep, table, target, precision):
+        def straddling(rep, target, precision):
             targets.append(target)
             with working_precision(precision):
                 return SeriesEvaluation(BallReal(0, radius=target), 1, 0, target)
 
         monkeypatch.setattr(numerics, "alternating_series_tail", straddling)
         with pytest.raises(ArithmeticError):
-            r_n_series(b.rep, b.table, 64)
+            r_n_series(b.rep, 64)
         assert targets[-1] == Fraction(1, 2 ** (80 << 9))
 
     def test_positive_for_all_suite_profiles(self, bundle):
         for profile in suite_profiles():
             b = bundle(profile)
-            v = r_n_series(b.rep, b.table, 128)
+            v = r_n_series(b.rep, 128)
             assert v.strictly_positive(), profile.label()
 
     def test_radius_shrinks_with_precision(self, bundle):
         b = bundle(section2(5, 2))
-        lo = r_n_series(b.rep, b.table, 64)
-        hi = r_n_series(b.rep, b.table, 128)
+        lo = r_n_series(b.rep, 64)
+        hi = r_n_series(b.rep, 128)
         assert hi.rad * 2 <= lo.rad
         assert lo.overlaps(hi)
 
     def test_theorem1_value_range(self, bundle):
         b = bundle(general(THEOREM1_ETA, 2))
-        v = r_n_series(b.rep, b.table, 128)
+        v = r_n_series(b.rep, 128)
         assert v.strictly_positive()
         assert v.upper < 1
 
@@ -572,13 +609,13 @@ class TestRnSeries:
 class TestConsistency:
     def test_section2_3_2_gap(self, bundle):
         b = bundle(section2(3, 2))
-        report = consistency_check(b.decomposition, b.rep, b.table, 128)
+        report = consistency_check(b.decomposition, b.rep, 128)
         assert report.passed
         assert report.gap_bits >= 100
 
     def test_section2_5_4(self, bundle):
         b = bundle(section2(5, 4))
-        report = consistency_check(b.decomposition, b.rep, b.table, 256)
+        report = consistency_check(b.decomposition, b.rep, 256)
         assert report.passed
 
     def test_perturbation_detected(self, bundle):
@@ -587,7 +624,7 @@ class TestConsistency:
             b.profile,
             (b.decomposition.a[0] + Fraction(1, 10 ** 10),)
             + b.decomposition.a[1:])
-        report = consistency_check(perturbed, b.rep, b.table, 128)
+        report = consistency_check(perturbed, b.rep, 128)
         assert not report.passed
 
     @pytest.mark.parametrize("disc, zero_bits", [
@@ -604,13 +641,13 @@ class TestConsistency:
         monkeypatch.setattr(numerics, "decomposition_value",
                             lambda *a, **k: direct)
         report = consistency_check(SimpleNamespace(profile=section2(3, 2)),
-                                   object(), object(), 64)
+                                   object(), 64)
         assert report.gap_bits == zero_bits
 
     def test_scaled_form_lands_in_unit_interval(self, bundle):
         # the normalized integer form of the large instance is small but positive
         b = bundle(section2(17, 2))
-        v = r_n_series(b.rep, b.table, 128)
+        v = r_n_series(b.rep, 128)
         scale = Fraction(b.factors.d.value()) ** 17 / b.factors.phi.value()
         with working_precision(160):
             scaled = v * scale
@@ -645,7 +682,7 @@ class TestGateAccuracyFloor:
         else:
             ref = gate.load_reference("theorem1")["per_n"][str(profile.n)]
         b = bundle(profile)
-        check = consistency_check(b.decomposition, b.rep, b.table, 256)
+        check = consistency_check(b.decomposition, b.rep, 256)
         entry = {"r": cli._ball(check.series, 256),
                  "consistency": {"passed": check.passed,
                                  "gap_bits": check.gap_bits}}
@@ -655,7 +692,7 @@ class TestGateAccuracyFloor:
 class TestDecompositionValue:
     def test_matches_series_within_radii(self, bundle):
         b = bundle(section2(5, 2))
-        series = r_n_series(b.rep, b.table, 192)
+        series = r_n_series(b.rep, 192)
         direct = decomposition_value(b.decomposition, 192)
         assert series.overlaps(direct)
 
@@ -665,7 +702,7 @@ class TestMonteCarlo:
         profile = general((5, 1, 1, 1, 1, 1), 2)
         est = mc_integral(profile, 120_000, seed=99)
         b = bundle(profile)
-        series = r_n_series(b.rep, b.table, 96)
+        series = r_n_series(b.rep, 96)
         assert est.mid > 0
         assert est.overlaps(series)
 

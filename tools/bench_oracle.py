@@ -9,10 +9,15 @@ Usage (from the repository root)::
     python tools/bench_oracle.py --tree change=src --large
 
 Each ``--tree LABEL=SRC`` names a directory holding the ``betaforms``
-package.  The tool times only trees that have ``numerics._chebyshev_pass``
-and the oracle signatures ``r_n_series(rep, table, precision)`` and
-``consistency_check(decomposition, rep, table, precision)``; on an older
-tree its ``--one`` child fails.  The run is ``--repeat`` rounds; in each
+package.  The tool times trees that have ``numerics._chebyshev_pass``,
+with either oracle API: the series from the rep alone,
+``r_n_series(rep, precision)`` and ``consistency_check(decomposition,
+rep, precision)``, or the older one that also takes the partial-fraction
+table (``r_n_series(rep, table, precision)``, ``consistency_check(
+decomposition, rep, table, precision)``, ``alternating_series_tail(rep,
+table, target, precision)``).  It passes the table only to a function
+whose signature names it (``table_args``).  On a tree older than both its
+``--one`` child fails.  The run is ``--repeat`` rounds; in each
 round every tree runs once, in the given order on even rounds and
 reversed on odd ones, so two trees alternate within seconds of each
 other instead of running minutes apart (the host's speed drifts by up to
@@ -33,17 +38,21 @@ a fifth at that scale).  A tree's run is three fresh interpreters with
   and ``numerics.decomposition_value``, which makes its beta values itself
   and reads no cache.  It then times ``numerics.r_n_series`` alone and
   ``numerics.consistency_check`` (which makes its beta values the same
-  way), and records every ``numerics.alternating_series_tail`` call either makes as
-  (tbits, N, P): the target 2**-tbits, the size N of the Chebyshev scheme
-  and the fixed-point bits P of its pass (``numerics._chebyshev_pass``).
+  way), and records every ``numerics.alternating_series_tail`` call
+  either makes as (tbits, N, P): the target 2**-tbits, the size N of the
+  Chebyshev scheme and the fixed-point bits P of its pass
+  (``numerics._chebyshev_pass``).
   Last come the ledger ``asymptotics.exponent_ledger`` of section2-s17
   at 256 bits, a cold ``numtheory.carry_min_table`` of theorem1 (its
   cache cleared first; ``phi_exponent`` above runs with the table warm)
   and theorem1's ledger at 64 bits from a cold carry table, the work of
   ranking one eta candidate.
   With ``--large`` the exact certificate of theorem1 at n = 48 and 96
-  follows, stage by stage (about 25 s a tree at n = 96); without it the
-  run keeps its length.
+  follows, stage by stage (about 25 s a tree at n = 96), and then a cold
+  ``numerics.r_n_series`` at 256 bits with its series calls: no lower
+  bound, and a rep whose moment bound no call has made yet (a tree whose
+  series takes the table gets the one its exact stages built, untimed).
+  Without ``--large`` the run keeps its length.
 
 Every timing is recorded as the median, min and max over the rounds.  The
 result, with the machine and Python, goes under ``runs[label]`` of the
@@ -53,6 +62,7 @@ output file; other labels already there are kept.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import platform
@@ -98,10 +108,11 @@ def timed_with_tail_calls(numerics, fn) -> tuple[float, list]:
     tail, chebyshev_pass = (numerics.alternating_series_tail,
                             numerics._chebyshev_pass)
 
-    def recording_tail(rep, table, target, precision):
+    def recording_tail(*args):
+        # (rep, target, precision), or (rep, table, target, precision)
         bits.clear()
-        ev = tail(rep, table, target, precision)
-        calls.append([target.denominator.bit_length() - 1, ev.direct_terms,
+        ev = tail(*args)
+        calls.append([args[-2].denominator.bit_length() - 1, ev.direct_terms,
                       bits[0]])
         return ev
 
@@ -117,6 +128,13 @@ def timed_with_tail_calls(numerics, fn) -> tuple[float, list]:
         numerics.alternating_series_tail = tail
         numerics._chebyshev_pass = chebyshev_pass
     return elapsed, calls
+
+
+def table_args(fn, table) -> dict:
+    """``{"table": table}`` if ``fn`` takes the partial-fraction table (the
+    oracle API before the series read the rep alone), else ``{}``."""
+    return ({"table": table} if "table" in inspect.signature(fn).parameters
+            else {})
 
 
 def exact_stages(n: int) -> tuple[dict, tuple]:
@@ -157,11 +175,11 @@ def run_case(n: int, precision: int) -> dict:
             "r_exponent_s": seconds(lambda: r_exponent(profile, precision))[0],
             "decomposition_value_s": seconds(
                 lambda: numerics.decomposition_value(dec, precision))[0]}
-    series_s, series_calls = timed_with_tail_calls(
-        numerics, lambda: numerics.r_n_series(rep, table, precision))
-    check_s, check_calls = timed_with_tail_calls(
-        numerics, lambda: numerics.consistency_check(dec, rep, table,
-                                                     precision))
+    series, check = numerics.r_n_series, numerics.consistency_check
+    series_s, series_calls = timed_with_tail_calls(numerics, lambda: series(
+        rep, precision=precision, **table_args(series, table)))
+    check_s, check_calls = timed_with_tail_calls(numerics, lambda: check(
+        dec, rep, precision=precision, **table_args(check, table)))
     return {**case, "r_n_series_s": series_s,
             "r_n_series_tail_calls": series_calls,
             "consistency_check_s": check_s,
@@ -201,12 +219,24 @@ def ranking_case() -> dict:
                 carry_min_table.cache_clear)[0]}
 
 
+def large_case(n: int) -> dict:
+    """The exact stages of theorem1 at n, then a cold series at 256 bits."""
+    from betaforms import numerics
+
+    times, (_, rep, table, _) = exact_stages(n)
+    series = numerics.r_n_series
+    series_s, series_calls = timed_with_tail_calls(numerics, lambda: series(
+        rep, precision=256, **table_args(series, table)))
+    return {"profile": "theorem1", "n": n, **times,
+            "cold_r_n_series_s": series_s,
+            "cold_r_n_series_tail_calls": series_calls}
+
+
 def run_stages(large: bool) -> list[dict]:
     """One run of every stage in this interpreter."""
     return ([run_case(n, precision) for n, precision in CASES]
             + [ledger_case(), carry_case(), ranking_case()]
-            + [{"profile": "theorem1", "n": n, **exact_stages(n)[0]}
-               for n in (LARGE_NS if large else ())])
+            + [large_case(n) for n in (LARGE_NS if large else ())])
 
 
 def run_tree(src: Path, large: bool) -> list[dict]:
@@ -262,7 +292,8 @@ def main(argv=None) -> None:
                         help="rounds; median, min and max are kept")
     parser.add_argument("--large", action="store_true",
                         help="also time the exact certificate of theorem1 "
-                             f"at n = {' and '.join(map(str, LARGE_NS))}")
+                             f"at n = {' and '.join(map(str, LARGE_NS))}, "
+                             "then a cold series there")
     parser.add_argument("--one", action="store_true",
                         help=argparse.SUPPRESS)  # one stage run, as JSON
     args = parser.parse_args(argv)
