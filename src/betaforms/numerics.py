@@ -44,9 +44,9 @@ _MAX_SERIES_BITS = 1 << 16
 
 
 def _least_size(b: int, e: int, target: Fraction) -> tuple[int, int]:
-    """The least n, and d = T_n(3), with B/d <= target/2, B = b / 2**e:
-    T_n(3) < 2**(2.544 n), so steps up from an n below it, its T_(n-1)(3)
-    and T_n(3) doubled: T_2k = 2 T_k**2 - 1, T_(2k+1) = 2 T_k T_(k+1) - 3."""
+    """The least n, and d = T_n(3), with B/d <= target/2, B = b / 2**e.
+    As T_n(3) < 2**(2.544 n), the walk starts below that n, from T_(n-1)(3)
+    and T_n(3) by T_2k = 2 T_k**2 - 1 and T_(2k+1) = 2 T_k T_(k+1) - 3."""
     tn, td = target.as_integer_ratio()
     scale, bound = tn << max(e, 0), (2 * b * td) << max(-e, 0)
     n = max(1, (bound.bit_length() - scale.bit_length() - 1) * 1000 // 2544)
