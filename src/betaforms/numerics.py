@@ -170,6 +170,12 @@ def _moment_bound(rep: LinearProductRep) -> tuple[int, int]:
     return -(-abs(num) * b // den), e - rep.degree_gap
 
 
+@lru_cache(maxsize=16)
+def _first_term(rep: LinearProductRep) -> Fraction:
+    """f(0), an exact product over every root: once per rep, not per rung."""
+    return rep.evaluate(0)
+
+
 def _term_ratios(rep: LinearProductRep,
                  weights: list[int]) -> tuple[list[tuple[int, int]], int]:
     """The ratios (u_j, v_j), v_j > 0, with a_{j+1} = a_j u_j / v_j for the
@@ -233,7 +239,7 @@ def alternating_series_tail(rep: LinearProductRep, target: Fraction,
     weights = list(_chebyshev_weights(n, d))
     ratios, error = _term_ratios(rep, weights)
     p = max(0, (4 * error * td).bit_length() - (tn * d).bit_length() + 1)
-    total = _chebyshev_pass(rep.evaluate(0), ratios, weights, p)
+    total = _chebyshev_pass(_first_term(rep), ratios, weights, p)
     bound = Fraction(b, d << e) if e >= 0 else Fraction(b << -e, d)
     # log2 |sum / target|, from above
     bits = (abs(total).bit_length() - d.bit_length() - p

@@ -4,9 +4,10 @@ exponential growth rate of the cancellation factor.
 
 The cancellation factor runs over one prime window per profile: the
 primes p <= d_index with p*p > phi_lower_sq, each with the exponent
-table(n/p) of the carry-minimum table.  ``_prime_window`` is its one
-copy; ``capital_phi`` takes the exact product over it and
-``phi_exponent_sieved`` the double-precision log.
+phi(n/p) = min_y carry(n/p, y), taken pointwise by one sweep over y.
+``_prime_window`` is its one copy; ``capital_phi`` takes the exact
+product over it and ``phi_exponent_sieved`` the double-precision log.
+Neither builds the carry-minimum table, which serves the growth rate.
 
 The growth rate is an integer-weighted sum of digamma values at the
 table's breakpoints, the weights summing to 0 so that Euler's gamma
@@ -17,8 +18,7 @@ once per reduced angle, under one integer error bound.
 The carry functions are integer-valued sums of floors of linear forms in
 (x, y), periodic with period 1 in both arguments.  Their minimum over y
 is piecewise constant in x with rational breakpoints; the table of that
-minimum drives both the exact prime-power factor and its asymptotic
-exponent.
+minimum drives the cancellation factor's asymptotic exponent.
 
 Where the breakpoints can lie follows from the line arrangement.  A term
 floor(a x + e y) with e != 0 jumps on the lines a x + e y in Z; the
@@ -400,16 +400,18 @@ def carry_min_value(spec: CarrySpec, x) -> tuple[int, Fraction]:
 # ---------------------------------------------------------------------------
 
 def _prime_window(profile):
-    """(p, table(n/p)) for each prime p of the cancellation factor's window,
-    p <= d_index with p*p > phi_lower_sq (strict, compared exactly)."""
-    table = carry_min_table(profile.carry_spec)
+    """(p, phi(n/p)) for each prime p of the cancellation factor's window,
+    p <= d_index with p*p > phi_lower_sq (strict, compared exactly): one
+    sweep over y at x = (n mod p)/p each, on the merged sum's plan."""
+    plan = _sweep_plan(_merged_terms(profile.carry_spec.terms()))
     for p in sieve_primes(profile.d_index):
         if p * p > profile.phi_lower_sq:
-            yield p, table.value_at(Fraction(profile.n, p))
+            yield p, _min_over_y(plan, profile.n % p, p)[0]
 
 
 def capital_phi(profile) -> FactoredInteger:
-    """Product of p**table(n/p) over the primes of ``_prime_window``."""
+    """Product of p**phi(n/p) over the primes of ``_prime_window``; no
+    carry table is built."""
     factors = {}
     for p, e in _prime_window(profile):
         if e < 0:

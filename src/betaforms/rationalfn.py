@@ -22,10 +22,11 @@ the roots' span and slides from pole to pole with them.  Poles are swept
 from the highest down, and moving from one pole to the next changes every
 part only at the ends of each run of consecutive roots, so they are
 updated, not rebuilt: the power sums and the scale's exponents at the
-boundary terms, the polynomial by exact multiplications and low-end
-divisions by linear factors.  Every profile's function is well-poised: a
-reflection of t maps both root sets onto themselves, so the sweep stops
-at the middle pole and the other half of the table is its mirror image.
+boundary terms, the polynomial, kept scaled and over its known content,
+by exact multiplications and low-end divisions by linear factors.  Every
+profile's function is well-poised: a reflection of t maps both root sets
+onto themselves, so the sweep stops at the middle pole and the other half
+of the table is its mirror image.
 No floating point enters this module, and no gcd outside the reduced
 views of a table.
 """
@@ -303,22 +304,24 @@ def _reflection(num: dict[int, int], den: dict[int, int]) -> int | None:
     return None
 
 
-def _times_linear(poly: list[int], a: int, w: int) -> list[int]:
+def _times_linear(poly: list[int], a: int, w: int, scale: int) -> list[int]:
     """``poly * (a + v)**w`` truncated to ``len(poly)`` terms, for an
-    integer ``a != 0`` and any integer ``w``.
+    integer ``a != 0`` and any integer ``w``, with the coefficient of v**j
+    kept as ``scale**j`` times its value.
 
-    A negative ``w`` divides from the low end, ``q_0 = p_0/a`` and
-    ``q_j = (p_j - q_{j-1})/a``, which is exact when the untruncated
+    Each factor maps q_j to ``a q_j + scale q_{j-1}``.  A negative ``w``
+    divides from the low end, ``q_0 = p_0/a`` and
+    ``q_j = (p_j - scale q_{j-1})/a``, which is exact when the untruncated
     polynomial holds the factor; a step that leaves a remainder raises
     ArithmeticError.
     """
     for _ in range(w):
-        poly = [a * p + q for p, q in zip(poly, [0] + poly)]
+        poly = [a * p + scale * q for p, q in zip(poly, [0] + poly)]
     for _ in range(-w):
         out = []
         q = 0
         for p in poly:
-            q, rem = divmod(p - q, a)
+            q, rem = divmod(p - scale * q, a)
             if rem:
                 raise ArithmeticError(f"v + {a} does not divide the polynomial")
             out.append(q)
@@ -357,24 +360,29 @@ def partial_fractions(rep: LinearProductRep) -> PartialFractionTable:
     ``scalar g_even(0) 2**(gap + j + z) X_j / L**j``, and
     gap + j + z = degree_gap - i.  L covers only the same-parity distances,
     so it is far smaller than the lcm over all of them (91 bits against 532
-    at theorem1 n = 6).  No entry is reduced.  Every coefficient of g has
-    v_p(g_a) >= v_p(g(0)) - a lambda_p, where p**lambda_p <= the span of
-    all roots bounds v_p of every distance, so the content
-    ``G = prod p**max(0, v_p(g_odd(0)) - (s - 1)(lambda_p - v_p(L)))``
-    divides every ``L**a g_odd_a``, a < s, and the table stores
-    ``X_j / G``.  The pole's scale ``scalar 2**degree_gap g_even(0) G`` is
-    kept as a fraction in lowest terms with its exponent at every prime up
-    to that span, which a least-prime-factor table reads off each distance
+    at theorem1 n = 6).  No entry is reduced.  A product g of factors
+    (A + v) with |A| at most the span of all roots has
+    v_p(g_a) >= v_p(g(0)) - a lambda_p, p**lambda_p <= that span, so the
+    content ``G = prod p**max(0, v_p(g_odd(0)) - (s - 1)(lambda_p - v_p(L)))``
+    divides every ``L**a g_odd_a``, a < s: the sweep keeps
+    ``H_a = L**a g_odd_a / G`` and the table stores ``X_j / G``.  The
+    pole's scale ``scalar 2**degree_gap g_even(0) G`` is kept as a fraction
+    in lowest terms with its exponent at every prime up to that span, which
+    a least-prime-factor table reads off each distance
     (``_FactoredRatio``); its denominator is the entry's cofactor, and the
     entry is ``scale (X_j / G) / (cofactor L**j 2**i)``.
 
     Poles are visited from the highest down.  The step from P + 2 to P
     moves every root one place, so the T_k, the exponents of g_even(0) and
     g_odd(0) and g_odd change only at the roots of f(t + 1)/f(t)
-    (``rep.step_ratio()``): g_odd is multiplied by each factor that enters
-    and divided, exactly from the low end, by each that leaves (the
-    untruncated product holds it).  Where the pole grid has a gap every
-    part is built afresh over all roots.
+    (``rep.step_ratio()``).  A factor A + v that enters maps H_a to
+    ``A H_a + L H_(a-1)`` and one that leaves maps it to
+    ``(H_a - L H_(a-1)) / A``, exactly from the low end (the untruncated
+    product holds the factor).  G's exponent at each prime of A rises
+    right after a multiplication and falls right before a division, so the
+    bound holds for every intermediate product and every step is exact.
+    Where the pole grid has a gap every part is built afresh over all
+    roots, g_odd unscaled, and divided by G once.
 
     Before the sweep, at a cost of O(roots), the reflection R -> C - R
     with C = min + max of the doubled poles is checked exactly
@@ -436,32 +444,43 @@ def partial_fractions(rep: LinearProductRep) -> PartialFractionTable:
         if prev is not None and pole == prev - 2:
             # P + 2 is a root, so each boundary term has |P - R| <= span
             _add_power_sums(sums, pole, even_steps, lcm_value, g0)
-            touched = set()
             for r, c in odd_steps:
-                g_odd = _times_linear(g_odd, pole - r, c)
+                # G rises after a factor enters and falls before one
+                # leaves, so it divides every product on the way
+                rise = 1
                 for p, e in _prime_powers(pole - r, lpf):
                     odd_exps[p] += c * e
-                    touched.add(p)
+                    step = max(odd_exps[p] - slack[p], 0) - content[p]
+                    content[p] += step
+                    g0.shift(p, step)
+                    rise *= p ** abs(step)
+                if c < 0 and rise > 1:
+                    odd_scaled = [h * rise for h in odd_scaled]
+                odd_scaled = _times_linear(odd_scaled, pole - r, c, lcm_value)
+                if c > 0 and rise > 1:
+                    odd_scaled = [h // rise for h in odd_scaled]
         else:
             sums = [0] * s  # sums[k] = T_k for k = 1..s-1
             g0 = scalar.copy()
             _add_power_sums(sums, pole, even, lcm_value, g0)
             g_odd = [1] + [0] * (s - 1)
             odd_exps = dict.fromkeys(primes, 0)
-            content, common = dict.fromkeys(primes, 0), 1
             for r, c in odd:
-                g_odd = _times_linear(g_odd, pole - r, c)
+                g_odd = _times_linear(g_odd, pole - r, c, 1)
                 for p, e in _prime_powers(pole - r, lpf):
                     odd_exps[p] += c * e
-            touched = primes
-        # the content g_odd(0) / prod p**slack_p moves from g_odd to g0
-        for p in touched:
-            step = max(odd_exps[p] - slack[p], 0) - content[p]
-            if step:
-                content[p] += step
-                g0.shift(p, step)
-                common = (common * p ** step if step > 0
-                          else common // p ** -step)
+            # the content g_odd(0) / prod p**slack_p moves from g_odd to g0
+            content, common = {}, 1
+            for p in primes:
+                content[p] = max(odd_exps[p] - slack[p], 0)
+                g0.shift(p, content[p])
+                common *= p ** content[p]
+            odd_scaled = []
+            for g, power in zip(g_odd, lcm_powers):
+                q, rem = divmod(g * power, common)
+                if rem:
+                    raise ArithmeticError("g_odd lost its known content")
+                odd_scaled.append(q)
         prev = pole
         z = num.get(pole, 0)
         # the nonzero coefficients at this pole: none where a numerator root
@@ -474,12 +493,6 @@ def partial_fractions(rep: LinearProductRep) -> PartialFractionTable:
                 term = sums[i] * e[j - i]
                 acc += term if i % 2 else -term
             e.append(acc // j)
-        odd_scaled = []
-        for g, power in zip(g_odd[:order], lcm_powers):
-            q, rem = divmod(g * power, common)
-            if rem:
-                raise ArithmeticError("g_odd lost its known content")
-            odd_scaled.append(q)
         row = [0] * s
         for j in range(order):
             row[order - j - 1] = sum(odd_scaled[i] * e[j - i]

@@ -11,6 +11,7 @@ from betaforms.decomposition import (ArithmeticFactors, InclusionError,
                                      integer_linear_form,
                                      verify_coefficient_inclusions,
                                      verify_form_inclusions)
+from betaforms import numtheory
 from betaforms.numtheory import FactoredInteger, lcm_up_to
 from betaforms.profiles import THEOREM1_ETA, general, section2
 from betaforms.rationalfn import (LinearProductRep, build_general,
@@ -435,6 +436,27 @@ class TestRandomProfiles:
         assert all(type(v) is int for v in ints)
         assert list(ints) == [dec.a[i] * scale
                               for i in [0] + dec.beta_indices]
+
+
+class TestCertificateWithoutCarryTable:
+    """The exact certificate takes Phi_n pointwise: from rep to integer
+    form, nothing builds the carry-minimum table."""
+
+    @pytest.mark.parametrize("profile", [
+        general(THEOREM1_ETA, 4), general((8, 2, 3, 3, 2, 1), 2)],
+        ids=["theorem1-n4", "general-s5"])
+    def test_certificate(self, monkeypatch, profile):
+        def no_table(spec):
+            raise AssertionError("the certificate built a carry table")
+
+        monkeypatch.setattr(numtheory, "carry_min_table", no_table)
+        table = partial_fractions(build_general(profile))
+        dec = beta_coefficients(table, profile)
+        factors = ArithmeticFactors.for_profile(profile)
+        assert verify_coefficient_inclusions(table, factors).ok
+        assert verify_form_inclusions(dec, factors).ok
+        ints, _ = integer_linear_form(dec, factors)
+        assert all(type(v) is int for v in ints)
 
 
 class TestRemark1Probe:

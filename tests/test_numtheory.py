@@ -421,6 +421,39 @@ class TestCapitalPhi:
         assert dict(table_version.factors) == direct
 
 
+def assert_window_reads_the_table(profile):
+    """Every exponent of the prime window, taken pointwise, is the carry
+    table's value at n/p, and the window is every p <= d_index with
+    p*p > phi_lower_sq."""
+    table = carry_min_table(profile.carry_spec)
+    window = list(numtheory._prime_window(profile))
+    assert [p for p, _ in window] == [
+        p for p in sieve_primes(profile.d_index) if p * p > profile.phi_lower_sq]
+    for p, e in window:
+        assert e == table.value_at(Fraction(profile.n, p)), p
+
+
+class TestPointwiseWindow:
+    """``_prime_window`` sweeps y at each n/p instead of reading the carry
+    table; both must give the same exponents."""
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 12, 24, 48])
+    def test_theorem1(self, n):
+        assert_window_reads_the_table(general(THEOREM1_ETA, n))
+
+    # (5, 22) and (3, 22): the window prime 11 divides n, so x = 0
+    @pytest.mark.parametrize("s,n", [(3, 2), (3, 20), (5, 22), (3, 22),
+                                     (17, 16)])
+    def test_section2(self, s, n):
+        assert_window_reads_the_table(section2(s, n))
+
+    @settings(max_examples=40, deadline=None)
+    @given(admissible_general(), st.integers(1, 6))
+    def test_general(self, case, scale):
+        s, n, eta = case
+        assert_window_reads_the_table(Profile("general", s, n * scale, eta))
+
+
 def euler_maclaurin_digamma(x: Fraction, terms: int = 20, shift: int = 60):
     """Series oracle for the digamma comparison, in plain mpf arithmetic;
     the mpf it ends with, converted to a Fraction exactly."""

@@ -339,9 +339,18 @@ class TestParitySplit:
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=8),
-           st.integers(-40, 40).filter(bool), st.integers(0, 4))
-    def test_division_undoes_multiplication(self, poly, a, w):
-        assert _times_linear(_times_linear(poly, a, w), a, -w) == poly
+           st.integers(-40, 40).filter(bool), st.integers(0, 4),
+           st.integers(1, 10 ** 12))
+    @example([3, -1, 4], 7, 2, 12)
+    def test_division_undoes_multiplication(self, poly, a, w, scale):
+        assert (_times_linear(_times_linear(poly, a, w, scale), a, -w, scale)
+                == poly)
+        # the scale keeps coefficient j as scale**j times its value
+        def lift(coeffs):
+            return [c * scale ** j for j, c in enumerate(coeffs)]
+
+        assert (_times_linear(lift(poly), a, w, scale)
+                == lift(_times_linear(poly, a, w, 1)))
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=8),
@@ -350,14 +359,14 @@ class TestParitySplit:
         # a constant term prime to a leaves a remainder at the first step
         poly[0] = poly[0] * a + 1
         with pytest.raises(ArithmeticError):
-            _times_linear(poly, sign * a, -1)
+            _times_linear(poly, sign * a, -1, 1)
 
     def test_absent_factor_raises_past_the_constant_term(self):
         # (5 + v)**2 holds 5 + v but not -5 + v: dividing by the latter
         # passes q_0 = -5 and q_1 = -3, then leaves a remainder at q_2
-        assert _times_linear([25, 10, 1], 5, -1) == [5, 1, 0]
+        assert _times_linear([25, 10, 1], 5, -1, 1) == [5, 1, 0]
         with pytest.raises(ArithmeticError):
-            _times_linear([25, 10, 1], -5, -1)
+            _times_linear([25, 10, 1], -5, -1, 1)
 
 
 class TestLayers:
@@ -505,6 +514,13 @@ class TestMirroredPartialFractions:
         for rep in reps:
             assert reflection(rep) is not None
             self.assert_same_table(rep)
+
+    def test_theorem1_n12(self):
+        # the sweep moves G by powers (7**3, 19**2) and at primes (107 to
+        # 131) that no n <= 6 reaches
+        rep = build_general(general(THEOREM1_ETA, 12))
+        assert reflection(rep) is not None
+        self.assert_same_table(rep)
 
     @pytest.mark.parametrize("kind", [1, 2, 3, 4])
     @pytest.mark.parametrize("n", [1, 2, 5])

@@ -9,15 +9,11 @@ Usage (from the repository root)::
     python tools/bench_oracle.py --tree change=src --large
 
 Each ``--tree LABEL=SRC`` names a directory holding the ``betaforms``
-package.  The tool times trees that have ``numerics._chebyshev_pass``,
-with either oracle API: the series from the rep alone,
-``r_n_series(rep, precision)`` and ``consistency_check(decomposition,
-rep, precision)``, or the older one that also takes the partial-fraction
-table (``r_n_series(rep, table, precision)``, ``consistency_check(
-decomposition, rep, table, precision)``, ``alternating_series_tail(rep,
-table, target, precision)``).  It passes the table only to a function
-whose signature names it (``table_args``).  On a tree older than both its
-``--one`` child fails.  The run is ``--repeat`` rounds; in each
+package.  The tool times trees whose series oracle reads the rep alone,
+``r_n_series(rep, precision)``, ``consistency_check(decomposition, rep,
+precision)`` and ``alternating_series_tail(rep, target, precision)``, and
+that have ``numerics._chebyshev_pass``; on an older tree its ``--one``
+child fails.  The run is ``--repeat`` rounds; in each
 round every tree runs once, in the given order on even rounds and
 reversed on odd ones, so two trees alternate within seconds of each
 other instead of running minutes apart (the host's speed drifts by up to
@@ -30,7 +26,9 @@ a fifth at that scale).  A tree's run is three fresh interpreters with
 * the stages (this script with ``--one``): for theorem1 at (n, precision)
   = (2, 256), (4, 256), (6, 64), (8, 256), (12, 256) and (24, 256), the
   exact certificate stage by stage (``exact_stages``):
-  ``numerics.build_profile_rep``, ``rationalfn.partial_fractions``,
+  ``decomposition.ArithmeticFactors.for_profile`` (the lcm and the
+  cancellation factor), ``numerics.build_profile_rep``,
+  ``rationalfn.partial_fractions``,
   ``decomposition.beta_coefficients``, both inclusion checks and
   ``decomposition.integer_linear_form`` (n = 24 is where partial
   fractions dominate a certificate); then the real constants:
@@ -50,8 +48,7 @@ a fifth at that scale).  A tree's run is three fresh interpreters with
   With ``--large`` the exact certificate of theorem1 at n = 48 and 96
   follows, stage by stage (about 25 s a tree at n = 96), and then a cold
   ``numerics.r_n_series`` at 256 bits with its series calls: no lower
-  bound, and a rep whose moment bound no call has made yet (a tree whose
-  series takes the table gets the one its exact stages built, untimed).
+  bound, and a rep whose moment bound no call has made yet.
   Without ``--large`` the run keeps its length.
 
 Every timing is recorded as the median, min and max over the rounds.  The
@@ -62,7 +59,6 @@ output file; other labels already there are kept.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import platform
@@ -108,11 +104,10 @@ def timed_with_tail_calls(numerics, fn) -> tuple[float, list]:
     tail, chebyshev_pass = (numerics.alternating_series_tail,
                             numerics._chebyshev_pass)
 
-    def recording_tail(*args):
-        # (rep, target, precision), or (rep, table, target, precision)
+    def recording_tail(rep, target, precision):
         bits.clear()
-        ev = tail(*args)
-        calls.append([args[-2].denominator.bit_length() - 1, ev.direct_terms,
+        ev = tail(rep, target, precision)
+        calls.append([target.denominator.bit_length() - 1, ev.direct_terms,
                       bits[0]])
         return ev
 
@@ -130,22 +125,17 @@ def timed_with_tail_calls(numerics, fn) -> tuple[float, list]:
     return elapsed, calls
 
 
-def table_args(fn, table) -> dict:
-    """``{"table": table}`` if ``fn`` takes the partial-fraction table (the
-    oracle API before the series read the rep alone), else ``{}``."""
-    return ({"table": table} if "table" in inspect.signature(fn).parameters
-            else {})
-
-
 def exact_stages(n: int) -> tuple[dict, tuple]:
     """Seconds of each exact stage of the theorem1 certificate at n, the
-    lcm and phi factors made first; and the rep, table and decomposition."""
+    lcm and phi factors first; and the profile, rep, table and
+    decomposition."""
     from betaforms import decomposition, numerics, rationalfn
     from betaforms.profiles import THEOREM1_ETA, general
 
     profile = general(THEOREM1_ETA, n)
-    factors = decomposition.ArithmeticFactors.for_profile(profile)
     times = {}
+    times["factors_s"], factors = seconds(
+        lambda: decomposition.ArithmeticFactors.for_profile(profile))
     times["build_s"], rep = seconds(
         lambda: numerics.build_profile_rep(profile))
     times["partial_fractions_s"], table = seconds(
@@ -167,7 +157,7 @@ def run_case(n: int, precision: int) -> dict:
     from betaforms.asymptotics import r_exponent
     from betaforms.numtheory import carry_min_table, phi_exponent
 
-    times, (profile, rep, table, dec) = exact_stages(n)
+    times, (profile, rep, _, dec) = exact_stages(n)
     carry_min_table(profile.carry_spec)
     case = {"profile": "theorem1", "n": n, "precision": precision, **times,
             "phi_exponent_s": seconds(
@@ -176,10 +166,10 @@ def run_case(n: int, precision: int) -> dict:
             "decomposition_value_s": seconds(
                 lambda: numerics.decomposition_value(dec, precision))[0]}
     series, check = numerics.r_n_series, numerics.consistency_check
-    series_s, series_calls = timed_with_tail_calls(numerics, lambda: series(
-        rep, precision=precision, **table_args(series, table)))
-    check_s, check_calls = timed_with_tail_calls(numerics, lambda: check(
-        dec, rep, precision=precision, **table_args(check, table)))
+    series_s, series_calls = timed_with_tail_calls(
+        numerics, lambda: series(rep, precision=precision))
+    check_s, check_calls = timed_with_tail_calls(
+        numerics, lambda: check(dec, rep, precision=precision))
     return {**case, "r_n_series_s": series_s,
             "r_n_series_tail_calls": series_calls,
             "consistency_check_s": check_s,
@@ -223,10 +213,9 @@ def large_case(n: int) -> dict:
     """The exact stages of theorem1 at n, then a cold series at 256 bits."""
     from betaforms import numerics
 
-    times, (_, rep, table, _) = exact_stages(n)
-    series = numerics.r_n_series
-    series_s, series_calls = timed_with_tail_calls(numerics, lambda: series(
-        rep, precision=256, **table_args(series, table)))
+    times, (_, rep, _, _) = exact_stages(n)
+    series_s, series_calls = timed_with_tail_calls(
+        numerics, lambda: numerics.r_n_series(rep, precision=256))
     return {"profile": "theorem1", "n": n, **times,
             "cold_r_n_series_s": series_s,
             "cold_r_n_series_tail_calls": series_calls}
