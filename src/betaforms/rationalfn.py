@@ -451,9 +451,10 @@ def partial_fractions(rep: LinearProductRep) -> PartialFractionTable:
                 for p, e in _prime_powers(pole - r, lpf):
                     odd_exps[p] += c * e
                     step = max(odd_exps[p] - slack[p], 0) - content[p]
-                    content[p] += step
-                    g0.shift(p, step)
-                    rise *= p ** abs(step)
+                    if step:
+                        content[p] += step
+                        g0.shift(p, step)
+                        rise *= p ** abs(step)
                 if c < 0 and rise > 1:
                     odd_scaled = [h * rise for h in odd_scaled]
                 odd_scaled = _times_linear(odd_scaled, pole - r, c, lcm_value)
