@@ -459,6 +459,8 @@ def partial_fractions(rep: LinearProductRep) -> PartialFractionTable:
                     odd_scaled = [h * rise for h in odd_scaled]
                 odd_scaled = _times_linear(odd_scaled, pole - r, c, lcm_value)
                 if c > 0 and rise > 1:
+                    if any(h % rise for h in odd_scaled):
+                        raise ArithmeticError("g_odd lost its known content")
                     odd_scaled = [h // rise for h in odd_scaled]
         else:
             sums = [0] * s  # sums[k] = T_k for k = 1..s-1

@@ -13,12 +13,11 @@ package.  The tool times trees whose series oracle reads the rep alone,
 ``r_n_series(rep, precision)``, ``consistency_check(decomposition, rep,
 precision)`` and ``alternating_series_tail(rep, target, precision)``, and
 that have ``numerics._chebyshev_pass``; on an older tree its ``--one``
-child fails.  The run is ``--repeat`` rounds; in each
-round every tree runs once, in the given order on even rounds and
-reversed on odd ones, so two trees alternate within seconds of each
-other instead of running minutes apart (the host's speed drifts by up to
-a fifth at that scale).  A tree's run is three fresh interpreters with
-``PYTHONPATH=SRC``:
+child fails.  The run is ``--repeat`` rounds; in each round every tree
+runs once, in the given order on even rounds and reversed on odd ones, so
+two trees alternate within seconds of each other instead of running
+minutes apart (the host's speed drifts by up to a fifth at that scale).
+A tree's run is three fresh interpreters with ``PYTHONPATH=SRC``:
 
 * ``startup``: the seconds of ``import betaforms.cli`` inside a fresh
   interpreter, and the wall seconds, spawn to exit, of ``python -m
@@ -28,8 +27,8 @@ a fifth at that scale).  A tree's run is three fresh interpreters with
   exact certificate stage by stage (``exact_stages``):
   ``decomposition.ArithmeticFactors.for_profile`` (the lcm and the
   cancellation factor), ``numerics.build_profile_rep``,
-  ``rationalfn.partial_fractions``,
-  ``decomposition.beta_coefficients``, both inclusion checks and
+  ``rationalfn.partial_fractions``, ``decomposition.beta_coefficients``,
+  both inclusion checks and
   ``decomposition.integer_linear_form`` (n = 24 is where partial
   fractions dominate a certificate); then the real constants:
   ``numtheory.phi_exponent`` (carry table warm), ``asymptotics.r_exponent``
@@ -46,7 +45,7 @@ a fifth at that scale).  A tree's run is three fresh interpreters with
   and theorem1's ledger at 64 bits from a cold carry table, the work of
   ranking one eta candidate.
   With ``--large`` the exact certificate of theorem1 at n = 48 and 96
-  follows, stage by stage (about 25 s a tree at n = 96), and then a cold
+  follows, stage by stage (5 to 10 s a tree at n = 96), and then a cold
   ``numerics.r_n_series`` at 256 bits with its series calls: no lower
   bound, and a rep whose moment bound no call has made yet.
   Without ``--large`` the run keeps its length.
