@@ -255,36 +255,29 @@ def r_n_series(rep: LinearProductRep, precision: int = 256, *,
     """sum_{nu >= 0} (-1)**nu rep(nu), summed from ``rep`` alone, as a ball
     of radius at most 2**-(precision + 64) min(1, |r|).
 
-    Rungs of target 2**-tbits, tbits = (precision + 16) 2**k, run until a
-    ball excludes zero; unless it already meets the radius, one pass at
-    2**-(precision + 64) min(1, L) follows, L the ball's least |x|.  A
-    positive ``lower_bound`` on |r| known elsewhere (say from the
-    decomposition) replaces the descent by that pass with L = lower_bound;
-    it picks the target only, and a ball that misses the radius for its own
-    least |x| falls back to the descent.  The descent gives up with
+    Rungs of target 2**-tbits run until a ball excludes zero, tbits
+    doubling from precision + 16, or from the rung that a positive
+    ``lower_bound`` on |r| known elsewhere (say from the decomposition)
+    picks: precision + 64 - floor(log2 min(1, lower_bound)).  Unless that
+    ball meets the radius, one pass follows at the rung of the ball's own
+    least |x|.  The hint picks targets only.  The descent gives up with
     ``ArithmeticError`` past a target of 2**-``_MAX_SERIES_BITS``.
     """
+    def rung(least: Fraction) -> int:
+        return precision + 64 + max(0, -floor_log2(least))
+
     def ball(tbits: int) -> BallReal:
         return alternating_series_tail(rep, Fraction(1, 1 << tbits),
                                        precision).value
 
-    def relative(least: Fraction) -> BallReal:
-        return ball(precision + 64 + max(0, -floor_log2(least)))
-
-    def meets(value: BallReal) -> bool:
-        return (not value.contains_zero() and value.rad * 2 ** (precision + 64)
-                <= min(1, abs(value).lower))
-
-    value = relative(lower_bound) if lower_bound else None
-    if value is None or not meets(value):
-        tbits = precision + 16
-        while (value := ball(tbits)).contains_zero():
-            tbits *= 2
-            if tbits > _MAX_SERIES_BITS:
-                raise ArithmeticError("the series certifies no sign down to "
-                                      f"2**-{_MAX_SERIES_BITS}")
-        if not meets(value):
-            value = relative(abs(value).lower)
+    tbits = rung(lower_bound) if lower_bound else precision + 16
+    while (value := ball(tbits)).contains_zero():
+        tbits *= 2
+        if tbits > _MAX_SERIES_BITS:
+            raise ArithmeticError("the series certifies no sign down to "
+                                  f"2**-{_MAX_SERIES_BITS}")
+    if value.rad * 2 ** (precision + 64) > min(1, abs(value).lower):
+        value = ball(rung(abs(value).lower))
     return value
 
 

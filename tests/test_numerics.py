@@ -561,10 +561,30 @@ class TestRnSeries:
         v = r_n_series(b.rep, precision)
         assert meets_relative_radius(v, precision)
 
+    @pytest.mark.parametrize("scale,tbits,straddles", [
+        (2 ** 40, [468, 508], False), (2 ** 200, [308, 616], True)],
+        ids=["misses-the-radius", "straddles-zero"])
+    def test_a_too_large_hint_is_the_first_rung(self, bundle, monkeypatch,
+                                                scale, tbits, straddles):
+        # |r| is in [2**-316, 2**-315) at theorem1 n = 2, so a hint 2**40
+        # too large aims at 2**-468: that ball excludes zero but misses the
+        # radius 2**-192 |r|, and one pass at its own least |x| follows.  A
+        # hint 2**200 too large aims at 2**-308, whose ball straddles zero,
+        # and the descent doubles from there.
+        b = bundle(general(THEOREM1_ETA, 2))
+        plain = r_n_series(b.rep, 128)
+        calls = record_tail_calls(monkeypatch)
+        hinted = r_n_series(b.rep, 128, lower_bound=abs(plain.mid) * scale)
+        assert [target for target, _, _ in calls] == [
+            Fraction(1, 2 ** bits) for bits in tbits]
+        assert calls[0][2].value.contains_zero() == straddles
+        assert meets_relative_radius(hinted, 128)
+        assert hinted.overlaps(plain)
+
     @pytest.mark.parametrize("scale", [Fraction(2) ** 40, Fraction(2) ** -300])
     def test_a_wrong_lower_bound_only_picks_the_target(self, bundle, scale):
-        # too large a bound aims too high and falls back to the descent;
-        # too small a one aims lower than needed
+        # too large a bound aims too high and takes a second pass; too
+        # small a one aims lower than needed
         b = bundle(section2(5, 2))
         plain = r_n_series(b.rep, 128)
         hinted = r_n_series(b.rep, 128,

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from betaforms import profile_violations
+from betaforms import profile_violations, rationalfn
 from betaforms.decomposition import _assemble
 from betaforms.numerics import build_profile_rep
 from betaforms.numtheory import CarrySpec
@@ -329,6 +329,24 @@ class TestParitySplit:
         table = partial_fractions(rep)
         assert_factored(table)
         reduced = fraction_table(table)
+        assert reduced == full_sweep_partial_fractions(rep)
+        assert reduced == fraction_partial_fractions(rep)
+
+    def test_a_gapped_grid_is_built_once(self, monkeypatch):
+        # poles at t = -1/2, -3/2, -9/2, -11/2, and no reflection: the sweep
+        # slides across the gap, past the numerator root t = -5/2 in it,
+        # instead of building the state again
+        rep = LinearProductRep.build(
+            Fraction(7, 3), [(0, 1), (-1, 2), (Fraction(-5, 2), 1)],
+            [(Fraction(-1, 2), 2), (Fraction(-3, 2), 1),
+             (Fraction(-9, 2), 1), (Fraction(-11, 2), 2)])
+        assert reflection(rep) is None
+        copies = []
+        copy = rationalfn._FactoredRatio.copy
+        monkeypatch.setattr(rationalfn._FactoredRatio, "copy",
+                            lambda ratio: copies.append(ratio) or copy(ratio))
+        reduced = fraction_table(partial_fractions(rep))
+        assert len(copies) == 1
         assert reduced == full_sweep_partial_fractions(rep)
         assert reduced == fraction_partial_fractions(rep)
 
