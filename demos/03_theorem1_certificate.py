@@ -21,7 +21,7 @@ print(f"  shift data: h_0 = {profile.h0}, pole window "
       f"[{profile.N}, {profile.h0 - profile.N - 1}], "
       f"lcm index M = {profile.d_index}")
 
-table_phi = carry_min_table(profile.carry_spec)
+table_phi = carry_min_table(profile.shape)
 print(f"\ncarry-minimum table: {len(table_phi.values)} pieces, "
       f"values {sorted(set(table_phi.values))}")
 print(f"  peak value {table_phi.max_value()} on the piece at [7/24, 3/10): "

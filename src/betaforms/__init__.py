@@ -23,22 +23,21 @@ from .decomposition import (ArithmeticFactors, DecompositionResult,
 from .asymptotics import (ExponentLedger, Lemma3Data, exponent_ledger,
                           lemma3_solve, r_exponent)
 from .numerics import beta_value, consistency_check, r_n_series
-from .numtheory import (CarrySpec, FactoredInteger, StepFunction,
-                        capital_phi, carry_min_table, carry_value,
-                        lcm_up_to, phi_exponent, phi_exponent_sieved,
-                        sieve_primes)
+from .numtheory import (FactoredInteger, StepFunction, capital_phi,
+                        carry_min_table, lcm_up_to, phi_exponent,
+                        phi_exponent_sieved, sieve_primes)
 from .profiles import (Profile, ProfileError, THEOREM1_ETA, general,
                        preset, profile_violations, section2)
 from .rationalfn import (LinearProductRep, PartialFractionTable,
                          build_general, build_section2, partial_fractions)
 
 __all__ = [
-    "ArithmeticFactors", "BallReal", "CarrySpec", "DecompositionResult",
+    "ArithmeticFactors", "BallReal", "DecompositionResult",
     "ExponentLedger", "FactoredInteger", "InclusionReport", "Lemma3Data",
     "LinearProductRep", "PartialFractionTable", "Profile", "ProfileError",
     "StepFunction", "THEOREM1_ETA", "beta_coefficients", "beta_value",
     "build_general", "build_section2", "capital_phi", "carry_min_table",
-    "carry_value", "consistency_check", "exponent_ledger", "general",
+    "consistency_check", "exponent_ledger", "general",
     "integer_linear_form", "lcm_up_to", "lemma3_solve",
     "partial_fractions", "preset", "phi_exponent", "phi_exponent_sieved",
     "profile_violations", "r_exponent", "r_n_series", "section2",

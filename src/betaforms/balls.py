@@ -277,13 +277,6 @@ class BallReal:
 
     # -- predicates ----------------------------------------------------------
 
-    def contains(self, q) -> bool:
-        """Exact membership of a rational, or containment of a ball."""
-        if isinstance(q, BallReal):
-            m1, r1, m2, r2, _ = _align(self, q)
-            return m1 - r1 <= m2 - r2 and m2 + r2 <= m1 + r1
-        return self.lower <= q <= self.upper
-
     def overlaps(self, other: "BallReal") -> bool:
         m1, r1, m2, r2, _ = _align(self, other)
         return abs(m1 - m2) <= r1 + r2

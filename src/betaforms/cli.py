@@ -273,7 +273,7 @@ def _cmd_asymptotics(args) -> int:
 def _cmd_phi_table(args) -> int:
     cfg = _valid_config(args)
     profile = profile_from_spec(cfg, cfg["n"][0])
-    table = carry_min_table(profile.carry_spec)
+    table = carry_min_table(profile.shape)
     report = {
         "profile": args.profile,
         "carry_minimum": [

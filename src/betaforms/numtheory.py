@@ -18,7 +18,20 @@ once per reduced angle, under one integer error bound.
 The carry functions are integer-valued sums of floors of linear forms in
 (x, y), periodic with period 1 in both arguments.  Their minimum over y
 is piecewise constant in x with rational breakpoints; the table of that
-minimum drives the cancellation factor's asymptotic exponent.
+minimum drives the cancellation factor's asymptotic exponent.  Every
+carry routine takes the profile's shape eta = (eta_0, ..., eta_s) and
+builds one sum from it (``_terms``); the basic family of section 2 reads
+it at its shape (3, 1, ..., 1), as the rest of its construction does.
+
+The paper writes the basic family's function as a six-term sum in other
+coordinates; both give the same minimum over y, hence the same table
+and the same cancellation factor.  At shape (3, 1^s) the sum is
+f_s = f_3 + (s - 3) h with h = floor(x) - floor(y - x) - floor(2x - y),
+which is 0 or 1, so min_y f_s cannot fall as s grows.  The exact tables
+at s = 3 and s = 5 are equal (checked in the tests): at each x a
+minimiser of f_5 is then one of f_3 with h = 0, and so gives every f_s,
+s >= 3, the s = 3 minimum.  A second exact check ties the s = 3 table to
+the six-term sum.
 
 Where the breakpoints can lie follows from the line arrangement.  A term
 floor(a x + e y) with e != 0 jumps on the lines a x + e y in Z; the
@@ -155,7 +168,8 @@ def factorize(m: int) -> dict[int, int]:
 
 def eta_violations(eta) -> list[str]:
     """Violated shape conditions on eta = (eta_0, ..., eta_s): the one copy
-    of the rules that ``CarrySpec`` and ``profiles.profile_violations`` apply."""
+    of the rules that every carry routine and
+    ``profiles.profile_violations`` apply."""
     bad = []
     e0, rest = eta[0], eta[1:]
     for j, ej in enumerate(rest, start=1):
@@ -168,59 +182,23 @@ def eta_violations(eta) -> list[str]:
     return bad
 
 
-@frozen
-class CarrySpec:
-    """Which floor-sum carry function to use.
-
-    ``family`` is "section2" (fixed six-term sum) or "general" (built from
-    the positive integer tuple eta = (eta_0, ..., eta_s)).
-    """
-
-    family: str
-    eta: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        if self.family == "section2":
-            if self.eta is not None:
-                raise ValueError("section2 carry takes no eta")
-        elif self.family == "general":
-            if self.eta is None or len(self.eta) < 3:
-                raise ValueError("general carry needs eta = (eta_0, ..., eta_s)")
-            bad = eta_violations(self.eta)
-            if bad:
-                raise ValueError("; ".join(bad))
-        else:
-            raise ValueError(f"unknown carry family {self.family!r}")
-
-    def terms(self) -> tuple[tuple[int, int, int], ...]:
-        """The sum as (sign, x-coefficient, y-coefficient) floor terms."""
-        if self.family == "section2":
-            return (
-                (1, 2, 2), (1, 4, -2),
-                (-1, 1, 1), (-1, 2, -1),
-                (-3, 0, 1), (-3, 1, -1),
-            )
-        e0 = self.eta[0]
-        e1 = self.eta[1]
-        terms = [
-            (1, 2 * e0, -2), (1, 0, 2),
-            (-1, e0, -1), (-1, 0, 1),
-            (-2, e1, 0), (-1, e0 - 2 * e1, 0),
-        ]
-        for ej in self.eta[1:]:
-            terms.append((1, e0 - 2 * ej, 0))
-            terms.append((-1, -ej, 1))
-            terms.append((-1, e0 - ej, -1))
-        return tuple(terms)
-
-
-def carry_value(spec: CarrySpec, x, y) -> int:
-    """Exact value of the carry function at (x, y); both arguments mod 1."""
-    x, y = Fraction(x), Fraction(y)
-    total = 0
-    for sign, ax, ey in spec.terms():
-        total += sign * math.floor(ax * x + ey * y)
-    return total
+def _terms(eta) -> tuple[tuple[int, int, int], ...]:
+    """The carry function at shape eta as (sign, x-coefficient,
+    y-coefficient) floor terms; ``ValueError`` if eta breaks
+    ``eta_violations`` or has fewer than three entries."""
+    bad = (eta_violations(eta) if len(eta) > 2
+           else ["need eta = (eta_0, ..., eta_s) with s >= 2"])
+    if bad:
+        raise ValueError("; ".join(bad))
+    e0, e1 = eta[:2]
+    terms = [
+        (1, 2 * e0, -2), (1, 0, 2),
+        (-1, e0, -1), (-1, 0, 1),
+        (-2, e1, 0), (-1, e0 - 2 * e1, 0),
+    ]
+    for ej in eta[1:]:
+        terms += [(1, e0 - 2 * ej, 0), (-1, -ej, 1), (-1, e0 - ej, -1)]
+    return tuple(terms)
 
 
 def _merged_terms(terms) -> tuple[tuple[int, int, int], ...]:
@@ -354,8 +332,8 @@ def _breakpoint_candidates(terms) -> list[tuple[int, int]]:
 
 
 @lru_cache(maxsize=None)
-def carry_min_table(spec: CarrySpec) -> StepFunction:
-    """Exact table of min_y carry(x, y) as a step function of x.
+def carry_min_table(eta: tuple[int, ...]) -> StepFunction:
+    """Exact table of min_y carry(x, y) at shape eta as a step function of x.
 
     It is built from the merged sum of the module docstring, the same
     function with fewer terms (45 become 14 for theorem1).
@@ -370,7 +348,7 @@ def carry_min_table(spec: CarrySpec) -> StepFunction:
     on the gap to its right; this is checked, and a sum for which it fails
     raises instead of being tabulated wrongly.
     """
-    terms = _merged_terms(spec.terms())
+    terms = _merged_terms(_terms(eta))
     plan = _sweep_plan(terms)
     grid = _breakpoint_candidates(terms)
     values = []
@@ -385,12 +363,13 @@ def carry_min_table(spec: CarrySpec) -> StepFunction:
     return StepFunction.build(starmap(Fraction, grid), values)
 
 
-def carry_min_value(spec: CarrySpec, x) -> tuple[int, Fraction]:
-    """Pointwise min over y at a single x, with a witness y (no table)."""
+def carry_min_value(eta: tuple[int, ...], x) -> tuple[int, Fraction]:
+    """Pointwise min over y at shape eta and a single x, with a witness y
+    (no table)."""
     x = Fraction(x)
     x -= math.floor(x)
     p, q = x.as_integer_ratio()
-    plan = _sweep_plan(_merged_terms(spec.terms()))
+    plan = _sweep_plan(_merged_terms(_terms(eta)))
     value, key = _min_over_y(plan, p, q)
     return value, Fraction(key, 2 * plan[0] * q)
 
@@ -403,7 +382,7 @@ def _prime_window(profile):
     """(p, phi(n/p)) for each prime p of the cancellation factor's window,
     p <= d_index with p*p > phi_lower_sq (strict, compared exactly): one
     sweep over y at x = (n mod p)/p each, on the merged sum's plan."""
-    plan = _sweep_plan(_merged_terms(profile.carry_spec.terms()))
+    plan = _sweep_plan(_merged_terms(_terms(profile.shape)))
     for p in sieve_primes(profile.d_index):
         if p * p > profile.phi_lower_sq:
             yield p, _min_over_y(plan, profile.n % p, p)[0]
@@ -564,7 +543,7 @@ def phi_exponent_from_table(table: StepFunction, mu: Fraction,
 
 
 def phi_exponent(profile, precision: int = 256) -> BallReal:
-    table = carry_min_table(profile.carry_spec)
+    table = carry_min_table(profile.shape)
     return phi_exponent_from_table(table, profile.mu, precision)
 
 

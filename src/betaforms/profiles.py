@@ -4,16 +4,17 @@ A profile pins down one instance of the linear-form construction.  Both
 families build one rational function from a tuple ``shape`` =
 (eta_0, ..., eta_s): h_0 = eta_0 n + 1, poles at t = -(k + 1/2) for k
 in the window [N, h_0-N-1] with N = n min_{j>=1} eta_j, lcm index M
-(``d_index``).  They differ in their parameter rules and their
-arithmetic (carry function and prime window):
+(``d_index``), and the carry function of ``numtheory`` at that shape.
+They differ only in their parameter rules, their prime window and the
+decay-rate cross-check that ``asymptotics`` runs for section 2:
 
 * ``section2`` -- odd s >= 3, even n > 0; shape (3, 1, ..., 1), so
-  h_0 = 3n + 1, poles k = n..2n and M = n; the six-term carry function
-  and the prime window 2*sqrt(n) < p <= n.
+  h_0 = 3n + 1, poles k = n..2n and M = n; the prime window
+  2*sqrt(n) < p <= n.
 * ``general`` -- odd s >= 5 and a tuple eta = (eta_0, ..., eta_s) of
   positive integers with 0 < eta_j < eta_0/2 and
-  sum eta_j <= (s-1) eta_0 / 2; shape eta, the carry function built from
-  eta and the prime window sqrt(2 h_0) < p <= M.
+  sum eta_j <= (s-1) eta_0 / 2; shape eta and the prime window
+  sqrt(2 h_0) < p <= M.
 
 Everything derived (h_0, N, d_index, the normalizing factor, the pole
 window) lives here, each fact derived once, so that downstream modules
@@ -28,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from ._records import frozen
-from .numtheory import CarrySpec, eta_violations
+from .numtheory import eta_violations
 
 
 class ProfileError(ValueError):
@@ -80,12 +81,6 @@ class Profile:
     def is_section2(self) -> bool:
         return self.family == "section2"
 
-    @cached_property
-    def carry_spec(self) -> CarrySpec:
-        if self.is_section2:
-            return CarrySpec("section2")
-        return CarrySpec("general", self.eta)
-
     @property
     def phi_lower_sq(self) -> int:
         """Primes p <= d_index enter the cancellation factor iff p*p > this."""
@@ -95,8 +90,9 @@ class Profile:
 
     @property
     def shape(self) -> tuple[int, ...]:
-        """The eta tuple the rational function is built from: section2 is
-        the general construction at eta = (3, 1, ..., 1)."""
+        """The eta tuple the rational function and the carry function are
+        built from: section2 is the general construction at
+        eta = (3, 1, ..., 1)."""
         return (3,) + (1,) * self.s if self.is_section2 else self.eta
 
     @property

@@ -68,20 +68,6 @@ class LinearProductRep:
                     raise ValueError("roots must be distinct with mult >= 1")
                 seen.add(r)
 
-    @classmethod
-    def build(cls, scalar, num_roots, den_roots) -> "LinearProductRep":
-        """The rep of (root, mult) pairs whose roots are rationals with
-        denominator 1 or 2."""
-        def merge(pairs):
-            acc: dict[int, int] = {}
-            for r, m in pairs:
-                r2 = 2 * Fraction(r)
-                if r2.denominator != 1:
-                    raise ValueError(f"root {r} is not a half-integer")
-                acc[r2.numerator] = acc.get(r2.numerator, 0) + m
-            return tuple(sorted(acc.items()))
-        return cls(Fraction(scalar), merge(num_roots), merge(den_roots))
-
     @property
     def num_degree(self) -> int:
         return sum(m for _, m in self.num_roots)

@@ -2,22 +2,24 @@
 
 The package ships what ``betaforms run`` and the library calls need.  What
 is here serves the tests as closed forms, identities and independent
-estimates to hold the package to: the paper's section-2 function in its
-own coordinates, the remark-1 variant and its denominator probe, the elementary binomial blocks, the top-coefficient
+estimates to hold the package to: a rep from rational roots, the paper's
+section-2 function in its own coordinates, the remark-1 variant and its
+denominator probe, the elementary binomial blocks, the top-coefficient
 closed form, the reflection symmetry of a table, tables of reduced
 Fractions and the full pole sweep that mirrored tables are held to, a
 rep's scalar multiple and shift, the per-pole Cauchy products that the
 series' moment bound slides, the hypergeometric parameters, pointwise
 reconstruction of a table, the Fraction integrality kernel that the
 exponent kernel is held to, the per-pole assembly and coefficient
-inclusion check that the orbit-wise ones are held to, the carry table's
-breakpoint candidates over the full crossing denominators, the Fraction
-inner sum, a Sturm root count,
-the ball pi, sqrt and cos and the ball-operation digamma sum that the
-fixed-point pass is held to, Euler's gamma from mpmath, the one-point
-digamma, a Monte Carlo estimate of the integral form, and the argparse
-parser that the command table of ``cli`` is held to.
-"""
+inclusion check that the orbit-wise ones are held to, the paper's
+six-term section-2 carry function that the basic family's carry tables
+are held to, exact carry values, the carry table's breakpoint candidates
+over the full crossing denominators, the Fraction inner sum, a Sturm root
+count, ball membership, the ball pi, sqrt and cos and the ball-operation
+digamma sum that the fixed-point pass is held to, Euler's gamma from
+mpmath, the one-point digamma, a Monte Carlo estimate of the integral
+form, and the argparse parser that the command table of ``cli`` is held
+to."""
 
 from __future__ import annotations
 
@@ -78,6 +80,21 @@ def fraction_table(table: PartialFractionTable) -> FractionTable:
 # ---------------------------------------------------------------------------
 # Rational functions
 # ---------------------------------------------------------------------------
+
+def linear_product_rep(scalar, num_roots, den_roots) -> LinearProductRep:
+    """The rep of (root, mult) pairs whose roots are rationals with
+    denominator 1 or 2; equal roots merge."""
+    def merge(pairs):
+        acc: dict[int, int] = {}
+        for r, m in pairs:
+            r2 = 2 * Fraction(r)
+            if r2.denominator != 1:
+                raise ValueError(f"root {r} is not a half-integer")
+            acc[r2.numerator] = acc.get(r2.numerator, 0) + m
+        return tuple(sorted(acc.items()))
+    return LinearProductRep(Fraction(scalar), merge(num_roots),
+                            merge(den_roots))
+
 
 def reconstruct(table, t) -> Fraction:
     """The table's partial-fraction sum at a non-pole rational t, exactly."""
@@ -210,7 +227,7 @@ def paper_section2_rep(s: int, n: int) -> LinearProductRep:
     num = [(Fraction(-n, 2), 1)]
     num += [(Fraction(2 * (n - j) + 1, 2), 1) for j in range(1, 3 * n + 1)]
     den = [(Fraction(-j), s) for j in range(n + 1)]
-    return LinearProductRep.build(scalar, num, den)
+    return linear_product_rep(scalar, num, den)
 
 
 def build_remark1(s: int, n: int) -> LinearProductRep:
@@ -221,7 +238,7 @@ def build_remark1(s: int, n: int) -> LinearProductRep:
     num += [(Fraction(2 * (n - j) + 1, 2), 1) for j in range(1, n + 1)]
     num += [(Fraction(-2 * (n + j) + 1, 2), 1) for j in range(1, n + 1)]
     den = [(Fraction(-j), s) for j in range(n + 1)]
-    return LinearProductRep.build(scalar, num, den)
+    return linear_product_rep(scalar, num, den)
 
 
 def remark1_identity_check(s: int, n: int, t) -> bool:
@@ -273,7 +290,7 @@ def binomial_block_product(kind: int, n: int) -> LinearProductRep:
         raise ValueError("n must be >= 1")
     den = [(Fraction(-j), 1) for j in range(n + 1)]
     if kind == 1:
-        return LinearProductRep.build(math.factorial(n), [], den)
+        return linear_product_rep(math.factorial(n), [], den)
     if kind == 2:
         num = [(Fraction(2 * (n - j) + 1, 2), 1) for j in range(1, n + 1)]
     elif kind == 3:
@@ -282,7 +299,7 @@ def binomial_block_product(kind: int, n: int) -> LinearProductRep:
         num = [(Fraction(-2 * (n + j) + 1, 2), 1) for j in range(1, n + 1)]
     else:
         raise ValueError("kind must be 1..4")
-    return LinearProductRep.build(2 ** (2 * n), num, den)
+    return linear_product_rep(2 ** (2 * n), num, den)
 
 
 def section2_top_coefficient(s: int, n: int, k: int) -> Fraction:
@@ -423,6 +440,28 @@ def per_pole_coefficient_inclusions(table: PartialFractionTable,
     return InclusionReport(len(table.pole_ks) * table.s, tuple(violations))
 
 
+# ---------------------------------------------------------------------------
+# Carry functions
+# ---------------------------------------------------------------------------
+
+# The paper's section-2 carry function in its own coordinates, as the
+# (sign, a, e) of sum sign * floor(a x + e y); the package takes the basic
+# family's carry minimum from the general sum at shape (3, 1, ..., 1).
+SIX_TERMS = ((1, 2, 2), (1, 4, -2), (-1, 1, 1), (-1, 2, -1),
+             (-3, 0, 1), (-3, 1, -1))
+
+
+def floor_sum(terms, x, y) -> int:
+    """sum sign * floor(a x + e y) over (sign, a, e) terms, exactly."""
+    x, y = Fraction(x), Fraction(y)
+    return sum(sign * math.floor(a * x + e * y) for sign, a, e in terms)
+
+
+def carry_value(eta, x, y) -> int:
+    """The package's carry function at shape eta, exactly at (x, y)."""
+    return floor_sum(numtheory._terms(eta), x, y)
+
+
 def full_breakpoint_candidates(terms) -> list[tuple[int, int]]:
     """``numtheory._breakpoint_candidates`` as it was before the crossings
     were taken from (g/D)Z: (1/D)Z for D = |a1 e2 - a2 e1| over pairs of
@@ -504,6 +543,11 @@ def remark1_denominator_probe(s: int, n: int) -> Remark1Report:
 # ---------------------------------------------------------------------------
 # Roots and digamma
 # ---------------------------------------------------------------------------
+
+def contains(ball: BallReal, q) -> bool:
+    """Exact membership of the rational q in the ball."""
+    return ball.lower <= q <= ball.upper
+
 
 def ball_pi() -> BallReal:
     """pi at the working precision, from the fixed-point Machin kernel."""

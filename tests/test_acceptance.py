@@ -116,7 +116,7 @@ def _reference_phi0_intervals():
 
 def test_criterion_05_phi0_table_exact():
     t0 = time.time()
-    table = carry_min_table(general(THEOREM1_ETA, 2).carry_spec)
+    table = carry_min_table(general(THEOREM1_ETA, 2).shape)
     expected = _reference_phi0_intervals()
     got = table.intervals()
     ok = got == expected

@@ -520,15 +520,18 @@ class TestBenchmarkContract:
 
 
 class TestPackageSurface:
-    """Every top-level public function and class in ``src/betaforms`` has a
+    """Every top-level public function and class in ``src/betaforms``, and
+    every public method of a public class (dunders are exempt), has a
     caller outside ``tests/``; what only the tests call belongs in
     ``tests/reference.py``.
 
     A use is a name or attribute read in ``src`` outside the definition's
     own body and outside ``__init__.py`` (re-exports are not uses), in
     ``demos/``, ``tools/`` or ``perfbench/``, or a site that
-    ``perfbench/spans.py`` traces by name.  A use inside an unused
-    definition does not count, so a dead chain is found whole."""
+    ``perfbench/spans.py`` traces by name.  Names are matched, not types,
+    so a method counts as used where any attribute of its name is read.
+    A use inside an unused definition, or inside a method of an unused
+    class, does not count, so a dead chain is found whole."""
 
     ROOT = Path(__file__).resolve().parent.parent
 
@@ -536,9 +539,9 @@ class TestPackageSurface:
     def reads(tree, owner):
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                yield node.id, owner.get(node)
+                yield node.id, owner.get(node, ())
             elif isinstance(node, ast.Attribute):
-                yield node.attr, owner.get(node)
+                yield node.attr, owner.get(node, ())
 
     def test_every_public_definition_has_a_caller_outside_tests(self):
         defs, uses = {}, []
@@ -546,25 +549,37 @@ class TestPackageSurface:
             if path.name == "__init__.py":
                 continue
             tree = ast.parse(path.read_text())
+            # node -> the keys of the definitions it lies in, outermost first
             owner = {}
             for top in tree.body:
                 if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
                     key = f"{path.stem}.{top.name}"
-                    if not top.name.startswith("_"):
-                        defs[key] = top.name
-                    owner.update(dict.fromkeys(ast.walk(top), key))
+                    owner.update(dict.fromkeys(ast.walk(top), (key,)))
+                    if top.name.startswith("_"):
+                        continue
+                    defs[key] = top.name
+                    for method in (top.body if isinstance(top, ast.ClassDef)
+                                   else ()):
+                        if (isinstance(method, ast.FunctionDef)
+                                and not method.name.startswith("_")):
+                            inner = f"{key}.{method.name}"
+                            defs[inner] = method.name
+                            owner.update(dict.fromkeys(ast.walk(method),
+                                                       (key, inner)))
             uses += self.reads(tree, owner)
         for folder in ("demos", "tools", "perfbench"):
             for path in sorted((self.ROOT / folder).glob("*.py")):
                 uses += self.reads(ast.parse(path.read_text()), {})
         spans = TestBenchmarkContract.spans()
-        uses += [(attr, None) for _, sites, _ in spans.TARGETS
+        uses += [(attr, ()) for _, sites, _ in spans.TARGETS
                  for _, attr in sites]
-        uses += [(attr, None) for _, attr, _ in spans.CACHES]
-        assert {"numerics.r_n_series", "profiles.Profile"} <= defs.keys()
+        uses += [(attr, ()) for _, attr, _ in spans.CACHES]
+        assert {"numerics.r_n_series", "profiles.Profile",
+                "balls.BallReal.overlaps"} <= defs.keys()
         unused = set()
         while new := {key for key, name in defs.items() if key not in unused
-                      and not any(n == name and at != key and at not in unused
+                      and not any(n == name and key not in at
+                                  and unused.isdisjoint(at)
                                   for n, at in uses)}:
             unused |= new
         assert not unused, "only tests use: " + ", ".join(sorted(unused))

@@ -19,7 +19,7 @@ from betaforms.rationalfn import (LinearProductRep, build_general,
 
 from tests.conftest import SECTION2_SUITE, THEOREM1_NS, suite_profiles
 from tests.reference import (decomposition, fraction_inclusion_report,
-                             inner_sum, per_pole_assemble,
+                             inner_sum, linear_product_rep, per_pole_assemble,
                              per_pole_coefficient_inclusions,
                              remark1_denominator_probe)
 from tests.test_numtheory import admissible_general
@@ -260,7 +260,7 @@ class TestExponentKernel:
                     max_size=4))
     # e = s - i < 0 puts d's primes in the denominator, and 5 is a prime
     # of d and of the scale beyond the table's primes
-    @example(LinearProductRep.build(Fraction(-5, 8), [], [(0, 1)]), 5, {}, 0,
+    @example(linear_product_rep(Fraction(-5, 8), [], [(0, 1)]), 5, {}, 0,
              [Fraction(0)] * 4)
     def test_matches_the_fraction_kernel_anywhere(self, rep, index, phi, s,
                                                   a):

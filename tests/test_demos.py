@@ -2,9 +2,11 @@
 prints, byte for byte, the stdout frozen in ``tests/golden/``.
 
 The demos call library entry points directly (``build_section2``,
-``build_profile_rep``, ``CarrySpec``, ``consistency_check``), so a
+``build_profile_rep``, ``carry_min_table``, ``consistency_check``), so a
 signature change there must show up here; a change in what they print
-shows up as a diff of the golden file.
+shows up as a diff of the golden file.  Demo 04 writes the paper's
+six-term section-2 carry function out itself and prints the package's
+carry minimum at the basic family's shape beside it.
 """
 
 import os

@@ -9,22 +9,22 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from betaforms import numtheory
 from betaforms.balls import BallReal, working_precision
-from betaforms.numtheory import (CarrySpec, FactoredInteger, StepFunction,
+from betaforms.numtheory import (FactoredInteger, StepFunction,
                                  _breakpoint_candidates, _merged_terms,
-                                 _min_over_y, _sweep_plan, capital_phi,
-                                 carry_min_table, carry_min_value,
-                                 carry_value, lcm_up_to,
+                                 _min_over_y, _sweep_plan, _terms,
+                                 capital_phi, carry_min_table,
+                                 carry_min_value, lcm_up_to,
                                  phi_exponent, phi_exponent_from_table,
                                  phi_exponent_sieved, sieve_primes)
-from betaforms.profiles import (THEOREM1_ETA, Profile, general,
+from betaforms.profiles import (THEOREM1_ETA, Profile, ProfileError, general,
                                 profile_violations, section2)
 
-from tests.reference import (ball_cos, ball_pi, digamma_rational,
-                             digamma_sum, euler_gamma,
-                             full_breakpoint_candidates)
+from tests.reference import (SIX_TERMS, ball_cos, ball_pi, carry_value,
+                             digamma_rational, digamma_sum, euler_gamma,
+                             floor_sum, full_breakpoint_candidates)
 
-THEOREM1_SPEC = CarrySpec("general", THEOREM1_ETA)
-SECTION2_SPEC = CarrySpec("section2")
+# the basic family's shape at s = 3
+SECTION2_SHAPE = section2(3, 2).shape
 
 
 def trial_division_primes(limit):
@@ -115,32 +115,34 @@ rationals = st.fractions(min_value=-3, max_value=3, max_denominator=60)
 
 class TestCarryValue:
     def test_section2_example(self):
-        assert carry_value(SECTION2_SPEC, Fraction(2, 5), Fraction(1, 5)) == 2
+        assert floor_sum(SIX_TERMS, Fraction(2, 5), Fraction(1, 5)) == 2
 
     def test_section2_periodicity_example(self):
         x, y = Fraction(2, 5), Fraction(1, 5)
-        assert carry_value(SECTION2_SPEC, x + 1, y) == carry_value(SECTION2_SPEC, x, y)
+        assert floor_sum(SIX_TERMS, x + 1, y) == floor_sum(SIX_TERMS, x, y)
 
     @settings(max_examples=120, deadline=None)
     @given(rationals, rationals)
     def test_periodic_both_arguments(self, x, y):
-        for spec in (SECTION2_SPEC, THEOREM1_SPEC):
-            base = carry_value(spec, x, y)
-            assert carry_value(spec, x + 1, y) == base
-            assert carry_value(spec, x, y + 1) == base
+        for terms in (SIX_TERMS, _terms(SECTION2_SHAPE), _terms(THEOREM1_ETA)):
+            base = floor_sum(terms, x, y)
+            assert floor_sum(terms, x + 1, y) == base
+            assert floor_sum(terms, x, y + 1) == base
 
     @settings(max_examples=120, deadline=None)
     @given(rationals, rationals)
     def test_matches_textbook_evaluator(self, x, y):
-        assert carry_value(SECTION2_SPEC, x, y) == textbook_section2_carry(x, y)
-        assert carry_value(THEOREM1_SPEC, x, y) == \
-            textbook_general_carry(THEOREM1_ETA, x, y)
+        assert floor_sum(SIX_TERMS, x, y) == textbook_section2_carry(x, y)
+        for eta in (SECTION2_SHAPE, THEOREM1_ETA):
+            assert carry_value(eta, x, y) == textbook_general_carry(eta, x, y)
 
-    def test_invalid_spec(self):
+    def test_invalid_shape(self):
         with pytest.raises(ValueError):
-            CarrySpec("general", (4, 2, 2, 2, 2, 2))  # eta_j = eta_0/2
+            carry_min_table((4, 2, 2, 2, 2, 2))  # eta_j = eta_0/2
         with pytest.raises(ValueError):
-            CarrySpec("nope")
+            carry_min_value((5, 1), 0)  # no eta_2
+        with pytest.raises(ProfileError):
+            Profile("nope", 5, 2)  # the families live in ``profiles``
 
 
 # profile_violations messages that are not about the shape of eta itself
@@ -176,21 +178,21 @@ class TestEtaShapeRule:
         near_admissible_eta()))
     @example((5, 1, 1, 1, 1, 1))
     @example(THEOREM1_ETA[:8])
-    def test_carry_spec_raises_iff_profile_reports(self, eta):
+    def test_carry_table_raises_iff_profile_reports(self, eta):
         shape = [v for v in profile_violations("general", len(eta) - 1, 2, eta)
                  if not v.startswith(NOT_ETA_SHAPE)]
         if shape:
             with pytest.raises(ValueError):
-                CarrySpec("general", eta)
+                carry_min_table(eta)
         else:
-            assert CarrySpec("general", eta).eta == eta
+            assert isinstance(carry_min_table(eta), StepFunction)
 
     @settings(max_examples=200, deadline=None)
     @given(admissible_general())
     def test_admissible_profiles_build(self, case):
         s, n, eta = case
         profile = Profile("general", s, n, eta)
-        assert profile.carry_spec == CarrySpec("general", eta)
+        assert profile.shape == eta and _terms(profile.shape)
 
 
 def enumerated_min_over_y(terms, x):
@@ -288,9 +290,11 @@ unit_fractions = st.fractions(min_value=0, max_value=1,
 
 class TestCarryMinTable:
     def test_section2_table(self):
-        table = carry_min_table(SECTION2_SPEC)
+        table = carry_min_table(SECTION2_SHAPE)
         assert table.breakpoints == (Fraction(0), Fraction(1, 3), Fraction(1, 2))
         assert table.values == (0, 1, 2)
+        # the paper's six-term sum has the same minimum over y
+        assert unmerged_table(SIX_TERMS) == table
 
     @settings(max_examples=60, deadline=None)
     @given(st.fractions(min_value=0, max_value=1, max_denominator=500),
@@ -298,16 +302,16 @@ class TestCarryMinTable:
     def test_table_is_min_over_random_y(self, x, rnd):
         if x == 1:
             x = Fraction(0)
-        for spec in (SECTION2_SPEC, THEOREM1_SPEC):
-            table_val = carry_min_table(spec).value_at(x)
-            sampled = min(
-                carry_value(spec, x, Fraction(rnd.randrange(997), 997))
-                for _ in range(50)
-            )
-            assert sampled >= table_val
-            exact, witness = carry_min_value(spec, x)
+        ys = [Fraction(rnd.randrange(997), 997) for _ in range(50)]
+        # the paper's six-term sum never falls below the basic family's table
+        assert (min(floor_sum(SIX_TERMS, x, y) for y in ys)
+                >= carry_min_table(SECTION2_SHAPE).value_at(x))
+        for eta in (SECTION2_SHAPE, THEOREM1_ETA):
+            table_val = carry_min_table(eta).value_at(x)
+            assert min(carry_value(eta, x, y) for y in ys) >= table_val
+            exact, witness = carry_min_value(eta, x)
             assert exact == table_val
-            assert carry_value(spec, x, witness) == table_val
+            assert carry_value(eta, x, witness) == table_val
 
     @settings(max_examples=25, deadline=None)
     @given(admissible_general((5, 7), 14).map(lambda case: case[2]),
@@ -315,15 +319,14 @@ class TestCarryMinTable:
            st.randoms(use_true_random=False))
     @example((5, 1, 1, 1, 1, 1), [Fraction(1, 2)], random.Random(0))
     def test_matches_farey_scan(self, eta, xs, rnd):
-        spec = CarrySpec("general", eta)
-        table = carry_min_table(spec)
+        table = carry_min_table(eta)
         order = 2 * eta[0] + 2 * max(eta[1:])
-        assert table == farey_scan_table(spec.terms(), order)
+        assert table == farey_scan_table(_terms(eta), order)
         for x in xs:
-            value, witness = carry_min_value(spec, x)
+            value, witness = carry_min_value(eta, x)
             assert value == table.value_at(x)
-            assert carry_value(spec, x, witness) == value
-            assert all(carry_value(spec, x, Fraction(rnd.randrange(997), 997))
+            assert carry_value(eta, x, witness) == value
+            assert all(carry_value(eta, x, Fraction(rnd.randrange(997), 997))
                        >= value for _ in range(30))
 
     @settings(max_examples=150, deadline=None)
@@ -354,38 +357,37 @@ class TestCarryMinTable:
     @example((5, 1, 2, 2))
     @example((9, 2, 3, 3))
     def test_merged_table_equals_the_unmerged_one(self, eta):
-        spec = CarrySpec("general", eta)
-        assert carry_min_table(spec) == unmerged_table(spec.terms())
+        assert carry_min_table(eta) == unmerged_table(_terms(eta))
 
     @settings(max_examples=20, deadline=None)
-    @given(st.one_of(st.just(SECTION2_SPEC), admissible_general(
-        (3, 5, 7), 14).map(lambda case: CarrySpec("general", case[2]))))
-    @example(THEOREM1_SPEC)
-    def test_pruned_candidates_give_the_same_table(self, spec):
+    @given(st.one_of(st.just(SECTION2_SHAPE), admissible_general(
+        (3, 5, 7), 14).map(lambda case: case[2])))
+    @example(THEOREM1_ETA)
+    def test_pruned_candidates_give_the_same_table(self, eta):
         # crossings lie in (g/D)Z, g = gcd(e1, e2): the candidates over D/g
         # are a subset of those over D, and the table built on them is the
         # one built on all of them
-        terms = _merged_terms(spec.terms())
+        terms = _merged_terms(_terms(eta))
         assert (set(_breakpoint_candidates(terms))
                 <= set(full_breakpoint_candidates(terms)))
         with mock.patch.object(numtheory, "_breakpoint_candidates",
                                full_breakpoint_candidates):
-            reference = carry_min_table.__wrapped__(spec)
-        assert carry_min_table.__wrapped__(spec) == reference
+            reference = carry_min_table.__wrapped__(eta)
+        assert carry_min_table.__wrapped__(eta) == reference
 
     def test_candidate_counts(self):
-        for spec, count in ((THEOREM1_SPEC, 214), (SECTION2_SPEC, 8)):
-            terms = _merged_terms(spec.terms())
-            assert len(_breakpoint_candidates(terms)) == count
+        for terms, count in ((_terms(THEOREM1_ETA), 214), (SIX_TERMS, 8),
+                             (_terms(SECTION2_SHAPE), 8)):
+            assert len(_breakpoint_candidates(_merged_terms(terms))) == count
 
     def test_a_candidate_unlike_its_right_gap_raises(self, monkeypatch):
         # floor(x) + floor(-x) is 0 at x = 0 and -1 on (0, 1): a table of
         # right-continuous pieces cannot hold it
-        monkeypatch.setattr(CarrySpec, "terms",
-                            lambda self: ((1, 1, 0), (1, -1, 0)))
+        monkeypatch.setattr(numtheory, "_terms",
+                            lambda eta: ((1, 1, 0), (1, -1, 0)))
         with pytest.raises(ValueError, match=r"minimum 0 at 0 differs from "
                            r"its value -1 on \(0, 1\)"):
-            carry_min_table.__wrapped__(SECTION2_SPEC)
+            carry_min_table.__wrapped__(SECTION2_SHAPE)
 
     def test_step_function_validation(self):
         with pytest.raises(ValueError):
@@ -415,7 +417,7 @@ class TestCapitalPhi:
         for p in sieve_primes(profile.d_index):
             if p * p <= profile.phi_lower_sq:
                 continue
-            e, _ = carry_min_value(profile.carry_spec, Fraction(profile.n, p))
+            e, _ = carry_min_value(profile.shape, Fraction(profile.n, p))
             if e:
                 direct[p] = e
         assert dict(table_version.factors) == direct
@@ -425,7 +427,7 @@ def assert_window_reads_the_table(profile):
     """Every exponent of the prime window, taken pointwise, is the carry
     table's value at n/p, and the window is every p <= d_index with
     p*p > phi_lower_sq."""
-    table = carry_min_table(profile.carry_spec)
+    table = carry_min_table(profile.shape)
     window = list(numtheory._prime_window(profile))
     assert [p for p, _ in window] == [
         p for p in sieve_primes(profile.d_index) if p * p > profile.phi_lower_sq]
@@ -666,8 +668,8 @@ class TestDigammaSum:
     @given(step_tables(), st.fractions(1, 3, max_denominator=12),
            st.sampled_from([64, 128, 256]))
     @settings(max_examples=60, deadline=None)
-    @example(carry_min_table(THEOREM1_SPEC), Fraction(1), 256)
-    @example(carry_min_table(SECTION2_SPEC), Fraction(3, 2), 128)
+    @example(carry_min_table(THEOREM1_ETA), Fraction(1), 256)
+    @example(carry_min_table(SECTION2_SHAPE), Fraction(3, 2), 128)
     def test_table_sum_matches_per_point_loop(self, table, mu, precision):
         new = phi_exponent_from_table(table, mu, precision)
         ref = reference_phi_exponent_from_table(table, mu, precision)
@@ -677,7 +679,7 @@ class TestDigammaSum:
     def test_theorem1_folds_into_thirteen_denominators(self):
         # 50 points with sum of denominators 828 share 13 denominators (the
         # integer points 0 and 1 count as b = 1) with sum 154
-        table = carry_min_table(THEOREM1_SPEC)
+        table = carry_min_table(THEOREM1_ETA)
         points = {x for lo, hi, c in table.intervals() if c for x in (lo, hi)}
         dens = {x.denominator for x in points}
         assert len(points) == 50

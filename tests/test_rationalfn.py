@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from betaforms import profile_violations, rationalfn
 from betaforms.decomposition import _assemble
 from betaforms.numerics import build_profile_rep
-from betaforms.numtheory import CarrySpec
+from betaforms.numtheory import carry_min_table
 from betaforms.profiles import (ProfileError, THEOREM1_ETA, general,
                                 profile_from_spec, section2)
 from betaforms.rationalfn import (LinearProductRep,
@@ -21,15 +21,16 @@ from betaforms.rationalfn import (LinearProductRep,
 from betaforms.series import divide_trunc
 
 from betaforms.numtheory import valuation
-from tests.reference import (FractionTable, binomial_block_coefficients,
+from tests.reference import (SIX_TERMS, FractionTable,
+                             binomial_block_coefficients,
                              binomial_block_product, build_remark1,
                              fraction_table, full_sweep_partial_fractions,
-                             hypergeometric_parameters,
+                             hypergeometric_parameters, linear_product_rep,
                              paper_section2_rep, reconstruct,
                              remark1_identity_check, scaled,
                              section2_top_coefficient, shifted,
                              symmetry_check)
-from tests.test_numtheory import admissible_general
+from tests.test_numtheory import admissible_general, unmerged_table
 
 TOP_COEFF_CASES = [(3, 2), (5, 2), (5, 4), (17, 2)]
 
@@ -218,7 +219,8 @@ SHAPE_CASES = [(s, n) for s in range(3, 18, 2) for n in (2, 4, 6, 8)]
 
 class TestSection2IsTheGeneralFamily:
     """The paper's section-2 function, shifted by n + 1/2, is the general
-    construction at eta = (3, 1, ..., 1)."""
+    construction at eta = (3, 1, ..., 1), and its six-term carry function
+    has the carry minimum of the general sum at that shape."""
 
     @pytest.mark.parametrize("s,n", SHAPE_CASES)
     def test_shifted_paper_function_is_the_package_rep(self, s, n):
@@ -234,14 +236,20 @@ class TestSection2IsTheGeneralFamily:
         a = _assemble(table, s, [k - n // 2 for k in table.pole_ks])
         assert a == bundle(section2(s, n)).decomposition.a
 
+    def test_carry_minimum_is_the_six_term_sums(self):
+        # the s = 3 table is the six-term sum's, and the s = 5 table is the
+        # s = 3 one, which makes it the same at every s (``numtheory``)
+        assert carry_min_table((3, 1, 1, 1)) == unmerged_table(SIX_TERMS)
+        assert carry_min_table((3, 1, 1, 1, 1, 1)) == carry_min_table(
+            (3, 1, 1, 1))
+
     @pytest.mark.parametrize("s,n", SHAPE_CASES)
     def test_profile_keeps_its_arithmetic_and_shares_the_shape(self, s, n):
         profile = section2(s, n)
         assert profile.shape == (3,) + (1,) * s
         assert profile.d_index == n
         assert profile.phi_lower_sq == 4 * n
-        assert profile.carry_spec == CarrySpec("section2")
-        assert len(profile.carry_spec.terms()) == 6
+        assert carry_min_table(profile.shape) == carry_min_table((3, 1, 1, 1))
         assert profile.pole_ks == range(n, 2 * n + 1)
         assert [r for r, _ in build_section2(s, n).den_roots] == sorted(
             -(2 * k + 1) for k in profile.pole_ks)
@@ -302,9 +310,9 @@ def linear_product_reps(draw):
         num += Counter({c - r: m for r, m in num.items()})
         den += Counter({c - r: m for r, m in den.items()})
     scalar = draw(st.sampled_from([1, -2, Fraction(7, 3), Fraction(-5, 8)]))
-    return LinearProductRep.build(scalar,
-                                  [(Fraction(r, 2), m) for r, m in num.items()],
-                                  [(Fraction(r, 2), m) for r, m in den.items()])
+    return linear_product_rep(scalar,
+                              [(Fraction(r, 2), m) for r, m in num.items()],
+                              [(Fraction(r, 2), m) for r, m in den.items()])
 
 
 class TestParitySplit:
@@ -315,15 +323,15 @@ class TestParitySplit:
     @settings(max_examples=150, deadline=None)
     @given(linear_product_reps())
     # no root of the other parity
-    @example(LinearProductRep.build(
+    @example(linear_product_rep(
         Fraction(5, 3), [(Fraction(-1, 2), 2), (Fraction(7, 2), 1)],
         [(Fraction(1, 2), 3), (Fraction(3, 2), 1), (Fraction(-5, 2), 2)]))
     # only poles have the poles' parity
-    @example(LinearProductRep.build(
+    @example(linear_product_rep(
         -2, [(Fraction(1, 2), 3), (Fraction(-5, 2), 1)],
         [(0, 2), (1, 3), (3, 1)]))
     # a numerator root on a pole, integer poles
-    @example(LinearProductRep.build(
+    @example(linear_product_rep(
         1, [(1, 2), (Fraction(1, 2), 1)], [(1, 3), (0, 1), (2, 1)]))
     def test_matches_the_references(self, rep):
         table = partial_fractions(rep)
@@ -336,7 +344,7 @@ class TestParitySplit:
         # poles at t = -1/2, -3/2, -9/2, -11/2, and no reflection: the sweep
         # slides across the gap, past the numerator root t = -5/2 in it,
         # instead of building the state again
-        rep = LinearProductRep.build(
+        rep = linear_product_rep(
             Fraction(7, 3), [(0, 1), (-1, 2), (Fraction(-5, 2), 1)],
             [(Fraction(-1, 2), 2), (Fraction(-3, 2), 1),
              (Fraction(-9, 2), 1), (Fraction(-11, 2), 2)])
@@ -425,9 +433,9 @@ class TestPartialFractions:
     @example(build_section2(5, 2))
     @example(paper_section2_rep(5, 2))
     # gapped pole grids: the power sums are rebuilt at the second pole
-    @example(LinearProductRep.build(1, [], [(0, 2), (3, 1)]))
-    @example(LinearProductRep.build(Fraction(7, 3), [(Fraction(1, 2), 1), (0, 1)],
-                                    [(0, 3), (-3, 3)]))
+    @example(linear_product_rep(1, [], [(0, 2), (3, 1)]))
+    @example(linear_product_rep(Fraction(7, 3), [(Fraction(1, 2), 1), (0, 1)],
+                                [(0, 3), (-3, 3)]))
     @example(build_remark1(7, 6))
     def test_matches_fraction_reference(self, rep):
         table = partial_fractions(rep)
@@ -444,7 +452,7 @@ class TestPartialFractions:
                 == fraction_free_partial_fractions(rep))
 
     def test_improper_rejected(self):
-        rep = LinearProductRep.build(1, [(Fraction(5), 1)], [(Fraction(0), 1)])
+        rep = linear_product_rep(1, [(Fraction(5), 1)], [(Fraction(0), 1)])
         with pytest.raises(ValueError):
             partial_fractions(rep)
 

@@ -6,7 +6,7 @@ import pytest
 
 from betaforms._records import frozen
 from betaforms.decomposition import Violation
-from betaforms.numtheory import CarrySpec, carry_min_table
+from betaforms.numtheory import FactoredInteger, carry_min_table
 from betaforms.profiles import THEOREM1_ETA, Profile, ProfileError, general
 
 
@@ -34,10 +34,10 @@ def test_fields_cannot_be_set_or_deleted():
 
 
 def test_equality_and_hash_follow_class_and_fields():
-    a, b = CarrySpec("general", THEOREM1_ETA), CarrySpec("general", THEOREM1_ETA)
+    a, b = FactoredInteger(((2, 1), (3, 2))), FactoredInteger(((2, 1), (3, 2)))
     assert a is not b and a == b and hash(a) == hash(b)
-    assert hash(a) == hash(("general", THEOREM1_ETA))
-    assert a != CarrySpec("section2")
+    assert hash(a) == hash((((2, 1), (3, 2)),))
+    assert a != FactoredInteger(((2, 1),))
     # a cached property in one instance's __dict__ is not a field
     p, q = general(THEOREM1_ETA, 2), general(THEOREM1_ETA, 2)
     assert p.gamma and p == q and hash(p) == hash(q)
@@ -46,10 +46,9 @@ def test_equality_and_hash_follow_class_and_fields():
 
 
 def test_keywords_and_defaults():
-    assert CarrySpec("section2").eta is None
     assert Profile("section2", 3, 2).eta is None
-    assert CarrySpec(eta=THEOREM1_ETA, family="general") == CarrySpec(
-        "general", THEOREM1_ETA)
+    assert Profile(eta=THEOREM1_ETA, n=2, s=13, family="general") == Profile(
+        "general", 13, 2, THEOREM1_ETA)
     assert Pair(x=1) == Pair(1, 0)
 
 
@@ -61,8 +60,8 @@ def test_repr_names_every_field():
 def test_post_init_still_validates():
     with pytest.raises(ProfileError, match="s must be odd"):
         Profile("section2", 4, 2)
-    with pytest.raises(ValueError, match="takes no eta"):
-        CarrySpec("section2", (3, 1, 1))
+    with pytest.raises(ProfileError, match="takes no eta"):
+        Profile("section2", 3, 2, (3, 1, 1, 1))
 
 
 def test_violation_is_hashable():
@@ -75,15 +74,14 @@ def test_violation_is_hashable():
 
 def test_cached_properties_still_cache():
     profile = general(THEOREM1_ETA, 2)
-    assert profile.carry_spec is profile.carry_spec
     assert profile.gamma is profile.gamma
-    assert {"carry_spec", "gamma"} <= vars(profile).keys()
+    assert "gamma" in vars(profile)
 
 
-def test_equal_specs_share_one_carry_table_entry():
-    first = carry_min_table(CarrySpec("section2"))
+def test_equal_shapes_share_one_carry_table_entry():
+    first = carry_min_table(Profile("section2", 3, 2).shape)
     before = carry_min_table.cache_info()
-    assert carry_min_table(CarrySpec("section2")) is first
+    assert carry_min_table(Profile("section2", 3, 4).shape) is first
     after = carry_min_table.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 

@@ -11,12 +11,20 @@ Usage (from the repository root)::
 Each ``--tree LABEL=SRC`` names a directory holding the ``betaforms``
 package.  The tool times trees whose series oracle reads the rep alone,
 ``r_n_series(rep, precision)``, ``consistency_check(decomposition, rep,
-precision)`` and ``alternating_series_tail(rep, target, precision)``, and
-that have ``numerics._chebyshev_pass``; on an older tree its ``--one``
-child fails.  The run is ``--repeat`` rounds; in each round every tree
-runs once, in the given order on even rounds and reversed on odd ones, so
-two trees alternate within seconds of each other instead of running
-minutes apart (the host's speed drifts by up to a fifth at that scale).
+precision)`` and ``alternating_series_tail(rep, target, precision)``,
+that have ``numtheory.carry_min_table(shape)`` and
+``numerics._chebyshev_pass``; on an older tree its ``--one`` child fails.
+The ``--one`` child is this script, so every tree is timed through this
+tree's copy of the tool and its API: to time a parent tree, run the
+parent's own copy of the tool on it, and store its rows under their own
+label.  A comparison that claims no change is read against an A/A pair,
+one SRC timed under two labels in one run, and not against the parent's
+min-max over its rounds, which a few rounds make narrower than the host's
+drift between rounds.  The run is ``--repeat`` rounds; in each round
+every tree runs once, in the given order on even rounds and reversed on
+odd ones, so two trees alternate within seconds of each other instead of
+running minutes apart (the host's speed drifts by up to a fifth at that
+scale).
 A tree's run is three fresh interpreters with ``PYTHONPATH=SRC``:
 
 * ``startup``: the seconds of ``import betaforms.cli`` inside a fresh
@@ -157,7 +165,7 @@ def run_case(n: int, precision: int) -> dict:
     from betaforms.numtheory import carry_min_table, phi_exponent
 
     times, (profile, rep, _, dec) = exact_stages(n)
-    carry_min_table(profile.carry_spec)
+    carry_min_table(profile.shape)
     case = {"profile": "theorem1", "n": n, "precision": precision, **times,
             "phi_exponent_s": seconds(
                 lambda: phi_exponent(profile, precision))[0],
@@ -181,19 +189,18 @@ def ledger_case() -> dict:
     from betaforms.profiles import section2
 
     profile = section2(17, 2)
-    carry_min_table(profile.carry_spec)
+    carry_min_table(profile.shape)
     return {"profile": "section2-s17", "precision": 256,
             "exponent_ledger_s": seconds(
                 lambda: exponent_ledger(profile, 256))[0]}
 
 
 def carry_case() -> dict:
-    from betaforms.numtheory import CarrySpec, carry_min_table
+    from betaforms.numtheory import carry_min_table
     from betaforms.profiles import THEOREM1_ETA
 
-    spec = CarrySpec("general", THEOREM1_ETA)
     return {"profile": "theorem1", "carry_min_table_s": seconds(
-        lambda: carry_min_table(spec), carry_min_table.cache_clear)[0]}
+        lambda: carry_min_table(THEOREM1_ETA), carry_min_table.cache_clear)[0]}
 
 
 def ranking_case() -> dict:
