@@ -16,8 +16,9 @@ B = sum |c_ik| / X_k**i will do; ``_moment_bound`` bounds it from the rep
 alone, by Cauchy's estimate.  The terms run in fixed point at scale 2**P
 with an error bound known before the pass (``_term_ratios``), so P keeps
 it at most target/4.  The series reads the rep only, never the
-decomposition; ``r_n_series`` meets the radius 2**-(precision + 64)
-min(1, |r|).
+decomposition.  One rule, ``_rung``, sizes both sides of the oracle from
+a lower bound on |r|: the series from its first term |f(0)|, and the
+decomposition from the series ball's least |x|.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ from .decomposition import beta_coefficients
 from .rationalfn import build_section2, partial_fractions
 from .series import divide_trunc, euler_numbers_at_zero
 
-# The series descent gives up below this target, 2**-65536: a ball that
-# still straddles zero there says only that |r| is smaller.
+# The descent doubles its target to 2**-65536 at most (its first rung has no
+# cap): a ball that still straddles zero there says only that |r| is less.
 _MAX_SERIES_BITS = 1 << 16
 
 
@@ -250,34 +251,33 @@ def alternating_series_tail(rep: LinearProductRep, target: Fraction,
     return SeriesEvaluation(value, n, 0, bound)
 
 
-def r_n_series(rep: LinearProductRep, precision: int = 256, *,
-               lower_bound: Fraction | None = None) -> BallReal:
+def _rung(precision: int, least: Fraction) -> int:
+    """The target bits for 2**-(precision + 64) min(1, |r|), |r| >= least."""
+    return precision + 64 + max(0, -floor_log2(least))
+
+
+def r_n_series(rep: LinearProductRep, precision: int = 256) -> BallReal:
     """sum_{nu >= 0} (-1)**nu rep(nu), summed from ``rep`` alone, as a ball
     of radius at most 2**-(precision + 64) min(1, |r|).
 
-    Rungs of target 2**-tbits run until a ball excludes zero, tbits
-    doubling from precision + 16, or from the rung that a positive
-    ``lower_bound`` on |r| known elsewhere (say from the decomposition)
-    picks: precision + 64 - floor(log2 min(1, lower_bound)).  Unless that
-    ball meets the radius, one pass follows at the rung of the ball's own
-    least |x|.  The hint picks targets only.  The descent gives up with
-    ``ArithmeticError`` past a target of 2**-``_MAX_SERIES_BITS``.
+    The target bits start at the rung of |f(0)|, the first term, and
+    double until a ball excludes zero, up to ``_MAX_SERIES_BITS`` (then
+    ``ArithmeticError``); unless that ball meets the radius, one pass
+    follows at the rung of its own least |x|.  f(0) picks targets only.
     """
-    def rung(least: Fraction) -> int:
-        return precision + 64 + max(0, -floor_log2(least))
-
     def ball(tbits: int) -> BallReal:
         return alternating_series_tail(rep, Fraction(1, 1 << tbits),
                                        precision).value
 
-    tbits = rung(lower_bound) if lower_bound else precision + 16
+    # f(0) = 0 picks no rung; the pass then raises, naming the root
+    tbits = _rung(precision, abs(_first_term(rep)) or 1)
     while (value := ball(tbits)).contains_zero():
         tbits *= 2
         if tbits > _MAX_SERIES_BITS:
             raise ArithmeticError("the series certifies no sign down to "
                                   f"2**-{_MAX_SERIES_BITS}")
     if value.rad * 2 ** (precision + 64) > min(1, abs(value).lower):
-        value = ball(rung(abs(value).lower))
+        value = ball(_rung(precision, abs(value).lower))
     return value
 
 
@@ -285,21 +285,21 @@ def r_n_series(rep: LinearProductRep, precision: int = 256, *,
 # Consistency oracle
 # ---------------------------------------------------------------------------
 
-def decomposition_value(result: DecompositionResult, precision: int = 256) -> BallReal:
-    """a_0 + sum a_i beta(i) as a ball, at precision adapted to the a_i sizes."""
-    bits = max(max(abs(ai.numerator).bit_length(), ai.denominator.bit_length())
-               for ai in result.a)
-    p2 = 256 * math.ceil((precision + bits + 48) / 256)
+def decomposition_value(result: DecompositionResult, tbits: int) -> BallReal:
+    """a_0 + sum a_i beta(i), radius <= 2**-tbits, its beta row in one pass.
+    With L = max(0, floor log2 max |a_i|), b = (m + 1).bit_length() for m
+    beta terms and w = tbits + L + 2b, all runs at p = w + 32 bits: an a_i
+    ball errs by 2**(L + 2 - p), a beta(i) < 1 by 2**-(w + 6), a product by
+    under 2**(L - w - 4) with its rounding; each of the m partial sums is
+    under 2**(L + 1 + b) and rounds by two units of 2**(L + 1 + b - p).  In
+    all, 2**(L + b - w - 4) + 2**(L + 2b - w - 30) < 2**-tbits."""
     indices = [i for i in result.beta_indices if result.a[i]]
-    # each ball as ``beta_value(i, p2)`` makes it, the row in one pass
-    with working_precision(p2 + 16):
-        betas = [BallReal(*e) for e in
-                 (_beta_enclosures(indices, p2) if indices else [])]
-    with working_precision(p2):
-        total = BallReal(result.a[0])
-        for i, beta in zip(indices, betas):
-            total = total + BallReal(result.a[i]) * beta
-    return total
+    top = max(map(abs, result.a)) or 1
+    w = tbits + max(0, floor_log2(top)) + 2 * (len(indices) + 1).bit_length()
+    with working_precision(w + 16):  # as beta_value(i, w) makes each ball
+        betas = indices and _beta_enclosures(indices, w)
+        return sum((BallReal(result.a[i]) * BallReal(*e)
+                    for i, e in zip(indices, betas)), BallReal(result.a[0]))
 
 
 @frozen
@@ -319,16 +319,16 @@ class ConsistencyReport:
 def consistency_check(decomposition: DecompositionResult,
                       rep: LinearProductRep,
                       precision: int = 256) -> ConsistencyReport:
-    """Evaluate the linear form two independent ways, the certificate
-    ``decomposition`` and the series of ``rep``, and compare.
+    """Evaluate the linear form two independent ways, the series of
+    ``rep``, then the certificate ``decomposition`` 16 bits below the rung
+    of the series ball's least |x|, so the series sets the gap.
 
     Passes iff the two balls overlap; the gap counts the bits below 1 of
     the total discrepancy (midpoint distance plus both radii).
     """
-    direct = decomposition_value(decomposition, precision)
-    series = r_n_series(rep, precision,
-                        lower_bound=None if direct.contains_zero()
-                        else abs(direct).lower)
+    series = r_n_series(rep, precision)
+    direct = decomposition_value(
+        decomposition, _rung(precision, abs(series).lower) + 16)
     disc = abs(series.mid - direct.mid) + series.rad + direct.rad
     gap = (precision + 64) if disc <= 0 else -floor_log2(disc) - 1
     return ConsistencyReport(decomposition.profile, series, direct,

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from betaforms import cli, numerics
 from betaforms.asymptotics import ExponentLedger
-from betaforms.balls import BallReal
+from betaforms.balls import BallReal, floor_log2
 from betaforms.cli import main
 from betaforms.decomposition import InclusionReport, Violation
 from betaforms.numerics import ConsistencyReport, build_profile_rep
@@ -201,16 +201,30 @@ class TestRun:
             violation, = entry["inclusions"]["form"]["violations"]
             assert violation["deficits"] == {"7": 1}
 
-    def test_theorem1_n48_writes_a_past_the_digit_cap(self, tmp_path):
+    def test_theorem1_n48_writes_a_past_the_digit_cap(self, tmp_path,
+                                                      monkeypatch):
         # from n = 48 an a_i has more digits than CPython's default cap on
-        # int-to-str (4300); the caller keeps its own cap
+        # int-to-str (4300); the caller keeps its own cap.  The two sides
+        # of the oracle agree to 256 bits relative to r ~ 2.6e-2117, with
+        # a decomposition ball that excludes zero
+        checks, check = [], cli.consistency_check
+
+        def recording(*args):
+            checks.append(check(*args))
+            return checks[-1]
+
+        monkeypatch.setattr(cli, "consistency_check", recording)
         out = tmp_path / "r.json"
         cap = sys.get_int_max_str_digits()
         assert run_cli("run", "--profile", "theorem1", "--n", "48",
                        "--out", str(out)) == 0
         assert sys.get_int_max_str_digits() == cap
         report = json.loads(out.read_text())
-        assert report["ok"] and report["per_n"][0]["consistency"]["passed"]
+        entry = report["per_n"][0]
+        assert report["ok"] and entry["consistency"]["passed"]
+        r = Fraction(entry["r"]["mid"])
+        assert entry["consistency"]["gap_bits"] + floor_log2(r) >= 256
+        assert not checks[0].decomposition.contains_zero()
         a = report["per_n"][0]["a"].values()
         assert max(len(part.lstrip("-")) for ai in a
                    for part in ai.split("/")) > 4300

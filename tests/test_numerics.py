@@ -201,40 +201,40 @@ class TestBetaSharedPass:
 
     @staticmethod
     def counted_passes(monkeypatch):
+        """(indices, precision) of every ``_beta_enclosures`` pass."""
         calls = []
         shared = numerics._beta_enclosures
 
         def counting(indices, precision):
-            calls.append(list(indices))
+            calls.append((list(indices), precision))
             return shared(indices, precision)
 
         monkeypatch.setattr(numerics, "_beta_enclosures", counting)
         return calls
 
     def test_decomposition_value_makes_one_pass(self, bundle, monkeypatch):
-        # theorem1 n = 2 at 256 bits sums its row at 1024 bits; warm
-        # beta_value balls are neither used nor added to
+        # theorem1 n = 2 at the target consistency_check gives it at 256
+        # bits, 2**-652; warm beta_value balls are neither used nor added to
         dec = bundle(general(THEOREM1_ETA, 2)).decomposition
         row = [2, 4, 6, 8, 10, 12]
         beta_value.cache_clear()
         calls = self.counted_passes(monkeypatch)
-        balls = []
-        for warm in (False, True):
-            if warm:
-                for i in row[1:]:
-                    beta_value(i, 1024)
-            info = beta_value.cache_info()
-            calls.clear()
-            value = decomposition_value(dec, 256)
-            assert calls == [row]
-            assert beta_value.cache_info() == info
-            balls.append((value.lower, value.upper))
+        value = decomposition_value(dec, 652)
+        (indices, w), = calls
+        assert indices == row and value.rad <= Fraction(1, 2 ** 652)
+        for i in row[1:]:
+            beta_value(i, w)
+        info = beta_value.cache_info()
+        calls.clear()
+        again = decomposition_value(dec, 652)
+        assert calls == [(row, w)] and beta_value.cache_info() == info
         # bit for bit the sum over beta_value's own balls
-        with working_precision(1024):
+        with working_precision(w + 16):
             ref = BallReal(dec.a[0])
             for i in row:
-                ref = ref + BallReal(dec.a[i]) * beta_value(i, 1024)
-        assert balls == [(ref.lower, ref.upper)] * 2
+                ref = ref + BallReal(dec.a[i]) * beta_value(i, w)
+        assert [(v.lower, v.upper) for v in (value, again)] == [
+            (ref.lower, ref.upper)] * 2
         beta_value.cache_clear()
 
     def test_a_form_without_beta_terms_is_its_constant(self, monkeypatch):
@@ -242,10 +242,12 @@ class TestBetaSharedPass:
         dec = decomposition(section2(5, 2), (a0,) + (Fraction(0),) * 5)
         calls = self.counted_passes(monkeypatch)
         value = decomposition_value(dec, 64)
-        with working_precision(256):
+        # w = 64 + max(0, floor log2 3/7) + 2 (len([]) + 1).bit_length()
+        with working_precision(66 + 16):
             ref = BallReal(a0)
         assert (value.lower, value.upper) == (ref.lower, ref.upper)
         assert value.lower <= a0 <= value.upper and calls == []
+        assert value.rad <= Fraction(1, 2 ** 64)
 
 
 def first_start(rep, shift):
@@ -497,20 +499,36 @@ def meets_relative_radius(ball, precision):
             and ball.rad * 2 ** (precision + 64) <= min(1, least))
 
 
-def assert_hint_matches_plain_descent(monkeypatch, precision, rep,
-                                      decomposition):
-    """``consistency_check`` makes one series pass, at the target the
-    decomposition's bound on |r| picks; its ball meets the relative radius
-    and agrees with the ball of ``r_n_series`` alone, the plain descent."""
+def assert_oracle_series_is_the_plain_descent(monkeypatch, precision, rep,
+                                              decomposition):
+    """``consistency_check`` makes one series pass, at the rung of |f(0)|;
+    its ball meets the relative radius and is, bit for bit, the ball of
+    ``r_n_series(rep, precision)``: the decomposition enters neither."""
     calls = record_tail_calls(monkeypatch)
     plain = r_n_series(rep, precision)
     calls.clear()
     report = consistency_check(decomposition, rep, precision)
     assert len(calls) == 1
-    for ball in (plain, report.series):
-        assert meets_relative_radius(ball, precision)
-    assert report.series.overlaps(plain)
-    assert report.series.strictly_positive() == plain.strictly_positive()
+    assert meets_relative_radius(report.series, precision)
+    assert (report.series.lower, report.series.upper) == (plain.lower,
+                                                          plain.upper)
+
+
+def fake_series(monkeypatch, value, first_sign_bits):
+    """Replace the series pass by one whose ball has radius equal to its
+    target, about 0 (straddling) while the target is above
+    2**-first_sign_bits and about ``value`` from there; the targets it was
+    asked for are returned."""
+    targets = []
+
+    def fake(rep, target, precision):
+        targets.append(target)
+        mid = value if target <= Fraction(1, 2 ** first_sign_bits) else 0
+        with working_precision(4096):  # the ball kept exact
+            return SeriesEvaluation(BallReal(mid, radius=target), 1, 0, target)
+
+    monkeypatch.setattr(numerics, "alternating_series_tail", fake)
+    return targets
 
 
 class TestRnSeries:
@@ -529,8 +547,8 @@ class TestRnSeries:
 
     def test_consistency_check_makes_one_tail_call_on_theorem1_n2(
             self, bundle, monkeypatch):
-        # the decomposition puts |r| in [2**-316, 2**-315), so its one pass
-        # aims at 2**-(256 + 64 + 316)
+        # f(0) lies in [2**-316, 2**-315), so the one pass aims at
+        # 2**-(256 + 64 + 316)
         calls = record_tail_calls(monkeypatch)
         b = bundle(general(THEOREM1_ETA, 2))
         consistency_check(b.decomposition, b.rep, 256)
@@ -541,8 +559,8 @@ class TestRnSeries:
     def test_deciding_call_matches_plain_descent(self, bundle, monkeypatch,
                                                  profile, precision):
         b = bundle(profile)
-        assert_hint_matches_plain_descent(monkeypatch, precision, b.rep,
-                                          b.decomposition)
+        assert_oracle_series_is_the_plain_descent(monkeypatch, precision,
+                                                  b.rep, b.decomposition)
 
     @settings(max_examples=6, deadline=None)
     @given(admissible_general((5, 7), 12).filter(lambda case: case[1] <= 2))
@@ -552,7 +570,7 @@ class TestRnSeries:
         rep = build_general(profile)
         table = partial_fractions(rep)
         with pytest.MonkeyPatch.context() as monkeypatch:
-            assert_hint_matches_plain_descent(
+            assert_oracle_series_is_the_plain_descent(
                 monkeypatch, 128, rep, beta_coefficients(table, profile))
 
     @pytest.mark.parametrize("precision", [64, 256])
@@ -562,36 +580,41 @@ class TestRnSeries:
         v = r_n_series(b.rep, precision)
         assert meets_relative_radius(v, precision)
 
-    @pytest.mark.parametrize("scale,tbits,straddles", [
-        (2 ** 40, [468, 508], False), (2 ** 200, [308, 616], True)],
-        ids=["misses-the-radius", "straddles-zero"])
-    def test_a_too_large_hint_is_the_first_rung(self, bundle, monkeypatch,
-                                                scale, tbits, straddles):
-        # |r| is in [2**-316, 2**-315) at theorem1 n = 2, so a hint 2**40
-        # too large aims at 2**-468: that ball excludes zero but misses the
-        # radius 2**-192 |r|, and one pass at its own least |x| follows.  A
-        # hint 2**200 too large aims at 2**-308, whose ball straddles zero,
-        # and the descent doubles from there.
-        b = bundle(general(THEOREM1_ETA, 2))
-        plain = r_n_series(b.rep, 128)
-        calls = record_tail_calls(monkeypatch)
-        hinted = r_n_series(b.rep, 128, lower_bound=abs(plain.mid) * scale)
-        assert [target for target, _, _ in calls] == [
-            Fraction(1, 2 ** bits) for bits in tbits]
-        assert calls[0][2].value.contains_zero() == straddles
-        assert meets_relative_radius(hinted, 128)
-        assert hinted.overlaps(plain)
+    def test_first_rung_is_that_of_the_first_term(self, bundle, monkeypatch):
+        # theorem1 n = 2: f(0) in [2**-316, 2**-315) aims at 2**-(128 + 64 +
+        # 316); section2 (3, 2): f(0) >= 1 aims at 2**-(128 + 64)
+        for profile, tbits in ((general(THEOREM1_ETA, 2), 508),
+                               (section2(3, 2), 192)):
+            calls = record_tail_calls(monkeypatch)
+            r_n_series(bundle(profile).rep, 128)
+            assert calls[0][0] == Fraction(1, 2 ** tbits)
+            monkeypatch.undo()
 
-    @pytest.mark.parametrize("scale", [Fraction(2) ** 40, Fraction(2) ** -300])
-    def test_a_wrong_lower_bound_only_picks_the_target(self, bundle, scale):
-        # too large a bound aims too high and takes a second pass; too
-        # small a one aims lower than needed
-        b = bundle(section2(5, 2))
-        plain = r_n_series(b.rep, 128)
-        hinted = r_n_series(b.rep, 128,
-                            lower_bound=abs(plain.mid) * scale)
-        assert meets_relative_radius(hinted, 128)
-        assert hinted.overlaps(plain)
+    def test_descent_doubles_from_a_straddling_first_rung(self, bundle,
+                                                          monkeypatch):
+        # the balls straddle zero above 2**-2000: rungs 508, 1016, 2032, and
+        # the ball at 2**-2032 meets the radius 2**-192 2**-900
+        value = Fraction(1, 2 ** 900)
+        targets = fake_series(monkeypatch, value, 2000)
+        r = r_n_series(bundle(general(THEOREM1_ETA, 2)).rep, 128)
+        assert targets == [Fraction(1, 2 ** t) for t in (508, 1016, 2032)]
+        assert r.lower <= value <= r.upper and r.rad <= Fraction(1, 2 ** 2032)
+
+    def test_a_miss_takes_one_pass_at_the_balls_own_rung(self, bundle,
+                                                         monkeypatch):
+        # |r| = 2**-400 is far below f(0): the first ball, of radius
+        # 2**-508, excludes zero but misses 2**-192 |r|, and its least |x|
+        # in [2**-401, 2**-400) aims the one more pass at 2**-(192 + 401)
+        value = Fraction(1, 2 ** 400)
+        targets = fake_series(monkeypatch, value, 0)
+        r = r_n_series(bundle(general(THEOREM1_ETA, 2)).rep, 128)
+        assert targets == [Fraction(1, 2 ** t) for t in (508, 593)]
+        assert r.lower <= value <= r.upper and r.rad <= Fraction(1, 2 ** 593)
+
+    def test_a_root_at_the_first_term_is_named(self):
+        rep = linear_product_rep(1, [(0, 1)], [(Fraction(-1, 2), 3)])
+        with pytest.raises(ValueError, match="root of f near nu = 0"):
+            r_n_series(rep, 64)
 
     def test_descent_gives_up_without_a_sign(self, bundle, monkeypatch):
         b = bundle(section2(3, 2))
@@ -605,7 +628,8 @@ class TestRnSeries:
         monkeypatch.setattr(numerics, "alternating_series_tail", straddling)
         with pytest.raises(ArithmeticError):
             r_n_series(b.rep, 64)
-        assert targets[-1] == Fraction(1, 2 ** (80 << 9))
+        # f(0) >= 1: rungs 128, 256, ..., 128 << 9 = _MAX_SERIES_BITS
+        assert targets[-1] == Fraction(1, 2 ** (128 << 9))
 
     def test_positive_for_all_suite_profiles(self, bundle):
         for profile in suite_profiles():
@@ -665,6 +689,14 @@ class TestConsistency:
                                    object(), 64)
         assert report.gap_bits == zero_bits
 
+    def test_theorem1_n36_resolves_r_to_the_precision(self, bundle):
+        # sized from bit lengths, the decomposition ball held 0 here and
+        # gap_bits was 5221 against floor log2 r = -5285
+        b = bundle(general(THEOREM1_ETA, 36))
+        report = consistency_check(b.decomposition, b.rep, 256)
+        assert report.passed and not report.decomposition.contains_zero()
+        assert report.gap_bits + floor_log2(abs(report.series.mid)) >= 256
+
     def test_scaled_form_lands_in_unit_interval(self, bundle):
         # the normalized integer form of the large instance is small but positive
         b = bundle(section2(17, 2))
@@ -716,6 +748,26 @@ class TestDecompositionValue:
         series = r_n_series(b.rep, 192)
         direct = decomposition_value(b.decomposition, 192)
         assert series.overlaps(direct)
+
+    @staticmethod
+    def assert_meets_its_target(dec, tbits):
+        value = decomposition_value(dec, tbits)
+        assert value.rad <= Fraction(1, 2 ** tbits)
+        assert value.overlaps(decomposition_value(dec, 2 * tbits))
+
+    @pytest.mark.parametrize("tbits", [33, 400, 3000])
+    @pytest.mark.parametrize("profile", suite_profiles(), ids=lambda p: p.label())
+    def test_meets_its_target_on_the_suite(self, bundle, profile, tbits):
+        self.assert_meets_its_target(bundle(profile).decomposition, tbits)
+
+    @settings(max_examples=10, deadline=None)
+    @given(admissible_general((5, 7), 12).filter(lambda case: case[1] <= 2),
+           st.integers(1, 2000))
+    def test_meets_its_target_on_random_profiles(self, case, tbits):
+        _, n, eta = case
+        profile = general(eta, n)
+        table = partial_fractions(build_general(profile))
+        self.assert_meets_its_target(beta_coefficients(table, profile), tbits)
 
 
 class TestMonteCarlo:

@@ -12,8 +12,10 @@ Each ``--tree LABEL=SRC`` names a directory holding the ``betaforms``
 package.  The tool times trees whose series oracle reads the rep alone,
 ``r_n_series(rep, precision)``, ``consistency_check(decomposition, rep,
 precision)`` and ``alternating_series_tail(rep, target, precision)``,
-that have ``numtheory.carry_min_table(shape)`` and
-``numerics._chebyshev_pass``; on an older tree its ``--one`` child fails.
+whose ``decomposition_value(decomposition, tbits)`` takes target bits,
+and that have ``numtheory.carry_min_table(shape)``,
+``numerics._chebyshev_pass`` and ``numerics._rung``; on an older tree its
+``--one`` child fails.
 The ``--one`` child is this script, so every tree is timed through this
 tree's copy of the tool and its API: to time a parent tree, run the
 parent's own copy of the tool on it, and store its rows under their own
@@ -39,23 +41,29 @@ A tree's run is three fresh interpreters with ``PYTHONPATH=SRC``:
   both inclusion checks and
   ``decomposition.integer_linear_form`` (n = 24 is where partial
   fractions dominate a certificate); then the real constants:
-  ``numtheory.phi_exponent`` (carry table warm), ``asymptotics.r_exponent``
-  and ``numerics.decomposition_value``, which makes its beta values itself
-  and reads no cache.  It then times ``numerics.r_n_series`` alone and
-  ``numerics.consistency_check`` (which makes its beta values the same
-  way), and records every ``numerics.alternating_series_tail`` call
-  either makes as (tbits, N, P): the target 2**-tbits, the size N of the
-  Chebyshev scheme and the fixed-point bits P of its pass
-  (``numerics._chebyshev_pass``).
+  ``numtheory.phi_exponent`` (carry table warm) and
+  ``asymptotics.r_exponent``.  It then times ``numerics.r_n_series`` alone
+  and ``numerics.consistency_check``, and records every
+  ``numerics.alternating_series_tail`` call either makes as (tbits, N, P):
+  the target 2**-tbits, the size N of the Chebyshev scheme and the
+  fixed-point bits P of its pass (``numerics._chebyshev_pass``).  Last it
+  times ``numerics.decomposition_value`` at the target bits that
+  ``consistency_check`` gives it, 16 bits below the rung of the series
+  ball's least |x|; it makes its beta values itself and reads no cache.
   Last come the ledger ``asymptotics.exponent_ledger`` of section2-s17
   at 256 bits, a cold ``numtheory.carry_min_table`` of theorem1 (its
   cache cleared first; ``phi_exponent`` above runs with the table warm)
   and theorem1's ledger at 64 bits from a cold carry table, the work of
   ranking one eta candidate.
   With ``--large`` the exact certificate of theorem1 at n = 48 and 96
-  follows, stage by stage (5 to 10 s a tree at n = 96), and then a cold
-  ``numerics.r_n_series`` at 256 bits with its series calls: no lower
-  bound, and a rep whose moment bound no call has made yet.
+  follows, stage by stage (5 to 10 s a tree at n = 96), and then
+  ``numerics.r_n_series`` at 256 bits with its series calls, on a rep
+  whose moment bound no call has made yet, then
+  ``numerics.consistency_check`` at 256 bits with its series calls.  The
+  series takes its first rung from f(0), its first term, so it is not the
+  cold descent from 2**-(precision + 16) that older rows of
+  ``BENCH_oracle.json`` record; the field keeps its name,
+  ``cold_r_n_series_s``.
   Without ``--large`` the run keeps its length.
 
 Every timing is recorded as the median, min and max over the rounds.  The
@@ -105,8 +113,9 @@ def seconds(fn, before=None):
     return time.perf_counter() - t0, result
 
 
-def timed_with_tail_calls(numerics, fn) -> tuple[float, list]:
-    """``seconds(fn)`` and the (tbits, N, P) of the series calls it makes."""
+def timed_with_tail_calls(numerics, fn) -> tuple[float, list, object]:
+    """``seconds(fn)``, the (tbits, N, P) of the series calls it makes, and
+    its result."""
     calls, bits = [], []
     tail, chebyshev_pass = (numerics.alternating_series_tail,
                             numerics._chebyshev_pass)
@@ -125,11 +134,11 @@ def timed_with_tail_calls(numerics, fn) -> tuple[float, list]:
     numerics.alternating_series_tail = recording_tail
     numerics._chebyshev_pass = recording_pass
     try:
-        elapsed, _ = seconds(fn)
+        elapsed, result = seconds(fn)
     finally:
         numerics.alternating_series_tail = tail
         numerics._chebyshev_pass = chebyshev_pass
-    return elapsed, calls
+    return elapsed, calls, result
 
 
 def exact_stages(n: int) -> tuple[dict, tuple]:
@@ -169,14 +178,15 @@ def run_case(n: int, precision: int) -> dict:
     case = {"profile": "theorem1", "n": n, "precision": precision, **times,
             "phi_exponent_s": seconds(
                 lambda: phi_exponent(profile, precision))[0],
-            "r_exponent_s": seconds(lambda: r_exponent(profile, precision))[0],
-            "decomposition_value_s": seconds(
-                lambda: numerics.decomposition_value(dec, precision))[0]}
+            "r_exponent_s": seconds(lambda: r_exponent(profile, precision))[0]}
     series, check = numerics.r_n_series, numerics.consistency_check
-    series_s, series_calls = timed_with_tail_calls(
+    series_s, series_calls, _ = timed_with_tail_calls(
         numerics, lambda: series(rep, precision=precision))
-    check_s, check_calls = timed_with_tail_calls(
+    check_s, check_calls, report = timed_with_tail_calls(
         numerics, lambda: check(dec, rep, precision=precision))
+    tbits = numerics._rung(precision, abs(report.series).lower) + 16
+    case["decomposition_value_s"] = seconds(
+        lambda: numerics.decomposition_value(dec, tbits))[0]
     return {**case, "r_n_series_s": series_s,
             "r_n_series_tail_calls": series_calls,
             "consistency_check_s": check_s,
@@ -216,15 +226,20 @@ def ranking_case() -> dict:
 
 
 def large_case(n: int) -> dict:
-    """The exact stages of theorem1 at n, then a cold series at 256 bits."""
+    """The exact stages of theorem1 at n, then a cold series and the
+    consistency oracle at 256 bits."""
     from betaforms import numerics
 
-    times, (_, rep, _, _) = exact_stages(n)
-    series_s, series_calls = timed_with_tail_calls(
+    times, (_, rep, _, dec) = exact_stages(n)
+    series_s, series_calls, _ = timed_with_tail_calls(
         numerics, lambda: numerics.r_n_series(rep, precision=256))
+    check_s, check_calls, _ = timed_with_tail_calls(
+        numerics, lambda: numerics.consistency_check(dec, rep, precision=256))
     return {"profile": "theorem1", "n": n, **times,
             "cold_r_n_series_s": series_s,
-            "cold_r_n_series_tail_calls": series_calls}
+            "cold_r_n_series_tail_calls": series_calls,
+            "consistency_check_s": check_s,
+            "consistency_check_tail_calls": check_calls}
 
 
 def run_stages(large: bool) -> list[dict]:
@@ -288,7 +303,7 @@ def main(argv=None) -> None:
     parser.add_argument("--large", action="store_true",
                         help="also time the exact certificate of theorem1 "
                              f"at n = {' and '.join(map(str, LARGE_NS))}, "
-                             "then a cold series there")
+                             "then a cold series and the oracle there")
     parser.add_argument("--one", action="store_true",
                         help=argparse.SUPPRESS)  # one stage run, as JSON
     args = parser.parse_args(argv)
