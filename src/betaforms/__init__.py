@@ -21,11 +21,11 @@ from .decomposition import (ArithmeticFactors, DecompositionResult,
                             verify_coefficient_inclusions,
                             verify_form_inclusions)
 from .asymptotics import (ExponentLedger, Lemma3Data, exponent_ledger,
-                          lemma3_solve, r_exponent)
+                          lemma3_solve, phi_exponent, r_exponent)
 from .numerics import beta_value, consistency_check, r_n_series
 from .numtheory import (FactoredInteger, StepFunction, capital_phi,
-                        carry_min_table, lcm_up_to, phi_exponent,
-                        phi_exponent_sieved, sieve_primes)
+                        carry_min_table, lcm_up_to, phi_exponent_sieved,
+                        sieve_primes)
 from .profiles import (Profile, ProfileError, THEOREM1_ETA, general,
                        preset, profile_violations, section2)
 from .rationalfn import (LinearProductRep, PartialFractionTable,

@@ -11,6 +11,12 @@ integers over one power-of-2 denominator, and Newton steps jump along
 bisection's own grid, checked by exact signs, so the refined bracket is
 bisection's.  Only the final logarithms run in ball arithmetic.  The
 verdict compares certified enclosures, never bare floats.
+
+The growth rate of the cancellation factor is an integer-weighted sum of
+digamma values at the breakpoints of the carry-minimum table, the
+weights summing to 0 so that Euler's gamma cancels; ``balls.digamma_sum``
+takes it by Gauss's digamma theorem in one fixed-point pass, each cosine
+and logarithm once per reduced angle, under one integer error bound.
 """
 
 from __future__ import annotations
@@ -18,9 +24,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from . import numtheory
 from ._records import frozen
-from .balls import BallReal, nstr, working_precision
-from .numtheory import phi_exponent
+from .balls import BallReal, digamma_sum, nstr, working_precision
 from .profiles import Profile
 
 # ---------------------------------------------------------------------------
@@ -240,7 +246,7 @@ def _section2_onedim(s: int, precision: int) -> BallReal:
     # invariant under t -> 1/t with two sign changes: at most two positive
     # roots, t and 1/t, and p(0) = 1 > 0 > p(1) = -2, so one lies in (0, 1)
     poly = [1, -2] + [0] * (s - 2) + [-2, 1]
-    lo, hi = isolate_root(poly, Fraction(1, 10 ** 6), 1 - Fraction(1, 10 ** 6),
+    lo, hi = isolate_root(poly, Fraction(0), Fraction(1),
                           Fraction(2) ** (-(precision + 8)))
     with working_precision(precision + 16):
         t = BallReal.from_interval(BallReal(lo), BallReal(hi))
@@ -262,6 +268,43 @@ def r_exponent(profile: Profile, precision: int = 256) -> BallReal:
             raise ArithmeticError(
                 "cube-maximum route disagrees with the one-dimensional form")
     return value
+
+
+# ---------------------------------------------------------------------------
+# Exponential growth rate of the cancellation factor
+# ---------------------------------------------------------------------------
+
+def phi_exponent_from_table(table: numtheory.StepFunction, mu: Fraction,
+                            precision: int = 256) -> BallReal:
+    """lim (1/n) log of the factored product, from its exact value table.
+
+    Standard prime-counting heuristic: with the table value c on [u, v),
+    the primes p ~ n/x contribute c * [psi(1+v) - psi(1+u)] from each
+    period window above 1, plus a clipped 1/x**2-integral term on the
+    window [1/mu, 1) when the prime range extends above n (mu > 1).  The
+    psi terms fold into one integer weight per point 1 + x, summing to 0;
+    the clipped terms c (min(1/u, mu) - 1/v) into one integer over the lcm
+    of mu's denominator and the breakpoints' numerators.
+    """
+    mu = Fraction(mu)
+    points = table.breakpoints + (Fraction(1),)
+    den = math.lcm(mu.denominator, *(x.numerator for x in points[1:]))
+    inverse = [None] + [den // x.numerator * x.denominator for x in points[1:]]
+    top = den // mu.denominator * mu.numerator
+    clipped, weights, left = 0, {}, 0
+    for i, c in enumerate(table.values + (0,)):
+        if c != left:
+            weights[1 + points[i]] = left - c
+        if c and (part := min(inverse[i] or top, top) - inverse[i + 1]) > 0:
+            clipped += c * part
+        left = c
+    return digamma_sum(weights, precision + 32, Fraction(clipped, den))
+
+
+def phi_exponent(profile, precision: int = 256) -> BallReal:
+    # looked up on the module, where perfbench's tracer patches it
+    table = numtheory.carry_min_table(profile.shape)
+    return phi_exponent_from_table(table, profile.mu, precision)
 
 
 # ---------------------------------------------------------------------------

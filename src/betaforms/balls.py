@@ -17,7 +17,8 @@ rounding drops is added to the radius (``_ball``).
 derivative over the whole ball times the radius.  The fixed-point
 kernels (log, atanh, cos and sin, and pi by Machin and ln 2, cached per
 scale) return an integer with an error bound in units of 2**-wp derived
-in each docstring; ``numtheory`` runs its digamma sums on them directly.
+in each docstring; ``digamma_sum`` runs the zero-sum digamma sums of the
+cancellation factor's growth rate on them directly.
 
 ``nstr`` prints a dyadic rational as mpmath's ``nstr`` prints the same
 value, so the decimal strings of reports read as they always have.
@@ -398,6 +399,118 @@ def _pi(wp: int) -> tuple[int, int]:
     a, a_err = _atan_inv(5, wp)
     b, b_err = _atan_inv(239, wp)
     return 16 * a - 4 * b, 16 * a_err + 4 * b_err
+
+
+# ---------------------------------------------------------------------------
+# Digamma at positive rationals
+# ---------------------------------------------------------------------------
+
+def digamma_sum(weights: dict[Fraction, int], precision: int,
+                exact: Fraction) -> BallReal:
+    """exact + sum w psi(x) over rationals x > 0 with integer weights w
+    that sum to 0 (else ``ValueError``), within about 2**-precision.
+
+    x = k + a/b, a/b in lowest terms: psi(x) = psi(a/b) + sum_{j<k}
+    b/(a + j b), psi(k) = -gamma + H_(k-1), and by Gauss's theorem, with
+    c_j = cos(2 pi j/b) and L_m = log sin(pi m/b)**2 = log((1 - c_m)/2),
+        psi(a/b) = -gamma - log 2b - (pi/2) cot(pi a/b)
+                   + sum_{0<m<b/2} c_(m a mod b) L_m,
+    where cot(pi a/b) = +-sqrt((1 + c_a)/(1 - c_a)), the sign of b - 2a.
+    The -gamma cancel, and as the sines at m/b, 0 < m < b, multiply to
+    b 2**(1-b), log 2b = b log 2 + sum_{0<m<b/2} L_m: its part joins the
+    L_m as c_(m a) - 1.
+
+    One fixed-point pass at scale 2**-wp, wp = precision + guard, makes the
+    sum M 2**-F, F = 2 wp + 2, within R 2**-F.  The weights fold first: the
+    shifts into one fraction, the b log 2 into one weight g of log 2, the
+    cots of a/b and 1 - a/b into one, the c_(m a) - 1 into one coefficient
+    S per reduced angle m/b; each kernel runs once per reduced angle.
+    R adds up:
+
+    * c_j, from P within e of pi 2**(wp + 8): with n = round(4j/b) and
+      t = 4j - n b, c_j = cos s, -sin s, -cos s (n = 0, 1, 2) at s = (pi/2)
+      t/b, |s| <= pi/4; u = floor(P |t| / (b 2**9)) is within e/2**10 + 1
+      of |s| 2**wp, which |cos'|, |sin'| <= 1 add to ``_cos_sin_fixed``'s
+      bound: E_c.  The kernel sees only |t|/b and n mod 2, so j/b and
+      1/2 - j/b share it, and c_(b-j) = c_j;
+    * the shifts: one floor over their common denominator, 1 unit;
+    * g log 2: |g| times ``_log_fixed``'s error, at scale 2**-(wp + 1);
+    * S (scale 2**-wp, within E_S, E_c sum |w| per row it gathers) times
+      L_m (scale 2**-(wp + 1), within E_L): |S| E_L + |L| E_S + E_S E_L,
+      doubled to scale 2**-F.  D = 2**wp - C_m is within E_c of (1 - c_m)
+      2**wp, so E_L is ``_log_fixed``'s error plus E_c 2**(wp + 1)/(D - E_c)
+      (|log' x| <= 1/x on [D - E_c, D + E_c]);
+    * cot is increasing in c: isqrt of its square at C - E_c rounded down
+      and at C + E_c rounded up bound it, so the weighted cots make 2T
+      2**wp within R_T; with P' = P/2**8 (floored) within e' = e/2**8 + 2
+      of pi 2**wp, -(pi/2) T = -P' (2T 2**wp) 2**-F within
+      P' R_T + e' (|2T| + R_T).
+
+    E_c, a few wp units, grows near c = 1 by up to (b/pi)**2 in a log and
+    (b/pi)**3 in a cot; the guard covers that, the weights and 32 bits
+    more, which keep D - E_c and 1 + C - E_c positive.
+    """
+    if sum(weights.values()):
+        raise ValueError("digamma weights must sum to 0")
+    shifts, rows = {}, {}
+    for x, w in weights.items():
+        b = x.denominator
+        k, a = divmod(x.numerator, b)
+        for j in range(not a, k):
+            shifts[a + j * b] = shifts.get(a + j * b, 0) + w * b
+        if a:
+            row = rows.setdefault(b, {})
+            row[a] = row.get(a, 0) + w
+    wp = (precision + 32 + 3 * max(rows, default=1).bit_length()
+          + precision.bit_length() + sum(map(abs, weights.values())).bit_length())
+    one, shift, (pi, e_pi) = 1 << wp, 2 * wp + 2, _pi(wp + 8)
+    den = math.lcm(exact.denominator, *shifts)
+    mid, rem = divmod((exact.numerator * (den // exact.denominator) + sum(
+        n * (den // d) for d, n in shifts.items())) << shift, den)
+    rad, t2, r2 = int(rem != 0), 0, 0
+    twos, kernels, logs = 0, {}, {}
+    for b, row in rows.items():
+        twos += b * sum(row.values())
+        turns = [(0, 0)] * b
+        for j in range(1, b // 2 + 1):
+            n = (8 * j + b) // (2 * b)
+            t = 4 * j - n * b
+            key = abs(t) // (g := math.gcd(t, b)), b // g, n & 1
+            if key not in kernels:
+                value, err = _cos_sin_fixed(pi * key[0] // (key[1] << 9), wp, n & 1)
+                kernels[key] = value, err + (e_pi >> 10) + 2
+            value, err = kernels[key]
+            turns[j] = turns[b - j] = (
+                -value if n == 2 or n == 1 and t > 0 else value, err)
+        e_s = max(e for _, e in turns) * sum(map(abs, row.values()))
+        for m in range(1, (b + 1) // 2):
+            log = logs.setdefault((m // (g := math.gcd(m, b)), b // g),
+                                  [0, 0, *turns[m]])
+            log[0] += sum([w * (turns[m * a % b][0] - one) for a, w in row.items()])
+            log[1] += e_s
+        cots = {}
+        for a, w in row.items():
+            if 2 * a != b:
+                k = min(a, b - a)
+                cots[k] = cots.get(k, 0) + (w if 2 * a < b else -w)
+        for k, w in cots.items():
+            c, e = turns[k]
+            lo = math.isqrt((one + c - e << 2 * wp) // (one - c + e))
+            hi = math.isqrt(-(-(one + c + e << 2 * wp) // (one - c - e)) - 1) + 1
+            t2 += w * (lo + hi)
+            r2 += abs(w) * (hi - lo)
+    for s, e_s, c, e in logs.values():
+        value, err = _log_fixed(one - c, -wp - 1, wp + 1)
+        err -= (-e << wp + 1) // (one - c - e)
+        mid += s * value << 1
+        rad += abs(s) * err + (abs(value) + err) * e_s << 1
+    value, err = _log_fixed(2, 0, wp + 1)
+    mid -= twos * value << wp + 1
+    rad += abs(twos) * err << wp + 1
+    mid -= (pi >> 8) * t2
+    rad += (pi >> 8) * r2 + ((e_pi >> 8) + 2) * (abs(t2) + r2)
+    with working_precision(wp):
+        return _ball(mid, rad, -shift)
 
 
 # ---------------------------------------------------------------------------

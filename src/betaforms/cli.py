@@ -46,7 +46,7 @@ from .decomposition import (ArithmeticFactors, beta_coefficients,
 # r_n_series is unused here: the benchmark traces cli.r_n_series by name.
 from .numerics import (beta_value, build_profile_rep, consistency_check,
                        r_n_series)
-from .numtheory import carry_min_table
+from .numtheory import capital_phi, carry_min_table
 from .profiles import (PRESETS, ProfileError, profile_from_spec,
                        profile_violations)
 from .rationalfn import partial_fractions
@@ -281,8 +281,7 @@ def _cmd_phi_table(args) -> int:
             for lo, hi, v in table.intervals()
         ],
         "per_n": [
-            {"n": n, "phi": str(ArithmeticFactors.for_profile(
-                profile_from_spec(cfg, n)).phi)}
+            {"n": n, "phi": str(capital_phi(profile_from_spec(cfg, n)))}
             for n in cfg["n"]
         ],
     }

@@ -288,11 +288,12 @@ def r_n_series(rep: LinearProductRep, precision: int = 256) -> BallReal:
 def decomposition_value(result: DecompositionResult, tbits: int) -> BallReal:
     """a_0 + sum a_i beta(i), radius <= 2**-tbits, its beta row in one pass.
     With L = max(0, floor log2 max |a_i|), b = (m + 1).bit_length() for m
-    beta terms and w = tbits + L + 2b, all runs at p = w + 32 bits: an a_i
-    ball errs by 2**(L + 2 - p), a beta(i) < 1 by 2**-(w + 6), a product by
-    under 2**(L - w - 4) with its rounding; each of the m partial sums is
-    under 2**(L + 1 + b) and rounds by two units of 2**(L + 1 + b - p).  In
-    all, 2**(L + b - w - 4) + 2**(L + 2b - w - 30) < 2**-tbits."""
+    beta terms and w = tbits + L + 2b, all runs at p = w + 32 bits, as
+    ``working_precision(w + 16)`` adds GUARD_BITS = 16: an a_i ball errs by
+    2**(L + 2 - p), a beta(i) < 1 by 2**-(w + 6), a product by under
+    2**(L - w - 4) with its rounding; each of the m partial sums is under
+    2**(L + 1 + b) and rounds by two units of 2**(L + 1 + b - p).  In all,
+    2**(L + b - w - 4) + 2**(L + 2b - w - 30) < 2**-tbits."""
     indices = [i for i in result.beta_indices if result.a[i]]
     top = max(map(abs, result.a)) or 1
     w = tbits + max(0, floor_log2(top)) + 2 * (len(indices) + 1).bit_length()

@@ -9,7 +9,7 @@ No code path of the package calls either since the Chebyshev series
 kernel replaced the Boole tail.  ``numerics`` still imports both names,
 because the benchmark (``perfbench/spans.py``) traces them at
 ``numerics.divide_trunc`` and ``numerics.euler_numbers_at_zero``; they
-can go once the pipeline records its own stages (ROADMAP item 3).
+can go once the pipeline records its own stages (ROADMAP item 6).
 """
 
 from __future__ import annotations

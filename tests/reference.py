@@ -611,7 +611,7 @@ def ball_cos(x: BallReal) -> BallReal:
 
 def digamma_sum(weights: dict[Fraction, int], precision: int,
                 exact: Fraction) -> BallReal:
-    """``numtheory._digamma_sum`` as a pass of ball operations: the same
+    """``balls.digamma_sum`` as a pass of ball operations: the same
     Gauss sums, each cosine a ``ball_cos``, each cot a ``ball_sqrt`` of
     (1 + c_k)/(1 - c_k), and the weights on each summed as integers first,
     at guard bits that cover the weights and the cancellation in
@@ -673,10 +673,10 @@ def euler_gamma(bits: int) -> BallReal:
 
 def _digamma_pass(x: Fraction, precision: int) -> BallReal:
     """psi(x) = (psi(x) - psi(1)) + psi(1): the zero-sum two-point
-    ``numtheory._digamma_sum``, looked up at each call, and psi(1) = -gamma."""
+    ``balls.digamma_sum``, looked up at each call, and psi(1) = -gamma."""
     weights = {x: 1}
     weights[Fraction(1)] = weights.get(Fraction(1), 0) - 1
-    total = numtheory._digamma_sum(weights, precision, Fraction(0))
+    total = balls.digamma_sum(weights, precision, Fraction(0))
     with working_precision(precision + 32):
         return total - euler_gamma(precision + 64)
 

@@ -10,13 +10,12 @@ from fractions import Fraction
 
 import pytest
 
-from betaforms.asymptotics import exponent_ledger, r_exponent
+from betaforms.asymptotics import exponent_ledger, phi_exponent, r_exponent
 from betaforms.balls import working_precision
 from betaforms.decomposition import (verify_coefficient_inclusions,
                                      verify_form_inclusions)
 from betaforms.numerics import consistency_check, r_n_series
-from betaforms.numtheory import (carry_min_table, phi_exponent,
-                                 phi_exponent_sieved)
+from betaforms.numtheory import carry_min_table, phi_exponent_sieved
 from betaforms.profiles import THEOREM1_ETA, general, section2
 
 from tests.conftest import SECTION2_SUITE, THEOREM1_NS, suite_profiles

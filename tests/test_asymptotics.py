@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from betaforms import asymptotics
+from betaforms import asymptotics, numtheory
 from betaforms.asymptotics import (ExponentLedger, Lemma3Data,
                                    RootCertificationError, _integer_poly,
                                    _maximizer_polynomial, _sign_at,
@@ -144,6 +144,16 @@ class TestLedger:
     def test_d_exponent_is_exact_rational(self):
         assert exponent_ledger(general(THEOREM1_ETA, 2), 64).d_exponent == 143
         assert exponent_ledger(section2(3, 2), 64).d_exponent == 3
+
+    def test_cold_ledger_builds_its_table_through_numtheory(self, monkeypatch):
+        # perfbench counts carry tables where it patches them, at
+        # numtheory.carry_min_table; a from-import would hide the call
+        calls, table = [], numtheory.carry_min_table
+        monkeypatch.setattr(numtheory, "carry_min_table",
+                            lambda shape: calls.append(shape) or table(shape))
+        table.cache_clear()
+        exponent_ledger(section2(5, 2), 64)
+        assert calls == [section2(5, 2).shape]
 
 
 class TestEmpiricalTrend:

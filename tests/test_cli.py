@@ -597,3 +597,43 @@ class TestPackageSurface:
                                   for n, at in uses)}:
             unused |= new
         assert not unused, "only tests use: " + ", ".join(sorted(unused))
+
+
+class TestLayering:
+    """The exact certificate is built with no ball arithmetic: ``profiles``,
+    ``numtheory``, ``rationalfn`` and ``decomposition`` import nothing
+    from ``balls``, ``numerics`` or ``asymptotics``.  The private kernels
+    of ``balls`` stay private: no other module imports a ``_`` name from
+    it."""
+
+    EXACT = {"profiles", "numtheory", "rationalfn", "decomposition"}
+    BALL = {"balls", "numerics", "asymptotics"}
+
+    @staticmethod
+    def imports(tree):
+        """(submodule, imported names) for each import of a ``betaforms``
+        submodule; ``from . import x`` imports the submodule x whole."""
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                yield from ((alias.name.split(".")[1], ()) for alias in
+                            node.names if alias.name.startswith("betaforms."))
+            elif isinstance(node, ast.ImportFrom):
+                base = ".".join(["betaforms"] * bool(node.level)
+                                + [node.module] * bool(node.module))
+                names = tuple(alias.name for alias in node.names)
+                if base == "betaforms":
+                    yield from ((name, ()) for name in names)
+                elif base.startswith("betaforms."):
+                    yield base.split(".")[1], names
+
+    def test_exact_layer_imports_no_ball_arithmetic(self):
+        found = []
+        for path in sorted((TestPackageSurface.ROOT / "src/betaforms").glob(
+                "*.py")):
+            for module, names in self.imports(ast.parse(path.read_text())):
+                if path.stem in self.EXACT and module in self.BALL:
+                    found.append(f"{path.stem} imports {module}")
+                if module == "balls" and path.stem != "balls":
+                    found += [f"{path.stem} imports balls.{name}"
+                              for name in names if name.startswith("_")]
+        assert not found, found

@@ -7,14 +7,14 @@ from unittest import mock
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from betaforms import numtheory
+from betaforms import balls, numtheory
+from betaforms.asymptotics import phi_exponent, phi_exponent_from_table
 from betaforms.balls import BallReal, working_precision
 from betaforms.numtheory import (FactoredInteger, StepFunction,
                                  _breakpoint_candidates, _merged_terms,
                                  _min_over_y, _sweep_plan, _terms,
                                  capital_phi, carry_min_table,
                                  carry_min_value, lcm_up_to,
-                                 phi_exponent, phi_exponent_from_table,
                                  phi_exponent_sieved, sieve_primes)
 from betaforms.profiles import (THEOREM1_ETA, Profile, ProfileError, general,
                                 profile_violations, section2)
@@ -513,13 +513,13 @@ class TestDigamma:
     def test_second_pass_adds_the_missing_bits(self, monkeypatch):
         # psi(19/13) = -9.07e-5 >= 2**-14 in size: a first pass 60 bits short
         # misses the relative radius, and the second asks for 14 + 1 more
-        real, calls = numtheory._digamma_sum, []
+        real, calls = balls.digamma_sum, []
 
         def short_first(weights, precision, *rest):
             calls.append(precision)
             return real(weights, precision - 60 * (len(calls) == 1), *rest)
 
-        monkeypatch.setattr(numtheory, "_digamma_sum", short_first)
+        monkeypatch.setattr(balls, "digamma_sum", short_first)
         val = digamma_rational(19, 13, 128)
         assert calls == [128, 128 + 2 + 13]
         assert val.rad <= Fraction(2) ** -127 * abs(val.mid)
@@ -559,7 +559,7 @@ class TestPhiExponent:
 
 
 def reference_digamma(x: Fraction, precision: int) -> BallReal:
-    """Reference: the per-point digamma that ``_digamma_sum`` replaced, one
+    """Reference: the per-point digamma that ``digamma_sum`` replaced, one
     Gauss sum per point with its own sines, cosines and logs, at growing
     guard bits until the relative radius is met."""
     tol = Fraction(2) ** (1 - precision)
@@ -626,11 +626,11 @@ def step_tables(draw):
 
 @contextlib.contextmanager
 def pushed_kernels(signs: dict[str, int]):
-    """``numtheory``'s fixed-point kernels, each value moved by its sign in
+    """``balls``' fixed-point kernels, each value moved by its sign in
     ``signs`` times 255 times its error bound, and the bound made 256 times
     as large so that it still holds: the value then sits near the end of
     its bound, where an error term the pass leaves out shows."""
-    saved = {name: getattr(numtheory, name) for name in signs}
+    saved = {name: getattr(balls, name) for name in signs}
 
     def pushed(kernel, sign):
         def run(*args):
@@ -641,11 +641,11 @@ def pushed_kernels(signs: dict[str, int]):
     try:
         for name, sign in signs.items():
             if sign:
-                setattr(numtheory, name, pushed(saved[name], sign))
+                setattr(balls, name, pushed(saved[name], sign))
         yield
     finally:
         for name, kernel in saved.items():
-            setattr(numtheory, name, kernel)
+            setattr(balls, name, kernel)
 
 
 @st.composite
@@ -693,7 +693,7 @@ class TestDigammaSum:
             ref = reference_digamma(x, 128)
             assert val.overlaps(ref)
             with working_precision(160):
-                assert (ref - psi2).overlaps(numtheory._digamma_sum(
+                assert (ref - psi2).overlaps(balls.digamma_sum(
                     {x: 1, Fraction(2): -1}, 128, Fraction(0)))
 
     @settings(max_examples=100, deadline=None)
@@ -719,7 +719,7 @@ class TestDigammaSum:
         from mpmath.libmp import to_rational
 
         with pushed_kernels(push):
-            val = numtheory._digamma_sum(weights, precision, Fraction(0))
+            val = balls.digamma_sum(weights, precision, Fraction(0))
         assert val.overlaps(digamma_sum(weights, precision, Fraction(0)))
         with mpmath.workprec(2 * precision):
             ref = mpmath.fsum(w * mpmath.digamma(mpmath.mpf(x.numerator)
@@ -733,4 +733,4 @@ class TestDigammaSum:
         {Fraction(1): 1}, {Fraction(7, 3): 2, Fraction(1, 2): -1}])
     def test_nonzero_weight_sum_raises(self, weights):
         with pytest.raises(ValueError, match="sum to 0"):
-            numtheory._digamma_sum(weights, 64, Fraction(0))
+            balls.digamma_sum(weights, 64, Fraction(0))

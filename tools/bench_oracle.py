@@ -14,6 +14,7 @@ package.  The tool times trees whose series oracle reads the rep alone,
 precision)`` and ``alternating_series_tail(rep, target, precision)``,
 whose ``decomposition_value(decomposition, tbits)`` takes target bits,
 and that have ``numtheory.carry_min_table(shape)``,
+``asymptotics.phi_exponent(profile, precision)``,
 ``numerics._chebyshev_pass`` and ``numerics._rung``; on an older tree its
 ``--one`` child fails.
 The ``--one`` child is this script, so every tree is timed through this
@@ -41,7 +42,7 @@ A tree's run is three fresh interpreters with ``PYTHONPATH=SRC``:
   both inclusion checks and
   ``decomposition.integer_linear_form`` (n = 24 is where partial
   fractions dominate a certificate); then the real constants:
-  ``numtheory.phi_exponent`` (carry table warm) and
+  ``asymptotics.phi_exponent`` (carry table warm) and
   ``asymptotics.r_exponent``.  It then times ``numerics.r_n_series`` alone
   and ``numerics.consistency_check``, and records every
   ``numerics.alternating_series_tail`` call either makes as (tbits, N, P):
@@ -170,8 +171,8 @@ def exact_stages(n: int) -> tuple[dict, tuple]:
 
 def run_case(n: int, precision: int) -> dict:
     from betaforms import numerics
-    from betaforms.asymptotics import r_exponent
-    from betaforms.numtheory import carry_min_table, phi_exponent
+    from betaforms.asymptotics import phi_exponent, r_exponent
+    from betaforms.numtheory import carry_min_table
 
     times, (profile, rep, _, dec) = exact_stages(n)
     carry_min_table(profile.shape)
