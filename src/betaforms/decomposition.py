@@ -21,9 +21,10 @@ the coefficient inclusions run one integrality check per orbit.  The
 middle pole, and every pole of a table without a reflection, is an orbit
 of one.  The tail sums share one lcm D and one list of powers
 (D/(2m - 1))**i, raised by one factor per column.
-Every integrality claim, phi**-1 d**e v in Z, goes through one kernel,
-``_scaled``, which decides it from exponents and touches the numerator
-only at the primes where d**e cannot cover the denominator and phi.
+Every integrality claim of a report, phi**-1 d**e v in Z, goes through
+one kernel, ``_scaled``, which decides it from exponents and touches the
+numerator only at the primes where d**e cannot cover the denominator and
+phi (``integer_linear_form`` divides exactly instead).
 Divisibility violations are data, not exceptions: the verifiers return
 structured reports with per-prime deficits, each violation's value
 reduced, so that deliberately weakened exponents can be probed.
@@ -33,7 +34,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
 
 from ._records import frozen
@@ -201,7 +201,6 @@ class InclusionReport:
         return "\n".join(lines)
 
 
-@lru_cache(maxsize=16)
 def _prime_groups(factors: ArithmeticFactors, primes: tuple[int, ...],
                   lcm: FactoredInteger | None):
     """The primes of ``primes``, d, phi and ``lcm``, grouped by
@@ -218,16 +217,15 @@ def _prime_groups(factors: ArithmeticFactors, primes: tuple[int, ...],
     return tuple(groups.items())
 
 
-def _scaled(factors: ArithmeticFactors, primes: tuple[int, ...], known,
-            lcm: FactoredInteger | None,
-            items) -> list[tuple[tuple[int, int], ...]]:
+def _scaled(groups, known, items) -> list[tuple[tuple[int, int], ...]]:
     """For each item (e, j, x, n): the primes p at which
     phi**-1 d**e V n / (L**j 2**x) misses Z, each with how short it falls,
     ascending; empty where it is an integer.  The one integrality kernel.
 
-    V is a rational known by its exponents ``known`` at ``primes`` (no
-    other prime divides its denominator), and L is ``lcm`` (None for 1).
-    Item by item n must cover the exponent
+    ``groups`` is ``_prime_groups(factors, primes, lcm)``, made by the
+    caller.  V is a rational known by its exponents ``known`` at ``primes``
+    (no other prime divides its denominator), and L is ``lcm`` (None for
+    1).  Item by item n must cover the exponent
     t_p = phi_p + j L_p + x [p = 2] - e d_p - V_p at each prime; n is
     touched only where t_p > 0, by one remainder n mod prod p**t_p, and is
     factored further only where that fails.  t_p depends on the item only
@@ -237,7 +235,7 @@ def _scaled(factors: ArithmeticFactors, primes: tuple[int, ...], known,
     exps = [*known, 0]
     moduli = [1] * len(items)
     needs: list[list] = [[] for _ in items]
-    for (lp, dp, two), members in _prime_groups(factors, primes, lcm):
+    for (lp, dp, two), members in groups:
         shifts = [j * lp - e * dp + (x if two else 0) for e, j, x, _ in items]
         most = max(shifts, default=0)
         live = [(p, c) for k, p, f in members if (c := f - exps[k]) + most > 0]
@@ -275,7 +273,7 @@ def verify_coefficient_inclusions(table: PartialFractionTable,
     known = set(table.primes)
     beyond = tuple(sorted({p for p, _ in factors.d.factors + factors.phi.factors
                            if p not in known}))
-    primes = table.primes + beyond
+    groups = _prime_groups(factors, table.primes + beyond, table.lcm)
     found = [()] * len(table.pole_ks)  # (item, deficits) per pole
     for idx, mirror in table.orbits:
         order, row = table.orders[idx], table.rows[idx]
@@ -284,32 +282,32 @@ def verify_coefficient_inclusions(table: PartialFractionTable,
             exps += tuple(valuation(table.scales[idx], p) for p in beyond)
         items = [(factors.s - i, order - i, i, n)
                  for i, n in enumerate(row, 1) if n]
-        found[idx] = found[mirror] = list(zip(items, _scaled(
-            factors, primes, exps, table.lcm, items)))
+        found[idx] = found[mirror] = list(zip(items,
+                                              _scaled(groups, exps, items)))
     return InclusionReport(len(table.pole_ks) * table.s, tuple(
         _violation(factors, i, k, table.a(i, k), e, deficits)
         for k, pairs in zip(table.pole_ks, found)
         for (e, _, i, _), deficits in pairs if deficits))
 
 
-def _form_deficits(factors: ArithmeticFactors, e: int, value: Fraction,
-                   den: tuple[tuple[int, int], ...]):
-    """``_scaled`` of phi**-1 d**e value for a nonzero Fraction value whose
-    denominator factors as ``den``."""
-    return _scaled(factors, tuple(p for p, _ in den), tuple(-k for _, k in den),
-                   None, [(e, 0, 0, value.numerator)])[0]
-
-
 def verify_form_inclusions(result: DecompositionResult,
                            factors: ArithmeticFactors) -> InclusionReport:
     """Check phi**-1 d**(s-i) a_i in Z for i = 0..s.
 
-    Odd i are vacuous (a_i = 0 exactly) and are recorded as passing.
+    Odd i are vacuous (a_i = 0 exactly) and are recorded as passing.  V is
+    a_i itself, known by its denominator's factors, and n its numerator.
     """
-    return InclusionReport(len(result.a), tuple(
-        _violation(factors, i, None, ai, factors.s - i, deficits)
-        for i, (ai, den) in enumerate(zip(result.a, result.denominators))
-        if ai and (deficits := _form_deficits(factors, factors.s - i, ai, den))))
+    violations = []
+    for i, (ai, den) in enumerate(zip(result.a, result.denominators)):
+        if not ai:
+            continue
+        e = factors.s - i
+        groups = _prime_groups(factors, tuple(p for p, _ in den), None)
+        deficits, = _scaled(groups, [-k for _, k in den],
+                            [(e, 0, 0, ai.numerator)])
+        if deficits:
+            violations.append(_violation(factors, i, None, ai, e, deficits))
+    return InclusionReport(len(result.a), tuple(violations))
 
 
 class InclusionError(ArithmeticError):
@@ -321,11 +319,11 @@ def integer_linear_form(result: DecompositionResult,
     """Integer tuple (A_0, A_2, ..., A_{s-1}) with
     phi**-1 d**s r = A_0 + sum A_i beta(i), plus a description of the scale.
 
-    d**s / phi = top / bottom in lowest terms, from exponents.  Once the
-    inclusion holds, a_i = num/den in lowest terms has den bottom dividing
-    num top; num is prime to den and top to bottom, so den divides top and
-    bottom divides num, and A_i = (num / bottom) (top / den): two exact
-    divisions, each with a small quotient or divisor, and one product."""
+    d**s / phi = top / bottom in lowest terms, from exponents.  With
+    a_i = num/den in lowest terms, A_i = num top / (den bottom) is an
+    integer iff den divides top and bottom divides num, as num is prime to
+    den and top to bottom: two exact divisions decide it, each with a
+    small quotient or divisor, and A_i = (num / bottom) (top / den)."""
     s = factors.s
     exps = {p: s * e for p, e in factors.d.factors}
     for p, e in factors.phi.factors:
@@ -335,7 +333,7 @@ def integer_linear_form(result: DecompositionResult,
     out = []
     for i in [0] + result.beta_indices:
         ai = result.a[i]
-        if ai and _form_deficits(factors, s, ai, result.denominators[i]):
+        if top % ai.denominator or ai.numerator % bottom:
             raise InclusionError(f"a_{i} does not scale to an integer")
         out.append(ai.numerator // bottom * (top // ai.denominator))
     desc = f"phi^-1 d_{result.profile.d_index}^{s} r_n with phi={factors.phi}"

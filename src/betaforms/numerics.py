@@ -12,10 +12,11 @@ B/d <= target/2.  For beta(i), a_k = (2k + 1)**-i, B = 1 and the target is
 (``_beta_enclosures``).  The series term a_j = f(j) = sum c_ik
 (j + X_k)**-i, in partial fractions with every pole -X_k < 0, is the
 moment of w(t) = sum c_ik t**(X_k - 1) (-log t)**(i - 1) / (i - 1)!, so
-B = sum |c_ik| / X_k**i will do; ``_moment_bound`` bounds it from the rep
-alone, by Cauchy's estimate.  The terms run in fixed point at scale 2**P
-with an error bound known before the pass (``_term_ratios``), so P keeps
-it at most target/4.  The series reads the rep only, never the
+B = sum |c_ik| / X_k**i will do; the rep bounds it by Cauchy's estimate,
+once, as it keeps its f(0) (``LinearProductRep.moment_bound`` and
+``first_term``).  The terms run in fixed point at scale 2**P with an
+error bound known before the pass (``_term_ratios``), so P keeps it at
+most target/4.  The series reads the rep only, never the
 decomposition.  One rule, ``_rung``, sizes both sides of the oracle from
 a lower bound on |r|: the series from its first term |f(0)|, and the
 decomposition from the series ball's least |x|.
@@ -32,7 +33,7 @@ from ._records import frozen
 from .balls import BallReal, floor_log2, working_precision
 from .decomposition import DecompositionResult
 from .profiles import Profile
-from .rationalfn import LinearProductRep, _layers, build_general
+from .rationalfn import LinearProductRep, build_general
 # Unused here: the benchmark traces beta_coefficients, build_section2,
 # partial_fractions, divide_trunc and euler_numbers_at_zero in numerics.
 from .decomposition import beta_coefficients
@@ -125,58 +126,6 @@ def build_profile_rep(profile: Profile) -> LinearProductRep:
 # Linear-form series
 # ---------------------------------------------------------------------------
 
-def _cauchy_products(rep: LinearProductRep):
-    """(|P|, order, U, V) for each pole P of ``rep`` of order >= 1, highest
-    first (see ``_moment_bound``); a zero or improper rep, poles of both
-    parities or one at t >= 0 raise ValueError.  From P + 2 to P a product
-    changes only at the ends of the runs (``_layers``) of its part of c;
-    V's factor at the grid position itself, |0| - 1, only flips its sign."""
-    den = dict(rep.den_roots)
-    if not rep.scalar or rep.degree_gap < 1 or len({q % 2 for q in den}) > 1:
-        raise ValueError("need a nonzero proper rep, its poles of one parity")
-    net, top, sides = Counter(dict(rep.num_roots)), max(den), []
-    net.subtract(den)
-    for pm in (1, -1):  # U's factors |P - R| + 1, then V's |P - R| - 1
-        part = {r: pm * c for r, c in net.items() if pm * c > 0}
-        sides.append([math.prod((abs(top - r) + pm) ** c
-                                for r, c in part.items()), pm, _layers(part)])
-    for p in range(top, min(den) - 1, -2):
-        if net[p] < 0:
-            if p >= 0:
-                raise ValueError("the series must start right of every pole")
-            yield -p, -net[p], sides[0][0], abs(sides[1][0])
-        for side in sides:  # on to P - 2: R = hi + 2 enters, R = lo leaves
-            x, pm, runs = side
-            side[0] = (x * math.prod([abs(p - 2 - hi) + pm for _, hi in runs])
-                       // math.prod([abs(p - lo) + pm for lo, _ in runs]))
-
-
-@lru_cache(maxsize=16)
-def _moment_bound(rep: LinearProductRep) -> tuple[int, int]:
-    """(b, e) with B = sum |c_ik| / X_k**i <= b / 2**e, read off ``rep``.
-
-    P and the roots R doubled, the circle |t - P/2| = 1/2 meets no pole but
-    P, so |c_ik| <= 2**-i max |f| on it (Cauchy).  There |t - R/2| is at
-    most (|P - R| + 1)/2 and at least (|P - R| - 1)/2, and P's own factors
-    give 2**order: max |f| <= |scalar| 2**gap U/V, c(R) the numerator's
-    multiplicity less the denominator's, U = prod (|P - R| + 1)**c(R) over
-    c(R) > 0, V = prod (|P - R| - 1)**-c(R) over c(R) < 0, R != P.  With
-    X = |P|/2, B <= |scalar| 2**gap sum_P U/V sum_{i <= order} |P|**-i: a
-    ceiling division per pole, at the e that puts the top near 2**64."""
-    terms = [(u * sum(y ** j for j in range(o)), v * y ** o)
-             for y, o, u, v in _cauchy_products(rep)]
-    e = 63 - max(u.bit_length() - v.bit_length() for u, v in terms)
-    b = sum(-(-(u << max(e, 0)) // (v << max(-e, 0))) for u, v in terms)
-    num, den = rep.scalar.as_integer_ratio()
-    return -(-abs(num) * b // den), e - rep.degree_gap
-
-
-@lru_cache(maxsize=16)
-def _first_term(rep: LinearProductRep) -> Fraction:
-    """f(0), an exact product over every root: once per rep, not per rung."""
-    return rep.evaluate(0)
-
-
 def _term_ratios(rep: LinearProductRep,
                  weights: list[int]) -> tuple[list[tuple[int, int]], int]:
     """The ratios (u_j, v_j), v_j > 0, with a_{j+1} = a_j u_j / v_j for the
@@ -235,12 +184,12 @@ def alternating_series_tail(rep: LinearProductRep, target: Fraction,
     fixed-point error E/(d 2**P) <= target/4.  The ball keeps at least
     ``precision`` bits, and enough to round its midpoint far below it."""
     tn, td = Fraction(target).as_integer_ratio()
-    b, e = _moment_bound(rep)
+    b, e = rep.moment_bound
     n, d = _least_size(b, e, target)
     weights = list(_chebyshev_weights(n, d))
     ratios, error = _term_ratios(rep, weights)
     p = max(0, (4 * error * td).bit_length() - (tn * d).bit_length() + 1)
-    total = _chebyshev_pass(_first_term(rep), ratios, weights, p)
+    total = _chebyshev_pass(rep.first_term, ratios, weights, p)
     bound = Fraction(b, d << e) if e >= 0 else Fraction(b << -e, d)
     # log2 |sum / target|, from above
     bits = (abs(total).bit_length() - d.bit_length() - p
@@ -270,7 +219,7 @@ def r_n_series(rep: LinearProductRep, precision: int = 256) -> BallReal:
                                        precision).value
 
     # f(0) = 0 picks no rung; the pass then raises, naming the root
-    tbits = _rung(precision, abs(_first_term(rep)) or 1)
+    tbits = _rung(precision, abs(rep.first_term) or 1)
     while (value := ball(tbits)).contains_zero():
         tbits *= 2
         if tbits > _MAX_SERIES_BITS:

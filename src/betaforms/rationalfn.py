@@ -109,6 +109,32 @@ class LinearProductRep:
                 sides[1 - flip].append(hi)
         return tuple(sides[0]), tuple(sides[1])
 
+    @cached_property
+    def first_term(self) -> Fraction:
+        """f(0), an exact product over every root."""
+        return self.evaluate(0)
+
+    @cached_property
+    def moment_bound(self) -> tuple[int, int]:
+        """(b, e) with B = sum |c_ik| / X_k**i <= b / 2**e, c_ik the
+        coefficient of (t + X_k)**-i and every pole -X_k < 0 (the series'
+        moment bound in ``numerics``).  P and the roots R doubled, the
+        circle |t - P/2| = 1/2 meets no pole but P, so
+        |c_ik| <= 2**-i max |f| on it (Cauchy).  There |t - R/2| is at most
+        (|P - R| + 1)/2 and at least (|P - R| - 1)/2, and P's own factors
+        give 2**order: max |f| <= |scalar| 2**gap U/V, c(R) the numerator's
+        multiplicity less the denominator's, U = prod (|P - R| + 1)**c(R)
+        over c(R) > 0, V = prod (|P - R| - 1)**-c(R) over c(R) < 0, R != P.
+        With X = |P|/2, B <= |scalar| 2**gap sum_P U/V sum_{i <= order}
+        |P|**-i: a ceiling division per pole (``_cauchy_products``), at the
+        e that puts the top near 2**64."""
+        terms = [(u * sum(y ** j for j in range(o)), v * y ** o)
+                 for y, o, u, v in _cauchy_products(self)]
+        e = 63 - max(u.bit_length() - v.bit_length() for u, v in terms)
+        b = sum(-(-(u << max(e, 0)) // (v << max(-e, 0))) for u, v in terms)
+        num, den = self.scalar.as_integer_ratio()
+        return -(-abs(num) * b // den), e - self.degree_gap
+
 
 @frozen
 class PartialFractionTable:
@@ -191,6 +217,33 @@ def _layers(mult: dict[int, int]) -> list[tuple[int, int]]:
         starts[r % 2].extend([r] * (mult[r] - mult.get(r - 2, 0)))
         ends[r % 2].extend([r] * (mult[r] - mult.get(r + 2, 0)))
     return [run for parity in (0, 1) for run in zip(starts[parity], ends[parity])]
+
+
+def _cauchy_products(rep: LinearProductRep):
+    """(|P|, order, U, V) for each pole P of ``rep`` of order >= 1, highest
+    first (see ``LinearProductRep.moment_bound``); a zero or improper rep,
+    poles of both parities or one at t >= 0 raise ValueError.  From P + 2
+    to P a product changes only at the ends of the runs (``_layers``) of
+    its part of c; V's factor at the grid position itself, |0| - 1, only
+    flips its sign."""
+    den = dict(rep.den_roots)
+    if not rep.scalar or rep.degree_gap < 1 or len({q % 2 for q in den}) > 1:
+        raise ValueError("need a nonzero proper rep, its poles of one parity")
+    net, top, sides = Counter(dict(rep.num_roots)), max(den), []
+    net.subtract(den)
+    for pm in (1, -1):  # U's factors |P - R| + 1, then V's |P - R| - 1
+        part = {r: pm * c for r, c in net.items() if pm * c > 0}
+        sides.append([math.prod((abs(top - r) + pm) ** c
+                                for r, c in part.items()), pm, _layers(part)])
+    for p in range(top, min(den) - 1, -2):
+        if net[p] < 0:
+            if p >= 0:
+                raise ValueError("the series must start right of every pole")
+            yield -p, -net[p], sides[0][0], abs(sides[1][0])
+        for side in sides:  # on to P - 2: R = hi + 2 enters, R = lo leaves
+            x, pm, runs = side
+            side[0] = (x * math.prod([abs(p - 2 - hi) + pm for _, hi in runs])
+                       // math.prod([abs(p - lo) + pm for lo, _ in runs]))
 
 
 class _FactoredRatio:

@@ -41,7 +41,7 @@ from betaforms.cli import (_cmd_asymptotics, _cmd_beta, _cmd_phi_table,
                            _cmd_run, _cmd_validate)
 from betaforms.decomposition import (ArithmeticFactors, DecompositionResult,
                                      InclusionReport, Violation, _assemble,
-                                     _scaled, _violation)
+                                     _prime_groups, _scaled, _violation)
 from betaforms.numtheory import capital_phi, factorize, lcm_up_to, valuation
 from betaforms.profiles import PRESETS, Profile, section2
 from betaforms.rationalfn import (LinearProductRep, PartialFractionTable,
@@ -421,7 +421,7 @@ def per_pole_coefficient_inclusions(table: PartialFractionTable,
     known = set(table.primes)
     beyond = tuple(sorted({p for p, _ in factors.d.factors + factors.phi.factors
                            if p not in known}))
-    primes = table.primes + beyond
+    groups = _prime_groups(factors, table.primes + beyond, table.lcm)
     violations = []
     for idx, k in enumerate(table.pole_ks):
         scale, order, row = (table.scales[idx], table.orders[idx],
@@ -431,8 +431,8 @@ def per_pole_coefficient_inclusions(table: PartialFractionTable,
             exps += tuple(valuation(scale, p) for p in beyond)
         items = [(factors.s - i, order - i, i, row[i - 1])
                  for i in range(1, order + 1) if row[i - 1]]
-        for (e, _, _, _), deficits in zip(items, _scaled(
-                factors, primes, exps, table.lcm, items)):
+        for (e, _, _, _), deficits in zip(items, _scaled(groups, exps,
+                                                         items)):
             if deficits:
                 i = factors.s - e
                 violations.append(_violation(

@@ -637,3 +637,44 @@ class TestLayering:
                     found += [f"{path.stem} imports balls.{name}"
                               for name in names if name.startswith("_")]
         assert not found, found
+
+
+class TestNoModuleState:
+    """Each module keeps its own private names, and the certificate path
+    keeps no value-keyed memo: a rep caches what it derives from itself,
+    and a report builds its prime groups once.
+
+    ``lru_cache`` decorates four functions only.
+    ``numerics.beta_value`` and ``numtheory.carry_min_table`` stay because
+    ``perfbench/spans.py`` reads their ``cache_info()`` (``CACHES``), and
+    ``balls._ln2`` and ``balls._pi`` are per-scale constants that
+    independent callers share."""
+
+    MEMOS = {"numerics.beta_value", "numtheory.carry_min_table",
+             "balls._ln2", "balls._pi"}
+
+    @staticmethod
+    def sources():
+        for path in sorted((TestPackageSurface.ROOT / "src/betaforms").glob(
+                "*.py")):
+            yield path.stem, ast.parse(path.read_text())
+
+    def test_no_module_imports_another_modules_private_name(self):
+        found = [f"{stem} imports {module}.{name}"
+                 for stem, tree in self.sources()
+                 for module, names in TestLayering.imports(tree)
+                 if module != stem
+                 for name in names if name.startswith("_")]
+        assert not found, found
+
+    def test_only_the_shared_tables_are_memoized(self):
+        def memo(node):
+            node = node.func if isinstance(node, ast.Call) else node
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            return name in ("lru_cache", "cache")
+
+        found = {f"{stem}.{node.name}" for stem, tree in self.sources()
+                 for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 and any(map(memo, node.decorator_list))}
+        assert found == self.MEMOS

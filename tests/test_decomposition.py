@@ -340,6 +340,40 @@ def weakened(factors: ArithmeticFactors, how: int,
                              FactoredInteger.from_dict(phi), factors.s)
 
 
+class TestExactDivision:
+    """``integer_linear_form`` decides each A_i = phi**-1 d**s a_i by two
+    exact divisions.  On every suite profile, with its factors as they are,
+    with every ``weakened`` variant of them and with phi times a prime
+    that d lacks (so that d**s/phi has a denominator), it must return the
+    A_i that Fractions give when each is an integer, and raise otherwise."""
+
+    def test_matches_the_fractions(self, bundle):
+        outcomes = []
+        for profile in suite_profiles():
+            b = bundle(profile)
+            dec, true = b.decomposition, b.factors
+            beyond_d = FactoredInteger.from_dict(
+                {**dict(true.phi.factors), 1000003: 1})
+            variants = [weakened(true, how, pick) for how in (1, 2)
+                        for pick in range(len(true.d.factors))]
+            variants.append(ArithmeticFactors(true.d, beyond_d, true.s))
+            for factors in [true, *variants]:
+                scale = Fraction(factors.d.value()) ** factors.s
+                scaled = [dec.a[i] * scale / factors.phi.value()
+                          for i in [0] + dec.beta_indices]
+                whole = all(x.denominator == 1 for x in scaled)
+                outcomes.append(whole)
+                assert whole or factors is not true
+                if whole:
+                    assert integer_linear_form(dec, factors)[0] == tuple(
+                        x.numerator for x in scaled)
+                else:
+                    with pytest.raises(InclusionError):
+                        integer_linear_form(dec, factors)
+        # both branches are taken
+        assert True in outcomes and False in outcomes
+
+
 def small_profiles():
     """Admissible profiles of both families, small enough for a few
     milliseconds of partial fractions."""

@@ -15,15 +15,14 @@ from betaforms import cli, numerics
 from betaforms.balls import BallReal, floor_log2, working_precision
 from betaforms.decomposition import beta_coefficients
 from betaforms import rationalfn
-from betaforms.numerics import (_beta_enclosures, _cauchy_products,
-                                _chebyshev_pass, _chebyshev_weights,
-                                _least_size, _moment_bound, _term_ratios,
+from betaforms.numerics import (_beta_enclosures, _chebyshev_pass,
+                                _chebyshev_weights, _least_size, _term_ratios,
                                 SeriesEvaluation, alternating_series_tail, beta_value,
                                 consistency_check, decomposition_value,
                                 r_n_series)
 from betaforms.profiles import THEOREM1_ETA, general, section2
-from betaforms.rationalfn import (build_general, build_section2,
-                                  partial_fractions)
+from betaforms.rationalfn import (_cauchy_products, build_general,
+                                  build_section2, partial_fractions)
 
 from tests.conftest import suite_profiles
 from tests import reference
@@ -382,7 +381,7 @@ class TestSeriesKernel:
         b = bundle(general(THEOREM1_ETA, 2))
         rep = shifted(b.rep, -max(b.table.pole_ks) - 1)
         with pytest.raises(ValueError):
-            _moment_bound(rep)
+            rep.moment_bound
         with pytest.raises(ValueError):
             alternating_series_tail(rep, Fraction(1, 2 ** 64), 64)
 
@@ -413,8 +412,9 @@ CANCELLED = linear_product_rep(Fraction(7, 3), [(Fraction(1, 2), 2)],
 
 
 class TestCauchyMomentBound:
-    """``_moment_bound`` reads B off the rep by Cauchy's estimate; the exact
-    B = sum |c_ik| / X_k**i of the partial-fraction table must lie below."""
+    """``LinearProductRep.moment_bound`` reads B off the rep by Cauchy's
+    estimate; the exact B = sum |c_ik| / X_k**i of the partial-fraction
+    table must lie below."""
 
     @settings(max_examples=150, deadline=None)
     @given(left_reps)
@@ -426,11 +426,11 @@ class TestCauchyMomentBound:
     def test_bounds_the_exact_moment_sum(self, rep):
         table = partial_fractions(rep)
         exact_b = exact_moment_bound(table, table.pole_offset)
-        assert exact_b <= dyadic(*_moment_bound(rep))
+        assert exact_b <= dyadic(*rep.moment_bound)
 
     def test_cube_takes_cauchy_at_every_order(self):
         # |c_i| <= 2**-i 2**3 = 1 for i = 1, 2, 3 over X**i = 2**-i: B <= 24
-        assert dyadic(*_moment_bound(CUBE)) == 24
+        assert dyadic(*CUBE.moment_bound) == 24
 
     @settings(max_examples=150, deadline=None)
     @given(left_reps)
@@ -451,7 +451,7 @@ class TestCauchyMomentBound:
         ids=["improper", "zero", "mixed-parity", "pole-at-0", "pole-right"])
     def test_rejects(self, rep):
         with pytest.raises(ValueError):
-            _moment_bound(rep)
+            rep.moment_bound
 
     def test_theorem1_n64_without_a_table(self, monkeypatch):
         # (1/64) ln r_64 as certified through the partial-fraction table,

@@ -43,12 +43,18 @@ A tree's run is three fresh interpreters with ``PYTHONPATH=SRC``:
   ``decomposition.integer_linear_form`` (n = 24 is where partial
   fractions dominate a certificate); then the real constants:
   ``asymptotics.phi_exponent`` (carry table warm) and
-  ``asymptotics.r_exponent``.  It then times ``numerics.r_n_series`` alone
-  and ``numerics.consistency_check``, and records every
-  ``numerics.alternating_series_tail`` call either makes as (tbits, N, P):
-  the target 2**-tbits, the size N of the Chebyshev scheme and the
-  fixed-point bits P of its pass (``numerics._chebyshev_pass``).  Last it
-  times ``numerics.decomposition_value`` at the target bits that
+  ``asymptotics.r_exponent``.  Then come the oracle stages
+  (``oracle_stages``): ``numerics.r_n_series`` alone, then
+  ``numerics.consistency_check`` on a rep rebuilt untimed by
+  ``numerics.build_profile_rep``, as each n of ``betaforms run`` builds
+  one, so that the check pays for f(0) and the moment bound as ``run``
+  does (a tree that memoizes them by the rep's value still serves the
+  rebuilt rep from that memo).  Older rows of ``BENCH_oracle.json`` timed
+  the check on the rep the series had just read.  Every
+  ``numerics.alternating_series_tail`` call either makes is recorded as
+  (tbits, N, P): the target 2**-tbits, the size N of the Chebyshev scheme
+  and the fixed-point bits P of its pass (``numerics._chebyshev_pass``).
+  Then it times ``numerics.decomposition_value`` at the target bits that
   ``consistency_check`` gives it, 16 bits below the rung of the series
   ball's least |x|; it makes its beta values itself and reads no cache.
   Last come the ledger ``asymptotics.exponent_ledger`` of section2-s17
@@ -57,14 +63,13 @@ A tree's run is three fresh interpreters with ``PYTHONPATH=SRC``:
   and theorem1's ledger at 64 bits from a cold carry table, the work of
   ranking one eta candidate.
   With ``--large`` the exact certificate of theorem1 at n = 48 and 96
-  follows, stage by stage (5 to 10 s a tree at n = 96), and then
-  ``numerics.r_n_series`` at 256 bits with its series calls, on a rep
-  whose moment bound no call has made yet, then
-  ``numerics.consistency_check`` at 256 bits with its series calls.  The
-  series takes its first rung from f(0), its first term, so it is not the
-  cold descent from 2**-(precision + 16) that older rows of
-  ``BENCH_oracle.json`` record; the field keeps its name,
-  ``cold_r_n_series_s``.
+  follows, stage by stage (5 to 10 s a tree at n = 96), and then the
+  oracle stages at 256 bits, ``decomposition_value`` included (older rows
+  of ``BENCH_oracle.json`` have it only up to n = 24).  The series there
+  runs on a rep whose moment bound no call has made yet.  It takes its
+  first rung from f(0), its first term, so it is not the cold descent
+  from 2**-(precision + 16) that older rows record; the field keeps its
+  name, ``cold_r_n_series_s``.
   Without ``--large`` the run keeps its length.
 
 Every timing is recorded as the median, min and max over the rounds.  The
@@ -169,8 +174,26 @@ def exact_stages(n: int) -> tuple[dict, tuple]:
     return times, (profile, rep, table, dec)
 
 
-def run_case(n: int, precision: int) -> dict:
+def oracle_stages(profile, rep, dec, precision: int) -> tuple:
+    """``r_n_series`` on ``rep`` and ``consistency_check`` on a rep rebuilt
+    untimed, each with its series calls, then ``decomposition_value`` at
+    the target bits the check gave it: (series seconds, series calls,
+    check seconds, check calls, value seconds)."""
     from betaforms import numerics
+
+    series_s, series_calls, _ = timed_with_tail_calls(
+        numerics, lambda: numerics.r_n_series(rep, precision=precision))
+    # as each n of ``run`` builds one: the check makes f(0) and the bound
+    fresh = numerics.build_profile_rep(profile)
+    check_s, check_calls, report = timed_with_tail_calls(
+        numerics, lambda: numerics.consistency_check(dec, fresh,
+                                                     precision=precision))
+    tbits = numerics._rung(precision, abs(report.series).lower) + 16
+    value_s = seconds(lambda: numerics.decomposition_value(dec, tbits))[0]
+    return series_s, series_calls, check_s, check_calls, value_s
+
+
+def run_case(n: int, precision: int) -> dict:
     from betaforms.asymptotics import phi_exponent, r_exponent
     from betaforms.numtheory import carry_min_table
 
@@ -180,15 +203,10 @@ def run_case(n: int, precision: int) -> dict:
             "phi_exponent_s": seconds(
                 lambda: phi_exponent(profile, precision))[0],
             "r_exponent_s": seconds(lambda: r_exponent(profile, precision))[0]}
-    series, check = numerics.r_n_series, numerics.consistency_check
-    series_s, series_calls, _ = timed_with_tail_calls(
-        numerics, lambda: series(rep, precision=precision))
-    check_s, check_calls, report = timed_with_tail_calls(
-        numerics, lambda: check(dec, rep, precision=precision))
-    tbits = numerics._rung(precision, abs(report.series).lower) + 16
-    case["decomposition_value_s"] = seconds(
-        lambda: numerics.decomposition_value(dec, tbits))[0]
-    return {**case, "r_n_series_s": series_s,
+    series_s, series_calls, check_s, check_calls, value_s = oracle_stages(
+        profile, rep, dec, precision)
+    return {**case, "decomposition_value_s": value_s,
+            "r_n_series_s": series_s,
             "r_n_series_tail_calls": series_calls,
             "consistency_check_s": check_s,
             "consistency_check_tail_calls": check_calls}
@@ -227,20 +245,17 @@ def ranking_case() -> dict:
 
 
 def large_case(n: int) -> dict:
-    """The exact stages of theorem1 at n, then a cold series and the
-    consistency oracle at 256 bits."""
-    from betaforms import numerics
-
-    times, (_, rep, _, dec) = exact_stages(n)
-    series_s, series_calls, _ = timed_with_tail_calls(
-        numerics, lambda: numerics.r_n_series(rep, precision=256))
-    check_s, check_calls, _ = timed_with_tail_calls(
-        numerics, lambda: numerics.consistency_check(dec, rep, precision=256))
+    """The exact stages of theorem1 at n, then ``oracle_stages`` at 256
+    bits."""
+    times, (profile, rep, _, dec) = exact_stages(n)
+    series_s, series_calls, check_s, check_calls, value_s = oracle_stages(
+        profile, rep, dec, 256)
     return {"profile": "theorem1", "n": n, **times,
             "cold_r_n_series_s": series_s,
             "cold_r_n_series_tail_calls": series_calls,
             "consistency_check_s": check_s,
-            "consistency_check_tail_calls": check_calls}
+            "consistency_check_tail_calls": check_calls,
+            "decomposition_value_s": value_s}
 
 
 def run_stages(large: bool) -> list[dict]:
@@ -304,7 +319,7 @@ def main(argv=None) -> None:
     parser.add_argument("--large", action="store_true",
                         help="also time the exact certificate of theorem1 "
                              f"at n = {' and '.join(map(str, LARGE_NS))}, "
-                             "then a cold series and the oracle there")
+                             "then the oracle stages there")
     parser.add_argument("--one", action="store_true",
                         help=argparse.SUPPRESS)  # one stage run, as JSON
     args = parser.parse_args(argv)
