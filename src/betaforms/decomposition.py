@@ -21,13 +21,15 @@ the coefficient inclusions run one integrality check per orbit.  The
 middle pole, and every pole of a table without a reflection, is an orbit
 of one.  The tail sums share one lcm D and one list of powers
 (D/(2m - 1))**i, raised by one factor per column.
-Every integrality claim of a report, phi**-1 d**e v in Z, goes through
-one kernel, ``_scaled``, which decides it from exponents and touches the
-numerator only at the primes where d**e cannot cover the denominator and
-phi (``integer_linear_form`` divides exactly instead).
+The coefficient inclusions, phi**-1 d**e v in Z for each table entry,
+go through one kernel, ``_scaled``, which decides them from exponents and
+touches the numerator only at the primes where d**e and the table's lcm
+cannot cover it; the form inclusions and ``integer_linear_form`` take
+d**e / phi in lowest terms from ``_d_over_phi`` and divide exactly.
 Divisibility violations are data, not exceptions: the verifiers return
-structured reports with per-prime deficits, each violation's value
-reduced, so that deliberately weakened exponents can be probed.
+structured reports, each violation holding its scaled value, reduced,
+whose denominator gives the per-prime deficits, so that deliberately
+weakened exponents can be probed.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ from fractions import Fraction
 from itertools import accumulate
 
 from ._records import frozen
-from .numtheory import FactoredInteger, capital_phi, lcm_up_to, valuation
+from .numtheory import (FactoredInteger, capital_phi, factorize, lcm_up_to,
+                        valuation)
 from .profiles import Profile
 from .rationalfn import PartialFractionTable
 
@@ -60,12 +63,10 @@ def _tail_coefficients(i: int, origins, powers) -> list[int]:
 
 @frozen
 class DecompositionResult:
-    """Exact coefficients a_0..a_s of r = a_0 + sum a_i beta(i), and each
-    a_i's denominator as ascending (prime, exponent) pairs."""
+    """Exact coefficients a_0..a_s of r = a_0 + sum a_i beta(i)."""
 
     profile: Profile
     a: tuple[Fraction, ...]
-    denominators: tuple[tuple[tuple[int, int], ...], ...]
 
     @property
     def beta_indices(self) -> list[int]:
@@ -85,16 +86,18 @@ class ArithmeticFactors:
         return cls(lcm_up_to(profile.d_index), capital_phi(profile), profile.s)
 
 
-def _factored(den: int, primes) -> tuple[tuple[int, int], ...]:
-    """den > 0 as ascending (prime, exponent) pairs over ``primes``."""
-    out = []
-    for p in primes:
-        if den % p == 0:
-            out.append((p, v := valuation(den, p)))
-            den //= p ** v
-    if den != 1:
-        raise ArithmeticError(f"{den} has a prime factor off the table's")
-    return tuple(out)
+def _d_over_phi(factors: ArithmeticFactors, e: int) -> tuple[int, int]:
+    """d**e / phi = top / bottom in lowest terms, from exponents.
+
+    With v = num/den in lowest terms, phi**-1 d**e v = num top / (den bottom)
+    is an integer iff den divides top and bottom divides num, as num is
+    prime to den and top to bottom: two exact divisions decide it, each
+    with a small quotient or divisor."""
+    exps = {p: e * k for p, k in factors.d.factors}
+    for p, k in factors.phi.factors:
+        exps[p] = exps.get(p, 0) - k
+    return (math.prod([p ** k for p, k in exps.items() if k > 0]),
+            math.prod([p ** -k for p, k in exps.items() if k < 0]))
 
 
 def _assemble(table: PartialFractionTable, s: int,
@@ -155,16 +158,14 @@ def _assemble(table: PartialFractionTable, s: int,
 
 def beta_coefficients(table: PartialFractionTable, profile: Profile) -> DecompositionResult:
     """Exact linear-form coefficients, each pole's inner sum starting at
-    k minus the centre of the table's pole window.  The denominators' primes
-    (of C, L and d in ``_assemble``) are among the table's primes."""
+    k minus the centre of the table's pole window."""
     if tuple(profile.pole_ks) != table.pole_ks:
         raise ValueError("table poles do not match profile")
     if table.pole_offset != Fraction(1, 2):
         raise ValueError("table poles are not at half-integers")
     centre = (table.pole_ks[0] + table.pole_ks[-1]) // 2
-    a = _assemble(table, profile.s, [k - centre for k in table.pole_ks])
-    return DecompositionResult(profile, a, tuple(
-        _factored(x.denominator, table.primes) for x in a))
+    return DecompositionResult(profile, _assemble(
+        table, profile.s, [k - centre for k in table.pole_ks]))
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +176,13 @@ def beta_coefficients(table: PartialFractionTable, profile: Profile) -> Decompos
 class Violation:
     i: int
     k: int | None
-    value: Fraction
-    deficits: tuple[tuple[int, int], ...]  # (prime, exponent), ascending
+    value: Fraction  # phi**-1 d**(s-i) times the checked value, reduced
+
+    @property
+    def deficits(self) -> tuple[tuple[int, int], ...]:
+        """How short of Z the value falls: its denominator as ascending
+        (prime, exponent) pairs."""
+        return tuple(factorize(self.value.denominator).items())
 
     def __str__(self):
         where = f"i={self.i}" + ("" if self.k is None else f", k={self.k}")
@@ -202,13 +208,13 @@ class InclusionReport:
 
 
 def _prime_groups(factors: ArithmeticFactors, primes: tuple[int, ...],
-                  lcm: FactoredInteger | None):
+                  lcm: FactoredInteger):
     """The primes of ``primes``, d, phi and ``lcm``, grouped by
     (L_p, d_p, p = 2); each member is (its place in ``primes``, or
     len(primes) if absent, p, phi_p).  d's primes count because an
     exponent e < 0 puts them in the denominator."""
     d, phi = dict(factors.d.factors), dict(factors.phi.factors)
-    lcm = dict(lcm.factors) if lcm else {}
+    lcm = dict(lcm.factors)
     place = {p: k for k, p in enumerate(primes)}
     groups: dict[tuple[int, int, bool], list] = {}
     for p in sorted(place.keys() | d.keys() | phi.keys() | lcm.keys()):
@@ -217,24 +223,22 @@ def _prime_groups(factors: ArithmeticFactors, primes: tuple[int, ...],
     return tuple(groups.items())
 
 
-def _scaled(groups, known, items) -> list[tuple[tuple[int, int], ...]]:
-    """For each item (e, j, x, n): the primes p at which
-    phi**-1 d**e V n / (L**j 2**x) misses Z, each with how short it falls,
-    ascending; empty where it is an integer.  The one integrality kernel.
+def _scaled(groups, known, items) -> list[bool]:
+    """For each item (e, j, x, n): whether phi**-1 d**e V n / (L**j 2**x)
+    is an integer.  The coefficient inclusions' kernel.
 
-    ``groups`` is ``_prime_groups(factors, primes, lcm)``, made by the
-    caller.  V is a rational known by its exponents ``known`` at ``primes``
-    (no other prime divides its denominator), and L is ``lcm`` (None for
-    1).  Item by item n must cover the exponent
+    ``groups`` is ``_prime_groups(factors, primes, table.lcm)``, made by
+    the caller.  V is a rational known by its exponents ``known`` at
+    ``primes`` (no other prime divides its denominator), and L is the
+    table's lcm.  Item by item n must cover the exponent
     t_p = phi_p + j L_p + x [p = 2] - e d_p - V_p at each prime; n is
-    touched only where t_p > 0, by one remainder n mod prod p**t_p, and is
-    factored further only where that fails.  t_p depends on the item only
-    through (L_p, d_p, p = 2), so the primes are grouped by that and each
-    group's part of the modulus is formed once per value.
+    touched only where t_p > 0, by one remainder n mod prod p**t_p.  t_p
+    depends on the item only through (L_p, d_p, p = 2), so the primes are
+    grouped by that and each group's part of the modulus is formed once
+    per value.
     """
     exps = [*known, 0]
     moduli = [1] * len(items)
-    needs: list[list] = [[] for _ in items]
     for (lp, dp, two), members in groups:
         shifts = [j * lp - e * dp + (x if two else 0) for e, j, x, _ in items]
         most = max(shifts, default=0)
@@ -244,20 +248,9 @@ def _scaled(groups, known, items) -> list[tuple[tuple[int, int], ...]]:
         parts = {}
         for idx, v in enumerate(shifts):
             if v not in parts:
-                need = [(p, c + v) for p, c in live if c + v > 0]
-                parts[v] = need, math.prod(p ** t for p, t in need)
-            need, modulus = parts[v]
-            needs[idx] += need
-            moduli[idx] *= modulus
-    return [() if n % m == 0 else tuple(sorted(
-        (p, t - v) for p, t in need if (v := valuation(n, p)) < t))
-        for (_, _, _, n), m, need in zip(items, moduli, needs)]
-
-
-def _violation(factors, i, k, value, e, deficits) -> Violation:
-    """The violation of phi**-1 d**e value in Z, its value reduced."""
-    return Violation(i, k, value * Fraction(factors.d.value()) ** e
-                     / factors.phi.value(), deficits)
+                parts[v] = math.prod(p ** (c + v) for p, c in live if c + v > 0)
+            moduli[idx] *= parts[v]
+    return [n % m == 0 for (_, _, _, n), m in zip(items, moduli)]
 
 
 def verify_coefficient_inclusions(table: PartialFractionTable,
@@ -268,13 +261,14 @@ def verify_coefficient_inclusions(table: PartialFractionTable,
     Orbit by orbit (``table.orbits``), V is the scale over the cofactor,
     known by the pole's valuations (and, at a prime of d or phi outside
     them, by the scale's own exponent), and n runs over the pole's rows.
-    A mirrored pole has the same V and |n|, so its deficits are the
-    pole's; violations are reported pole by pole in table order."""
+    A mirrored pole has the same V and |n|, so its verdicts are the
+    pole's; violations are reported pole by pole in table order, each
+    value scaled by ``_d_over_phi``."""
     known = set(table.primes)
     beyond = tuple(sorted({p for p, _ in factors.d.factors + factors.phi.factors
                            if p not in known}))
     groups = _prime_groups(factors, table.primes + beyond, table.lcm)
-    found = [()] * len(table.pole_ks)  # (item, deficits) per pole
+    found = [()] * len(table.pole_ks)  # failing i per pole
     for idx, mirror in table.orbits:
         order, row = table.orders[idx], table.rows[idx]
         exps = table.valuations[idx]
@@ -282,32 +276,28 @@ def verify_coefficient_inclusions(table: PartialFractionTable,
             exps += tuple(valuation(table.scales[idx], p) for p in beyond)
         items = [(factors.s - i, order - i, i, n)
                  for i, n in enumerate(row, 1) if n]
-        found[idx] = found[mirror] = list(zip(items,
-                                              _scaled(groups, exps, items)))
+        found[idx] = found[mirror] = [
+            i for (_, _, i, _), ok in zip(items, _scaled(groups, exps, items))
+            if not ok]
     return InclusionReport(len(table.pole_ks) * table.s, tuple(
-        _violation(factors, i, k, table.a(i, k), e, deficits)
-        for k, pairs in zip(table.pole_ks, found)
-        for (e, _, i, _), deficits in pairs if deficits))
+        Violation(i, k, table.a(i, k) * Fraction(
+            *_d_over_phi(factors, factors.s - i)))
+        for k, bad in zip(table.pole_ks, found) for i in bad))
 
 
 def verify_form_inclusions(result: DecompositionResult,
                            factors: ArithmeticFactors) -> InclusionReport:
     """Check phi**-1 d**(s-i) a_i in Z for i = 0..s.
 
-    Odd i are vacuous (a_i = 0 exactly) and are recorded as passing.  V is
-    a_i itself, known by its denominator's factors, and n its numerator.
+    Odd i are vacuous (a_i = 0 exactly) and are recorded as passing.  Each
+    nonzero a_i is decided by the two exact divisions of ``_d_over_phi``.
     """
-    violations = []
-    for i, (ai, den) in enumerate(zip(result.a, result.denominators)):
-        if not ai:
-            continue
-        e = factors.s - i
-        groups = _prime_groups(factors, tuple(p for p, _ in den), None)
-        deficits, = _scaled(groups, [-k for _, k in den],
-                            [(e, 0, 0, ai.numerator)])
-        if deficits:
-            violations.append(_violation(factors, i, None, ai, e, deficits))
-    return InclusionReport(len(result.a), tuple(violations))
+    scales = [(i, ai, *_d_over_phi(factors, factors.s - i))
+              for i, ai in enumerate(result.a) if ai]
+    return InclusionReport(len(result.a), tuple(
+        Violation(i, None, ai * Fraction(top, bottom))
+        for i, ai, top, bottom in scales
+        if top % ai.denominator or ai.numerator % bottom))
 
 
 class InclusionError(ArithmeticError):
@@ -319,17 +309,11 @@ def integer_linear_form(result: DecompositionResult,
     """Integer tuple (A_0, A_2, ..., A_{s-1}) with
     phi**-1 d**s r = A_0 + sum A_i beta(i), plus a description of the scale.
 
-    d**s / phi = top / bottom in lowest terms, from exponents.  With
-    a_i = num/den in lowest terms, A_i = num top / (den bottom) is an
-    integer iff den divides top and bottom divides num, as num is prime to
-    den and top to bottom: two exact divisions decide it, each with a
-    small quotient or divisor, and A_i = (num / bottom) (top / den)."""
+    With d**s / phi = top / bottom from ``_d_over_phi`` and a_i = num/den,
+    two exact divisions decide each A_i, and A_i = (num / bottom) (top / den).
+    """
     s = factors.s
-    exps = {p: s * e for p, e in factors.d.factors}
-    for p, e in factors.phi.factors:
-        exps[p] = exps.get(p, 0) - e
-    top = math.prod([p ** e for p, e in exps.items() if e > 0])
-    bottom = math.prod([p ** -e for p, e in exps.items() if e < 0])
+    top, bottom = _d_over_phi(factors, s)
     out = []
     for i in [0] + result.beta_indices:
         ai = result.a[i]

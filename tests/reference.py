@@ -39,10 +39,10 @@ from betaforms.balls import (BallReal, _ball, _ceil_shift_div, _cos_sin_fixed,
                              working_precision)
 from betaforms.cli import (_cmd_asymptotics, _cmd_beta, _cmd_phi_table,
                            _cmd_run, _cmd_validate)
-from betaforms.decomposition import (ArithmeticFactors, DecompositionResult,
-                                     InclusionReport, Violation, _assemble,
-                                     _prime_groups, _scaled, _violation)
-from betaforms.numtheory import capital_phi, factorize, lcm_up_to, valuation
+from betaforms.decomposition import (ArithmeticFactors, InclusionReport,
+                                     Violation, _assemble, _prime_groups,
+                                     _scaled)
+from betaforms.numtheory import capital_phi, lcm_up_to, valuation
 from betaforms.profiles import PRESETS, Profile, section2
 from betaforms.rationalfn import (LinearProductRep, PartialFractionTable,
                                   _layers, partial_fractions)
@@ -324,20 +324,6 @@ def hypergeometric_parameters(profile: Profile):
 # The Fraction integrality kernel
 # ---------------------------------------------------------------------------
 
-def _prime_deficits(denominator: int) -> tuple[tuple[int, int], ...]:
-    out = {}
-    d = denominator
-    p = 2
-    while p * p <= d:
-        while d % p == 0:
-            out[p] = out.get(p, 0) + 1
-            d //= p
-        p += 1 if p == 2 else 2
-    if d > 1:
-        out[d] = out.get(d, 0) + 1
-    return tuple(out.items())  # found in ascending order
-
-
 def fraction_scaled(factors: ArithmeticFactors, pairs) -> list[Fraction]:
     """phi**-1 d**e v for each (e, v) pair, in Fractions: the package's
     integrality kernel as it was before it worked from exponents."""
@@ -349,14 +335,13 @@ def fraction_scaled(factors: ArithmeticFactors, pairs) -> list[Fraction]:
 def fraction_inclusion_report(factors: ArithmeticFactors,
                               entries) -> InclusionReport:
     """Check phi**-1 d**(s-i) v in Z for each (i, k, v) entry by
-    ``fraction_scaled``, each violation's deficits by trial division of its
-    denominator; zero entries count as checked and hold."""
+    ``fraction_scaled``; zero entries count as checked and hold."""
     entries = list(entries)
     nonzero = [t for t in entries if t[2]]
     scaled = fraction_scaled(factors, [(factors.s - i, v)
                                        for i, _, v in nonzero])
     return InclusionReport(len(entries), tuple(
-        Violation(i, k, v, _prime_deficits(v.denominator))
+        Violation(i, k, v)
         for (i, k, _), v in zip(nonzero, scaled) if v.denominator != 1))
 
 
@@ -431,12 +416,10 @@ def per_pole_coefficient_inclusions(table: PartialFractionTable,
             exps += tuple(valuation(scale, p) for p in beyond)
         items = [(factors.s - i, order - i, i, row[i - 1])
                  for i in range(1, order + 1) if row[i - 1]]
-        for (e, _, _, _), deficits in zip(items, _scaled(groups, exps,
-                                                         items)):
-            if deficits:
-                i = factors.s - e
-                violations.append(_violation(
-                    factors, i, k, table.a(i, k), e, deficits))
+        for (e, _, i, _), ok in zip(items, _scaled(groups, exps, items)):
+            if not ok:
+                violations.append(Violation(i, k, fraction_scaled(
+                    factors, [(e, table.a(i, k))])[0]))
     return InclusionReport(len(table.pole_ks) * table.s, tuple(violations))
 
 
@@ -480,14 +463,6 @@ def full_breakpoint_candidates(terms) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 # Inner sums
 # ---------------------------------------------------------------------------
-
-def decomposition(profile: Profile, a) -> DecompositionResult:
-    """A ``DecompositionResult`` of arbitrary coefficients, each denominator
-    factored by trial division."""
-    a = tuple(a)
-    return DecompositionResult(profile, a, tuple(
-        tuple(sorted(factorize(x.denominator).items())) for x in a))
-
 
 def inner_sum(i: int, start: int, stop: int) -> Fraction:
     """sum_{l=start}^{stop} (-1)**l / (l + 1/2)**i, exact; empty gives 0."""

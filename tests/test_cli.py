@@ -173,7 +173,7 @@ class TestRun:
     @pytest.mark.parametrize("name, spoil, failure", [
         ("verify_form_inclusions",
          lambda rep: InclusionReport(rep.checked, (
-             Violation(0, None, Fraction(1, 7), ((7, 1),)),)),
+             Violation(0, None, Fraction(1, 7)),)),
          "n=2: form inclusions violated"),
         ("consistency_check",
          lambda check: ConsistencyReport(check.profile, check.series,

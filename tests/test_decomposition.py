@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from betaforms.decomposition import (ArithmeticFactors, InclusionError,
-                                     _assemble, _factored,
+from betaforms.decomposition import (ArithmeticFactors, DecompositionResult,
+                                     InclusionError, _assemble,
                                      _tail_coefficients,
                                      beta_coefficients,
                                      integer_linear_form,
@@ -18,7 +18,7 @@ from betaforms.rationalfn import (LinearProductRep, build_general,
                                   build_section2, partial_fractions)
 
 from tests.conftest import SECTION2_SUITE, THEOREM1_NS, suite_profiles
-from tests.reference import (decomposition, fraction_inclusion_report,
+from tests.reference import (fraction_inclusion_report,
                              inner_sum, linear_product_rep, per_pole_assemble,
                              per_pole_coefficient_inclusions,
                              remark1_denominator_probe)
@@ -262,6 +262,9 @@ class TestExponentKernel:
     # of d and of the scale beyond the table's primes
     @example(linear_product_rep(Fraction(-5, 8), [], [(0, 1)]), 5, {}, 0,
              [Fraction(0)] * 4)
+    # a_0's denominator prime 1000003 is off d, phi and the table
+    @example(linear_product_rep(Fraction(-5, 8), [], [(0, 1)]), 5, {3: 1}, 2,
+             [Fraction(7, 1000003), Fraction(0), Fraction(5, 3), Fraction(0)])
     def test_matches_the_fraction_kernel_anywhere(self, rep, index, phi, s,
                                                   a):
         factors = ArithmeticFactors(lcm_up_to(index),
@@ -270,7 +273,7 @@ class TestExponentKernel:
         assert (verify_coefficient_inclusions(table, factors)
                 == fraction_inclusion_report(factors, table.entries()))
         assert (verify_form_inclusions(
-            decomposition(section2(3, 2), a), factors)
+            DecompositionResult(section2(3, 2), tuple(a)), factors)
                 == fraction_inclusion_report(
                     factors, ((i, None, ai) for i, ai in enumerate(a))))
 
@@ -319,8 +322,8 @@ class TestIntegerLinearForm:
 
     def test_inclusion_failure_raises(self, bundle):
         b = bundle(section2(3, 2))
-        broken = decomposition(
-            b.profile, (a + Fraction(1, 7) for a in b.decomposition.a))
+        broken = DecompositionResult(
+            b.profile, tuple(a + Fraction(1, 7) for a in b.decomposition.a))
         with pytest.raises(InclusionError):
             integer_linear_form(broken, b.factors)
 
@@ -374,6 +377,36 @@ class TestExactDivision:
         assert True in outcomes and False in outcomes
 
 
+class TestDeficits:
+    """A violation keeps only its scaled value, and its deficits are read
+    from that value's denominator.  On every suite profile, with every
+    ``weakened`` variant of its factors and with the lcm exponent two
+    short, both reports' deficits must factor each denominator exactly."""
+
+    def test_deficits_factor_the_denominator(self, bundle):
+        seen = 0
+        for profile in suite_profiles():
+            b = bundle(profile)
+            true = b.factors
+            variants = [weakened(true, how, pick) for how in (1, 2)
+                        for pick in range(len(true.d.factors))]
+            variants.append(slackened(true, 2))
+            for factors in variants:
+                for report in (
+                        verify_coefficient_inclusions(b.table, factors),
+                        verify_form_inclusions(b.decomposition, factors)):
+                    for v in report.violations:
+                        den = v.value.denominator
+                        primes = [p for p, _ in v.deficits]
+                        assert primes and primes == sorted(set(primes))
+                        for p, e in v.deficits:
+                            assert e > 0 and den % p ** e == 0
+                            assert den % p ** (e + 1)
+                        assert math.prod(p ** e for p, e in v.deficits) == den
+                        seen += 1
+        assert seen
+
+
 def small_profiles():
     """Admissible profiles of both families, small enough for a few
     milliseconds of partial fractions."""
@@ -409,8 +442,6 @@ class TestOrbitwiseAssembly:
                               [k - centre for k in table.pole_ks])
         dec = beta_coefficients(table, profile)
         assert dec.a == a
-        assert dec.denominators == tuple(
-            _factored(x.denominator, table.primes) for x in a)
         factors = weakened(ArithmeticFactors.for_profile(profile), how, pick)
         assert (verify_coefficient_inclusions(table, factors)
                 == per_pole_coefficient_inclusions(table, factors))

@@ -13,7 +13,7 @@ from mpmath.libmp import to_rational
 
 from betaforms import cli, numerics
 from betaforms.balls import BallReal, floor_log2, working_precision
-from betaforms.decomposition import beta_coefficients
+from betaforms.decomposition import DecompositionResult, beta_coefficients
 from betaforms import rationalfn
 from betaforms.numerics import (_beta_enclosures, _chebyshev_pass,
                                 _chebyshev_weights, _least_size, _term_ratios,
@@ -26,9 +26,8 @@ from betaforms.rationalfn import (_cauchy_products, build_general,
 
 from tests.conftest import suite_profiles
 from tests import reference
-from tests.reference import (ball_pi, contains, decomposition,
-                             linear_product_rep, mc_integral,
-                             paper_section2_rep, shifted)
+from tests.reference import (ball_pi, contains, linear_product_rep,
+                             mc_integral, paper_section2_rep, shifted)
 from tests.test_numtheory import admissible_general
 from tests.test_rationalfn import any_rep, linear_product_reps
 
@@ -238,7 +237,7 @@ class TestBetaSharedPass:
 
     def test_a_form_without_beta_terms_is_its_constant(self, monkeypatch):
         a0 = Fraction(-3, 7)
-        dec = decomposition(section2(5, 2), (a0,) + (Fraction(0),) * 5)
+        dec = DecompositionResult(section2(5, 2), (a0,) + (Fraction(0),) * 5)
         calls = self.counted_passes(monkeypatch)
         value = decomposition_value(dec, 64)
         # w = 64 + max(0, floor log2 3/7) + 2 (len([]) + 1).bit_length()
@@ -665,7 +664,7 @@ class TestConsistency:
 
     def test_perturbation_detected(self, bundle):
         b = bundle(section2(3, 2))
-        perturbed = decomposition(
+        perturbed = DecompositionResult(
             b.profile,
             (b.decomposition.a[0] + Fraction(1, 10 ** 10),)
             + b.decomposition.a[1:])

@@ -65,9 +65,9 @@ def test_post_init_still_validates():
 
 
 def test_violation_is_hashable():
-    a = Violation(0, None, Fraction(1, 7), ((7, 1),))
-    b = Violation(0, None, Fraction(1, 7), ((7, 1),))
-    c = Violation(0, None, Fraction(1, 7), ((7, 2),))
+    a = Violation(0, None, Fraction(1, 7))
+    b = Violation(0, None, Fraction(1, 7))
+    c = Violation(0, None, Fraction(1, 49))
     assert a == b and hash(a) == hash(b)
     assert a != c and len({a, b, c}) == 2
 
